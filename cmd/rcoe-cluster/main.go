@@ -43,6 +43,9 @@
 // path's writability checked before the campaign runs.
 // -cpuprofile/-memprofile write pprof profiles of the run (parity with
 // rcoe-bench) — the way the per-round router overhead is attributed.
+// run and failover also print one host-profile line on stderr: rounds,
+// wall-clock per round phase, router share, and checkpoint count and
+// time. Host time never enters the artifact.
 package main
 
 import (
@@ -283,6 +286,7 @@ func runOne(args []string) int {
 		fmt.Fprintf(os.Stderr, "rcoe-cluster run: %v\n", err)
 		return 1
 	}
+	fmt.Fprintf(os.Stderr, "rcoe-cluster run: host profile: %s\n", art.Host)
 	return emit(art, *jsonOut, *outFile)
 }
 
@@ -363,6 +367,7 @@ func runFailover(args []string) int {
 		fmt.Fprintf(os.Stderr, "rcoe-cluster failover: %v\n", err)
 		return 1
 	}
+	fmt.Fprintf(os.Stderr, "rcoe-cluster failover: host profile: %s\n", art.Host)
 	code := emit(art, *jsonOut, *outFile)
 	if code != 0 {
 		return code

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"rcoe/internal/netstack"
 )
 
@@ -53,9 +55,15 @@ type HostProfile struct {
 	FillNS     uint64
 	RunNS      uint64
 	DrainNS    uint64
+	// Checkpoints and CheckpointNS count every Cluster.Checkpoint call
+	// (periodic or by the driver) and its wall-clock. They sit beside
+	// the round phases, not inside them: TotalNS and RouterShare cover
+	// the four phases of a round only.
+	Checkpoints  uint64
+	CheckpointNS uint64
 }
 
-// TotalNS is the accumulated wall-clock of all phases.
+// TotalNS is the accumulated wall-clock of the four round phases.
 func (p HostProfile) TotalNS() uint64 {
 	return p.GenerateNS + p.FillNS + p.RunNS + p.DrainNS
 }
@@ -68,6 +76,14 @@ func (p HostProfile) RouterShare() float64 {
 		return 0
 	}
 	return float64(p.GenerateNS+p.FillNS+p.DrainNS) / float64(total)
+}
+
+// String renders the profile as one line for a CLI's stderr.
+func (p HostProfile) String() string {
+	ms := func(ns uint64) float64 { return float64(ns) / 1e6 }
+	return fmt.Sprintf("%d rounds: generate %.1f ms, fill %.1f ms, run %.1f ms, drain %.1f ms (router share %.1f%%); %d checkpoints: %.1f ms",
+		p.Rounds, ms(p.GenerateNS), ms(p.FillNS), ms(p.RunNS), ms(p.DrainNS), p.RouterShare()*100,
+		p.Checkpoints, ms(p.CheckpointNS))
 }
 
 // HostProfile returns the accumulated per-phase host timing.

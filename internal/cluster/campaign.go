@@ -33,6 +33,10 @@ type Artifact struct {
 	Streams    int    `json:"streams"`
 	Seed       uint64 `json:"seed"`
 	Rows       []Row  `json:"rows"`
+	// Host is the host-side wall-clock profile of a single-cluster
+	// campaign (run, failover), for the CLI's stderr. Never serialized:
+	// the artifact stays timing-free.
+	Host HostProfile `json:"-"`
 }
 
 // BenchConfig names one per-shard replication configuration of a bench
@@ -164,17 +168,19 @@ func FailoverDrill(opts FailoverOptions) (*Artifact, error) {
 		name = "rolling"
 	}
 	art.Rows = append(art.Rows, Row{Config: name, Seed: opts.Base.Seed, Result: res})
+	art.Host = c.HostProfile()
 	return art, nil
 }
 
 // RunArtifact wraps a single cluster run in the artifact envelope.
 func RunArtifact(opts Options) (*Artifact, error) {
-	res, err := Run(opts)
+	res, host, err := runProfiled(opts)
 	if err != nil {
 		return nil, err
 	}
 	art := newArtifact("run", opts)
 	art.Rows = append(art.Rows, Row{Config: opts.System.Mode.String(), Seed: opts.Seed, Result: res})
+	art.Host = host
 	return art, nil
 }
 

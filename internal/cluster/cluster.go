@@ -173,8 +173,14 @@ type shard struct {
 	queue       []*pending
 	outstanding map[uint32]*pending
 	// lastCkpt is the latest checkpoint image; replay the acked writes
-	// on top of it to rebuild the shard's authoritative state.
+	// on top of it to rebuild the shard's authoritative state. spareCkpt
+	// is the image before it, retired and kept only for its memory: the
+	// next checkpoint is written into it and the two swap, so lastCkpt
+	// stays intact until its successor is complete and a steady-state
+	// checkpoint allocates nothing. Both are private to the shard and
+	// Restore copies out of the image, so nothing aliases a recycled one.
 	lastCkpt  []byte
+	spareCkpt []byte
 	replay    []ackedWrite
 	stats     ShardStats
 	loadQueue int // load-phase requests still queued or in flight here
@@ -188,6 +194,12 @@ type shard struct {
 // ErrClusterStall reports a cluster making no progress without every
 // shard having halted.
 var ErrClusterStall = errors.New("cluster: no progress")
+
+// ErrCheckpoint reports that a periodic (CheckpointRounds) checkpoint
+// failed during the run: the shard kept its previous image and a longer
+// replay log, so failover still works, but the run was not the one
+// configured.
+var ErrCheckpoint = errors.New("cluster: periodic checkpoint failed")
 
 // Cluster is a constructed, steppable sharded system.
 type Cluster struct {
@@ -221,6 +233,11 @@ type Cluster struct {
 	// never enters a Result — it exists so scale tests and profiling
 	// runs can attribute round cost to router vs node execution.
 	prof HostProfile
+
+	// pool fans the run phase and the audit out over host cores.
+	pool pool
+	// ckptErr is the first periodic-checkpoint failure; Run returns it.
+	ckptErr error
 }
 
 // New builds the cluster: boots every shard, places them on the ring,
@@ -542,7 +559,8 @@ func (c *Cluster) workers() int {
 // own everything order-sensitive (wire IDs, the acked-write ledger,
 // retry state). The chunk executions between them share nothing and
 // run concurrently on up to ShardWorkers host goroutines; see pool.go
-// for why that is invisible in the results.
+// for why that is invisible in the results. A failed periodic
+// checkpoint is latched and returned by Run.
 func (c *Cluster) Step() {
 	t0 := time.Now()
 	c.generate()
@@ -551,7 +569,7 @@ func (c *Cluster) Step() {
 		c.fill(sh)
 	}
 	t2 := time.Now()
-	runShards(c.workers(), len(c.shards), func(i int) {
+	c.pool.run(c.workers(), len(c.shards), func(i int) {
 		c.shards[i].node.RunCycles(c.opts.ChunkCycles)
 	})
 	t3 := time.Now()
@@ -567,8 +585,11 @@ func (c *Cluster) Step() {
 	c.rounds++
 	if c.opts.CheckpointRounds != 0 && c.rounds%c.opts.CheckpointRounds == 0 {
 		for _, sh := range c.shards {
-			if halted, _ := sh.node.Halted(); !halted {
-				_ = c.Checkpoint(sh.id)
+			if halted, _ := sh.node.Halted(); halted {
+				continue
+			}
+			if err := c.Checkpoint(sh.id); err != nil && c.ckptErr == nil {
+				c.ckptErr = fmt.Errorf("%w: round %d: %w", ErrCheckpoint, c.rounds, err)
 			}
 		}
 	}
@@ -596,16 +617,25 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // OpsDone returns completed run-phase operations so far.
 func (c *Cluster) OpsDone() uint64 { return c.opsDone }
 
+// saveNode serializes a shard node; a variable only so a test can make a
+// checkpoint fail, which no healthy node's SaveState does.
+var saveNode = snapshot.AppendSave
+
 // Checkpoint snapshots shard id's node and truncates its replay log:
 // subsequent failover restores the checkpoint and replays only the
 // writes acknowledged since.
 func (c *Cluster) Checkpoint(id int) error {
+	t0 := time.Now()
+	defer func() {
+		c.prof.Checkpoints++
+		c.prof.CheckpointNS += uint64(time.Since(t0))
+	}()
 	sh := c.shards[id]
-	ckpt, err := snapshot.Save(sh.node)
+	ckpt, err := saveNode(sh.spareCkpt[:0], sh.node)
 	if err != nil {
 		return fmt.Errorf("cluster: checkpoint shard %d: %w", id, err)
 	}
-	sh.lastCkpt = ckpt
+	sh.spareCkpt, sh.lastCkpt = sh.lastCkpt, ckpt
 	sh.replay = sh.replay[:0]
 	return nil
 }
@@ -769,7 +799,7 @@ func (c *Cluster) VerifyAcked() (lost uint64, err error) {
 	}
 	lostPer := make([]uint64, len(c.shards))
 	errPer := make([]error, len(c.shards))
-	runShards(c.workers(), len(c.shards), func(id int) {
+	c.pool.run(c.workers(), len(c.shards), func(id int) {
 		lostPer[id], errPer[id] = c.auditShard(c.shards[id], perShard[id])
 	})
 	for id := range c.shards {
@@ -856,14 +886,14 @@ func (c *Cluster) Run() (Result, error) {
 			lastProgress = c.rounds
 		} else if c.rounds-lastProgress > stallRounds {
 			c.finalize()
-			return c.res, fmt.Errorf("%w after %d ops", ErrClusterStall, c.opsDone)
+			return c.res, errors.Join(fmt.Errorf("%w after %d ops", ErrClusterStall, c.opsDone), c.ckptErr)
 		}
 	}
 	if c.Done() {
 		c.endRound = c.rounds
 	}
 	c.finalize()
-	return c.res, nil
+	return c.res, c.ckptErr
 }
 
 // allHalted reports whether every shard has fail-stopped.
@@ -915,16 +945,22 @@ func (c *Cluster) Snapshot() Result {
 
 // Run is the one-call convenience wrapper: build, run, audit.
 func Run(opts Options) (Result, error) {
+	res, _, err := runProfiled(opts)
+	return res, err
+}
+
+// runProfiled is Run plus the cluster's host profile.
+func runProfiled(opts Options) (Result, HostProfile, error) {
 	c, err := New(opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, HostProfile{}, err
 	}
 	res, err := c.Run()
 	if err != nil {
-		return res, err
+		return res, c.prof, err
 	}
 	if _, err := c.VerifyAcked(); err != nil {
-		return c.Snapshot(), err
+		return c.Snapshot(), c.prof, err
 	}
-	return c.Snapshot(), nil
+	return c.Snapshot(), c.prof, nil
 }

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"rcoe/internal/core"
+	"rcoe/internal/snapshot"
 	"rcoe/internal/workload"
 )
 
@@ -118,6 +121,116 @@ func TestClusterFailoverZeroLostWrites(t *testing.T) {
 	}
 	if got := c.Snapshot().Shards[victim].Failovers; got != 1 {
 		t.Fatalf("victim failovers = %d, want 1", got)
+	}
+}
+
+// TestClusterCheckpointRecycling checkpoints one shard four times with
+// traffic in between — so the shard's two image buffers have each been
+// recycled — and requires every image to equal an independent fresh
+// save of the node at that moment, the restored node to equal the
+// fourth image, the restored node not to alias the image it came from,
+// and failover from it to lose no acknowledged write. A swapped, stale
+// or aliased recycled buffer fails one of these.
+func TestClusterCheckpointRecycling(t *testing.T) {
+	opts := testOptions()
+	opts.Operations = 80
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.LoadPhaseDone() {
+		c.Step()
+	}
+	const victim = 1
+	sh := c.shards[victim]
+	var want, prev []byte
+	for k := uint64(1); k <= 4; k++ {
+		for c.OpsDone() < 10*k {
+			c.Step()
+		}
+		if err := c.Checkpoint(victim); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = snapshot.Save(sh.node); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sh.lastCkpt, want) {
+			t.Fatalf("checkpoint %d differs from a fresh save of the same node", k)
+		}
+		if bytes.Equal(want, prev) {
+			t.Fatalf("checkpoint %d equals checkpoint %d: no traffic reached the shard in between", k, k-1)
+		}
+		if k > 1 && &sh.spareCkpt[0] == &sh.lastCkpt[0] {
+			t.Fatalf("checkpoint %d: latest and spare image share memory", k)
+		}
+		prev = want
+	}
+	if got := c.HostProfile(); got.Checkpoints != 4 || got.CheckpointNS == 0 {
+		t.Fatalf("host profile counts %d checkpoints in %d ns, want 4 in > 0", got.Checkpoints, got.CheckpointNS)
+	}
+
+	node, err := c.bootNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := bytes.Clone(sh.lastCkpt)
+	if err := snapshot.Restore(node, image); err != nil {
+		t.Fatal(err)
+	}
+	for i := range image {
+		image[i] = 0xFF // a recycled image is overwritten just like this
+	}
+	if resave, err := snapshot.Save(node); err != nil || !bytes.Equal(resave, want) {
+		t.Fatalf("node restored from the latest image does not re-save to the fourth checkpoint (err %v)", err)
+	}
+
+	if err := c.Failover(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := c.VerifyAcked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost != 0 {
+		t.Fatalf("lost %d acknowledged writes after failover from a recycled image", lost)
+	}
+}
+
+// TestClusterPeriodicCheckpointErrorSurfaces: a periodic checkpoint
+// that fails mid-run used to be dropped, silently leaving the shard
+// with a stale image. Run now returns it, and the shard still holds its
+// last good image.
+func TestClusterPeriodicCheckpointErrorSurfaces(t *testing.T) {
+	boom := errors.New("disk on fire")
+	calls := 0
+	saveNode = func(buf []byte, s snapshot.Snapshotter) ([]byte, error) {
+		if calls++; calls > 3 {
+			return nil, boom
+		}
+		return snapshot.AppendSave(buf, s)
+	}
+	defer func() { saveNode = snapshot.AppendSave }()
+
+	opts := testOptions()
+	opts.CheckpointRounds = 5 // the run is ~35 rounds: round 5 succeeds, round 10 fails
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run()
+	if !errors.Is(err, ErrCheckpoint) || !errors.Is(err, boom) {
+		t.Fatalf("Run returned %v, want ErrCheckpoint wrapping the save failure", err)
+	}
+	if calls <= 3 {
+		t.Fatalf("only %d checkpoints attempted; the failing one never ran", calls)
+	}
+	for _, sh := range c.shards {
+		if _, err := snapshot.Parse(sh.lastCkpt); err != nil {
+			t.Fatalf("shard %d lost its last good image: %v", sh.id, err)
+		}
 	}
 }
 

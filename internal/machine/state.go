@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -183,6 +184,7 @@ func (mm *Mem) saveState(e *snapshot.Enc) {
 		}
 	}
 	e.Int(len(pages))
+	e.Grow(len(pages) * (16 + pageSize))
 	for _, p := range pages {
 		off := p << pageShift
 		end := off + pageSize
@@ -263,7 +265,7 @@ func zeroBytes(b []byte) {
 
 func allZero(b []byte) bool {
 	for len(b) >= 8 {
-		if b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] != 0 {
+		if binary.LittleEndian.Uint64(b) != 0 {
 			return false
 		}
 		b = b[8:]

@@ -23,6 +23,12 @@
 //	per section:
 //	  uint32 name length, name bytes
 //	  uint64 payload length, payload bytes
+//
+// Writer streams: every section's payload is appended straight to the
+// one output buffer and the two counts above are back-patched, so a save
+// costs one pass over the state and no intermediate copies. AppendSave
+// is Save into a caller-supplied buffer, for owners that checkpoint
+// repeatedly and recycle retired images (internal/cluster).
 package snapshot
 
 import (
@@ -32,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -73,67 +80,74 @@ type Section struct {
 	Data []byte
 }
 
-// Writer accumulates sections and serializes them. Errors latch: after
-// the first failure every call is a no-op and Bytes returns the error.
+// Writer streams sections into one output buffer. Section appends the
+// section's name and an 8-byte length placeholder and hands out an Enc
+// that appends the payload to that same buffer; opening the next
+// section (or Bytes) back-patches the length, and Bytes back-patches the
+// section count — no per-section buffer and no final copy. Sections are
+// therefore strictly sequential: an Enc is dead once the next Section
+// call is made. Errors latch: after the first failure Bytes returns the
+// error. The zero value is an empty writer.
 type Writer struct {
-	sections []Section
-	cur      *Enc
-	curName  string
-	err      error
+	enc   Enc      // enc.buf is the output: header, closed sections, open payload
+	base  int      // offset of the header in enc.buf (AppendSave appends)
+	lenAt int      // offset of the open section's length placeholder; 0 = none open
+	names []string // sections so far, for the uniqueness check
+	err   error
 }
 
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer { return &Writer{} }
 
-// Section begins a new named section and returns its encoder. The
-// previous section, if any, is finalized. Section names must be unique
-// within one snapshot.
-func (w *Writer) Section(name string) *Enc {
-	w.flush()
-	if w.err == nil {
-		for _, s := range w.sections {
-			if s.Name == name {
-				w.err = fmt.Errorf("snapshot: duplicate section %q", name)
-			}
-		}
-	}
-	w.cur = &Enc{}
-	w.curName = name
-	return w.cur
-}
-
-func (w *Writer) flush() {
-	if w.cur == nil {
+// start appends the file header once, with a zero section count.
+func (w *Writer) start() {
+	if len(w.enc.buf) != w.base {
 		return
 	}
-	w.sections = append(w.sections, Section{Name: w.curName, Data: w.cur.buf})
-	w.cur = nil
+	w.enc.buf = append(w.enc.buf, magic[:]...)
+	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, Version)
+	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, 0)
+}
+
+// Section begins a new named section and returns its encoder. The
+// previous section, if any, is finalized, and its encoder must not be
+// used again. Section names must be unique within one snapshot.
+func (w *Writer) Section(name string) *Enc {
+	w.start()
+	w.flush()
+	if w.err == nil && slices.Contains(w.names, name) {
+		w.err = fmt.Errorf("snapshot: duplicate section %q", name)
+	}
+	w.names = append(w.names, name)
+	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, uint32(len(name)))
+	w.enc.buf = append(w.enc.buf, name...)
+	w.lenAt = len(w.enc.buf)
+	w.enc.buf = binary.LittleEndian.AppendUint64(w.enc.buf, 0)
+	return &w.enc
+}
+
+// flush closes the open section by back-patching its payload length.
+func (w *Writer) flush() {
+	if w.lenAt == 0 {
+		return
+	}
+	binary.LittleEndian.PutUint64(w.enc.buf[w.lenAt:], uint64(len(w.enc.buf)-w.lenAt-8))
+	w.lenAt = 0
 }
 
 // Err returns the first error the writer latched.
 func (w *Writer) Err() error { return w.err }
 
-// Bytes finalizes the snapshot and returns its serialized form.
+// Bytes finalizes the snapshot and returns its serialized form: the
+// writer's own buffer, so the writer must not be used afterwards.
 func (w *Writer) Bytes() ([]byte, error) {
+	w.start()
 	w.flush()
 	if w.err != nil {
 		return nil, w.err
 	}
-	size := len(magic) + 8
-	for _, s := range w.sections {
-		size += 4 + len(s.Name) + 8 + len(s.Data)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.sections)))
-	for _, s := range w.sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Name)))
-		out = append(out, s.Name...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.Data)))
-		out = append(out, s.Data...)
-	}
-	return out, nil
+	binary.LittleEndian.PutUint32(w.enc.buf[w.base+12:], uint32(len(w.names)))
+	return w.enc.buf, nil
 }
 
 // Snapshot is a parsed snapshot: an ordered list of named sections.
@@ -210,11 +224,16 @@ func (s *Snapshot) Section(name string) (*Dec, error) {
 	return &Dec{buf: s.sections[i].Data, name: name}, nil
 }
 
-// Enc encodes one section's payload. All writes append; there is no
-// error state because appends cannot fail.
+// Enc encodes one section's payload by appending to its Writer's output
+// buffer. All writes append; there is no error state because appends
+// cannot fail.
 type Enc struct {
 	buf []byte
 }
+
+// Grow reserves room for n more payload bytes, so a bulk encoder whose
+// size is known up front (memory pages) grows the output once.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U64 appends one unsigned 64-bit word.
 func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
@@ -248,6 +267,7 @@ func (e *Enc) String(s string) {
 
 // U64s appends a length-prefixed slice of words.
 func (e *Enc) U64s(vs []uint64) {
+	e.Grow(8 + 8*len(vs))
 	e.U64(uint64(len(vs)))
 	for _, v := range vs {
 		e.U64(v)
@@ -399,8 +419,15 @@ func (d *Dec) SortedU64Map() map[uint64]uint64 {
 }
 
 // Save serializes a Snapshotter's state to bytes.
-func Save(s Snapshotter) ([]byte, error) {
-	w := NewWriter()
+func Save(s Snapshotter) ([]byte, error) { return AppendSave(nil, s) }
+
+// AppendSave appends s's serialized state to buf and returns the
+// extended slice, like the strconv.Append functions: a caller that
+// checkpoints repeatedly passes a retired image's buf[:0] and pays
+// neither the allocation nor the page faults of a fresh buffer. On
+// error buf's spare capacity may have been scribbled on.
+func AppendSave(buf []byte, s Snapshotter) ([]byte, error) {
+	w := &Writer{enc: Enc{buf: buf}, base: len(buf)}
 	if err := s.SaveState(w); err != nil {
 		return nil, err
 	}

@@ -162,6 +162,76 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	}
 }
 
+// TestWriterLatchesDuplicate: a non-adjacent duplicate name latches an
+// error that later, valid sections do not clear, on Err and on Bytes.
+func TestWriterLatchesDuplicate(t *testing.T) {
+	w := NewWriter()
+	w.Section("a").U64(1)
+	w.Section("b").U64(2)
+	if w.Err() != nil {
+		t.Fatalf("distinct sections latched %v", w.Err())
+	}
+	w.Section("a").U64(3)
+	first := w.Err()
+	if first == nil {
+		t.Fatal("duplicate section not latched on Err")
+	}
+	w.Section("c").U64(4)
+	if w.Err() != first {
+		t.Fatalf("latched error changed: %v", w.Err())
+	}
+	if data, err := w.Bytes(); err != first || data != nil {
+		t.Fatalf("Bytes after a latched error returned %d bytes, err %v", len(data), err)
+	}
+}
+
+// failingState is a Snapshotter whose save fails after writing a section.
+type failingState struct{ err error }
+
+func (f failingState) SaveState(w *Writer) error {
+	w.Section("partial").U64(1)
+	return f.err
+}
+func (failingState) LoadState(*Snapshot) error { return nil }
+
+// TestStreamingLayout pins what the back-patching must produce: the
+// exact header of an empty snapshot, an empty section between two
+// non-empty ones, and AppendSave surfacing the Snapshotter's own error.
+func TestStreamingLayout(t *testing.T) {
+	empty, err := NewWriter().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte{}, magic[:]...), 1, 0, 0, 0, 0, 0, 0, 0); !bytes.Equal(empty, want) {
+		t.Fatalf("empty snapshot is % x, want % x", empty, want)
+	}
+
+	w := NewWriter()
+	w.Section("x").U64(7)
+	w.Section("none")
+	w.Section("y").Bytes([]byte{1, 2, 3})
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, s := range snap.Sections() {
+		got = append(got, len(s.Data))
+	}
+	if !reflect.DeepEqual(got, []int{8, 0, 11}) {
+		t.Fatalf("section payload lengths %v, want [8 0 11]", got)
+	}
+
+	boom := errors.New("boom")
+	if data, err := AppendSave(nil, failingState{boom}); !errors.Is(err, boom) || data != nil {
+		t.Fatalf("AppendSave of a failing Snapshotter returned %d bytes, err %v", len(data), err)
+	}
+}
+
 func TestDiff(t *testing.T) {
 	build := func(v uint64, extra bool) *Snapshot {
 		w := NewWriter()
