@@ -1,6 +1,10 @@
 package core
 
-import "rcoe/internal/machine"
+import (
+	"math/bits"
+
+	"rcoe/internal/machine"
+)
 
 // Physical memory map. The RCoE framework region and the input-replication
 // buffer are shared among all replicas; the DMA region belongs to devices
@@ -141,6 +145,16 @@ func (s shared) readTime(rid int) logicalTime {
 func (s shared) alive(rid int) bool {
 	return s.word(wAliveMask)&(1<<uint(rid)) != 0
 }
+
+// ridSet is a set of replica IDs as a bitmask (bit rid = replica rid),
+// walked in ascending order without allocating:
+//
+//	for m := set; m != 0; m = m.rest() { rid := m.first(); ... }
+type ridSet uint64
+
+func (m ridSet) first() int   { return bits.TrailingZeros64(uint64(m)) }
+func (m ridSet) rest() ridSet { return m & (m - 1) }
+func (m ridSet) count() int   { return bits.OnesCount64(uint64(m)) }
 
 // removeAlive clears a replica from the alive mask.
 func (s shared) removeAlive(rid int) {

@@ -18,15 +18,24 @@ func (s *System) released(r *Replica) bool {
 	return s.releasedSet&(1<<uint(r.ID)) != 0
 }
 
-// aliveIDs returns the alive replica IDs in ascending order.
-func (s *System) aliveIDs() []int {
-	ids := make([]int, 0, len(s.reps))
-	for rid := range s.reps {
-		if s.sh.alive(rid) {
-			ids = append(ids, rid)
-		}
+// aliveSet returns the alive replicas: the alive mask, read from shared RAM
+// once, restricted to the configured replicas (a corrupted mask may carry
+// bits no replica owns).
+func (s *System) aliveSet() ridSet {
+	return ridSet(s.sh.word(wAliveMask)) & (1<<uint(len(s.reps)) - 1)
+}
+
+// voters returns the alive set for a vote or an election. An empty set —
+// the alive mask corrupted to zero — leaves nobody to compare or elect:
+// the system fail-stops and ok is false.
+func (s *System) voters(what string) (alive ridSet, ok bool) {
+	alive = s.aliveSet()
+	if alive == 0 {
+		s.record(DetectKernelException, -1, false)
+		s.halt("alive mask empty at " + what)
+		return 0, false
 	}
-	return ids
+	return alive, true
 }
 
 // requestSync opens a synchronisation generation (or merges into the open
@@ -47,8 +56,8 @@ func (s *System) requestSync(requester int, kind, lines uint64) {
 	s.sh.setWord(wSyncKind, kind)
 	s.sh.setWord(wSyncLines, lines)
 	s.sh.setWord(wSyncGen, s.syncCounter)
-	for _, rid := range s.aliveIDs() {
-		if rid != requester {
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		if rid := m.first(); rid != requester {
 			s.m.SendIPI(rid)
 		}
 	}
@@ -60,8 +69,8 @@ func (s *System) requestSync(requester int, kind, lines uint64) {
 func (s *System) maxAliveTime() logicalTime {
 	var maxT logicalTime
 	first := true
-	for _, rid := range s.aliveIDs() {
-		t := s.sh.readTime(rid)
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		t := s.sh.readTime(m.first())
 		if first || maxT.less(t) {
 			maxT = t
 			first = false
@@ -77,7 +86,8 @@ func (s *System) maxAliveTime() logicalTime {
 func (s *System) allArrivedEqual(gen uint64) bool {
 	var ref logicalTime
 	first := true
-	for _, rid := range s.aliveIDs() {
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		rid := m.first()
 		if s.sh.repWord(rid, rwArriveGen) != gen {
 			return false
 		}
@@ -253,8 +263,12 @@ func (s *System) armRendezvousPark(r *Replica, gen uint64) {
 		}
 	})
 	// The only time-driven exit is the spin-budget expiry; everything else
-	// (release, overtake, level-up) comes from peers executing.
+	// (release, overtake, level-up) comes from peers executing. Apart from
+	// the cycle counter the condition reads framework words, and host
+	// fields (halted, this replica's finished flag, current thread and
+	// barrierStart) that only kernel code writes: the ParkWatch contract.
 	c.ParkWakeAt(r.barrierStart + s.cfg.BarrierTimeout + 1)
+	c.ParkWatch(s.parkGen)
 }
 
 // completeRendezvous runs when the last replica levels up: it votes on
@@ -289,8 +303,8 @@ func (s *System) completeRendezvous(gen uint64) {
 }
 
 func (s *System) allAliveFinished() bool {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwDoneFlag) == 0 {
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		if s.sh.repWord(m.first(), rwDoneFlag) == 0 {
 			return false
 		}
 	}
@@ -301,13 +315,18 @@ func (s *System) allAliveFinished() bool {
 // (event count, checksum) signatures.
 func (s *System) compareSignatures() bool {
 	s.stats.Votes++
-	ids := s.aliveIDs()
-	for _, rid := range ids {
-		s.reps[rid].Core().AddStall(20 * len(ids)) // redundant comparison cost
+	alive, ok := s.voters("signature vote")
+	if !ok {
+		return false
 	}
-	refEv := s.sh.repWord(ids[0], rwSigEvents)
-	refSum := s.sh.repWord(ids[0], rwChecksum)
-	for _, rid := range ids[1:] {
+	n := alive.count()
+	for m := alive; m != 0; m = m.rest() {
+		s.reps[m.first()].Core().AddStall(20 * n) // redundant comparison cost
+	}
+	refEv := s.sh.repWord(alive.first(), rwSigEvents)
+	refSum := s.sh.repWord(alive.first(), rwChecksum)
+	for m := alive.rest(); m != 0; m = m.rest() {
+		rid := m.first()
 		if s.sh.repWord(rid, rwSigEvents) != refEv || s.sh.repWord(rid, rwChecksum) != refSum {
 			return false
 		}
@@ -397,8 +416,11 @@ func (s *System) finishedPark(r *Replica) {
 		s.enterRendezvous(r)
 	})
 	// Wakes only on halt, finish, or a peer opening a synchronisation —
-	// all effects of other cores executing.
+	// all effects of other cores executing. releasedSet changes in kernel
+	// code, or in the watchdog's requestSync together with the framework
+	// words it writes, so the watch sees every change.
 	c.ParkWakeNever()
+	c.ParkWatch(s.parkGen)
 }
 
 // barrierTimeout fires when a replica exhausted its spin budget waiting
@@ -429,17 +451,18 @@ func (s *System) barrierTimeout(r *Replica, gen uint64) bool {
 // disagrees with an agreeing majority of all the others, or -1 when no
 // such consensus exists.
 func (s *System) timeMinority() int {
-	ids := s.aliveIDs()
-	n := len(ids)
+	alive := s.aliveSet()
+	n := alive.count()
 	if n < 3 {
 		return -1
 	}
 	best, bestCount := -1, 0
-	for _, rid := range ids {
+	for m := alive; m != 0; m = m.rest() {
+		rid := m.first()
 		t := s.sh.readTime(rid)
 		count := 0
-		for _, o := range ids {
-			if s.sh.readTime(o).equal(t) {
+		for o := alive; o != 0; o = o.rest() {
+			if s.sh.readTime(o.first()).equal(t) {
 				count++
 			}
 		}
@@ -452,8 +475,8 @@ func (s *System) timeMinority() int {
 		return -1
 	}
 	ref := s.sh.readTime(best)
-	for _, rid := range ids {
-		if !s.sh.readTime(rid).equal(ref) {
+	for m := alive; m != 0; m = m.rest() {
+		if rid := m.first(); !s.sh.readTime(rid).equal(ref) {
 			return rid
 		}
 	}
@@ -465,13 +488,14 @@ func (s *System) timeMinority() int {
 // (lost mid-catch-up, e.g. a CC chase that cannot converge). Returns -1
 // when all alive replicas are arrived and parked.
 func (s *System) rendezvousStraggler(gen uint64) int {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwArriveGen) != gen {
+	alive := s.aliveSet()
+	for m := alive; m != 0; m = m.rest() {
+		if rid := m.first(); s.sh.repWord(rid, rwArriveGen) != gen {
 			return rid
 		}
 	}
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwParkedGen) != gen {
+	for m := alive; m != 0; m = m.rest() {
+		if rid := m.first(); s.sh.repWord(rid, rwParkedGen) != gen {
 			return rid
 		}
 	}
@@ -483,8 +507,8 @@ func (s *System) rendezvousStraggler(gen uint64) int {
 // a rendezvous generation.
 func (s *System) eventBarrierTimeout(r *Replica, ev uint64) bool {
 	straggler := -1
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwVoteEvent) < ev {
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		if rid := m.first(); s.sh.repWord(rid, rwVoteEvent) < ev {
 			straggler = rid
 			break
 		}
@@ -691,15 +715,17 @@ func (s *System) armEventBarrier(r *Replica, desc parkDesc, action func(), cont 
 			}
 		}
 	})
-	// As at the rendezvous park: only the spin budget is time-driven.
+	// As at the rendezvous park: only the spin budget is time-driven, and
+	// the rest is framework words and the halt flag.
 	c.ParkWakeAt(r.barrierStart + s.cfg.BarrierTimeout + 1)
+	c.ParkWatch(s.parkGen)
 }
 
 // allVotedAt reports whether every alive replica has arrived at event ev
 // (or later) of the per-syscall vote sequence.
 func (s *System) allVotedAt(ev uint64) bool {
-	for _, rid := range s.aliveIDs() {
-		if s.sh.repWord(rid, rwVoteEvent) < ev {
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		if s.sh.repWord(m.first(), rwVoteEvent) < ev {
 			return false
 		}
 	}
@@ -710,11 +736,14 @@ func (s *System) allVotedAt(ev uint64) bool {
 // failed vote, runs the device-side action, and releases the barrier.
 func (s *System) completeEventBarrier(ev uint64, action func()) {
 	s.stats.Votes++
-	ids := s.aliveIDs()
-	ref := s.sh.repWord(ids[0], rwVoteSum)
+	alive, ok := s.voters("event-barrier vote")
+	if !ok {
+		return
+	}
+	ref := s.sh.repWord(alive.first(), rwVoteSum)
 	equal := true
-	for _, rid := range ids[1:] {
-		if s.sh.repWord(rid, rwVoteSum) != ref {
+	for m := alive.rest(); m != 0; m = m.rest() {
+		if s.sh.repWord(m.first(), rwVoteSum) != ref {
 			equal = false
 			break
 		}
@@ -732,7 +761,8 @@ func (s *System) completeEventBarrier(ev uint64, action func()) {
 		// values: copy the per-syscall vote sums into the checksum array
 		// Listing 5 reads, so consensus reflects this vote, not a stale
 		// rendezvous signature.
-		for _, rid := range ids {
+		for m := alive; m != 0; m = m.rest() {
+			rid := m.first()
 			s.sh.setRepWord(rid, rwChecksum, s.sh.repWord(rid, rwVoteSum))
 		}
 		s.handleVoteFailure()

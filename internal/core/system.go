@@ -74,6 +74,11 @@ type System struct {
 	m    *machine.Machine
 	sh   shared
 	reps []*Replica
+	// parkGen is the ParkWatch declaration of the barrier parks: the
+	// mutation generation of the page holding every framework word. Nil —
+	// no watch, every poll evaluates — when the replica blocks of a very
+	// wide configuration (32 replicas or more) spill past that page.
+	parkGen *uint64
 
 	syncCounter  uint64 // generation allocator (monotonic)
 	releaseGen   uint64 // rendezvous release marker (host-side control)
@@ -179,6 +184,7 @@ func NewSystem(cfg Config) (*System, error) {
 		sys.reps = append(sys.reps, &Replica{ID: rid, K: k})
 		aliveMask |= 1 << uint(rid)
 	}
+	sys.parkGen = m.Mem().PageGen(sharedBase, (repBlockBase+cfg.Replicas*repBlockWords)*8)
 	sys.sh.setWord(wAliveMask, aliveMask)
 	sys.sh.setWord(wPrimary, 0)
 	m.SetHandler(sys)
@@ -317,15 +323,7 @@ func (s *System) Primary() int { return int(s.sh.word(wPrimary)) }
 func (s *System) Alive(rid int) bool { return s.sh.alive(rid) }
 
 // AliveCount returns the number of replicas still alive.
-func (s *System) AliveCount() int {
-	n := 0
-	for rid := range s.reps {
-		if s.sh.alive(rid) {
-			n++
-		}
-	}
-	return n
-}
+func (s *System) AliveCount() int { return s.aliveSet().count() }
 
 // Detections returns the recorded detection events.
 func (s *System) Detections() []Detection {
@@ -430,8 +428,10 @@ func (s *System) armStallPark(r *Replica) {
 		c.SetOffline()
 	})
 	// Both halt and ejection happen through other cores executing; time
-	// alone never wakes this park.
+	// alone never wakes this park. Its inputs are the halt flag (kernel
+	// code) and the alive mask (framework page).
 	c.ParkWakeNever()
+	c.ParkWatch(s.parkGen)
 }
 
 // record appends a detection event. With tracing enabled, the first

@@ -12,7 +12,7 @@ import (
 
 // cpuLoop builds a CPU-bound program: spin `iters` times, store the
 // result at DataVA, exit.
-func cpuLoop(t *testing.T, iters int64) []isa.Instr {
+func cpuLoop(t testing.TB, iters int64) []isa.Instr {
 	t.Helper()
 	b := asm.New()
 	b.Li(5, 0)
@@ -50,7 +50,7 @@ func syscallLoop(t *testing.T, n int64) []isa.Instr {
 	return prog
 }
 
-func newSys(t *testing.T, cfg Config, prog []isa.Instr) *System {
+func newSys(t testing.TB, cfg Config, prog []isa.Instr) *System {
 	t.Helper()
 	sys, err := NewSystem(cfg)
 	if err != nil {

@@ -23,6 +23,9 @@ const (
 // (detection only), or run the fault-voting algorithm and downgrade for a
 // masking TMR configuration (§IV).
 func (s *System) handleVoteFailure() {
+	if s.halted {
+		return // the vote itself fail-stopped (no voters left)
+	}
 	if s.met != nil {
 		s.met.VoteFails.Inc()
 	}
@@ -46,14 +49,15 @@ func (s *System) handleVoteFailure() {
 // explicit. It returns the faulty replica's ID and whether consensus was
 // reached.
 func (s *System) runFaultVote() (int, bool) {
-	ids := s.aliveIDs()
-	n := len(ids)
+	alive := s.aliveSet()
+	n := alive.count()
 	// Phase 1: each replica counts how many checksums match its own.
-	for _, my := range ids {
+	for m := alive; m != 0; m = m.rest() {
+		my := m.first()
 		mySum := s.sh.repWord(my, rwChecksum)
 		votes := uint64(0)
-		for _, i := range ids {
-			if s.sh.repWord(i, rwChecksum) == mySum {
+		for o := alive; o != 0; o = o.rest() {
+			if s.sh.repWord(o.first(), rwChecksum) == mySum {
 				votes++
 			}
 		}
@@ -64,10 +68,12 @@ func (s *System) runFaultVote() (int, bool) {
 	// Phase 2: the replica with the fewest matches is the fault
 	// candidate; a replica whose own vote count is not N-1 accuses
 	// itself (it knows its checksum is the odd one out).
-	for _, my := range ids {
+	for m := alive; m != 0; m = m.rest() {
+		my := m.first()
 		least := uint64(n) + 1
 		fault := n + 1
-		for _, i := range ids {
+		for o := alive; o != 0; o = o.rest() {
+			i := o.first()
 			if v := s.sh.repWord(i, rwFTVotes); v < least {
 				least = v
 				fault = i
@@ -81,9 +87,9 @@ func (s *System) runFaultVote() (int, bool) {
 		s.reps[my].Core().AddStall(10 * n)
 	}
 	// kbarrier — then phase 3: consensus check.
-	ref := s.sh.repWord(ids[0], rwFTFaulty)
-	for _, i := range ids[1:] {
-		if s.sh.repWord(i, rwFTFaulty) != ref {
+	ref := s.sh.repWord(alive.first(), rwFTFaulty)
+	for m := alive.rest(); m != 0; m = m.rest() {
+		if s.sh.repWord(m.first(), rwFTFaulty) != ref {
 			return -1, false // ERROR_DIFF_FAULT_REPLICA
 		}
 	}
@@ -168,7 +174,11 @@ func (s *System) removeReplica(faulty int) {
 	s.sh.removeAlive(faulty)
 	cost := 0
 	if wasPrimary {
-		newP := s.aliveIDs()[0]
+		alive, ok := s.voters("primary election")
+		if !ok {
+			return
+		}
+		newP := alive.first()
 		s.sh.setWord(wPrimary, uint64(newP))
 		for line := 0; line < 64; line++ {
 			s.m.RouteIRQ(line, newP)
@@ -196,8 +206,8 @@ func (s *System) removeReplica(faulty int) {
 			cost = costRemoveOtherLC
 		}
 	}
-	for _, rid := range s.aliveIDs() {
-		s.reps[rid].Core().AddStall(cost)
+	for m := s.aliveSet(); m != 0; m = m.rest() {
+		s.reps[m.first()].Core().AddStall(cost)
 	}
 	s.stats.DowngradeCycles = uint64(cost)
 	if s.met != nil {

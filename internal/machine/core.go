@@ -219,8 +219,9 @@ type Core struct {
 
 	State CoreState
 
-	// parkCond is evaluated every cycle while parked; when it returns
-	// true the core resumes (state back to Running) and parkDone runs.
+	// parkCond is polled every cycle while parked (see Park for when a
+	// poll may skip the evaluation); when it returns true the core resumes
+	// (state back to Running) and parkDone runs.
 	parkCond func() bool
 	parkDone func()
 	// parkWake is the fast-forward wake hint for the current park: 0
@@ -229,6 +230,15 @@ type Core struct {
 	// the earliest Cycles count at which the condition may first become
 	// true through the passage of time alone.
 	parkWake uint64
+	// parkGp is the ParkWatch declaration for the current park (nil = none):
+	// the mutation generation of the one RAM page the condition reads.
+	// parkSeenGen and parkSeenEpoch are that generation and the machine's
+	// parkEpoch at the last evaluation that returned false; parkSeenEpoch 0
+	// (no epoch is ever 0) means not evaluated yet. Host-derived and never
+	// serialized: Park clears all three, so a restored park re-arms cold.
+	parkGp        *uint64
+	parkSeenGen   uint64
+	parkSeenEpoch uint64
 
 	pendingIRQ uint64 // bitmask of device lines
 	pendingIPI bool
@@ -265,15 +275,43 @@ func (c *Core) AddStall(n int) {
 	}
 }
 
-// Park suspends user execution; cond is polled once per cycle and when it
-// returns true the core resumes and done (if non-nil) is invoked. Parking
-// models kernel spin loops: cycles keep accumulating, which is what barrier
-// timeout detection measures.
+// Park suspends user execution until cond holds: the core resumes on the
+// first cycle at which cond would return true, and done (if non-nil) is
+// then invoked. Parking models kernel spin loops: cycles keep accumulating,
+// which is what barrier timeout detection measures.
+//
+// The machine polls a parked core once per cycle, and a poll evaluates
+// cond unless the park's declarations prove it still false. A park starts
+// with none (cond is evaluated on every stepped cycle, and fast-forward
+// probes it every ParkProbeInterval), and states what can change cond's
+// value with up to two declarations made right after Park:
+//
+//   - time: ParkWakeAt(cycle) or ParkWakeNever() say when the passage of
+//     time alone can first make cond true, which lets the idle skips jump
+//     a fully quiescent machine to that cycle;
+//   - state: ParkWatch(gp) says that every other input of cond is either
+//     a byte of the one RAM page whose generation gp counts, or host-side
+//     state that only kernel or host code mutates. A poll then skips the
+//     evaluation while the page generation and the machine's park epoch
+//     are what they were when cond last returned false and the declared
+//     wake cycle has not arrived.
+//
+// The skip is exact, not a heuristic: a pure function of inputs that have
+// not changed returns what it returned last time. Page generations count
+// every mutation path of Mem (stores, block ops, DMA windows, injected
+// flips, stuck-at assertions), and the park epoch is bumped wherever
+// kernel or host code can run: on every trap, when any park wakes (its
+// cond may have completed a barrier, and its done hook is kernel code),
+// and on every Step, Run and RunUntil call. A cond with an input outside
+// those three classes — core interrupt latches, device registers, another
+// page — must not declare a watch; the idle park is the example.
 func (c *Core) Park(cond func() bool, done func()) {
 	c.State = CoreParked
 	c.parkCond = cond
 	c.parkDone = done
 	c.parkWake = 0
+	c.parkGp = nil
+	c.parkSeenEpoch = 0
 }
 
 // ParkWakeAt declares a time-driven wake hint for the current park: the
@@ -289,6 +327,12 @@ func (c *Core) ParkWakeAt(cycle uint64) { c.parkWake = cycle }
 // device acting, or the host mutating state — never from time alone.
 // Fast-forward may then skip this core without bound.
 func (c *Core) ParkWakeNever() { c.parkWake = NoEvent }
+
+// ParkWatch declares gp (from Mem.PageGen) as the mutation generation of
+// the only RAM page the current park condition reads; see Park for the
+// contract. It only takes effect together with ParkWakeAt or
+// ParkWakeNever: an undeclared wake cycle keeps every poll evaluating.
+func (c *Core) ParkWatch(gp *uint64) { c.parkGp = gp }
 
 // Unpark forces a parked core back to running without invoking its done
 // callback.

@@ -122,6 +122,15 @@ type Machine struct {
 	// ffSkipped counts cycles bulk-charged by fast-forward (diagnostics).
 	ffSkipped uint64
 
+	// parkEpoch counts the points at which kernel or host code may have
+	// run: every trap, every park wake, and every Step, Run and RunUntil
+	// call. A watched park (Core.ParkWatch) skips its condition while the
+	// epoch and the watched page are unchanged. Starts at 1 so a core's
+	// parkSeenEpoch of 0 never matches. Host-derived, never serialized.
+	parkEpoch uint64
+	// parkStats counts park polls and the evaluations they led to.
+	parkStats ParkStats
+
 	// sbExit is set by trap and the MMIO execution branches so the batched
 	// superblock loop can detect, immediately after exec returns, that the
 	// kernel or a device observed (and may have mutated) machine state.
@@ -179,6 +188,7 @@ func New(prof Profile, memBytes int) *Machine {
 		execCache:   defaultExecCache,
 		superblock:  defaultSuperblock,
 		mmioLo:      ^uint64(0), // empty until MapMMIO
+		parkEpoch:   1,
 	}
 	for i := 0; i < prof.Cores; i++ {
 		c := &Core{
@@ -308,6 +318,13 @@ func (m *Machine) PhysWriteU(pa uint64, size int, v uint64) error {
 // would systematically favour low-numbered cores during miss bursts and
 // skew otherwise-identical replicas apart.
 func (m *Machine) Step() {
+	m.parkEpoch++ // host code may have run since the last call
+	m.step()
+}
+
+// step is Step for the Run and RunUntil loops, inside which no host code
+// runs between cycles.
+func (m *Machine) step() {
 	m.now++
 	n := len(m.cores)
 	if m.rr++; m.rr >= n {
@@ -359,6 +376,18 @@ func (m *Machine) SuperblockEnabled() bool { return m.superblock }
 // instead of being stepped naively.
 func (m *Machine) FastForwarded() uint64 { return m.ffSkipped }
 
+// ParkStats counts the polls of parked cores. Polls is every stepped cycle
+// a parked core spent waiting (fast-forwarded cycles poll nothing); Evals
+// is how many of those ran the park condition, the rest being skipped
+// under a ParkWatch declaration. Like FastForwarded it is host-side
+// diagnostics: never serialized, never part of an artifact.
+type ParkStats struct {
+	Polls, Evals uint64
+}
+
+// ParkStats returns the park poll counters.
+func (m *Machine) ParkStats() ParkStats { return m.parkStats }
+
 // Run advances the machine by n cycles. With fast-forward enabled, idle
 // windows — every core parked, stalled, halted, or offline, and no device
 // due — are bulk-charged instead of stepped, with identical architectural
@@ -368,6 +397,7 @@ func (m *Machine) Run(n uint64) {
 	// device queues) since the last Step; force one naive Step before any
 	// skip so such changes are observed exactly as the naive loop would.
 	m.stepIdle = false
+	m.parkEpoch++
 	for i := uint64(0); i < n; {
 		if m.fastForward && m.stepIdle && n-i > 1 {
 			i += m.skipIdle(n - i - 1)
@@ -378,7 +408,7 @@ func (m *Machine) Run(n uint64) {
 				continue
 			}
 		}
-		m.Step()
+		m.step()
 		i++
 	}
 }
@@ -392,6 +422,7 @@ func (m *Machine) Run(n uint64) {
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 	start := m.now
 	m.stepIdle = false // see Run
+	m.parkEpoch++
 	for !cond() {
 		if m.now-start >= maxCycles {
 			return fmt.Errorf("%w after %d cycles", ErrTimeout, maxCycles)
@@ -411,7 +442,7 @@ func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 				}
 			}
 		}
-		m.Step()
+		m.step()
 	}
 	return nil
 }
@@ -520,8 +551,28 @@ func (m *Machine) advance(c *Core) {
 		if c.stall > 0 {
 			c.stall--
 		}
-		if c.parkCond != nil && c.parkCond() {
+		if c.parkCond == nil {
+			return
+		}
+		m.parkStats.Polls++
+		if gp := c.parkGp; gp != nil {
+			if *gp == c.parkSeenGen && m.parkEpoch == c.parkSeenEpoch && c.Cycles < c.parkWake {
+				// Nothing the condition reads has changed since it last
+				// returned false (see Core.Park): skip the evaluation.
+				if DebugParkShadow != nil && c.parkCond() {
+					DebugParkShadow(c.ID, m.now)
+				}
+				return
+			}
+			c.parkSeenGen, c.parkSeenEpoch = *gp, m.parkEpoch
+		}
+		m.parkStats.Evals++
+		if c.parkCond() {
 			m.stepIdle = false
+			// The condition may have completed a barrier on behalf of every
+			// waiter, and done is kernel code: both can change what other
+			// parks read.
+			m.parkEpoch++
 			done := c.parkDone
 			c.State = CoreRunning
 			c.parkCond, c.parkDone = nil, nil
@@ -574,11 +625,17 @@ var DebugTrace func(coreID int, kind TrapKind, pc uint64, now uint64)
 // only).
 var DebugPCWatch func(coreID int, pc, bpAddr uint64, bpEnabled, singleStep bool, now uint64)
 
+// DebugParkShadow, when non-nil, makes every park poll that a ParkWatch
+// declaration skips evaluate its condition anyway, and observes each one
+// that returns true — a violation of the declaration (tests only).
+var DebugParkShadow func(coreID int, now uint64)
+
 // trap hands control to the kernel. The handler mutates the core and
 // returns; user execution resumes on a later cycle (after any stall the
 // handler charged).
 func (m *Machine) trap(c *Core, t Trap) {
 	m.sbExit = true // the kernel may mutate anything; end any batch
+	m.parkEpoch++   // ... including what parked cores wait on
 	if DebugTrace != nil {
 		DebugTrace(c.ID, t.Kind, t.PC, m.now)
 	}

@@ -66,6 +66,18 @@ func (m *Mem) touch(addr uint64, n int) {
 	}
 }
 
+// PageGen returns the mutation generation of the one physical page holding
+// [addr, addr+n), for Core.ParkWatch. It returns nil — which declares no
+// watch — when the range spans pages or leaves RAM. pageGen is allocated
+// once and never moved, so the pointer stays valid for the machine's
+// lifetime.
+func (m *Mem) PageGen(addr uint64, n int) *uint64 {
+	if n <= 0 || m.check(addr, n) != nil || addr>>pageShift != (addr+uint64(n)-1)>>pageShift {
+		return nil
+	}
+	return &m.pageGen[addr>>pageShift]
+}
+
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *Mem) Read(addr uint64, n int) ([]byte, error) {
 	if err := m.check(addr, n); err != nil {

@@ -21,6 +21,10 @@
 // ticks and wake cycles land exactly where the naive loop would put them,
 // a contract enforced by the differential determinism tests at the repo
 // root. SetDefaultFastForward and Machine.SetFastForward toggle it.
+//
+// A parked core is polled once per stepped cycle. A park that declares
+// what its condition reads (Core.ParkWatch) has the condition evaluated
+// only when one of those inputs can have changed; see Core.Park.
 package machine
 
 // AtomicModel selects the atomic-instruction family a profile supports.

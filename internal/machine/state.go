@@ -24,6 +24,9 @@ import (
 //     now (rr == now % cores, see Step and skipIdle), so it is recomputed.
 //   - Machine.stepIdle: Run/RunUntil clear it before stepping, and the
 //     fast/naive differential contract makes any mix bit-identical.
+//   - Machine.parkEpoch and Core.parkGp/parkSeen*: the park gate's memo.
+//     Park clears the per-core half, so a re-armed park evaluates its
+//     condition on its first poll.
 //
 // Park closures (parkCond/parkDone) cannot be serialized; the machine
 // layer clears them and the owning layer (internal/core) re-arms them

@@ -59,6 +59,11 @@ type (
 	Detection = core.Detection
 	// Profile describes a machine profile.
 	Profile = machine.Profile
+	// ParkStats is System.Machine().ParkStats(): how many cycles parked
+	// cores spent polling a barrier, and how many of those polls had to
+	// evaluate its condition — the sync-point wait signal. Host-side
+	// diagnostics, never part of an artifact.
+	ParkStats = machine.ParkStats
 )
 
 // Re-exported mode and signature constants.
