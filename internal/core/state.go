@@ -424,14 +424,16 @@ func (s *System) rearmPark(r *Replica) error {
 
 // loadObservability restores the flight recorder and metric set. Both
 // follow the same rule: restored exactly when the target records with a
-// matching shape, kept fresh (re-recording from the restore point)
-// otherwise. A snapshot saved without tracing restores cleanly into a
-// tracing system — that is the replay-triage path.
+// matching shape, fresh (re-recording from the restore point) otherwise —
+// emptied, when the target is a live system that has already recorded. A
+// snapshot saved without tracing restores cleanly into a tracing system —
+// that is the replay-triage path.
 func (s *System) loadObservability(snap *snapshot.Snapshot) error {
 	d, err := snap.Section("sys.trace")
 	if err != nil {
 		return err
 	}
+	restored := false
 	if d.Bool() {
 		raw := d.Bytes()
 		if s.rec != nil {
@@ -442,11 +444,15 @@ func (s *System) loadObservability(snap *snapshot.Snapshot) error {
 			if loaded.NumReplicas() == s.rec.NumReplicas() &&
 				loaded.System().Cap() == s.rec.System().Cap() {
 				s.rec = loaded
+				restored = true
 			}
 		}
 	}
 	if err := d.Close(); err != nil {
 		return err
+	}
+	if s.rec != nil && !restored {
+		s.rec = trace.NewRecorder(s.cfg.Replicas, s.cfg.Trace.RingEvents)
 	}
 	d, err = snap.Section("sys.metrics")
 	if err != nil {
@@ -460,6 +466,8 @@ func (s *System) loadObservability(snap *snapshot.Snapshot) error {
 		if err := m.LoadState(d); err != nil {
 			return err
 		}
+	} else if s.met != nil {
+		*s.met = metrics.Set{}
 	}
 	return d.Close()
 }

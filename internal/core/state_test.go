@@ -132,6 +132,38 @@ func TestSystemStateAccelAndTracePortability(t *testing.T) {
 	}
 }
 
+// TestSystemStateRewindsLiveRecorder restores an untraced snapshot into a
+// tracing system that has already run: the recorder and metrics a fresh
+// target would hold — empty ones — must replace what the overshoot
+// recorded, so a rewound system leaks none of it into the next run.
+func TestSystemStateRewindsLiveRecorder(t *testing.T) {
+	base := Config{Mode: ModeLC, Replicas: 2, TickCycles: 20000, Sig: SigArgs}
+	orig := newSys(t, base, syscallLoop(t, 10000))
+	orig.RunCycles(100_000)
+	data := saveBytes(t, orig)
+
+	traced := base
+	traced.Trace = TraceConfig{Enabled: true}
+	live := newSys(t, traced, syscallLoop(t, 10000))
+	live.RunCycles(300_000)
+	if live.TraceRecorder().Ring(0).Total() == 0 || live.Metrics().Syncs.Value() == 0 {
+		t.Fatal("the live system recorded nothing before the restore")
+	}
+	if err := snapshot.Restore(live, data); err != nil {
+		t.Fatal(err)
+	}
+	if n := live.TraceRecorder().Ring(0).Total(); n != 0 {
+		t.Fatalf("%d events recorded before the restore survived it", n)
+	}
+	if n := live.Metrics().Syncs.Value(); n != 0 {
+		t.Fatalf("sync counter kept %d from before the restore", n)
+	}
+	live.RunCycles(100_000)
+	if live.TraceRecorder().Ring(0).Total() == 0 {
+		t.Fatal("the rewound system stopped recording")
+	}
+}
+
 // TestSystemStateIncompatibleConfig rejects restore targets whose
 // behavioural configuration differs from the snapshot's.
 func TestSystemStateIncompatibleConfig(t *testing.T) {

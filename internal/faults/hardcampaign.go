@@ -97,6 +97,10 @@ func HardCampaign(opts HardCampaignOptions) (map[FaultClass]*Tally, error) {
 			return nil, err
 		}
 	}
+	fk, err := newForker(opts.KV, opts.Seed, tmpl)
+	if err != nil {
+		return nil, err
+	}
 	r := newRNG(opts.Seed)
 	out := make(map[FaultClass]*Tally, len(classes))
 	for ci, class := range classes {
@@ -107,7 +111,7 @@ func HardCampaign(opts HardCampaignOptions) (map[FaultClass]*Tally, error) {
 				Name: fmt.Sprintf("%s-trial[%d]", class, i),
 				Seed: r.next(),
 				Run: func(_ context.Context, seed uint64) (TrialResult, error) {
-					return hardTrial(opts, class, seed, tmpl)
+					return hardTrial(opts, class, seed, fk)
 				},
 			}
 		}
@@ -148,10 +152,10 @@ const maxStuckBits = 128
 // functions of the trial seed; point faults (transient, stuck-at, burst)
 // inject periodically after the warm-up window.
 func HardTrial(opts HardCampaignOptions, class FaultClass, seed uint64) (TrialResult, error) {
-	return hardTrial(opts, class, seed, nil)
+	return hardTrial(opts, class, seed, &forker{kv: opts.KV})
 }
 
-func hardTrial(opts HardCampaignOptions, class FaultClass, seed uint64, tmpl []byte) (TrialResult, error) {
+func hardTrial(opts HardCampaignOptions, class FaultClass, seed uint64, fk *forker) (TrialResult, error) {
 	if opts.InjectAfterCycles == 0 {
 		opts.InjectAfterCycles = 200_000
 	}
@@ -161,10 +165,23 @@ func hardTrial(opts HardCampaignOptions, class FaultClass, seed uint64, tmpl []b
 	if opts.MaxFaults == 0 {
 		opts.MaxFaults = 4_000
 	}
-	run, err := trialRun(opts.KV, opts.Seed, seed, tmpl)
+	run, err := fk.trialRun(seed)
 	if err != nil {
 		return TrialResult{}, err
 	}
+	res := hardInject(run, opts, class, seed)
+	// Flipped and stuck bits live in RAM and the NIC's corruption settings
+	// and counters in its device section, so the next fork rewinds them.
+	// An intermittent trial's AddDevice calls changed the machine's device
+	// population, which no LoadState undoes: that run is not reused.
+	if class != ClassIntermittent {
+		fk.recycle(run)
+	}
+	return res, nil
+}
+
+// hardInject drives one built trial system to its classification.
+func hardInject(run *harness.KVRun, opts HardCampaignOptions, class FaultClass, seed uint64) TrialResult {
 	r := newRNG(seed)
 	mem := run.Sys.Machine().Mem()
 	regions := targetRegions(run.Sys, opts.TargetAllReplicas, false)
@@ -245,14 +262,14 @@ func hardTrial(opts HardCampaignOptions, class FaultClass, seed uint64, tmpl []b
 			}
 		}
 		if out, decided := classify(run); decided {
-			return TrialResult{Outcome: graceClassify(run, out), Injected: count()}, nil
+			return TrialResult{Outcome: graceClassify(run, out), Injected: count()}
 		}
 	}
 	if out, decided := classify(run); decided {
-		return TrialResult{Outcome: graceClassify(run, out), Injected: count()}, nil
+		return TrialResult{Outcome: graceClassify(run, out), Injected: count()}
 	}
 	if !run.Done() {
-		return TrialResult{Outcome: OutcomeYCSBError, Injected: count()}, nil
+		return TrialResult{Outcome: OutcomeYCSBError, Injected: count()}
 	}
-	return TrialResult{Outcome: OutcomeNone, Injected: count()}, nil
+	return TrialResult{Outcome: OutcomeNone, Injected: count()}
 }

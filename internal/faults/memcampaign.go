@@ -76,6 +76,10 @@ func MemCampaign(opts MemCampaignOptions) (*Tally, error) {
 			return nil, err
 		}
 	}
+	fk, err := newForker(opts.KV, opts.Seed, tmpl)
+	if err != nil {
+		return nil, err
+	}
 	r := newRNG(opts.Seed)
 	jobs := make([]exp.Job[TrialResult], opts.Trials)
 	for i := range jobs {
@@ -83,7 +87,7 @@ func MemCampaign(opts MemCampaignOptions) (*Tally, error) {
 			Name: fmt.Sprintf("mem-trial[%d]", i),
 			Seed: r.next(),
 			Run: func(_ context.Context, seed uint64) (TrialResult, error) {
-				return memTrial(opts, seed, tmpl)
+				return memTrial(opts, seed, fk)
 			},
 		}
 	}
@@ -108,10 +112,10 @@ func MemCampaign(opts MemCampaignOptions) (*Tally, error) {
 // flipping random bits in the target regions, and classify the first
 // observable consequence.
 func MemTrial(opts MemCampaignOptions, seed uint64) (TrialResult, error) {
-	return memTrial(opts, seed, nil)
+	return memTrial(opts, seed, &forker{kv: opts.KV})
 }
 
-func memTrial(opts MemCampaignOptions, seed uint64, tmpl []byte) (TrialResult, error) {
+func memTrial(opts MemCampaignOptions, seed uint64, fk *forker) (TrialResult, error) {
 	if opts.FlipEveryCycles == 0 {
 		opts.FlipEveryCycles = 40_000
 	}
@@ -121,10 +125,18 @@ func memTrial(opts MemCampaignOptions, seed uint64, tmpl []byte) (TrialResult, e
 	if opts.Burst <= 0 {
 		opts.Burst = 1
 	}
-	run, err := trialRun(opts.KV, opts.Seed, seed, tmpl)
+	run, err := fk.trialRun(seed)
 	if err != nil {
 		return TrialResult{}, err
 	}
+	res := memInject(run, opts, seed)
+	// Bit flips are simulated state, which the next fork rewinds.
+	fk.recycle(run)
+	return res, nil
+}
+
+// memInject drives one built trial system to its classification.
+func memInject(run *harness.KVRun, opts MemCampaignOptions, seed uint64) TrialResult {
 	regions := targetRegions(run.Sys, opts.TargetAllReplicas, opts.IncludeDMA)
 	r := newRNG(seed)
 	mem := run.Sys.Machine().Mem()
@@ -150,18 +162,18 @@ func memTrial(opts MemCampaignOptions, seed uint64, tmpl []byte) (TrialResult, e
 			}
 		}
 		if out, decided := classify(run); decided {
-			return TrialResult{Outcome: graceClassify(run, out), Injected: injected}, nil
+			return TrialResult{Outcome: graceClassify(run, out), Injected: injected}
 		}
 	}
 	if out, decided := classify(run); decided {
-		return TrialResult{Outcome: graceClassify(run, out), Injected: injected}, nil
+		return TrialResult{Outcome: graceClassify(run, out), Injected: injected}
 	}
 	if !run.Done() {
 		// Unresponsive system with no detection: the paper counts hangs
 		// among the client-visible "YCSB errors".
-		return TrialResult{Outcome: OutcomeYCSBError, Injected: injected}, nil
+		return TrialResult{Outcome: OutcomeYCSBError, Injected: injected}
 	}
-	return TrialResult{Outcome: OutcomeNone, Injected: injected}, nil
+	return TrialResult{Outcome: OutcomeNone, Injected: injected}
 }
 
 func kvTrialBudget(kv harness.KVOptions) uint64 {

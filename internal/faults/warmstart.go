@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"rcoe/internal/harness"
 	"rcoe/internal/snapshot"
@@ -10,11 +11,12 @@ import (
 
 // Warm-start support: a campaign builds the KV system once, simulates it
 // through boot and the preload phase, and snapshots it. Every trial then
-// forks from the checkpoint — a fresh NewKV (same options) restored from
-// the template — instead of re-simulating the warm-up. The template is
-// taken before any fault device is armed, so the restore target's device
-// population matches construction and each trial arms its own injectors
-// on a pristine system.
+// forks from the checkpoint — a run built by NewKV (same options), fresh
+// or left by an earlier trial, restored from the template (forker) —
+// instead of re-simulating the warm-up. The template is taken before any
+// fault device is armed, so the restore target's device population
+// matches construction and each trial arms its own injectors on a
+// pristine system.
 //
 // A warm campaign pins the workload seed to warmSeed(campaign seed) — the
 // request stream is common across trials (a common-random-numbers design)
@@ -57,26 +59,72 @@ func warmTemplate(kv harness.KVOptions) ([]byte, error) {
 	return snapshot.Save(run)
 }
 
-// warmFork builds a trial system through the normal construction path and
-// restores the template into it.
-func warmFork(kv harness.KVOptions, tmpl []byte) (*harness.KVRun, error) {
-	run, err := harness.NewKV(kv)
-	if err != nil {
-		return nil, err
+// forker hands a campaign's trials their systems. Cold (no template), it
+// boots one per trial. Warm, a fork is a rewind: a finished trial's run
+// goes back on the free list and the next trial restores the template
+// into it — KVRun.LoadState into a live system is exact, and Mem rewrites
+// only the pages the previous trial dirtied — so NewKV runs only when no
+// used run is free. At most one run per engine worker is ever live, which
+// bounds the list. The forker is campaign-scoped: it, its parsed template
+// and its runs go when the campaign returns.
+type forker struct {
+	kv   harness.KVOptions  // warm: Seed pinned to the campaign's
+	tmpl *snapshot.Snapshot // nil = cold trials
+
+	mu   sync.Mutex
+	free []*harness.KVRun
+}
+
+// newForker parses the template once for the whole campaign; nil bytes
+// select cold trials.
+func newForker(kv harness.KVOptions, campaignSeed uint64, tmpl []byte) (*forker, error) {
+	if tmpl == nil {
+		return &forker{kv: kv}, nil
 	}
-	if err := snapshot.Restore(run, tmpl); err != nil {
+	snap, err := snapshot.Parse(tmpl)
+	if err != nil {
+		return nil, fmt.Errorf("faults: warm template: %w", err)
+	}
+	kv.Seed = warmSeed(campaignSeed)
+	return &forker{kv: kv, tmpl: snap}, nil
+}
+
+// trialRun builds the system for one trial: cold, a boot seeded from the
+// trial; warm, a fork of the template — a recycled run when one is free,
+// a fresh one otherwise. A run whose restore fails is dropped.
+func (f *forker) trialRun(trialSeed uint64) (*harness.KVRun, error) {
+	if f.tmpl == nil {
+		kv := f.kv
+		kv.Seed = trialSeed | 1
+		return harness.NewKV(kv)
+	}
+	f.mu.Lock()
+	var run *harness.KVRun
+	if n := len(f.free); n > 0 {
+		run, f.free = f.free[n-1], f.free[:n-1]
+	}
+	f.mu.Unlock()
+	if run == nil {
+		var err error
+		if run, err = harness.NewKV(f.kv); err != nil {
+			return nil, err
+		}
+	}
+	if err := run.LoadState(f.tmpl); err != nil {
 		return nil, fmt.Errorf("faults: warm fork: %w", err)
 	}
 	return run, nil
 }
 
-// trialRun builds the system for one trial: a warm fork when a template
-// is present, a cold boot otherwise.
-func trialRun(kv harness.KVOptions, campaignSeed, trialSeed uint64, tmpl []byte) (*harness.KVRun, error) {
-	if tmpl != nil {
-		kv.Seed = warmSeed(campaignSeed)
-		return warmFork(kv, tmpl)
+// recycle offers a finished trial's run to later trials. Only a run still
+// in its construction-time shape may come back: LoadState rewinds the
+// simulated state and nothing else, so a trial that registered devices
+// keeps its run, and one that panicked or failed never gets here.
+func (f *forker) recycle(run *harness.KVRun) {
+	if f.tmpl == nil {
+		return
 	}
-	kv.Seed = trialSeed | 1
-	return harness.NewKV(kv)
+	f.mu.Lock()
+	f.free = append(f.free, run)
+	f.mu.Unlock()
 }

@@ -8,69 +8,94 @@ import (
 	"rcoe/internal/harness"
 )
 
+// recycleWorkers are the pool sizes the warm-start invariance tests sweep:
+// with 16 trials per campaign, one worker rewinds a single run 15 times,
+// two share a pair, and eight each recycle theirs once or twice.
+var recycleWorkers = []int{1, 2, 8}
+
 // TestHardCampaignWarmStartWorkerInvariant pins the warm-start
 // acceptance property: every trial forks from the same post-preload
 // checkpoint with a pre-engine seed chain, so the tallies are
-// byte-identical at any worker count.
+// byte-identical at any worker count — with runs recycled across trials
+// and classes, and intermittent-class trials discarding theirs in between.
 func TestHardCampaignWarmStartWorkerInvariant(t *testing.T) {
 	base := HardCampaignOptions{
 		KV:             kvBase(core.ModeLC, 2),
-		Classes:        []FaultClass{ClassTransient, ClassDevice},
-		TrialsPerClass: 3,
+		Classes:        []FaultClass{ClassTransient, ClassIntermittent, ClassStuckAt, ClassDevice},
+		TrialsPerClass: 16,
 		Seed:           11,
 		WarmStart:      true,
 	}
 	base.KV.Operations = 120
 
-	serial := base
-	serial.Workers = 1
-	got1, err := HardCampaign(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := base
-	wide.Workers = 8
-	got8, err := HardCampaign(wide)
-	if err != nil {
-		t.Fatal(err)
+	var want map[FaultClass]*Tally
+	for _, workers := range recycleWorkers {
+		opts := base
+		opts.Workers = workers
+		got, err := HardCampaign(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for _, class := range base.Classes {
+			if !reflect.DeepEqual(want[class], got[class]) {
+				t.Fatalf("%v: %d workers %+v != %d workers %+v",
+					class, recycleWorkers[0], want[class], workers, got[class])
+			}
+		}
 	}
 	for _, class := range base.Classes {
-		if !reflect.DeepEqual(got1[class], got8[class]) {
-			t.Fatalf("%v: serial %+v != 8-worker %+v", class, got1[class], got8[class])
-		}
-		if got1[class].Injected == 0 {
+		if want[class].Injected == 0 {
 			t.Fatalf("%v: warm trials injected nothing", class)
 		}
-		t.Logf("%v: %+v -> %v", class, got1[class].Counts, got1[class].Categories())
+		t.Logf("%v: %+v -> %v", class, want[class].Counts, want[class].Categories())
 	}
 }
 
 // TestMemCampaignWarmStartDeterministic runs the same warm memory
-// campaign twice: the template fork must leak no state between trials, so
-// the tallies are identical run to run.
+// campaign at every pool size, and once with a forker per trial so that
+// no run is ever reused: a recycled fork must leak no state between
+// trials, so all the tallies are identical.
 func TestMemCampaignWarmStartDeterministic(t *testing.T) {
 	opts := MemCampaignOptions{
 		KV:        kvBase(core.ModeLC, 3),
-		Trials:    4,
+		Trials:    16,
 		Seed:      5,
 		WarmStart: true,
-		Workers:   4,
 	}
-	a, err := MemCampaign(opts)
+	tmpl, err := WarmTemplate(opts.KV, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MemCampaign(opts)
-	if err != nil {
-		t.Fatal(err)
+	want := NewTally()
+	for r, i := newRNG(opts.Seed), 0; i < opts.Trials; i++ {
+		fk, err := newForker(opts.KV, opts.Seed, tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := memTrial(opts, r.next(), fk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(res.Outcome, res.Injected)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("warm campaign not deterministic: %+v vs %+v", a, b)
-	}
-	if a.Injected == 0 {
+	if want.Injected == 0 {
 		t.Fatal("warm trials injected nothing")
 	}
-	t.Logf("tally: %+v -> %v", a.Counts, a.Categories())
+	for _, workers := range recycleWorkers {
+		opts.Workers = workers
+		got, err := MemCampaign(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers, runs recycled: %+v; never recycled: %+v", workers, got, want)
+		}
+	}
+	t.Logf("tally: %+v -> %v", want.Counts, want.Categories())
 }
 
 // benchKV is the warm-start quick configuration: a large preload (the

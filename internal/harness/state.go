@@ -107,11 +107,15 @@ func (r *KVRun) LoadState(snap *snapshot.Snapshot) error {
 	if err != nil {
 		return err
 	}
+	// The client's containers are cleared and refilled in place — a
+	// campaign rewinds one run onto its template once per trial. A decode
+	// error can therefore leave them partly filled; like every layer's, a
+	// failed LoadState leaves a run that is only good for another load.
 	nout := d.Int()
-	outstanding := make(map[uint32]*pendingReq, maxIntH(nout, 0))
+	clear(r.outstanding)
 	for i := 0; i < nout && d.Err() == nil; i++ {
 		id := uint32(d.U64())
-		outstanding[id] = &pendingReq{
+		r.outstanding[id] = &pendingReq{
 			frame:   d.Bytes(),
 			sentAt:  d.U64(),
 			isGet:   d.Bool(),
@@ -121,35 +125,23 @@ func (r *KVRun) LoadState(snap *snapshot.Snapshot) error {
 		}
 	}
 	nfin := d.Int()
-	finalIDs := make(map[uint32]bool, maxIntH(nfin, 0))
+	clear(r.finalIDs)
 	for i := 0; i < nfin && d.Err() == nil; i++ {
-		finalIDs[uint32(d.U64())] = true
+		r.finalIDs[uint32(d.U64())] = true
 	}
 	nq := d.Int()
-	queue := make([]netstack.Request, 0, maxIntH(nq, 0))
+	r.queue = r.queue[:0]
 	for i := 0; i < nq && d.Err() == nil; i++ {
-		queue = append(queue, loadRequest(d))
+		r.queue = append(r.queue, loadRequest(d))
 	}
-	loadLeft := d.Int()
-	opsDone, opsSent := d.U64(), d.U64()
-	startCyc, endCyc := d.U64(), d.U64()
-	winNext, winLastOps := d.U64(), d.U64()
-	corruptions, errors := d.U64(), d.U64()
+	r.loadLeft = d.Int()
+	r.opsDone, r.opsSent = d.U64(), d.U64()
+	r.startCyc, r.endCyc = d.U64(), d.U64()
+	r.winNext, r.winLastOps = d.U64(), d.U64()
+	r.res = KVResult{Corruptions: d.U64(), Errors: d.U64()}
 	if err := d.Close(); err != nil {
 		return err
 	}
-
-	r.outstanding = outstanding
-	r.finalIDs = finalIDs
-	r.queue = queue
-	r.loadLeft = loadLeft
-	r.opsDone = opsDone
-	r.opsSent = opsSent
-	r.startCyc = startCyc
-	r.endCyc = endCyc
-	r.winNext = winNext
-	r.winLastOps = winLastOps
-	r.res = KVResult{Corruptions: corruptions, Errors: errors}
 
 	g, err := snap.Section("harness.gen")
 	if err != nil {
@@ -193,11 +185,4 @@ func (r *KVRun) verifyMeta(snap *snapshot.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-func maxIntH(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"rcoe/internal/snapshot"
 )
 
 // ErrBadPhysAddr is returned for physical accesses outside RAM that hit no
@@ -35,6 +37,12 @@ type Mem struct {
 	// physical byte address. nil when no hard fault is registered, which
 	// keeps the access paths at a single len check.
 	stuck map[uint64]stuckMask
+	// base is the snapshot whose image loadState last restored in full and
+	// baseGen the page generations right after that load (state.go): a
+	// page still at its baseGen still holds base's bytes, so a reload of
+	// base rewrites only the others. nil until a load succeeds.
+	base    *snapshot.Snapshot
+	baseGen []uint64
 }
 
 // NewMem allocates size bytes of zeroed physical memory.

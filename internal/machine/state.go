@@ -17,9 +17,11 @@ import (
 // restore, which is what makes a snapshot portable across accelerator
 // switch combinations (fast-forward and exec-cache on either side):
 //
-//   - Mem.pageGen and Core.ec: the predecoded-instruction and translation
-//     caches revalidate against page generations, so restore bumps every
-//     page generation and drops the exec caches outright.
+//   - Mem.pageGen, Core.ec and Core.sb: the predecoded-instruction,
+//     translation and superblock caches revalidate against page
+//     generations, so restore bumps the generation of every page it
+//     rewrites (all of them, except on a rewind — see Mem.loadState) and
+//     the caches need no flush (see Core.loadState).
 //   - Machine.rr: the round-robin start index advances in lockstep with
 //     now (rr == now % cores, see Step and skipIdle), so it is recomputed.
 //   - Machine.stepIdle: Run/RunUntil clear it before stepping, and the
@@ -104,7 +106,7 @@ func (m *Machine) LoadState(s *snapshot.Snapshot) error {
 		return err
 	}
 
-	if err := loadSection(s, "mem", m.mem.loadState); err != nil {
+	if err := loadSection(s, "mem", func(d *snapshot.Dec) error { return m.mem.loadState(d, s) }); err != nil {
 		return err
 	}
 	if err := loadSection(s, "bus", m.bus.loadState); err != nil {
@@ -211,11 +213,22 @@ func (mm *Mem) saveState(e *snapshot.Enc) {
 	}
 }
 
-func (mm *Mem) loadState(d *snapshot.Dec) error {
+// loadState restores physical memory from the mem section of img. A first
+// load, and any load of an image other than the one the memory holds,
+// rewrites every page. A reload of the same parsed snapshot is a rewind:
+// the image is immutable (snapshot.Snapshot) and every path that mutates
+// RAM bumps the page's generation, so a page whose generation has not
+// moved since the last full load of img still holds img's bytes and is
+// skipped — the walk is the same, only the dirtied pages are rewritten and
+// only their generations bumped. A load that fails part-way leaves the
+// memory with no base, so the next load is a full one.
+func (mm *Mem) loadState(d *snapshot.Dec, img *snapshot.Snapshot) error {
 	if size := d.U64(); size != uint64(len(mm.bytes)) {
 		return fmt.Errorf("%w: snapshot memory is %d bytes, machine has %d",
 			snapshot.ErrIncompatible, size, len(mm.bytes))
 	}
+	delta := mm.base != nil && mm.base == img
+	mm.base = nil
 	npages := d.Int()
 	// Pages are written in ascending order, so the regions between (and
 	// after) them are exactly what must be zeroed; restored pages are
@@ -232,12 +245,12 @@ func (mm *Mem) loadState(d *snapshot.Dec) error {
 		if off < cursor {
 			return fmt.Errorf("%w: page %d out of order", snapshot.ErrBadSnapshot, p)
 		}
-		zeroBytes(mm.bytes[cursor:off])
-		copy(mm.bytes[off:], b)
+		mm.restore(cursor, off, nil, delta)
 		cursor = off + uint64(len(b))
+		mm.restore(off, cursor, b, delta)
 	}
 	if d.Err() == nil {
-		zeroBytes(mm.bytes[cursor:])
+		mm.restore(cursor, uint64(len(mm.bytes)), nil, delta)
 	}
 	mm.stuck = nil
 	nstuck := d.Int()
@@ -250,19 +263,32 @@ func (mm *Mem) loadState(d *snapshot.Dec) error {
 		}
 		mm.stuck[a] = stuckMask{or: or, andNot: andNot}
 	}
-	// Every page changed from the restorer's perspective: bump all
-	// mutation generations so any live predecode/translation cache entry
-	// revalidates (pageGen itself is derived state, never serialized).
-	for i := range mm.pageGen {
-		mm.pageGen[i]++
+	if d.Err() == nil && d.Remaining() == 0 {
+		mm.base = img
+		mm.baseGen = append(mm.baseGen[:0], mm.pageGen...)
 	}
 	return d.Err()
 }
 
-// zeroBytes clears b (the compiler lowers the loop to a memclr).
-func zeroBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
+// restore makes [lo, hi) equal to src, or zero when src is nil, one page
+// at a time; with delta set it leaves the pages still at their base
+// generation alone. Every page it rewrites changed from the restorer's
+// perspective, so its mutation generation is bumped and any live
+// predecode/translation cache entry revalidates (pageGen itself is
+// derived state, never serialized).
+func (mm *Mem) restore(lo, hi uint64, src []byte, delta bool) {
+	for start := lo; lo < hi; {
+		p := lo >> pageShift
+		end := min((p+1)<<pageShift, hi)
+		if !delta || mm.pageGen[p] != mm.baseGen[p] {
+			if src == nil {
+				clear(mm.bytes[lo:end])
+			} else {
+				copy(mm.bytes[lo:end], src[lo-start:])
+			}
+			mm.pageGen[p]++
+		}
+		lo = end
 	}
 }
 
@@ -337,19 +363,17 @@ func (c *Core) saveState(e *snapshot.Enc) {
 	e.U64(c.llAddr)
 	e.Bool(c.llValid)
 	e.U64s(c.cache.tags)
-	e.Bytes(boolsToBytes(c.cache.valid))
-	e.Bytes(boolsToBytes(c.cache.dirty))
+	e.Bools(c.cache.valid)
+	e.Bools(c.cache.dirty)
 }
 
 func (c *Core) loadState(d *snapshot.Dec) error {
 	c.State = CoreState(d.Int())
 	c.PC = d.U64()
-	regs := d.U64s()
-	if d.Err() == nil && len(regs) != len(c.Regs) {
+	if n := d.U64sInto(c.Regs[:]); d.Err() == nil && n != len(c.Regs) {
 		return fmt.Errorf("%w: snapshot has %d registers, want %d",
-			snapshot.ErrIncompatible, len(regs), len(c.Regs))
+			snapshot.ErrIncompatible, n, len(c.Regs))
 	}
-	copy(c.Regs[:], regs)
 	c.Cycles = d.U64()
 	c.Instructions = d.U64()
 	c.UserBranches = d.U64()
@@ -369,43 +393,36 @@ func (c *Core) loadState(d *snapshot.Dec) error {
 	c.jitter = d.U64()
 	c.llAddr = d.U64()
 	c.llValid = d.Bool()
-	tags := d.U64s()
-	valid := d.Bytes()
-	dirty := d.Bytes()
+	// The cache arrays decode straight into place: one length check each,
+	// no intermediate slice.
+	tags := d.U64sInto(c.cache.tags)
+	valid := d.BoolsInto(c.cache.valid)
+	dirty := d.BoolsInto(c.cache.dirty)
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if len(tags) != len(c.cache.tags) || len(valid) != len(c.cache.valid) || len(dirty) != len(c.cache.dirty) {
+	if n := len(c.cache.tags); tags != n || valid != n || dirty != n {
 		return fmt.Errorf("%w: snapshot cache has %d lines, machine has %d",
-			snapshot.ErrIncompatible, len(tags), len(c.cache.tags))
+			snapshot.ErrIncompatible, tags, n)
 	}
-	copy(c.cache.tags, tags)
-	bytesToBools(valid, c.cache.valid)
-	bytesToBools(dirty, c.cache.dirty)
 	// Park closures cannot cross a snapshot; the owning layer re-arms
-	// them (and then restores parkWake, which Park resets). The exec and
-	// superblock caches are host-derived state and are simply dropped.
+	// them (and then restores parkWake, which Park resets).
 	c.parkCond = nil
 	c.parkDone = nil
-	c.ec = nil
-	c.sb = nil
+	// The exec and superblock caches are host-derived and stay allocated.
+	// Every entry is keyed on its address space's identity and generation
+	// and on its text pages' mutation generations; those only count up,
+	// and a restore bumps them for everything it rewrites (Mem.loadState
+	// per page, the kernel's LoadState for the address space), so an entry
+	// filled before the restore can only hit on state that is still what
+	// it was filled from. Their diagnostic counters restart, like ffSkipped.
+	if c.ec != nil {
+		c.ec.decodeHits, c.ec.decodeMisses, c.ec.tlbHits, c.ec.tlbMisses = 0, 0, 0, 0
+	}
+	if c.sb != nil {
+		c.sb.built, c.sb.instrs = 0, 0
+	}
 	return nil
-}
-
-func boolsToBytes(bs []bool) []byte {
-	out := make([]byte, len(bs))
-	for i, v := range bs {
-		if v {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-func bytesToBools(b []byte, dst []bool) {
-	for i := range dst {
-		dst[i] = b[i] != 0
-	}
 }
 
 // ParkWake returns the core's current fast-forward wake hint. The

@@ -187,3 +187,142 @@ func TestMachineStateHardFaults(t *testing.T) {
 		}
 	}
 }
+
+// memImage builds a bare 16-page machine whose pages 2 and 5 hold data
+// (everything else zero) and returns it with its parsed snapshot.
+func memImage(t *testing.T, fill byte) (*Machine, *snap.Snapshot, []byte) {
+	t.Helper()
+	m := New(X86(), 16<<pageShift)
+	for _, p := range []uint64{2, 5} {
+		if err := m.Mem().Fill(p<<pageShift, 1<<pageShift, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := snap.Save(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, s, data
+}
+
+// dirty mutates an image page, a zero page and a third page through a
+// stuck bit, and returns the pages it touched.
+func dirty(t *testing.T, mm *Mem) map[uint64]bool {
+	t.Helper()
+	if err := mm.FlipBit(5<<pageShift+17, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.WriteU(7<<pageShift+8, 8, 0xDEADBEEF); err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.SetStuck(9<<pageShift, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	return map[uint64]bool{5: true, 7: true, 9: true}
+}
+
+func gens(mm *Mem) []uint64 { return append([]uint64(nil), mm.pageGen...) }
+
+// mustMatch fails unless m re-serializes to exactly want.
+func mustMatch(t *testing.T, m *Machine, want []byte) {
+	t.Helper()
+	got, err := snap.Save(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		sa, _ := snap.Parse(want)
+		sb, _ := snap.Parse(got)
+		t.Fatalf("state differs from the image: %v", snap.Diff(sa, sb))
+	}
+}
+
+// TestMemReloadSameImageIsDelta pins the rewind: a reload of the parsed
+// snapshot the memory already holds restores exactly the dirtied pages —
+// image pages from the image, others to zero — drops the stuck set, and
+// leaves every clean page's generation alone.
+func TestMemReloadSameImageIsDelta(t *testing.T) {
+	m, img, data := memImage(t, 0xA5)
+	if err := m.LoadState(img); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ { // the base survives a rewind
+		before := gens(m.Mem())
+		touched := dirty(t, m.Mem())
+		if err := m.LoadState(img); err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, m, data)
+		if n := m.Mem().StuckBits(); n != 0 {
+			t.Fatalf("round %d: %d stuck bytes survived the rewind", round, n)
+		}
+		for p, g := range gens(m.Mem()) {
+			switch {
+			case touched[uint64(p)] && g == before[p]:
+				t.Fatalf("round %d: dirtied page %d kept generation %d", round, p, g)
+			case !touched[uint64(p)] && g != before[p]:
+				t.Fatalf("round %d: clean page %d moved %d -> %d", round, p, before[p], g)
+			}
+		}
+	}
+}
+
+// TestMemReloadOtherImageIsFull: a different image — same length, same
+// page set, other bytes — must rewrite every page, dirtied or not.
+func TestMemReloadOtherImageIsFull(t *testing.T) {
+	m, img, _ := memImage(t, 0xA5)
+	_, other, otherData := memImage(t, 0x5A)
+	if len(img.Sections()) != len(other.Sections()) {
+		t.Fatal("images differ in shape")
+	}
+	if err := m.LoadState(img); err != nil {
+		t.Fatal(err)
+	}
+	before := gens(m.Mem())
+	if err := m.LoadState(other); err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, m, otherData)
+	for p, g := range gens(m.Mem()) {
+		if g == before[p] {
+			t.Fatalf("page %d was skipped loading a different image", p)
+		}
+	}
+}
+
+// TestMemReloadAfterFailedLoadIsFull: a load that fails part-way leaves
+// memory holding no image, so the next load of the old base is a full one.
+func TestMemReloadAfterFailedLoadIsFull(t *testing.T) {
+	m, img, data := memImage(t, 0xA5)
+	if err := m.LoadState(img); err != nil {
+		t.Fatal(err)
+	}
+	// The same image with its mem section claiming one page more than it
+	// carries: the decoder runs off the section after rewriting the pages.
+	bad, err := snap.Parse(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range bad.Sections() {
+		if sec.Name == "mem" {
+			sec.Data[8]++ // page count, after the size word
+		}
+	}
+	if err := m.LoadState(bad); !errors.Is(err, snap.ErrBadSnapshot) {
+		t.Fatalf("truncated mem section: got %v, want ErrBadSnapshot", err)
+	}
+	before := gens(m.Mem())
+	if err := m.LoadState(img); err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, m, data)
+	for p, g := range gens(m.Mem()) {
+		if g == before[p] {
+			t.Fatalf("page %d was skipped after a failed load", p)
+		}
+	}
+}

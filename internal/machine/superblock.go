@@ -97,8 +97,8 @@ func sbEnds(op isa.Opcode) bool {
 }
 
 // sbCache is the per-core superblock cache. Like Core.ec it is host-derived
-// state outside the snapshot boundary: dropped on restore and rebuilt on
-// demand.
+// state outside the snapshot boundary: never serialized, and revalidated
+// by its keys after a restore.
 type sbCache struct {
 	blocks [sbSlots]superblock
 	// built counts blocks decoded; instrs counts instructions retired

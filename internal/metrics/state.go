@@ -50,11 +50,9 @@ func (s *Set) LoadState(d *snapshot.Dec) error {
 		return snapshot.IncompatibleError("metrics", "counters", len(ctrs), got)
 	}
 	for _, h := range hists {
-		buckets := d.U64s()
-		if d.Err() == nil && len(buckets) != HistBuckets {
-			return snapshot.IncompatibleError("metrics", "buckets", HistBuckets, len(buckets))
+		if n := d.U64sInto(h.buckets[:]); d.Err() == nil && n != HistBuckets {
+			return snapshot.IncompatibleError("metrics", "buckets", HistBuckets, n)
 		}
-		copy(h.buckets[:], buckets)
 		h.count = d.U64()
 		h.sum = d.U64()
 		h.min = d.U64()

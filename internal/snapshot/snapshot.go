@@ -65,8 +65,9 @@ func IncompatibleError(section, field string, target, snap interface{}) error {
 // Snapshotter is implemented by every layer that owns serializable
 // simulated state. SaveState appends the layer's sections to the writer;
 // LoadState reads them back from a parsed snapshot. Restoring is only
-// defined against a structurally identical, freshly constructed target
-// (same configuration, program, and device registration order): derived
+// defined against a structurally identical target — freshly constructed,
+// or live and still in its construction-time shape (same configuration,
+// program, and device registration order), which rewinds it: derived
 // host-side state — execution caches, page generations, park closures —
 // is reconstructed by the owner, not serialized.
 type Snapshotter interface {
@@ -150,7 +151,11 @@ func (w *Writer) Bytes() ([]byte, error) {
 	return w.enc.buf, nil
 }
 
-// Snapshot is a parsed snapshot: an ordered list of named sections.
+// Snapshot is a parsed snapshot: an ordered list of named sections. The
+// sections alias the bytes Parse was given, which must not change while
+// the Snapshot is in use. A *Snapshot is therefore the identity of one
+// immutable image: a layer that loaded it in full may, on the next load
+// of the same *Snapshot, restore only what changed since (machine.Mem).
 type Snapshot struct {
 	sections []Section
 	index    map[string]int
@@ -274,6 +279,22 @@ func (e *Enc) U64s(vs []uint64) {
 	}
 }
 
+// Bools appends a length-prefixed boolean slice, one byte per element —
+// the encoding Bytes gives a 0/1 byte slice, without building one.
+func (e *Enc) Bools(bs []bool) {
+	e.Grow(8 + len(bs))
+	e.U64(uint64(len(bs)))
+	n := len(e.buf)
+	e.buf = e.buf[:n+len(bs)]
+	for i, v := range bs {
+		b := byte(0)
+		if v {
+			b = 1
+		}
+		e.buf[n+i] = b
+	}
+}
+
 // SortedU64Map appends a map in ascending key order — the format-level
 // determinism rule for map-shaped state.
 func (e *Enc) SortedU64Map(m map[uint64]uint64) {
@@ -383,8 +404,9 @@ func (d *Dec) BytesView() []byte {
 // String reads a length-prefixed string.
 func (d *Dec) String() string { return string(d.Bytes()) }
 
-// U64s reads a length-prefixed word slice.
-func (d *Dec) U64s() []uint64 {
+// wordsView returns the payload of the next length-prefixed word slice
+// as a view into the backing buffer, nil after a failed read.
+func (d *Dec) wordsView() []byte {
 	n := d.U64()
 	if d.err != nil {
 		return nil
@@ -393,11 +415,48 @@ func (d *Dec) U64s() []uint64 {
 		d.fail("word slice claims %d words, %d bytes remain", n, len(d.buf)-d.off)
 		return nil
 	}
-	out := make([]uint64, n)
+	src := d.buf[d.off : d.off+int(n)*8]
+	d.off += len(src)
+	return src
+}
+
+// U64s reads a length-prefixed word slice.
+func (d *Dec) U64s() []uint64 {
+	src := d.wordsView()
+	if d.err != nil {
+		return nil
+	}
+	out := make([]uint64, len(src)/8)
 	for i := range out {
-		out[i] = d.U64()
+		out[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
 	return out
+}
+
+// U64sInto reads a length-prefixed word slice straight into dst and
+// returns the encoded length. Only a slice of exactly len(dst) words is
+// stored; any other length is skipped with dst untouched, for the caller
+// to report as a shape mismatch.
+func (d *Dec) U64sInto(dst []uint64) int {
+	src := d.wordsView()
+	if len(src)/8 == len(dst) {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+		}
+	}
+	return len(src) / 8
+}
+
+// BoolsInto is U64sInto for a slice written by Enc.Bools (or by Bytes
+// over 0/1 bytes): any nonzero byte reads as true.
+func (d *Dec) BoolsInto(dst []bool) int {
+	src := d.BytesView()
+	if len(src) == len(dst) {
+		for i, b := range src {
+			dst[i] = b != 0
+		}
+	}
+	return len(src)
 }
 
 // SortedU64Map reads a map written by Enc.SortedU64Map.

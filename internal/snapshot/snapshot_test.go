@@ -290,3 +290,68 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestBulkInto covers the in-place bulk reads: Bools writes what Bytes
+// writes for 0/1 bytes (the format is unchanged), a matching length
+// decodes straight into the destination, any other length is skipped
+// with the destination untouched, and a truncated payload latches.
+func TestBulkInto(t *testing.T) {
+	words := []uint64{9, 8, 7}
+	flags := []bool{true, false, true, true}
+	encode := func(bools func(e *Enc)) []byte {
+		w := NewWriter()
+		e := w.Section("s")
+		e.U64s(words)
+		bools(e)
+		e.U64(77)
+		data, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	data := encode(func(e *Enc) { e.Bools(flags) })
+	if old := encode(func(e *Enc) { e.Bytes([]byte{1, 0, 1, 1}) }); !bytes.Equal(data, old) {
+		t.Fatal("Bools does not encode like Bytes over 0/1 bytes")
+	}
+	section := func() *Dec {
+		snap, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := snap.Section("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	d := section()
+	gotW, gotF := make([]uint64, 3), make([]bool, 4)
+	if n := d.U64sInto(gotW); n != 3 || !reflect.DeepEqual(gotW, words) {
+		t.Fatalf("U64sInto: n=%d %v", n, gotW)
+	}
+	if n := d.BoolsInto(gotF); n != 4 || !reflect.DeepEqual(gotF, flags) {
+		t.Fatalf("BoolsInto: n=%d %v", n, gotF)
+	}
+	if v := d.U64(); v != 77 || d.Close() != nil {
+		t.Fatalf("trailer: %d, %v", v, d.Close())
+	}
+
+	d = section()
+	shortW, longF := []uint64{1, 2}, make([]bool, 5)
+	if n := d.U64sInto(shortW); n != 3 || shortW[0] != 1 || shortW[1] != 2 {
+		t.Fatalf("U64sInto mismatch: n=%d %v", n, shortW)
+	}
+	if n := d.BoolsInto(longF); n != 4 || longF[0] {
+		t.Fatalf("BoolsInto mismatch: n=%d %v", n, longF)
+	}
+	if v := d.U64(); v != 77 || d.Close() != nil {
+		t.Fatalf("a skipped slice left the decoder misaligned: %d, %v", v, d.Close())
+	}
+
+	d = &Dec{buf: []byte{2, 0, 0, 0, 0, 0, 0, 0, 1}, name: "short"}
+	if n := d.U64sInto(make([]uint64, 2)); n != 0 || !errors.Is(d.Err(), ErrBadSnapshot) {
+		t.Fatalf("truncated U64sInto: n=%d err=%v", n, d.Err())
+	}
+}
