@@ -179,6 +179,8 @@ func BenchmarkExecHotLoop(b *testing.B) {
 				if !noSB {
 					s := sys.Machine().SuperblockStats()
 					b.ReportMetric(s.HitRate()*100, "block-hit-%")
+					m := sys.Machine()
+					b.ReportMetric(float64(s.Deferred)/float64(m.Core(0).Cycles+m.Core(1).Cycles)*100, "deferred-%")
 				}
 			}
 		}

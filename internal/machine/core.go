@@ -275,6 +275,17 @@ func (c *Core) AddStall(n int) {
 	}
 }
 
+// idle charges k cycles in which the core reaches no issue opportunity:
+// its cycle counter advances and a pending stall drains.
+func (c *Core) idle(k uint64) {
+	c.Cycles += k
+	if uint64(c.stall) <= k {
+		c.stall = 0
+	} else {
+		c.stall -= int(k)
+	}
+}
+
 // Park suspends user execution until cond holds: the core resumes on the
 // first cycle at which cond would return true, and done (if non-nil) is
 // then invoked. Parking models kernel spin loops: cycles keep accumulating,

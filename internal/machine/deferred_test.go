@@ -1,0 +1,387 @@
+package machine
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"rcoe/internal/asm"
+	"rcoe/internal/isa"
+)
+
+// Deferred execution (superblock.go) lets a core trail the machine's clock
+// while nothing can see it. The tests here put an observer at every place
+// something can — the kernel, a device, a park condition, RunUntil's
+// condition, the host between Run calls — and require it to see exactly
+// what naive stepping shows it.
+
+// coreObs is everything an observer can read off a core.
+type coreObs struct {
+	pc, cycles, branches, instrs uint64
+	state                        CoreState
+	regs                         [isa.NumRegs]uint64
+}
+
+// obsEntry is one observation of the whole machine.
+type obsEntry struct {
+	tag   string
+	now   uint64
+	cores [4]coreObs
+}
+
+func observe(m *Machine, tag string) obsEntry {
+	e := obsEntry{tag: tag, now: m.Now()}
+	for i := range e.cores {
+		c := m.Core(i)
+		e.cores[i] = coreObs{c.PC, c.Cycles, c.UserBranches, c.Instructions, c.State, c.Regs}
+	}
+	return e
+}
+
+// obsDevice observes from the device side: an MMIO read logs the machine,
+// and, like the NIC's DMA mailbox, it delivers (and logs) on the first Tick
+// after the guest clears the flag word it declares as watched RAM.
+type obsDevice struct {
+	m      *Machine
+	flagPA uint64
+	log    *[]obsEntry
+}
+
+func (d *obsDevice) MMIORead(addr uint64, size int) uint64 {
+	*d.log = append(*d.log, observe(d.m, "mmio-read"))
+	return 0x77
+}
+
+func (d *obsDevice) MMIOWrite(addr uint64, size int, v uint64) {
+	*d.log = append(*d.log, observe(d.m, "mmio-write"))
+}
+
+func (d *obsDevice) armed() bool {
+	v, _ := d.m.Mem().ReadU(d.flagPA, 8)
+	return v == 0
+}
+
+func (d *obsDevice) Tick(m *Machine) {
+	if d.armed() {
+		*d.log = append(*d.log, observe(m, "dma"))
+		_ = m.Mem().WriteU(d.flagPA, 8, 1)
+	}
+}
+
+func (d *obsDevice) WatchedMem() (uint64, uint64) { return d.flagPA, d.flagPA + 8 }
+
+func (d *obsDevice) NextEvent(now uint64) uint64 {
+	if d.armed() {
+		return now + 1
+	}
+	return NoEvent
+}
+
+const (
+	obsLoop0   = 0x1000 // core 0's loop: integer and MUL
+	obsLoop1   = 0x2000 // core 1's loop: FP, long stalls
+	obsText    = 0x3000 // the observer's program
+	obsCold    = 0x5000 // a line the observer has never fetched
+	obsFlagPA  = 0x8000 // device-watched RAM
+	obsParkPA  = 0x9000 // the word a watched park waits on
+	obsMMIO    = 0xF000_0000
+	obsPatched = 100 // the increment the observer patches into loop 0
+)
+
+func mustLoad(t *testing.T, m *Machine, b *asm.Builder, base uint64) {
+	t.Helper()
+	prog, err := b.Assemble(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mem().Write(base, isa.EncodeProgram(prog)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// observationRun boots one or two register-only loops and the observer,
+// which after nops NOPs performs each kind of observation in turn, and
+// returns everything the kernel, the device and the host saw.
+func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log []obsEntry, st SuperblockStats) {
+	t.Helper()
+	prof := X86() // jitter on
+	prof.Costs.MemHit = memHit
+	m := New(prof, 1<<16)
+	m.SetSuperblock(sb)
+	dev := &obsDevice{m: m, flagPA: obsFlagPA, log: &log}
+	if err := m.Mem().WriteU(obsFlagPA, 8, 1); err != nil { // mailbox occupied
+		t.Fatal(err)
+	}
+	m.AddDevice(dev)
+	m.MapMMIO(obsMMIO, 0x100, dev)
+	m.SetHandler(handlerFunc(func(c *Core, tr Trap) {
+		log = append(log, observe(m, fmt.Sprintf("trap %v %d core %d", tr.Kind, tr.Num, c.ID)))
+		if tr.Kind != TrapSyscall {
+			c.Halt()
+		}
+	}))
+
+	l0 := asm.New()
+	l0.Label("loop")
+	l0.Addi(5, 5, 1) // the observer patches this increment
+	l0.Mul(6, 5, 5)
+	l0.Xor(7, 7, 6)
+	l0.Shli(8, 7, 3)
+	l0.Sub(9, 8, 5)
+	l0.J("loop")
+	mustLoad(t, m, l0, obsLoop0)
+
+	l1 := asm.New()
+	l1.Fconst(1, 1.5)
+	l1.Label("loop")
+	l1.Fadd(2, 2, 1)
+	l1.Fmul(3, 2, 1)
+	l1.Fsin(4, 3)
+	l1.Addi(5, 5, 1)
+	l1.Fdiv(6, 3, 1)
+	l1.Bne(5, 0, "loop")
+	mustLoad(t, m, l1, obsLoop1)
+
+	patch := isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: obsPatched})
+	ob := asm.New()
+	for i := 0; i < nops; i++ {
+		ob.Nop()
+	}
+	ob.Syscall(1) // the kernel looks
+	ob.Li64(1, obsMMIO)
+	ob.Ld(8, 2, 1, 0) // a device looks
+	ob.Li64(3, obsLoop0)
+	ob.Li64(4, binary.LittleEndian.Uint64(patch[:]))
+	ob.St(8, 3, 4, 0) // a store into core 0's current text page
+	ob.Syscall(2)
+	ob.Li64(5, obsFlagPA)
+	ob.St(8, 5, 0, 0) // a store into device-watched RAM: the DMA looks
+	ob.Syscall(3)
+	ob.Li64(5, obsParkPA)
+	ob.St(8, 5, 5, 0) // a store into a parked core's watched page: its condition looks
+	ob.Li64(6, obsCold)
+	ob.Jr(6) // a cold-line fetch: the bus is touched
+	mustLoad(t, m, ob, obsText)
+	cold := asm.New()
+	cold.Addi(7, 7, 1)
+	cold.Syscall(4)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 25; j++ {
+			cold.Addi(7, 7, 1)
+		}
+		cold.Syscall(5)
+	}
+	cold.Hlt()
+	mustLoad(t, m, cold, obsCold)
+
+	as := &AddrSpace{Segs: []Segment{
+		{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX},
+		{VBase: obsMMIO, PBase: obsMMIO, Size: 0x100, Perm: PermR | PermW},
+	}}
+	m.Run(uint64(phase)) // every core halted: only the rotation origin moves
+	m.StartCore(0, obsLoop0, as)
+	observer := 1
+	if loops == 2 {
+		m.StartCore(1, obsLoop1, as)
+		observer = 2
+	}
+	m.StartCore(observer, obsText, as)
+	if loops == 2 {
+		// A rider with a ParkWatch keeps the loops deferrable; every
+		// evaluation of its condition, and its done hook, is an observer.
+		rider := m.Core(3)
+		rider.Park(func() bool {
+			log = append(log, observe(m, "park-eval"))
+			v, _ := m.Mem().ReadU(obsParkPA, 8)
+			return v != 0
+		}, func() {
+			log = append(log, observe(m, "park-wake"))
+			rider.Halt()
+		})
+		rider.ParkWakeNever()
+		rider.ParkWatch(m.Mem().PageGen(obsParkPA, 8))
+	}
+	for _, n := range []uint64{1, 2, 61, 500, 1, 997, 1500} {
+		m.Run(n)
+		for i := range m.sbRun {
+			if m.sbRun[i].lag != 0 {
+				t.Fatalf("core %d lags %d cycles outside a batch", i, m.sbRun[i].lag)
+			}
+		}
+		log = append(log, observe(m, "host")) // the host looks
+	}
+	if m.Core(observer).State != CoreHalted {
+		t.Fatalf("the observer did not finish (pc %#x)", m.Core(observer).PC)
+	}
+	if got := m.Core(0).Regs[5]; got < obsPatched {
+		t.Fatalf("core 0 never executed the patched increment (r5 = %d)", got)
+	}
+	return log, m.SuperblockStats()
+}
+
+// TestDeferredObservationExact: the whole observation log is identical
+// with the superblock engine on and off, for every rotation phase of the
+// start cycle, every alignment of the observations against the loops'
+// promises, on the generic loop (two loops and the observer) and the pair
+// loop (one loop and the observer), the former with a watched rider, and
+// with the stock one-cycle cache hit as well as a three-cycle one, which
+// puts a stall behind every fetch.
+func TestDeferredObservationExact(t *testing.T) {
+	for _, memHit := range []int{1, 3} {
+		for loops := 1; loops <= 2; loops++ {
+			var deferred, promises uint64
+			for phase := 0; phase < 4; phase++ {
+				for nops := 0; nops <= 70; nops++ {
+					fast, st := observationRun(t, true, memHit, loops, phase, nops)
+					naive, _ := observationRun(t, false, memHit, loops, phase, nops)
+					where := fmt.Sprintf("hit %d loops %d phase %d nops %d", memHit, loops, phase, nops)
+					if len(fast) != len(naive) {
+						t.Fatalf("%s: %d observations batched, %d naive", where, len(fast), len(naive))
+					}
+					for i := range fast {
+						if fast[i] != naive[i] {
+							t.Fatalf("%s: observation %d (%s) diverged\nbatched: %+v\nnaive:   %+v",
+								where, i, naive[i].tag, fast[i], naive[i])
+						}
+					}
+					deferred += st.Deferred
+					promises += st.Promises
+				}
+			}
+			if deferred == 0 || promises == 0 {
+				t.Fatalf("hit %d loops %d: nothing was deferred (%d cycles, %d promises): the test observes nothing",
+					memHit, loops, deferred, promises)
+			}
+		}
+	}
+}
+
+// TestDeferredUnwatchedRiderReadsRegister: a park that declares no
+// ParkWatch may read anything, a running core's registers included, so
+// with such a rider the batch defers no instruction and the park wakes on
+// the naive cycle.
+func TestDeferredUnwatchedRiderReadsRegister(t *testing.T) {
+	scenario := func(sb bool) (woke, cycles, instrs uint64, st SuperblockStats) {
+		m := New(noJitter(X86()), 1<<16)
+		m.SetSuperblock(sb)
+		b := asm.New()
+		b.Label("loop")
+		b.Addi(5, 5, 1)
+		b.Xor(6, 6, 5)
+		b.J("loop")
+		loadProg(t, m, b)
+		rider := m.Core(1)
+		rider.Park(func() bool { return m.Core(0).Regs[5] >= 137 }, func() {
+			c0 := m.Core(0)
+			woke, cycles, instrs, st = m.Now(), c0.Cycles, c0.Instructions, m.SuperblockStats()
+			rider.Halt()
+		})
+		rider.ParkWakeNever() // a wake declaration alone is not a watch
+		m.Run(2000)
+		return woke, cycles, instrs, st
+	}
+	woke, cycles, instrs, st := scenario(true)
+	refWoke, refCycles, _, _ := scenario(false)
+	if refWoke == 0 {
+		t.Fatal("reference park never woke")
+	}
+	if woke != refWoke || cycles != refCycles {
+		t.Fatalf("rider woke at cycle %d (core 0 at %d), naive at %d (%d)", woke, cycles, refWoke, refCycles)
+	}
+	if st.BlockInstrs == 0 {
+		t.Fatal("the batched path never engaged")
+	}
+	// Only stall cycles may have been deferred (the cold fetches' miss
+	// penalty): without jitter every other cycle retires an instruction.
+	if st.Deferred > cycles-instrs {
+		t.Fatalf("%d cycles were deferred under an undeclared rider, only %d were stalls", st.Deferred, cycles-instrs)
+	}
+}
+
+// TestDeferredCondShadowReportsViolation hands RunUntil a condition on a
+// running core's register — outside its contract — and checks that
+// DebugCondShadow reports the cycle naive stepping would have stopped on,
+// and nothing for a condition inside the contract.
+func TestDeferredCondShadowReportsViolation(t *testing.T) {
+	var reported []uint64
+	DebugCondShadow = func(now uint64) { reported = append(reported, now) }
+	defer func() { DebugCondShadow = nil }()
+	boot := func(sb bool) (*Machine, *flagHandler) {
+		m := New(noJitter(X86()), 1<<16)
+		m.SetSuperblock(sb)
+		mustLoad(t, m, spinThen(300, func(b *asm.Builder) { b.Syscall(1) }), 0)
+		h := &flagHandler{}
+		m.SetHandler(h)
+		m.StartCore(0, 0, flatAS(m.Mem().Size()))
+		return m, h
+	}
+
+	m, _ := boot(false)
+	if err := m.RunUntil(func() bool { return m.Core(0).Regs[5] >= 100 }, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	want := m.Now()
+	m, _ = boot(true)
+	_ = m.RunUntil(func() bool { return m.Core(0).Regs[5] >= 100 }, 10_000)
+	if len(reported) == 0 || reported[0] != want {
+		t.Fatalf("shadow reported %v, want first report at cycle %d", reported, want)
+	}
+
+	reported = nil
+	m, h := boot(false)
+	if err := m.RunUntil(func() bool { return h.flag }, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	want = m.Now()
+	m, h = boot(true)
+	if err := m.RunUntil(func() bool { return h.flag }, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if m.Now() != want || len(reported) != 0 {
+		t.Fatalf("kernel-flag condition: stopped at %d (naive %d), shadow reported %v", m.Now(), want, reported)
+	}
+}
+
+// TestSuperblockFastSet pins the one definition of the fast set: for every
+// opcode, defined or not, sbFast — what buildBlock's run lengths are made
+// of — says what execFast does.
+func TestSuperblockFastSet(t *testing.T) {
+	cost := X86().Costs
+	fast := 0
+	for op := 0; op < 256; op++ {
+		c := &Core{}
+		ins := &isa.Instr{Op: isa.Opcode(op), Rd: 1, Rs1: 2, Rs2: 3}
+		got := execFast(c, ins, &cost)
+		if got != sbFast[ins.Op] {
+			t.Errorf("%v: execFast = %v, sbFast = %v", ins.Op, got, sbFast[ins.Op])
+		}
+		if !got && (c.PC != 0 || c.Regs != [isa.NumRegs]uint64{} || c.stall != 0 || c.UserBranches != 0) {
+			t.Errorf("%v: execFast refused the op but changed the core", ins.Op)
+		}
+		if got {
+			fast++
+			if ins.Op.IsMemAccess() || !ins.Op.Valid() {
+				t.Errorf("%v is in the fast set", ins.Op)
+			}
+		}
+	}
+	if fast < 40 {
+		t.Fatalf("only %d opcodes in the fast set", fast)
+	}
+	// buildBlock's table: run lengths count down to the first slow op.
+	m := New(noJitter(X86()), 1<<16)
+	b := asm.New()
+	b.Addi(1, 1, 1)
+	b.Mul(2, 1, 1)
+	b.Ld(8, 3, 0, 0x100)
+	b.Fadd(4, 4, 4)
+	b.Hlt()
+	loadProg(t, m, b)
+	sb := m.blockFor(m.Core(0))
+	if sb == nil || sb.n != 5 {
+		t.Fatalf("block = %+v", sb)
+	}
+	if got := [5]uint8(sb.fast[:5]); got != [5]uint8{2, 1, 0, 1, 0} {
+		t.Fatalf("fast run lengths = %v, want [2 1 0 1 0]", got)
+	}
+}

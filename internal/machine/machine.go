@@ -139,10 +139,13 @@ type Machine struct {
 	// sbHold pins the machine to naive stepping until the given cycle
 	// after a failed block build (host-only cooldown heuristic).
 	sbHold uint64
-	// sbJumped counts stall-window cycles bulk-charged inside batches.
-	sbJumped uint64
-	// sbRun is the per-core batch state, allocated once.
+	// sbJumped counts cycles credited in bulk inside batches, sbDeferred the
+	// cycles burst executed, sbPromises the promises made (diagnostics).
+	sbJumped, sbDeferred, sbPromises uint64
+	// sbRun is the per-core batch state, allocated once; sbAct lists the
+	// entries of the cores the current batch drives, in index order.
 	sbRun []sbRunState
+	sbAct []*sbRunState
 	// watchGp points into mem.pageGen for every device-watched RAM page
 	// (MemWatcher); watchSnap holds their values at batch entry. A batched
 	// store that bumps a watched generation ends the batch with that cycle
@@ -377,10 +380,13 @@ func (m *Machine) SuperblockEnabled() bool { return m.superblock }
 func (m *Machine) FastForwarded() uint64 { return m.ffSkipped }
 
 // ParkStats counts the polls of parked cores. Polls is every stepped cycle
-// a parked core spent waiting (fast-forwarded cycles poll nothing); Evals
-// is how many of those ran the park condition, the rest being skipped
-// under a ParkWatch declaration. Like FastForwarded it is host-side
-// diagnostics: never serialized, never part of an artifact.
+// a parked core spent waiting; cycles charged in bulk poll nothing, be it
+// a fast-forwarded idle window or a window a superblock batch credits
+// because every executing core is promised (superblock.go) and the park's
+// declarations prove its condition still false. Evals is how many polls
+// ran the park condition, the rest being skipped under a ParkWatch
+// declaration. Like FastForwarded it is host-side diagnostics: never
+// serialized, never part of an artifact.
 type ParkStats struct {
 	Polls, Evals uint64
 }
@@ -414,11 +420,16 @@ func (m *Machine) Run(n uint64) {
 }
 
 // RunUntil steps the machine until cond returns true, or fails with
-// ErrTimeout after maxCycles. cond must be event-driven — a function of
-// machine state that changes only when a core executes, a device acts, or
-// a park wakes; fast-forward evaluates it exactly at those points. A
-// condition on wall-cycle time alone (e.g. Now() >= X) may be observed
-// late under fast-forward; bound such waits with Run instead.
+// ErrTimeout after maxCycles. cond must depend only on state that kernel,
+// host or device code mutates — a trap handler's flags, a halted or
+// offline core, a device register — never on what a core changes by merely
+// executing (its registers, PC or counters) nor on time alone (Now() >= X;
+// bound such waits with Run). The accelerators rely on it: fast-forward
+// skips windows in which no such code runs, and a superblock batch does not
+// evaluate cond at all, because everything that lets such code run (a
+// trap, a park wake, an MMIO access) ends the batch with its cycle and
+// RunUntil evaluates cond before the next one. DebugCondShadow checks the
+// contract.
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 	start := m.now
 	m.stepIdle = false // see Run
@@ -434,9 +445,9 @@ func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 		}
 		if m.superblock {
 			if left := maxCycles - (m.now - start); left > 1 {
-				// The batch evaluates cond before every cycle after its
-				// first, exactly as the naive loop does before every Step;
-				// looping back re-evaluates it before the next cycle too.
+				// cond cannot turn true inside a batch (see above); it is
+				// passed along for DebugCondShadow only, and looping back
+				// evaluates it before the next cycle.
 				if m.runBlocks(cond, left-1) > 0 {
 					continue
 				}
@@ -513,14 +524,8 @@ func (m *Machine) skipIdle(limit uint64) uint64 {
 	m.rr = int(m.now % uint64(len(m.cores)))
 	m.bus.skip(k)
 	for _, c := range m.cores {
-		if c.State != CoreParked && c.State != CoreRunning {
-			continue
-		}
-		c.Cycles += k
-		if uint64(c.stall) <= k {
-			c.stall = 0
-		} else {
-			c.stall -= int(k)
+		if c.State == CoreParked || c.State == CoreRunning {
+			c.idle(k)
 		}
 	}
 	m.ffSkipped += k
@@ -559,14 +564,18 @@ func (m *Machine) advance(c *Core) {
 			if *gp == c.parkSeenGen && m.parkEpoch == c.parkSeenEpoch && c.Cycles < c.parkWake {
 				// Nothing the condition reads has changed since it last
 				// returned false (see Core.Park): skip the evaluation.
-				if DebugParkShadow != nil && c.parkCond() {
-					DebugParkShadow(c.ID, m.now)
+				if DebugParkShadow != nil {
+					m.sbSync()
+					if c.parkCond() {
+						DebugParkShadow(c.ID, m.now)
+					}
 				}
 				return
 			}
 			c.parkSeenGen, c.parkSeenEpoch = *gp, m.parkEpoch
 		}
 		m.parkStats.Evals++
+		m.sbSync() // the condition may read any core
 		if c.parkCond() {
 			m.stepIdle = false
 			// The condition may have completed a barrier on behalf of every
@@ -630,11 +639,18 @@ var DebugPCWatch func(coreID int, pc, bpAddr uint64, bpEnabled, singleStep bool,
 // that returns true — a violation of the declaration (tests only).
 var DebugParkShadow func(coreID int, now uint64)
 
+// DebugCondShadow, when non-nil, makes a superblock batch under RunUntil
+// evaluate the condition before every cycle after its first, as naive
+// stepping does, and observes each evaluation that returns true — a
+// violation of RunUntil's contract (tests only).
+var DebugCondShadow func(now uint64)
+
 // trap hands control to the kernel. The handler mutates the core and
 // returns; user execution resumes on a later cycle (after any stall the
 // handler charged).
 func (m *Machine) trap(c *Core, t Trap) {
-	m.sbExit = true // the kernel may mutate anything; end any batch
+	m.sbSync()      // the kernel may read any core: none may lag behind this cycle
+	m.sbExit = true // ... and may mutate anything; end any batch
 	m.parkEpoch++   // ... including what parked cores wait on
 	if DebugTrace != nil {
 		DebugTrace(c.ID, t.Kind, t.PC, m.now)
@@ -788,17 +804,23 @@ func (m *Machine) xlate(c *Core, va uint64, n int, need Perm) (uint64, bool) {
 // side effects happen only on the true path. The instruction is passed by
 // pointer purely to keep the per-instruction host cost down (the cost
 // table likewise); exec never mutates it.
+//
+// Every op is defined once: the register-only ones in execFast
+// (superblock.go), the rest in execSlow.
 func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
+	if execFast(c, ins, &m.prof.Costs) {
+		return true
+	}
+	return m.execSlow(c, ins)
+}
+
+// execSlow executes the ops outside execFast's set: the ones that can
+// trap, touch memory or a device, or stall on the bus. The batch loop
+// calls it directly for the instructions its block marks as not fast.
+func (m *Machine) execSlow(c *Core, ins *isa.Instr) bool {
 	cost := &m.prof.Costs
 	nextPC := c.PC + isa.InstrBytes
 	switch ins.Op {
-	case isa.OpAdd:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)+c.reg(ins.Rs2))
-	case isa.OpSub:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)-c.reg(ins.Rs2))
-	case isa.OpMul:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)*c.reg(ins.Rs2))
-		c.AddStall(cost.Mul - 1)
 	case isa.OpDiv:
 		d := int64(c.reg(ins.Rs2))
 		if d == 0 {
@@ -828,44 +850,6 @@ func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
 		}
 		c.setReg(ins.Rd, c.reg(ins.Rs1)%d)
 		c.AddStall(cost.Div - 1)
-	case isa.OpAnd:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)&c.reg(ins.Rs2))
-	case isa.OpOr:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)|c.reg(ins.Rs2))
-	case isa.OpXor:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)^c.reg(ins.Rs2))
-	case isa.OpShl:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)<<(c.reg(ins.Rs2)&63))
-	case isa.OpShr:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)>>(c.reg(ins.Rs2)&63))
-	case isa.OpSra:
-		c.setReg(ins.Rd, uint64(int64(c.reg(ins.Rs1))>>(c.reg(ins.Rs2)&63)))
-	case isa.OpSlt:
-		c.setReg(ins.Rd, b2u(int64(c.reg(ins.Rs1)) < int64(c.reg(ins.Rs2))))
-	case isa.OpSltu:
-		c.setReg(ins.Rd, b2u(c.reg(ins.Rs1) < c.reg(ins.Rs2)))
-
-	case isa.OpAddi:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)+uint64(int64(ins.Imm)))
-	case isa.OpAndi:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)&uint64(int64(ins.Imm)))
-	case isa.OpOri:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)|uint64(int64(ins.Imm)))
-	case isa.OpXori:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)^uint64(int64(ins.Imm)))
-	case isa.OpShli:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)<<(uint32(ins.Imm)&63))
-	case isa.OpShri:
-		c.setReg(ins.Rd, c.reg(ins.Rs1)>>(uint32(ins.Imm)&63))
-	case isa.OpSrai:
-		c.setReg(ins.Rd, uint64(int64(c.reg(ins.Rs1))>>(uint32(ins.Imm)&63)))
-	case isa.OpSlti:
-		c.setReg(ins.Rd, b2u(int64(c.reg(ins.Rs1)) < int64(ins.Imm)))
-	case isa.OpLi:
-		c.setReg(ins.Rd, uint64(int64(ins.Imm)))
-	case isa.OpLih:
-		c.setReg(ins.Rd, c.reg(ins.Rd)<<32|uint64(uint32(ins.Imm)))
-
 	case isa.OpLd1, isa.OpLd2, isa.OpLd4, isa.OpLd8:
 		size := loadSize(ins.Op)
 		va := c.reg(ins.Rs1) + uint64(int64(ins.Imm))
@@ -876,6 +860,7 @@ func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
 		}
 		if dev, isMMIO := m.mmioAt(pa); isMMIO {
 			m.sbExit = true // device read may have side effects (IRQ, DMA)
+			m.sbSync()      // ... and may read any core
 			c.setReg(ins.Rd, dev.MMIORead(pa, size))
 			c.AddStall(cost.MemMiss)
 			break
@@ -900,6 +885,7 @@ func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
 		}
 		if dev, isMMIO := m.mmioAt(pa); isMMIO {
 			m.sbExit = true // device write may have side effects (IRQ, DMA)
+			m.sbSync()      // ... and may read any core
 			dev.MMIOWrite(pa, size, c.reg(ins.Rs2))
 			c.AddStall(cost.MemMiss)
 			break
@@ -911,69 +897,6 @@ func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
 			m.trap(c, Trap{Kind: TrapMemFault, Addr: va, PC: c.PC})
 			return true
 		}
-
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		c.UserBranches++
-		if condTaken(ins.Op, c.reg(ins.Rs1), c.reg(ins.Rs2)) {
-			nextPC = uint64(uint32(ins.Imm))
-		}
-	case isa.OpJ:
-		c.UserBranches++
-		nextPC = uint64(uint32(ins.Imm))
-	case isa.OpJal:
-		c.UserBranches++
-		c.setReg(ins.Rd, c.PC+isa.InstrBytes)
-		nextPC = uint64(uint32(ins.Imm))
-	case isa.OpJr:
-		c.UserBranches++
-		nextPC = c.reg(ins.Rs1)
-	case isa.OpJalr:
-		c.UserBranches++
-		c.setReg(ins.Rd, c.PC+isa.InstrBytes)
-		nextPC = c.reg(ins.Rs1) + uint64(int64(ins.Imm))
-
-	case isa.OpFadd:
-		c.setReg(ins.Rd, bits(f64(c.reg(ins.Rs1))+f64(c.reg(ins.Rs2))))
-		c.AddStall(cost.FPSimple - 1)
-	case isa.OpFsub:
-		c.setReg(ins.Rd, bits(f64(c.reg(ins.Rs1))-f64(c.reg(ins.Rs2))))
-		c.AddStall(cost.FPSimple - 1)
-	case isa.OpFmul:
-		c.setReg(ins.Rd, bits(f64(c.reg(ins.Rs1))*f64(c.reg(ins.Rs2))))
-		c.AddStall(cost.FPSimple - 1)
-	case isa.OpFdiv:
-		c.setReg(ins.Rd, bits(f64(c.reg(ins.Rs1))/f64(c.reg(ins.Rs2))))
-		c.AddStall(cost.FPDiv - 1)
-	case isa.OpFsqrt:
-		c.setReg(ins.Rd, bits(math.Sqrt(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPDiv - 1)
-	case isa.OpFsin:
-		c.setReg(ins.Rd, bits(math.Sin(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPTrans - 1)
-	case isa.OpFcos:
-		c.setReg(ins.Rd, bits(math.Cos(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPTrans - 1)
-	case isa.OpFexp:
-		c.setReg(ins.Rd, bits(math.Exp(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPTrans - 1)
-	case isa.OpFlog:
-		c.setReg(ins.Rd, bits(math.Log(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPTrans - 1)
-	case isa.OpFatan:
-		c.setReg(ins.Rd, bits(math.Atan(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPTrans - 1)
-	case isa.OpFcvtIF:
-		c.setReg(ins.Rd, bits(float64(int64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPSimple - 1)
-	case isa.OpFcvtFI:
-		c.setReg(ins.Rd, uint64(int64(f64(c.reg(ins.Rs1)))))
-		c.AddStall(cost.FPSimple - 1)
-	case isa.OpFlt:
-		c.setReg(ins.Rd, b2u(f64(c.reg(ins.Rs1)) < f64(c.reg(ins.Rs2))))
-	case isa.OpFle:
-		c.setReg(ins.Rd, b2u(f64(c.reg(ins.Rs1)) <= f64(c.reg(ins.Rs2))))
-	case isa.OpFeq:
-		c.setReg(ins.Rd, b2u(f64(c.reg(ins.Rs1)) == f64(c.reg(ins.Rs2))))
 
 	case isa.OpLL:
 		va := c.reg(ins.Rs1)
@@ -1133,7 +1056,6 @@ func (m *Machine) exec(c *Core, ins *isa.Instr) bool {
 		c.PC = nextPC // syscall returns to the following instruction
 		m.trap(c, Trap{Kind: TrapSyscall, Num: ins.Imm, PC: c.PC})
 		return true
-	case isa.OpNop:
 	case isa.OpHlt:
 		m.trap(c, Trap{Kind: TrapHalt, PC: c.PC})
 		return true

@@ -116,8 +116,11 @@ func TestParkWatchGateExact(t *testing.T) {
 			if evals > 3 {
 				t.Fatalf("watched park evaluated %d times, want at most 3 (first poll, the change, slack)", evals)
 			}
-			if st.Polls != uint64(refEvals) || st.Evals != uint64(evals) {
-				t.Fatalf("ParkStats = %+v, want {Polls:%d Evals:%d}", st, refEvals, evals)
+			// The watched rider is not even polled in the windows the batch
+			// credits while core 0 is promised; the undeclared reference is
+			// polled on every cycle.
+			if st.Polls > uint64(refEvals) || st.Evals != uint64(evals) {
+				t.Fatalf("ParkStats = %+v, want {Polls<=%d Evals:%d}", st, refEvals, evals)
 			}
 		})
 	}

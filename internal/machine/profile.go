@@ -25,6 +25,20 @@
 // A parked core is polled once per stepped cycle. A park that declares
 // what its condition reads (Core.ParkWatch) has the condition evaluated
 // only when one of those inputs can have changed; see Core.Park.
+//
+// Hot straight-line code runs through the superblock engine
+// (superblock.go, SetSuperblock): predecoded branch-to-branch runs executed
+// in a batched loop. Inside a batch a core's register-only stretches are
+// not interleaved with the other cores cycle by cycle: the core is
+// credited the cycles and executes them afterwards in one burst, always
+// before anything can observe it — the kernel at a trap, a device at an
+// MMIO access, a park condition, the host when Run or RunUntil returns.
+// Naive stepping (every accelerator off) stays the reference the
+// differential suites compare against.
+//
+// RunUntil's condition must depend only on state that kernel, host or
+// device code mutates, never on what a core changes by merely executing:
+// the accelerators evaluate it only where such code can have run.
 package machine
 
 // AtomicModel selects the atomic-instruction family a profile supports.

@@ -13,7 +13,10 @@ import (
 // invisible to simulated state: every cycle in the batch performs exactly
 // the work the naive loop would — same rotation order, same bus ticks,
 // same jitter draws, same cost-model calls, same traps on the same cycles
-// — and the batch ends (or never starts) whenever anything could diverge:
+// — except that a core's register-only stretches are executed later than
+// their cycles, in one burst, before anything can observe the core (see
+// runBlocks). The batch ends (or never starts) whenever anything could
+// diverge:
 //
 //   - a device event falls due (preemption timer, DMA, intermittent-fault
 //     phase edge): the batch horizon stops one cycle short, so the event
@@ -64,6 +67,9 @@ type superblock struct {
 	gp     [sbMaxPages]*uint64 // live mutation counters of the spanned pages
 	gens   [sbMaxPages]uint64  // their values when the block was decoded
 	ins    [sbMaxLen]isa.Instr
+	// fast[i] is the length of the run of fast-set instructions (sbFast)
+	// starting at ins[i]; 0 when ins[i] needs execSlow.
+	fast [sbMaxLen]uint8
 }
 
 // valid reports whether the block can serve (pc, as) right now.
@@ -95,6 +101,19 @@ func sbEnds(op isa.Opcode) bool {
 	}
 	return false
 }
+
+// sbFast[op] reports whether op is in execFast's register-only set — it
+// touches nothing but the executing core's registers, counters and stall
+// balance, so it can be deferred. The table is derived from execFast
+// itself, so the two cannot drift.
+var sbFast = func() (t [256]bool) {
+	var c Core
+	var cost Costs
+	for op := range t {
+		t[op] = execFast(&c, &isa.Instr{Op: isa.Opcode(op)}, &cost)
+	}
+	return t
+}()
 
 // sbCache is the per-core superblock cache. Like Core.ec it is host-derived
 // state outside the snapshot boundary: never serialized, and revalidated
@@ -156,6 +175,12 @@ func (m *Machine) buildBlock(c *Core, sb *superblock) bool {
 	sb.start, sb.pa0 = pc, pa
 	sb.as, sb.asGen, sb.nsegs = as, as.gen, len(as.Segs)
 	sb.n = n
+	for i, r := n-1, uint8(0); i >= 0; i-- {
+		if r++; !sbFast[sb.ins[i].Op] {
+			r = 0
+		}
+		sb.fast[i] = r
+	}
 	p0 := pa >> pageShift
 	p1 := (pa + uint64(n)*isa.InstrBytes - 1) >> pageShift
 	sb.gp[0], sb.gens[0] = &mem.pageGen[p0], mem.pageGen[p0]
@@ -214,33 +239,185 @@ func (m *Machine) watchDirty() bool {
 	return false
 }
 
-// sbKind is a core's role for the duration of one batch.
-type sbKind uint8
-
-const (
-	sbSkip   sbKind = iota // halted / offline at entry
-	sbParked               // parked at entry: serviced via advance each cycle
-	sbExec                 // running: serviced from its superblock
-)
-
-// sbRunState tracks one core's progress through the batched loop. fline
-// and fgen memoize the last fetch-probed cache line: while the core's
-// cache generation is unchanged, a line probed present is still present,
-// so sequential fetches within the line skip the probe entirely (a fetch
-// hit changes no cache or bus state, so skipping it is free).
+// sbRunState tracks one core's progress through the batched loop: a core
+// running at batch entry is serviced from its superblock, one parked at
+// entry (a rider) is polled via advance or credited in bulk, and halted or
+// offline cores take no part. fline and fgen memoize the last fetch-probed
+// cache line: while the core's cache generation is unchanged, a line
+// probed present is still present, so sequential fetches within the line
+// skip the probe entirely (a fetch hit changes no cache or bus state, so
+// skipping it is free).
+//
+// promise and lag implement deferred execution (see runBlocks): promise is
+// the number of coming cycles in which the core provably touches nothing
+// but its own registers, counters and jitter stream, lag the number of
+// such cycles the loop has already credited it and burst still has to
+// execute. Both are 0 outside a batch.
 type sbRunState struct {
-	kind  sbKind
-	sb    *superblock
-	pos   int
-	fline uint64
-	fgen  uint64
+	c       *Core
+	parked  bool
+	sb      *superblock // nil after a failed chain: issue naively, end the batch
+	pos     int
+	fline   uint64
+	fgen    uint64
+	promise uint64
+	lag     uint64
+}
+
+// lookahead returns how many cycles the core can promise from its current
+// position: the rest of its stall (a stalled core only counts down) plus,
+// when run is set, one cycle per instruction of the fast-set run it stands
+// at — each takes at least a cycle, so the run cannot end earlier — cut at
+// the first fetch line not resident in its cache, since a fill would touch
+// the bus. The cache is private to the core and a fetch hit leaves it
+// unchanged, so lines found resident stay resident for the whole promise.
+// 0 means the core must be serviced cycle by cycle.
+func (st *sbRunState) lookahead(run bool) uint64 {
+	c, sb := st.c, st.sb
+	if !sb.pagesFresh() {
+		return 0
+	}
+	p := uint64(c.stall)
+	n := uint64(sb.fast[st.pos])
+	if n == 0 || !run {
+		return p
+	}
+	ch := c.cache
+	pa := sb.pa0 + uint64(st.pos)*isa.InstrBytes
+	last := (pa + n*isa.InstrBytes - 1) >> ch.lineShift
+	for line := pa >> ch.lineShift; line <= last; line++ {
+		if line == st.fline && ch.gen == st.fgen {
+			continue
+		}
+		if idx := ch.index(line); !ch.valid[idx] || ch.tags[idx] != line {
+			if lo := line << ch.lineShift; lo > pa {
+				return p + (lo-pa)/isa.InstrBytes
+			}
+			return p
+		}
+	}
+	return p + n
+}
+
+// burst executes the cycles a core owes, alone: per cycle exactly what the
+// interleaved loop does for a core inside a promise — cycle count, stall,
+// one jitter draw per issue opportunity from the same stream, the
+// fetch-hit charge, execFast, block chain. A stall is counted down in one
+// step. A chain can only happen on the last cycle of a promise (it follows
+// the last instruction of the run); when it finds no block st.sb is left
+// nil, which ends the batch.
+func (m *Machine) burst(st *sbRunState) {
+	c, n := st.c, st.lag
+	st.lag = 0
+	m.sbDeferred += n
+	shift := m.prof.JitterShift
+	cost := &m.prof.Costs
+	hitExtra := cost.MemHit - 1
+	sb, pos := st.sb, st.pos
+	instrs := uint64(0)
+	c.Cycles += n
+	for n > 0 {
+		if c.stall > 0 {
+			d := uint64(c.stall)
+			if d > n {
+				d = n
+			}
+			c.stall -= int(d)
+			n -= d
+			continue
+		}
+		n--
+		if c.nextJitter(shift) {
+			continue
+		}
+		if hitExtra > 0 {
+			c.stall += hitExtra
+		}
+		prev := c.PC
+		execFast(c, &sb.ins[pos], cost)
+		instrs++
+		if pos++; pos == sb.n || c.PC != prev+isa.InstrBytes {
+			sb, pos = m.blockFor(c), 0
+		}
+	}
+	st.sb, st.pos = sb, pos
+	c.Instructions += instrs
+	c.sb.instrs += instrs
+}
+
+// sbSync makes every lagging core execute the cycles it owes. It is called
+// wherever code other than a core's own burst can observe a core — see
+// runBlocks for the list and the argument — so outside those points a core
+// may trail the machine's clock unseen. Outside a batch no core lags and
+// the call is a few compares.
+func (m *Machine) sbSync() {
+	for _, st := range m.sbAct {
+		if st.lag != 0 {
+			m.burst(st)
+		}
+	}
+}
+
+// sbNaiveRest finishes the current cycle's rotation after core idx through
+// the naive advance path, exactly as Step would: a trap or a park wake at
+// idx ran kernel code, which may have mutated — or started — any core, so
+// every core is visited, not only those the batch was driving.
+func (m *Machine) sbNaiveRest(idx int) {
+	n := len(m.cores)
+	for {
+		if idx++; idx == n {
+			idx = 0
+		}
+		if idx == m.rr {
+			break
+		}
+		if c := m.cores[idx]; c.State != CoreHalted && c.State != CoreOffline {
+			m.advance(c)
+		}
+	}
+	m.sbExit = false
 }
 
 // runBlocks executes up to limit cycles through the superblock engine and
 // returns the number of cycles consumed (possibly 0 when the batch cannot
-// safely start). cond, when non-nil, is evaluated before every batched
-// cycle except the first — the caller evaluated it immediately before the
-// call — exactly matching the naive RunUntil loop's evaluation points.
+// safely start). cond is RunUntil's condition, nil under Run; it cannot
+// turn true inside a batch (see RunUntil) and is only evaluated, before
+// every batched cycle except the first, when DebugCondShadow is set.
+//
+// Deferred execution. Between two kernel entries a replica is an
+// independent instruction stream, and most of it is register-only, so the
+// loop does not interleave those stretches cycle by cycle. One rule: a
+// core may lag behind the machine's clock only while nothing can see it.
+//
+//   - Promise. At the loop top a core without a promise makes one
+//     (lookahead): a number of cycles during which it provably touches
+//     nothing but its own registers, counters and jitter stream.
+//   - Credit. While the promise lasts a cycle services the core with
+//     lag++ in its slot of the rotation; when every executing core is
+//     promised and every parked rider provably stays parked, the shortest
+//     promise is charged in one step with no rotation at all.
+//   - Burst. The owed cycles are executed later, alone, in a tight loop
+//     (burst): when the promise runs out — the core then re-promises
+//     without spending a cycle — or at an observation point.
+//
+// Observation points are the places where code other than a core's own
+// burst can read or write a core, and each starts with sbSync: Machine.trap
+// (the kernel), both MMIO arms of execSlow (a device), the evaluation of a
+// park condition in advance (and of its DebugParkShadow twin), the
+// DebugCondShadow evaluation here, and batch end (the host). Devices tick
+// only outside batches (the horizon). Lags are rotation-exact by
+// construction: a core is credited a cycle in its own slot, so when a
+// later core of the same cycle traps, the cores serviced before it owe
+// that cycle and the ones after it do not — what naive stepping would
+// show the handler. The one input of a promise another core can change is
+// text: after an op that may have stored, a promised core whose block
+// pages went stale bursts at once — every cycle it owes precedes the store
+// — and loses its promise, so its next issue takes the stale-text path.
+// A parked rider's condition is host code too; one that declares a
+// ParkWatch and a wake cycle is only evaluated after an sbSync and is
+// known false in between, but an undeclared one is evaluated every cycle
+// and may read a running core's registers, so with such a rider present
+// only stalls are promised.
 func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	if limit == 0 || m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil {
 		return 0
@@ -267,21 +444,25 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		}
 	}
 	// Core gates: every running core needs a clean debug/interrupt state
-	// and a valid superblock at its PC; parked cores ride along and are
-	// serviced through the naive advance path each cycle.
+	// and a valid superblock at its PC; parked cores ride along.
 	if m.sbRun == nil || len(m.sbRun) != len(m.cores) {
 		m.sbRun = make([]sbRunState, len(m.cores))
+		m.sbAct = make([]*sbRunState, 0, len(m.cores))
 	}
-	nrun, nparked := 0, 0
+	act := m.sbAct[:0]
+	nrun, nparked, deferRuns := 0, 0, true
 	for i, c := range m.cores {
 		st := &m.sbRun[i]
-		st.sb = nil
+		st.c, st.sb, st.promise = c, nil, 0
 		switch c.State {
 		case CoreHalted, CoreOffline:
-			st.kind = sbSkip
 		case CoreParked:
-			st.kind = sbParked
+			st.parked = true
+			act = append(act, st)
 			nparked++
+			if c.parkGp == nil || c.parkWake == 0 {
+				deferRuns = false
+			}
 		default:
 			if c.pendingIRQ != 0 || c.pendingIPI ||
 				c.BP.Enabled || c.BranchWatch.Enabled || c.SingleStep {
@@ -292,14 +473,16 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				m.sbHold = m.now + sbBuildHold
 				return 0
 			}
-			st.kind, st.sb, st.pos = sbExec, sb, 0
+			st.parked, st.sb, st.pos = false, sb, 0
 			st.fline = ^uint64(0) // no line memoized yet
+			act = append(act, st)
 			nrun++
 		}
 	}
 	if nrun == 0 {
 		return 0 // fully idle: fast-forward's territory
 	}
+	m.sbAct = act
 
 	for i, gp := range m.watchGp {
 		m.watchSnap[i] = *gp
@@ -309,92 +492,112 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	hitExtra := cost.MemHit - 1
 	ncores := len(m.cores)
 	bus := m.bus
-	cores := m.cores
-	run := m.sbRun
-	if nrun == 2 {
-		// The paper's dominant topology — a DMR pair, both replicas
-		// executing — gets a loop with the rotation machinery compiled
-		// out. Halted cores do nothing per cycle, so only a parked
-		// rider (needing its per-cycle advance) forces the generic loop.
-		i0, i1, parked := -1, -1, false
-		for i := range run {
-			switch run[i].kind {
-			case sbParked:
-				parked = true
-			case sbExec:
-				if i0 < 0 {
-					i0 = i
-				} else {
-					i1 = i
-				}
-			}
-		}
-		if !parked {
-			return m.runBlocksPair(cond, horizon, i0, i1)
-		}
-	}
+	shadow := cond != nil && DebugCondShadow != nil
 	m.sbExit = false
 	consumed := uint64(0)
-	// tryJump is armed by a cycle in which no executing core issued (all
-	// were mid-stall) and no parked rider woke: only then can the next
-	// iteration bulk-charge the window, and gating the attempt keeps the
-	// common issuing cycle free of the scan. With no parked riders it
-	// starts true so a batch entered mid-stall (e.g. right after a
-	// syscall's kernel-entry charge) jumps immediately; with riders it
-	// starts false, because a park condition may have become true during
-	// the very Step that preceded the batch (a trap later in that cycle's
-	// rotation — say the kernel opening a rendezvous release — changes
-	// condition inputs after the rider's advance already ran), and only a
-	// batched cycle that advances every rider proves the conditions false.
-	// skipIdle gets the same proof from its fully-idle-Step precondition;
-	// the batch must earn it here. Cleared after every jump so the
-	// following normal cycle re-evaluates park conditions, preserving the
-	// probe bound for undeclared parks.
-	tryJump := nparked == 0
+	// calm stands in for the proof an undeclared rider cannot give: it is
+	// set by a cycle in which every rider was polled and stayed parked and
+	// no executing core issued, so nothing a condition reads has changed
+	// since it returned false, and cleared by every credit so the next
+	// cycle polls again (the probe bound of undeclared wakes). It starts
+	// false with riders because a park condition may have become true
+	// during the very Step that preceded the batch (a trap later in that
+	// cycle's rotation changes condition inputs after the rider's advance
+	// already ran).
+	calm := nparked == 0
 	exit := false
 	for consumed < horizon && !exit {
-		if consumed > 0 && cond != nil && cond() {
-			break
+		if shadow && consumed > 0 {
+			m.sbSync()
+			if cond() {
+				DebugCondShadow(m.now)
+			}
 		}
-		if tryJump {
-			tryJump = false
-			if k := m.sbStallJump(horizon - consumed); k > 0 {
-				consumed += k
+		k := horizon - consumed
+		for _, st := range act {
+			if st.parked {
 				continue
 			}
+			if st.promise == 0 {
+				if st.lag != 0 {
+					m.burst(st)
+				}
+				if st.sb == nil {
+					exit = true
+					break
+				}
+				if st.promise = st.lookahead(deferRuns); st.promise != 0 {
+					m.sbPromises++
+				}
+			}
+			if st.promise < k {
+				k = st.promise
+			}
+		}
+		if exit {
+			break
+		}
+		if k > 0 && nparked > 0 {
+			k = m.sbRiderBound(k, calm)
+		}
+		if k > 0 {
+			if shadow {
+				k = 1
+			}
+			// Time, the rotation origin and the bus token bucket move as k
+			// naive cycles would move them; no core is serviced.
+			m.now += k
+			m.rr = int(m.now % uint64(ncores))
+			bus.skip(k)
+			m.sbJumped += k
+			for _, st := range act {
+				if !st.parked {
+					st.promise -= k
+					st.lag += k
+				} else {
+					st.c.idle(k)
+				}
+			}
+			calm = false
+			consumed += k
+			continue
 		}
 		m.now++
 		if m.rr++; m.rr >= ncores {
 			m.rr = 0
 		}
 		bus.tick()
-		// naiveTail: a trap or park wake happened earlier in this cycle's
-		// rotation; the kernel (or done hook) may have mutated any core, so
-		// the rest of the rotation must go through the naive advance path —
-		// exactly what Step would do.
-		naiveTail := false
 		anyIssue := false
-		for i, idx := 0, m.rr; i < ncores; i++ {
-			c := cores[idx]
-			st := &run[idx]
-			if idx++; idx == ncores {
-				idx = 0
+		// The rotation starts at the first active core at or after the
+		// round-robin origin; halted cores do nothing in a cycle.
+		s := 0
+		for s < len(act) && act[s].c.ID < m.rr {
+			s++
+		}
+	rotation:
+		for n := len(act); n > 0; n-- {
+			if s == len(act) {
+				s = 0
 			}
-			if naiveTail {
-				if c.State != CoreHalted && c.State != CoreOffline {
-					m.advance(c)
-				}
-				m.sbExit = false
-				continue
-			}
-			switch st.kind {
-			case sbSkip:
-				continue
-			case sbParked:
+			st := act[s]
+			s++
+			c := st.c
+			if st.parked {
+				epoch := m.parkEpoch
 				m.advance(c)
-				if c.State != CoreParked {
-					naiveTail, exit = true, true
+				if m.parkEpoch != epoch {
+					// The park woke — even if its done hook parked the core
+					// again, kernel code ran: the rest of the rotation is
+					// Step's, and the batch ends.
+					m.sbNaiveRest(c.ID)
+					exit = true
+					break rotation
 				}
+				continue
+			}
+			if st.promise > 0 {
+				st.promise--
+				st.lag++
 				continue
 			}
 			c.Cycles++
@@ -404,17 +607,18 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			}
 			anyIssue = true
 			sb := st.sb
-			if !sb.pagesFresh() {
-				// Text (or a page it shares) mutated under the block: issue
-				// naively this cycle — the naive fetch re-derives bytes and
-				// any trap from scratch — and end the batch.
+			if sb == nil || !sb.pagesFresh() {
+				// No block, or text (or a page it shares) mutated under it:
+				// issue naively this cycle — the naive fetch re-derives
+				// bytes and any trap from scratch — and end the batch.
 				m.stepIdle = false
 				m.issue(c)
-				if m.sbExit {
-					m.sbExit = false
-					naiveTail = true
-				}
 				exit = true
+				if m.sbExit {
+					m.sbNaiveRest(c.ID)
+					break rotation
+				}
+				m.sbRevoke()
 				continue
 			}
 			if c.nextJitter(shift) {
@@ -445,22 +649,24 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			}
 			prev := c.PC
 			ins := &sb.ins[st.pos]
-			if execFast(c, ins, cost) {
+			if sb.fast[st.pos] != 0 {
+				execFast(c, ins, cost)
 				c.Instructions++
 				c.sb.instrs++
 			} else {
-				// Op outside the trap-free fast set (memory, divide,
-				// atomic, block op, syscall): full exec with trap/MMIO
-				// exit handling.
-				if m.exec(c, ins) {
+				// Op outside the register-only fast set (memory, divide,
+				// atomic, block op, syscall): the rest of exec, with
+				// trap/MMIO exit handling.
+				if m.execSlow(c, ins) {
 					c.Instructions++
 					c.sb.instrs++
 				}
 				if m.sbExit {
-					m.sbExit = false
-					naiveTail, exit = true, true
-					continue
+					m.sbNaiveRest(c.ID)
+					exit = true
+					break rotation
 				}
+				m.sbRevoke()
 				// A store into device-watched RAM (DMA mailbox flag)
 				// invalidates the entry-time device horizon: finish the
 				// cycle (the naive Step's device phase had already run by
@@ -475,298 +681,86 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				if st.pos++; st.pos == sb.n {
 					// Fell through the end (non-taken terminator or a block
 					// truncated at a segment edge): chain to the next block.
-					if nb := m.blockFor(c); nb != nil {
-						st.sb, st.pos = nb, 0
-					} else {
-						exit = true
-					}
+					st.sb, st.pos = m.blockFor(c), 0
 				}
 			case prev:
 				// Bus stall mid-instruction or a rep-style block op still
 				// copying: same instruction again next cycle.
 			default:
 				// Taken branch: chain to the target's block.
-				if nb := m.blockFor(c); nb != nil {
-					st.sb, st.pos = nb, 0
-				} else {
-					exit = true
-				}
+				st.sb, st.pos = m.blockFor(c), 0
 			}
 		}
-		if !anyIssue && !naiveTail {
-			tryJump = true
-		}
+		calm = !anyIssue && !exit
 		consumed++
 	}
-	// Host code observing the machine after Run sees the same quiescence
-	// rules as naive stepping: anything could have happened during the
-	// batch, so the next fast-forward needs a fresh idle Step first.
+	// Host code observing the machine after Run sees no lagging core, and
+	// the same quiescence rules as naive stepping: anything could have
+	// happened during the batch, so the next fast-forward needs a fresh
+	// idle Step first.
+	m.sbSync()
 	m.stepIdle = false
 	return consumed
 }
 
-// runBlocksPair is runBlocks' batched loop specialized for exactly two
-// executing cores (indices i0 < i1) with every other core halted — the
-// paper's DMR pair and the benchmark-critical shape. Pinning both cores
-// and their run states in locals removes the per-cycle rotation machinery
-// (array indexing, wrap checks, role dispatch) that the generic loop
-// pays; each serviced cycle is otherwise statement-for-statement the
-// generic body, and the determinism cube compares this path against naive
-// stepping like any other. The caller guarantees both sbRun entries are
-// sbExec; any role change mid-batch (halt, park) only happens through a
-// trap, which exits the batch.
-func (m *Machine) runBlocksPair(cond func() bool, horizon uint64, i0, i1 int) uint64 {
-	shift := m.prof.JitterShift
-	cost := &m.prof.Costs
-	hitExtra := cost.MemHit - 1
-	ncores := len(m.cores)
-	bus := m.bus
-	c0, c1 := m.cores[i0], m.cores[i1]
-	st0, st1 := &m.sbRun[i0], &m.sbRun[i1]
-	m.sbExit = false
-	consumed := uint64(0)
-	tryJump := true
-	exit := false
-	for consumed < horizon && !exit {
-		if consumed > 0 && cond != nil && cond() {
-			break
+// sbRevoke runs after an op that may have written memory: a promised core
+// whose block pages went stale executes what it owes from the block as
+// decoded — all of it precedes the store — and loses its promise.
+func (m *Machine) sbRevoke() {
+	for _, st := range m.sbAct {
+		if st.promise != 0 && !st.sb.pagesFresh() {
+			if st.lag != 0 {
+				m.burst(st)
+			}
+			st.promise = 0
 		}
-		if tryJump {
-			tryJump = false
-			if k := m.sbStallJump(horizon - consumed); k > 0 {
-				consumed += k
-				continue
-			}
-		}
-		m.now++
-		if m.rr++; m.rr >= ncores {
-			m.rr = 0
-		}
-		bus.tick()
-		a, b, sta, stb := c0, c1, st0, st1
-		if m.rr > i0 && m.rr <= i1 {
-			// The round-robin start point sits strictly between the two
-			// cores, so the higher-indexed one is serviced first this
-			// cycle — the same order the generic rotation produces.
-			a, b, sta, stb = c1, c0, st1, st0
-		}
-		naiveTail := false
-		// First core of the rotation.
-		if a.Cycles++; a.stall > 0 {
-			a.stall--
-		} else if sb := sta.sb; !sb.pagesFresh() {
-			m.stepIdle = false
-			m.issue(a)
-			if m.sbExit {
-				m.sbExit = false
-				naiveTail = true
-			}
-			exit = true
-		} else if !a.nextJitter(shift) {
-			fpa := sb.pa0 + uint64(sta.pos)*isa.InstrBytes
-			ch := a.cache
-			line := fpa >> ch.lineShift
-			fetched := true
-			if line == sta.fline && ch.gen == sta.fgen {
-				if hitExtra > 0 {
-					a.stall += hitExtra
-				}
-			} else if lidx := ch.index(line); ch.valid[lidx] && ch.tags[lidx] == line &&
-				(fpa+isa.InstrBytes-1)>>ch.lineShift == line {
-				sta.fline, sta.fgen = line, ch.gen
-				if hitExtra > 0 {
-					a.stall += hitExtra
-				}
-			} else if !a.memAccess(fpa, isa.InstrBytes, false) {
-				fetched = false
-			}
-			if fetched {
-				prev := a.PC
-				ins := &sb.ins[sta.pos]
-				trapped := false
-				if execFast(a, ins, cost) {
-					a.Instructions++
-					a.sb.instrs++
-				} else {
-					if m.exec(a, ins) {
-						a.Instructions++
-						a.sb.instrs++
-					}
-					if m.sbExit {
-						m.sbExit = false
-						naiveTail, exit, trapped = true, true, true
-					} else if m.watchGp != nil && m.watchDirty() {
-						exit = true // store into device-watched RAM
-					}
-				}
-				if !trapped {
-					switch a.PC {
-					case prev + isa.InstrBytes:
-						if sta.pos++; sta.pos == sb.n {
-							if nb := m.blockFor(a); nb != nil {
-								sta.sb, sta.pos = nb, 0
-							} else {
-								exit = true
-							}
-						}
-					case prev:
-						// Bus stall or rep-style block op: same instruction
-						// again next cycle.
-					default:
-						if nb := m.blockFor(a); nb != nil {
-							sta.sb, sta.pos = nb, 0
-						} else {
-							exit = true
-						}
-					}
-				}
-			}
-		}
-		// Second core: naive advance when the first one trapped (the
-		// kernel may have mutated it), the batch path otherwise.
-		if naiveTail {
-			if b.State != CoreHalted && b.State != CoreOffline {
-				m.advance(b)
-			}
-			m.sbExit = false
-		} else if b.Cycles++; b.stall > 0 {
-			b.stall--
-		} else if sb := stb.sb; !sb.pagesFresh() {
-			m.stepIdle = false
-			m.issue(b)
-			if m.sbExit {
-				m.sbExit = false
-			}
-			exit = true
-		} else if !b.nextJitter(shift) {
-			fpa := sb.pa0 + uint64(stb.pos)*isa.InstrBytes
-			ch := b.cache
-			line := fpa >> ch.lineShift
-			fetched := true
-			if line == stb.fline && ch.gen == stb.fgen {
-				if hitExtra > 0 {
-					b.stall += hitExtra
-				}
-			} else if lidx := ch.index(line); ch.valid[lidx] && ch.tags[lidx] == line &&
-				(fpa+isa.InstrBytes-1)>>ch.lineShift == line {
-				stb.fline, stb.fgen = line, ch.gen
-				if hitExtra > 0 {
-					b.stall += hitExtra
-				}
-			} else if !b.memAccess(fpa, isa.InstrBytes, false) {
-				fetched = false
-			}
-			if fetched {
-				prev := b.PC
-				ins := &sb.ins[stb.pos]
-				trapped := false
-				if execFast(b, ins, cost) {
-					b.Instructions++
-					b.sb.instrs++
-				} else {
-					if m.exec(b, ins) {
-						b.Instructions++
-						b.sb.instrs++
-					}
-					if m.sbExit {
-						m.sbExit = false
-						exit, trapped = true, true
-					} else if m.watchGp != nil && m.watchDirty() {
-						exit = true // store into device-watched RAM
-					}
-				}
-				if !trapped {
-					switch b.PC {
-					case prev + isa.InstrBytes:
-						if stb.pos++; stb.pos == sb.n {
-							if nb := m.blockFor(b); nb != nil {
-								stb.sb, stb.pos = nb, 0
-							} else {
-								exit = true
-							}
-						}
-					case prev:
-					default:
-						if nb := m.blockFor(b); nb != nil {
-							stb.sb, stb.pos = nb, 0
-						} else {
-							exit = true
-						}
-					}
-				}
-			}
-		}
-		// Arm the stall jump whenever both cores end the cycle mid-stall:
-		// the next iteration bulk-charges the shared window. Pure host
-		// heuristic — the jump itself re-verifies that no core can issue.
-		tryJump = a.stall > 0 && b.stall > 0
-		consumed++
 	}
-	m.stepIdle = false
-	return consumed
 }
 
-// sbStallJump bulk-charges a window in which every executing core is
-// mid-stall and every parked core is bounded, exactly as skipIdle does for
-// fully idle windows: no core reaches an issue opportunity, so the only
-// evolving state is time, per-core cycle counters, stall balances, and the
-// bus token bucket. Returns 0 when any executing core could issue now.
-func (m *Machine) sbStallJump(limit uint64) uint64 {
-	k := limit
-	for i, c := range m.cores {
-		var d uint64
-		switch m.sbRun[i].kind {
-		case sbSkip:
+// sbRiderBound shrinks a credit of k cycles to what every parked rider
+// allows, 0 when one of them must be polled first. A rider with a ParkWatch
+// and a declared wake is known parked while the watched page, the park
+// epoch and its last false evaluation still agree (the poll gate of
+// advance) and its wake cycle is not due; any other rider needs calm, and
+// an undeclared wake is probed every ParkProbeInterval as under
+// fast-forward.
+func (m *Machine) sbRiderBound(k uint64, calm bool) uint64 {
+	for _, st := range m.sbAct {
+		if !st.parked {
 			continue
-		case sbParked:
-			switch c.parkWake {
-			case 0:
-				d = ParkProbeInterval
-			case NoEvent:
-				continue
-			default:
-				if c.parkWake <= c.Cycles+1 {
-					return 0
-				}
-				d = c.parkWake - c.Cycles - 1
-			}
-		default: // sbExec
-			if c.stall <= 0 {
+		}
+		c := st.c
+		if gp := c.parkGp; gp != nil && c.parkWake != 0 {
+			if *gp != c.parkSeenGen || m.parkEpoch != c.parkSeenEpoch {
 				return 0
 			}
-			d = uint64(c.stall)
+		} else if !calm {
+			return 0
+		}
+		var d uint64
+		switch c.parkWake {
+		case 0:
+			d = ParkProbeInterval
+		case NoEvent:
+			continue
+		default:
+			if c.parkWake <= c.Cycles+1 {
+				return 0
+			}
+			d = c.parkWake - c.Cycles - 1
 		}
 		if d < k {
 			k = d
 		}
 	}
-	if k == 0 {
-		return 0
-	}
-	m.now += k
-	m.rr = int(m.now % uint64(len(m.cores)))
-	m.bus.skip(k)
-	for i, c := range m.cores {
-		if m.sbRun[i].kind == sbSkip {
-			continue
-		}
-		c.Cycles += k
-		if uint64(c.stall) <= k {
-			c.stall = 0
-		} else {
-			c.stall -= int(k)
-		}
-	}
-	m.sbJumped += k
 	return k
 }
 
 // execFast executes the ops that can neither trap, touch memory, nor
 // stall on the bus: pure register arithmetic, immediates, FP, and
-// branches. Each arm is the corresponding exec arm verbatim minus the
-// dispatch framing, so the architectural effect is identical; the
-// 8-variant determinism cube enforces that equivalence. Returns false for
-// any other op, which the batch loop routes through the full exec.
+// branches. It is the one definition of these ops: exec starts with it,
+// and the batch loops call it directly to spare exec's frame. Returns
+// false, with nothing changed, for any other op.
 func execFast(c *Core, ins *isa.Instr, cost *Costs) bool {
 	nextPC := c.PC + isa.InstrBytes
 	switch ins.Op {
@@ -891,7 +885,9 @@ type SuperblockStats struct {
 	Blocks      uint64 // superblocks decoded
 	BlockInstrs uint64 // instructions retired from the batched path
 	Instrs      uint64 // total instructions retired (all paths)
-	Jumped      uint64 // stall-window cycles bulk-charged inside batches
+	Jumped      uint64 // cycles credited in bulk inside batches
+	Deferred    uint64 // cycles executed by burst, after the fact
+	Promises    uint64 // promises made
 }
 
 // HitRate returns the fraction of all retired instructions that executed
@@ -923,7 +919,7 @@ func (m *Machine) BlockStartPAs(id int) []uint64 {
 
 // SuperblockStats returns aggregate superblock diagnostics for the machine.
 func (m *Machine) SuperblockStats() SuperblockStats {
-	s := SuperblockStats{Jumped: m.sbJumped}
+	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises}
 	for _, c := range m.cores {
 		s.Instrs += c.Instructions
 		if c.sb != nil {

@@ -222,8 +222,8 @@ func TestSuperblockIntermittentFaultMidBlock(t *testing.T) {
 	})
 }
 
-// TestSuperblockParkReleaseAtBatchEntry is the regression test for the
-// batch-entry stall jump racing a park release: a trap late in one cycle's
+// TestSuperblockParkReleaseAtBatchEntry is the regression test for a
+// batch-entry credit racing a park release: a trap late in one cycle's
 // rotation flips a parked core's condition, and the batch that starts
 // immediately afterwards must not bulk-charge the executing core's long
 // stall before re-evaluating the rider's condition — naive stepping wakes
