@@ -265,7 +265,7 @@ func New(opts Options) (*Cluster, error) {
 		// Each shard owns ~1/Shards of the keyspace, but consistent
 		// hashing is not perfectly balanced; size every table for half
 		// the full keyspace so no shard can overflow.
-		opts.Slots = nextPow2(opts.Records*2 + 64)
+		opts.Slots = harness.NextPow2(opts.Records*2 + 64)
 	}
 	c := &Cluster{
 		opts: opts,
@@ -328,14 +328,6 @@ func (c *Cluster) bootNode() (*harness.Node, error) {
 		// Serving nodes never exhaust their budget mid-run; the client,
 		// not the server, decides when the run is over.
 	})
-}
-
-func nextPow2(v uint64) uint64 {
-	p := uint64(64)
-	for p < v {
-		p <<= 1
-	}
-	return p
 }
 
 // route assigns the request a cluster-unique wire ID, encodes it, and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rcoe/internal/core"
+	"rcoe/internal/harness"
 	"rcoe/internal/workload"
 )
 
@@ -59,7 +60,7 @@ func scaleSlots(opts Options) uint64 {
 			maxCount = n
 		}
 	}
-	return nextPow2(maxCount*2 + 64)
+	return harness.NextPow2(maxCount*2 + 64)
 }
 
 // dmrFleetOptions is the replicated 8-shard fleet (LC-DMR per shard)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -11,12 +12,12 @@ import (
 	"rcoe/internal/trace"
 )
 
-// This file implements snapshot.Snapshotter for the replicated system:
-// the checkpoint/restore subsystem's top layer. A snapshot captures the
-// complete simulated state — machine (memory, cores, bus, hard-fault
-// devices), per-replica kernels, and the replication layer's host-side
-// control state — so that a restored system evolves bit-identically to
-// the original (the snapshot determinism tests enforce it).
+// This file is the replicated system's state walk: the checkpoint/restore
+// subsystem's top layer. A snapshot captures the complete simulated state
+// — machine (memory, cores, bus, hard-fault devices), per-replica kernels,
+// and the replication layer's host-side control state — so that a
+// restored system evolves bit-identically to the original (the snapshot
+// determinism tests enforce it).
 //
 // Park closures are host-side functions and cannot be serialized.
 // Instead, every park site records a parkDesc on its Replica, and the
@@ -24,14 +25,9 @@ import (
 // functions) so a restore can re-arm an equivalent park: same condition,
 // same completion, same spin budget, same wake hint.
 //
-// Deliberately NOT serialized (host-side or derived):
-//   - accelerator settings (fast-forward, exec cache): the target keeps
-//     its own, making snapshots portable across accelerator combos;
-//   - the trace/metrics configuration: a snapshot saved without tracing
-//     restores into a tracing system (replay triage relies on this);
-//   - the divergence report and hooks (devWindows, primaryChange): both
-//     are construction-time wiring;
-//   - the preemption timer's tick cache: lazily re-derived.
+// What is deliberately outside the boundary (accelerator and trace
+// settings, the divergence report, hooks, the tick cache) is listed, with
+// reasons, in internal/snapshot/boundary_test.go.
 
 // parkKind identifies which park site a replica's core is blocked at.
 type parkKind int
@@ -99,169 +95,39 @@ func (c Config) branchSiteKeys() []uint64 {
 	return keys
 }
 
-// SaveState implements snapshot.Snapshotter: a behavioural config digest,
-// the replication layer's host-side control state, one section per
-// replica kernel, the observability state, and the machine sections.
-func (s *System) SaveState(w *snapshot.Writer) error {
-	e := w.Section("sys.meta")
-	e.Int(int(s.cfg.Mode))
-	e.Int(s.cfg.Replicas)
-	e.Int(int(s.cfg.Sig))
-	e.String(s.cfg.Profile.Name)
-	e.Int(s.cfg.MemBytes)
-	e.U64(s.cfg.PartitionBytes)
-	e.U64(s.cfg.TickCycles)
-	e.U64(s.cfg.BarrierTimeout)
-	e.U64(s.cfg.watchdogCycles())
-	e.Bool(s.cfg.Masking)
-	e.Bool(s.cfg.ExceptionBarriers)
-	e.Bool(s.cfg.ForceCompilerCounting)
-	e.Bool(s.cfg.VM)
-	e.Bool(s.cfg.Decorrelate)
-	e.U64(s.cfg.LayoutSeed)
-	e.U64(s.cfg.TraceSeed)
-	e.U64s(s.cfg.branchSiteKeys())
+// SaveState implements snapshot.Snapshotter.
+func (s *System) SaveState(w *snapshot.Writer) error { return w.Walk(s.State) }
 
-	e = w.Section("sys")
-	e.U64(s.syncCounter)
-	e.U64(s.releaseGen)
-	e.U64(s.releasedSet)
-	e.U64(s.voteFailGen)
-	e.U64(s.lastSyncOpen)
-	e.Bool(s.halted)
-	e.String(s.haltReason)
-	e.Bool(s.finished)
-	e.Int(s.reintegratePending)
-	if s.reintegrateErr != nil {
-		e.Bool(true)
-		e.String(s.reintegrateErr.Error())
-		e.Bool(isReintegrateErr(s.reintegrateErr))
-	} else {
-		e.Bool(false)
-	}
-	e.U64(s.reintegrateReqCycle)
-	e.U64(s.stats.Syncs)
-	e.U64(s.stats.Votes)
-	e.U64(s.stats.SyscallVotes)
-	e.U64(s.stats.VMExits)
-	e.U64(s.stats.InputBytes)
-	e.U64(s.stats.DowngradeCycles)
-	e.U64(s.stats.Reintegrations)
-	e.U64(s.stats.Ejections)
-	e.U64(s.stats.Downgrades)
-	e.U64(s.stats.WatchdogProbes)
-	e.Int(len(s.detections))
-	for _, d := range s.detections {
-		e.Int(int(d.Kind))
-		e.U64(d.Cycle)
-		e.Int(d.Replica)
-		e.Bool(d.Masked)
-	}
+// LoadState implements snapshot.Snapshotter. The target must be built
+// through the same construction path (NewSystem with a behaviourally
+// identical Config, plus Load of the same program); mismatches return
+// snapshot.ErrIncompatible. Accelerator and trace settings may differ —
+// the target keeps its own.
+func (s *System) LoadState(snap *snapshot.Snapshot) error { return snap.Walk(s.State) }
+
+// State walks the system's sections: a behavioural config digest, the
+// replication layer's host-side control state, one section per replica
+// kernel, the observability state, and the machine sections.
+func (s *System) State(c *snapshot.Codec) {
+	c.Section("sys.meta", s.meta)
+	c.Section("sys", s.control)
 	for _, r := range s.reps {
-		e.Bool(r.chasing)
-		e.U64(r.chaseTarget.Events)
-		e.U64(r.chaseTarget.Branches)
-		e.U64(r.chaseTarget.IP)
-		e.U64(r.chaseTarget.BlockRem)
-		e.Bool(r.finished)
-		e.Bool(r.stallPending)
-		e.U64(r.barrierStart)
-		e.U64(r.UserFaults)
-		e.U64(r.UserMemFaults)
-		e.U64(r.DebugExceptions)
-		e.Int(int(r.park.kind))
-		e.U64(r.park.gen)
-		e.U64(r.park.ev)
-		e.I64(int64(r.park.num))
-		for _, a := range r.park.args {
-			e.U64(a)
-		}
-		e.U64(r.park.va)
-		e.U64(r.park.n)
+		c.Section(fmt.Sprintf("sys.kernel.%d", r.ID), r.K.State)
 	}
-
-	for _, r := range s.reps {
-		r.K.SaveState(w.Section(fmt.Sprintf("sys.kernel.%d", r.ID)))
+	c.Section("sys.trace", s.recorder)
+	c.Section("sys.metrics", s.metricSet)
+	s.m.State(c)
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
-
-	e = w.Section("sys.trace")
-	if s.rec != nil {
-		var buf bytes.Buffer
-		if err := s.rec.Save(&buf); err != nil {
-			return err
-		}
-		e.Bool(true)
-		e.Bytes(buf.Bytes())
-	} else {
-		e.Bool(false)
-	}
-
-	e = w.Section("sys.metrics")
-	if s.met != nil {
-		e.Bool(true)
-		s.met.SaveState(e)
-	} else {
-		e.Bool(false)
-	}
-
-	return s.m.SaveState(w)
-}
-
-func isReintegrateErr(err error) bool {
-	for ; err != nil; err = unwrap(err) {
-		if err == ErrReintegrate {
-			return true
-		}
-	}
-	return false
-}
-
-func unwrap(err error) error {
-	u, ok := err.(interface{ Unwrap() error })
-	if !ok {
-		return nil
-	}
-	return u.Unwrap()
-}
-
-// LoadState restores a snapshot taken by SaveState into this system. The
-// target must be built through the same construction path (NewSystem with
-// a behaviourally identical Config, plus Load of the same program);
-// mismatches return snapshot.ErrIncompatible. Accelerator and trace
-// settings may differ — the target keeps its own.
-func (s *System) LoadState(snap *snapshot.Snapshot) error {
-	if err := s.verifyMeta(snap); err != nil {
-		return err
-	}
-	// Machine first: memory (including the shared framework region the
-	// park conditions read), cores, bus, hard-fault devices.
-	if err := s.m.LoadState(snap); err != nil {
-		return err
-	}
-	for _, r := range s.reps {
-		d, err := snap.Section(fmt.Sprintf("sys.kernel.%d", r.ID))
-		if err != nil {
-			return err
-		}
-		if err := r.K.LoadState(d); err != nil {
-			return err
-		}
-		if err := d.Close(); err != nil {
-			return err
-		}
-	}
-	if err := s.loadSys(snap); err != nil {
-		return err
-	}
-	// Host-side control state is in place: re-arm the park closures for
-	// every parked core, preserving the saved wake hint (Park resets it).
+	// Memory (including the shared framework region the park conditions
+	// read), cores and control state are in place: re-arm the park closures
+	// for every parked core, preserving the saved wake hint.
 	for _, r := range s.reps {
 		if err := s.rearmPark(r); err != nil {
-			return err
+			c.Fail(err)
+			return
 		}
-	}
-	if err := s.loadObservability(snap); err != nil {
-		return err
 	}
 	// Derived state: the tick cache re-derives from Now(), the captured
 	// divergence report belongs to the saved run's detection, not ours.
@@ -269,118 +135,104 @@ func (s *System) LoadState(snap *snapshot.Snapshot) error {
 		s.timer.next = 0
 	}
 	s.report = nil
-	return nil
 }
 
-// verifyMeta checks the behavioural config digest against this system's.
-func (s *System) verifyMeta(snap *snapshot.Snapshot) error {
-	d, err := snap.Section("sys.meta")
-	if err != nil {
-		return err
+// meta walks the behavioural config digest.
+func (s *System) meta(c *snapshot.Codec) {
+	c.Check("mode", int(s.cfg.Mode))
+	c.Check("replicas", s.cfg.Replicas)
+	c.Check("sig", int(s.cfg.Sig))
+	c.Check("profile", s.cfg.Profile.Name)
+	c.Check("mem-bytes", s.cfg.MemBytes)
+	c.Check("partition-bytes", s.cfg.PartitionBytes)
+	c.Check("tick-cycles", s.cfg.TickCycles)
+	c.Check("barrier-timeout", s.cfg.BarrierTimeout)
+	c.Check("watchdog-cycles", s.cfg.watchdogCycles())
+	c.Check("masking", s.cfg.Masking)
+	c.Check("exception-barriers", s.cfg.ExceptionBarriers)
+	c.Check("force-compiler-counting", s.cfg.ForceCompilerCounting)
+	c.Check("vm", s.cfg.VM)
+	c.Check("decorrelate", s.cfg.Decorrelate)
+	c.Check("layout-seed", s.cfg.LayoutSeed)
+	c.Check("trace-seed", s.cfg.TraceSeed)
+	sites := s.cfg.branchSiteKeys()
+	c.Check("branch-sites", len(sites))
+	for _, va := range sites {
+		c.Check("branch-site", va)
 	}
-	checks := []struct {
-		field  string
-		target interface{}
-		snap   interface{}
-	}{
-		{"mode", int(s.cfg.Mode), d.Int()},
-		{"replicas", s.cfg.Replicas, d.Int()},
-		{"sig", int(s.cfg.Sig), d.Int()},
-		{"profile", s.cfg.Profile.Name, d.String()},
-		{"mem-bytes", s.cfg.MemBytes, d.Int()},
-		{"partition-bytes", s.cfg.PartitionBytes, d.U64()},
-		{"tick-cycles", s.cfg.TickCycles, d.U64()},
-		{"barrier-timeout", s.cfg.BarrierTimeout, d.U64()},
-		{"watchdog-cycles", s.cfg.watchdogCycles(), d.U64()},
-		{"masking", s.cfg.Masking, d.Bool()},
-		{"exception-barriers", s.cfg.ExceptionBarriers, d.Bool()},
-		{"force-compiler-counting", s.cfg.ForceCompilerCounting, d.Bool()},
-		{"vm", s.cfg.VM, d.Bool()},
-		{"decorrelate", s.cfg.Decorrelate, d.Bool()},
-		{"layout-seed", s.cfg.LayoutSeed, d.U64()},
-		{"trace-seed", s.cfg.TraceSeed, d.U64()},
-		{"branch-sites", fmt.Sprint(s.cfg.branchSiteKeys()), fmt.Sprint(d.U64s())},
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	for _, c := range checks {
-		if c.target != c.snap {
-			return snapshot.IncompatibleError("sys.meta", c.field, c.target, c.snap)
+}
+
+// control walks the replication layer's host-side control state.
+func (s *System) control(c *snapshot.Codec) {
+	c.U64(&s.syncCounter)
+	c.U64(&s.releaseGen)
+	c.U64(&s.releasedSet)
+	c.U64(&s.voteFailGen)
+	c.U64(&s.lastSyncOpen)
+	c.Bool(&s.halted)
+	c.String(&s.haltReason)
+	c.Bool(&s.finished)
+	c.Int(&s.reintegratePending)
+	// An error value crosses as its message plus whether it is an
+	// ErrReintegrate, the one identity callers test for.
+	hasErr := s.reintegrateErr != nil
+	if c.Bool(&hasErr); !hasErr {
+		s.reintegrateErr = nil
+	} else {
+		rerr := &restoredError{}
+		if !c.Loading() {
+			rerr.msg, rerr.reinteg = s.reintegrateErr.Error(), errors.Is(s.reintegrateErr, ErrReintegrate)
+		}
+		c.String(&rerr.msg)
+		c.Bool(&rerr.reinteg)
+		if c.Loading() {
+			s.reintegrateErr = rerr
 		}
 	}
-	return nil
-}
-
-// loadSys restores the replication layer's host-side control state.
-func (s *System) loadSys(snap *snapshot.Snapshot) error {
-	d, err := snap.Section("sys")
-	if err != nil {
-		return err
-	}
-	s.syncCounter = d.U64()
-	s.releaseGen = d.U64()
-	s.releasedSet = d.U64()
-	s.voteFailGen = d.U64()
-	s.lastSyncOpen = d.U64()
-	s.halted = d.Bool()
-	s.haltReason = d.String()
-	s.finished = d.Bool()
-	s.reintegratePending = d.Int()
-	s.reintegrateErr = nil
-	if d.Bool() {
-		s.reintegrateErr = &restoredError{msg: d.String(), reinteg: d.Bool()}
-	}
-	s.reintegrateReqCycle = d.U64()
-	s.stats = Stats{
-		Syncs:           d.U64(),
-		Votes:           d.U64(),
-		SyscallVotes:    d.U64(),
-		VMExits:         d.U64(),
-		InputBytes:      d.U64(),
-		DowngradeCycles: d.U64(),
-		Reintegrations:  d.U64(),
-		Ejections:       d.U64(),
-		Downgrades:      d.U64(),
-		WatchdogProbes:  d.U64(),
-	}
-	ndet := d.Int()
-	s.detections = nil
-	for i := 0; i < ndet && d.Err() == nil; i++ {
-		s.detections = append(s.detections, Detection{
-			Kind:    DetectionKind(d.Int()),
-			Cycle:   d.U64(),
-			Replica: d.Int(),
-			Masked:  d.Bool(),
-		})
-	}
+	c.U64(&s.reintegrateReqCycle)
+	c.U64(&s.stats.Syncs)
+	c.U64(&s.stats.Votes)
+	c.U64(&s.stats.SyscallVotes)
+	c.U64(&s.stats.VMExits)
+	c.U64(&s.stats.InputBytes)
+	c.U64(&s.stats.DowngradeCycles)
+	c.U64(&s.stats.Reintegrations)
+	c.U64(&s.stats.Ejections)
+	c.U64(&s.stats.Downgrades)
+	c.U64(&s.stats.WatchdogProbes)
+	snapshot.List(c, &s.detections, func(d *Detection) {
+		snapshot.Word(c, &d.Kind)
+		c.U64(&d.Cycle)
+		c.Int(&d.Replica)
+		c.Bool(&d.Masked)
+	})
 	for _, r := range s.reps {
-		r.chasing = d.Bool()
-		r.chaseTarget = logicalTime{
-			Events:   d.U64(),
-			Branches: d.U64(),
-			IP:       d.U64(),
-			BlockRem: d.U64(),
-		}
-		r.finished = d.Bool()
-		r.stallPending = d.Bool()
-		r.barrierStart = d.U64()
-		r.UserFaults = d.U64()
-		r.UserMemFaults = d.U64()
-		r.DebugExceptions = d.U64()
-		r.park = parkDesc{
-			kind: parkKind(d.Int()),
-			gen:  d.U64(),
-			ev:   d.U64(),
-			num:  int32(d.I64()),
-		}
-		for i := range r.park.args {
-			r.park.args[i] = d.U64()
-		}
-		r.park.va = d.U64()
-		r.park.n = d.U64()
+		r.state(c)
 	}
-	return d.Close()
+}
+
+// state walks one replica's block of the "sys" section.
+func (r *Replica) state(c *snapshot.Codec) {
+	c.Bool(&r.chasing)
+	c.U64(&r.chaseTarget.Events)
+	c.U64(&r.chaseTarget.Branches)
+	c.U64(&r.chaseTarget.IP)
+	c.U64(&r.chaseTarget.BlockRem)
+	c.Bool(&r.finished)
+	c.Bool(&r.stallPending)
+	c.U64(&r.barrierStart)
+	c.U64(&r.UserFaults)
+	c.U64(&r.UserMemFaults)
+	c.U64(&r.DebugExceptions)
+	snapshot.Word(c, &r.park.kind)
+	c.U64(&r.park.gen)
+	c.U64(&r.park.ev)
+	snapshot.Word(c, &r.park.num)
+	for i := range r.park.args {
+		c.U64(&r.park.args[i])
+	}
+	c.U64(&r.park.va)
+	c.U64(&r.park.n)
 }
 
 // rearmPark reinstalls the park closures for a parked core from its
@@ -422,52 +274,55 @@ func (s *System) rearmPark(r *Replica) error {
 	return nil
 }
 
-// loadObservability restores the flight recorder and metric set. Both
-// follow the same rule: restored exactly when the target records with a
-// matching shape, fresh (re-recording from the restore point) otherwise —
-// emptied, when the target is a live system that has already recorded. A
-// snapshot saved without tracing restores cleanly into a tracing system —
-// that is the replay-triage path.
-func (s *System) loadObservability(snap *snapshot.Snapshot) error {
-	d, err := snap.Section("sys.trace")
-	if err != nil {
-		return err
+// recorder walks the flight recorder as one embedded blob (internal/trace
+// owns its format). Loading follows the rule the metric set shares: restored
+// exactly when the target records with a matching shape, fresh (re-recording
+// from the restore point) otherwise — emptied, when the target is a live
+// system that has already recorded. A snapshot saved without tracing
+// restores cleanly into a tracing system — that is the replay-triage path.
+func (s *System) recorder(c *snapshot.Codec) {
+	has := s.rec != nil
+	var raw []byte
+	if has && !c.Loading() {
+		var buf bytes.Buffer
+		c.Fail(s.rec.Save(&buf))
+		raw = buf.Bytes()
 	}
-	restored := false
-	if d.Bool() {
-		raw := d.Bytes()
-		if s.rec != nil {
-			loaded, lerr := trace.Load(bytes.NewReader(raw))
-			if lerr != nil {
-				return fmt.Errorf("%w: embedded trace: %v", snapshot.ErrBadSnapshot, lerr)
-			}
-			if loaded.NumReplicas() == s.rec.NumReplicas() &&
-				loaded.System().Cap() == s.rec.System().Cap() {
+	if c.Bool(&has); has {
+		c.Bytes(&raw)
+	}
+	if !c.Loading() || c.Err() != nil || s.rec == nil {
+		return
+	}
+	if has {
+		// The shape is checked before Load allocates rings of a size the
+		// (untrusted) blob declares.
+		replicas, capacity, err := trace.Shape(bytes.NewReader(raw))
+		if err == nil && replicas == s.rec.NumReplicas() && capacity == s.rec.System().Cap() {
+			var loaded *trace.Recorder
+			if loaded, err = trace.Load(bytes.NewReader(raw)); err == nil {
 				s.rec = loaded
-				restored = true
+				return
 			}
 		}
+		if err != nil {
+			c.Fail(fmt.Errorf("%w: embedded trace: %v", snapshot.ErrBadSnapshot, err))
+			return
+		}
 	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	if s.rec != nil && !restored {
-		s.rec = trace.NewRecorder(s.cfg.Replicas, s.cfg.Trace.RingEvents)
-	}
-	d, err = snap.Section("sys.metrics")
-	if err != nil {
-		return err
-	}
-	if d.Bool() {
+	s.rec = trace.NewRecorder(s.cfg.Replicas, s.cfg.Trace.RingEvents)
+}
+
+// metricSet walks the metric set, when there is one.
+func (s *System) metricSet(c *snapshot.Codec) {
+	has := s.met != nil
+	if c.Bool(&has); has {
 		m := s.met
 		if m == nil {
-			m = metrics.New() // scratch: consume the payload so Close is exact
+			m = metrics.New() // scratch: consume the payload so the section closes exactly
 		}
-		if err := m.LoadState(d); err != nil {
-			return err
-		}
+		m.State(c)
 	} else if s.met != nil {
 		*s.met = metrics.Set{}
 	}
-	return d.Close()
 }

@@ -208,3 +208,29 @@ func TestSystemStateDecorrelatedRoundTrip(t *testing.T) {
 		t.Fatalf("alive = %d, want 3", rest.AliveCount())
 	}
 }
+
+// TestSystemStateHostileCounts: a detection count far beyond the section's
+// bytes is a named decode error, not a host allocation panic.
+func TestSystemStateHostileCounts(t *testing.T) {
+	sys := newSys(t, Config{Mode: ModeLC, Replicas: 2}, syscallLoop(t, 10))
+	w := snapshot.NewWriter()
+	e := w.Section("sys")
+	// Five sync words, halted, an empty halt reason, finished, no pending
+	// re-integration, no latched error, the request cycle and ten counters.
+	for i := 0; i < 5+6+10; i++ {
+		e.U64(0)
+	}
+	e.U64(1 << 60)
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = snap.Walk(func(c *snapshot.Codec) { c.Section("sys", sys.control) })
+	if !errors.Is(err, snapshot.ErrBadSnapshot) {
+		t.Fatalf("detection count 1<<60: got %v, want ErrBadSnapshot", err)
+	}
+}

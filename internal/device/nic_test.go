@@ -2,9 +2,11 @@ package device
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"rcoe/internal/machine"
+	"rcoe/internal/snapshot"
 )
 
 func newMachine() *machine.Machine {
@@ -102,5 +104,40 @@ func TestOversizedFrameTruncated(t *testing.T) {
 	ln, _ := m.Mem().ReadU(nic.RxLenPA(), 8)
 	if ln != MaxFrameBytes {
 		t.Fatalf("frame not truncated: %d", ln)
+	}
+}
+
+// wordSection is a parsed one-section snapshot holding the given words.
+func wordSection(t *testing.T, name string, words ...uint64) *snapshot.Snapshot {
+	t.Helper()
+	w := snapshot.NewWriter()
+	e := w.Section(name)
+	for _, v := range words {
+		e.U64(v)
+	}
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestNICStateHostileCounts: a frame-queue count far beyond the section's
+// bytes is a named decode error, not a host allocation panic.
+func TestNICStateHostileCounts(t *testing.T) {
+	const mmio, dma, line = 0xF000_0000, 0x8000, 3
+	for name, words := range map[string][]uint64{
+		"pending":   {mmio, dma, line, 1 << 60},
+		"responses": {mmio, dma, line, 0, 1 << 60},
+	} {
+		nic := NewNIC(mmio, dma, line)
+		err := wordSection(t, "dev.0", words...).Walk(func(c *snapshot.Codec) { c.Section("dev.0", nic.State) })
+		if !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s count 1<<60: got %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }

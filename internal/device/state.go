@@ -2,82 +2,29 @@ package device
 
 import "rcoe/internal/snapshot"
 
-// SaveState implements machine.StatefulDevice: the NIC's queues, mailbox
-// doorbell, delivery counters, and fault-injection state. The mailbox
-// contents themselves live in the DMA region of simulated RAM and are
-// covered by the memory image; the mem cache is derived (re-established
-// on the first Tick; NextEvent is conservative until then).
-func (n *NIC) SaveState(e *snapshot.Enc) {
-	e.U64(n.mmioBase)
-	e.U64(n.dmaBase)
-	e.Int(n.line)
-	e.Int(len(n.pending))
-	for _, f := range n.pending {
-		e.Bytes(f)
+// State implements machine.StatefulDevice: the NIC's queues, mailbox
+// doorbell, delivery counters, and fault-injection state. The wiring (MMIO
+// window, DMA base, IRQ line) is construction-time configuration and only
+// checked. The mailbox contents themselves live in the DMA region of
+// simulated RAM and are covered by the memory image; the mem cache is
+// derived (re-established on the first Tick; NextEvent is conservative
+// until then).
+func (n *NIC) State(c *snapshot.Codec) {
+	c.Check("mmio-base", n.mmioBase)
+	c.Check("dma-base", n.dmaBase)
+	c.Check("irq-line", n.line)
+	snapshot.List(c, &n.pending, c.Bytes)
+	snapshot.List(c, &n.responses, c.Bytes)
+	c.Bool(&n.doorbell)
+	c.U64(&n.RxDelivered)
+	c.U64(&n.TxCollected)
+	c.U64(&n.CorruptRxEvery)
+	c.U64(&n.CorruptTxEvery)
+	c.U64(&n.CorruptSeed)
+	c.U64(&n.RxCorrupted)
+	c.U64(&n.TxCorrupted)
+	c.U64(&n.crng)
+	if c.Loading() {
+		n.mem = nil
 	}
-	e.Int(len(n.responses))
-	for _, f := range n.responses {
-		e.Bytes(f)
-	}
-	e.Bool(n.doorbell)
-	e.U64(n.RxDelivered)
-	e.U64(n.TxCollected)
-	e.U64(n.CorruptRxEvery)
-	e.U64(n.CorruptTxEvery)
-	e.U64(n.CorruptSeed)
-	e.U64(n.RxCorrupted)
-	e.U64(n.TxCorrupted)
-	e.U64(n.crng)
-}
-
-// LoadState restores the NIC. The wiring (MMIO window, DMA base, IRQ
-// line) is construction-time configuration and only validated.
-func (n *NIC) LoadState(d *snapshot.Dec) error {
-	mmio, dma, line := d.U64(), d.U64(), d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if mmio != n.mmioBase || dma != n.dmaBase || line != n.line {
-		return snapshot.IncompatibleError("nic", "wiring",
-			[3]uint64{n.mmioBase, n.dmaBase, uint64(n.line)},
-			[3]uint64{mmio, dma, uint64(line)})
-	}
-	np := d.Int()
-	pending := make([][]byte, 0, maxInt(np, 0))
-	for i := 0; i < np && d.Err() == nil; i++ {
-		pending = append(pending, d.Bytes())
-	}
-	nr := d.Int()
-	responses := make([][]byte, 0, maxInt(nr, 0))
-	for i := 0; i < nr && d.Err() == nil; i++ {
-		responses = append(responses, d.Bytes())
-	}
-	doorbell := d.Bool()
-	rxDelivered, txCollected := d.U64(), d.U64()
-	corruptRx, corruptTx, corruptSeed := d.U64(), d.U64(), d.U64()
-	rxCorrupted, txCorrupted := d.U64(), d.U64()
-	crng := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	n.pending = pending
-	n.responses = responses
-	n.doorbell = doorbell
-	n.RxDelivered = rxDelivered
-	n.TxCollected = txCollected
-	n.CorruptRxEvery = corruptRx
-	n.CorruptTxEvery = corruptTx
-	n.CorruptSeed = corruptSeed
-	n.RxCorrupted = rxCorrupted
-	n.TxCorrupted = txCorrupted
-	n.crng = crng
-	n.mem = nil
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

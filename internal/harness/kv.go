@@ -126,7 +126,7 @@ func NewKV(opts KVOptions) (*KVRun, error) {
 		opts.Window = 8
 	}
 	if opts.Slots == 0 {
-		opts.Slots = nextPow2(opts.Records * 4)
+		opts.Slots = NextPow2(opts.Records * 4)
 	}
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 2_000_000_000
@@ -160,7 +160,9 @@ func NewKV(opts KVOptions) (*KVRun, error) {
 	return run, nil
 }
 
-func nextPow2(v uint64) uint64 {
+// NextPow2 returns the smallest power of two that is at least v and at
+// least 64: the sizing rule for hash tables and partitions.
+func NextPow2(v uint64) uint64 {
 	p := uint64(64)
 	for p < v {
 		p <<= 1

@@ -101,7 +101,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	if cfg.PartitionBytes == 0 {
 		// Size the partition for the table plus text, stacks and the
 		// kernel area.
-		cfg.PartitionBytes = nextPow2(p.DataBytes + 640<<10)
+		cfg.PartitionBytes = NextPow2(p.DataBytes + 640<<10)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -206,44 +206,23 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot { return n.sys.MetricsSnapshot
 // TraceRecorder returns the node's flight recorder (nil when disabled).
 func (n *Node) TraceRecorder() *trace.Recorder { return n.sys.TraceRecorder() }
 
-// SaveState implements snapshot.Snapshotter: the node's identity sections
-// plus the full replicated-system state. A node checkpoint is the state-
-// transfer unit behind shard failover and migration.
-func (n *Node) SaveState(w *snapshot.Writer) error {
-	e := w.Section("node.meta")
-	e.Int(int(n.sys.Config().Mode))
-	e.Int(n.sys.Config().Replicas)
-	e.U64(n.opts.Slots)
-	e.U64(n.opts.RequestBudget)
-	e.Bool(n.opts.TraceOutput)
-	return n.sys.SaveState(w)
-}
+// SaveState implements snapshot.Snapshotter. A node checkpoint is the
+// state-transfer unit behind shard failover and migration.
+func (n *Node) SaveState(w *snapshot.Writer) error { return w.Walk(n.state) }
 
 // LoadState implements snapshot.Snapshotter. The target must be a node
-// freshly booted with behaviourally identical options.
-func (n *Node) LoadState(snap *snapshot.Snapshot) error {
-	d, err := snap.Section("node.meta")
-	if err != nil {
-		return err
-	}
-	checks := []struct {
-		field  string
-		target interface{}
-		snap   interface{}
-	}{
-		{"mode", int(n.sys.Config().Mode), d.Int()},
-		{"replicas", n.sys.Config().Replicas, d.Int()},
-		{"slots", n.opts.Slots, d.U64()},
-		{"request-budget", n.opts.RequestBudget, d.U64()},
-		{"trace-output", n.opts.TraceOutput, d.Bool()},
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	for _, c := range checks {
-		if c.target != c.snap {
-			return snapshot.IncompatibleError("node.meta", c.field, c.target, c.snap)
-		}
-	}
-	return n.sys.LoadState(snap)
+// booted with behaviourally identical options.
+func (n *Node) LoadState(snap *snapshot.Snapshot) error { return snap.Walk(n.state) }
+
+// state walks the node's identity section and the full replicated-system
+// state.
+func (n *Node) state(c *snapshot.Codec) {
+	c.Section("node.meta", func(c *snapshot.Codec) {
+		c.Check("mode", int(n.sys.Config().Mode))
+		c.Check("replicas", n.sys.Config().Replicas)
+		c.Check("slots", n.opts.Slots)
+		c.Check("request-budget", n.opts.RequestBudget)
+		c.Check("trace-output", n.opts.TraceOutput)
+	})
+	n.sys.State(c)
 }

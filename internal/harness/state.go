@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"slices"
-
 	"rcoe/internal/netstack"
 	"rcoe/internal/snapshot"
 )
@@ -18,171 +16,68 @@ import (
 // then restore. Option mismatches return snapshot.ErrIncompatible.
 
 // SaveState implements snapshot.Snapshotter.
-func (r *KVRun) SaveState(w *snapshot.Writer) error {
-	e := w.Section("harness.meta")
-	e.Int(int(r.opts.Workload))
-	e.U64(r.opts.Records)
-	e.U64(r.opts.Operations)
-	e.U64(r.opts.Slots)
-	e.Bool(r.opts.TraceOutput)
-	e.Int(r.opts.Window)
-	e.U64(r.opts.Seed)
-	e.U64(r.opts.RetryCycles)
-	e.Bool(r.opts.RetryBackoff)
-	e.Int(r.opts.MaxRetries)
-	e.U64(r.opts.WindowCycles)
-
-	e = w.Section("harness")
-	ids := make([]uint32, 0, len(r.outstanding))
-	for id := range r.outstanding {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.Int(len(ids))
-	for _, id := range ids {
-		p := r.outstanding[id]
-		e.U64(uint64(id))
-		e.Bytes(p.frame)
-		e.U64(p.sentAt)
-		e.Bool(p.isGet)
-		e.Bool(p.isLoad)
-		e.Bool(p.opFinal)
-		e.Int(p.retries)
-	}
-	finals := make([]uint32, 0, len(r.finalIDs))
-	for id := range r.finalIDs {
-		finals = append(finals, id)
-	}
-	slices.Sort(finals)
-	e.Int(len(finals))
-	for _, id := range finals {
-		e.U64(uint64(id))
-	}
-	e.Int(len(r.queue))
-	for _, req := range r.queue {
-		saveRequest(e, req)
-	}
-	e.Int(r.loadLeft)
-	e.U64(r.opsDone)
-	e.U64(r.opsSent)
-	e.U64(r.startCyc)
-	e.U64(r.endCyc)
-	e.U64(r.winNext)
-	e.U64(r.winLastOps)
-	e.U64(r.res.Corruptions)
-	e.U64(r.res.Errors)
-
-	r.Gen.SaveState(w.Section("harness.gen"))
-
-	return r.node.SaveState(w)
-}
-
-func saveRequest(e *snapshot.Enc, req netstack.Request) {
-	e.U64(uint64(req.Op))
-	e.U64(uint64(req.ReqID))
-	e.Bytes(req.Key)
-	e.Bytes(req.Value)
-	e.Int(req.ScanCount)
-}
-
-func loadRequest(d *snapshot.Dec) netstack.Request {
-	return netstack.Request{
-		Op:        byte(d.U64()),
-		ReqID:     uint32(d.U64()),
-		Key:       d.Bytes(),
-		Value:     d.Bytes(),
-		ScanCount: d.Int(),
-	}
-}
+func (r *KVRun) SaveState(w *snapshot.Writer) error { return w.Walk(r.state) }
 
 // LoadState implements snapshot.Snapshotter.
-func (r *KVRun) LoadState(snap *snapshot.Snapshot) error {
-	if err := r.verifyMeta(snap); err != nil {
-		return err
-	}
-	if err := r.node.LoadState(snap); err != nil {
-		return err
-	}
-	d, err := snap.Section("harness")
-	if err != nil {
-		return err
-	}
-	// The client's containers are cleared and refilled in place — a
-	// campaign rewinds one run onto its template once per trial. A decode
-	// error can therefore leave them partly filled; like every layer's, a
-	// failed LoadState leaves a run that is only good for another load.
-	nout := d.Int()
-	clear(r.outstanding)
-	for i := 0; i < nout && d.Err() == nil; i++ {
-		id := uint32(d.U64())
-		r.outstanding[id] = &pendingReq{
-			frame:   d.Bytes(),
-			sentAt:  d.U64(),
-			isGet:   d.Bool(),
-			isLoad:  d.Bool(),
-			opFinal: d.Bool(),
-			retries: d.Int(),
-		}
-	}
-	nfin := d.Int()
-	clear(r.finalIDs)
-	for i := 0; i < nfin && d.Err() == nil; i++ {
-		r.finalIDs[uint32(d.U64())] = true
-	}
-	nq := d.Int()
-	r.queue = r.queue[:0]
-	for i := 0; i < nq && d.Err() == nil; i++ {
-		r.queue = append(r.queue, loadRequest(d))
-	}
-	r.loadLeft = d.Int()
-	r.opsDone, r.opsSent = d.U64(), d.U64()
-	r.startCyc, r.endCyc = d.U64(), d.U64()
-	r.winNext, r.winLastOps = d.U64(), d.U64()
-	r.res = KVResult{Corruptions: d.U64(), Errors: d.U64()}
-	if err := d.Close(); err != nil {
-		return err
-	}
+func (r *KVRun) LoadState(snap *snapshot.Snapshot) error { return snap.Walk(r.state) }
 
-	g, err := snap.Section("harness.gen")
-	if err != nil {
-		return err
-	}
-	if err := r.Gen.LoadState(g); err != nil {
-		return err
-	}
-	return g.Close()
+// state walks the run's sections: the behavioural option digest, the
+// client, the generator, and the node's. The client's containers are
+// cleared and refilled in place — a campaign rewinds one run onto its
+// template once per trial.
+func (r *KVRun) state(c *snapshot.Codec) {
+	c.Section("harness.meta", r.meta)
+	c.Section("harness", r.client)
+	c.Section("harness.gen", r.Gen.State)
+	r.node.state(c)
 }
 
-// verifyMeta checks the behavioural option digest against this run's.
-func (r *KVRun) verifyMeta(snap *snapshot.Snapshot) error {
-	d, err := snap.Section("harness.meta")
-	if err != nil {
-		return err
-	}
-	checks := []struct {
-		field  string
-		target interface{}
-		snap   interface{}
-	}{
-		{"workload", int(r.opts.Workload), d.Int()},
-		{"records", r.opts.Records, d.U64()},
-		{"operations", r.opts.Operations, d.U64()},
-		{"slots", r.opts.Slots, d.U64()},
-		{"trace-output", r.opts.TraceOutput, d.Bool()},
-		{"window", r.opts.Window, d.Int()},
-		{"seed", r.opts.Seed, d.U64()},
-		{"retry-cycles", r.opts.RetryCycles, d.U64()},
-		{"retry-backoff", r.opts.RetryBackoff, d.Bool()},
-		{"max-retries", r.opts.MaxRetries, d.Int()},
-		{"window-cycles", r.opts.WindowCycles, d.U64()},
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	for _, c := range checks {
-		if c.target != c.snap {
-			return snapshot.IncompatibleError("harness.meta", c.field, c.target, c.snap)
+func (r *KVRun) meta(c *snapshot.Codec) {
+	c.Check("workload", int(r.opts.Workload))
+	c.Check("records", r.opts.Records)
+	c.Check("operations", r.opts.Operations)
+	c.Check("slots", r.opts.Slots)
+	c.Check("trace-output", r.opts.TraceOutput)
+	c.Check("window", r.opts.Window)
+	c.Check("seed", r.opts.Seed)
+	c.Check("retry-cycles", r.opts.RetryCycles)
+	c.Check("retry-backoff", r.opts.RetryBackoff)
+	c.Check("max-retries", r.opts.MaxRetries)
+	c.Check("window-cycles", r.opts.WindowCycles)
+}
+
+func (r *KVRun) client(c *snapshot.Codec) {
+	snapshot.Map(c, r.outstanding, func(pp **pendingReq) {
+		if *pp == nil {
+			*pp = &pendingReq{}
 		}
+		p := *pp
+		c.Bytes(&p.frame)
+		c.U64(&p.sentAt)
+		c.Bool(&p.isGet)
+		c.Bool(&p.isLoad)
+		c.Bool(&p.opFinal)
+		c.Int(&p.retries)
+	})
+	// finalIDs is a set: the keys are its whole content.
+	snapshot.Map(c, r.finalIDs, func(in *bool) { *in = true })
+	snapshot.List(c, &r.queue, func(req *netstack.Request) {
+		snapshot.Word(c, &req.Op)
+		snapshot.Word(c, &req.ReqID)
+		c.Bytes(&req.Key)
+		c.Bytes(&req.Value)
+		c.Int(&req.ScanCount)
+	})
+	c.Int(&r.loadLeft)
+	c.U64(&r.opsDone)
+	c.U64(&r.opsSent)
+	c.U64(&r.startCyc)
+	c.U64(&r.endCyc)
+	c.U64(&r.winNext)
+	c.U64(&r.winLastOps)
+	if c.Loading() {
+		r.res = KVResult{}
 	}
-	return nil
+	c.U64(&r.res.Corruptions)
+	c.U64(&r.res.Errors)
 }

@@ -132,3 +132,36 @@ func TestKVStateIncompatibleOptions(t *testing.T) {
 		t.Fatalf("seed mismatch: got %v, want ErrIncompatible", err)
 	}
 }
+
+// TestKVStateHostileCounts: an outstanding, final-ID or queue count far
+// beyond the section's bytes is a named decode error, not a host
+// allocation panic.
+func TestKVStateHostileCounts(t *testing.T) {
+	run, err := NewKV(kvOpts(core.ModeLC, 2, workload.YCSBA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, words := range map[string][]uint64{
+		"outstanding": {1 << 60},
+		"finals":      {0, 1 << 60},
+		"queue":       {0, 0, 1 << 60},
+	} {
+		w := snapshot.NewWriter()
+		e := w.Section("harness")
+		for _, v := range words {
+			e.U64(v)
+		}
+		data, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = snap.Walk(func(c *snapshot.Codec) { c.Section("harness", run.client) })
+		if !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s count 1<<60: got %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}

@@ -5,140 +5,68 @@ import (
 	"rcoe/internal/snapshot"
 )
 
-// This file serializes the kernel's host-side bookkeeping for the
-// checkpoint/restore subsystem (internal/snapshot). Everything that
-// lives in simulated RAM — thread contexts, the signature block, the
-// canary page, user memory — is covered by the machine layer's memory
-// image; only the Go-side scheduling metadata is serialized here.
+// This file is the kernel's state walk for the checkpoint/restore
+// subsystem (internal/snapshot). Everything that lives in simulated RAM —
+// thread contexts, the signature block, the canary page, user memory — is
+// covered by the machine layer's memory image; only the Go-side scheduling
+// metadata is walked here. The fields left out, and why, are listed in
+// internal/snapshot/boundary_test.go.
 //
-// Derived state excluded from the boundary: canaryWords (a pure
-// function of the replica ID), lay (construction-time layout).
-//
-// The replicated-system layer (internal/core) owns the kernels and
-// embeds one section per replica; the kernel itself therefore encodes
-// into an Enc rather than implementing snapshot.Snapshotter.
+// The replicated-system layer (internal/core) owns the kernels and gives
+// each replica's one section of its own walk.
 
-// SaveState serializes the kernel's scheduling state, error latch,
-// decorrelation delta, and user address-space mappings.
-func (k *Kernel) SaveState(e *snapshot.Enc) {
-	e.Int(len(k.threads))
-	for _, t := range k.threads {
-		e.Int(t.TID)
-		e.Int(int(t.State))
-		e.Int(t.WaitLine)
-		e.U64(t.ExitCode)
+// State walks the kernel's scheduling state, error latch, decorrelation
+// delta, and user address-space mappings. Loading restores the address
+// space into the existing AddrSpace object in place (with a generation
+// bump), preserving the pointer identity shared with the core and any live
+// translation-cache validation; the core's AS is then re-pointed at it,
+// covering the post-reintegration case where the saved kernel had swapped
+// in a rebased address space.
+func (k *Kernel) State(c *snapshot.Codec) {
+	snapshot.List(c, &k.threads, func(t **Thread) {
+		if *t == nil {
+			*t = &Thread{}
+		}
+		c.Int(&(*t).TID)
+		snapshot.Word(c, &(*t).State)
+		c.Int(&(*t).WaitLine)
+		c.U64(&(*t).ExitCode)
+	})
+	snapshot.List(c, &k.runq, c.Int)
+	c.Int(&k.cur)
+	for i := range k.irqLatch {
+		snapshot.Word(c, &k.irqLatch[i])
 	}
-	e.Int(len(k.runq))
-	for _, tid := range k.runq {
-		e.Int(tid)
-	}
-	e.Int(k.cur)
-	for _, v := range k.irqLatch {
-		e.U64(uint64(v))
-	}
-	e.U64(k.Preemptions)
-	e.U64(k.Syscalls)
-	if k.Err != nil {
-		e.Bool(true)
-		e.Int(k.Err.RID)
-		e.String(k.Err.Reason)
+	c.U64(&k.Preemptions)
+	c.U64(&k.Syscalls)
+	hasErr := k.Err != nil
+	if c.Bool(&hasErr); !hasErr {
+		k.Err = nil
 	} else {
-		e.Bool(false)
-	}
-	e.U64(k.layoutDelta)
-	if k.as != nil {
-		e.Bool(true)
-		e.Int(len(k.as.Segs))
-		for _, s := range k.as.Segs {
-			e.U64(s.VBase)
-			e.U64(s.PBase)
-			e.U64(s.Size)
-			e.U64(uint64(s.Perm))
-			e.Bool(s.DMA)
+		if c.Loading() {
+			k.Err = &KernelError{}
 		}
-	} else {
-		e.Bool(false)
+		c.Int(&k.Err.RID)
+		c.String(&k.Err.Reason)
 	}
-}
-
-// LoadState restores the kernel's scheduling state. The user address
-// space is restored into the existing AddrSpace object in place (with a
-// generation bump), preserving the pointer identity shared with the
-// core and any live translation-cache validation; the core's AS is then
-// re-pointed at it, covering the post-reintegration case where the
-// saved kernel had swapped in a rebased address space.
-func (k *Kernel) LoadState(d *snapshot.Dec) error {
-	nthreads := d.Int()
-	threads := make([]*Thread, 0, max(nthreads, 0))
-	for i := 0; i < nthreads && d.Err() == nil; i++ {
-		t := &Thread{
-			TID:      d.Int(),
-			State:    ThreadState(d.Int()),
-			WaitLine: d.Int(),
-			ExitCode: d.U64(),
-		}
-		threads = append(threads, t)
+	c.U64(&k.layoutDelta)
+	hasAS := k.as != nil
+	if c.Bool(&hasAS); !hasAS {
+		k.as = nil
+		return
 	}
-	nrunq := d.Int()
-	runq := make([]int, 0, max(nrunq, 0))
-	for i := 0; i < nrunq && d.Err() == nil; i++ {
-		runq = append(runq, d.Int())
+	if k.as == nil {
+		k.as = &machine.AddrSpace{}
 	}
-	cur := d.Int()
-	var latch [64]uint32
-	for i := range latch {
-		latch[i] = uint32(d.U64())
-	}
-	preemptions := d.U64()
-	syscalls := d.U64()
-	var kerr *KernelError
-	if d.Bool() {
-		kerr = &KernelError{RID: d.Int(), Reason: d.String()}
-	}
-	delta := d.U64()
-	var segs []machine.Segment
-	hasAS := d.Bool()
-	if hasAS {
-		n := d.Int()
-		segs = make([]machine.Segment, 0, max(n, 0))
-		for i := 0; i < n && d.Err() == nil; i++ {
-			segs = append(segs, machine.Segment{
-				VBase: d.U64(),
-				PBase: d.U64(),
-				Size:  d.U64(),
-				Perm:  machine.Perm(d.U64()),
-				DMA:   d.Bool(),
-			})
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-
-	k.threads = threads
-	k.runq = runq
-	k.cur = cur
-	k.irqLatch = latch
-	k.Preemptions = preemptions
-	k.Syscalls = syscalls
-	k.Err = kerr
-	k.layoutDelta = delta
-	if hasAS {
-		if k.as == nil {
-			k.as = &machine.AddrSpace{}
-		}
-		k.as.Segs = segs
+	snapshot.List(c, &k.as.Segs, func(s *machine.Segment) {
+		c.U64(&s.VBase)
+		c.U64(&s.PBase)
+		c.U64(&s.Size)
+		snapshot.Word(c, &s.Perm)
+		c.Bool(&s.DMA)
+	})
+	if c.Loading() {
 		k.as.Invalidate()
 		k.core.AS = k.as
-	} else {
-		k.as = nil
 	}
-	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

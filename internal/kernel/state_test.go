@@ -1,10 +1,16 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
 	"rcoe/internal/snapshot"
 )
+
+// section is the walk the owning layer gives a kernel: one section.
+func section(k *Kernel) func(*snapshot.Codec) {
+	return func(c *snapshot.Codec) { c.Section("kernel.0", k.State) }
+}
 
 // TestKernelStateRoundTrip exercises the kernel's Go-side bookkeeping
 // through a save/restore cycle: thread table, ready queue, IRQ latches,
@@ -26,7 +32,9 @@ func TestKernelStateRoundTrip(t *testing.T) {
 	k.Syscalls = 11
 
 	w := snapshot.NewWriter()
-	k.SaveState(w.Section("kernel.0"))
+	if err := w.Walk(section(k)); err != nil {
+		t.Fatal(err)
+	}
 	data, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +50,7 @@ func TestKernelStateRoundTrip(t *testing.T) {
 	if err := k2.LoadProcess(ProcessConfig{Prog: simpleProg(t), DataBytes: 4096, Arg: 42}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := snap.Section("kernel.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.LoadState(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
+	if err := snap.Walk(section(k2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,5 +89,36 @@ func TestKernelStateRoundTrip(t *testing.T) {
 	// The restored queue must schedule identically.
 	if got, want := k2.HasReady(), k.HasReady(); got != want {
 		t.Fatalf("HasReady: %v vs %v", got, want)
+	}
+}
+
+// TestKernelStateHostileCounts: a thread, run-queue or segment count far
+// beyond the section's bytes is a named decode error, not a host
+// allocation panic.
+func TestKernelStateHostileCounts(t *testing.T) {
+	// Zero threads, an empty run queue, cur, 64 IRQ latches, two counters,
+	// no error latch, the layout delta, and an address space.
+	toSegs := append(make([]uint64, 3+64+4), 1)
+	for name, words := range map[string][]uint64{
+		"threads": {1 << 60},
+		"runq":    {0, 1 << 60},
+		"segs":    append(toSegs, 1<<60),
+	} {
+		w := snapshot.NewWriter()
+		e := w.Section("kernel.0")
+		for _, v := range words {
+			e.U64(v)
+		}
+		data, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.Walk(section(newTestKernel(t))); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s count 1<<60: got %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }

@@ -8,157 +8,85 @@ import (
 	"rcoe/internal/snapshot"
 )
 
-// This file implements the machine layer of the checkpoint/restore
-// subsystem (internal/snapshot). The serialized boundary is exactly the
-// simulated state: cycle counters, register files, physical memory,
-// the bus arbiter, pending hard faults, and debug/watch registers.
-//
-// Host-side acceleration state is deliberately excluded and re-derived on
-// restore, which is what makes a snapshot portable across accelerator
-// switch combinations (fast-forward and exec-cache on either side):
-//
-//   - Mem.pageGen, Core.ec and Core.sb: the predecoded-instruction,
-//     translation and superblock caches revalidate against page
-//     generations, so restore bumps the generation of every page it
-//     rewrites (all of them, except on a rewind — see Mem.loadState) and
-//     the caches need no flush (see Core.loadState).
-//   - Machine.rr: the round-robin start index advances in lockstep with
-//     now (rr == now % cores, see Step and skipIdle), so it is recomputed.
-//   - Machine.stepIdle: Run/RunUntil clear it before stepping, and the
-//     fast/naive differential contract makes any mix bit-identical.
-//   - Machine.parkEpoch and Core.parkGp/parkSeen*: the park gate's memo.
-//     Park clears the per-core half, so a re-armed park evaluates its
-//     condition on its first poll.
+// This file is the machine layer of the checkpoint/restore subsystem
+// (internal/snapshot): one state walk per type, naming every field inside
+// the snapshot boundary once. The boundary is exactly the simulated state:
+// cycle counters, register files, physical memory, the bus arbiter,
+// pending hard faults, and debug/watch registers. Everything else —
+// accelerator caches and their counters, page generations, the rewind
+// base, park closures and the park gate's memo — is host-derived; the
+// list, with the reason for each field, is the table in
+// internal/snapshot/boundary_test.go, which fails when a field of a
+// snapshotted struct is in neither place.
 //
 // Park closures (parkCond/parkDone) cannot be serialized; the machine
 // layer clears them and the owning layer (internal/core) re-arms them
-// from its own serialized park descriptors after LoadState returns.
-// parkWake is serialized here and must be restored by the re-arming
-// layer after its installers run (Park resets it to 0).
+// from its own serialized park descriptors after the load. parkWake is
+// serialized here and must be restored by the re-arming layer after its
+// installers run (Park resets it to 0).
 
 // StatefulDevice is the optional interface a Device implements to
-// participate in snapshots. Devices that do not implement it are assumed
-// stateless (or are re-armed externally) and are skipped; the count and
-// registration order of stateful devices must match between the saved
-// and restoring machine.
+// participate in snapshots: its state walk. Devices that do not implement
+// it are assumed stateless (or are re-armed externally) and are skipped;
+// the count and registration order of stateful devices must match between
+// the saved and restoring machine.
 type StatefulDevice interface {
 	Device
-	SaveState(e *snapshot.Enc)
-	LoadState(d *snapshot.Dec) error
+	State(c *snapshot.Codec)
 }
 
-// SaveState serializes the machine's simulated state. It implements
-// snapshot.Snapshotter so a bare machine can be snapshotted directly;
-// higher layers (internal/core.System) call it and add their own
-// sections to the same writer.
-func (m *Machine) SaveState(w *snapshot.Writer) error {
-	e := w.Section("machine")
-	e.U64(m.now)
-	e.Int(len(m.cores))
-	for _, r := range m.irqRoute {
-		e.Int(r)
-	}
-	e.Int(m.countStatefulDevices())
+// SaveState implements snapshot.Snapshotter so a bare machine can be
+// snapshotted directly; higher layers (internal/core.System) walk State
+// inside their own.
+func (m *Machine) SaveState(w *snapshot.Writer) error { return w.Walk(m.State) }
 
-	m.mem.saveState(w.Section("mem"))
-	m.bus.saveState(w.Section("bus"))
-	for i, c := range m.cores {
-		c.saveState(w.Section(fmt.Sprintf("core.%d", i)))
+// LoadState implements snapshot.Snapshotter. The target must be
+// structurally identical to the machine that was saved: same profile (core
+// count, cache geometry, bus rate), same memory size, and the same stateful
+// devices registered in the same order. Structural mismatches return
+// snapshot.ErrIncompatible.
+func (m *Machine) LoadState(s *snapshot.Snapshot) error { return s.Walk(m.State) }
+
+// State walks the machine's sections: header, memory, bus, cores, and the
+// stateful devices in registration order.
+func (m *Machine) State(c *snapshot.Codec) {
+	c.Section("machine", m.header)
+	c.RawSection("mem", m.mem.saveState, m.mem.loadState)
+	c.Section("bus", m.bus.state)
+	for i, core := range m.cores {
+		c.Section(fmt.Sprintf("core.%d", i), core.state)
 	}
 	k := 0
 	for _, d := range m.devices {
 		if sd, ok := d.(StatefulDevice); ok {
-			sd.SaveState(w.Section(fmt.Sprintf("dev.%d", k)))
+			c.Section(fmt.Sprintf("dev.%d", k), sd.State)
 			k++
 		}
 	}
-	return w.Err()
+	if c.Loading() && c.Err() == nil {
+		// Host-side diagnostics and cooldowns restart (now may have moved
+		// backwards), and the scheduler's derived state is re-established:
+		// the rotation index advances in lockstep with now (skipIdle
+		// re-derives it the same way), and stepIdle must be false until a
+		// naive step re-establishes quiescence.
+		m.ffSkipped, m.sbJumped, m.sbHold = 0, 0, 0
+		if n := len(m.cores); n > 0 {
+			m.rr = int(m.now % uint64(n))
+		}
+		m.stepIdle = false
+	}
 }
 
-// LoadState restores the machine's simulated state from a snapshot. The
-// target must be structurally identical to the machine that was saved:
-// same profile (core count, cache geometry, bus rate), same memory size,
-// and the same stateful devices registered in the same order. Structural
-// mismatches return snapshot.ErrIncompatible.
-//
-// irqRoute is restored directly without firing the OnIRQRoute hook: the
-// routing events were already recorded (and serialized) by whoever owns
-// the hook.
-func (m *Machine) LoadState(s *snapshot.Snapshot) error {
-	d, err := s.Section("machine")
-	if err != nil {
-		return err
+// header walks the "machine" section. irqRoute is restored directly,
+// without firing the OnIRQRoute hook: the routing events were already
+// recorded (and serialized) by whoever owns the hook.
+func (m *Machine) header(c *snapshot.Codec) {
+	c.U64(&m.now)
+	c.Check("cores", len(m.cores))
+	for i := range m.irqRoute {
+		c.Int(&m.irqRoute[i])
 	}
-	now := d.U64()
-	if n := d.Int(); n != len(m.cores) {
-		return fmt.Errorf("%w: snapshot has %d cores, machine has %d",
-			snapshot.ErrIncompatible, n, len(m.cores))
-	}
-	var route [64]int
-	for i := range route {
-		route[i] = d.Int()
-	}
-	if n := d.Int(); n != m.countStatefulDevices() {
-		return fmt.Errorf("%w: snapshot has %d stateful devices, machine has %d",
-			snapshot.ErrIncompatible, n, m.countStatefulDevices())
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-
-	if err := loadSection(s, "mem", func(d *snapshot.Dec) error { return m.mem.loadState(d, s) }); err != nil {
-		return err
-	}
-	if err := loadSection(s, "bus", m.bus.loadState); err != nil {
-		return err
-	}
-	for i, c := range m.cores {
-		if err := loadSection(s, fmt.Sprintf("core.%d", i), c.loadState); err != nil {
-			return err
-		}
-	}
-	k := 0
-	for _, dev := range m.devices {
-		if sd, ok := dev.(StatefulDevice); ok {
-			if err := loadSection(s, fmt.Sprintf("dev.%d", k), sd.LoadState); err != nil {
-				return err
-			}
-			k++
-		}
-	}
-
-	// ffSkipped is host-side diagnostics for the idle-skip accelerator —
-	// outside the snapshot boundary, like the accelerator switches
-	// themselves — so a restore resets it.
-	m.now = now
-	m.ffSkipped = 0
-	m.sbJumped = 0
-	m.sbHold = 0 // host-only cooldown; now may have moved backwards
-	m.irqRoute = route
-	// Derived scheduler state: the rotation index advances in lockstep
-	// with now (and skipIdle re-derives it the same way), and stepIdle
-	// must be false until a naive step re-establishes quiescence.
-	if n := len(m.cores); n > 0 {
-		m.rr = int(now % uint64(n))
-	}
-	m.stepIdle = false
-	return nil
-}
-
-// loadSection decodes one section through fn and verifies it was fully
-// consumed.
-func loadSection(s *snapshot.Snapshot, name string, fn func(*snapshot.Dec) error) error {
-	d, err := s.Section(name)
-	if err != nil {
-		return err
-	}
-	if err := fn(d); err != nil {
-		return fmt.Errorf("section %s: %w", name, err)
-	}
-	if err := d.Close(); err != nil {
-		return err
-	}
-	return nil
+	c.Check("stateful-devices", m.countStatefulDevices())
 }
 
 func (m *Machine) countStatefulDevices() int {
@@ -307,122 +235,66 @@ func allZero(b []byte) bool {
 	return true
 }
 
-func (b *bus) saveState(e *snapshot.Enc) {
-	e.Int(b.rate)
-	e.Int(b.burst)
-	e.I64(int64(b.tokens))
-	e.U64(b.now)
-	e.Int(b.starve)
-	e.Int(len(b.q))
-	for _, wtr := range b.q {
-		e.Int(wtr.core)
-		e.U64(wtr.seen)
-	}
+func (b *bus) state(c *snapshot.Codec) {
+	c.Check("rate", b.rate)
+	c.Check("burst", b.burst)
+	c.Int(&b.tokens)
+	c.U64(&b.now)
+	c.Int(&b.starve)
+	snapshot.List(c, &b.q, func(w *busWaiter) {
+		c.Int(&w.core)
+		c.U64(&w.seen)
+	})
 }
 
-func (b *bus) loadState(d *snapshot.Dec) error {
-	rate, burst := d.Int(), d.Int()
-	if rate != b.rate || burst != b.burst {
-		return fmt.Errorf("%w: snapshot bus rate/burst %d/%d, machine has %d/%d",
-			snapshot.ErrIncompatible, rate, burst, b.rate, b.burst)
-	}
-	b.tokens = int(d.I64())
-	b.now = d.U64()
-	b.starve = d.Int()
-	n := d.Int()
-	b.q = b.q[:0]
-	for i := 0; i < n && d.Err() == nil; i++ {
-		core := d.Int()
-		seen := d.U64()
-		b.q = append(b.q, busWaiter{core: core, seen: seen})
-	}
-	return d.Err()
-}
-
-func (c *Core) saveState(e *snapshot.Enc) {
-	e.Int(int(c.State))
-	e.U64(c.PC)
-	e.U64s(c.Regs[:])
-	e.U64(c.Cycles)
-	e.U64(c.Instructions)
-	e.U64(c.UserBranches)
-	e.U64(c.BP.Addr)
-	e.Bool(c.BP.Enabled)
-	e.Bool(c.ResumeOnce)
-	e.Bool(c.SingleStep)
-	e.U64(c.BranchWatch.Target)
-	e.Bool(c.BranchWatch.Enabled)
-	e.U64(c.BlockWatch.Rem)
-	e.Bool(c.BlockWatch.Enabled)
-	e.Bool(c.IntEnabled)
-	e.U64(c.parkWake)
-	e.U64(c.pendingIRQ)
-	e.Bool(c.pendingIPI)
-	e.Int(c.stall)
-	e.U64(c.jitter)
-	e.U64(c.llAddr)
-	e.Bool(c.llValid)
-	e.U64s(c.cache.tags)
-	e.Bools(c.cache.valid)
-	e.Bools(c.cache.dirty)
-}
-
-func (c *Core) loadState(d *snapshot.Dec) error {
-	c.State = CoreState(d.Int())
-	c.PC = d.U64()
-	if n := d.U64sInto(c.Regs[:]); d.Err() == nil && n != len(c.Regs) {
-		return fmt.Errorf("%w: snapshot has %d registers, want %d",
-			snapshot.ErrIncompatible, n, len(c.Regs))
-	}
-	c.Cycles = d.U64()
-	c.Instructions = d.U64()
-	c.UserBranches = d.U64()
-	c.BP.Addr = d.U64()
-	c.BP.Enabled = d.Bool()
-	c.ResumeOnce = d.Bool()
-	c.SingleStep = d.Bool()
-	c.BranchWatch.Target = d.U64()
-	c.BranchWatch.Enabled = d.Bool()
-	c.BlockWatch.Rem = d.U64()
-	c.BlockWatch.Enabled = d.Bool()
-	c.IntEnabled = d.Bool()
-	c.parkWake = d.U64()
-	c.pendingIRQ = d.U64()
-	c.pendingIPI = d.Bool()
-	c.stall = d.Int()
-	c.jitter = d.U64()
-	c.llAddr = d.U64()
-	c.llValid = d.Bool()
-	// The cache arrays decode straight into place: one length check each,
+func (co *Core) state(c *snapshot.Codec) {
+	snapshot.Word(c, &co.State)
+	c.U64(&co.PC)
+	c.U64s(co.Regs[:])
+	c.U64(&co.Cycles)
+	c.U64(&co.Instructions)
+	c.U64(&co.UserBranches)
+	c.U64(&co.BP.Addr)
+	c.Bool(&co.BP.Enabled)
+	c.Bool(&co.ResumeOnce)
+	c.Bool(&co.SingleStep)
+	c.U64(&co.BranchWatch.Target)
+	c.Bool(&co.BranchWatch.Enabled)
+	c.U64(&co.BlockWatch.Rem)
+	c.Bool(&co.BlockWatch.Enabled)
+	c.Bool(&co.IntEnabled)
+	c.U64(&co.parkWake)
+	c.U64(&co.pendingIRQ)
+	c.Bool(&co.pendingIPI)
+	c.Int(&co.stall)
+	c.U64(&co.jitter)
+	c.U64(&co.llAddr)
+	c.Bool(&co.llValid)
+	// The cache arrays load straight into place: one length check each,
 	// no intermediate slice.
-	tags := d.U64sInto(c.cache.tags)
-	valid := d.BoolsInto(c.cache.valid)
-	dirty := d.BoolsInto(c.cache.dirty)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n := len(c.cache.tags); tags != n || valid != n || dirty != n {
-		return fmt.Errorf("%w: snapshot cache has %d lines, machine has %d",
-			snapshot.ErrIncompatible, tags, n)
+	c.U64s(co.cache.tags)
+	c.Bools(co.cache.valid)
+	c.Bools(co.cache.dirty)
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
 	// Park closures cannot cross a snapshot; the owning layer re-arms
 	// them (and then restores parkWake, which Park resets).
-	c.parkCond = nil
-	c.parkDone = nil
+	co.parkCond = nil
+	co.parkDone = nil
 	// The exec and superblock caches are host-derived and stay allocated.
 	// Every entry is keyed on its address space's identity and generation
 	// and on its text pages' mutation generations; those only count up,
 	// and a restore bumps them for everything it rewrites (Mem.loadState
-	// per page, the kernel's LoadState for the address space), so an entry
+	// per page, the kernel's state walk for the address space), so an entry
 	// filled before the restore can only hit on state that is still what
 	// it was filled from. Their diagnostic counters restart, like ffSkipped.
-	if c.ec != nil {
-		c.ec.decodeHits, c.ec.decodeMisses, c.ec.tlbHits, c.ec.tlbMisses = 0, 0, 0, 0
+	if co.ec != nil {
+		co.ec.decodeHits, co.ec.decodeMisses, co.ec.tlbHits, co.ec.tlbMisses = 0, 0, 0, 0
 	}
-	if c.sb != nil {
-		c.sb.built, c.sb.instrs = 0, 0
+	if co.sb != nil {
+		co.sb.built, co.sb.instrs = 0, 0
 	}
-	return nil
 }
 
 // ParkWake returns the core's current fast-forward wake hint. The
@@ -430,34 +302,18 @@ func (c *Core) loadState(d *snapshot.Dec) error {
 // installer runs (Park resets the hint to 0).
 func (c *Core) ParkWake() uint64 { return c.parkWake }
 
-// SaveState implements StatefulDevice: the duty-cycle phase machine is
-// serialized in full so a restored fault resumes mid-phase.
-func (f *IntermittentFault) SaveState(e *snapshot.Enc) {
-	e.U64(f.Addr)
-	e.U64(uint64(f.Bit))
-	e.U64(uint64(f.Value))
-	e.U64(f.OnCycles)
-	e.U64(f.OffCycles)
-	e.U64(f.Seed)
-	e.Bool(f.on)
-	e.U64(f.next)
-	e.Bool(f.seeded)
-	e.U64(f.rng)
-}
-
-// LoadState implements StatefulDevice. The stuck bit the fault may
-// currently assert lives in Mem and is restored with the memory image;
-// only the phase machine is restored here.
-func (f *IntermittentFault) LoadState(d *snapshot.Dec) error {
-	f.Addr = d.U64()
-	f.Bit = uint(d.U64())
-	f.Value = uint(d.U64())
-	f.OnCycles = d.U64()
-	f.OffCycles = d.U64()
-	f.Seed = d.U64()
-	f.on = d.Bool()
-	f.next = d.U64()
-	f.seeded = d.Bool()
-	f.rng = d.U64()
-	return d.Err()
+// State implements StatefulDevice: the duty-cycle phase machine is walked
+// in full so a restored fault resumes mid-phase. The stuck bit the fault
+// may currently assert lives in Mem and is restored with the memory image.
+func (f *IntermittentFault) State(c *snapshot.Codec) {
+	c.U64(&f.Addr)
+	snapshot.Word(c, &f.Bit)
+	snapshot.Word(c, &f.Value)
+	c.U64(&f.OnCycles)
+	c.U64(&f.OffCycles)
+	c.U64(&f.Seed)
+	c.Bool(&f.on)
+	c.U64(&f.next)
+	c.Bool(&f.seeded)
+	c.U64(&f.rng)
 }

@@ -326,3 +326,29 @@ func TestMemReloadAfterFailedLoadIsFull(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineStateHostileCounts: a bus-waiter count far beyond the
+// section's bytes is a named decode error, not a host allocation panic.
+func TestMachineStateHostileCounts(t *testing.T) {
+	m := buildStateMachine(t, 0)
+	w := snap.NewWriter()
+	e := w.Section("bus")
+	e.Int(m.bus.rate)
+	e.Int(m.bus.burst)
+	for i := 0; i < 3; i++ { // tokens, now, starve
+		e.U64(0)
+	}
+	e.U64(1 << 60)
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := snap.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = img.Walk(func(c *snap.Codec) { c.Section("bus", m.bus.state) })
+	if !errors.Is(err, snap.ErrBadSnapshot) {
+		t.Fatalf("waiter count 1<<60: got %v, want ErrBadSnapshot", err)
+	}
+}

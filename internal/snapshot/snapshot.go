@@ -3,12 +3,23 @@
 // simulated state of a replicated system — machine, kernels, devices,
 // replication control state, and harness-level client state.
 //
-// The format is a flat sequence of named sections. Each layer of the
-// system contributes its own sections through the Snapshotter interface,
-// so the file composes the same way the system does: the machine writes
-// "machine"/"mem"/"core.N"/"bus"/"dev.N", each replica kernel writes
-// "kernel.N", the replication layer writes "sys"/"trace"/"metrics", and
-// the KV harness adds "scenario"/"kv"/"workload" on top.
+// The format is a flat sequence of named sections, and the file composes
+// the same way the system does: the harness opens "harness.meta"/"harness"/
+// "harness.gen"/"node.meta", the replication layer "sys.meta"/"sys"/
+// "sys.kernel.N"/"sys.trace"/"sys.metrics", the machine "machine"/"mem"/
+// "bus"/"core.N"/"dev.N".
+//
+// What is inside each section is described once per type, by a state walk
+// over a Codec (codec.go): a walk names every serialized field exactly
+// once, and saving, loading and the construction-time compatibility checks
+// are the same walk run in different directions. The Snapshotter methods
+// of every layer are two-line wrappers around its walk. Only machine.Mem
+// keeps a hand-written pair (a sparse save and a page-delta load are
+// different algorithms), and the flight recorder crosses as one embedded
+// blob in internal/trace's own format. The fields of snapshotted structs
+// that are deliberately outside the boundary — host-derived caches, memos,
+// wiring and hooks — are listed with their reasons in boundary_test.go,
+// which fails when a field is neither walked nor listed.
 //
 // Determinism is a format-level guarantee: encoding the same state twice
 // yields byte-identical files (all maps are serialized in sorted order by
@@ -70,6 +81,11 @@ func IncompatibleError(section, field string, target, snap interface{}) error {
 // program, and device registration order), which rewinds it: derived
 // host-side state — execution caches, page generations, park closures —
 // is reconstructed by the owner, not serialized.
+//
+// A load stores into the target as it decodes and stops at the first
+// error, so the target of a failed LoadState holds a mix of two states and
+// is only good for another LoadState (or for dropping — what the warm-start
+// forker and Cluster.Failover do).
 type Snapshotter interface {
 	SaveState(w *Writer) error
 	LoadState(s *Snapshot) error
@@ -175,9 +191,11 @@ func Parse(data []byte) (*Snapshot, error) {
 	if ver != Version {
 		return nil, fmt.Errorf("%w: version %d (supported: %d)", ErrBadSnapshot, ver, Version)
 	}
+	// Every section costs at least its two length fields, which bounds the
+	// count a header may claim before the index is sized from it.
 	count := int(binary.LittleEndian.Uint32(data[12:]))
-	if count < 0 || count > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrBadSnapshot, count)
+	if count > (len(data)-16)/12 {
+		return nil, fmt.Errorf("%w: %d sections claimed in %d bytes", ErrBadSnapshot, count, len(data))
 	}
 	snap := &Snapshot{index: make(map[string]int, count)}
 	off := 16

@@ -64,24 +64,35 @@ func (r *Recorder) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Shape reads a saved trace's header and returns the ring count and
+// per-ring capacity it declares: what a caller holding untrusted bytes needs
+// to decide whether the trace fits before Load allocates the rings.
+func Shape(rd io.Reader) (replicas, capacity int, err error) {
+	var magic [8]byte
+	if _, err := io.ReadFull(rd, magic[:]); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrBadTraceFile, err)
+	}
+	if magic != traceMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrBadTraceFile)
+	}
+	var hdr [2]uint32
+	if err := binary.Read(rd, binary.LittleEndian, hdr[:]); err != nil {
+		return 0, 0, fmt.Errorf("%w: truncated header", ErrBadTraceFile)
+	}
+	replicas, capacity = int(hdr[0]), int(hdr[1])
+	if replicas < 0 || replicas > 64 || capacity <= 0 || capacity > 1<<28 {
+		return 0, 0, fmt.Errorf("%w: implausible header (%d rings, cap %d)", ErrBadTraceFile, replicas, capacity)
+	}
+	return replicas, capacity, nil
+}
+
 // Load reads a trace file written by Save. The returned recorder carries
 // the same retained events and totals as the one saved.
 func Load(rd io.Reader) (*Recorder, error) {
 	br := bufio.NewReader(rd)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTraceFile, err)
-	}
-	if magic != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadTraceFile)
-	}
-	var hdr [2]uint32
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadTraceFile)
-	}
-	replicas, capacity := int(hdr[0]), int(hdr[1])
-	if replicas < 0 || replicas > 64 || capacity <= 0 || capacity > 1<<28 {
-		return nil, fmt.Errorf("%w: implausible header (%d rings, cap %d)", ErrBadTraceFile, replicas, capacity)
+	replicas, capacity, err := Shape(br)
+	if err != nil {
+		return nil, err
 	}
 	rec := NewRecorder(replicas, capacity)
 	rings := append(append([]*Ring{}, rec.rings...), rec.sys)

@@ -2,33 +2,14 @@ package workload
 
 import "rcoe/internal/snapshot"
 
-// SaveState serializes the generator's mutable position in the request
-// stream. The zipfian tables are pure functions of the record count and
-// are rebuilt by construction, not serialized.
-func (g *Generator) SaveState(e *snapshot.Enc) {
-	e.Int(int(g.kind))
-	e.U64(g.recordCount)
-	e.U64(g.inserted)
-	e.U64(g.rng)
-	e.U64(uint64(g.nextReqID))
-}
-
-// LoadState restores the generator. Kind and record count are
-// construction parameters and only validated.
-func (g *Generator) LoadState(d *snapshot.Dec) error {
-	kind := Kind(d.Int())
-	records := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if kind != g.kind {
-		return snapshot.IncompatibleError("workload", "kind", g.kind, kind)
-	}
-	if records != g.recordCount {
-		return snapshot.IncompatibleError("workload", "records", g.recordCount, records)
-	}
-	g.inserted = d.U64()
-	g.rng = d.U64()
-	g.nextReqID = uint32(d.U64())
-	return d.Err()
+// State walks the generator's mutable position in the request stream.
+// Kind and record count are construction parameters and only checked; the
+// zipfian tables are pure functions of the record count and are rebuilt by
+// construction, not serialized.
+func (g *Generator) State(c *snapshot.Codec) {
+	c.Check("kind", int(g.kind))
+	c.Check("records", g.recordCount)
+	c.U64(&g.inserted)
+	c.U64(&g.rng)
+	snapshot.Word(c, &g.nextReqID)
 }
