@@ -143,27 +143,27 @@ func runSave(args []string) int {
 		return 2
 	}
 	m := run.Sys.Machine()
-	deadline := m.Now() + 2_000_000_000
-	ready := func() bool {
-		if *cycles > 0 {
-			return m.Now() >= *cycles
-		}
-		return run.LoadPhaseDone()
+	// The save point is the end of the preload, or with -cycles N exactly
+	// cycle N: whole steps while one fits, then the remainder in one.
+	const step, budget = 25_000, 2_000_000_000
+	ready := run.LoadPhaseDone
+	if *cycles > 0 {
+		ready = func() bool { return *cycles-m.Now() < step }
 	}
-	for !ready() && !run.Done() {
-		if halted, reason := run.Sys.Halted(); halted {
-			fmt.Fprintf(os.Stderr, "rcoe-snap: system fail-stopped before the save point: %s\n", reason)
-			return 1
-		}
-		if m.Now() > deadline {
-			fmt.Fprintln(os.Stderr, "rcoe-snap: save point not reached within the cycle budget")
-			return 1
-		}
-		step := uint64(25_000)
-		if *cycles > 0 && *cycles-m.Now() < step {
-			step = *cycles - m.Now()
-		}
-		run.StepChunk(step)
+	stop, reason := harness.StopCallback, ""
+	if !ready() {
+		stop, reason = run.Drive(step, budget, ready)
+	}
+	if rest := *cycles - m.Now(); stop == harness.StopCallback && *cycles > 0 && rest > 0 {
+		stop, reason = run.Drive(rest, budget, func() bool { return true })
+	}
+	switch stop {
+	case harness.StopHalted:
+		fmt.Fprintf(os.Stderr, "rcoe-snap: system fail-stopped before the save point: %s\n", reason)
+		return 1
+	case harness.StopBudget:
+		fmt.Fprintln(os.Stderr, "rcoe-snap: save point not reached within the cycle budget")
+		return 1
 	}
 	data, err := snapshot.Save(run)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -57,8 +56,8 @@ type Options struct {
 	// round fills every shard, advances every node by this many
 	// cycles, then drains every shard.
 	ChunkCycles uint64
-	// RetryCycles, RetryBackoff and MaxRetries mirror the single-node
-	// client's retransmission policy, applied per shard.
+	// RetryCycles, RetryBackoff and MaxRetries are the retransmission
+	// policy (harness.Retry) of every shard's window.
 	RetryCycles  uint64
 	RetryBackoff bool
 	MaxRetries   int
@@ -144,34 +143,28 @@ type Result struct {
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }
 
-// pending is one routed request: queued, then in flight until its
-// acknowledgement (or retry exhaustion).
-type pending struct {
-	wire    uint32
-	frame   []byte
-	key     []byte
-	value   []byte // SET payload, retained for the acked-write ledger
-	sentAt  uint64 // shard-local node cycle of last transmission
-	retries int
-	isGet   bool
-	isSet   bool
-	isLoad  bool
-	opFinal bool
+// routed is one request waiting in its shard's queue for room in the
+// window, under its cluster-unique wire ID.
+type routed struct {
+	wire uint32
+	p    *harness.Pending
 }
 
 // ackedWrite is one acknowledged SET, in acknowledgement order — the
-// replay unit of shard state transfer.
+// replay unit of shard state transfer. Key and value are views into the
+// request's frame, which nothing writes once it is encoded.
 type ackedWrite struct {
 	key   []byte
 	value []byte
 }
 
-// shard is one node plus its client-side routing state.
+// shard is one node, the client window over it, and the routed requests
+// waiting for room in that window.
 type shard struct {
-	id          int
-	node        *harness.Node
-	queue       []*pending
-	outstanding map[uint32]*pending
+	id    int
+	node  *harness.Node
+	win   *harness.Window
+	queue []routed
 	// lastCkpt is the latest checkpoint image; replay the acked writes
 	// on top of it to rebuild the shard's authoritative state. spareCkpt
 	// is the image before it, retired and kept only for its memory: the
@@ -183,12 +176,6 @@ type shard struct {
 	spareCkpt []byte
 	replay    []ackedWrite
 	stats     ShardStats
-	loadQueue int // load-phase requests still queued or in flight here
-	// Round-scratch buffers, reused across rounds so the fill/drain hot
-	// path is allocation-amortized: idsBuf backs the sorted
-	// retransmission scan, respBuf the drained response frames.
-	idsBuf  []uint32
-	respBuf [][]byte
 }
 
 // ErrClusterStall reports a cluster making no progress without every
@@ -223,7 +210,10 @@ type Cluster struct {
 	loadLeft   int
 	opsDone    uint64
 	opsDropped uint64
-	res        Result
+	// routeErrors counts requests that never reached a shard's queue;
+	// every later client-visible failure is counted by a shard's window.
+	routeErrors uint64
+	res         Result
 
 	// expected is the acknowledged-write ledger: the last value the
 	// cluster acknowledged for each key. VerifyAcked audits it.
@@ -283,8 +273,10 @@ func New(opts Options) (*Cluster, error) {
 		}
 		c.shards = append(c.shards, &shard{
 			id: i, node: node,
-			outstanding: make(map[uint32]*pending, opts.Window),
-			stats:       ShardStats{ID: i},
+			win: harness.NewWindow(node, harness.Retry{
+				Cycles: opts.RetryCycles, Backoff: opts.RetryBackoff, Max: opts.MaxRetries,
+			}),
+			stats: ShardStats{ID: i},
 		})
 		c.ring.Add(i)
 	}
@@ -311,10 +303,10 @@ func New(opts Options) (*Cluster, error) {
 	c.loadLeft = int(opts.Records)
 	// The preload split is now known: every one of a shard's queued
 	// loads becomes a replay-log entry before the first checkpoint can
-	// truncate it, so reserving loadQueue capacity here removes the
+	// truncate it, so reserving that capacity here removes the
 	// append-growth copies from the drain hot path at scale.
 	for _, sh := range c.shards {
-		sh.replay = make([]ackedWrite, 0, sh.loadQueue)
+		sh.replay = make([]ackedWrite, 0, len(sh.queue))
 	}
 	return c, nil
 }
@@ -331,27 +323,22 @@ func (c *Cluster) bootNode() (*harness.Node, error) {
 }
 
 // route assigns the request a cluster-unique wire ID, encodes it, and
-// queues it on the owning shard. The pending's frame, retained key and
-// retained SET value all live in one backing allocation (encodePending)
-// — three per-op allocations folded into one on the router hot path.
+// queues it on the owning shard.
 func (c *Cluster) route(req netstack.Request, isLoad, opFinal bool) {
 	id, ok := c.ring.Lookup(req.Key)
 	if !ok {
-		c.res.Errors++
+		c.routeErrors++
 		return
 	}
 	c.nextWire++
 	req.ReqID = c.nextWire
-	p, err := encodePending(req, isLoad, opFinal)
+	p, err := harness.NewPending(req, isLoad, opFinal)
 	if err != nil {
-		c.res.Errors++
+		c.routeErrors++
 		return
 	}
 	sh := c.shards[id]
-	sh.queue = append(sh.queue, p)
-	if isLoad {
-		sh.loadQueue++
-	}
+	sh.queue = append(sh.queue, routed{wire: req.ReqID, p: p})
 }
 
 func (c *Cluster) hotFloat() float64 {
@@ -363,9 +350,6 @@ func (c *Cluster) hotFloat() float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
-// totalOps returns the run-phase operation target.
-func (c *Cluster) totalOps() uint64 { return c.opts.Operations }
-
 // generate tops up the shard queues from the client streams,
 // round-robin so no stream starves, bounded so a hot shard cannot grow
 // its queue without limit.
@@ -374,7 +358,7 @@ func (c *Cluster) generate() {
 	for {
 		queued, unsaturated := 0, false
 		for _, sh := range c.shards {
-			backlog := len(sh.queue) + len(sh.outstanding)
+			backlog := len(sh.queue) + sh.win.Len()
 			queued += len(sh.queue)
 			if backlog < c.opts.Window {
 				unsaturated = true
@@ -425,116 +409,67 @@ func (c *Cluster) nextOp() ([]netstack.Request, bool) {
 	return nil, false
 }
 
-// fill keeps one shard's window full, mirroring the single-node
-// client's retransmission policy (sorted-ID walk, capped backoff,
-// bounded retries surfacing as client-visible errors).
+// fill retransmits one shard's timed-out requests and tops its window up
+// from its queue. A request lost to retry exhaustion is accounted for so
+// the run can still end: a load retires, a final request drops its op.
 func (c *Cluster) fill(sh *shard) {
-	now := sh.node.Now()
-	retry := c.opts.RetryCycles
-	if retry == 0 {
-		retry = 4_000_000
-	}
-	maxRetries := c.opts.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 5
-	}
-	ids := sh.idsBuf[:0]
-	for id := range sh.outstanding {
-		ids = append(ids, id)
-	}
-	sh.idsBuf = ids
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := sh.outstanding[id]
-		timeout := retry
-		if c.opts.RetryBackoff && p.retries > 0 {
-			shift := p.retries
-			if shift > 3 {
-				shift = 3
-			}
-			timeout = retry << uint(shift)
+	sh.win.Retransmit(func(_ uint32, p *harness.Pending) {
+		if p.IsLoad {
+			c.loadDone()
+		} else if p.OpFinal {
+			c.opsDropped++
 		}
-		if now-p.sentAt < timeout {
-			continue
-		}
-		if p.retries >= maxRetries {
-			delete(sh.outstanding, id)
-			c.res.Errors++
-			if p.isLoad {
-				c.loadLeft--
-				sh.loadQueue--
-			} else if p.opFinal {
-				c.opsDropped++
-			}
-			continue
-		}
-		p.retries++
-		p.sentAt = now
-		sh.node.InjectRetained(p.frame)
-	}
-	for len(sh.outstanding) < c.opts.Window && len(sh.queue) > 0 {
-		p := sh.queue[0]
+	})
+	for sh.win.Len() < c.opts.Window && len(sh.queue) > 0 {
+		q := sh.queue[0]
 		sh.queue = sh.queue[1:]
-		p.sentAt = now
-		sh.outstanding[p.wire] = p
-		sh.node.InjectRetained(p.frame)
+		sh.win.Send(q.wire, q.p)
 	}
 }
 
-// drain processes one shard's responses: ledger updates for acked SETs,
-// CRC validation for GETs, duplicate suppression for retransmits. The
-// response slice is reused across rounds and each frame is decoded in
-// place (the value is validated and dropped before the next iteration),
-// so a steady-state drain allocates nothing per response.
+// drain completes the requests one shard answered: an acknowledged SET
+// enters the cluster ledger and the shard's replay log, in ack order.
 func (c *Cluster) drain(sh *shard) {
-	frames := sh.node.DrainResponses(sh.respBuf[:0])
-	sh.respBuf = frames
-	for _, frame := range frames {
-		sh.stats.Responses++
-		resp, err := netstack.DecodeResponseInPlace(frame)
-		if err != nil {
-			c.res.Errors++
-			continue
+	n := sh.win.Drain(func(p *harness.Pending, resp netstack.Response) {
+		// The frame is the cluster's own encoding: it decodes.
+		req, _ := netstack.DecodeRequestInPlace(p.Frame)
+		if req.Op == netstack.OpSet && resp.Status == netstack.StatusOK {
+			// The ledger key and both log fields alias the frame instead
+			// of copying out of it — safe because a frame is never
+			// written after encoding, and it matters at scale: a
+			// million-record preload would otherwise allocate a million
+			// string copies inside drain, and the GC assists they trigger
+			// land on the router's side of the ledger.
+			c.expected[unsafe.String(unsafe.SliceData(req.Key), len(req.Key))] = req.Value
+			sh.replay = append(sh.replay, ackedWrite{key: req.Key, value: req.Value})
 		}
-		p, ok := sh.outstanding[resp.ReqID]
-		if !ok {
-			continue // duplicate of a retried request
-		}
-		delete(sh.outstanding, resp.ReqID)
-		if p.isSet && resp.Status == netstack.StatusOK {
-			// The write is now acknowledged: it enters the cluster
-			// ledger and the shard's replay log, in ack order. The map
-			// key aliases the pending's retained key bytes instead of
-			// copying them — safe because encodePending's backing array
-			// is never written after encoding (the replay log shares
-			// the same bytes on the same contract), and it matters at
-			// scale: a million-record preload would otherwise allocate
-			// a million string copies inside drain, and the GC assists
-			// they trigger land on the router's side of the ledger.
-			c.expected[unsafe.String(unsafe.SliceData(p.key), len(p.key))] = p.value
-			sh.replay = append(sh.replay, ackedWrite{key: p.key, value: p.value})
-		}
-		if p.isLoad {
-			c.loadLeft--
-			sh.loadQueue--
-			if c.loadLeft == 0 {
-				c.startRound = c.rounds
-			}
-			continue
-		}
-		if p.isGet {
-			switch {
-			case resp.Status != netstack.StatusOK:
-				c.res.Errors++
-			case !workload.CheckValue(resp.Value):
-				c.res.Corruptions++
-			}
-		}
-		if p.opFinal {
+		switch {
+		case p.IsLoad:
+			c.loadDone()
+		case p.OpFinal:
 			c.opsDone++
 			sh.stats.Ops++
 		}
+	})
+	sh.stats.Responses += uint64(n)
+}
+
+// loadDone retires one preload request, acknowledged or lost; the run
+// phase starts with the last.
+func (c *Cluster) loadDone() {
+	c.loadLeft--
+	if c.loadLeft == 0 {
+		c.startRound = c.rounds
 	}
+}
+
+// clientErrors returns the client-visible failures so far, fleet-wide.
+func (c *Cluster) clientErrors() uint64 {
+	n := c.routeErrors
+	for _, sh := range c.shards {
+		n += sh.win.Errors
+	}
+	return n
 }
 
 // workers returns the effective shard-worker count (0 = host cores).
@@ -590,7 +525,7 @@ func (c *Cluster) Step() {
 // Done reports whether the run phase completed (every operation
 // acknowledged or accounted for as a client-visible error).
 func (c *Cluster) Done() bool {
-	return c.loadLeft <= 0 && c.opsDone+c.opsDropped >= c.totalOps()
+	return c.loadLeft <= 0 && c.opsDone+c.opsDropped >= c.opts.Operations
 }
 
 // LoadPhaseDone reports whether the preload completed.
@@ -656,21 +591,7 @@ func (c *Cluster) Failover(id int) error {
 	if err := c.replayAcked(sh); err != nil {
 		return err
 	}
-	// Retransmit the in-flight window against the new node's clock.
-	// The requests are idempotent (SETs carry full values, GETs are
-	// reads), so re-execution after the replay is safe.
-	now := sh.node.Now()
-	ids := make([]uint32, 0, len(sh.outstanding))
-	for wid := range sh.outstanding {
-		ids = append(ids, wid)
-	}
-	slices.Sort(ids)
-	for _, wid := range ids {
-		p := sh.outstanding[wid]
-		p.sentAt = now
-		p.retries = 0
-		sh.node.InjectRetained(p.frame)
-	}
+	sh.win.ResendAll(node)
 	sh.stats.Failovers++
 	return nil
 }
@@ -679,14 +600,9 @@ func (c *Cluster) Failover(id int) error {
 // (fresh or restored) node, in acknowledgement order, waiting for each
 // batch to be acknowledged before the shard re-enters service.
 func (c *Cluster) replayAcked(sh *shard) error {
-	const batch = replayBatch
-	for start := 0; start < len(sh.replay); start += batch {
-		end := start + batch
-		if end > len(sh.replay) {
-			end = len(sh.replay)
-		}
-		want := make(map[uint32]bool)
-		for _, w := range sh.replay[start:end] {
+	for start := 0; start < len(sh.replay); start += replayBatch {
+		want := make(map[uint32]int, replayBatch)
+		for i, w := range sh.replay[start:min(start+replayBatch, len(sh.replay))] {
 			c.nextWire++
 			frame, err := netstack.EncodeRequest(netstack.Request{
 				Op: netstack.OpSet, ReqID: c.nextWire, Key: w.key, Value: w.value,
@@ -694,10 +610,19 @@ func (c *Cluster) replayAcked(sh *shard) error {
 			if err != nil {
 				return fmt.Errorf("cluster: replay encode: %w", err)
 			}
-			want[c.nextWire] = true
+			want[c.nextWire] = start + i
 			sh.node.InjectRetained(frame)
 		}
-		if err := c.pumpUntilAcked(sh, want); err != nil {
+		err := c.pump(sh, want, func(_ int, resp netstack.Response) error {
+			if resp.Status != netstack.StatusOK {
+				return fmt.Errorf("request %d status %d", resp.ReqID, resp.Status)
+			}
+			return nil
+		})
+		if err == nil && len(want) > 0 {
+			err = fmt.Errorf("%d requests unacknowledged", len(want))
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: shard %d state transfer: %w", sh.id, err)
 		}
 	}
@@ -708,40 +633,38 @@ func (c *Cluster) replayAcked(sh *shard) error {
 // configured chunk, so non-default chunk sizes keep the same cycle
 // budget rather than silently scaling it.
 func (c *Cluster) ackBudgetRounds() uint64 {
-	r := ackBudgetCycles / c.opts.ChunkCycles
-	if r == 0 {
-		r = 1
-	}
-	return r
+	return max(1, ackBudgetCycles/c.opts.ChunkCycles)
 }
 
-// pumpUntilAcked runs one shard's node, one chunk at a time, until
-// every wanted wire ID has been acknowledged with StatusOK or the
-// cycle budget runs out.
-func (c *Cluster) pumpUntilAcked(sh *shard, want map[uint32]bool) error {
-	for i := uint64(0); i < c.ackBudgetRounds() && len(want) > 0; i++ {
+// pump serves a batch sent outside the shard's window (state-transfer
+// writes, audit reads): it runs the node, one chunk at a time, until
+// every wire ID in want has been answered or the cycle budget runs out.
+// An answer leaves want and goes to got with the index want held for it;
+// what is still in want on return went unanswered. Frames that do not
+// decode and responses to anything else are skipped. It touches only
+// this shard's node, so pumps of different shards run concurrently.
+func (c *Cluster) pump(sh *shard, want map[uint32]int, got func(i int, resp netstack.Response) error) error {
+	frames := make([][]byte, 0, replayBatch)
+	for n := uint64(0); n < c.ackBudgetRounds() && len(want) > 0; n++ {
 		sh.node.RunCycles(c.opts.ChunkCycles)
 		if halted, reason := sh.node.Halted(); halted {
 			return fmt.Errorf("node halted: %s", reason)
 		}
-		frames := sh.node.DrainResponses(sh.respBuf[:0])
-		sh.respBuf = frames
+		frames = sh.node.DrainResponses(frames[:0])
 		for _, frame := range frames {
 			resp, err := netstack.DecodeResponseInPlace(frame)
 			if err != nil {
-				return err
-			}
-			if !want[resp.ReqID] {
 				continue
 			}
-			if resp.Status != netstack.StatusOK {
-				return fmt.Errorf("request %d status %d", resp.ReqID, resp.Status)
+			i, ok := want[resp.ReqID]
+			if !ok {
+				continue
 			}
 			delete(want, resp.ReqID)
+			if err := got(i, resp); err != nil {
+				return err
+			}
 		}
-	}
-	if len(want) > 0 {
-		return fmt.Errorf("%d requests unacknowledged", len(want))
 	}
 	return nil
 }
@@ -807,40 +730,23 @@ func (c *Cluster) VerifyAcked() (lost uint64, err error) {
 
 // auditShard reads one shard's audit batch back through its node,
 // replayBatch reads in flight at a time, and counts lost or corrupted
-// acknowledged writes. It touches only this shard's node and scratch
-// plus read-only ledger entries, so audits run concurrently per shard.
+// acknowledged writes. It touches only this shard's node plus read-only
+// ledger entries, so audits run concurrently per shard.
 func (c *Cluster) auditShard(sh *shard, reads []auditRead) (lost uint64, err error) {
 	for start := 0; start < len(reads); start += replayBatch {
-		end := start + replayBatch
-		if end > len(reads) {
-			end = len(reads)
-		}
-		want := make(map[uint32]string, end-start)
-		for _, r := range reads[start:end] {
-			want[r.wire] = r.key
+		want := make(map[uint32]int, replayBatch)
+		for i, r := range reads[start:min(start+replayBatch, len(reads))] {
+			want[r.wire] = start + i
 			sh.node.InjectRetained(r.frame)
 		}
-		for i := uint64(0); i < c.ackBudgetRounds() && len(want) > 0; i++ {
-			sh.node.RunCycles(c.opts.ChunkCycles)
-			if halted, reason := sh.node.Halted(); halted {
-				return 0, fmt.Errorf("cluster: audit: shard %d halted: %s", sh.id, reason)
+		err := c.pump(sh, want, func(i int, resp netstack.Response) error {
+			if resp.Status != netstack.StatusOK || string(resp.Value) != string(c.expected[reads[i].key]) {
+				lost++
 			}
-			frames := sh.node.DrainResponses(sh.respBuf[:0])
-			sh.respBuf = frames
-			for _, frame := range frames {
-				resp, derr := netstack.DecodeResponseInPlace(frame)
-				if derr != nil {
-					continue
-				}
-				k, ok := want[resp.ReqID]
-				if !ok {
-					continue
-				}
-				delete(want, resp.ReqID)
-				if resp.Status != netstack.StatusOK || string(resp.Value) != string(c.expected[k]) {
-					lost++
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return 0, fmt.Errorf("cluster: audit: shard %d: %w", sh.id, err)
 		}
 		// Unanswered audit reads count as lost.
 		lost += uint64(len(want))
@@ -869,7 +775,7 @@ func (c *Cluster) Run() (Result, error) {
 		// and the watch would declare a perfectly healthy cluster
 		// stalled. Drained responses only ever grow, and they grow iff
 		// some shard actually served something.
-		signal := c.opsDone + c.opsDropped + c.res.Errors
+		signal := c.opsDone + c.opsDropped + c.clientErrors()
 		for _, sh := range c.shards {
 			signal += sh.stats.Responses
 		}
@@ -909,10 +815,8 @@ func (c *Cluster) finalize() {
 	if c.loadLeft <= 0 && end > c.startRound {
 		c.res.Cycles = (end - c.startRound) * c.opts.ChunkCycles
 	}
-	c.res.Throughput = 0
-	if c.res.Cycles > 0 {
-		c.res.Throughput = float64(c.res.Ops) / (float64(c.res.Cycles) / 1e6)
-	}
+	c.res.Throughput = harness.Throughput(c.res.Ops, c.res.Cycles)
+	c.res.Errors, c.res.Corruptions = c.clientErrors(), 0
 	c.res.Shards = c.res.Shards[:0]
 	sets := make([]*metrics.Set, 0, len(c.shards))
 	for _, sh := range c.shards {
@@ -921,6 +825,7 @@ func (c *Cluster) finalize() {
 		st.Detections = len(sh.node.Detections())
 		st.Halted, st.HaltReason = sh.node.Halted()
 		c.res.Shards = append(c.res.Shards, st)
+		c.res.Corruptions += sh.win.Corruptions
 		sets = append(sets, sh.node.Metrics())
 	}
 	if c.opts.System.Trace.Enabled {

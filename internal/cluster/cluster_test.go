@@ -475,7 +475,7 @@ func TestClusterHaltParityUnderPool(t *testing.T) {
 // TestClusterParallelFailoverDrill runs the crash-and-replace drill —
 // checkpoint rounds, mid-run failover, state-transfer replay, final
 // audit — entirely under the worker pool. Run under -race in CI, it is
-// the data-race witness for pumpUntilAcked, checkpoint rounds, and the
+// the data-race witness for pump, checkpoint rounds, and the
 // parallel audit coexisting with concurrent chunk execution.
 func TestClusterParallelFailoverDrill(t *testing.T) {
 	opts := testOptions()
@@ -566,5 +566,37 @@ func TestClusterSingleShard(t *testing.T) {
 	}
 	if res.Ops != 16 || res.LostWrites != 0 {
 		t.Fatalf("ops=%d lost=%d", res.Ops, res.LostWrites)
+	}
+}
+
+// TestClusterLostLastLoadStartsRunPhase: when the preload's last request
+// ends in retry exhaustion instead of an acknowledgement (here every
+// load does: the timeout is far shorter than a node's boot), the run
+// phase starts at that round, not at round 0 — the load phase is not
+// billed to the run's cycles and throughput.
+func TestClusterLostLastLoadStartsRunPhase(t *testing.T) {
+	opts := testOptions()
+	opts.Records = 6
+	opts.ChunkCycles = 1_000
+	opts.RetryCycles, opts.MaxRetries = 1_000, 1
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.LoadPhaseDone() {
+		if c.Rounds() == 10 {
+			t.Fatal("preload neither acknowledged nor lost")
+		}
+		c.Step()
+	}
+	res := c.Snapshot()
+	if len(c.expected) != 0 || res.Errors < opts.Records {
+		t.Fatalf("%d writes acknowledged, %d requests lost; want every load lost (a node answered before the timeouts?)",
+			len(c.expected), res.Errors)
+	}
+	// The last load was lost in the fill of the round just completed.
+	if res.Cycles != opts.ChunkCycles {
+		t.Fatalf("run phase has consumed %d cycles one round after the last load was lost (round %d), want %d",
+			res.Cycles, c.Rounds(), opts.ChunkCycles)
 	}
 }

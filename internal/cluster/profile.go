@@ -1,48 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"rcoe/internal/netstack"
-)
-
-// Router hot-path batching: per-operation allocation amortization for
-// fill/drain. A routed operation used to cost three allocations (frame,
-// retained key, retained SET value) plus per-round scratch (the sorted
-// retransmission ID list, the drained response slice, a value copy per
-// decoded response). encodePending folds the first three into one
-// backing array; the shard scratch buffers (shard.idsBuf/respBuf) and
-// netstack.DecodeResponseInPlace remove the per-round ones.
-
-// encodePending encodes req and builds its pending entry with a single
-// allocation: the wire frame, the retained key, and (for SETs) the
-// retained value are consecutive regions of one backing array. Every
-// region is capacity-clipped so no later append can alias another.
-func encodePending(req netstack.Request, isLoad, opFinal bool) (*pending, error) {
-	frameLen := netstack.HeaderBytes + len(req.Key) + len(req.Value)
-	buf := make([]byte, 0, frameLen+len(req.Key)+len(req.Value))
-	buf, err := netstack.AppendRequest(buf, req)
-	if err != nil {
-		return nil, err
-	}
-	p := &pending{
-		wire:    req.ReqID,
-		isGet:   req.Op == netstack.OpGet,
-		isSet:   req.Op == netstack.OpSet,
-		isLoad:  isLoad,
-		opFinal: opFinal,
-	}
-	n := len(buf)
-	p.frame = buf[:n:n]
-	buf = append(buf, req.Key...)
-	p.key = buf[n:len(buf):len(buf)]
-	if p.isSet {
-		n = len(buf)
-		buf = append(buf, req.Value...)
-		p.value = buf[n:len(buf):len(buf)]
-	}
-	return p, nil
-}
+import "fmt"
 
 // HostProfile is the host-side wall-clock breakdown of the lockstep
 // rounds executed so far, accumulated per phase. It exists for scale

@@ -6,7 +6,12 @@
 // TMR downgrade measurement (Table X, Fig. 4).
 package faults
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"rcoe/internal/exp"
+)
 
 // Outcome classifies the first observable consequence of a fault trial,
 // matching the error categories of Tables VII-IX.
@@ -180,4 +185,38 @@ func pickTarget(r *rng, regions []Region) (uint64, uint) {
 	}
 	last := regions[len(regions)-1]
 	return last.Base, 0
+}
+
+// fanOut runs n independent trials of one campaign on the experiment
+// engine and returns their results in trial order. Trial i is the job
+// "<name>-trial[i]", seeded with the next draw of r — the xorshift chain
+// off the campaign seed that the pre-engine serial loops walked — so a
+// campaign's results are the same at any worker count.
+func fanOut[T any](r *rng, n int, name string, eo exp.Options, trial func(seed uint64) (T, error)) ([]T, error) {
+	jobs := make([]exp.Job[T], n)
+	for i := range jobs {
+		jobs[i] = exp.Job[T]{
+			Name: fmt.Sprintf("%s-trial[%d]", name, i),
+			Seed: r.next(),
+			Run:  func(_ context.Context, seed uint64) (T, error) { return trial(seed) },
+		}
+	}
+	results, err := exp.Run(eo, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return exp.Values(results)
+}
+
+// tallyTrials is fanOut for KV injection trials, folded into a Tally.
+func tallyTrials(r *rng, n int, name string, eo exp.Options, trial func(seed uint64) (TrialResult, error)) (*Tally, error) {
+	trials, err := fanOut(r, n, name, eo, trial)
+	if err != nil {
+		return nil, err
+	}
+	tally := NewTally()
+	for _, res := range trials {
+		tally.Add(res.Outcome, res.Injected)
+	}
+	return tally, nil
 }

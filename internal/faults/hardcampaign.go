@@ -2,7 +2,6 @@ package faults
 
 import (
 	"context"
-	"fmt"
 
 	"rcoe/internal/exp"
 	"rcoe/internal/harness"
@@ -78,10 +77,8 @@ const deviceCorruptEvery = 3
 const intermittentFaults = 64
 
 // HardCampaign runs TrialsPerClass injection trials for each selected
-// class and tallies outcomes per class. Trials fan out across host cores
-// on the experiment engine; per-trial seeds come from a pre-engine
-// xorshift chain off the campaign seed, so the tallies are identical at
-// any worker count.
+// class (see fanOut: one seed chain runs through the classes in order) and
+// tallies outcomes per class.
 func HardCampaign(opts HardCampaignOptions) (map[FaultClass]*Tally, error) {
 	classes := opts.Classes
 	if len(classes) == 0 {
@@ -104,35 +101,15 @@ func HardCampaign(opts HardCampaignOptions) (map[FaultClass]*Tally, error) {
 	r := newRNG(opts.Seed)
 	out := make(map[FaultClass]*Tally, len(classes))
 	for ci, class := range classes {
-		jobs := make([]exp.Job[TrialResult], opts.TrialsPerClass)
-		for i := range jobs {
-			class := class
-			jobs[i] = exp.Job[TrialResult]{
-				Name: fmt.Sprintf("%s-trial[%d]", class, i),
-				Seed: r.next(),
-				Run: func(_ context.Context, seed uint64) (TrialResult, error) {
-					return hardTrial(opts, class, seed, fk)
-				},
-			}
-		}
 		var onTrial func(exp.Progress)
 		if opts.TrialProgress != nil {
-			class := class
 			onTrial = func(p exp.Progress) { opts.TrialProgress(class, p) }
 		}
-		results, err := exp.Run(exp.Options{
+		tally, err := tallyTrials(r, opts.TrialsPerClass, class.String(), exp.Options{
 			Workers: opts.Workers, Context: opts.Context, OnProgress: onTrial,
-		}, jobs)
+		}, func(seed uint64) (TrialResult, error) { return hardTrial(opts, class, seed, fk) })
 		if err != nil {
 			return nil, err
-		}
-		trials, err := exp.Values(results)
-		if err != nil {
-			return nil, err
-		}
-		tally := NewTally()
-		for _, res := range trials {
-			tally.Add(res.Outcome, res.Injected)
 		}
 		out[class] = tally
 		if opts.Progress != nil {
@@ -202,44 +179,26 @@ func hardInject(run *harness.KVRun, opts HardCampaignOptions, class FaultClass, 
 		run.NIC.CorruptRxEvery = deviceCorruptEvery
 		run.NIC.CorruptSeed = r.next() | 1
 	}
-	// count reports total injections so far; device-class corruption
-	// happens inside the NIC, so the NIC's own counter is authoritative.
-	count := func() uint64 {
-		if class == ClassDevice {
-			return run.NIC.RxCorrupted
-		}
-		return injected
-	}
-
 	// Point classes inject on a period. Stuck-at bits accumulate from
 	// boot — the manufacturing-defect/aging model — and cap the total,
 	// since each stuck bit persists for the rest of the trial and taxes
 	// every access to its range.
 	pointClass := class == ClassTransient || class == ClassStuckAt || class == ClassBurst
-	period := opts.FaultEveryCycles
 	maxFaults := opts.MaxFaults
-	if class == ClassStuckAt && maxFaults > maxStuckBits {
-		maxFaults = maxStuckBits
+	if class == ClassStuckAt {
+		maxFaults = min(maxFaults, maxStuckBits)
 	}
-	step := period
+	step := opts.FaultEveryCycles
 	if !pointClass {
 		step = 25_000
 	}
 
-	deadline := run.Sys.Machine().Now() + kvTrialBudget(opts.KV)
 	injectAt := run.Sys.Machine().Now() + opts.InjectAfterCycles
 	if class == ClassStuckAt {
 		injectAt = run.Sys.Machine().Now()
 	}
 	faults := 0
-	for !run.Done() {
-		if halted, _ := run.Sys.Halted(); halted {
-			break
-		}
-		if run.Sys.Machine().Now() > deadline {
-			break
-		}
-		run.StepChunk(step)
+	run.Drive(step, kvTrialBudget(opts.KV), func() bool {
 		if pointClass && faults < maxFaults && run.Sys.Machine().Now() >= injectAt {
 			faults++
 			addr, bit := pickTarget(r, regions)
@@ -261,15 +220,14 @@ func hardInject(run *harness.KVRun, opts HardCampaignOptions, class FaultClass, 
 				}
 			}
 		}
-		if out, decided := classify(run); decided {
-			return TrialResult{Outcome: graceClassify(run, out), Injected: count()}
-		}
+		_, decided := classify(run)
+		return decided
+	})
+	res := TrialResult{Outcome: trialOutcome(run), Injected: injected}
+	if class == ClassDevice {
+		// Device-class corruption happens inside the NIC, so the NIC's own
+		// counter, read once the outcome has settled, is authoritative.
+		res.Injected = run.NIC.RxCorrupted
 	}
-	if out, decided := classify(run); decided {
-		return TrialResult{Outcome: graceClassify(run, out), Injected: count()}
-	}
-	if !run.Done() {
-		return TrialResult{Outcome: OutcomeYCSBError, Injected: count()}
-	}
-	return TrialResult{Outcome: OutcomeNone, Injected: count()}
+	return res
 }

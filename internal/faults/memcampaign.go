@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"rcoe/internal/core"
 	"rcoe/internal/exp"
@@ -63,11 +62,8 @@ type TrialResult struct {
 	Injected uint64
 }
 
-// MemCampaign runs the full campaign on the experiment engine — trials
-// are independent simulated runs, so they fan out across host cores — and
-// tallies outcomes in trial order. Per-trial seeds keep the pre-engine
-// xorshift chain from the campaign seed, so a parallel campaign tallies
-// exactly what the historical serial loop did.
+// MemCampaign runs the full campaign (see fanOut) and tallies outcomes in
+// trial order.
 func MemCampaign(opts MemCampaignOptions) (*Tally, error) {
 	tmpl := opts.Template
 	if opts.WarmStart && tmpl == nil {
@@ -80,32 +76,9 @@ func MemCampaign(opts MemCampaignOptions) (*Tally, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newRNG(opts.Seed)
-	jobs := make([]exp.Job[TrialResult], opts.Trials)
-	for i := range jobs {
-		jobs[i] = exp.Job[TrialResult]{
-			Name: fmt.Sprintf("mem-trial[%d]", i),
-			Seed: r.next(),
-			Run: func(_ context.Context, seed uint64) (TrialResult, error) {
-				return memTrial(opts, seed, fk)
-			},
-		}
-	}
-	results, err := exp.Run(exp.Options{
+	return tallyTrials(newRNG(opts.Seed), opts.Trials, "mem", exp.Options{
 		Workers: opts.Workers, Context: opts.Context, OnProgress: opts.TrialProgress,
-	}, jobs)
-	if err != nil {
-		return nil, err
-	}
-	trials, err := exp.Values(results)
-	if err != nil {
-		return nil, err
-	}
-	tally := NewTally()
-	for _, res := range trials {
-		tally.Add(res.Outcome, res.Injected)
-	}
-	return tally, nil
+	}, func(seed uint64) (TrialResult, error) { return memTrial(opts, seed, fk) })
 }
 
 // MemTrial performs one injection run: drive the KV workload while
@@ -142,15 +115,7 @@ func memInject(run *harness.KVRun, opts MemCampaignOptions, seed uint64) TrialRe
 	mem := run.Sys.Machine().Mem()
 	var injected uint64
 
-	deadline := run.Sys.Machine().Now() + kvTrialBudget(opts.KV)
-	for !run.Done() {
-		if halted, _ := run.Sys.Halted(); halted {
-			break
-		}
-		if run.Sys.Machine().Now() > deadline {
-			break
-		}
-		run.StepChunk(opts.FlipEveryCycles)
+	run.Drive(opts.FlipEveryCycles, kvTrialBudget(opts.KV), func() bool {
 		if int(injected) < opts.MaxFlips*opts.Burst {
 			addr, bit := pickTarget(r, regions)
 			for b := 0; b < opts.Burst; b++ {
@@ -161,19 +126,23 @@ func memInject(run *harness.KVRun, opts MemCampaignOptions, seed uint64) TrialRe
 				}
 			}
 		}
-		if out, decided := classify(run); decided {
-			return TrialResult{Outcome: graceClassify(run, out), Injected: injected}
-		}
-	}
+		_, decided := classify(run)
+		return decided
+	})
+	return TrialResult{Outcome: trialOutcome(run), Injected: injected}
+}
+
+// trialOutcome classifies a trial once its drive loop has stopped.
+func trialOutcome(run *harness.KVRun) Outcome {
 	if out, decided := classify(run); decided {
-		return TrialResult{Outcome: graceClassify(run, out), Injected: injected}
+		return graceClassify(run, out)
 	}
 	if !run.Done() {
 		// Unresponsive system with no detection: the paper counts hangs
 		// among the client-visible "YCSB errors".
-		return TrialResult{Outcome: OutcomeYCSBError, Injected: injected}
+		return OutcomeYCSBError
 	}
-	return TrialResult{Outcome: OutcomeNone, Injected: injected}
+	return OutcomeNone
 }
 
 func kvTrialBudget(kv harness.KVOptions) uint64 {

@@ -56,36 +56,42 @@ type RecoveryResult struct {
 	Reintegrated bool
 }
 
-// RecoveryTrial runs one masked-downgrade measurement.
-func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
-	if opts.Records == 0 {
-		opts.Records = 48
+// sigFaultRun applies the defaults RecoveryTrial and SurvivalTrial share
+// and builds the system both corrupt a signature accumulator of: YCSB-A
+// on (by default) three replicas.
+func sigFaultRun(o *RecoveryOptions) (*harness.KVRun, error) {
+	if o.Records == 0 {
+		o.Records = 48
 	}
-	if opts.Operations == 0 {
-		opts.Operations = 160
+	if o.Operations == 0 {
+		o.Operations = 160
 	}
-	if opts.InjectAfterOps == 0 {
-		opts.InjectAfterOps = opts.Operations / 3
+	if o.InjectAfterOps == 0 {
+		o.InjectAfterOps = o.Operations / 3
 	}
-	sys := opts.System
-	sys.Masking = true
-	if sys.Replicas == 0 {
-		sys.Replicas = 3
+	if o.System.Replicas == 0 {
+		o.System.Replicas = 3
 	}
-	if sys.TickCycles == 0 {
-		sys.TickCycles = 50_000
+	if o.System.TickCycles == 0 {
+		o.System.TickCycles = 50_000
 	}
-	run, err := harness.NewKV(harness.KVOptions{
-		System:      sys,
+	return harness.NewKV(harness.KVOptions{
+		System:      o.System,
 		Workload:    workload.YCSBA,
-		Records:     opts.Records,
-		Operations:  opts.Operations,
+		Records:     o.Records,
+		Operations:  o.Operations,
 		TraceOutput: true,
-		Seed:        opts.Seed | 1,
+		Seed:        o.Seed | 1,
 		// Packets lost in the failover window are retried quickly so the
 		// Fig. 4 timeline shows the service dip, not the client timeout.
 		RetryCycles: 300_000,
 	})
+}
+
+// RecoveryTrial runs one masked-downgrade measurement.
+func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
+	opts.System.Masking = true
+	run, err := sigFaultRun(&opts)
 	if err != nil {
 		return RecoveryResult{}, err
 	}
@@ -97,17 +103,9 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 	reintegrateAsked := false
 	lastOps := uint64(0)
 	var windowOps uint64
-	budget := uint64(1_500_000_000)
-	start := run.Sys.Machine().Now()
-	nextWindow := start + window
-	for !run.Done() {
-		if halted, reason := run.Sys.Halted(); halted {
-			return res, fmt.Errorf("faults: system halted instead of masking: %s", reason)
-		}
-		if run.Sys.Machine().Now()-start > budget {
-			return res, fmt.Errorf("faults: recovery trial exceeded budget after %d ops", run.Snapshot().Ops)
-		}
-		run.StepChunk(2_000)
+	nextWindow := run.Sys.Machine().Now() + window
+	var hookErr error
+	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool {
 		snap := run.Snapshot()
 		windowOps += snap.Ops - lastOps
 		lastOps = snap.Ops
@@ -119,8 +117,8 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 		if !injected && snap.Ops >= opts.InjectAfterOps {
 			injected = true
 			lay := run.Sys.Replica(opts.FaultyReplica).K.Layout()
-			if err := run.Sys.Machine().Mem().FlipBit(lay.SigPA()+8, 5); err != nil {
-				return res, err
+			if hookErr = run.Sys.Machine().Mem().FlipBit(lay.SigPA()+8, 5); hookErr != nil {
+				return true
 			}
 			res.DowngradeWindow = len(res.WindowThroughput)
 			res.WasPrimary = opts.FaultyReplica == run.Sys.Primary()
@@ -128,11 +126,20 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 		if opts.Reintegrate && injected && !reintegrateAsked &&
 			!run.Sys.Alive(opts.FaultyReplica) {
 			reintegrateAsked = true
-			if err := run.Sys.RequestReintegrate(opts.FaultyReplica); err != nil {
-				return res, err
+			if hookErr = run.Sys.RequestReintegrate(opts.FaultyReplica); hookErr != nil {
+				return true
 			}
 			res.ReintegrateWindow = len(res.WindowThroughput)
 		}
+		return false
+	})
+	switch stop {
+	case harness.StopHalted:
+		return res, fmt.Errorf("faults: system halted instead of masking: %s", reason)
+	case harness.StopBudget:
+		return res, fmt.Errorf("faults: recovery trial exceeded budget after %d ops", run.Snapshot().Ops)
+	case harness.StopCallback:
+		return res, hookErr
 	}
 	_ = run.Sys.Run(50_000_000)
 	snap := run.Snapshot()

@@ -57,30 +57,16 @@ func (t RegTally) Uncontrolled() uint64 { return t.Crashes + t.Corruptions }
 // Controlled returns the detected-error count.
 func (t RegTally) Controlled() uint64 { return t.Timeouts + t.Mismatches }
 
-// RegCampaign runs the full register fault-injection study on the
-// experiment engine: trials fan out across host cores and tally in trial
-// order, with per-trial seeds keeping the pre-engine xorshift chain.
+// RegCampaign runs the full register fault-injection study (see fanOut)
+// and tallies in trial order.
 func RegCampaign(opts RegCampaignOptions) (RegTally, error) {
 	if opts.MessageBytes == 0 {
 		opts.MessageBytes = 4096
 	}
-	r := newRNG(opts.Seed)
-	jobs := make([]exp.Job[Outcome], opts.Trials)
-	for i := range jobs {
-		jobs[i] = exp.Job[Outcome]{
-			Name: fmt.Sprintf("reg-trial[%d]", i),
-			Seed: r.next(),
-			Run: func(_ context.Context, seed uint64) (Outcome, error) {
-				return RegTrial(opts, seed)
-			},
-		}
-	}
 	var tally RegTally
-	results, err := exp.Run(exp.Options{Workers: opts.Workers, Context: opts.Context}, jobs)
-	if err != nil {
-		return tally, err
-	}
-	outcomes, err := exp.Values(results)
+	outcomes, err := fanOut(newRNG(opts.Seed), opts.Trials, "reg",
+		exp.Options{Workers: opts.Workers, Context: opts.Context},
+		func(seed uint64) (Outcome, error) { return RegTrial(opts, seed) })
 	if err != nil {
 		return tally, err
 	}

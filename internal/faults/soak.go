@@ -125,16 +125,11 @@ type soakState struct {
 // pump advances the machine until cond holds (or the budget expires),
 // maintaining the availability windows. It returns whether cond held.
 func (st *soakState) pump(cond func() bool, budget uint64) bool {
+	if cond() {
+		return true
+	}
 	m := st.run.Sys.Machine()
-	deadline := m.Now() + budget
-	for !cond() {
-		if halted, _ := st.run.Sys.Halted(); halted {
-			return false
-		}
-		if m.Now() > deadline {
-			return false
-		}
-		st.run.StepChunk(2_000)
+	stop, _ := st.run.Drive(2_000, budget, func() bool {
 		snap := st.run.Snapshot()
 		st.windowOps += snap.Ops - st.lastOps
 		st.lastOps = snap.Ops
@@ -144,8 +139,9 @@ func (st *soakState) pump(cond func() bool, budget uint64) bool {
 			st.windowOps = 0
 			st.nextWindow += st.windowLen
 		}
-	}
-	return true
+		return cond()
+	})
+	return stop == harness.StopCallback
 }
 
 // Soak runs the chaos-soak campaign.

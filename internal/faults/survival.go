@@ -5,7 +5,6 @@ import (
 
 	"rcoe/internal/core"
 	"rcoe/internal/harness"
-	"rcoe/internal/workload"
 )
 
 // SurvivalOptions configures a permanent-fault survival trial: a replica's
@@ -54,66 +53,43 @@ type SurvivalResult struct {
 }
 
 // SurvivalTrial runs one permanent-fault survival measurement.
-func SurvivalTrial(opts SurvivalOptions) (SurvivalResult, error) {
-	if opts.Records == 0 {
-		opts.Records = 48
-	}
-	if opts.Operations == 0 {
-		opts.Operations = 160
-	}
-	if opts.InjectAfterOps == 0 {
-		opts.InjectAfterOps = opts.Operations / 3
-	}
-	sys := opts.System
-	if sys.Replicas == 0 {
-		sys.Replicas = 3
-	}
-	if sys.TickCycles == 0 {
-		sys.TickCycles = 50_000
-	}
-	run, err := harness.NewKV(harness.KVOptions{
-		System:      sys,
-		Workload:    workload.YCSBA,
-		Records:     opts.Records,
-		Operations:  opts.Operations,
-		TraceOutput: true,
-		Seed:        opts.Seed | 1,
-		RetryCycles: 300_000,
-	})
+func SurvivalTrial(so SurvivalOptions) (SurvivalResult, error) {
+	opts := RecoveryOptions(so) // the same scenario, faulted differently
+	run, err := sigFaultRun(&opts)
 	if err != nil {
 		return SurvivalResult{}, err
 	}
 	var res SurvivalResult
 	injected := false
 	reintegrateAsked := false
-	budget := uint64(1_500_000_000)
-	start := run.Sys.Machine().Now()
-	for !run.Done() {
-		if halted, reason := run.Sys.Halted(); halted {
-			res.HaltReason = reason
-			break
-		}
-		if run.Sys.Machine().Now()-start > budget {
-			return res, fmt.Errorf("faults: survival trial exceeded budget after %d ops", run.Snapshot().Ops)
-		}
-		run.StepChunk(2_000)
+	var hookErr error
+	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool {
 		if !injected && run.Snapshot().Ops >= opts.InjectAfterOps {
 			injected = true
 			lay := run.Sys.Replica(opts.FaultyReplica).K.Layout()
 			// The same accumulator bit RecoveryTrial flips once — but stuck,
 			// so it re-asserts against every signature the replica ever
 			// writes from here on.
-			if err := run.Sys.Machine().Mem().SetStuck(lay.SigPA()+8, 5, 1); err != nil {
-				return res, err
+			if hookErr = run.Sys.Machine().Mem().SetStuck(lay.SigPA()+8, 5, 1); hookErr != nil {
+				return true
 			}
 		}
 		if opts.Reintegrate && injected && !reintegrateAsked &&
 			!run.Sys.Alive(opts.FaultyReplica) {
 			reintegrateAsked = true
-			if err := run.Sys.RequestReintegrate(opts.FaultyReplica); err != nil {
-				return res, err
+			if hookErr = run.Sys.RequestReintegrate(opts.FaultyReplica); hookErr != nil {
+				return true
 			}
 		}
+		return false
+	})
+	switch stop {
+	case harness.StopHalted:
+		res.HaltReason = reason
+	case harness.StopBudget:
+		return res, fmt.Errorf("faults: survival trial exceeded budget after %d ops", run.Snapshot().Ops)
+	case harness.StopCallback:
+		return res, hookErr
 	}
 	if run.Done() {
 		_ = run.Sys.Run(50_000_000) // drain trailing responses

@@ -46,15 +46,13 @@ func warmTemplate(kv harness.KVOptions) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := run.Sys.Machine().Now() + kvTrialBudget(kv)
-	for !run.LoadPhaseDone() {
-		if halted, reason := run.Sys.Halted(); halted {
+	if !run.LoadPhaseDone() {
+		switch stop, reason := run.Drive(25_000, kvTrialBudget(kv), run.LoadPhaseDone); stop {
+		case harness.StopHalted:
 			return nil, fmt.Errorf("faults: warm template halted during preload: %s", reason)
-		}
-		if run.Sys.Machine().Now() > deadline {
+		case harness.StopBudget:
 			return nil, errors.New("faults: warm template exceeded cycle budget during preload")
 		}
-		run.StepChunk(25_000)
 	}
 	return snapshot.Save(run)
 }

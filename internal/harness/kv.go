@@ -2,12 +2,18 @@
 // key-value server (kvapp) behind the simulated NIC, driven by a
 // YCSB-style closed-loop client — the moral equivalent of the paper's
 // Redis + lwIP stack under load from dedicated generator machines (§V-B).
+//
+// Node is one booted server. Window is the closed-loop client's request
+// window over a Node — the one implementation of retransmission and of
+// response validation, shared with every shard of internal/cluster. KVRun
+// is the single-node client: one Node behind one Window plus the YCSB
+// request stream, and Drive, the step loop under Run, the fault campaigns
+// and rcoe-snap.
 package harness
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"rcoe/internal/core"
 	"rcoe/internal/device"
@@ -43,16 +49,14 @@ type KVOptions struct {
 	Seed uint64
 	// MaxCycles bounds the run.
 	MaxCycles uint64
-	// RetryCycles is the client's retransmission timeout; requests lost
-	// during a primary failover are retried like any network loss.
-	RetryCycles uint64
-	// RetryBackoff doubles the retransmission timeout on every retry of a
-	// request (capped at 8x), so a client riding out a downgrade or
-	// re-integration window does not flood the recovering server.
+	// RetryCycles, RetryBackoff and MaxRetries are the client's
+	// retransmission policy (see Retry). Requests lost during a primary
+	// failover are retried like any network loss; backoff keeps a client
+	// riding out a downgrade or re-integration window from flooding the
+	// recovering server.
+	RetryCycles  uint64
 	RetryBackoff bool
-	// MaxRetries overrides the per-request retry budget (default 5);
-	// exceeding it surfaces as a client-visible error.
-	MaxRetries int
+	MaxRetries   int
 	// WindowCycles, when nonzero on a system that records metrics
 	// (System.Trace.Enabled), observes the completed operations of every
 	// fixed-size cycle window into the kv-window-ops histogram — the
@@ -82,35 +86,25 @@ type KVResult struct {
 
 // KVRun is a constructed, not-yet-run benchmark system, exposed so fault
 // campaigns can interpose an injector between steps. It is the degenerate
-// cluster: one Node plus the closed-loop client.
+// cluster: one Node behind one Window, plus the request stream — the
+// generator, the queue of requests not yet sent and the phase counters.
 type KVRun struct {
 	Sys *core.System
 	NIC *device.NIC
 	Gen *workload.Generator
 
-	node        *Node
-	opts        KVOptions
-	outstanding map[uint32]*pendingReq
-	finalIDs    map[uint32]bool // last request of each run-phase op
-	queue       []netstack.Request
-	loadLeft    int
-	opsDone     uint64
-	opsSent     uint64
-	startCyc    uint64
-	endCyc      uint64
-	winNext     uint64
-	winLastOps  uint64
-	res         KVResult
-}
-
-// pendingReq tracks one in-flight request for validation and retry.
-type pendingReq struct {
-	frame   []byte
-	sentAt  uint64
-	isGet   bool
-	isLoad  bool
-	opFinal bool
-	retries int
+	node       *Node
+	win        *Window
+	opts       KVOptions
+	finalIDs   map[uint32]bool // last request of each run-phase op
+	queue      []netstack.Request
+	loadLeft   int
+	opsDone    uint64
+	opsSent    uint64
+	startCyc   uint64
+	endCyc     uint64
+	winNext    uint64
+	winLastOps uint64
 }
 
 // ErrClientStall is returned when the client makes no progress for an
@@ -147,13 +141,13 @@ func NewKV(opts KVOptions) (*KVRun, error) {
 		return nil, err
 	}
 	run := &KVRun{
-		Sys:         node.Sys(),
-		NIC:         node.NIC(),
-		Gen:         workload.NewGenerator(opts.Workload, opts.Records, opts.Seed),
-		node:        node,
-		opts:        opts,
-		outstanding: make(map[uint32]*pendingReq),
-		finalIDs:    make(map[uint32]bool),
+		Sys:      node.Sys(),
+		NIC:      node.NIC(),
+		Gen:      workload.NewGenerator(opts.Workload, opts.Records, opts.Seed),
+		node:     node,
+		win:      NewWindow(node, Retry{Cycles: opts.RetryCycles, Backoff: opts.RetryBackoff, Max: opts.MaxRetries}),
+		opts:     opts,
+		finalIDs: make(map[uint32]bool),
 	}
 	run.queue = append(run.queue, run.Gen.LoadRequests()...)
 	run.loadLeft = len(run.queue)
@@ -170,54 +164,16 @@ func NextPow2(v uint64) uint64 {
 	return p
 }
 
-// fill keeps the client window full and retransmits timed-out requests.
+// fill retransmits timed-out requests and keeps the client window full.
 func (r *KVRun) fill() {
-	now := r.Sys.Machine().Now()
-	retry := r.opts.RetryCycles
-	if retry == 0 {
-		retry = 4_000_000
-	}
-	maxRetries := r.opts.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 5
-	}
-	// Walk the window in request-ID order: map iteration order would make
-	// the retransmit sequence — and with it the whole simulation — vary
-	// from run to run whenever two requests time out in the same pass.
-	ids := make([]uint32, 0, len(r.outstanding))
-	for id := range r.outstanding {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := r.outstanding[id]
-		timeout := retry
-		if r.opts.RetryBackoff && p.retries > 0 {
-			shift := p.retries
-			if shift > 3 {
-				shift = 3
-			}
-			timeout = retry << uint(shift)
+	r.win.Retransmit(func(_ uint32, p *Pending) {
+		if p.IsLoad {
+			r.loadDone()
 		}
-		if now-p.sentAt < timeout {
-			continue
-		}
-		if p.retries >= maxRetries {
-			// Persistent loss: surface as a client-visible error.
-			delete(r.outstanding, id)
-			r.res.Errors++
-			if p.isLoad {
-				r.loadLeft--
-			}
-			continue
-		}
-		p.retries++
-		p.sentAt = now
-		r.NIC.Inject(p.frame)
-	}
-	for len(r.outstanding) < r.opts.Window {
+	})
+	for r.win.Len() < r.opts.Window {
 		if len(r.queue) == 0 {
-			if r.loadLeft > 0 && len(r.outstanding) > 0 {
+			if r.loadLeft > 0 && r.win.Len() > 0 {
 				return
 			}
 			if r.opsSent >= r.opts.Operations {
@@ -234,56 +190,34 @@ func (r *KVRun) fill() {
 		}
 		req := r.queue[0]
 		r.queue = r.queue[1:]
-		frame, err := netstack.EncodeRequest(req)
+		p, err := NewPending(req, uint64(req.ReqID) <= r.opts.Records, r.finalIDs[req.ReqID])
 		if err != nil {
-			r.res.Errors++
+			r.win.Errors++
 			continue
 		}
-		r.outstanding[req.ReqID] = &pendingReq{
-			frame:   frame,
-			sentAt:  now,
-			isGet:   req.Op == netstack.OpGet,
-			isLoad:  uint64(req.ReqID) <= r.opts.Records,
-			opFinal: r.finalIDs[req.ReqID],
-		}
 		delete(r.finalIDs, req.ReqID)
-		r.NIC.Inject(frame)
+		r.win.Send(req.ReqID, p)
 	}
 }
 
-// drain processes responses, validating CRCs on GET values; duplicate
-// responses to retransmitted requests are ignored.
+// drain completes the requests whose responses arrived.
 func (r *KVRun) drain() {
-	for _, frame := range r.NIC.TakeResponses() {
-		resp, err := netstack.DecodeResponse(frame)
-		if err != nil {
-			r.res.Errors++
-			continue
-		}
-		p, ok := r.outstanding[resp.ReqID]
-		if !ok {
-			continue // duplicate of a retried request
-		}
-		delete(r.outstanding, resp.ReqID)
-		if p.isLoad {
-			r.loadLeft--
-			if r.loadLeft == 0 {
-				// Run phase starts now.
-				r.startCyc = r.Sys.Machine().Now()
-			}
-			continue
-		}
-		if p.isGet {
-			switch {
-			case resp.Status != netstack.StatusOK:
-				r.res.Errors++
-			case !workload.CheckValue(resp.Value):
-				r.res.Corruptions++
-			}
-		}
-		if p.opFinal {
+	r.win.Drain(func(p *Pending, _ netstack.Response) {
+		switch {
+		case p.IsLoad:
+			r.loadDone()
+		case p.OpFinal:
 			r.opsDone++
 		}
+	})
+}
+
+// loadDone retires one preload request, acknowledged or lost; the run
+// phase starts with the last.
+func (r *KVRun) loadDone() {
+	r.loadLeft--
+	if r.loadLeft == 0 {
+		r.startCyc = r.node.Now()
 	}
 }
 
@@ -328,78 +262,98 @@ func (r *KVRun) observeWindows() {
 	}
 }
 
-// Run drives the system to completion and returns the result.
-func (r *KVRun) Run() (KVResult, error) {
-	m := r.Sys.Machine()
-	deadline := m.Now() + r.opts.MaxCycles
-	lastProgress := m.Now()
-	lastOps := uint64(0)
+// Stop says why Drive returned.
+type Stop int
+
+const (
+	StopDone     Stop = iota // the run phase completed
+	StopHalted               // the system fail-stopped; Drive also returns the reason
+	StopBudget               // the cycle budget ran out
+	StopCallback             // the per-step callback asked to stop
+)
+
+// Drive steps the run, step cycles at a time, until the run phase is
+// done, the system has halted, more than budget cycles have passed since
+// the call, or after — called once every step has been pumped — returns
+// true. It is the loop under Run, every fault campaign and rcoe-snap;
+// what a caller injects, samples or waits for goes in after.
+func (r *KVRun) Drive(step, budget uint64, after func() bool) (Stop, string) {
+	deadline := r.node.Now() + budget
 	for !r.Done() {
 		if halted, reason := r.Sys.Halted(); halted {
-			r.res.HaltReason = reason
-			break
+			return StopHalted, reason
 		}
-		if m.Now() > deadline {
-			break
+		if r.node.Now() > deadline {
+			return StopBudget, ""
 		}
-		r.StepChunk(2_000)
-		progress := r.opsDone + uint64(len(r.outstanding))
-		if progress != lastOps {
-			lastOps = progress
-			lastProgress = m.Now()
-		} else if m.Now()-lastProgress > 80_000_000 {
-			r.finalize()
-			return r.res, fmt.Errorf("%w after %d ops", ErrClientStall, r.opsDone)
+		r.StepChunk(step)
+		if after() {
+			return StopCallback, ""
 		}
 	}
-	if r.Done() {
+	return StopDone, ""
+}
+
+// Run drives the system to completion and returns the result.
+func (r *KVRun) Run() (KVResult, error) {
+	lastProgress, lastOps := r.node.Now(), uint64(0)
+	stop, _ := r.Drive(2_000, r.opts.MaxCycles, func() bool {
+		progress := r.opsDone + uint64(r.win.Len())
+		if progress != lastOps {
+			lastOps, lastProgress = progress, r.node.Now()
+			return false
+		}
+		return r.node.Now()-lastProgress > 80_000_000
+	})
+	switch stop {
+	case StopCallback:
+		return r.Snapshot(), fmt.Errorf("%w after %d ops", ErrClientStall, r.opsDone)
+	case StopDone:
 		// The run phase ends here; the drain below only lets the server
 		// consume its remaining request budget and exit (it may not, for
 		// mixes whose op count over-provisions the budget) and must not
 		// count against throughput.
-		r.endCyc = m.Now()
+		r.endCyc = r.node.Now()
 		_ = r.Sys.Run(20_000_000)
 	}
-	r.finalize()
-	return r.res, nil
+	return r.Snapshot(), nil
 }
 
-func (r *KVRun) finalize() {
-	r.res.Ops = r.opsDone
+// Snapshot returns the result as of now (fault campaigns classify
+// mid-run).
+func (r *KVRun) Snapshot() KVResult {
+	res := KVResult{
+		Ops:         r.opsDone,
+		Corruptions: r.win.Corruptions,
+		Errors:      r.win.Errors,
+		Finished:    r.Sys.Finished(),
+		Detections:  r.Sys.Detections(),
+		Stats:       r.Sys.Stats(),
+	}
 	end := r.endCyc
 	if end == 0 {
-		end = r.Sys.Machine().Now()
+		end = r.node.Now()
 	}
-	r.res.Cycles, r.res.Throughput = 0, 0
 	if r.startCyc > 0 && end > r.startCyc {
-		r.res.Cycles = end - r.startCyc
+		res.Cycles = end - r.startCyc
 	}
-	r.res.Throughput = throughput(r.res.Ops, r.res.Cycles)
-	r.res.Finished = r.Sys.Finished()
+	res.Throughput = Throughput(res.Ops, res.Cycles)
 	if halted, reason := r.Sys.Halted(); halted {
-		r.res.HaltReason = reason
+		res.HaltReason = reason
 	}
-	r.res.Detections = r.Sys.Detections()
-	r.res.Stats = r.Sys.Stats()
+	return res
 }
 
-// throughput converts an op count over a cycle span into ops per million
+// Throughput converts an op count over a cycle span into ops per million
 // cycles. A zero-cycle span (the server halted before the run phase, or
-// finalize ran before the first op) reports 0 rather than the NaN/Inf a
-// bare division would produce — those poison every downstream stats
-// aggregation they touch.
-func throughput(ops, cycles uint64) float64 {
+// the result was taken before the first op) reports 0 rather than the
+// NaN/Inf a bare division would produce — those poison every downstream
+// stats aggregation they touch.
+func Throughput(ops, cycles uint64) float64 {
 	if cycles == 0 {
 		return 0
 	}
 	return float64(ops) / (float64(cycles) / 1e6)
-}
-
-// Snapshot returns the current result counters (fault campaigns classify
-// mid-run).
-func (r *KVRun) Snapshot() KVResult {
-	r.finalize()
-	return r.res
 }
 
 // RunKV is the one-call convenience wrapper.

@@ -152,13 +152,42 @@ func TestKVClientRetransmits(t *testing.T) {
 func TestThroughputZeroCycles(t *testing.T) {
 	// A run phase that consumed no cycles (instant halt) must report 0,
 	// not the NaN/Inf of a bare division, which poisons stats aggregation.
-	if got := throughput(10, 0); got != 0 {
-		t.Fatalf("throughput(10, 0) = %v, want 0", got)
+	if got := Throughput(10, 0); got != 0 {
+		t.Fatalf("Throughput(10, 0) = %v, want 0", got)
 	}
-	if got := throughput(0, 0); got != 0 {
-		t.Fatalf("throughput(0, 0) = %v, want 0", got)
+	if got := Throughput(0, 0); got != 0 {
+		t.Fatalf("Throughput(0, 0) = %v, want 0", got)
 	}
-	if got := throughput(50, 1_000_000); got != 50 {
-		t.Fatalf("throughput(50, 1e6) = %v, want 50 ops/Mcycle", got)
+	if got := Throughput(50, 1_000_000); got != 50 {
+		t.Fatalf("Throughput(50, 1e6) = %v, want 50 ops/Mcycle", got)
+	}
+}
+
+// TestKVLostLastLoadStartsRunPhase: the preload's last request can end in
+// retry exhaustion instead of an acknowledgement (here every load does:
+// the timeout is far shorter than the server's boot). The run phase must
+// start there all the same, or the run never reports cycles or
+// throughput and never opens an availability window.
+func TestKVLostLastLoadStartsRunPhase(t *testing.T) {
+	opts := kvOpts(core.ModeLC, 2, workload.YCSBA)
+	opts.Records = 4
+	opts.RetryCycles, opts.MaxRetries = 1_000, 1
+	run, err := NewKV(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; !run.LoadPhaseDone(); i++ {
+		if i == 10 {
+			t.Fatal("preload neither acknowledged nor lost")
+		}
+		run.StepChunk(1_000)
+	}
+	res := run.Snapshot()
+	if res.Errors != opts.Records {
+		t.Fatalf("%d loads lost, want all %d (the server answered before the timeouts?)", res.Errors, opts.Records)
+	}
+	// The last load was lost at the top of the step just taken.
+	if res.Cycles != 1_000 {
+		t.Fatalf("run phase has consumed %d cycles one step after the last load was lost, want 1000", res.Cycles)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"rcoe/internal/machine"
 	"rcoe/internal/metrics"
 	"rcoe/internal/snapshot"
-	"rcoe/internal/trace"
 )
 
 // Node is one self-contained replicated key-value server: a replicated
@@ -20,17 +19,19 @@ import (
 // a sharded cluster (internal/cluster). The boundary deliberately exposes
 // exactly what a cluster layer needs and nothing more:
 //
-//   - boot (NewNode) and time (RunCycles/Now/Halted/Finished);
-//   - frame service (Inject/TakeResponses) over the netstack protocol;
+//   - boot (NewNode) and time (RunCycles/Now/Halted);
+//   - frame service over the netstack protocol: InjectRetained and
+//     DrainResponses, the pair a Window drives the node through, and the
+//     copying Inject and TakeResponses for one-off callers;
 //   - state transfer (SaveState/LoadState, the snapshot.Snapshotter
 //     boundary from the checkpoint/restore subsystem);
 //   - redundancy-mode control (InjectStall, RequestReintegrate,
 //     AliveCount) so a policy layer can trade redundancy for throughput
 //     per shard;
-//   - observability (Metrics, TraceRecorder, Detections, Stats).
+//   - observability (Metrics, Detections); Sys reaches the rest.
 //
 // The single-node KV benchmark (KVRun) is the degenerate composition: one
-// Node plus the closed-loop client.
+// Node behind one Window.
 type Node struct {
 	sys  *core.System
 	nic  *device.NIC
@@ -133,9 +134,6 @@ func (n *Node) Sys() *core.System { return n.sys }
 // NIC returns the node's network interface.
 func (n *Node) NIC() *device.NIC { return n.nic }
 
-// Options returns the boot options.
-func (n *Node) Options() NodeOptions { return n.opts }
-
 // Inject queues a request frame for delivery to the server.
 func (n *Node) Inject(frame []byte) { n.nic.Inject(frame) }
 
@@ -164,9 +162,6 @@ func (n *Node) Now() uint64 { return n.sys.Machine().Now() }
 // Halted reports whether the node fail-stopped, with the reason.
 func (n *Node) Halted() (bool, string) { return n.sys.Halted() }
 
-// Finished reports whether the server exited cleanly.
-func (n *Node) Finished() bool { return n.sys.Finished() }
-
 // InjectStall marks a replica to hang at its next kernel entry; its peers
 // eject it on barrier timeout (the TMR->DMR downgrade path).
 func (n *Node) InjectStall(rid int) { n.sys.InjectStall(rid) }
@@ -182,29 +177,14 @@ func (n *Node) ReintegrateOutcome() (pending bool, err error) { return n.sys.Rei
 // the node's current redundancy level.
 func (n *Node) AliveCount() int { return n.sys.AliveCount() }
 
-// NumReplicas returns the configured replica count.
-func (n *Node) NumReplicas() int { return n.sys.NumReplicas() }
-
-// Alive reports whether replica rid is still in the configuration.
-func (n *Node) Alive(rid int) bool { return n.sys.Alive(rid) }
-
 // Primary returns the current primary replica's ID.
 func (n *Node) Primary() int { return n.sys.Primary() }
 
 // Detections returns the node's recorded detection events.
 func (n *Node) Detections() []core.Detection { return n.sys.Detections() }
 
-// Stats returns the node's replication counters.
-func (n *Node) Stats() core.Stats { return n.sys.Stats() }
-
 // Metrics returns the node's metric set (nil when tracing is disabled).
 func (n *Node) Metrics() *metrics.Set { return n.sys.Metrics() }
-
-// MetricsSnapshot copies the node's metrics at the current cycle.
-func (n *Node) MetricsSnapshot() metrics.Snapshot { return n.sys.MetricsSnapshot() }
-
-// TraceRecorder returns the node's flight recorder (nil when disabled).
-func (n *Node) TraceRecorder() *trace.Recorder { return n.sys.TraceRecorder() }
 
 // SaveState implements snapshot.Snapshotter. A node checkpoint is the
 // state-transfer unit behind shard failover and migration.

@@ -47,18 +47,7 @@ func (r *KVRun) meta(c *snapshot.Codec) {
 }
 
 func (r *KVRun) client(c *snapshot.Codec) {
-	snapshot.Map(c, r.outstanding, func(pp **pendingReq) {
-		if *pp == nil {
-			*pp = &pendingReq{}
-		}
-		p := *pp
-		c.Bytes(&p.frame)
-		c.U64(&p.sentAt)
-		c.Bool(&p.isGet)
-		c.Bool(&p.isLoad)
-		c.Bool(&p.opFinal)
-		c.Int(&p.retries)
-	})
+	r.win.state(c)
 	// finalIDs is a set: the keys are its whole content.
 	snapshot.Map(c, r.finalIDs, func(in *bool) { *in = true })
 	snapshot.List(c, &r.queue, func(req *netstack.Request) {
@@ -75,9 +64,6 @@ func (r *KVRun) client(c *snapshot.Codec) {
 	c.U64(&r.endCyc)
 	c.U64(&r.winNext)
 	c.U64(&r.winLastOps)
-	if c.Loading() {
-		r.res = KVResult{}
-	}
-	c.U64(&r.res.Corruptions)
-	c.U64(&r.res.Errors)
+	c.U64(&r.win.Corruptions)
+	c.U64(&r.win.Errors)
 }

@@ -68,12 +68,8 @@ type Response struct {
 	Value  []byte
 }
 
-// AppendRequest serialises a request, appending the frame to dst and
-// returning the extended slice. Hot paths (the cluster router encodes
-// every routed operation) pass a pre-sized buffer so one allocation can
-// back the frame and any retained copies; EncodeRequest is the
-// allocate-per-call convenience wrapper.
-func AppendRequest(dst []byte, r Request) ([]byte, error) {
+// EncodeRequest serialises a request.
+func EncodeRequest(r Request) ([]byte, error) {
 	if len(r.Key) == 0 || len(r.Key) > MaxKey {
 		return nil, fmt.Errorf("%w: key length %d", ErrBadFrame, len(r.Key))
 	}
@@ -84,6 +80,7 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	if vlen > MaxValue {
 		return nil, fmt.Errorf("%w: value length %d", ErrBadFrame, vlen)
 	}
+	dst := make([]byte, 0, HeaderBytes+len(r.Key)+len(r.Value))
 	dst = append(dst, r.Op, byte(len(r.Key)), byte(vlen), byte(vlen>>8),
 		byte(r.ReqID), byte(r.ReqID>>8), byte(r.ReqID>>16), byte(r.ReqID>>24))
 	dst = append(dst, r.Key...)
@@ -93,15 +90,10 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeRequest serialises a request.
-func EncodeRequest(r Request) ([]byte, error) {
-	return AppendRequest(make([]byte, 0, HeaderBytes+len(r.Key)+len(r.Value)), r)
-}
-
 // DecodeResponseInPlace parses a response frame without copying the
 // value: the returned Response's Value aliases b, so it is only valid
 // while the caller owns the frame and must be copied to outlive it.
-// The cluster drain loop validates and discards each response before
+// The client window validates and discards each response before
 // touching the next frame, so the alias never escapes the iteration.
 func DecodeResponseInPlace(b []byte) (Response, error) {
 	if len(b) < HeaderBytes {
@@ -128,12 +120,16 @@ func DecodeResponse(b []byte) (Response, error) {
 	return r, nil
 }
 
-// DecodeRequest parses a request frame. The cluster router decodes
-// frames from arbitrary sources, so the decoder is total and strict:
-// every length field is bounds-checked against both the protocol limits
-// and the actual buffer, and unknown opcodes are rejected rather than
-// decoded as a GET-shaped frame.
-func DecodeRequest(b []byte) (Request, error) {
+// DecodeRequestInPlace parses a request frame without copying: the
+// returned Request's Key and Value alias b (capacity-clipped, so an
+// append cannot reach the bytes behind them) and stay valid only while
+// b is neither written nor recycled. The clients keep each encoded
+// frame immutable for the life of the request, so a SET's key and value
+// are read back out of the frame instead of being retained beside it.
+// The decoder is total and strict: every length field is bounds-checked
+// against both the protocol limits and the actual buffer, and unknown
+// opcodes are rejected rather than decoded as a GET-shaped frame.
+func DecodeRequestInPlace(b []byte) (Request, error) {
 	if len(b) < HeaderBytes {
 		return Request{}, fmt.Errorf("%w: short request", ErrBadFrame)
 	}
@@ -146,10 +142,11 @@ func DecodeRequest(b []byte) (Request, error) {
 	if r.Op != OpGet && r.Op != OpSet && r.Op != OpScan {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrBadFrame, r.Op)
 	}
-	if klen == 0 || klen > MaxKey || HeaderBytes+klen > len(b) {
+	keyEnd := HeaderBytes + klen
+	if klen == 0 || klen > MaxKey || keyEnd > len(b) {
 		return Request{}, fmt.Errorf("%w: key length %d", ErrBadFrame, klen)
 	}
-	r.Key = append([]byte(nil), b[HeaderBytes:HeaderBytes+klen]...)
+	r.Key = b[HeaderBytes:keyEnd:keyEnd]
 	switch r.Op {
 	case OpScan:
 		if vlen > MaxValue {
@@ -157,10 +154,10 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		r.ScanCount = vlen
 	case OpSet:
-		if vlen > MaxValue || HeaderBytes+klen+vlen > len(b) {
+		if vlen > MaxValue || keyEnd+vlen > len(b) {
 			return Request{}, fmt.Errorf("%w: value length %d", ErrBadFrame, vlen)
 		}
-		r.Value = append([]byte(nil), b[HeaderBytes+klen:HeaderBytes+klen+vlen]...)
+		r.Value = b[keyEnd : keyEnd+vlen : keyEnd+vlen]
 	}
 	return r, nil
 }

@@ -16,7 +16,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		got, err := DecodeRequest(frame)
+		got, err := DecodeRequestInPlace(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +67,10 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, err := DecodeResponse([]byte{0, 0, 0xFF, 0xFF, 0, 0, 0, 0}); err == nil {
 		t.Fatalf("overlong value length accepted")
 	}
-	if _, err := DecodeRequest([]byte{1}); err == nil {
+	if _, err := DecodeRequestInPlace([]byte{1}); err == nil {
 		t.Fatalf("short request accepted")
 	}
-	if _, err := DecodeRequest([]byte{OpGet, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := DecodeRequestInPlace([]byte{OpGet, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatalf("zero key length accepted")
 	}
 }
@@ -90,11 +90,33 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRequest(frame)
+		got, err := DecodeRequestInPlace(frame)
 		return err == nil && got.ReqID == id &&
 			bytes.Equal(got.Key, key) && bytes.Equal(got.Value, val)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRequestInPlaceViews: the in-place decoder's key and value are
+// the frame's own bytes, each clipped so that an append cannot run on into
+// what follows it.
+func TestDecodeRequestInPlaceViews(t *testing.T) {
+	frame, err := EncodeRequest(Request{Op: OpSet, ReqID: 9, Key: []byte("key"), Value: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRequestInPlace(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Key[0] != &frame[HeaderBytes] || &got.Value[0] != &frame[HeaderBytes+3] {
+		t.Fatal("key or value is a copy, not a view of the frame")
+	}
+	_ = append(got.Key, 'X')
+	_ = append(got.Value, 'X')
+	if string(frame[HeaderBytes:]) != "keyvalue" {
+		t.Fatalf("appending to a view wrote into the frame: %q", frame[HeaderBytes:])
 	}
 }

@@ -29,7 +29,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{99, 1, 0, 0, 0, 0, 0, 0, 'k'})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := DecodeRequest(b)
+		req, err := DecodeRequestInPlace(b)
 		if err != nil {
 			return
 		}
@@ -51,7 +51,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted request failed: %v", err)
 		}
-		again, err := DecodeRequest(frame)
+		again, err := DecodeRequestInPlace(frame)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -24,13 +24,10 @@ var hostDerived = map[string]string{
 	"harness.KVRun.NIC":           "wiring: the node's NIC, walked as the machine's dev.0",
 	"harness.KVOptions.System":    "the node's copy is the one checked (sys.meta)",
 	"harness.KVOptions.MaxCycles": "bound of Run's loop, not state",
-	"harness.KVResult.Ops":        "recomputed by finalize from opsDone",
-	"harness.KVResult.Cycles":     "recomputed by finalize",
-	"harness.KVResult.Throughput": "recomputed by finalize",
-	"harness.KVResult.Finished":   "recomputed by finalize",
-	"harness.KVResult.HaltReason": "recomputed by finalize",
-	"harness.KVResult.Detections": "recomputed by finalize",
-	"harness.KVResult.Stats":      "recomputed by finalize",
+	"harness.Window.node":         "wiring: the run's node, walked through KVRun.node",
+	"harness.Window.retry":        "resolved from the retry options, which are checked (harness.meta)",
+	"harness.Window.ids":          "scratch of the sorted retransmission scan, refilled by every pass",
+	"harness.Window.frames":       "scratch of Drain: the responses of one pass, consumed within it",
 	"harness.Node.nic":            "wiring: walked as the machine's dev.0",
 	"harness.NodeOptions.System":  "the system's copy is the one checked (sys.meta)",
 	"workload.Generator.zipf":     "pure function of the record count, rebuilt by construction",
