@@ -181,6 +181,7 @@ func BenchmarkExecHotLoop(b *testing.B) {
 					b.ReportMetric(s.HitRate()*100, "block-hit-%")
 					m := sys.Machine()
 					b.ReportMetric(float64(s.Deferred)/float64(m.Core(0).Cycles+m.Core(1).Cycles)*100, "deferred-%")
+					b.ReportMetric(float64(s.Solo)/float64(s.Batched)*100, "solo-%")
 				}
 			}
 		}

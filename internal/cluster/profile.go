@@ -26,14 +26,22 @@ func (p HostProfile) TotalNS() uint64 {
 	return p.GenerateNS + p.FillNS + p.RunNS + p.DrainNS
 }
 
+// RouterNS is the accumulated wall-clock of the router's side of the
+// rounds: everything but node execution.
+func (p HostProfile) RouterNS() uint64 {
+	return p.GenerateNS + p.FillNS + p.DrainNS
+}
+
 // RouterShare is the fraction of round wall-clock spent outside node
-// execution — the router-side overhead the scale criterion bounds.
+// execution. It is a ratio to the run phase, so it moves with the speed of
+// the machine layer and with how many host cores the shard pool gets, not
+// only with the router.
 func (p HostProfile) RouterShare() float64 {
 	total := p.TotalNS()
 	if total == 0 {
 		return 0
 	}
-	return float64(p.GenerateNS+p.FillNS+p.DrainNS) / float64(total)
+	return float64(p.RouterNS()) / float64(total)
 }
 
 // String renders the profile as one line for a CLI's stderr.

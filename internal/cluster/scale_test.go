@@ -14,10 +14,9 @@ import (
 // execution (the chunk each shard's replicated machine simulates) and
 // router overhead (generate/fill/drain on the coordinator). The
 // benchmarks here record rounds/sec and the 1-vs-N-worker host speedup
-// on an 8-shard fleet; the million-key test checks that with Records
-// at production scale the router side stays a bounded sliver (<10%) of
-// round wall-clock. Simulated results are identical at every worker
-// count — only host time moves.
+// on an 8-shard fleet; the million-key test checks that the router's
+// time per round does not grow with Records. Simulated results are
+// identical at every worker count — only host time moves.
 
 // scaleOptions is the 8-shard fleet the scale suite runs: unreplicated
 // nodes (base mode keeps wall-clock about per-record work, not
@@ -169,31 +168,53 @@ func BenchmarkClusterMillionKey(b *testing.B) {
 
 // TestClusterMillionKeyScale is the scale smoke: a scaled-down (but
 // still 10^5-key) version of the million-key configuration must
-// complete cleanly with the router side under 10% of round wall-clock,
-// pinning that per-round router cost is bounded by the serving windows
-// — not by Records. -short scales the keyspace down further for CI.
+// complete cleanly, and it pins that per-round router cost is bounded by
+// the serving windows — not by Records: the same fleet at a quarter of
+// the keyspace must not be served more than twice as cheaply per round
+// (0.7–1.5x measured; a router with a per-round term linear in Records
+// reads towards 4x). The router's share of round wall-clock is logged but
+// not bounded: it is a ratio to node execution, which every machine-layer
+// speed-up shortens and which halves again whenever the host grants the
+// shard pool a second core (4 % to 8–15 % over three engine PRs, the
+// router's ~45 us per round unchanged). -short scales the keyspace down
+// further for CI.
 func TestClusterMillionKeyScale(t *testing.T) {
 	records := uint64(100_000)
 	if testing.Short() {
 		records = 25_000
 	}
-	opts := scaleOptions(records, 400)
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
+	// routerPerRound serves the scale fleet at the given keyspace and
+	// returns the router's host time per lockstep round.
+	routerPerRound := func(records uint64) float64 {
+		opts := scaleOptions(records, 400)
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ops != opts.Operations || res.Errors != 0 || res.Corruptions != 0 {
+			t.Fatalf("%d records: ops=%d errors=%d corrupt=%d", records, res.Ops, res.Errors, res.Corruptions)
+		}
+		prof := c.HostProfile()
+		if prof.Rounds == 0 {
+			t.Fatalf("%d records: no rounds profiled", records)
+		}
+		t.Logf("%d records: %v", records, prof)
+		return float64(prof.RouterNS()) / float64(prof.Rounds)
 	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
+	// Host noise landing in one of the two runs can fake the growth once
+	// (1.5x seen inside a loaded go test ./...); a router that scales with
+	// Records shows it every time.
+	var quarter, full float64
+	for attempt := 0; attempt < 2; attempt++ {
+		quarter, full = routerPerRound(records/4), routerPerRound(records)
+		if full < 2*quarter {
+			return
+		}
 	}
-	if res.Ops != opts.Operations || res.Errors != 0 || res.Corruptions != 0 {
-		t.Fatalf("ops=%d errors=%d corrupt=%d", res.Ops, res.Errors, res.Corruptions)
-	}
-	prof := c.HostProfile()
-	if prof.Rounds == 0 {
-		t.Fatal("no rounds profiled")
-	}
-	if share := prof.RouterShare(); share >= 0.10 {
-		t.Fatalf("router share %.1f%% of round wall-clock, want < 10%%", share*100)
-	}
+	t.Fatalf("router time per round %.1f us at %d records, %.1f us at %d: grows with the keyspace, want < 2x",
+		full/1e3, records, quarter/1e3, records/4)
 }

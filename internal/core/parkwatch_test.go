@@ -319,6 +319,24 @@ func TestAliveMaskIgnoresUnownedBits(t *testing.T) {
 	}
 }
 
+// TestAliveMaskUnownedBitDoesNotBlockRelease: the last replica out of a
+// rendezvous clears the synchronisation words even when the alive mask
+// carries a bit no configured replica owns — that bit never releases, and
+// comparing against the raw mask would leave the words set and stall the
+// next rendezvous into a run timeout.
+func TestAliveMaskUnownedBitDoesNotBlockRelease(t *testing.T) {
+	sys := newSys(t, Config{Mode: ModeLC, Replicas: 2, TickCycles: 20_000}, syscallLoop(t, 200))
+	sys.sh.setWord(wAliveMask, sys.sh.word(wAliveMask)|1<<5)
+	if err := sys.m.RunUntil(func() bool { return sys.stats.Syncs > 0 && !sys.syncPending() }, 2_000_000); err != nil {
+		t.Fatalf("the first rendezvous never drained (wSyncGen %d, released %#b): %v",
+			sys.sh.word(wSyncGen), sys.releasedSet, err)
+	}
+	mustFinish(t, sys, 2_000_000)
+	if gen := sys.sh.word(wSyncGen); gen != 0 {
+		t.Fatalf("wSyncGen = %d after the last release", gen)
+	}
+}
+
 // TestParkWatchNeedsOneFrameworkPage: the watch is on one page, so a
 // configuration whose replica blocks spill past it declares none.
 func TestParkWatchNeedsOneFrameworkPage(t *testing.T) {

@@ -383,7 +383,7 @@ func (s *System) releaseFromRendezvous(r *Replica, gen uint64) {
 // synchronisation words.
 func (s *System) markReleased(r *Replica, gen uint64) {
 	s.releasedSet |= 1 << uint(r.ID)
-	alive := s.sh.word(wAliveMask)
+	alive := uint64(s.aliveSet())
 	if s.releasedSet&alive == alive && s.sh.word(wReleaseGen) == gen {
 		s.sh.setWord(wSyncGen, 0)
 		s.sh.setWord(wSyncKind, 0)

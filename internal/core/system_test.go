@@ -329,3 +329,28 @@ func TestRunCyclesStopsOnFinished(t *testing.T) {
 		t.Fatalf("RunCycles burned the budget past completion: now=%d", now)
 	}
 }
+
+// TestRunCyclesTimeoutAllocFree: a client pumping a server in slices runs
+// every slice into its cycle budget and drops the error, so on an idle
+// system a timed-out RunCycles must not allocate — neither the error's text
+// nor the error.
+func TestRunCyclesTimeoutAllocFree(t *testing.T) {
+	b := asm.New()
+	b.Label("wait")
+	b.Li(1, 3) // a line nothing raises
+	b.Syscall(kernel.SysIRQWait)
+	b.J("wait")
+	prog, err := b.Assemble(kernel.TextVA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := newSys(t, Config{Mode: ModeLC, Replicas: 2}, prog)
+	sys.RunCycles(50_000) // both replicas blocked
+	before := sys.Machine().Now()
+	if avg := testing.AllocsPerRun(20, func() { sys.RunCycles(2000) }); avg != 0 {
+		t.Fatalf("a timed-out RunCycles allocates %.1f times", avg)
+	}
+	if got := sys.Machine().Now() - before; got != 21*2000 || sys.Finished() {
+		t.Fatalf("ran %d cycles (finished %v), want 21 full slices", got, sys.Finished())
+	}
+}

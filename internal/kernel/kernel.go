@@ -80,6 +80,9 @@ type Kernel struct {
 	// flight recorder's tick event source). It must not perturb kernel
 	// or machine state.
 	OnPreempt func(preemptions uint64)
+
+	// traceWords is AddTraceBytes' scratch, rebuilt by every call.
+	traceWords []uint64
 }
 
 // New creates a kernel for replica rid on the given core, with its
@@ -396,17 +399,29 @@ func (k *Kernel) AddTrace(words ...uint64) {
 	k.core.AddStall(2 * len(words))
 }
 
-// AddTraceBytes folds a user buffer into the signature 8 bytes at a time.
+// AddTraceBytes folds a user buffer into the signature: its length, then
+// its bytes 8 at a time. The accumulator is read and written once for the
+// whole buffer, unless a stuck-at fault is armed: every RAM read re-asserts
+// stuck bits, so a stuck accumulator word must be re-read per folded word
+// to corrupt the sum the way it always has.
 func (k *Kernel) AddTraceBytes(b []byte) {
-	k.AddTrace(uint64(len(b)))
+	w := append(k.traceWords[:0], uint64(len(b)))
 	var i int
 	for ; i+8 <= len(b); i += 8 {
-		k.AddTrace(le64(b[i:]))
+		w = append(w, le64(b[i:]))
 	}
 	if i < len(b) {
 		var tail [8]byte
 		copy(tail[:], b[i:])
-		k.AddTrace(le64(tail[:]))
+		w = append(w, le64(tail[:]))
+	}
+	k.traceWords = w
+	if k.m.Mem().StuckBits() == 0 {
+		k.AddTrace(w...)
+		return
+	}
+	for _, x := range w {
+		k.AddTrace(x)
 	}
 }
 

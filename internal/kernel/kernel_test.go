@@ -246,6 +246,68 @@ func TestAddTraceBytesMatchesBetweenReplicas(t *testing.T) {
 	}
 }
 
+// TestAddTraceBytesIsTheWordWalk: AddTraceBytes leaves the accumulator
+// exactly where folding the length and then each 8-byte word with its own
+// AddTrace call does — healthy, where it folds the buffer in one call, and
+// with a stuck bit in the accumulator, where one call would not.
+func TestAddTraceBytesIsTheWordWalk(t *testing.T) {
+	walk := func(k *Kernel, b []byte) {
+		k.AddTrace(uint64(len(b)))
+		for len(b) > 0 {
+			var w [8]byte
+			b = b[copy(w[:], b):]
+			k.AddTrace(le64(w[:]))
+		}
+	}
+	buf := make([]byte, 67)
+	for i := range buf {
+		buf[i] = byte(i*37 + 11)
+	}
+	for _, stuck := range []bool{false, true} {
+		oneCallDiffers := false
+		for _, n := range []int{0, 5, 8, 23, 64} {
+			var acc [3][4]uint64 // AddTraceBytes, the walk, one AddTrace call
+			for v := range acc {
+				k := newTestKernel(t)
+				if stuck {
+					if err := k.m.Mem().SetStuck(k.lay.SigPA()+8, 3, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				k.AddTrace(0xfeed) // an accumulator that is not all zero
+				switch v {
+				case 0:
+					k.AddTraceBytes(buf[:n])
+					k.AddTraceBytes(buf[n:]) // the scratch is reused
+				case 1:
+					walk(k, buf[:n])
+					walk(k, buf[n:])
+				default:
+					for _, part := range [][]byte{buf[:n], buf[n:]} {
+						words := []uint64{uint64(len(part))}
+						for len(part) > 0 {
+							var w [8]byte
+							part = part[copy(w[:], part):]
+							words = append(words, le64(w[:]))
+						}
+						k.AddTrace(words...)
+					}
+				}
+				for i := range acc[v] {
+					acc[v][i], _ = k.m.Mem().ReadU(k.lay.SigPA()+8*uint64(i), 8)
+				}
+			}
+			if acc[0] != acc[1] {
+				t.Fatalf("stuck %v, split %d: AddTraceBytes left %x, the word walk %x", stuck, n, acc[0], acc[1])
+			}
+			oneCallDiffers = oneCallDiffers || acc[2] != acc[1]
+		}
+		if oneCallDiffers != stuck {
+			t.Fatalf("stuck %v: folding in one call differs from the walk = %v", stuck, oneCallDiffers)
+		}
+	}
+}
+
 func TestCopyUserRoundTrip(t *testing.T) {
 	k := newTestKernel(t)
 	if err := k.LoadProcess(ProcessConfig{Prog: simpleProg(t), DataBytes: 4096}); err != nil {

@@ -10,10 +10,11 @@ import (
 )
 
 // Deferred execution (superblock.go) lets a core trail the machine's clock
-// while nothing can see it. The tests here put an observer at every place
-// something can — the kernel, a device, a park condition, RunUntil's
-// condition, the host between Run calls — and require it to see exactly
-// what naive stepping shows it.
+// while nothing can see it, and runs the one core that does not trail alone
+// (solo). The tests here put an observer at every place something can see
+// a core — the kernel, a device, a park condition, RunUntil's condition,
+// the host between Run calls — and require it to see exactly what naive
+// stepping shows it.
 
 // coreObs is everything an observer can read off a core.
 type coreObs struct {
@@ -78,15 +79,30 @@ func (d *obsDevice) NextEvent(now uint64) uint64 {
 }
 
 const (
-	obsLoop0   = 0x1000 // core 0's loop: integer and MUL
-	obsLoop1   = 0x2000 // core 1's loop: FP, long stalls
+	obsLoop0   = 0x1000 // the first loop: integer and MUL
+	obsLoop1   = 0x2000 // the other loops: FP, long stalls
 	obsText    = 0x3000 // the observer's program
 	obsCold    = 0x5000 // a line the observer has never fetched
 	obsFlagPA  = 0x8000 // device-watched RAM
 	obsParkPA  = 0x9000 // the word a watched park waits on
+	obsSrcPA   = 0xA000 // data nobody has touched: a load from it misses
+	obsDstPA   = 0xB000 // the destination of the observer's MEMCPY
 	obsMMIO    = 0xF000_0000
-	obsPatched = 100 // the increment the observer patches into loop 0
+	obsPatched = 100                   // the increment the observer patches into loop 0
+	obsFill    = 0x5a5a_5a5a_5a5a_5a5a // the last word the MEMCPY moves
 )
+
+// obsConfig places the cores of an observation run on the four-core
+// machine: loops register-only loops on the lowest cores other than the
+// observer's, and with rider a watched park on the next free one. Without a
+// rider the observer is, whenever the loops are all inside a promise, the
+// one core that holds none, so what it does it does solo.
+type obsConfig struct {
+	loops    int
+	observer int
+	rider    bool
+	maxNops  int // the observer's lead-in is swept from 0 to this many NOPs
+}
 
 func mustLoad(t *testing.T, m *Machine, b *asm.Builder, base uint64) {
 	t.Helper()
@@ -99,10 +115,10 @@ func mustLoad(t *testing.T, m *Machine, b *asm.Builder, base uint64) {
 	}
 }
 
-// observationRun boots one or two register-only loops and the observer,
-// which after nops NOPs performs each kind of observation in turn, and
-// returns everything the kernel, the device and the host saw.
-func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log []obsEntry, st SuperblockStats) {
+// observationRun boots the register-only loops and the observer, which
+// after nops NOPs performs each kind of observation in turn, and returns
+// everything the kernel, the device and the host saw.
+func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nops int) (log []obsEntry, st SuperblockStats) {
 	t.Helper()
 	prof := X86() // jitter on
 	prof.Costs.MemHit = memHit
@@ -110,6 +126,9 @@ func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log 
 	m.SetSuperblock(sb)
 	dev := &obsDevice{m: m, flagPA: obsFlagPA, log: &log}
 	if err := m.Mem().WriteU(obsFlagPA, 8, 1); err != nil { // mailbox occupied
+		t.Fatal(err)
+	}
+	if err := m.Mem().WriteU(obsSrcPA+192, 8, obsFill); err != nil {
 		t.Fatal(err)
 	}
 	m.AddDevice(dev)
@@ -152,8 +171,20 @@ func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log 
 	ob.Ld(8, 2, 1, 0) // a device looks
 	ob.Li64(3, obsLoop0)
 	ob.Li64(4, binary.LittleEndian.Uint64(patch[:]))
-	ob.St(8, 3, 4, 0) // a store into core 0's current text page
+	ob.St(8, 3, 4, 0) // a store into the first loop's current text page
 	ob.Syscall(2)
+	ob.Li64(7, obsSrcPA)
+	ob.Ld(8, 8, 7, 0) // a load that misses: the bus is touched
+	ob.Li64(9, obsDstPA)
+	ob.Li(10, 200)
+	ob.Memcpy(10, 9, 7) // a block op: chunks of bus traffic with PC in place
+	ob.Syscall(6)
+	ob.Li64(4, binary.LittleEndian.Uint64(patch[:]))
+	ob.Li64(3, obsText+uint64(ob.Len()+3)*isa.InstrBytes)
+	ob.St(8, 3, 4, 0) // a store into its own block, two instructions ahead
+	ob.Nop()
+	ob.Addi(5, 5, 1) // patched before it is fetched
+	ob.Syscall(7)
 	ob.Li64(5, obsFlagPA)
 	ob.St(8, 5, 0, 0) // a store into device-watched RAM: the DMA looks
 	ob.Syscall(3)
@@ -179,17 +210,23 @@ func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log 
 		{VBase: obsMMIO, PBase: obsMMIO, Size: 0x100, Perm: PermR | PermW},
 	}}
 	m.Run(uint64(phase)) // every core halted: only the rotation origin moves
-	m.StartCore(0, obsLoop0, as)
-	observer := 1
-	if loops == 2 {
-		m.StartCore(1, obsLoop1, as)
-		observer = 2
+	observer := cfg.observer
+	var others []int // the cores beside the observer, ascending
+	for id := 0; id < m.NumCores(); id++ {
+		if id != observer {
+			others = append(others, id)
+		}
+	}
+	patched := others[0]
+	m.StartCore(patched, obsLoop0, as)
+	for _, id := range others[1:cfg.loops] {
+		m.StartCore(id, obsLoop1, as)
 	}
 	m.StartCore(observer, obsText, as)
-	if loops == 2 {
+	if cfg.rider {
 		// A rider with a ParkWatch keeps the loops deferrable; every
 		// evaluation of its condition, and its done hook, is an observer.
-		rider := m.Core(3)
+		rider := m.Core(others[cfg.loops])
 		rider.Park(func() bool {
 			log = append(log, observe(m, "park-eval"))
 			v, _ := m.Mem().ReadU(obsParkPA, 8)
@@ -213,28 +250,40 @@ func observationRun(t *testing.T, sb bool, memHit, loops, phase, nops int) (log 
 	if m.Core(observer).State != CoreHalted {
 		t.Fatalf("the observer did not finish (pc %#x)", m.Core(observer).PC)
 	}
-	if got := m.Core(0).Regs[5]; got < obsPatched {
-		t.Fatalf("core 0 never executed the patched increment (r5 = %d)", got)
+	if got := m.Core(patched).Regs[5]; got < obsPatched {
+		t.Fatalf("core %d never executed the patched increment (r5 = %d)", patched, got)
+	}
+	if got, _ := m.Mem().ReadU(obsDstPA+192, 8); got != obsFill {
+		t.Fatalf("the MEMCPY never finished (last word %#x)", got)
 	}
 	return log, m.SuperblockStats()
 }
 
 // TestDeferredObservationExact: the whole observation log is identical
 // with the superblock engine on and off, for every rotation phase of the
-// start cycle, every alignment of the observations against the loops'
-// promises, on the generic loop (two loops and the observer) and the pair
-// loop (one loop and the observer), the former with a watched rider, and
-// with the stock one-cycle cache hit as well as a three-cycle one, which
-// puts a stall behind every fetch.
+// start cycle and every alignment of the observations against the loops'
+// promises; with two, three and four executing cores and no rider, where
+// the observer does everything it does solo — a syscall, an MMIO load, a
+// store into another core's running loop, a store into device-watched RAM,
+// a load that misses, a MEMCPY, a store into the block it is executing, a
+// jump to a cold line — with promised cores
+// on both sides of its rotation slot, and with a watched rider, where
+// nothing may run solo; with the stock one-cycle cache hit as well as a
+// three-cycle one, which puts a stall behind every fetch.
 func TestDeferredObservationExact(t *testing.T) {
 	for _, memHit := range []int{1, 3} {
-		for loops := 1; loops <= 2; loops++ {
-			var deferred, promises uint64
+		for _, cfg := range []obsConfig{
+			{loops: 1, observer: 1, maxNops: 70},
+			{loops: 2, observer: 2, rider: true, maxNops: 70},
+			{loops: 2, observer: 1, maxNops: 23},
+			{loops: 3, observer: 2, maxNops: 23},
+		} {
+			var deferred, promises, solo uint64
 			for phase := 0; phase < 4; phase++ {
-				for nops := 0; nops <= 70; nops++ {
-					fast, st := observationRun(t, true, memHit, loops, phase, nops)
-					naive, _ := observationRun(t, false, memHit, loops, phase, nops)
-					where := fmt.Sprintf("hit %d loops %d phase %d nops %d", memHit, loops, phase, nops)
+				for nops := 0; nops <= cfg.maxNops; nops++ {
+					fast, st := observationRun(t, true, memHit, cfg, phase, nops)
+					naive, _ := observationRun(t, false, memHit, cfg, phase, nops)
+					where := fmt.Sprintf("hit %d %+v phase %d nops %d", memHit, cfg, phase, nops)
 					if len(fast) != len(naive) {
 						t.Fatalf("%s: %d observations batched, %d naive", where, len(fast), len(naive))
 					}
@@ -246,12 +295,68 @@ func TestDeferredObservationExact(t *testing.T) {
 					}
 					deferred += st.Deferred
 					promises += st.Promises
+					solo += st.Solo
 				}
 			}
 			if deferred == 0 || promises == 0 {
-				t.Fatalf("hit %d loops %d: nothing was deferred (%d cycles, %d promises): the test observes nothing",
-					memHit, loops, deferred, promises)
+				t.Fatalf("hit %d %+v: nothing was deferred (%d cycles, %d promises): the test observes nothing",
+					memHit, cfg, deferred, promises)
 			}
+			if solo == 0 {
+				// Even the rider's configuration runs solo, once the rider
+				// has woken and halted.
+				t.Fatalf("hit %d %+v: nothing ran solo", memHit, cfg)
+			}
+		}
+	}
+}
+
+// TestSoloStaysOutWithRider: a memory loop beside an FP loop's long stalls
+// runs solo — unless a rider is parked, even a watched one that never
+// wakes: then no cycle runs solo and the rider's cycle counter moves as
+// under naive stepping.
+func TestSoloStaysOutWithRider(t *testing.T) {
+	scenario := func(sb, rider bool) (obsEntry, SuperblockStats) {
+		m := New(X86(), 1<<16)
+		m.SetSuperblock(sb)
+		fp := asm.New()
+		fp.Fconst(1, 1.5)
+		fp.Label("loop")
+		fp.Fdiv(2, 2, 1)
+		fp.Fsin(3, 2)
+		fp.J("loop")
+		mustLoad(t, m, fp, obsLoop1)
+		mem := asm.New()
+		mem.Li64(1, obsSrcPA)
+		mem.Label("loop")
+		mem.Ld(8, 2, 1, 0)
+		mem.Addi(2, 2, 1)
+		mem.St(8, 1, 2, 0)
+		mem.J("loop")
+		mustLoad(t, m, mem, obsText)
+		as := flatAS(m.Mem().Size())
+		m.StartCore(0, obsLoop1, as)
+		m.StartCore(1, obsText, as)
+		if rider {
+			r := m.Core(2)
+			r.Park(func() bool {
+				v, _ := m.Mem().ReadU(obsParkPA, 8)
+				return v != 0
+			}, nil)
+			r.ParkWakeNever()
+			r.ParkWatch(m.Mem().PageGen(obsParkPA, 8))
+		}
+		m.Run(5000)
+		return observe(m, "end"), m.SuperblockStats()
+	}
+	for _, rider := range []bool{false, true} {
+		fast, st := scenario(true, rider)
+		naive, _ := scenario(false, rider)
+		if fast != naive {
+			t.Fatalf("rider %v: diverged\nbatched: %+v\nnaive:   %+v", rider, fast, naive)
+		}
+		if st.Batched == 0 || (st.Solo != 0) == rider {
+			t.Fatalf("rider %v: %d of %d batched cycles ran solo", rider, st.Solo, st.Batched)
 		}
 	}
 }

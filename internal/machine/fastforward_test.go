@@ -148,8 +148,8 @@ func TestFastForwardRunUntilBudgetExact(t *testing.T) {
 	c.Park(func() bool { return false }, nil)
 	c.ParkWakeNever()
 	err := m.RunUntil(func() bool { return false }, 3000)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if !errors.Is(err, ErrTimeout) || err.Error() != "machine: run timed out after 3000 cycles" {
+		t.Fatalf("err = %v, want ErrTimeout after 3000 cycles", err)
 	}
 	if m.Now() != 3000 {
 		t.Fatalf("now = %d, want exactly 3000", m.Now())

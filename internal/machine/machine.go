@@ -66,9 +66,20 @@ type mmioWindow struct {
 	dev        MMIOHandler
 }
 
-// ErrTimeout is returned by RunUntil when the condition does not become
-// true within the cycle budget.
+// ErrTimeout is returned (wrapped) by RunUntil when the condition does not
+// become true within the cycle budget.
 var ErrTimeout = errors.New("machine: run timed out")
+
+// timeoutError is RunUntil's ErrTimeout, holding the cycle budget. Callers
+// that pump a machine in slices time out on every call and drop the error,
+// so the text is built only when somebody reads it.
+type timeoutError uint64
+
+func (e timeoutError) Error() string {
+	return fmt.Sprintf("%v after %d cycles", ErrTimeout, uint64(e))
+}
+
+func (e timeoutError) Unwrap() error { return ErrTimeout }
 
 // Machine is the simulated multicore system: cores, physical memory, the
 // shared bus, MMIO devices, and interrupt routing.
@@ -140,8 +151,15 @@ type Machine struct {
 	// after a failed block build (host-only cooldown heuristic).
 	sbHold uint64
 	// sbJumped counts cycles credited in bulk inside batches, sbDeferred the
-	// cycles burst executed, sbPromises the promises made (diagnostics).
-	sbJumped, sbDeferred, sbPromises uint64
+	// cycles burst executed, sbPromises the promises made, sbBatched the
+	// cycles batches consumed and sbSoloRun those of them run solo
+	// (diagnostics).
+	sbJumped, sbDeferred, sbPromises, sbBatched, sbSoloRun uint64
+	// sbSolo is the core running solo (see solo), nil when none is, and
+	// sbSoloFrom the cycle count its run started at: until sbSettle the
+	// promised cores have not been credited the cycles since.
+	sbSolo     *sbRunState
+	sbSoloFrom uint64
 	// sbRun is the per-core batch state, allocated once; sbAct lists the
 	// entries of the cores the current batch drives, in index order.
 	sbRun []sbRunState
@@ -431,12 +449,22 @@ func (m *Machine) Run(n uint64) {
 // RunUntil evaluates cond before the next one. DebugCondShadow checks the
 // contract.
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
+	// Kept small enough to inline, so a caller that drops the error does
+	// not pay for boxing it.
+	if !m.runUntil(cond, maxCycles) {
+		return timeoutError(maxCycles)
+	}
+	return nil
+}
+
+// runUntil is RunUntil's loop; it reports whether cond became true.
+func (m *Machine) runUntil(cond func() bool, maxCycles uint64) bool {
 	start := m.now
 	m.stepIdle = false // see Run
 	m.parkEpoch++
 	for !cond() {
 		if m.now-start >= maxCycles {
-			return fmt.Errorf("%w after %d cycles", ErrTimeout, maxCycles)
+			return false
 		}
 		if m.fastForward && m.stepIdle {
 			if left := maxCycles - (m.now - start); left > 1 {
@@ -455,7 +483,7 @@ func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 		}
 		m.step()
 	}
-	return nil
+	return true
 }
 
 // skipIdle bulk-charges up to limit cycles of a quiescent window: it jumps

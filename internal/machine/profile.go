@@ -28,13 +28,16 @@
 //
 // Hot straight-line code runs through the superblock engine
 // (superblock.go, SetSuperblock): predecoded branch-to-branch runs executed
-// in a batched loop. Inside a batch a core's register-only stretches are
-// not interleaved with the other cores cycle by cycle: the core is
+// in a batched loop. Inside a batch the cores are not interleaved cycle by
+// cycle where nothing can tell the difference. A core lags behind the
+// machine's clock through its register-only stretches and stalls: it is
 // credited the cycles and executes them afterwards in one burst, always
 // before anything can observe it — the kernel at a trap, a device at an
 // MMIO access, a park condition, the host when Run or RunUntil returns.
-// Naive stepping (every accelerator off) stays the reference the
-// differential suites compare against.
+// And while every other core lags, the one core that does not runs alone
+// at the machine's clock, any instruction, with the others' credits
+// settled by arithmetic. Naive stepping (every accelerator off) stays the
+// reference the differential suites compare against.
 //
 // RunUntil's condition must depend only on state that kernel, host or
 // device code mutates, never on what a core changes by merely executing:

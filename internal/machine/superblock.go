@@ -13,8 +13,10 @@ import (
 // invisible to simulated state: every cycle in the batch performs exactly
 // the work the naive loop would — same rotation order, same bus ticks,
 // same jitter draws, same cost-model calls, same traps on the same cycles
-// — except that a core's register-only stretches are executed later than
-// their cycles, in one burst, before anything can observe the core (see
+// — except that the cores are not interleaved where nothing can tell: a
+// core's register-only stretches are executed later than their cycles, in
+// one burst, before anything can observe the core, and while every other
+// core is inside such a stretch the remaining one runs alone (see
 // runBlocks). The batch ends (or never starts) whenever anything could
 // diverge:
 //
@@ -43,6 +45,10 @@ const (
 	sbMaxPages = 2
 	// sbSlots is the per-core direct-mapped block cache size.
 	sbSlots = 256
+	// sbSoloMin is the shortest stretch worth running solo (see
+	// Machine.solo): below it the stepped cycle costs no more than the
+	// entry and the settlement.
+	sbSoloMin = 2
 	// sbBuildHold is the naive-stepping cooldown after a failed block
 	// build, so unbuildable code regions don't pay a rebuild attempt on
 	// every batch entry. Host-only heuristic: it changes when the
@@ -345,12 +351,16 @@ func (m *Machine) burst(st *sbRunState) {
 	c.sb.instrs += instrs
 }
 
-// sbSync makes every lagging core execute the cycles it owes. It is called
-// wherever code other than a core's own burst can observe a core — see
-// runBlocks for the list and the argument — so outside those points a core
-// may trail the machine's clock unseen. Outside a batch no core lags and
-// the call is a few compares.
+// sbSync makes every lagging core execute the cycles it owes, first
+// crediting them the cycles of a solo run in progress (which thereby ends:
+// its caller finishes the cycle naively). It is called wherever code other
+// than a core's own burst can observe a core — see runBlocks for the list
+// and the argument — so outside those points a core may trail the machine's
+// clock unseen. Outside a batch no core lags and the call is a few compares.
 func (m *Machine) sbSync() {
+	if m.sbSolo != nil {
+		m.sbSettle(true)
+	}
 	for _, st := range m.sbAct {
 		if st.lag != 0 {
 			m.burst(st)
@@ -384,14 +394,17 @@ func (m *Machine) sbNaiveRest(idx int) {
 // turn true inside a batch (see RunUntil) and is only evaluated, before
 // every batched cycle except the first, when DebugCondShadow is set.
 //
-// Deferred execution. Between two kernel entries a replica is an
-// independent instruction stream, and most of it is register-only, so the
-// loop does not interleave those stretches cycle by cycle. One rule: a
-// core may lag behind the machine's clock only while nothing can see it.
+// Lagging cores and the one core at machine time. Between two kernel
+// entries a replica is an independent instruction stream, so the loop does
+// not interleave the cores cycle by cycle where nothing can tell. Two
+// complementary rules: a core may lag behind the machine's clock only while
+// nothing can see it; a core that does not lag runs at the machine's clock
+// and may therefore execute anything.
 //
 //   - Promise. At the loop top a core without a promise makes one
 //     (lookahead): a number of cycles during which it provably touches
-//     nothing but its own registers, counters and jitter stream.
+//     nothing but its own registers, counters and jitter stream — the rest
+//     of a stall, a register-only run. From then on it lags.
 //   - Credit. While the promise lasts a cycle services the core with
 //     lag++ in its slot of the rotation; when every executing core is
 //     promised and every parked rider provably stays parked, the shortest
@@ -399,25 +412,36 @@ func (m *Machine) sbNaiveRest(idx int) {
 //   - Burst. The owed cycles are executed later, alone, in a tight loop
 //     (burst): when the promise runs out — the core then re-promises
 //     without spending a cycle — or at an observation point.
+//   - Solo. When exactly one executing core holds no promise, no rider is
+//     parked and every other core's promise lasts at least sbSoloMin
+//     cycles, that core runs alone for the shortest of them (solo): it is
+//     the only core that does anything in those cycles, so the machine's
+//     clock simply follows it, one cycle per issue opportunity, any op, no
+//     promise to make or keep. The promised cores' credits for the stretch
+//     are settled by arithmetic (sbSettle) when it ends or at the first
+//     observation point inside it. Riders stay out: a solo core's store
+//     could move a rider's watched page in the middle of a cycle.
 //
 // Observation points are the places where code other than a core's own
-// burst can read or write a core, and each starts with sbSync: Machine.trap
-// (the kernel), both MMIO arms of execSlow (a device), the evaluation of a
-// park condition in advance (and of its DebugParkShadow twin), the
-// DebugCondShadow evaluation here, and batch end (the host). Devices tick
-// only outside batches (the horizon). Lags are rotation-exact by
-// construction: a core is credited a cycle in its own slot, so when a
-// later core of the same cycle traps, the cores serviced before it owe
-// that cycle and the ones after it do not — what naive stepping would
-// show the handler. The one input of a promise another core can change is
-// text: after an op that may have stored, a promised core whose block
-// pages went stale bursts at once — every cycle it owes precedes the store
-// — and loses its promise, so its next issue takes the stale-text path.
-// A parked rider's condition is host code too; one that declares a
-// ParkWatch and a wake cycle is only evaluated after an sbSync and is
-// known false in between, but an undeclared one is evaluated every cycle
-// and may read a running core's registers, so with such a rider present
-// only stalls are promised.
+// burst can read or write a lagging core, and each starts with sbSync:
+// Machine.trap (the kernel), both MMIO arms of execSlow (a device), the
+// evaluation of a park condition in advance (and of its DebugParkShadow
+// twin), the DebugCondShadow evaluation here, the exit of a solo run whose
+// store the rest of the machine has to see, and batch end (the host).
+// Devices tick only outside batches (the horizon). Lags are rotation-exact:
+// a core is credited a cycle in its own slot — one by one in the rotation,
+// or by slot arithmetic when a solo run is observed mid-cycle — so when a
+// core traps, the cores serviced before it in that cycle owe the cycle and
+// the ones after it do not, which is what naive stepping would show the
+// handler. The one input of a promise another core can change is text:
+// after an op that may have stored, a promised core whose block pages went
+// stale bursts at once — every cycle it owes precedes the store — and
+// loses its promise, so its next issue takes the stale-text path (a solo
+// run ends instead, with the same effect). A parked rider's condition is
+// host code too; one that declares a ParkWatch and a wake cycle is only
+// evaluated after an sbSync and is known false in between, but an
+// undeclared one is evaluated every cycle and may read a running core's
+// registers, so with such a rider present only stalls are promised.
 func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	if limit == 0 || m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil {
 		return 0
@@ -487,9 +511,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	for i, gp := range m.watchGp {
 		m.watchSnap[i] = *gp
 	}
-	shift := m.prof.JitterShift
-	cost := &m.prof.Costs
-	hitExtra := cost.MemHit - 1
 	ncores := len(m.cores)
 	bus := m.bus
 	shadow := cond != nil && DebugCondShadow != nil
@@ -513,7 +534,11 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				DebugCondShadow(m.now)
 			}
 		}
+		// k is the shortest promise, capped by the horizon; lone the core
+		// without one, when there is exactly one such core.
 		k := horizon - consumed
+		var lone *sbRunState
+		unpromised := 0
 		for _, st := range act {
 			if st.parked {
 				continue
@@ -526,9 +551,12 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 					exit = true
 					break
 				}
-				if st.promise = st.lookahead(deferRuns); st.promise != 0 {
-					m.sbPromises++
+				if st.promise = st.lookahead(deferRuns); st.promise == 0 {
+					lone = st
+					unpromised++
+					continue
 				}
+				m.sbPromises++
 			}
 			if st.promise < k {
 				k = st.promise
@@ -537,7 +565,18 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		if exit {
 			break
 		}
-		if k > 0 && nparked > 0 {
+		if unpromised == 1 && k >= sbSoloMin && nparked == 0 && !shadow {
+			// A run of no cycles found stale text under the core: the
+			// stepped path below takes the cycle.
+			if n, ended := m.solo(lone, k); n != 0 {
+				consumed += n
+				exit = ended
+				continue
+			}
+		}
+		if unpromised != 0 {
+			k = 0
+		} else if nparked > 0 {
 			k = m.sbRiderBound(k, calm)
 		}
 		if k > 0 {
@@ -621,74 +660,22 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				m.sbRevoke()
 				continue
 			}
-			if c.nextJitter(shift) {
+			if !m.sbIssue(st) {
 				continue
 			}
-			// Instruction fetch, with the cache-hit probe of memAccess
-			// open-coded: a fetch hit changes no cache or bus state, so the
-			// probe alone replaces the call on the ~100% case, and the
-			// (fline, fgen) memo replaces the probe while the line provably
-			// stays resident. Any miss (or a multi-line straddle, impossible
-			// for 8-aligned fetches) runs the full path with identical state
-			// evolution.
-			fpa := sb.pa0 + uint64(st.pos)*isa.InstrBytes
-			ch := c.cache
-			line := fpa >> ch.lineShift
-			if line == st.fline && ch.gen == st.fgen {
-				if hitExtra > 0 {
-					c.stall += hitExtra
-				}
-			} else if lidx := ch.index(line); ch.valid[lidx] && ch.tags[lidx] == line &&
-				(fpa+isa.InstrBytes-1)>>ch.lineShift == line {
-				st.fline, st.fgen = line, ch.gen
-				if hitExtra > 0 {
-					c.stall += hitExtra
-				}
-			} else if !c.memAccess(fpa, isa.InstrBytes, false) {
-				continue // bus stall on fetch; retry next cycle
+			if m.sbExit {
+				m.sbNaiveRest(c.ID)
+				exit = true
+				break rotation
 			}
-			prev := c.PC
-			ins := &sb.ins[st.pos]
-			if sb.fast[st.pos] != 0 {
-				execFast(c, ins, cost)
-				c.Instructions++
-				c.sb.instrs++
-			} else {
-				// Op outside the register-only fast set (memory, divide,
-				// atomic, block op, syscall): the rest of exec, with
-				// trap/MMIO exit handling.
-				if m.execSlow(c, ins) {
-					c.Instructions++
-					c.sb.instrs++
-				}
-				if m.sbExit {
-					m.sbNaiveRest(c.ID)
-					exit = true
-					break rotation
-				}
-				m.sbRevoke()
-				// A store into device-watched RAM (DMA mailbox flag)
-				// invalidates the entry-time device horizon: finish the
-				// cycle (the naive Step's device phase had already run by
-				// the time cores execute) and end the batch, so the owning
-				// device's next Tick observes the store on schedule.
-				if m.watchGp != nil && m.watchDirty() {
-					exit = true
-				}
-			}
-			switch c.PC {
-			case prev + isa.InstrBytes:
-				if st.pos++; st.pos == sb.n {
-					// Fell through the end (non-taken terminator or a block
-					// truncated at a segment edge): chain to the next block.
-					st.sb, st.pos = m.blockFor(c), 0
-				}
-			case prev:
-				// Bus stall mid-instruction or a rep-style block op still
-				// copying: same instruction again next cycle.
-			default:
-				// Taken branch: chain to the target's block.
-				st.sb, st.pos = m.blockFor(c), 0
+			m.sbRevoke()
+			// A store into device-watched RAM (DMA mailbox flag) invalidates
+			// the entry-time device horizon: finish the cycle (the naive
+			// Step's device phase had already run by the time cores execute)
+			// and end the batch, so the owning device's next Tick observes the
+			// store on schedule.
+			if m.watchGp != nil && m.watchDirty() {
+				exit = true
 			}
 		}
 		calm = !anyIssue && !exit
@@ -700,7 +687,166 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	// idle Step first.
 	m.sbSync()
 	m.stepIdle = false
+	m.sbBatched += consumed
 	return consumed
+}
+
+// sbIssue runs one issue opportunity of a batched core standing on a fresh
+// block: the jitter draw, the fetch, the instruction, the block chain. It is
+// the one definition of that step, for the rotation of runBlocks and for
+// solo. It reports whether the instruction went through execSlow: only such
+// an op can trap, reach a device or store, so only then has the caller
+// anything to check. After a trap or an MMIO access (m.sbExit) the batch is
+// over and the block position is left alone — the handler may have moved
+// the core anywhere.
+func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
+	c, sb := st.c, st.sb
+	if c.nextJitter(m.prof.JitterShift) {
+		return false
+	}
+	cost := &m.prof.Costs
+	hitExtra := cost.MemHit - 1
+	// Instruction fetch, with the cache-hit probe of memAccess open-coded:
+	// a fetch hit changes no cache or bus state, so the probe alone replaces
+	// the call on the ~100% case, and the (fline, fgen) memo replaces the
+	// probe while the line provably stays resident. Any miss (or a
+	// multi-line straddle, impossible for 8-aligned fetches) runs the full
+	// path with identical state evolution.
+	fpa := sb.pa0 + uint64(st.pos)*isa.InstrBytes
+	ch := c.cache
+	line := fpa >> ch.lineShift
+	if line == st.fline && ch.gen == st.fgen {
+		if hitExtra > 0 {
+			c.stall += hitExtra
+		}
+	} else if lidx := ch.index(line); ch.valid[lidx] && ch.tags[lidx] == line &&
+		(fpa+isa.InstrBytes-1)>>ch.lineShift == line {
+		st.fline, st.fgen = line, ch.gen
+		if hitExtra > 0 {
+			c.stall += hitExtra
+		}
+	} else if !c.memAccess(fpa, isa.InstrBytes, false) {
+		return false // bus stall on fetch; retry next cycle
+	}
+	prev := c.PC
+	ins := &sb.ins[st.pos]
+	if sb.fast[st.pos] != 0 {
+		execFast(c, ins, cost)
+		c.Instructions++
+		c.sb.instrs++
+	} else {
+		// Op outside the register-only fast set: memory, divide, atomic,
+		// block op, syscall.
+		slow = true
+		if m.execSlow(c, ins) {
+			c.Instructions++
+			c.sb.instrs++
+		}
+		if m.sbExit {
+			return true
+		}
+	}
+	switch c.PC {
+	case prev + isa.InstrBytes:
+		if st.pos++; st.pos == sb.n {
+			// Fell through the end (non-taken terminator or a block
+			// truncated at a segment edge): chain to the next block.
+			st.sb, st.pos = m.blockFor(c), 0
+		}
+	case prev:
+		// Bus stall mid-instruction or a rep-style block op still copying:
+		// same instruction again next cycle.
+	default:
+		// Taken branch: chain to the target's block.
+		st.sb, st.pos = m.blockFor(c), 0
+	}
+	return slow
+}
+
+// solo runs st's core alone for up to span cycles, at the machine's clock,
+// while every other executing core holds a promise of at least span cycles
+// and no rider is parked. A cycle does what the rotation does when a single
+// core takes part — time, the bus bucket, the core's cycle count, a stall
+// (drained in one step), then sbIssue — and the promised cores, which would
+// only be credited the cycle, are settled by arithmetic when the run ends
+// or something observes them (sbSettle). Because the core does not lag it
+// may execute any op. A trap or an MMIO access has already synced when it
+// returns; a store that dirtied device-watched RAM or made another core's
+// block text stale syncs here; either way the cycle's remaining slots go
+// through the naive advance path and the batch ends, as after a trap in the
+// rotation. Stale text under the core itself, or a failed chain, ends the
+// run before the next cycle begins and the stepped path takes that cycle.
+// Returns the cycles consumed and whether the batch is over.
+func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, exit bool) {
+	c, bus := st.c, m.bus
+	start := m.now
+	end := start + span
+	m.sbSolo, m.sbSoloFrom = st, start
+	for m.now < end && st.sb != nil && st.sb.pagesFresh() {
+		if c.stall > 0 {
+			d := uint64(c.stall)
+			if d > end-m.now {
+				d = end - m.now
+			}
+			m.now += d
+			bus.skip(d)
+			c.idle(d)
+			continue
+		}
+		m.now++
+		bus.tick()
+		c.Cycles++
+		if !m.sbIssue(st) {
+			continue
+		}
+		if m.sbExit || m.watchGp != nil && m.watchDirty() || m.sbStale() {
+			m.sbSync() // a trap or an MMIO access did on its first line: nothing lags then
+			m.sbNaiveRest(c.ID)
+			return m.now - start, true
+		}
+	}
+	m.sbSettle(false)
+	return m.now - start, false
+}
+
+// stale reports whether the block text under st's promise has been written
+// since it was decoded: the one input of a promise another core can change.
+func (st *sbRunState) stale() bool { return st.promise != 0 && !st.sb.pagesFresh() }
+
+// sbStale reports whether a store of the solo core made some promise stale.
+func (m *Machine) sbStale() bool {
+	for _, st := range m.sbAct {
+		if st.stale() {
+			return true
+		}
+	}
+	return false
+}
+
+// sbSettle ends a solo run: every promised core is credited the cycles the
+// solo core has begun since the run started. When the solo core is inside a
+// cycle (mid) that cycle counts only for the cores whose slot in its
+// rotation precedes the solo core's — the lag the stepped loop builds one
+// promise--, lag++ at a time — and the others get it from sbNaiveRest.
+func (m *Machine) sbSettle(mid bool) {
+	solo := m.sbSolo
+	m.sbSolo = nil
+	n := m.now - m.sbSoloFrom
+	m.sbSoloRun += n
+	ncores := len(m.cores)
+	m.rr = int(m.now % uint64(ncores))
+	slot := func(id int) int { return (id - m.rr + ncores) % ncores } // in this cycle's rotation
+	for _, st := range m.sbAct {
+		if st == solo {
+			continue
+		}
+		k := n
+		if mid && slot(st.c.ID) > slot(solo.c.ID) {
+			k--
+		}
+		st.promise -= k
+		st.lag += k
+	}
 }
 
 // sbRevoke runs after an op that may have written memory: a promised core
@@ -708,7 +854,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 // decoded — all of it precedes the store — and loses its promise.
 func (m *Machine) sbRevoke() {
 	for _, st := range m.sbAct {
-		if st.promise != 0 && !st.sb.pagesFresh() {
+		if st.stale() {
 			if st.lag != 0 {
 				m.burst(st)
 			}
@@ -888,6 +1034,8 @@ type SuperblockStats struct {
 	Jumped      uint64 // cycles credited in bulk inside batches
 	Deferred    uint64 // cycles executed by burst, after the fact
 	Promises    uint64 // promises made
+	Batched     uint64 // machine cycles run inside batches
+	Solo        uint64 // ... of which by one core alone at machine time (solo)
 }
 
 // HitRate returns the fraction of all retired instructions that executed
@@ -919,7 +1067,8 @@ func (m *Machine) BlockStartPAs(id int) []uint64 {
 
 // SuperblockStats returns aggregate superblock diagnostics for the machine.
 func (m *Machine) SuperblockStats() SuperblockStats {
-	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises}
+	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises,
+		Batched: m.sbBatched, Solo: m.sbSoloRun}
 	for _, c := range m.cores {
 		s.Instrs += c.Instructions
 		if c.sb != nil {

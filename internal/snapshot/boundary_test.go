@@ -55,6 +55,7 @@ var hostDerived = map[string]string{
 	"kernel.Kernel.lay":         "construction-time layout",
 	"kernel.Kernel.canaryWords": "pure function of the replica ID",
 	"kernel.Kernel.OnPreempt":   "hook: re-wired by the owner",
+	"kernel.Kernel.traceWords":  "scratch of AddTraceBytes, rebuilt by every call",
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
 
 	// machine
@@ -74,6 +75,10 @@ var hostDerived = map[string]string{
 	"machine.Machine.sbExit":      "batch-local flag of the superblock loop",
 	"machine.Machine.sbDeferred":  "host-side diagnostics",
 	"machine.Machine.sbPromises":  "host-side diagnostics",
+	"machine.Machine.sbBatched":   "host-side diagnostics",
+	"machine.Machine.sbSoloRun":   "host-side diagnostics",
+	"machine.Machine.sbSolo":      "the core running solo: set and cleared inside one batch, nil whenever host code runs",
+	"machine.Machine.sbSoloFrom":  "cycle the current solo run began at: meaningless while sbSolo is nil",
 	"machine.Machine.sbRun":       "per-batch scratch of the superblock loop",
 	"machine.Machine.sbAct":       "per-batch scratch of the superblock loop",
 	"machine.Machine.watchGp":     "pointers into pageGen for device-watched pages, rebuilt per batch",
