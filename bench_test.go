@@ -106,21 +106,21 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkIdleFastForward measures the event-driven idle skip on an
+// BenchmarkIdleFastForward measures the batch's idle credit on an
 // idle-dominated scenario: a masking TMR system whose third replica is
 // stall-injected, so the survivors spend the barrier-timeout window (and
 // the watchdog wait after it) fully parked before ejecting the straggler
-// and finishing as DMR. "on" is the shipping default; "off" forces the
-// naive cycle-by-cycle loop. The two produce bit-identical simulations
-// (see the TestDeterminism differential suite); only host time differs.
-// EXPERIMENTS.md records the measured speedup.
+// and finishing as DMR. "on" is the shipping default; "off" disables the
+// superblock engine, the naive cycle-by-cycle loop. The two produce
+// bit-identical simulations (see the TestDeterminism differential suite);
+// only host time differs. EXPERIMENTS.md records the measured speedup.
 func BenchmarkIdleFastForward(b *testing.B) {
 	run := func(b *testing.B, disable bool) {
 		for i := 0; i < b.N; i++ {
 			sys, err := rcoe.BuildSystem(rcoe.Config{
 				Mode: rcoe.ModeLC, Replicas: 3, Masking: true,
 				TickCycles: 50_000, BarrierTimeout: 2_000_000,
-				DisableFastForward: disable,
+				DisableSuperblock: disable,
 			}, rcoe.Dhrystone(20_000))
 			if err != nil {
 				b.Fatal(err)
@@ -141,8 +141,8 @@ func BenchmarkIdleFastForward(b *testing.B) {
 
 // BenchmarkExecHotLoop measures the host-side execution accelerators on
 // an instruction-dense workload: Table II's Dhrystone under LC-DMR, where
-// nearly every simulated cycle retires a replicated instruction and idle
-// fast-forward has nothing to skip. "on" is the shipping default
+// nearly every simulated cycle retires a replicated instruction and there
+// is almost no idle window to credit. "on" is the shipping default
 // (superblock engine + execution cache); "ec" is the PR-5 configuration
 // (execution cache only) — the baseline the superblock speedup is quoted
 // against; "sb" is the superblock engine alone; "off" is the naive

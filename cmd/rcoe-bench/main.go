@@ -3,7 +3,7 @@
 // Usage:
 //
 //	rcoe-bench [-scale quick|full] [-parallel N] [-json] [-out FILE]
-//	           [-list] [-no-fastforward] [-no-execcache] [-no-superblock]
+//	           [-list] [-no-execcache] [-no-superblock]
 //	           [-cpuprofile FILE] [-memprofile FILE] [experiment ...]
 //
 // With no experiment IDs it runs everything in paper order. Each
@@ -20,15 +20,13 @@
 // progress on stderr. Artifacts carry no host timings, so they are
 // byte-reproducible across runs and worker counts.
 //
-// -no-fastforward disables the machine's event-driven idle skip and steps
-// every cycle naively. Results are bit-identical either way (the
-// determinism contract); the flag exists so CI can cross-check the two
-// modes and so suspected fast-forward drift can be debugged in the field.
-// -no-execcache likewise disables the host-side execution cache
-// (predecoded instructions + translation memos) and -no-superblock the
-// superblock engine (batched straight-line execution), both under the
-// same bit-identical contract; CI diffs artifacts across all eight
-// on/off combinations.
+// -no-execcache disables the host-side execution cache (predecoded
+// instructions + translation memos) and -no-superblock the superblock
+// engine (batched straight-line execution and the bulk credit of idle
+// windows); with both the machine steps every cycle naively. Results are
+// bit-identical either way (the determinism contract); the flags exist so
+// CI can diff artifacts across all four on/off combinations and so
+// suspected accelerator drift can be debugged in the field.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run (see
 // "Profiling the simulator" in EXPERIMENTS.md).
@@ -57,16 +55,12 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "host workers for the experiment engine (0 = all cores)")
 	jsonOut := flag.Bool("json", false, "emit an rcoe-bench/v1 JSON report instead of text tables")
 	outFile := flag.String("out", "", "write the artifact to FILE (progress goes to stderr)")
-	noFF := flag.Bool("no-fastforward", false, "step every cycle naively instead of fast-forwarding idle windows")
 	noEC := flag.Bool("no-execcache", false, "disable the host-side execution cache (predecode + translation memos)")
 	noSB := flag.Bool("no-superblock", false, "disable the superblock engine (batched straight-line execution)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to FILE")
 	memProfile := flag.String("memprofile", "", "write a heap profile to FILE at exit")
 	flag.Parse()
 
-	if *noFF {
-		machine.SetDefaultFastForward(false)
-	}
 	if *noEC {
 		machine.SetDefaultExecCache(false)
 	}

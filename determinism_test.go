@@ -13,40 +13,36 @@ import (
 )
 
 // These differential tests are the host-optimisation determinism
-// contract: for every tier-1 scenario, a run with the event-driven idle
-// skip, the execution cache (predecoded instructions + translation
-// memos), and/or the superblock engine (batched straight-line execution)
+// contract: for every tier-1 scenario, a run with the execution cache
+// (predecoded instructions + translation memos) and/or the superblock
+// engine (batched straight-line execution and bulk-credited idle windows)
 // enabled must be bit-identical — final machine cycle, per-core counters
 // and registers, kernel signatures, detections, stats, metrics — to the
 // same run stepped naively cycle by cycle with every cache off. Any
 // drift means an optimisation skipped or memoised something the naive
 // loop would have observed differently.
 
-// hostVariant is one corner of the {fast-forward × exec-cache ×
-// superblock} accelerator cube.
+// hostVariant is one corner of the {exec-cache × superblock} accelerator
+// square.
 type hostVariant struct {
-	name             string
-	noFF, noEC, noSB bool
+	name       string
+	noEC, noSB bool
 }
 
 func (v hostVariant) apply(cfg *rcoe.Config) {
-	cfg.DisableFastForward = v.noFF
 	cfg.DisableExecCache = v.noEC
 	cfg.DisableSuperblock = v.noSB
 }
 
-// hostVariants enumerates all eight host-optimisation combinations each
+// hostVariants enumerates all four host-optimisation combinations each
 // scenario runs under. The first entry is the baseline everything-on
-// configuration the others are compared against.
+// configuration the others are compared against; the last is the naive
+// reference, stepped cycle by cycle.
 var hostVariants = []hostVariant{
-	{"all-on", false, false, false},
-	{"no-fastforward", true, false, false},
-	{"no-execcache", false, true, false},
-	{"no-superblock", false, false, true},
-	{"no-ff-no-ec", true, true, false},
-	{"no-ff-no-sb", true, false, true},
-	{"no-ec-no-sb", false, true, true},
-	{"naive", true, true, true},
+	{"all-on", false, false},
+	{"no-execcache", true, false},
+	{"no-superblock", false, true},
+	{"naive", true, true},
 }
 
 // systemFingerprint renders everything observable about a finished system
@@ -91,7 +87,7 @@ func diffLine(a, b string) string {
 func assertIdentical(t *testing.T, name, fast, slow string) {
 	t.Helper()
 	if fast != slow {
-		t.Fatalf("%s: fast-forward run diverged from naive run\n%s", name, diffLine(fast, slow))
+		t.Fatalf("%s: accelerated run diverged from the baseline\n%s", name, diffLine(fast, slow))
 	}
 }
 
@@ -321,12 +317,12 @@ func runRegCampaign(t *testing.T, noEC, noSB bool) faults.RegTally {
 
 // TestDeterminismHardFaultMatrix runs one trial of every hard-fault class
 // — stuck bits re-asserted on each access, duty-cycled intermittent
-// faults, NIC DMA corruption — under the full {fast-forward × exec-cache}
-// host matrix, with structural decorrelation both off and on. Stuck bits
-// are the hardest case for the execution cache (they must stay visible
-// without ever entering predecoded state), and intermittent faults toggle
-// on machine-time phases the idle skip must not jump over; every variant
-// must classify every trial identically.
+// faults, NIC DMA corruption — under every host variant, with structural
+// decorrelation both off and on. Stuck bits are the hardest case for the
+// execution cache (they must stay visible without ever entering
+// predecoded state), and intermittent faults toggle on machine-time phases
+// a batch's credit must not jump over; every variant must classify every
+// trial identically.
 func TestDeterminismHardFaultMatrix(t *testing.T) {
 	for _, decorr := range []bool{false, true} {
 		name := "correlated"

@@ -128,23 +128,18 @@ type Config struct {
 	// breakpoint and single-step forces a VM exit, and locating a
 	// block-copy instruction requires a guest page-table walk (§III-D).
 	VM bool
-	// DisableFastForward turns off the machine's event-driven idle skip
-	// for this system, forcing the naive cycle-by-cycle loop. The two
-	// modes are bit-identical by contract (the differential determinism
-	// tests enforce it); the naive loop exists for those tests and for
-	// debugging suspected fast-forward drift.
-	DisableFastForward bool
 	// DisableExecCache turns off the machine's host-side execution cache
 	// (predecoded instructions and translation memos) for this system,
-	// forcing the naive fetch/translate/decode path. As with
-	// DisableFastForward, the two modes are bit-identical by contract,
-	// enforced by the differential determinism tests.
+	// forcing the naive fetch/translate/decode path. The two modes are
+	// bit-identical by contract, enforced by the differential determinism
+	// tests.
 	DisableExecCache bool
 	// DisableSuperblock turns off the machine's superblock engine (batched
-	// execution of predecoded straight-line runs) for this system, forcing
-	// per-cycle stepping. As with the other two accelerators, the modes
-	// are bit-identical by contract, enforced by the differential
-	// determinism tests across the full 8-variant cube.
+	// execution of predecoded straight-line runs, and the bulk credit of
+	// idle windows) for this system, forcing per-cycle stepping. As with
+	// the execution cache, the modes are bit-identical by contract,
+	// enforced by the differential determinism tests across all four
+	// {exec-cache × superblock} combinations.
 	DisableSuperblock bool
 	// Decorrelate gives each replica a structurally different memory
 	// layout: the data and stack segments' virtual bases are shifted by a

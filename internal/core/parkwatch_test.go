@@ -175,10 +175,11 @@ func TestParkWatchFaultReachability(t *testing.T) {
 		{
 			name: "event-barrier",
 			build: func(t *testing.T) *System {
-				// No idle skip: with the whole machine parked, every cycle
-				// polls, and the gate alone carries the wait.
+				// No batch, so no idle credit: with the whole machine
+				// parked, every cycle polls, and the gate alone carries the
+				// wait.
 				return newSys(t, Config{Mode: ModeLC, Replicas: 2, Sig: SigSync, TickCycles: 20_000,
-					BarrierTimeout: 60_000, DisableFastForward: true}, syscallLoop(t, 400))
+					BarrierTimeout: 60_000, DisableSuperblock: true}, syscallLoop(t, 400))
 			},
 			settle: func(t *testing.T, sys *System) (*Replica, uint64) {
 				sys.RunCycles(7000)

@@ -104,8 +104,8 @@ func TestSystemStateAccelAndTracePortability(t *testing.T) {
 	mustFinish(t, orig, 200_000_000)
 
 	slow := base
-	slow.DisableFastForward = true
 	slow.DisableExecCache = true
+	slow.DisableSuperblock = true
 	slow.Trace = TraceConfig{Enabled: true}
 	rest := newSys(t, slow, syscallLoop(t, 10000))
 	if err := snapshot.Restore(rest, data); err != nil {

@@ -160,9 +160,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.MemBytes = int(need)
 	}
 	m := machine.New(cfg.Profile, cfg.MemBytes)
-	if cfg.DisableFastForward {
-		m.SetFastForward(false)
-	}
 	if cfg.DisableExecCache {
 		m.SetExecCache(false)
 	}
@@ -220,8 +217,9 @@ type preemptionTimer struct {
 	period uint64
 	// next caches the earliest cycle >= the last observed Now() that is a
 	// multiple of period, so the per-cycle check is one compare instead of
-	// a 64-bit division. Ticks may be sparse (idle fast-forward skips
-	// quiescent windows), so next is re-derived whenever Now() reaches it.
+	// a 64-bit division. Ticks may be sparse (a batch runs through
+	// windows without device events), so next is re-derived whenever
+	// Now() reaches it.
 	next uint64
 }
 

@@ -21,7 +21,6 @@ import (
 func rewindKV(naive bool) harness.KVOptions {
 	kv := kvBase(core.ModeLC, 2)
 	kv.Operations = 120
-	kv.System.DisableFastForward = naive
 	kv.System.DisableExecCache = naive
 	kv.System.DisableSuperblock = naive
 	return kv

@@ -224,8 +224,9 @@ type Core struct {
 	// (state back to Running) and parkDone runs.
 	parkCond func() bool
 	parkDone func()
-	// parkWake is the fast-forward wake hint for the current park: 0
-	// means undeclared (probe every ParkProbeInterval cycles), NoEvent
+	// parkWake is the wake hint the batch's bulk credits honour for the
+	// current park: 0 means undeclared (probe every ParkProbeInterval
+	// cycles), NoEvent
 	// means the condition is purely event-driven, and any other value is
 	// the earliest Cycles count at which the condition may first become
 	// true through the passage of time alone.
@@ -293,13 +294,13 @@ func (c *Core) idle(k uint64) {
 //
 // The machine polls a parked core once per cycle, and a poll evaluates
 // cond unless the park's declarations prove it still false. A park starts
-// with none (cond is evaluated on every stepped cycle, and fast-forward
-// probes it every ParkProbeInterval), and states what can change cond's
-// value with up to two declarations made right after Park:
+// with none (cond is evaluated on every stepped cycle, and a batch's bulk
+// credit probes it every ParkProbeInterval), and states what can change
+// cond's value with up to two declarations made right after Park:
 //
 //   - time: ParkWakeAt(cycle) or ParkWakeNever() say when the passage of
-//     time alone can first make cond true, which lets the idle skips jump
-//     a fully quiescent machine to that cycle;
+//     time alone can first make cond true, which lets a bulk credit jump
+//     the machine to that cycle;
 //   - state: ParkWatch(gp) says that every other input of cond is either
 //     a byte of the one RAM page whose generation gp counts, or host-side
 //     state that only kernel or host code mutates. A poll then skips the
@@ -329,14 +330,15 @@ func (c *Core) Park(cond func() bool, done func()) {
 // condition cannot first return true before the core's Cycles counter
 // reaches cycle (it may of course become true earlier through an event —
 // another core, a device, the host — but any such event ends the idle
-// window anyway). Fast-forward uses the hint to jump barrier-timeout waits
-// in one step while staying bit-identical to naive stepping.
+// window anyway). A batch's bulk credit uses the hint to jump
+// barrier-timeout waits in one step while staying bit-identical to naive
+// stepping.
 func (c *Core) ParkWakeAt(cycle uint64) { c.parkWake = cycle }
 
 // ParkWakeNever declares the current park condition purely event-driven:
 // it can only become true as a side effect of another core executing, a
 // device acting, or the host mutating state — never from time alone.
-// Fast-forward may then skip this core without bound.
+// A bulk credit may then carry this core without bound.
 func (c *Core) ParkWakeNever() { c.parkWake = NoEvent }
 
 // ParkWatch declares gp (from Mem.PageGen) as the mutation generation of

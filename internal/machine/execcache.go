@@ -32,8 +32,8 @@ import (
 // The cost model is untouched: cache/bus accounting (Core.memAccess) runs
 // on the cached path at exactly the same points as on the naive path, so
 // simulated cycles, stalls, and bus tokens are bit-identical — a contract
-// enforced by the exec-cache differential determinism suite at the repo
-// root, mirroring the fast-forward contract.
+// enforced by the differential determinism suite at the repo root, which
+// runs every {exec-cache × superblock} combination.
 
 // icacheBits sizes the direct-mapped predecode cache: 1<<icacheBits
 // entries, indexed by bits of the virtual fetch address. 4096 entries

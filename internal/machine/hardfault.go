@@ -149,7 +149,7 @@ func (f *IntermittentFault) Tick(m *Machine) {
 }
 
 // NextEvent implements machine.EventSource: the fault only acts at its
-// next phase boundary, so idle fast-forward may skip to it.
+// next phase boundary, so a batch may run up to it.
 func (f *IntermittentFault) NextEvent(now uint64) uint64 {
 	if !f.seeded {
 		return now + 1

@@ -21,29 +21,28 @@ type Device interface {
 }
 
 // EventSource is implemented by devices that can predict their next
-// interesting cycle, enabling the idle fast-forward path. NextEvent
-// returns the earliest cycle value strictly greater than now at which the
-// device's Tick would not be a no-op, or NoEvent when the device stays
-// quiescent until a core or host action changes its state. A device may
-// answer conservatively early — the machine simply ticks it normally at
-// that cycle — but never late: a late answer would let fast-forward jump
-// over a DMA transfer or interrupt and break the determinism contract.
-// Devices that do not implement EventSource disable fast-forward entirely,
-// which is always safe.
+// interesting cycle, enabling the superblock batch (and with it the idle
+// skip). NextEvent returns the earliest cycle value strictly greater than
+// now at which the device's Tick would not be a no-op, or NoEvent when the
+// device stays quiescent until a core or host action changes its state. A
+// device may answer conservatively early — the machine simply ticks it
+// normally at that cycle — but never late: a late answer would let a batch
+// run over a DMA transfer or interrupt and break the determinism contract.
+// Devices that do not implement EventSource pin the machine to naive
+// stepping, which is always safe.
 type EventSource interface {
 	NextEvent(now uint64) uint64
 }
 
 // MemWatcher is implemented by devices whose NextEvent answer depends on
 // the contents of ordinary RAM — typically DMA mailbox flags that a
-// driver writes with plain stores rather than MMIO. Idle fast-forward
-// needs no such declaration (a fully idle window has no core stores), but
-// the superblock engine keeps cores executing under a horizon computed at
-// batch entry; a store into a watched range invalidates that horizon, so
-// the batch ends with the store's cycle and the device's next Tick runs
-// naively — observing the store exactly when per-cycle ticking would
-// have. Ranges may be declared conservatively wide; extra pages only cost
-// earlier batch exits, never correctness.
+// driver writes with plain stores rather than MMIO. The superblock engine
+// keeps cores executing under a horizon computed at batch entry; a store
+// into a watched range invalidates that horizon, so the batch ends with
+// the store's cycle and the device's next Tick runs naively — observing
+// the store exactly when per-cycle ticking would have. Ranges may be
+// declared conservatively wide; extra pages only cost earlier batch exits,
+// never correctness.
 type MemWatcher interface {
 	WatchedMem() (lo, hi uint64)
 }
@@ -52,7 +51,7 @@ type MemWatcher interface {
 // pending".
 const NoEvent = ^uint64(0)
 
-// ParkProbeInterval bounds how far fast-forward may carry a parked core
+// ParkProbeInterval bounds how far a bulk credit may carry a parked core
 // whose wake cycle is undeclared: its park condition is still evaluated at
 // least once per interval, so a condition with an undeclared time
 // dependence wakes at most this many cycles late. Parks whose conditions
@@ -110,27 +109,21 @@ type Machine struct {
 	now uint64
 	// rr caches now % len(cores) — the round-robin service origin for the
 	// current cycle — maintained incrementally so the per-cycle Step loop
-	// avoids a 64-bit division. skipIdle re-derives it after a time jump.
+	// avoids a 64-bit division. A batch's bulk credit re-derives it after a
+	// time jump.
 	rr int
 
-	// fastForward enables the event-driven idle skip in Run/RunUntil.
-	fastForward bool
 	// execCache enables the host-side predecoded instruction cache and
 	// translation memos (execcache.go). Provably invisible to simulated
 	// state; the differential determinism suite compares fingerprints
 	// with it on and off.
 	execCache bool
-	// superblock enables the batched straight-line execution engine
-	// (superblock.go). Like the other two accelerators it is provably
-	// invisible to simulated state.
+	// superblock enables the batched execution engine (superblock.go),
+	// which also charges idle windows in bulk. Like the execution cache it
+	// is provably invisible to simulated state.
 	superblock bool
-	// stepIdle reports whether the most recent Step was fully idle: no
-	// core reached an issue opportunity and no parked core woke. Only
-	// after such a Step may fast-forward engage, which guarantees every
-	// park condition and device has been evaluated naively at least once
-	// since the last core, device, or host action.
-	stepIdle bool
-	// ffSkipped counts cycles bulk-charged by fast-forward (diagnostics).
+	// ffSkipped counts the cycles a batch credits in bulk while no
+	// executing core holds a block: the idle skip (diagnostics).
 	ffSkipped uint64
 
 	// parkEpoch counts the points at which kernel or host code may have
@@ -172,25 +165,16 @@ type Machine struct {
 	watchSnap []uint64
 }
 
-// defaultFastForward seeds Machine.fastForward in New. Package-level so
-// command-line tools can flip the default before systems are built.
-var defaultFastForward = true
-
-// SetDefaultFastForward sets whether newly created machines fast-forward
-// idle cycles (default true).
-func SetDefaultFastForward(on bool) { defaultFastForward = on }
-
-// defaultExecCache seeds Machine.execCache in New, mirroring the
-// fast-forward default so command-line tools (-no-execcache) can flip it
-// before systems are built.
+// defaultExecCache seeds Machine.execCache in New. Package-level so
+// command-line tools (-no-execcache) can flip it before systems are built.
 var defaultExecCache = true
 
 // SetDefaultExecCache sets whether newly created machines use the
 // execution cache (default true).
 func SetDefaultExecCache(on bool) { defaultExecCache = on }
 
-// defaultSuperblock seeds Machine.superblock in New, mirroring the other
-// accelerator defaults so command-line tools (-no-superblock) can flip it
+// defaultSuperblock seeds Machine.superblock in New, mirroring the
+// exec-cache default so command-line tools (-no-superblock) can flip it
 // before systems are built.
 var defaultSuperblock = true
 
@@ -202,14 +186,13 @@ func SetDefaultSuperblock(on bool) { defaultSuperblock = on }
 // The trap handler (the kernel) must be set with SetHandler before Run.
 func New(prof Profile, memBytes int) *Machine {
 	m := &Machine{
-		prof:        prof,
-		mem:         NewMem(memBytes),
-		bus:         newBus(prof.BusBytesPerCycle),
-		fastForward: defaultFastForward,
-		execCache:   defaultExecCache,
-		superblock:  defaultSuperblock,
-		mmioLo:      ^uint64(0), // empty until MapMMIO
-		parkEpoch:   1,
+		prof:       prof,
+		mem:        NewMem(memBytes),
+		bus:        newBus(prof.BusBytesPerCycle),
+		execCache:  defaultExecCache,
+		superblock: defaultSuperblock,
+		mmioLo:     ^uint64(0), // empty until MapMMIO
+		parkEpoch:  1,
 	}
 	for i := 0; i < prof.Cores; i++ {
 		c := &Core{
@@ -355,7 +338,6 @@ func (m *Machine) step() {
 	for _, d := range m.devices {
 		d.Tick(m)
 	}
-	m.stepIdle = true
 	for i, idx := 0, m.rr; i < n; i++ {
 		c := m.cores[idx]
 		// Halted and offline cores are no-ops in advance; skipping them
@@ -369,13 +351,6 @@ func (m *Machine) step() {
 	}
 }
 
-// SetFastForward enables or disables the event-driven idle skip for this
-// machine.
-func (m *Machine) SetFastForward(on bool) { m.fastForward = on }
-
-// FastForward reports whether the idle skip is enabled.
-func (m *Machine) FastForward() bool { return m.fastForward }
-
 // SetExecCache enables or disables the execution cache for this machine.
 // Safe to flip at any point: the caches validate against mutation
 // generations, never against "the cache was on the whole time".
@@ -384,27 +359,27 @@ func (m *Machine) SetExecCache(on bool) { m.execCache = on }
 // ExecCacheEnabled reports whether the execution cache is enabled.
 func (m *Machine) ExecCacheEnabled() bool { return m.execCache }
 
-// SetSuperblock enables or disables the superblock engine for this
-// machine. Safe to flip at any point: blocks validate against mutation
-// generations on every use, never against "the engine was on the whole
-// time".
+// SetSuperblock enables or disables the superblock engine, and with it the
+// idle skip, for this machine. Safe to flip at any point: blocks validate
+// against mutation generations on every use, never against "the engine was
+// on the whole time".
 func (m *Machine) SetSuperblock(on bool) { m.superblock = on }
 
 // SuperblockEnabled reports whether the superblock engine is enabled.
 func (m *Machine) SuperblockEnabled() bool { return m.superblock }
 
-// FastForwarded returns the total cycles bulk-charged by the idle skip
-// instead of being stepped naively.
+// FastForwarded returns the total cycles a superblock batch credited in
+// bulk while no executing core held a block — every core parked, halted,
+// offline or only counting down a stall — instead of stepping them.
 func (m *Machine) FastForwarded() uint64 { return m.ffSkipped }
 
 // ParkStats counts the polls of parked cores. Polls is every stepped cycle
-// a parked core spent waiting; cycles charged in bulk poll nothing, be it
-// a fast-forwarded idle window or a window a superblock batch credits
-// because every executing core is promised (superblock.go) and the park's
-// declarations prove its condition still false. Evals is how many polls
-// ran the park condition, the rest being skipped under a ParkWatch
-// declaration. Like FastForwarded it is host-side diagnostics: never
-// serialized, never part of an artifact.
+// a parked core spent waiting; cycles a superblock batch charges in bulk
+// poll nothing, because every executing core is promised (superblock.go)
+// and the park's declarations prove its condition still false. Evals is
+// how many polls ran the park condition, the rest being skipped under a
+// ParkWatch declaration. Like FastForwarded it is host-side diagnostics:
+// never serialized, never part of an artifact.
 type ParkStats struct {
 	Polls, Evals uint64
 }
@@ -412,20 +387,15 @@ type ParkStats struct {
 // ParkStats returns the park poll counters.
 func (m *Machine) ParkStats() ParkStats { return m.parkStats }
 
-// Run advances the machine by n cycles. With fast-forward enabled, idle
-// windows — every core parked, stalled, halted, or offline, and no device
-// due — are bulk-charged instead of stepped, with identical architectural
-// outcome (see skipIdle).
+// Run advances the machine by n cycles. With the superblock engine enabled,
+// batches carry the run, and idle windows — every core parked, stalled,
+// halted, or offline, and no device due — are bulk-charged instead of
+// stepped, with identical architectural outcome (see runBlocks).
 func (m *Machine) Run(n uint64) {
-	// Host code may have mutated state (park flags, injected faults,
-	// device queues) since the last Step; force one naive Step before any
-	// skip so such changes are observed exactly as the naive loop would.
-	m.stepIdle = false
+	// Host code may have mutated what park conditions read since the last
+	// call: every park is evaluated again before a credit carries it.
 	m.parkEpoch++
 	for i := uint64(0); i < n; {
-		if m.fastForward && m.stepIdle && n-i > 1 {
-			i += m.skipIdle(n - i - 1)
-		}
 		if m.superblock && n-i > 1 {
 			if k := m.runBlocks(nil, n-i-1); k > 0 {
 				i += k
@@ -442,12 +412,11 @@ func (m *Machine) Run(n uint64) {
 // host or device code mutates — a trap handler's flags, a halted or
 // offline core, a device register — never on what a core changes by merely
 // executing (its registers, PC or counters) nor on time alone (Now() >= X;
-// bound such waits with Run). The accelerators rely on it: fast-forward
-// skips windows in which no such code runs, and a superblock batch does not
-// evaluate cond at all, because everything that lets such code run (a
-// trap, a park wake, an MMIO access) ends the batch with its cycle and
-// RunUntil evaluates cond before the next one. DebugCondShadow checks the
-// contract.
+// bound such waits with Run). The superblock engine relies on it: a batch
+// does not evaluate cond at all, because everything that lets such code
+// run (a trap, a park wake, an MMIO access) ends the batch with its cycle
+// and RunUntil evaluates cond before the next one. DebugCondShadow checks
+// the contract.
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 	// Kept small enough to inline, so a caller that drops the error does
 	// not pay for boxing it.
@@ -460,16 +429,10 @@ func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 // runUntil is RunUntil's loop; it reports whether cond became true.
 func (m *Machine) runUntil(cond func() bool, maxCycles uint64) bool {
 	start := m.now
-	m.stepIdle = false // see Run
-	m.parkEpoch++
+	m.parkEpoch++ // see Run
 	for !cond() {
 		if m.now-start >= maxCycles {
 			return false
-		}
-		if m.fastForward && m.stepIdle {
-			if left := maxCycles - (m.now - start); left > 1 {
-				m.skipIdle(left - 1)
-			}
 		}
 		if m.superblock {
 			if left := maxCycles - (m.now - start); left > 1 {
@@ -484,80 +447,6 @@ func (m *Machine) runUntil(cond func() bool, maxCycles uint64) bool {
 		m.step()
 	}
 	return true
-}
-
-// skipIdle bulk-charges up to limit cycles of a quiescent window: it jumps
-// now to just before the earliest cycle at which anything interesting can
-// happen — a stall expiring, a parked core's declared wake cycle, a park
-// probe falling due, or a device event — and advances every per-core cycle
-// counter, stall balance, and the bus token bucket exactly as limit naive
-// Steps would have. It returns the number of cycles skipped (possibly 0).
-//
-// Callers must only invoke it after a fully idle naive Step (stepIdle):
-// that Step proved every park condition currently false and every device
-// tick a no-op, so during the window the only evolving state is time
-// itself. The jitter PRNG advances only on issue opportunities and no core
-// reaches one while parked or stalled, so it is untouched, and the Step
-// after the skip services cores in the same rotation order the naive loop
-// would have used at that absolute cycle.
-func (m *Machine) skipIdle(limit uint64) uint64 {
-	k := limit
-	for _, c := range m.cores {
-		var d uint64
-		switch c.State {
-		case CoreHalted, CoreOffline:
-			continue
-		case CoreParked:
-			switch c.parkWake {
-			case 0: // no declared wake: bound by the probe interval
-				d = ParkProbeInterval
-			case NoEvent: // purely event-driven: no time bound
-				continue
-			default:
-				if c.parkWake <= c.Cycles+1 {
-					return 0 // due now or next cycle
-				}
-				d = c.parkWake - c.Cycles - 1
-			}
-		default: // CoreRunning: only a stall keeps it off the issue path
-			if c.stall <= 0 {
-				return 0
-			}
-			d = uint64(c.stall)
-		}
-		if d < k {
-			k = d
-		}
-	}
-	for _, dev := range m.devices {
-		es, ok := dev.(EventSource)
-		if !ok {
-			return 0 // unknown device: never skip past its ticks
-		}
-		ne := es.NextEvent(m.now)
-		if ne == NoEvent {
-			continue
-		}
-		if ne <= m.now+1 {
-			return 0
-		}
-		if d := ne - m.now - 1; d < k {
-			k = d
-		}
-	}
-	if k == 0 {
-		return 0
-	}
-	m.now += k
-	m.rr = int(m.now % uint64(len(m.cores)))
-	m.bus.skip(k)
-	for _, c := range m.cores {
-		if c.State == CoreParked || c.State == CoreRunning {
-			c.idle(k)
-		}
-	}
-	m.ffSkipped += k
-	return k
 }
 
 // AllHalted reports whether every core is halted or offline.
@@ -605,7 +494,6 @@ func (m *Machine) advance(c *Core) {
 		m.parkStats.Evals++
 		m.sbSync() // the condition may read any core
 		if c.parkCond() {
-			m.stepIdle = false
 			// The condition may have completed a barrier on behalf of every
 			// waiter, and done is kernel code: both can change what other
 			// parks read.
@@ -625,10 +513,6 @@ func (m *Machine) advance(c *Core) {
 		c.stall--
 		return
 	}
-	// The core reached an issue opportunity (jitter, interrupt delivery,
-	// breakpoint, or execution all advance observable state): the cycle is
-	// not idle and fast-forward must not engage on top of it.
-	m.stepIdle = false
 	m.issue(c)
 }
 

@@ -137,7 +137,7 @@ func TestParkWatchHostCallsReevaluate(t *testing.T) {
 	c.Park(func() bool { evals++; return released }, nil)
 	c.ParkWakeNever()
 	c.ParkWatch(m.Mem().PageGen(watchedWord, 8))
-	m.SetFastForward(false) // poll every cycle: the gate alone must skip
+	m.SetSuperblock(false) // poll every cycle: the gate alone must skip
 	m.Run(100)
 	m.Run(100)
 	_ = m.RunUntil(func() bool { return false }, 100)
@@ -161,7 +161,7 @@ func TestParkWatchHostCallsReevaluate(t *testing.T) {
 // alone must not skip.
 func TestParkWatchUndeclaredWakeEvaluates(t *testing.T) {
 	m := New(noJitter(X86()), 1<<16)
-	m.SetFastForward(false)
+	m.SetSuperblock(false)
 	c := m.Core(0)
 	evals := 0
 	c.Park(func() bool { evals++; return false }, nil)
@@ -200,7 +200,7 @@ func TestParkWatchShadowReportsViolation(t *testing.T) {
 	DebugParkShadow = func(coreID int, now uint64) { violations = append(violations, now) }
 	defer func() { DebugParkShadow = nil }()
 	m := New(noJitter(X86()), 1<<16)
-	m.SetFastForward(false)
+	m.SetSuperblock(false)
 	dev := &flagDevice{at: 40}
 	m.AddDevice(dev)
 	c := m.Core(0)

@@ -14,14 +14,6 @@
 // slightly, as real COTS cores do: this is the nondeterminism LC-RCoE must
 // tolerate and that exposes data races (paper §V-A1).
 //
-// When every core is parked or stalled and every device has declared its
-// next event cycle (the EventSource interface), the scheduler fast-forwards
-// across the idle window in one jump instead of stepping it cycle by
-// cycle. The skip is an optimisation of host time only: counters, device
-// ticks and wake cycles land exactly where the naive loop would put them,
-// a contract enforced by the differential determinism tests at the repo
-// root. SetDefaultFastForward and Machine.SetFastForward toggle it.
-//
 // A parked core is polled once per stepped cycle. A park that declares
 // what its condition reads (Core.ParkWatch) has the condition evaluated
 // only when one of those inputs can have changed; see Core.Park.
@@ -36,8 +28,12 @@
 // MMIO access, a park condition, the host when Run or RunUntil returns.
 // And while every other core lags, the one core that does not runs alone
 // at the machine's clock, any instruction, with the others' credits
-// settled by arithmetic. Naive stepping (every accelerator off) stays the
-// reference the differential suites compare against.
+// settled by arithmetic. The same bulk credit carries idle windows: when
+// every core is parked, halted or counting down a stall and every device
+// has declared its next event cycle (the EventSource interface), the
+// batch jumps to the first cycle at which anything can happen. Naive
+// stepping (every accelerator off) stays the reference the differential
+// suites compare against.
 //
 // RunUntil's condition must depend only on state that kernel, host or
 // device code mutates, never on what a core changes by merely executing:

@@ -66,14 +66,12 @@ func (m *Machine) State(c *snapshot.Codec) {
 	if c.Loading() && c.Err() == nil {
 		// Host-side diagnostics and cooldowns restart (now may have moved
 		// backwards), and the scheduler's derived state is re-established:
-		// the rotation index advances in lockstep with now (skipIdle
-		// re-derives it the same way), and stepIdle must be false until a
-		// naive step re-establishes quiescence.
+		// the rotation index advances in lockstep with now (a batch's bulk
+		// credit re-derives it the same way).
 		m.ffSkipped, m.sbJumped, m.sbHold = 0, 0, 0
 		if n := len(m.cores); n > 0 {
 			m.rr = int(m.now % uint64(n))
 		}
-		m.stepIdle = false
 	}
 }
 
@@ -297,7 +295,7 @@ func (co *Core) state(c *snapshot.Codec) {
 	}
 }
 
-// ParkWake returns the core's current fast-forward wake hint. The
+// ParkWake returns the core's current wake hint (see ParkWakeAt). The
 // re-arming layer uses it to restore a serialized hint after its park
 // installer runs (Park resets the hint to 0).
 func (c *Core) ParkWake() uint64 { return c.parkWake }

@@ -98,11 +98,11 @@ func TestMachineStateRoundTrip(t *testing.T) {
 
 // TestMachineStateAccelPortability saves under one accelerator combo and
 // restores under another: the simulated state must evolve identically
-// (fast-forward and the exec cache are host-side derived state, excluded
-// from the snapshot boundary).
+// (the superblock engine and the exec cache are host-side derived state,
+// excluded from the snapshot boundary).
 func TestMachineStateAccelPortability(t *testing.T) {
 	a := buildStateMachine(t, 10_000)
-	a.SetFastForward(true)
+	a.SetSuperblock(true)
 	a.SetExecCache(true)
 	data, err := snap.Save(a)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestMachineStateAccelPortability(t *testing.T) {
 	a.Run(20_000)
 
 	b := buildStateMachine(t, 0)
-	b.SetFastForward(false)
+	b.SetSuperblock(false)
 	b.SetExecCache(false)
 	if err := snap.Restore(b, data); err != nil {
 		t.Fatal(err)

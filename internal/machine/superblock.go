@@ -9,16 +9,18 @@ import (
 // Superblock execution: a host-side accelerator that executes hot
 // straight-line instruction runs (branch-to-branch) in a dedicated batched
 // loop instead of paying the full Step/advance/execOne dispatch per guest
-// instruction. Like fast-forward and the execution cache it is provably
-// invisible to simulated state: every cycle in the batch performs exactly
-// the work the naive loop would — same rotation order, same bus ticks,
-// same jitter draws, same cost-model calls, same traps on the same cycles
-// — except that the cores are not interleaved where nothing can tell: a
-// core's register-only stretches are executed later than their cycles, in
-// one burst, before anything can observe the core, and while every other
-// core is inside such a stretch the remaining one runs alone (see
-// runBlocks). The batch ends (or never starts) whenever anything could
-// diverge:
+// instruction. Like the execution cache it is provably invisible to
+// simulated state: every cycle in the batch performs exactly the work the
+// naive loop would — same rotation order, same bus ticks, same jitter
+// draws, same cost-model calls, same traps on the same cycles — except
+// that the cores are not interleaved where nothing can tell: a core's
+// register-only stretches are executed later than their cycles, in one
+// burst, before anything can observe the core, and while every other core
+// is inside such a stretch the remaining one runs alone (see runBlocks).
+// It is also the one place idle time is charged: a window in which every
+// core is parked, stalled, halted or offline is credited in bulk like any
+// other window of promises. The batch ends (or never starts) whenever
+// anything could diverge:
 //
 //   - a device event falls due (preemption timer, DMA, intermittent-fault
 //     phase edge): the batch horizon stops one cycle short, so the event
@@ -32,11 +34,13 @@ import (
 //     generations are re-checked before every issue and the core falls
 //     back to the naive fetch path for that issue;
 //   - a stuck-at fault is armed, a debug feature (breakpoint, branch
-//     watch, single-step) is armed, or an interrupt is pending: the batch
-//     refuses to start at all.
+//     watch, single-step) is armed, or an interrupt is pending: the core
+//     takes no block; it is only credited the stall it is counting down,
+//     its next issue goes through the naive path and ends the batch (which
+//     never starts for such a core without a stall).
 //
-// The differential determinism suite runs the full 8-variant
-// {fast-forward × exec-cache × superblock} cube to enforce this.
+// The differential determinism suite runs every {exec-cache × superblock}
+// combination to enforce this.
 
 const (
 	// sbMaxLen caps a superblock at 64 instructions (512 bytes), so a
@@ -246,9 +250,10 @@ func (m *Machine) watchDirty() bool {
 }
 
 // sbRunState tracks one core's progress through the batched loop: a core
-// running at batch entry is serviced from its superblock, one parked at
-// entry (a rider) is polled via advance or credited in bulk, and halted or
-// offline cores take no part. fline and fgen memoize the last fetch-probed
+// running at batch entry is serviced from its superblock, or only credited
+// its stall when it may not take one (stall-only), one parked at entry (a
+// rider) is polled via advance or credited in bulk, and halted or offline
+// cores take no part. fline and fgen memoize the last fetch-probed
 // cache line: while the core's cache generation is unchanged, a line
 // probed present is still present, so sequential fetches within the line
 // skip the probe entirely (a fetch hit changes no cache or bus state, so
@@ -262,7 +267,7 @@ func (m *Machine) watchDirty() bool {
 type sbRunState struct {
 	c       *Core
 	parked  bool
-	sb      *superblock // nil after a failed chain: issue naively, end the batch
+	sb      *superblock // nil stall-only or after a failed chain: the stall, then one naive issue
 	pos     int
 	fline   uint64
 	fgen    uint64
@@ -277,9 +282,13 @@ type sbRunState struct {
 // the first fetch line not resident in its cache, since a fill would touch
 // the bus. The cache is private to the core and a fetch hit leaves it
 // unchanged, so lines found resident stay resident for the whole promise.
-// 0 means the core must be serviced cycle by cycle.
+// 0 means the core must be serviced cycle by cycle. A stall-only core (no
+// block) promises its stall.
 func (st *sbRunState) lookahead(run bool) uint64 {
 	c, sb := st.c, st.sb
+	if sb == nil {
+		return uint64(c.stall)
+	}
 	if !sb.pagesFresh() {
 		return 0
 	}
@@ -347,8 +356,10 @@ func (m *Machine) burst(st *sbRunState) {
 		}
 	}
 	st.sb, st.pos = sb, pos
-	c.Instructions += instrs
-	c.sb.instrs += instrs
+	if instrs != 0 { // a stall-only core may never have built a block
+		c.Instructions += instrs
+		c.sb.instrs += instrs
+	}
 }
 
 // sbSync makes every lagging core execute the cycles it owes, first
@@ -408,7 +419,9 @@ func (m *Machine) sbNaiveRest(idx int) {
 //   - Credit. While the promise lasts a cycle services the core with
 //     lag++ in its slot of the rotation; when every executing core is
 //     promised and every parked rider provably stays parked, the shortest
-//     promise is charged in one step with no rotation at all.
+//     promise is charged in one step with no rotation at all. With every
+//     core parked, stall-only or halted this is the idle skip: the machine
+//     jumps to a stall's end, a rider's wake or probe, or the horizon.
 //   - Burst. The owed cycles are executed later, alone, in a tight loop
 //     (burst): when the promise runs out — the core then re-promises
 //     without spending a cycle — or at an observation point.
@@ -443,13 +456,54 @@ func (m *Machine) sbNaiveRest(idx int) {
 // undeclared one is evaluated every cycle and may read a running core's
 // registers, so with such a rider present only stalls are promised.
 func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
-	if limit == 0 || m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil {
+	if limit == 0 {
 		return 0
+	}
+	// Core gates, before the device horizon: they are cheap, and a machine
+	// with many devices would otherwise scan them all on every refused
+	// entry. A running core takes a superblock at its PC unless stuck bits
+	// or a PC watch are armed, the build hold is on, an interrupt is pending
+	// or a debug feature is armed on it, or no block forms there; such a
+	// core is admitted stall-only (no block, its promise is its stall) while
+	// it counts down a stall, and refuses the batch otherwise. Parked cores
+	// ride along.
+	if m.sbRun == nil || len(m.sbRun) != len(m.cores) {
+		m.sbRun = make([]sbRunState, len(m.cores))
+		m.sbAct = make([]*sbRunState, 0, len(m.cores))
+	}
+	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil
+	act := m.sbAct[:0]
+	nparked, deferRuns := 0, true
+	for i, c := range m.cores {
+		st := &m.sbRun[i]
+		st.c, st.sb, st.promise = c, nil, 0
+		switch c.State {
+		case CoreHalted, CoreOffline:
+			continue
+		case CoreParked:
+			st.parked = true
+			nparked++
+			if c.parkGp == nil || c.parkWake == 0 {
+				deferRuns = false
+			}
+		default:
+			if !noBlocks && c.pendingIRQ == 0 && !c.pendingIPI &&
+				!c.BP.Enabled && !c.BranchWatch.Enabled && !c.SingleStep {
+				if st.sb = m.blockFor(c); st.sb == nil {
+					m.sbHold = m.now + sbBuildHold
+				}
+			}
+			if st.sb == nil && c.stall <= 0 {
+				return 0
+			}
+			st.parked, st.pos = false, 0
+			st.fline = ^uint64(0) // no line memoized yet
+		}
+		act = append(act, st)
 	}
 	// Device horizon: the batch must end one cycle before the earliest
 	// device event so that cycle is stepped naively. A device without an
-	// event schedule pins the machine to naive stepping, as with
-	// fast-forward.
+	// event schedule pins the machine to naive stepping.
 	horizon := limit
 	for _, dev := range m.devices {
 		es, ok := dev.(EventSource)
@@ -466,45 +520,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		if d := ne - m.now - 1; d < horizon {
 			horizon = d
 		}
-	}
-	// Core gates: every running core needs a clean debug/interrupt state
-	// and a valid superblock at its PC; parked cores ride along.
-	if m.sbRun == nil || len(m.sbRun) != len(m.cores) {
-		m.sbRun = make([]sbRunState, len(m.cores))
-		m.sbAct = make([]*sbRunState, 0, len(m.cores))
-	}
-	act := m.sbAct[:0]
-	nrun, nparked, deferRuns := 0, 0, true
-	for i, c := range m.cores {
-		st := &m.sbRun[i]
-		st.c, st.sb, st.promise = c, nil, 0
-		switch c.State {
-		case CoreHalted, CoreOffline:
-		case CoreParked:
-			st.parked = true
-			act = append(act, st)
-			nparked++
-			if c.parkGp == nil || c.parkWake == 0 {
-				deferRuns = false
-			}
-		default:
-			if c.pendingIRQ != 0 || c.pendingIPI ||
-				c.BP.Enabled || c.BranchWatch.Enabled || c.SingleStep {
-				return 0
-			}
-			sb := m.blockFor(c)
-			if sb == nil {
-				m.sbHold = m.now + sbBuildHold
-				return 0
-			}
-			st.parked, st.sb, st.pos = false, sb, 0
-			st.fline = ^uint64(0) // no line memoized yet
-			act = append(act, st)
-			nrun++
-		}
-	}
-	if nrun == 0 {
-		return 0 // fully idle: fast-forward's territory
 	}
 	m.sbAct = act
 
@@ -535,10 +550,11 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			}
 		}
 		// k is the shortest promise, capped by the horizon; lone the core
-		// without one, when there is exactly one such core.
+		// without one, when there is exactly one such core; idle whether
+		// no executing core holds a block.
 		k := horizon - consumed
 		var lone *sbRunState
-		unpromised := 0
+		unpromised, idle := 0, true
 		for _, st := range act {
 			if st.parked {
 				continue
@@ -547,10 +563,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				if st.lag != 0 {
 					m.burst(st)
 				}
-				if st.sb == nil {
-					exit = true
-					break
-				}
 				if st.promise = st.lookahead(deferRuns); st.promise == 0 {
 					lone = st
 					unpromised++
@@ -558,16 +570,16 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				}
 				m.sbPromises++
 			}
+			if st.sb != nil {
+				idle = false
+			}
 			if st.promise < k {
 				k = st.promise
 			}
 		}
-		if exit {
-			break
-		}
 		if unpromised == 1 && k >= sbSoloMin && nparked == 0 && !shadow {
-			// A run of no cycles found stale text under the core: the
-			// stepped path below takes the cycle.
+			// A run of no cycles found no block or stale text under the
+			// core: the stepped path below takes the cycle.
 			if n, ended := m.solo(lone, k); n != 0 {
 				consumed += n
 				exit = ended
@@ -589,6 +601,9 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			m.rr = int(m.now % uint64(ncores))
 			bus.skip(k)
 			m.sbJumped += k
+			if idle {
+				m.ffSkipped += k
+			}
 			for _, st := range act {
 				if !st.parked {
 					st.promise -= k
@@ -647,10 +662,10 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			anyIssue = true
 			sb := st.sb
 			if sb == nil || !sb.pagesFresh() {
-				// No block, or text (or a page it shares) mutated under it:
-				// issue naively this cycle — the naive fetch re-derives
+				// No block (a stall-only core whose stall ran out, or a
+				// failed chain), or text (or a page it shares) mutated under
+				// it: issue naively this cycle — the naive fetch re-derives
 				// bytes and any trap from scratch — and end the batch.
-				m.stepIdle = false
 				m.issue(c)
 				exit = true
 				if m.sbExit {
@@ -681,12 +696,8 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		calm = !anyIssue && !exit
 		consumed++
 	}
-	// Host code observing the machine after Run sees no lagging core, and
-	// the same quiescence rules as naive stepping: anything could have
-	// happened during the batch, so the next fast-forward needs a fresh
-	// idle Step first.
+	// Host code observing the machine after Run sees no lagging core.
 	m.sbSync()
-	m.stepIdle = false
 	m.sbBatched += consumed
 	return consumed
 }
@@ -811,7 +822,10 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, exit bool) {
 
 // stale reports whether the block text under st's promise has been written
 // since it was decoded: the one input of a promise another core can change.
-func (st *sbRunState) stale() bool { return st.promise != 0 && !st.sb.pagesFresh() }
+// A stall-only promise has no text.
+func (st *sbRunState) stale() bool {
+	return st.promise != 0 && st.sb != nil && !st.sb.pagesFresh()
+}
 
 // sbStale reports whether a store of the solo core made some promise stale.
 func (m *Machine) sbStale() bool {
@@ -868,8 +882,7 @@ func (m *Machine) sbRevoke() {
 // and a declared wake is known parked while the watched page, the park
 // epoch and its last false evaluation still agree (the poll gate of
 // advance) and its wake cycle is not due; any other rider needs calm, and
-// an undeclared wake is probed every ParkProbeInterval as under
-// fast-forward.
+// an undeclared wake is probed every ParkProbeInterval.
 func (m *Machine) sbRiderBound(k uint64, calm bool) uint64 {
 	for _, st := range m.sbAct {
 		if !st.parked {

@@ -17,7 +17,7 @@ import (
 // ejection), plus the three systems of the benchmark's cpu-trap workload at
 // a tiny scale, and expects none. Each runs with every accelerator on and
 // fully naive, where a parked core is polled on every cycle (the fault
-// campaigns have no fast-forward switch and run once).
+// campaigns take no host variant and run once).
 func TestParkGateShadow(t *testing.T) {
 	var (
 		mu         sync.Mutex // campaigns run their trials on worker goroutines

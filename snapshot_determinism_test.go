@@ -126,7 +126,7 @@ func TestSnapshotDeterminismMatrix(t *testing.T) {
 // run must finish on the straight run's fingerprint under every
 // accelerator combination: Restore must rebuild every piece of derived
 // host state (the memoized timer next-edge, the rotation pointer, the
-// fast-forward/exec-cache/superblock caches) rather than trusting what
+// exec-cache/superblock caches) rather than trusting what
 // the overshoot left behind.
 func TestSnapshotRestoreBackwardsLive(t *testing.T) {
 	// A short timer period guarantees the run crosses many edges, so
