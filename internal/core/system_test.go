@@ -354,3 +354,25 @@ func TestRunCyclesTimeoutAllocFree(t *testing.T) {
 		t.Fatalf("ran %d cycles (finished %v), want 21 full slices", got, sys.Finished())
 	}
 }
+
+// TestSyscallSigFoldAllocFree: under SigArgs every syscall folds its number
+// and canonical arguments into the signature, once per kernel entry, so the
+// fold must not allocate. SysAtomicAdd folds two arguments, one of them a
+// canonicalized pointer.
+func TestSyscallSigFoldAllocFree(t *testing.T) {
+	sys := newSys(t, Config{Mode: ModeLC, Replicas: 2, Sig: SigArgs}, syscallLoop(t, 10))
+	c := sys.Replica(0).Core()
+	tr := machine.Trap{Kind: machine.TrapSyscall, Num: kernel.SysAtomicAdd, PC: c.PC}
+	_, before := sys.Replica(0).K.Signature()
+	trap := func() {
+		c.Regs[1], c.Regs[2] = kernel.DataVA, 1
+		sys.HandleTrap(c, tr)
+	}
+	trap() // warm
+	if avg := testing.AllocsPerRun(100, trap); avg != 0 {
+		t.Fatalf("a SigArgs syscall trap allocates %.1f times", avg)
+	}
+	if _, sum := sys.Replica(0).K.Signature(); sum == before {
+		t.Fatal("the syscalls folded nothing into the signature")
+	}
+}

@@ -171,9 +171,9 @@ func (s *System) onSyscall(r *Replica, t machine.Trap) {
 			// argument registers legitimately differ across replicas
 			// (e.g. they may hold a SysGetRID result) and must not enter
 			// the signature.
-			words := []uint64{uint64(uint32(num))}
 			cargs := canonSigArgs(k, num, args)
-			k.AddTrace(append(words, cargs[:argCount(num)]...)...)
+			words := [5]uint64{uint64(uint32(num)), cargs[0], cargs[1], cargs[2], cargs[3]}
+			k.AddTrace(words[:1+argCount(num)]...)
 		}
 		if s.cfg.Sig == SigSync && num != int32(kernel.SysFTMemAccess) && num != int32(kernel.SysFTMemRep) {
 			s.stats.SyscallVotes++

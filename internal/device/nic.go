@@ -221,14 +221,16 @@ func (n *NIC) NextEvent(now uint64) uint64 {
 	return machine.NoEvent
 }
 
-// WatchedMem implements machine.MemWatcher: NextEvent's answer depends on
-// the RX and TX mailbox flags, which the driver writes with plain stores
-// (the mailboxes are ordinary RAM, not MMIO). Declaring the whole DMA
-// region keeps the superblock engine's device horizon honest — a batched
-// store into it ends the batch so the next Tick sees the flag change on
-// the same cycle naive stepping would.
+// WatchedMem implements machine.MemWatcher. It declares exactly the words
+// NextEvent reads: the RX flag, which the driver clears with a plain store
+// (the mailboxes are ordinary RAM, not MMIO), so a batched store to it ends
+// the batch's horizon and the next Tick sees the mailbox free on the cycle
+// naive stepping would. Nothing else in the DMA region can move the answer:
+// the TX flag, length and payload are read only after the doorbell, and the
+// doorbell is an MMIO write, which already ends the batch; the RX length
+// and payload are written only by Tick, which runs outside batches.
 func (n *NIC) WatchedMem() (lo, hi uint64) {
-	return n.dmaBase, n.dmaBase + txDataOff + MaxFrameBytes
+	return n.RxFlagPA(), n.RxFlagPA() + 8
 }
 
 // corruptBit draws the next seeded bit index for a frame of nbytes.

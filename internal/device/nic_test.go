@@ -141,3 +141,41 @@ func TestNICStateHostileCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestNICWatchedMemContract pins the MemWatcher rule for the NIC: WatchedMem
+// declares exactly the words NextEvent reads. With frames pending and the RX
+// mailbox full, no store anywhere else in the DMA region (both mailboxes,
+// flags, lengths and payloads) moves NextEvent; clearing the RX flag does.
+func TestNICWatchedMemContract(t *testing.T) {
+	m := newMachine()
+	nic := NewNIC(0xF000_0000, 0x8000, 3)
+	m.AddDevice(nic)
+	nic.Inject([]byte("one"))
+	nic.Inject([]byte("two"))
+	m.Step() // "one" fills the mailbox, "two" waits
+	lo, hi := nic.WatchedMem()
+	if lo != nic.RxFlagPA() || hi != lo+8 {
+		t.Fatalf("WatchedMem = [%#x, %#x), want the RX flag word at %#x", lo, hi, nic.RxFlagPA())
+	}
+	now := m.Now()
+	if ne := nic.NextEvent(now); ne != machine.NoEvent {
+		t.Fatalf("NextEvent with the mailbox full = %d, want NoEvent", ne)
+	}
+	for pa := nic.RxFlagPA(); pa < nic.TxDataPA()+MaxFrameBytes; pa += 8 {
+		if pa >= lo && pa < hi {
+			continue
+		}
+		for _, v := range []uint64{0, 1, ^uint64(0)} {
+			if err := m.Mem().WriteU(pa, 8, v); err != nil {
+				t.Fatal(err)
+			}
+			if ne := nic.NextEvent(now); ne != machine.NoEvent {
+				t.Fatalf("storing %#x at %#x, outside WatchedMem, moved NextEvent to %d", v, pa, ne)
+			}
+		}
+	}
+	_ = m.Mem().WriteU(nic.RxFlagPA(), 8, 0)
+	if ne := nic.NextEvent(now); ne != now+1 {
+		t.Fatalf("NextEvent after clearing the RX flag = %d, want %d", ne, now+1)
+	}
+}

@@ -63,6 +63,10 @@ type Kernel struct {
 
 	// canary is the expected kernel-text pattern checked on entries.
 	canaryWords [8]uint64
+	// canaryGen is the canary page's mutation generation at the last check
+	// that passed, 0 before one did: while the page's generation still
+	// equals it, nothing has written the page and the words still match.
+	canaryGen uint64
 
 	// Err is set when the kernel detects internal corruption; the
 	// replica fail-stops (the seL4 "halt on kernel exception" behaviour).
@@ -150,12 +154,19 @@ func (k *Kernel) NumThreads() int { return len(k.threads) }
 // instruction: the kernel records the error and the replica fail-stops.
 func (k *Kernel) CheckCanary() bool {
 	mem := k.m.Mem()
+	gp := mem.PageGen(k.lay.CanaryPA(), len(k.canaryWords)*8)
+	if gp != nil && *gp != 0 && *gp == k.canaryGen {
+		return true
+	}
 	for i, want := range k.canaryWords {
 		got, err := mem.ReadU(k.lay.CanaryPA()+uint64(i)*8, 8)
 		if err != nil || got != want {
 			k.Err = &KernelError{RID: k.RID, Reason: "kernel text corrupted (canary mismatch)"}
 			return false
 		}
+	}
+	if gp != nil {
+		k.canaryGen = *gp
 	}
 	return true
 }

@@ -48,6 +48,40 @@ func TestCanaryDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCanaryCheckMemo: a check that passed is remembered only until the
+// canary page is written, so a corruption by any mutation path after any
+// number of passing checks is still caught on the next entry.
+func TestCanaryCheckMemo(t *testing.T) {
+	corrupt := map[string]func(m *machine.Mem, pa uint64) error{
+		"store": func(m *machine.Mem, pa uint64) error { return m.WriteU(pa+8, 8, 0) },
+		"dma": func(m *machine.Mem, pa uint64) error {
+			b, err := m.Slice(pa, 64)
+			if err == nil {
+				b[63] ^= 0x80
+			}
+			return err
+		},
+		"stuck-at": func(m *machine.Mem, pa uint64) error {
+			v, _ := m.ReadU(pa, 1)
+			return m.SetStuck(pa, 0, uint(v&1^1))
+		},
+	}
+	for name, write := range corrupt {
+		k := newTestKernel(t)
+		for i := 0; i < 3; i++ {
+			if !k.CheckCanary() {
+				t.Fatalf("%s: fresh canary failed check %d", name, i)
+			}
+		}
+		if err := write(k.Core().Machine().Mem(), k.Layout().CanaryPA()); err != nil {
+			t.Fatal(err)
+		}
+		if k.CheckCanary() {
+			t.Fatalf("%s: corruption after a remembered check not detected", name)
+		}
+	}
+}
+
 func TestLoadProcessAndSchedule(t *testing.T) {
 	k := newTestKernel(t)
 	if err := k.LoadProcess(ProcessConfig{Prog: simpleProg(t), DataBytes: 4096, Arg: 42}); err != nil {

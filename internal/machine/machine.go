@@ -38,10 +38,13 @@ type EventSource interface {
 // the contents of ordinary RAM — typically DMA mailbox flags that a
 // driver writes with plain stores rather than MMIO. The superblock engine
 // keeps cores executing under a horizon computed at batch entry; a store
-// into a watched range invalidates that horizon, so the batch ends with
-// the store's cycle and the device's next Tick runs naively — observing
-// the store exactly when per-cycle ticking would have. Ranges may be
-// declared conservatively wide; extra pages only cost earlier batch exits,
+// into a watched range invalidates that horizon, so the batch re-derives
+// it after the store's cycle (and ends when the event is due) and the
+// device's next Tick runs naively — observing the store exactly when
+// per-cycle ticking would have. A device declares exactly the words its
+// NextEvent answer depends on: memory only its Tick writes, or only reads
+// after an MMIO access (which ends the batch anyway), moves no horizon.
+// Watching is page-granular, so a wider range costs earlier re-derivations,
 // never correctness.
 type MemWatcher interface {
 	WatchedMem() (lo, hi uint64)
@@ -90,6 +93,8 @@ type Machine struct {
 	handler TrapHandler
 	windows []mmioWindow
 	devices []Device
+	// events lists the devices that implement EventSource, in order.
+	events []EventSource
 
 	// irqRoute maps device interrupt lines to the core that receives
 	// them. RCoE routes all device interrupts to the primary replica and
@@ -135,11 +140,13 @@ type Machine struct {
 	// parkStats counts park polls and the evaluations they led to.
 	parkStats ParkStats
 
-	// sbExit is set by trap and the MMIO execution branches so the batched
-	// superblock loop can detect, immediately after exec returns, that the
-	// kernel or a device observed (and may have mutated) machine state.
-	// The naive paths never read it.
-	sbExit bool
+	// sbExit is set by trap (sbExitTrap) and the MMIO execution branches
+	// (sbExitMMIO) so the batched superblock loop can detect, immediately
+	// after exec returns, that the kernel or a device observed (and may
+	// have mutated) machine state. The naive paths never read it.
+	sbExit uint8
+	// sbExits counts why batches ended, by batchExit (diagnostics).
+	sbExits [nBatchExits]uint64
 	// sbHold pins the machine to naive stepping until the given cycle
 	// after a failed block build (host-only cooldown heuristic).
 	sbHold uint64
@@ -154,13 +161,16 @@ type Machine struct {
 	sbSolo     *sbRunState
 	sbSoloFrom uint64
 	// sbRun is the per-core batch state, allocated once; sbAct lists the
-	// entries of the cores the current batch drives, in index order.
-	sbRun []sbRunState
-	sbAct []*sbRunState
+	// entries of the cores the current batch drives, in index order, and
+	// sbGated is the buffer sbGate builds the next such list in.
+	sbRun   []sbRunState
+	sbAct   []*sbRunState
+	sbGated []*sbRunState
 	// watchGp points into mem.pageGen for every device-watched RAM page
-	// (MemWatcher); watchSnap holds their values at batch entry. A batched
-	// store that bumps a watched generation ends the batch with that cycle
-	// so the owning device's next Tick runs naively (see watchDirty).
+	// (MemWatcher); watchSnap holds their values at batch entry and at
+	// every re-derivation. A batched store that bumps a watched generation
+	// makes the batch re-derive its device horizon after that cycle, so the
+	// owning device's next Tick runs naively when due (see watchDirty).
 	watchGp   []*uint64
 	watchSnap []uint64
 }
@@ -252,6 +262,9 @@ func (m *Machine) MapMMIO(base, size uint64, dev MMIOHandler) {
 // superblock engine (see watchMem).
 func (m *Machine) AddDevice(d Device) {
 	m.devices = append(m.devices, d)
+	if es, ok := d.(EventSource); ok {
+		m.events = append(m.events, es)
+	}
 	if w, ok := d.(MemWatcher); ok {
 		m.watchMem(w.WatchedMem())
 	}
@@ -413,10 +426,10 @@ func (m *Machine) Run(n uint64) {
 // offline core, a device register — never on what a core changes by merely
 // executing (its registers, PC or counters) nor on time alone (Now() >= X;
 // bound such waits with Run). The superblock engine relies on it: a batch
-// does not evaluate cond at all, because everything that lets such code
-// run (a trap, a park wake, an MMIO access) ends the batch with its cycle
-// and RunUntil evaluates cond before the next one. DebugCondShadow checks
-// the contract.
+// evaluates cond only after a cycle in which such code ran — a park wake
+// or an MMIO access ends the batch with its cycle and RunUntil evaluates
+// cond before the next one; after a trap the batch goes on only while cond
+// is false. DebugCondShadow checks the contract.
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 	// Kept small enough to inline, so a caller that drops the error does
 	// not pay for boxing it.
@@ -436,9 +449,10 @@ func (m *Machine) runUntil(cond func() bool, maxCycles uint64) bool {
 		}
 		if m.superblock {
 			if left := maxCycles - (m.now - start); left > 1 {
-				// cond cannot turn true inside a batch (see above); it is
-				// passed along for DebugCondShadow only, and looping back
-				// evaluates it before the next cycle.
+				// Inside a batch cond can turn true only through a trap
+				// handler (see above): the batch evaluates it after every
+				// trap it goes on from, and looping back evaluates it
+				// before the next cycle.
 				if m.runBlocks(cond, left-1) > 0 {
 					continue
 				}
@@ -561,9 +575,9 @@ var DebugCondShadow func(now uint64)
 // returns; user execution resumes on a later cycle (after any stall the
 // handler charged).
 func (m *Machine) trap(c *Core, t Trap) {
-	m.sbSync()      // the kernel may read any core: none may lag behind this cycle
-	m.sbExit = true // ... and may mutate anything; end any batch
-	m.parkEpoch++   // ... including what parked cores wait on
+	m.sbSync()             // the kernel may read any core: none may lag behind this cycle
+	m.sbExit |= sbExitTrap // ... and may mutate anything
+	m.parkEpoch++          // ... including what parked cores wait on
 	if DebugTrace != nil {
 		DebugTrace(c.ID, t.Kind, t.PC, m.now)
 	}
@@ -771,8 +785,8 @@ func (m *Machine) execSlow(c *Core, ins *isa.Instr) bool {
 			return true
 		}
 		if dev, isMMIO := m.mmioAt(pa); isMMIO {
-			m.sbExit = true // device read may have side effects (IRQ, DMA)
-			m.sbSync()      // ... and may read any core
+			m.sbExit |= sbExitMMIO // device read may have side effects (IRQ, DMA)
+			m.sbSync()             // ... and may read any core
 			c.setReg(ins.Rd, dev.MMIORead(pa, size))
 			c.AddStall(cost.MemMiss)
 			break
@@ -796,8 +810,8 @@ func (m *Machine) execSlow(c *Core, ins *isa.Instr) bool {
 			return true
 		}
 		if dev, isMMIO := m.mmioAt(pa); isMMIO {
-			m.sbExit = true // device write may have side effects (IRQ, DMA)
-			m.sbSync()      // ... and may read any core
+			m.sbExit |= sbExitMMIO // device write may have side effects (IRQ, DMA)
+			m.sbSync()             // ... and may read any core
 			dev.MMIOWrite(pa, size, c.reg(ins.Rs2))
 			c.AddStall(cost.MemMiss)
 			break

@@ -33,6 +33,10 @@ type Mem struct {
 	// pageGen counts mutations per physical page. Monotonic, 64-bit, so
 	// it never wraps into a false cache hit.
 	pageGen []uint64
+	// writes counts the mutation paths' calls (touch): while it stands
+	// still no page generation moved, so the superblock batch skips its
+	// store checks after an op that wrote nothing. Host-derived.
+	writes uint64
 	// stuck holds the persistent stuck-at faults (hardfault.go), keyed by
 	// physical byte address. nil when no hard fault is registered, which
 	// keeps the access paths at a single len check.
@@ -57,10 +61,22 @@ func NewMem(size int) *Mem {
 func (m *Mem) Size() uint64 { return uint64(len(m.bytes)) }
 
 func (m *Mem) check(addr uint64, n int) error {
-	if addr+uint64(n) > uint64(len(m.bytes)) || addr+uint64(n) < addr {
-		return fmt.Errorf("%w: [%#x,+%d)", ErrBadPhysAddr, addr, n)
+	if !m.inRange(addr, n) {
+		return badPhysAddr(addr, n)
 	}
 	return nil
+}
+
+// inRange reports whether [addr, addr+n) lies in RAM. ReadU and WriteU, the
+// accessors on every kernel word access, test it inline and build check's
+// error only when it fails.
+func (m *Mem) inRange(addr uint64, n int) bool {
+	end := addr + uint64(n)
+	return end <= uint64(len(m.bytes)) && end >= addr
+}
+
+func badPhysAddr(addr uint64, n int) error {
+	return fmt.Errorf("%w: [%#x,+%d)", ErrBadPhysAddr, addr, n)
 }
 
 // touch bumps the mutation generation of every page overlapping
@@ -69,6 +85,7 @@ func (m *Mem) touch(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
+	m.writes++
 	for p := addr >> pageShift; p <= (addr+uint64(n)-1)>>pageShift; p++ {
 		m.pageGen[p]++
 	}
@@ -165,8 +182,8 @@ func (m *Mem) Fill(addr uint64, n int, v byte) error {
 
 // ReadU reads an unsigned little-endian value of size 1, 2, 4 or 8.
 func (m *Mem) ReadU(addr uint64, size int) (uint64, error) {
-	if err := m.check(addr, size); err != nil {
-		return 0, err
+	if !m.inRange(addr, size) {
+		return 0, badPhysAddr(addr, size)
 	}
 	if len(m.stuck) != 0 {
 		m.assertStuck(addr, size)
@@ -191,8 +208,8 @@ func (m *Mem) ReadU(addr uint64, size int) (uint64, error) {
 
 // WriteU writes an unsigned little-endian value of size 1, 2, 4 or 8.
 func (m *Mem) WriteU(addr uint64, size int, v uint64) error {
-	if err := m.check(addr, size); err != nil {
-		return err
+	if !m.inRange(addr, size) {
+		return badPhysAddr(addr, size)
 	}
 	b := m.bytes[addr:]
 	switch size {

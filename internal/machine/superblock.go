@@ -19,25 +19,32 @@ import (
 // is inside such a stretch the remaining one runs alone (see runBlocks).
 // It is also the one place idle time is charged: a window in which every
 // core is parked, stalled, halted or offline is credited in bulk like any
-// other window of promises. The batch ends (or never starts) whenever
-// anything could diverge:
+// other window of promises. The batch re-derives its state, ends, or never
+// starts whenever anything could diverge:
 //
 //   - a device event falls due (preemption timer, DMA, intermittent-fault
 //     phase edge): the batch horizon stops one cycle short, so the event
 //     cycle is always stepped naively;
-//   - a core traps (syscall, fault, halt) or touches MMIO: the remainder
-//     of that cycle is serviced through the naive advance path and the
-//     batch exits, because the kernel may have mutated any core;
-//   - a parked core's condition fires (barrier release): same hard exit;
+//   - a core touches MMIO or a parked core's condition fires (barrier
+//     release): the remainder of that cycle is serviced through the naive
+//     advance path and the batch exits, because a device or the kernel may
+//     have mutated any core;
+//   - a core traps (syscall, fault, halt): the remainder of that cycle is
+//     serviced the same way, except that a core whose promise the handler
+//     left intact is charged against it, and then the batch re-derives
+//     everything else — the cores' admission, the device horizon — and goes
+//     on; it ends only when that re-derivation refuses;
 //   - text mutates under a cached block (self-modifying code, injected
 //     bit-flip, DMA, re-integration copy): the spanned pages' mutation
 //     generations are re-checked before every issue and the core falls
-//     back to the naive fetch path for that issue;
+//     back to the naive fetch path for that issue, after which the batch
+//     re-derives that core;
 //   - a stuck-at fault is armed, a debug feature (breakpoint, branch
 //     watch, single-step) is armed, or an interrupt is pending: the core
 //     takes no block; it is only credited the stall it is counting down,
-//     its next issue goes through the naive path and ends the batch (which
-//     never starts for such a core without a stall).
+//     its next issue goes through the naive path and the batch re-derives
+//     the core after it (and refuses, or never starts, while such a core
+//     has no stall).
 //
 // The differential determinism suite runs every {exec-cache × superblock}
 // combination to enforce this.
@@ -263,7 +270,9 @@ func (m *Machine) watchDirty() bool {
 // the number of coming cycles in which the core provably touches nothing
 // but its own registers, counters and jitter stream, lag the number of
 // such cycles the loop has already credited it and burst still has to
-// execute. Both are 0 outside a batch.
+// execute. Both are 0 outside a batch. cgen is the cache generation the
+// promise was made under: the lines it found resident stay resident while
+// it is unchanged.
 type sbRunState struct {
 	c       *Core
 	parked  bool
@@ -273,6 +282,26 @@ type sbRunState struct {
 	fgen    uint64
 	promise uint64
 	lag     uint64
+	cgen    uint64
+}
+
+// keeps reports whether st's promise survived code other than the core's
+// own burst — a trap handler, a park's done hook — having run while nothing
+// lagged: the core is still running where its batch state stands, in the
+// same address space, over the same text and the same resident cache lines
+// the promise was made from, and nothing is armed that acts at its next
+// issue (a pending interrupt, a breakpoint, a branch watch, single-step).
+// Registers may have changed: a promise covers a register-only run whose
+// length does not depend on their values. A stall-only promise has no text.
+func (st *sbRunState) keeps() bool {
+	c := st.c
+	if st.promise == 0 || c.State != CoreRunning || c.pendingIRQ != 0 || c.pendingIPI ||
+		c.BP.Enabled || c.BranchWatch.Enabled || c.SingleStep {
+		return false
+	}
+	sb := st.sb
+	return sb == nil || c.PC == sb.start+uint64(st.pos)*isa.InstrBytes &&
+		c.cache.gen == st.cgen && sb.valid(sb.start, c.AS)
 }
 
 // lookahead returns how many cycles the core can promise from its current
@@ -320,7 +349,7 @@ func (st *sbRunState) lookahead(run bool) uint64 {
 // fetch-hit charge, execFast, block chain. A stall is counted down in one
 // step. A chain can only happen on the last cycle of a promise (it follows
 // the last instruction of the run); when it finds no block st.sb is left
-// nil, which ends the batch.
+// nil and the core's next issue goes through the naive path.
 func (m *Machine) burst(st *sbRunState) {
 	c, n := st.c, st.lag
 	st.lag = 0
@@ -379,11 +408,40 @@ func (m *Machine) sbSync() {
 	}
 }
 
-// sbNaiveRest finishes the current cycle's rotation after core idx through
-// the naive advance path, exactly as Step would: a trap or a park wake at
-// idx ran kernel code, which may have mutated — or started — any core, so
-// every core is visited, not only those the batch was driving.
-func (m *Machine) sbNaiveRest(idx int) {
+// batchExit names why a batch ended (SuperblockStats.Exits). The first
+// three are observations the batch survives when re-deriving its state
+// allows it; they count as exits only when it does not.
+type batchExit uint8
+
+const (
+	exitNone    batchExit = iota
+	exitTrap              // a trap (the kernel ran)
+	exitWatched           // a store into device-watched RAM
+	exitNaive             // a naive issue: stale text or no block under a core
+	exitMMIO              // a device register access
+	exitWake              // a parked core's condition fired
+	exitHorizon           // the limit or the device horizon was reached
+	exitRefused           // the batch could not start
+	nBatchExits
+)
+
+// Machine.sbExit bits.
+const (
+	sbExitTrap uint8 = 1 << iota
+	sbExitMMIO
+)
+
+// sbRest finishes the current cycle's rotation after core idx, once code
+// other than a core's own burst has run with nothing lagging (a trap, an
+// MMIO access, a park wake, or a store another core or a device can see):
+// exactly as Step would, except that a core whose promise survived that
+// code (keeps) is charged its slot against the promise. Every other core is
+// visited through the naive advance path, the cores the batch was not
+// driving included — kernel code may have mutated or started any core —
+// and loses its promise. seen is what ran; sbRest returns it, or exitMMIO or
+// exitWake when a device was accessed or a park woke, which the batch does
+// not survive.
+func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
 	n := len(m.cores)
 	for {
 		if idx++; idx == n {
@@ -392,18 +450,118 @@ func (m *Machine) sbNaiveRest(idx int) {
 		if idx == m.rr {
 			break
 		}
-		if c := m.cores[idx]; c.State != CoreHalted && c.State != CoreOffline {
+		c, st := m.cores[idx], &m.sbRun[idx]
+		switch {
+		case c.State == CoreHalted || c.State == CoreOffline:
+		case st.keeps():
+			st.promise--
+			st.lag++
+		default:
+			st.promise = 0
+			epoch, parked := m.parkEpoch, c.State == CoreParked
 			m.advance(c)
+			if parked && m.parkEpoch != epoch {
+				seen = exitWake
+			}
 		}
 	}
-	m.sbExit = false
+	if m.sbExit&sbExitMMIO != 0 {
+		seen = exitMMIO
+	}
+	m.sbExit = 0
+	return seen
+}
+
+// sbGate lists in sbAct the cores a batch drives. A running core takes a
+// superblock at its PC unless stuck bits or a PC watch are armed, the build
+// hold is on, an interrupt is pending or a debug feature is armed on it, or
+// no block forms there; such a core is admitted stall-only (no block, its
+// promise is its stall) while it counts down a stall, and refuses the batch
+// otherwise. Parked cores ride along; halted and offline ones take no part.
+// It is the batch entry's gate and, with keep, the re-derivation after a
+// cycle in which code other than a core's own burst ran: then a core whose
+// promise survived that code (keeps) is taken over as it stands, lag
+// included, and every other one is derived afresh. An undeclared rider
+// forbids promising runs (see runBlocks), so with one present no run
+// promise is kept. On refusal sbAct is left as it was, still listing every
+// lagging core.
+func (m *Machine) sbGate(keep bool) (nparked int, deferRuns, ok bool) {
+	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil
+	act := m.sbGated[:0]
+	deferRuns = true
+	kept := false // a run promise was kept
+	for i, c := range m.cores {
+		st := &m.sbRun[i]
+		if keep && (st.sb == nil || !noBlocks) && st.keeps() {
+			kept = kept || st.sb != nil
+			act = append(act, st)
+			continue
+		}
+		if st.lag != 0 {
+			m.burst(st)
+		}
+		st.c, st.sb, st.promise = c, nil, 0
+		switch c.State {
+		case CoreHalted, CoreOffline:
+			continue
+		case CoreParked:
+			st.parked = true
+			nparked++
+			if c.parkGp == nil || c.parkWake == 0 {
+				deferRuns = false
+			}
+		default:
+			if !noBlocks && c.pendingIRQ == 0 && !c.pendingIPI &&
+				!c.BP.Enabled && !c.BranchWatch.Enabled && !c.SingleStep {
+				if st.sb = m.blockFor(c); st.sb == nil {
+					m.sbHold = m.now + sbBuildHold
+				}
+			}
+			if st.sb == nil && c.stall <= 0 {
+				return 0, false, false
+			}
+			st.parked, st.pos = false, 0
+			st.fline = ^uint64(0) // no line memoized yet
+		}
+		act = append(act, st)
+	}
+	if kept && !deferRuns {
+		return m.sbGate(false)
+	}
+	m.sbAct, m.sbGated = act, m.sbAct[:0]
+	return nparked, deferRuns, true
+}
+
+// sbHorizon returns how many of the next limit cycles a batch may run: it
+// must end one cycle before the earliest device event so that cycle is
+// stepped naively. It refuses when an event is due next cycle, or when a
+// device has no event schedule, which pins the machine to naive stepping.
+func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
+	if len(m.events) != len(m.devices) {
+		return 0, false
+	}
+	for _, es := range m.events {
+		ne := es.NextEvent(m.now)
+		if ne == NoEvent {
+			continue
+		}
+		if ne <= m.now+1 {
+			return 0, false
+		}
+		if d := ne - m.now - 1; d < limit {
+			limit = d
+		}
+	}
+	return limit, true
 }
 
 // runBlocks executes up to limit cycles through the superblock engine and
 // returns the number of cycles consumed (possibly 0 when the batch cannot
 // safely start). cond is RunUntil's condition, nil under Run; it cannot
-// turn true inside a batch (see RunUntil) and is only evaluated, before
-// every batched cycle except the first, when DebugCondShadow is set.
+// turn true inside a batch except through a trap handler (see RunUntil), so
+// it is evaluated after every cycle with a trap the batch goes on from,
+// and, before every batched cycle except the first, when DebugCondShadow
+// is set.
 //
 // Lagging cores and the one core at machine time. Between two kernel
 // entries a replica is an independent instruction stream, so the loop does
@@ -439,97 +597,60 @@ func (m *Machine) sbNaiveRest(idx int) {
 // burst can read or write a lagging core, and each starts with sbSync:
 // Machine.trap (the kernel), both MMIO arms of execSlow (a device), the
 // evaluation of a park condition in advance (and of its DebugParkShadow
-// twin), the DebugCondShadow evaluation here, the exit of a solo run whose
-// store the rest of the machine has to see, and batch end (the host).
-// Devices tick only outside batches (the horizon). Lags are rotation-exact:
-// a core is credited a cycle in its own slot — one by one in the rotation,
-// or by slot arithmetic when a solo run is observed mid-cycle — so when a
-// core traps, the cores serviced before it in that cycle owe the cycle and
-// the ones after it do not, which is what naive stepping would show the
-// handler. The one input of a promise another core can change is text:
-// after an op that may have stored, a promised core whose block pages went
-// stale bursts at once — every cycle it owes precedes the store — and
-// loses its promise, so its next issue takes the stale-text path (a solo
-// run ends instead, with the same effect). A parked rider's condition is
-// host code too; one that declares a ParkWatch and a wake cycle is only
-// evaluated after an sbSync and is known false in between, but an
-// undeclared one is evaluated every cycle and may read a running core's
-// registers, so with such a rider present only stalls are promised.
+// twin), the DebugCondShadow evaluation here, a solo core's store that the
+// rest of the machine has to see, and batch end (the host). Devices tick
+// only outside batches (the horizon). Lags are rotation-exact: a core is
+// credited a cycle in its own slot — one by one in the rotation, or by slot
+// arithmetic when a solo run is observed mid-cycle — so when a core traps,
+// the cores serviced before it in that cycle owe the cycle and the ones
+// after it do not, which is what naive stepping would show the handler.
+// The one input of a promise another core can change is text: after an op
+// that may have stored, a promised core whose block pages went stale
+// bursts at once — every cycle it owes precedes the store — and loses its
+// promise, so its next issue takes the stale-text path. A parked rider's
+// condition is host code too; one that declares a ParkWatch and a wake
+// cycle is only evaluated after an sbSync and is known false in between,
+// but an undeclared one is evaluated every cycle and may read a running
+// core's registers, so with such a rider present only stalls are promised.
+//
+// A batch ends only where something can observe its end. After a trap, a
+// naive issue, a store into device-watched RAM or a solo core's store into
+// promised text, the cycle is finished (sbRest after a trap: the cores whose
+// promise the handler left intact are charged their slots, the rest are
+// stepped naively) and the batch re-derives what that may have changed: the
+// gate (sbGate, keeping the surviving promises), the device horizon and,
+// under RunUntil, the condition. It exits when one of them refuses, and at
+// once on an MMIO access, a park wake, or with DebugCondShadow or
+// DebugParkShadow set, whose evaluations are placed at batch boundaries.
 func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	if limit == 0 {
 		return 0
 	}
 	// Core gates, before the device horizon: they are cheap, and a machine
 	// with many devices would otherwise scan them all on every refused
-	// entry. A running core takes a superblock at its PC unless stuck bits
-	// or a PC watch are armed, the build hold is on, an interrupt is pending
-	// or a debug feature is armed on it, or no block forms there; such a
-	// core is admitted stall-only (no block, its promise is its stall) while
-	// it counts down a stall, and refuses the batch otherwise. Parked cores
-	// ride along.
+	// entry.
 	if m.sbRun == nil || len(m.sbRun) != len(m.cores) {
 		m.sbRun = make([]sbRunState, len(m.cores))
 		m.sbAct = make([]*sbRunState, 0, len(m.cores))
+		m.sbGated = make([]*sbRunState, 0, len(m.cores))
 	}
-	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil
-	act := m.sbAct[:0]
-	nparked, deferRuns := 0, true
-	for i, c := range m.cores {
-		st := &m.sbRun[i]
-		st.c, st.sb, st.promise = c, nil, 0
-		switch c.State {
-		case CoreHalted, CoreOffline:
-			continue
-		case CoreParked:
-			st.parked = true
-			nparked++
-			if c.parkGp == nil || c.parkWake == 0 {
-				deferRuns = false
-			}
-		default:
-			if !noBlocks && c.pendingIRQ == 0 && !c.pendingIPI &&
-				!c.BP.Enabled && !c.BranchWatch.Enabled && !c.SingleStep {
-				if st.sb = m.blockFor(c); st.sb == nil {
-					m.sbHold = m.now + sbBuildHold
-				}
-			}
-			if st.sb == nil && c.stall <= 0 {
-				return 0
-			}
-			st.parked, st.pos = false, 0
-			st.fline = ^uint64(0) // no line memoized yet
-		}
-		act = append(act, st)
+	nparked, deferRuns, ok := m.sbGate(false)
+	var horizon uint64
+	if ok {
+		horizon, ok = m.sbHorizon(limit)
 	}
-	// Device horizon: the batch must end one cycle before the earliest
-	// device event so that cycle is stepped naively. A device without an
-	// event schedule pins the machine to naive stepping.
-	horizon := limit
-	for _, dev := range m.devices {
-		es, ok := dev.(EventSource)
-		if !ok {
-			return 0
-		}
-		ne := es.NextEvent(m.now)
-		if ne == NoEvent {
-			continue
-		}
-		if ne <= m.now+1 {
-			return 0
-		}
-		if d := ne - m.now - 1; d < horizon {
-			horizon = d
-		}
+	if !ok {
+		m.sbExits[exitRefused]++
+		return 0
 	}
-	m.sbAct = act
-
 	for i, gp := range m.watchGp {
 		m.watchSnap[i] = *gp
 	}
 	ncores := len(m.cores)
 	bus := m.bus
 	shadow := cond != nil && DebugCondShadow != nil
-	m.sbExit = false
+	survive := !shadow && DebugParkShadow == nil
+	m.sbExit = 0
 	consumed := uint64(0)
 	// calm stands in for the proof an undeclared rider cannot give: it is
 	// set by a cycle in which every rider was polled and stayed parked and
@@ -539,10 +660,37 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	// false with riders because a park condition may have become true
 	// during the very Step that preceded the batch (a trap later in that
 	// cycle's rotation changes condition inputs after the rider's advance
-	// already ran).
+	// already ran); the same holds after a cycle with a trap in it.
 	calm := nparked == 0
-	exit := false
-	for consumed < horizon && !exit {
+	// seen is what the cycle just run let observe the machine, exitNone when
+	// nothing did; why is the reason the batch ends.
+	seen, why := exitNone, exitNone
+	for {
+		if consumed >= horizon {
+			why = exitHorizon
+			break
+		}
+		if seen != exitNone {
+			if !survive || seen == exitMMIO || seen == exitWake ||
+				seen == exitTrap && cond != nil && cond() {
+				why = seen
+				break
+			}
+			if nparked, deferRuns, ok = m.sbGate(true); ok {
+				var h uint64
+				h, ok = m.sbHorizon(limit - consumed)
+				horizon = consumed + h
+			}
+			if !ok {
+				why = seen
+				break
+			}
+			for i, gp := range m.watchGp {
+				m.watchSnap[i] = *gp
+			}
+			calm = nparked == 0
+			seen = exitNone
+		}
 		if shadow && consumed > 0 {
 			m.sbSync()
 			if cond() {
@@ -555,7 +703,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		k := horizon - consumed
 		var lone *sbRunState
 		unpromised, idle := 0, true
-		for _, st := range act {
+		for _, st := range m.sbAct {
 			if st.parked {
 				continue
 			}
@@ -568,6 +716,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 					unpromised++
 					continue
 				}
+				st.cgen = st.c.cache.gen
 				m.sbPromises++
 			}
 			if st.sb != nil {
@@ -580,9 +729,9 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		if unpromised == 1 && k >= sbSoloMin && nparked == 0 && !shadow {
 			// A run of no cycles found no block or stale text under the
 			// core: the stepped path below takes the cycle.
-			if n, ended := m.solo(lone, k); n != 0 {
+			if n, obs := m.solo(lone, k); n != 0 {
 				consumed += n
-				exit = ended
+				seen = obs
 				continue
 			}
 		}
@@ -604,7 +753,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			if idle {
 				m.ffSkipped += k
 			}
-			for _, st := range act {
+			for _, st := range m.sbAct {
 				if !st.parked {
 					st.promise -= k
 					st.lag += k
@@ -624,6 +773,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		anyIssue := false
 		// The rotation starts at the first active core at or after the
 		// round-robin origin; halted cores do nothing in a cycle.
+		act := m.sbAct
 		s := 0
 		for s < len(act) && act[s].c.ID < m.rr {
 			s++
@@ -643,8 +793,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 					// The park woke — even if its done hook parked the core
 					// again, kernel code ran: the rest of the rotation is
 					// Step's, and the batch ends.
-					m.sbNaiveRest(c.ID)
-					exit = true
+					seen = m.sbRest(c.ID, exitWake)
 					break rotation
 				}
 				continue
@@ -665,39 +814,40 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				// No block (a stall-only core whose stall ran out, or a
 				// failed chain), or text (or a page it shares) mutated under
 				// it: issue naively this cycle — the naive fetch re-derives
-				// bytes and any trap from scratch — and end the batch.
+				// bytes and any trap from scratch — and re-derive the core
+				// after the cycle.
 				m.issue(c)
-				exit = true
-				if m.sbExit {
-					m.sbNaiveRest(c.ID)
+				if m.sbExit != 0 {
+					seen = m.sbRest(c.ID, exitTrap)
 					break rotation
 				}
 				m.sbRevoke()
+				seen = exitNaive
 				continue
 			}
 			if !m.sbIssue(st) {
 				continue
 			}
-			if m.sbExit {
-				m.sbNaiveRest(c.ID)
-				exit = true
+			if m.sbExit != 0 {
+				seen = m.sbRest(c.ID, exitTrap)
 				break rotation
 			}
 			m.sbRevoke()
 			// A store into device-watched RAM (DMA mailbox flag) invalidates
-			// the entry-time device horizon: finish the cycle (the naive
-			// Step's device phase had already run by the time cores execute)
-			// and end the batch, so the owning device's next Tick observes the
-			// store on schedule.
+			// the device horizon: finish the cycle (the naive Step's device
+			// phase had already run by the time cores execute) and re-derive
+			// it, so the owning device's next Tick observes the store on
+			// schedule.
 			if m.watchGp != nil && m.watchDirty() {
-				exit = true
+				seen = exitWatched
 			}
 		}
-		calm = !anyIssue && !exit
+		calm = !anyIssue && seen == exitNone
 		consumed++
 	}
 	// Host code observing the machine after Run sees no lagging core.
 	m.sbSync()
+	m.sbExits[why]++
 	m.sbBatched += consumed
 	return consumed
 }
@@ -707,9 +857,9 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 // the one definition of that step, for the rotation of runBlocks and for
 // solo. It reports whether the instruction went through execSlow: only such
 // an op can trap, reach a device or store, so only then has the caller
-// anything to check. After a trap or an MMIO access (m.sbExit) the batch is
-// over and the block position is left alone — the handler may have moved
-// the core anywhere.
+// anything to check. After a trap or an MMIO access (m.sbExit) the block
+// position is left alone — the handler may have moved the core anywhere —
+// and the caller re-derives the core.
 func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	c, sb := st.c, st.sb
 	if c.nextJitter(m.prof.JitterShift) {
@@ -753,7 +903,7 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 			c.Instructions++
 			c.sb.instrs++
 		}
-		if m.sbExit {
+		if m.sbExit != 0 {
 			return true
 		}
 	}
@@ -783,17 +933,23 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 // or something observes them (sbSettle). Because the core does not lag it
 // may execute any op. A trap or an MMIO access has already synced when it
 // returns; a store that dirtied device-watched RAM or made another core's
-// block text stale syncs here; either way the cycle's remaining slots go
-// through the naive advance path and the batch ends, as after a trap in the
-// rotation. Stale text under the core itself, or a failed chain, ends the
-// run before the next cycle begins and the stepped path takes that cycle.
-// Returns the cycles consumed and whether the batch is over.
-func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, exit bool) {
-	c, bus := st.c, m.bus
+// block text stale syncs here; either way the run ends, the cycle's
+// remaining slots go through sbRest, and solo returns what observed the
+// machine for runBlocks to re-derive from or exit on, as after the same
+// event in the rotation. Stale text under the core itself, or a failed
+// chain, ends the run before the next cycle begins and the stepped path
+// takes that cycle. Returns the cycles consumed and the observation,
+// exitNone when the run simply ran out.
+func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
+	c, bus, mem := st.c, m.bus, m.mem
 	start := m.now
 	end := start + span
 	m.sbSolo, m.sbSoloFrom = st, start
-	for m.now < end && st.sb != nil && st.sb.pagesFresh() {
+	// Only a store of the core's own can make text stale or dirty watched
+	// RAM in here, so those checks wait for the write count to move.
+	writes := mem.writes
+	fresh := st.sb != nil && st.sb.pagesFresh()
+	for fresh && m.now < end {
 		if c.stall > 0 {
 			d := uint64(c.stall)
 			if d > end-m.now {
@@ -807,17 +963,29 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, exit bool) {
 		m.now++
 		bus.tick()
 		c.Cycles++
-		if !m.sbIssue(st) {
+		if !m.sbIssue(st) || m.sbExit == 0 && mem.writes == writes {
+			fresh = st.sb != nil // a chain that found no block ends the run
 			continue
 		}
-		if m.sbExit || m.watchGp != nil && m.watchDirty() || m.sbStale() {
-			m.sbSync() // a trap or an MMIO access did on its first line: nothing lags then
-			m.sbNaiveRest(c.ID)
-			return m.now - start, true
+		switch {
+		case m.sbExit != 0:
+			seen = exitTrap
+		case m.watchGp != nil && m.watchDirty():
+			seen = exitWatched
+		case m.sbStale():
+			seen = exitNaive
+		default:
+			// A store nobody else reads; into the core's own text it ends
+			// the run.
+			writes = mem.writes
+			fresh = st.sb != nil && st.sb.pagesFresh()
+			continue
 		}
+		m.sbSync() // a trap or an MMIO access did on its first line: nothing lags then
+		return m.now - start, m.sbRest(c.ID, seen)
 	}
 	m.sbSettle(false)
-	return m.now - start, false
+	return m.now - start, exitNone
 }
 
 // stale reports whether the block text under st's promise has been written
@@ -841,7 +1009,7 @@ func (m *Machine) sbStale() bool {
 // solo core has begun since the run started. When the solo core is inside a
 // cycle (mid) that cycle counts only for the cores whose slot in its
 // rotation precedes the solo core's — the lag the stepped loop builds one
-// promise--, lag++ at a time — and the others get it from sbNaiveRest.
+// promise--, lag++ at a time — and the others get it from sbRest.
 func (m *Machine) sbSettle(mid bool) {
 	solo := m.sbSolo
 	m.sbSolo = nil
@@ -1049,6 +1217,21 @@ type SuperblockStats struct {
 	Promises    uint64 // promises made
 	Batched     uint64 // machine cycles run inside batches
 	Solo        uint64 // ... of which by one core alone at machine time (solo)
+	Exits       BatchExits
+}
+
+// BatchExits counts why superblock batches ended, one count per batch. A
+// trap, a naive issue or a watched store ends a batch only when the state it
+// re-derives afterwards refuses to go on (an interrupt or device event due,
+// a core with neither block nor stall, RunUntil's condition true).
+type BatchExits struct {
+	Trap    uint64 // after a trap
+	MMIO    uint64 // a device register access
+	Watched uint64 // after a store into device-watched RAM
+	Naive   uint64 // after a naive issue: stale text or no block under a core
+	Wake    uint64 // a parked core's condition fired
+	Horizon uint64 // the limit or the device horizon was reached
+	Refused uint64 // entries that could not start a batch
 }
 
 // HitRate returns the fraction of all retired instructions that executed
@@ -1080,8 +1263,11 @@ func (m *Machine) BlockStartPAs(id int) []uint64 {
 
 // SuperblockStats returns aggregate superblock diagnostics for the machine.
 func (m *Machine) SuperblockStats() SuperblockStats {
+	x := &m.sbExits
 	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises,
-		Batched: m.sbBatched, Solo: m.sbSoloRun}
+		Batched: m.sbBatched, Solo: m.sbSoloRun, Exits: BatchExits{
+			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched], Naive: x[exitNaive],
+			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
 	for _, c := range m.cores {
 		s.Instrs += c.Instructions
 		if c.sb != nil {

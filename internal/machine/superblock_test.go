@@ -336,8 +336,8 @@ func (d *mailboxDevice) NextEvent(now uint64) uint64 {
 // TestSuperblockMemWatcherStore is the regression test for device
 // horizons that depend on guest-written RAM: the hot loop clears the
 // mailbox flag with a plain store mid-batch, and the device must deliver
-// on exactly the cycle naive stepping would — the store ends the batch so
-// the next Tick observes it on schedule.
+// on exactly the cycle naive stepping would — the store makes the batch
+// re-derive its device horizon so the next Tick observes it on schedule.
 func TestSuperblockMemWatcherStore(t *testing.T) {
 	const flagPA, dataPA = 0x9000, 0x9008
 	b := asm.New()

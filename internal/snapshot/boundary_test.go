@@ -53,6 +53,7 @@ var hostDerived = map[string]string{
 	"kernel.Kernel.core":        "wiring",
 	"kernel.Kernel.lay":         "construction-time layout",
 	"kernel.Kernel.canaryWords": "pure function of the replica ID",
+	"kernel.Kernel.canaryGen":   "host memo keyed on a page generation, which load bumps",
 	"kernel.Kernel.OnPreempt":   "hook: re-wired by the owner",
 	"kernel.Kernel.traceWords":  "scratch of AddTraceBytes, rebuilt by every call",
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
@@ -60,6 +61,7 @@ var hostDerived = map[string]string{
 	// machine
 	"machine.Machine.prof":       "construction-time profile (core count and bus rate are checked)",
 	"machine.Machine.windows":    "construction-time wiring",
+	"machine.Machine.events":     "construction-time wiring",
 	"machine.Machine.mmioLo":     "construction-time wiring",
 	"machine.Machine.mmioHi":     "construction-time wiring",
 	"machine.Machine.OnIRQRoute": "hook: construction-time wiring",
@@ -70,6 +72,7 @@ var hostDerived = map[string]string{
 	"machine.Machine.parkEpoch":  "park gate memo: a re-armed park evaluates on its first poll",
 	"machine.Machine.parkStats":  "host-side diagnostics",
 	"machine.Machine.sbExit":     "batch-local flag of the superblock loop",
+	"machine.Machine.sbExits":    "host-side diagnostics",
 	"machine.Machine.sbDeferred": "host-side diagnostics",
 	"machine.Machine.sbPromises": "host-side diagnostics",
 	"machine.Machine.sbBatched":  "host-side diagnostics",
@@ -78,11 +81,13 @@ var hostDerived = map[string]string{
 	"machine.Machine.sbSoloFrom": "cycle the current solo run began at: meaningless while sbSolo is nil",
 	"machine.Machine.sbRun":      "per-batch scratch of the superblock loop",
 	"machine.Machine.sbAct":      "per-batch scratch of the superblock loop",
+	"machine.Machine.sbGated":    "per-batch scratch of the superblock loop",
 	"machine.Machine.watchGp":    "pointers into pageGen for device-watched pages, rebuilt per batch",
 	"machine.Machine.watchSnap":  "pageGen values at batch entry",
 	"machine.Machine.sbJumped":   "host-side diagnostics, restart on load",
 	"machine.Machine.sbHold":     "host-only cooldown, restarts on load",
 	"machine.Mem.pageGen":        "mutation generations: validity keys of host-side caches, bumped by load",
+	"machine.Mem.writes":         "host-side mutation count, only ever compared within one batch",
 	"machine.Mem.base":           "identity of the image a rewind may delta against",
 	"machine.Mem.baseGen":        "page generations at the last full load of base",
 	"machine.Core.ID":            "construction-time identity",

@@ -5,6 +5,7 @@ import (
 
 	"rcoe"
 	"rcoe/internal/harness"
+	"rcoe/internal/machine"
 	"rcoe/internal/workload"
 )
 
@@ -57,12 +58,22 @@ func TestSuperblockDhrystoneHitRate(t *testing.T) {
 // not noise, and a halving of the solo path fails. If the share collapses
 // the engine is back to driving the lone core through the
 // promise/credit/burst round trip.
+//
+// The run also pins where batches end. The NIC watches only its RX flag,
+// which the driver clears once per op (the load phase's inserts included),
+// so stores into the watched word end at most one batch per op; and a batch
+// goes on after a trap unless re-deriving its state refuses, so fewer than
+// half of all traps end one.
 func TestSuperblockKVSoloShare(t *testing.T) {
+	const records, ops = 50, 400
+	traps := uint64(0)
+	machine.DebugTrace = func(int, machine.TrapKind, uint64, uint64) { traps++ }
+	defer func() { machine.DebugTrace = nil }()
 	run, err := harness.NewKV(harness.KVOptions{
 		System:      rcoe.Config{Mode: rcoe.ModeLC, Replicas: 2, TickCycles: 60_000},
 		Workload:    workload.YCSBA,
-		Records:     50,
-		Operations:  400,
+		Records:     records,
+		Operations:  ops,
 		TraceOutput: true,
 		Seed:        1,
 	})
@@ -70,7 +81,7 @@ func TestSuperblockKVSoloShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := run.Run()
-	if err != nil || res.Ops != 400 || res.Errors != 0 {
+	if err != nil || res.Ops != ops || res.Errors != 0 {
 		t.Fatalf("KV run: %+v, %v", res, err)
 	}
 	m := run.Sys.Machine()
@@ -79,5 +90,9 @@ func TestSuperblockKVSoloShare(t *testing.T) {
 	if share := float64(s.Solo) / float64(executed); executed == 0 || share < 0.25 {
 		t.Fatalf("solo share %.1f%% < 25%% of %d batched cycles in which a core executed on LC-DMR KV (%+v)",
 			share*100, executed, s)
+	}
+	if e := s.Exits; e.Watched > records+ops || e.Trap*2 >= traps {
+		t.Fatalf("batch exits %+v over %d ops and %d traps: want at most one watched-store exit per op and trap exits below half of all traps",
+			e, records+ops, traps)
 	}
 }
