@@ -237,15 +237,13 @@ func (r *Replica) state(c *snapshot.Codec) {
 
 // rearmPark reinstalls the park closures for a parked core from its
 // recorded descriptor. The machine layer restored the core's parked state
-// and wake hint but cleared the (unserializable) closures; the arm*
-// installers rebuild them without re-running the park sites' side
-// effects. Park resets the wake hint, so it is reapplied afterwards.
+// but cleared the (unserializable) closures; the arm* installers rebuild
+// them without re-running the park sites' side effects, and declare the
+// same wake cycle again from restored state (barrierStart).
 func (s *System) rearmPark(r *Replica) error {
-	c := r.Core()
-	if c.State != machine.CoreParked {
+	if r.Core().State != machine.CoreParked {
 		return nil
 	}
-	wake := c.ParkWake()
 	switch r.park.kind {
 	case parkRendezvous:
 		s.armRendezvousPark(r, r.park.gen)
@@ -270,7 +268,6 @@ func (s *System) rearmPark(r *Replica) error {
 		return fmt.Errorf("%w: replica %d parked with no park descriptor",
 			snapshot.ErrBadSnapshot, r.ID)
 	}
-	c.ParkWakeAt(wake)
 	return nil
 }
 

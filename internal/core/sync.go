@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rcoe/internal/machine"
 	"rcoe/internal/trace"
 )
 
@@ -119,9 +120,6 @@ func (s *System) enterRendezvous(r *Replica) {
 	s.sh.setRepWord(r.ID, rwArriveGen, gen)
 	s.publishSignature(r)
 	s.trEvent(r, trace.KindBarrierJoin, gen, 0)
-	if debugArrive != nil {
-		debugArrive(r.ID, gen, lt, s.m.Now(), r.Core().Regs[5]<<32|r.Core().Regs[27])
-	}
 	maxT := s.maxAliveTime()
 	if lt.less(maxT) && s.canAdvance(r) {
 		s.catchUp(r, maxT)
@@ -222,7 +220,12 @@ func (s *System) parkAtRendezvous(r *Replica, gen uint64) {
 func (s *System) armRendezvousPark(r *Replica, gen uint64) {
 	r.park = parkDesc{kind: parkRendezvous, gen: gen}
 	c := r.Core()
-	c.Park(func() bool {
+	// The only time-driven exit is the spin-budget expiry; everything else
+	// (release, overtake, level-up) comes from peers executing. Apart from
+	// the cycle counter the condition reads framework words, and host
+	// fields (halted, this replica's finished flag, current thread and
+	// barrierStart) that only kernel code writes.
+	s.park(c, r.barrierStart+s.cfg.BarrierTimeout+1, func() bool {
 		if s.halted {
 			return true
 		}
@@ -262,13 +265,6 @@ func (s *System) armRendezvousPark(r *Replica, gen uint64) {
 			}
 		}
 	})
-	// The only time-driven exit is the spin-budget expiry; everything else
-	// (release, overtake, level-up) comes from peers executing. Apart from
-	// the cycle counter the condition reads framework words, and host
-	// fields (halted, this replica's finished flag, current thread and
-	// barrierStart) that only kernel code writes: the ParkWatch contract.
-	c.ParkWakeAt(r.barrierStart + s.cfg.BarrierTimeout + 1)
-	c.ParkWatch(s.parkGen)
 }
 
 // completeRendezvous runs when the last replica levels up: it votes on
@@ -366,10 +362,6 @@ func (s *System) releaseFromRendezvous(r *Replica, gen uint64) {
 	// Republish the post-reset logical time: stale pre-reset values would
 	// look "ahead" to peers and send them chasing ghosts.
 	s.sh.publishTime(r.ID, s.timeOf(r))
-	if debugRelease != nil {
-		c := r.Core()
-		debugRelease(r.ID, gen, c.PC, c.Regs[5], c.Regs[27], s.m.Now())
-	}
 	r.Core().AddStall(60) // protocol bookkeeping cost per replica
 	s.markReleased(r, gen)
 	if r.finished {
@@ -403,7 +395,11 @@ func (s *System) markReleased(r *Replica, gen uint64) {
 func (s *System) finishedPark(r *Replica) {
 	r.park = parkDesc{kind: parkFinished}
 	c := r.Core()
-	c.Park(func() bool {
+	// Wakes only on halt, finish, or a peer opening a synchronisation —
+	// all effects of other cores executing. releasedSet changes in kernel
+	// code, or in the watchdog's requestSync together with the framework
+	// words it writes, so the watch sees every change.
+	s.park(c, machine.NoEvent, func() bool {
 		if s.halted || s.finished {
 			return true
 		}
@@ -415,12 +411,6 @@ func (s *System) finishedPark(r *Replica) {
 		}
 		s.enterRendezvous(r)
 	})
-	// Wakes only on halt, finish, or a peer opening a synchronisation —
-	// all effects of other cores executing. releasedSet changes in kernel
-	// code, or in the watchdog's requestSync together with the framework
-	// words it writes, so the watch sees every change.
-	c.ParkWakeNever()
-	c.ParkWatch(s.parkGen)
 }
 
 // barrierTimeout fires when a replica exhausted its spin budget waiting
@@ -521,18 +511,6 @@ func (s *System) eventBarrierTimeout(r *Replica, ev uint64) bool {
 	return s.ejectStraggler(straggler)
 }
 
-// debugChase, when set, observes every catch-up comparison (tests only).
-var debugChase func(rid int, lt, target logicalTime)
-
-// debugArrive, when set, observes every rendezvous arrival (tests only).
-var debugArrive func(rid int, gen uint64, lt logicalTime, now, cycles uint64)
-
-// debugStale, when set, observes dropped debug exceptions (tests only).
-var debugStale func(what string, rid int, now uint64)
-
-// debugRelease, when set, observes rendezvous releases (tests only).
-var debugRelease func(rid int, gen, pc, r5, rbc, now uint64)
-
 // onBreakpoint services the catch-up breakpoint: compare the precise
 // logical clocks and either join the rendezvous, step over the breakpoint
 // and keep chasing, or (if somehow ahead) park and let the others chase.
@@ -545,9 +523,6 @@ func (s *System) onBreakpoint(r *Replica) {
 		s.stats.VMExits++
 	}
 	if !r.chasing {
-		if debugStale != nil {
-			debugStale("stale-bp", r.ID, s.m.Now())
-		}
 		// Stale breakpoint (e.g. chase abandoned): disarm and continue.
 		s.clearChase(r)
 		s.afterKernel(r)
@@ -556,9 +531,6 @@ func (s *System) onBreakpoint(r *Replica) {
 	lt := s.timeOf(r)
 	s.sh.publishTime(r.ID, lt)
 	target := s.maxAliveTime()
-	if debugChase != nil {
-		debugChase(r.ID, lt, target)
-	}
 	switch {
 	case lt.equal(target):
 		s.clearChase(r)
@@ -646,8 +618,6 @@ func (s *System) onSingleStep(r *Replica) {
 	if r.chasing {
 		c.BP.Addr = r.chaseTarget.IP
 		c.BP.Enabled = true
-	} else if debugStale != nil {
-		debugStale("sstep-nochase", r.ID, s.m.Now())
 	}
 }
 
@@ -676,7 +646,9 @@ func (s *System) armEventBarrier(r *Replica, desc parkDesc, action func(), cont 
 	r.park = desc
 	ev := desc.ev
 	c := r.Core()
-	c.Park(func() bool {
+	// As at the rendezvous park: only the spin budget is time-driven, and
+	// the rest is framework words and the halt flag.
+	s.park(c, r.barrierStart+s.cfg.BarrierTimeout+1, func() bool {
 		if s.halted {
 			return true
 		}
@@ -715,10 +687,6 @@ func (s *System) armEventBarrier(r *Replica, desc parkDesc, action func(), cont 
 			}
 		}
 	})
-	// As at the rendezvous park: only the spin budget is time-driven, and
-	// the rest is framework words and the halt flag.
-	c.ParkWakeAt(r.barrierStart + s.cfg.BarrierTimeout + 1)
-	c.ParkWatch(s.parkGen)
 }
 
 // allVotedAt reports whether every alive replica has arrived at event ev

@@ -74,7 +74,7 @@ type System struct {
 	m    *machine.Machine
 	sh   shared
 	reps []*Replica
-	// parkGen is the ParkWatch declaration of the barrier parks: the
+	// parkGen is the watch every replica park declares (see park): the
 	// mutation generation of the page holding every framework word. Nil —
 	// no watch, every poll evaluates — when the replica blocks of a very
 	// wide configuration (32 replicas or more) spill past that page.
@@ -416,7 +416,10 @@ func (s *System) consumeStall(r *Replica) {
 func (s *System) armStallPark(r *Replica) {
 	r.park = parkDesc{kind: parkStall}
 	c := r.Core()
-	c.Park(func() bool {
+	// Both halt and ejection happen through other cores executing; time
+	// alone never wakes this park. Its inputs are the halt flag (kernel
+	// code) and the alive mask (framework page).
+	s.park(c, machine.NoEvent, func() bool {
 		return s.halted || (s.cfg.Mode != ModeNone && !s.sh.alive(r.ID))
 	}, func() {
 		if s.halted {
@@ -425,11 +428,19 @@ func (s *System) armStallPark(r *Replica) {
 		}
 		c.SetOffline()
 	})
-	// Both halt and ejection happen through other cores executing; time
-	// alone never wakes this park. Its inputs are the halt flag (kernel
-	// code) and the alive mask (framework page).
-	c.ParkWakeNever()
-	c.ParkWatch(s.parkGen)
+}
+
+// park parks a replica's core on cond, declaring wake (machine.Core.Park)
+// and the framework page as its watch: every replica park reads, besides
+// its core's cycle count and interrupt latches, only framework words and
+// state kernel code writes. A configuration too wide for one page has no
+// watch to declare, so there every park declares a wake of 0 and every
+// poll evaluates.
+func (s *System) park(c *machine.Core, wake uint64, cond func() bool, done func()) {
+	if s.parkGen == nil {
+		wake = 0
+	}
+	c.Park(cond, done, wake, s.parkGen)
 }
 
 // record appends a detection event. With tracing enabled, the first

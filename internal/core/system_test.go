@@ -218,7 +218,7 @@ func TestBarrierTimeoutOnHungReplica(t *testing.T) {
 		BarrierTimeout: 100_000}, cpuLoop(t, 2_000_000))
 	sys.RunCycles(30_000)
 	// Hang replica 1 (simulates an unresponsive core).
-	sys.Replica(1).Core().Park(func() bool { return false }, nil)
+	sys.Replica(1).Core().Park(func() bool { return false }, nil, machine.NoEvent, nil)
 	err := sys.Run(50_000_000)
 	if err == nil {
 		t.Fatalf("hung replica not detected")

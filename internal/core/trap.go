@@ -546,7 +546,11 @@ func (s *System) goIdle(r *Replica) {
 func (s *System) armIdlePark(r *Replica) {
 	r.park = parkDesc{kind: parkIdle}
 	c := r.Core()
-	c.Park(func() bool {
+	// Interrupts and IPIs come from devices or other cores and move the park
+	// epoch as they are latched; thread wakeups and a halt are kernel code.
+	// Time alone never wakes the core: the devices' own NextEvent schedules
+	// bound the skip.
+	s.park(c, machine.NoEvent, func() bool {
 		return s.halted || c.IPIPending() || c.PendingIRQ() != 0 || r.K.HasReady()
 	}, func() {
 		if s.halted {
@@ -559,9 +563,6 @@ func (s *System) armIdlePark(r *Replica) {
 		// Otherwise the pending interrupt is delivered by the machine on
 		// the next cycle, before any stale user state executes.
 	})
-	// Interrupts, IPIs, and thread wakeups all originate from devices or
-	// other cores; the devices' own NextEvent schedules bound the skip.
-	c.ParkWakeNever()
 }
 
 // afterKernel is the common kernel-exit path: join a pending rendezvous,

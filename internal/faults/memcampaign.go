@@ -2,7 +2,6 @@ package faults
 
 import (
 	"context"
-	"errors"
 
 	"rcoe/internal/core"
 	"rcoe/internal/exp"
@@ -256,6 +255,3 @@ func classify(run *harness.KVRun) (Outcome, bool) {
 	}
 	return OutcomeNone, false
 }
-
-// ErrNoOutcome is reserved for callers that require a decided trial.
-var ErrNoOutcome = errors.New("faults: trial ended without observable outcome")

@@ -17,10 +17,11 @@ import (
 // rotation) and a device that watches one RAM word. The syscall handler
 // does one of trapActions to the trapping core, to another core or to
 // memory. The batch engine must leave the machine exactly where naive
-// stepping does after every Run and RunUntil call, and every trap and
-// device event must observe the same machine. A seed's residue modulo
-// len(trapActions) picks the action every syscall takes; "mixed" draws one
-// per syscall.
+// stepping does after every Run and RunUntil call, every trap and device
+// event must observe the same machine, and the naive reference runs with
+// DebugParkShadow set, so a park gate skip that misses a wake fails too. A
+// seed's residue modulo len(trapActions) picks the action every syscall
+// takes; "mixed" draws one per syscall.
 
 var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark-other",
 	"ipi-other", "irq-other", "patch-other", "bp-other", "branch-watch-other",
@@ -236,9 +237,8 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 	return sc, append(calls, idleCall{n: 5000})
 }
 
-// park parks c on the park word changing, with a ParkWatch on its page and
-// either a wake cycle or none, or undeclared, on that or on any register
-// another core's register-only runs write (r12 to r14) changing. One park
+// park parks c, watching the park word's page, on the park word changing,
+// on that or a wake cycle, or on that or an interrupt latched on c. One park
 // in eight waits for a park word it has not seen, so its condition already
 // holds and the core wakes on its first poll.
 func (sc *trapScenario) park(c *Core, r *idleRand) {
@@ -251,22 +251,16 @@ func (sc *trapScenario) park(c *Core, r *idleRand) {
 		v, _ := m.Mem().ReadU(trapPark, 8)
 		return v != seen
 	}
+	page := m.Mem().PageGen(trapPark, 8)
 	switch r.intn(3) {
 	case 0:
-		o := m.Core((c.ID + 1 + r.intn(m.NumCores()-1)) % m.NumCores())
-		regs := func() [3]uint64 { return [3]uint64(o.Regs[12:15]) }
-		was := regs()
-		c.Park(func() bool { return regs() != was || changed() }, nil)
-		return
+		c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() || changed() }, nil, NoEvent, page)
 	case 1:
 		wake := c.Cycles + 20 + uint64(r.intn(600))
-		c.Park(func() bool { return c.Cycles >= wake || changed() }, nil)
-		c.ParkWakeAt(wake)
+		c.Park(func() bool { return c.Cycles >= wake || changed() }, nil, wake, page)
 	default:
-		c.Park(changed, nil)
-		c.ParkWakeNever()
+		c.Park(changed, nil, NoEvent, page)
 	}
-	c.ParkWatch(m.Mem().PageGen(trapPark, 8))
 }
 
 func (sc *trapScenario) handle(c *Core, tr Trap) {
@@ -375,7 +369,7 @@ func batchTrapCheck(t *testing.T, seed uint64) *trapScenario {
 	naive, _ := newTrapScenario(t, seed, false)
 	for i, call := range calls {
 		fast.do(call)
-		naive.do(call)
+		parkShadowed(t, func() { naive.do(call) })
 		if f, n := fast.render(), naive.render(); f != n {
 			t.Fatalf("seed %d (%s): after call %d %+v the engines diverged\n%s", seed, fast.action, i, call, diffLine(f, n))
 		}

@@ -224,19 +224,17 @@ type Core struct {
 	// (state back to Running) and parkDone runs.
 	parkCond func() bool
 	parkDone func()
-	// parkWake is the wake hint the batch's bulk credits honour for the
-	// current park: 0 means undeclared (probe every ParkProbeInterval
-	// cycles), NoEvent
-	// means the condition is purely event-driven, and any other value is
-	// the earliest Cycles count at which the condition may first become
-	// true through the passage of time alone.
+	// parkWake is the current park's wake declaration: the earliest Cycles
+	// count at which the condition may first become true through the
+	// passage of time alone, NoEvent when time alone never wakes it.
 	parkWake uint64
-	// parkGp is the ParkWatch declaration for the current park (nil = none):
-	// the mutation generation of the one RAM page the condition reads.
-	// parkSeenGen and parkSeenEpoch are that generation and the machine's
-	// parkEpoch at the last evaluation that returned false; parkSeenEpoch 0
-	// (no epoch is ever 0) means not evaluated yet. Host-derived and never
-	// serialized: Park clears all three, so a restored park re-arms cold.
+	// parkGp is the current park's watch declaration: the mutation
+	// generation of the one RAM page the condition reads, &noWatch when it
+	// reads none. parkSeenGen and parkSeenEpoch are that generation and the
+	// machine's parkEpoch at the last evaluation that returned false;
+	// parkSeenEpoch 0 (no epoch is ever 0) means not evaluated yet.
+	// Host-derived and never serialized: Park sets parkGp and zeroes
+	// parkSeenEpoch, so a restored park re-arms cold.
 	parkGp        *uint64
 	parkSeenGen   uint64
 	parkSeenEpoch uint64
@@ -292,60 +290,46 @@ func (c *Core) idle(k uint64) {
 // then invoked. Parking models kernel spin loops: cycles keep accumulating,
 // which is what barrier timeout detection measures.
 //
-// The machine polls a parked core once per cycle, and a poll evaluates
-// cond unless the park's declarations prove it still false. A park starts
-// with none (cond is evaluated on every stepped cycle, and a batch's bulk
-// credit probes it every ParkProbeInterval), and states what can change
-// cond's value with up to two declarations made right after Park:
+// The park declares what can make cond true:
 //
-//   - time: ParkWakeAt(cycle) or ParkWakeNever() say when the passage of
-//     time alone can first make cond true, which lets a bulk credit jump
-//     the machine to that cycle;
-//   - state: ParkWatch(gp) says that every other input of cond is either
-//     a byte of the one RAM page whose generation gp counts, or host-side
-//     state that only kernel or host code mutates. A poll then skips the
-//     evaluation while the page generation and the machine's park epoch
-//     are what they were when cond last returned false and the declared
-//     wake cycle has not arrived.
+//   - wake is the earliest Cycles value at which the passage of time alone
+//     can make cond true, NoEvent when it never can. From the wake cycle on
+//     every poll evaluates cond, so a wake of 0 skips nothing.
+//   - watch (from Mem.PageGen) is the mutation generation of the one RAM
+//     page cond reads, nil when it reads none.
+//
+// Besides the watched page and the core's own Cycles, cond may read only
+// state that kernel or host code writes and the core's interrupt latches
+// (pending IRQ lines, pending IPI). The machine polls a parked core once
+// per cycle, and a poll skips the evaluation while the page generation and
+// the machine's park epoch are what they were when cond last returned false
+// and the wake cycle has not arrived; a batch's bulk credit carries the
+// core to its wake cycle on the same proof.
 //
 // The skip is exact, not a heuristic: a pure function of inputs that have
 // not changed returns what it returned last time. Page generations count
 // every mutation path of Mem (stores, block ops, DMA windows, injected
-// flips, stuck-at assertions), and the park epoch is bumped wherever
-// kernel or host code can run: on every trap, when any park wakes (its
-// cond may have completed a barrier, and its done hook is kernel code),
-// and on every Step, Run and RunUntil call. A cond with an input outside
-// those three classes — core interrupt latches, device registers, another
-// page — must not declare a watch; the idle park is the example.
-func (c *Core) Park(cond func() bool, done func()) {
+// flips, stuck-at assertions), and the park epoch is bumped wherever one
+// of the other inputs can change: on every trap, when any park wakes (its
+// cond may have completed a barrier, and its done hook is kernel code), on
+// every RaiseIRQ and SendIPI, and on every Step, Run and RunUntil call. A
+// new kind of input joins the contract by having its mutators bump the
+// epoch too; until then a cond must not read it.
+func (c *Core) Park(cond func() bool, done func(), wake uint64, watch *uint64) {
+	if watch == nil {
+		watch = &noWatch
+	}
 	c.State = CoreParked
 	c.parkCond = cond
 	c.parkDone = done
-	c.parkWake = 0
-	c.parkGp = nil
+	c.parkWake = wake
+	c.parkGp = watch
 	c.parkSeenEpoch = 0
 }
 
-// ParkWakeAt declares a time-driven wake hint for the current park: the
-// condition cannot first return true before the core's Cycles counter
-// reaches cycle (it may of course become true earlier through an event —
-// another core, a device, the host — but any such event ends the idle
-// window anyway). A batch's bulk credit uses the hint to jump
-// barrier-timeout waits in one step while staying bit-identical to naive
-// stepping.
-func (c *Core) ParkWakeAt(cycle uint64) { c.parkWake = cycle }
-
-// ParkWakeNever declares the current park condition purely event-driven:
-// it can only become true as a side effect of another core executing, a
-// device acting, or the host mutating state — never from time alone.
-// A bulk credit may then carry this core without bound.
-func (c *Core) ParkWakeNever() { c.parkWake = NoEvent }
-
-// ParkWatch declares gp (from Mem.PageGen) as the mutation generation of
-// the only RAM page the current park condition reads; see Park for the
-// contract. It only takes effect together with ParkWakeAt or
-// ParkWakeNever: an undeclared wake cycle keeps every poll evaluating.
-func (c *Core) ParkWatch(gp *uint64) { c.parkGp = gp }
+// noWatch is the page generation of a park that watches no page: it never
+// moves.
+var noWatch uint64
 
 // Unpark forces a parked core back to running without invoking its done
 // callback.

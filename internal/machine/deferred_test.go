@@ -224,8 +224,8 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	}
 	m.StartCore(observer, obsText, as)
 	if cfg.rider {
-		// A rider with a ParkWatch keeps the loops deferrable; every
-		// evaluation of its condition, and its done hook, is an observer.
+		// Every evaluation of the rider's condition, and its done hook, is
+		// an observer.
 		rider := m.Core(others[cfg.loops])
 		rider.Park(func() bool {
 			log = append(log, observe(m, "park-eval"))
@@ -234,9 +234,7 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 		}, func() {
 			log = append(log, observe(m, "park-wake"))
 			rider.Halt()
-		})
-		rider.ParkWakeNever()
-		rider.ParkWatch(m.Mem().PageGen(obsParkPA, 8))
+		}, NoEvent, m.Mem().PageGen(obsParkPA, 8))
 	}
 	for _, n := range []uint64{1, 2, 61, 500, 1, 997, 1500} {
 		m.Run(n)
@@ -342,9 +340,7 @@ func TestSoloStaysOutWithRider(t *testing.T) {
 			r.Park(func() bool {
 				v, _ := m.Mem().ReadU(obsParkPA, 8)
 				return v != 0
-			}, nil)
-			r.ParkWakeNever()
-			r.ParkWatch(m.Mem().PageGen(obsParkPA, 8))
+			}, nil, NoEvent, m.Mem().PageGen(obsParkPA, 8))
 		}
 		m.Run(5000)
 		return observe(m, "end"), m.SuperblockStats()
@@ -358,48 +354,6 @@ func TestSoloStaysOutWithRider(t *testing.T) {
 		if st.Batched == 0 || (st.Solo != 0) == rider {
 			t.Fatalf("rider %v: %d of %d batched cycles ran solo", rider, st.Solo, st.Batched)
 		}
-	}
-}
-
-// TestDeferredUnwatchedRiderReadsRegister: a park that declares no
-// ParkWatch may read anything, a running core's registers included, so
-// with such a rider the batch defers no instruction and the park wakes on
-// the naive cycle.
-func TestDeferredUnwatchedRiderReadsRegister(t *testing.T) {
-	scenario := func(sb bool) (woke, cycles, instrs uint64, st SuperblockStats) {
-		m := New(noJitter(X86()), 1<<16)
-		m.SetSuperblock(sb)
-		b := asm.New()
-		b.Label("loop")
-		b.Addi(5, 5, 1)
-		b.Xor(6, 6, 5)
-		b.J("loop")
-		loadProg(t, m, b)
-		rider := m.Core(1)
-		rider.Park(func() bool { return m.Core(0).Regs[5] >= 137 }, func() {
-			c0 := m.Core(0)
-			woke, cycles, instrs, st = m.Now(), c0.Cycles, c0.Instructions, m.SuperblockStats()
-			rider.Halt()
-		})
-		rider.ParkWakeNever() // a wake declaration alone is not a watch
-		m.Run(2000)
-		return woke, cycles, instrs, st
-	}
-	woke, cycles, instrs, st := scenario(true)
-	refWoke, refCycles, _, _ := scenario(false)
-	if refWoke == 0 {
-		t.Fatal("reference park never woke")
-	}
-	if woke != refWoke || cycles != refCycles {
-		t.Fatalf("rider woke at cycle %d (core 0 at %d), naive at %d (%d)", woke, cycles, refWoke, refCycles)
-	}
-	if st.BlockInstrs == 0 {
-		t.Fatal("the batched path never engaged")
-	}
-	// Only stall cycles may have been deferred (the cold fetches' miss
-	// penalty): without jitter every other cycle retires an instruction.
-	if st.Deferred > cycles-instrs {
-		t.Fatalf("%d cycles were deferred under an undeclared rider, only %d were stalls", st.Deferred, cycles-instrs)
 	}
 }
 

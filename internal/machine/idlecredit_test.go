@@ -11,16 +11,21 @@ import (
 	"rcoe/internal/isa"
 )
 
-// fakeTimer counts the cycles on which it acts; a batch's idle credit must
-// tick it on exactly the same cycles as the naive loop.
+// fakeTimer counts the cycles on which it acts, and then calls latch, when
+// set; a batch's idle credit must tick it on exactly the same cycles as the
+// naive loop.
 type fakeTimer struct {
 	period uint64
+	latch  func(m *Machine)
 	fires  []uint64
 }
 
 func (f *fakeTimer) Tick(m *Machine) {
 	if m.Now()%f.period == 0 {
 		f.fires = append(f.fires, m.Now())
+		if f.latch != nil {
+			f.latch(m)
+		}
 	}
 }
 
@@ -64,8 +69,7 @@ func TestIdleCreditTimedParkEquivalence(t *testing.T) {
 		c.Park(func() bool { return c.Cycles >= 5000 }, func() {
 			out.wakeCycles, out.wakeNow = c.Cycles, m.Now()
 			c.Halt()
-		})
-		c.ParkWakeAt(5000)
+		}, 5000, nil)
 		m.Run(20_000)
 		out.finalNow = m.Now()
 		out.fires = ft.fires
@@ -133,8 +137,7 @@ func TestIdleCreditUnknownDeviceDisables(t *testing.T) {
 	dev := &opaqueDevice{}
 	m.AddDevice(dev)
 	c := m.Core(0)
-	c.Park(func() bool { return false }, nil)
-	c.ParkWakeNever()
+	c.Park(func() bool { return false }, nil, NoEvent, nil)
 	m.Run(5000)
 	if m.FastForwarded() != 0 {
 		t.Fatalf("skipped %d cycles past a device with no event schedule", m.FastForwarded())
@@ -149,8 +152,7 @@ func TestIdleCreditUnknownDeviceDisables(t *testing.T) {
 func TestIdleCreditRunUntilBudgetExact(t *testing.T) {
 	m := New(noJitter(X86()), 1<<16)
 	c := m.Core(0)
-	c.Park(func() bool { return false }, nil)
-	c.ParkWakeNever()
+	c.Park(func() bool { return false }, nil, NoEvent, nil)
 	err := m.RunUntil(func() bool { return false }, 3000)
 	if !errors.Is(err, ErrTimeout) || err.Error() != "machine: run timed out after 3000 cycles" {
 		t.Fatalf("err = %v, want ErrTimeout after 3000 cycles", err)
@@ -160,22 +162,6 @@ func TestIdleCreditRunUntilBudgetExact(t *testing.T) {
 	}
 	if m.FastForwarded() == 0 {
 		t.Fatalf("expected the park wait to be credited in bulk")
-	}
-}
-
-// TestIdleCreditProbeBoundsUndeclaredPark: a park without a wake hint is
-// probed at least every ParkProbeInterval cycles, so credits stay bounded.
-func TestIdleCreditProbeBoundsUndeclaredPark(t *testing.T) {
-	m := New(noJitter(X86()), 1<<16)
-	c := m.Core(0)
-	polls := uint64(0)
-	c.Park(func() bool { polls++; return false }, nil)
-	m.Run(10 * ParkProbeInterval)
-	if m.FastForwarded() == 0 {
-		t.Fatalf("undeclared park should still be credited between probes")
-	}
-	if polls < 9 {
-		t.Fatalf("park condition polled %d times over 10 probe intervals", polls)
 	}
 }
 
@@ -207,7 +193,9 @@ func TestBusSkipMatchesTicks(t *testing.T) {
 // spend most of their time unable to issue — parked, halted, offline, or
 // counting down a stall while something keeps them from taking a block —
 // and to a sequence of Run and RunUntil calls. The batch engine must leave
-// the machine exactly where naive stepping does after every call. A seed's
+// the machine exactly where naive stepping does after every call, and the
+// park gate, which both engines share, must skip no poll whose condition
+// holds: the naive reference runs with DebugParkShadow set. A seed's
 // residue modulo len(idleStates) picks the state it is about: "mixed" draws
 // every core and feature at random; each other state puts core 0 alone in
 // it, so the idle cycles the batch credits can only come from admitting
@@ -248,8 +236,8 @@ type idleScenario struct {
 
 // newIdleScenario builds seed's machine on the batch engine (sb) or on
 // naive stepping, and returns it with seed's calls. The first call is
-// Run(2), the shortest window a batch can credit, and the last covers two
-// park probes.
+// Run(2), the shortest window a batch can credit, and the last reaches every
+// park's wake cycle.
 func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleCall) {
 	t.Helper()
 	state := idleStates[seed%uint64(len(idleStates))]
@@ -348,25 +336,36 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 	}
 	if r.intn(2) == 0 {
 		sc.timer = &fakeTimer{period: 101 + 2*uint64(r.intn(2000))}
+		// The timer may interrupt a core, which may be parked on its latch.
+		switch to := r.intn(prof.Cores); r.intn(3) {
+		case 0:
+			m.RouteIRQ(9, to)
+			sc.timer.latch = func(m *Machine) { m.RaiseIRQ(9) }
+		case 1:
+			sc.timer.latch = func(m *Machine) { m.SendIPI(to) }
+		}
 		m.AddDevice(sc.timer)
 	}
 
 	calls := []idleCall{{n: 2}}
-	sizes := []uint64{1, 2, 3, 7, ParkProbeInterval - 1, ParkProbeInterval, ParkProbeInterval + 1}
 	for k := 3 + r.intn(6); k > 0; k-- {
-		n := sizes[r.intn(len(sizes))]
+		n := 1 + uint64(r.intn(7))
 		if r.intn(2) == 0 {
 			n = 1 + uint64(r.intn(6000))
 		}
 		calls = append(calls, idleCall{until: r.intn(4) == 0, n: n})
 	}
-	return sc, append(calls, idleCall{n: 2*ParkProbeInterval + 1})
+	return sc, append(calls, idleCall{n: idleMaxWake})
 }
 
-// park parks c on the loop's stored word reaching a threshold, under one of
-// the four kinds of declaration: none, an odd wake cycle (which also makes
-// the condition true), wake never, or a ParkWatch on the word's page with
-// either wake declaration. The word only changes by a running core's store.
+// idleMaxWake bounds the parks' odd wake cycles.
+const idleMaxWake = 8000
+
+// park parks c under one of four kinds of declaration: on the loop's stored
+// word reaching a threshold, wake never, watching the word's page; on that
+// or an odd wake cycle, with the same watch; on the wake cycle alone,
+// watching nothing; or on the word or an interrupt latched on c, wake never,
+// watching the word's page. The word only changes by a running core's store.
 func (sc *idleScenario) park(c *Core, r *idleRand) {
 	m := sc.m
 	thr := uint64(8 + r.intn(200))
@@ -374,26 +373,17 @@ func (sc *idleScenario) park(c *Core, r *idleRand) {
 		v, _ := m.Mem().ReadU(idleWord, 8)
 		return v >= thr
 	}
-	wake := 2*ParkProbeInterval + 1 + 2*uint64(r.intn(3000))
-	timed := func() bool { return c.Cycles >= wake || word() }
+	wake := 1 + 2*uint64(r.intn(idleMaxWake/2))
+	page := m.Mem().PageGen(idleWord, 8)
 	switch r.intn(4) {
 	case 0:
-		c.Park(word, nil)
+		c.Park(word, nil, NoEvent, page)
 	case 1:
-		c.Park(timed, nil)
-		c.ParkWakeAt(wake)
+		c.Park(func() bool { return c.Cycles >= wake || word() }, nil, wake, page)
 	case 2:
-		c.Park(word, nil)
-		c.ParkWakeNever()
+		c.Park(func() bool { return c.Cycles >= wake }, nil, wake, nil)
 	default:
-		if r.intn(2) == 0 {
-			c.Park(timed, nil)
-			c.ParkWakeAt(wake)
-		} else {
-			c.Park(word, nil)
-			c.ParkWakeNever()
-		}
-		c.ParkWatch(m.Mem().PageGen(idleWord, 8))
+		c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() || word() }, nil, NoEvent, page)
 	}
 }
 
@@ -443,7 +433,7 @@ func idleCreditCheck(t *testing.T, seed uint64) {
 	var first uint64
 	for i, call := range calls {
 		fast.do(call)
-		naive.do(call)
+		parkShadowed(t, func() { naive.do(call) })
 		if f, n := fast.render(), naive.render(); f != n {
 			t.Fatalf("seed %d (%s): after call %d %+v the engines diverged\n%s", seed, state, i, call, diffLine(f, n))
 		}
@@ -462,6 +452,21 @@ func idleCreditCheck(t *testing.T, seed uint64) {
 		if first == 0 {
 			t.Fatalf("seed %d (%s): the first Run(2) credited no idle cycle", seed, state)
 		}
+	}
+}
+
+// parkShadowed runs step with DebugParkShadow set and fails on any poll the
+// park gate skipped although the condition held.
+func parkShadowed(t *testing.T, step func()) {
+	t.Helper()
+	var missed []string
+	DebugParkShadow = func(coreID int, now uint64) {
+		missed = append(missed, fmt.Sprintf("core %d at cycle %d", coreID, now))
+	}
+	defer func() { DebugParkShadow = nil }()
+	step()
+	if len(missed) != 0 {
+		t.Fatalf("the park gate skipped %d polls whose condition held, the first %v", len(missed), missed[0])
 	}
 }
 

@@ -50,18 +50,9 @@ type MemWatcher interface {
 	WatchedMem() (lo, hi uint64)
 }
 
-// NoEvent is the NextEvent / ParkWakeAt sentinel for "no time-driven event
-// pending".
+// NoEvent is the NextEvent and Core.Park wake sentinel for "no time-driven
+// event pending".
 const NoEvent = ^uint64(0)
-
-// ParkProbeInterval bounds how far a bulk credit may carry a parked core
-// whose wake cycle is undeclared: its park condition is still evaluated at
-// least once per interval, so a condition with an undeclared time
-// dependence wakes at most this many cycles late. Parks whose conditions
-// are time-driven declare an exact wake cycle with ParkWakeAt (and stay
-// bit-identical to naive stepping); purely event-driven parks declare
-// ParkWakeNever and are skipped without bound.
-const ParkProbeInterval = 1024
 
 type mmioWindow struct {
 	base, size uint64
@@ -131,9 +122,10 @@ type Machine struct {
 	// executing core holds a block: the idle skip (diagnostics).
 	ffSkipped uint64
 
-	// parkEpoch counts the points at which kernel or host code may have
-	// run: every trap, every park wake, and every Step, Run and RunUntil
-	// call. A watched park (Core.ParkWatch) skips its condition while the
+	// parkEpoch counts the points at which a park condition's inputs other
+	// than its watched page and its core's Cycles may have changed: every
+	// trap, every park wake, every RaiseIRQ and SendIPI, and every Step, Run
+	// and RunUntil call. A park (Core.Park) skips its condition while the
 	// epoch and the watched page are unchanged. Starts at 1 so a core's
 	// parkSeenEpoch of 0 never matches. Host-derived, never serialized.
 	parkEpoch uint64
@@ -211,6 +203,7 @@ func New(prof Profile, memBytes int) *Machine {
 			IntEnabled: true,
 			cache:      newCache(prof.CacheBytes, prof.CacheLine),
 			jitter:     uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+			parkGp:     &noWatch,
 			m:          m,
 		}
 		m.cores = append(m.cores, c)
@@ -282,15 +275,19 @@ func (m *Machine) RouteIRQ(line, coreID int) {
 func (m *Machine) IRQRoute(line int) int { return m.irqRoute[line] }
 
 // RaiseIRQ asserts a device interrupt line; it is latched on the routed
-// core until acknowledged.
+// core until acknowledged. Park conditions may read the latch, so it moves
+// the park epoch.
 func (m *Machine) RaiseIRQ(line int) {
 	c := m.cores[m.irqRoute[line]]
 	c.pendingIRQ |= 1 << uint(line)
+	m.parkEpoch++
 }
 
 // SendIPI latches an inter-processor interrupt on the target core; the
-// cost model charges the IPI latency as a stall on the receiver.
+// cost model charges the IPI latency as a stall on the receiver. Like
+// RaiseIRQ it moves the park epoch.
 func (m *Machine) SendIPI(to int) {
+	m.parkEpoch++
 	c := m.cores[to]
 	if !c.pendingIPI {
 		c.pendingIPI = true
@@ -390,9 +387,9 @@ func (m *Machine) FastForwarded() uint64 { return m.ffSkipped }
 // a parked core spent waiting; cycles a superblock batch charges in bulk
 // poll nothing, because every executing core is promised (superblock.go)
 // and the park's declarations prove its condition still false. Evals is
-// how many polls ran the park condition, the rest being skipped under a
-// ParkWatch declaration. Like FastForwarded it is host-side diagnostics:
-// never serialized, never part of an artifact.
+// how many polls ran the park condition, the rest being skipped under the
+// park's declarations (Core.Park). Like FastForwarded it is host-side
+// diagnostics: never serialized, never part of an artifact.
 type ParkStats struct {
 	Polls, Evals uint64
 }
@@ -491,20 +488,18 @@ func (m *Machine) advance(c *Core) {
 			return
 		}
 		m.parkStats.Polls++
-		if gp := c.parkGp; gp != nil {
-			if *gp == c.parkSeenGen && m.parkEpoch == c.parkSeenEpoch && c.Cycles < c.parkWake {
-				// Nothing the condition reads has changed since it last
-				// returned false (see Core.Park): skip the evaluation.
-				if DebugParkShadow != nil {
-					m.sbSync()
-					if c.parkCond() {
-						DebugParkShadow(c.ID, m.now)
-					}
+		if *c.parkGp == c.parkSeenGen && m.parkEpoch == c.parkSeenEpoch && c.Cycles < c.parkWake {
+			// Nothing the condition reads has changed since it last
+			// returned false (see Core.Park): skip the evaluation.
+			if DebugParkShadow != nil {
+				m.sbSync()
+				if c.parkCond() {
+					DebugParkShadow(c.ID, m.now)
 				}
-				return
 			}
-			c.parkSeenGen, c.parkSeenEpoch = *gp, m.parkEpoch
+			return
 		}
+		c.parkSeenGen, c.parkSeenEpoch = *c.parkGp, m.parkEpoch
 		m.parkStats.Evals++
 		m.sbSync() // the condition may read any core
 		if c.parkCond() {
@@ -543,9 +538,6 @@ func (m *Machine) issue(c *Core) {
 		m.trap(c, Trap{Kind: TrapIRQ, PC: c.PC})
 		return
 	}
-	if DebugPCWatch != nil {
-		DebugPCWatch(c.ID, c.PC, c.BP.Addr, c.BP.Enabled, c.SingleStep, m.now)
-	}
 	if c.BP.Enabled && c.PC == c.BP.Addr && !c.ResumeOnce {
 		m.trap(c, Trap{Kind: TrapBreakpoint, PC: c.PC})
 		return
@@ -556,13 +548,9 @@ func (m *Machine) issue(c *Core) {
 // DebugTrace, when non-nil, observes every trap (tests only).
 var DebugTrace func(coreID int, kind TrapKind, pc uint64, now uint64)
 
-// DebugPCWatch, when non-nil, observes every issue opportunity (tests
-// only).
-var DebugPCWatch func(coreID int, pc, bpAddr uint64, bpEnabled, singleStep bool, now uint64)
-
-// DebugParkShadow, when non-nil, makes every park poll that a ParkWatch
-// declaration skips evaluate its condition anyway, and observes each one
-// that returns true — a violation of the declaration (tests only).
+// DebugParkShadow, when non-nil, makes every park poll that the park's
+// declarations skip evaluate its condition anyway, and observes each one
+// that returns true — a violation of the declarations (tests only).
 var DebugParkShadow func(coreID int, now uint64)
 
 // DebugCondShadow, when non-nil, makes a superblock batch under RunUntil

@@ -650,7 +650,7 @@ func TestParkAndResume(t *testing.T) {
 	c := m.Core(0)
 	released := false
 	resumed := false
-	c.Park(func() bool { return released }, func() { resumed = true })
+	c.Park(func() bool { return released }, func() { resumed = true }, NoEvent, nil)
 	m.Run(100)
 	if c.Regs[1] != 0 {
 		t.Fatalf("parked core executed instructions")
@@ -879,7 +879,7 @@ func TestParkedCoreConsumesStall(t *testing.T) {
 	c := m.Core(0)
 	c.AddStall(100)
 	released := false
-	c.Park(func() bool { return released }, nil)
+	c.Park(func() bool { return released }, nil, NoEvent, nil)
 	m.Run(150)
 	released = true
 	run(t, m, h)

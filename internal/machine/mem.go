@@ -92,8 +92,9 @@ func (m *Mem) touch(addr uint64, n int) {
 }
 
 // PageGen returns the mutation generation of the one physical page holding
-// [addr, addr+n), for Core.ParkWatch. It returns nil — which declares no
-// watch — when the range spans pages or leaves RAM. pageGen is allocated
+// [addr, addr+n), for Core.Park's watch. It returns nil when the range
+// spans pages or leaves RAM: no watch covers it, so a park that reads it
+// must declare a wake of 0 (every poll evaluates). pageGen is allocated
 // once and never moved, so the pointer stays valid for the machine's
 // lifetime.
 func (m *Mem) PageGen(addr uint64, n int) *uint64 {

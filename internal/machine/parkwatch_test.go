@@ -24,11 +24,12 @@ func (h *flagHandler) HandleTrap(c *Core, t Trap) {
 	c.Halt()
 }
 
-// parkScenario boots core 0 on prog and parks core 1 on cond, declaring
-// wake and, when watch is set, a ParkWatch on watchedWord's page. It runs
-// for budget cycles and returns the machine cycle at which the park woke
-// (0 = never) and how often cond was evaluated.
-func parkScenario(t *testing.T, prog *asm.Builder, watch bool, wake func(c *Core) uint64,
+// parkScenario boots core 0 on prog and parks core 1 on cond, declaring a
+// watch on watchedWord's page and wake — or, for the every-poll reference
+// (gated false), a wake of 0. It runs for budget cycles and returns the
+// machine cycle at which the park woke (0 = never) and how often cond was
+// evaluated.
+func parkScenario(t *testing.T, prog *asm.Builder, gated bool, wake func(c *Core) uint64,
 	cond func(m *Machine, h *flagHandler, c *Core) bool, budget uint64) (woke uint64, evals int, st ParkStats) {
 	t.Helper()
 	m := New(noJitter(X86()), 1<<16)
@@ -43,14 +44,14 @@ func parkScenario(t *testing.T, prog *asm.Builder, watch bool, wake func(c *Core
 	m.SetHandler(h)
 	m.StartCore(0, 0, flatAS(m.Mem().Size()))
 	c := m.Core(1)
+	w := uint64(0)
+	if gated {
+		w = wake(c)
+	}
 	c.Park(func() bool { evals++; return cond(m, h, c) }, func() {
 		woke = m.Now()
 		c.Halt()
-	})
-	c.ParkWakeAt(wake(c))
-	if watch {
-		c.ParkWatch(m.Mem().PageGen(watchedWord, 8))
-	}
+	}, w, m.Mem().PageGen(watchedWord, 8))
 	m.Run(budget)
 	return woke, evals, m.ParkStats()
 }
@@ -74,8 +75,8 @@ func spinThen(n int64, then func(b *asm.Builder)) *asm.Builder {
 // TestParkWatchGateExact drives a watched park through each of the three
 // ways its condition may change — the watched page mutating, kernel code
 // running, the declared wake cycle arriving — and checks that it wakes on
-// the cycle an undeclared park (every poll evaluated) wakes on, after a
-// handful of evaluations instead of one per cycle.
+// the cycle a park declaring a wake of 0 (every poll evaluated) wakes on,
+// after a handful of evaluations instead of one per cycle.
 func TestParkWatchGateExact(t *testing.T) {
 	never := func(*Core) uint64 { return NoEvent }
 	cases := []struct {
@@ -117,8 +118,8 @@ func TestParkWatchGateExact(t *testing.T) {
 				t.Fatalf("watched park evaluated %d times, want at most 3 (first poll, the change, slack)", evals)
 			}
 			// The watched rider is not even polled in the windows the batch
-			// credits while core 0 is promised; the undeclared reference is
-			// polled on every cycle.
+			// credits while core 0 is promised; the reference is polled on
+			// every cycle.
 			if st.Polls > uint64(refEvals) || st.Evals != uint64(evals) {
 				t.Fatalf("ParkStats = %+v, want {Polls<=%d Evals:%d}", st, refEvals, evals)
 			}
@@ -134,9 +135,7 @@ func TestParkWatchHostCallsReevaluate(t *testing.T) {
 	c := m.Core(0)
 	evals := 0
 	released := false
-	c.Park(func() bool { evals++; return released }, nil)
-	c.ParkWakeNever()
-	c.ParkWatch(m.Mem().PageGen(watchedWord, 8))
+	c.Park(func() bool { evals++; return released }, nil, NoEvent, m.Mem().PageGen(watchedWord, 8))
 	m.SetSuperblock(false) // poll every cycle: the gate alone must skip
 	m.Run(100)
 	m.Run(100)
@@ -156,19 +155,20 @@ func TestParkWatchHostCallsReevaluate(t *testing.T) {
 	}
 }
 
-// TestParkWatchUndeclaredWakeEvaluates: without a declared wake cycle the
-// machine knows nothing about the condition's time dependence, so a watch
-// alone must not skip.
+// TestParkWatchUndeclaredWakeEvaluates: a wake of 0 says time may make the
+// condition true on any poll, so a watch alone must not skip — on naive
+// stepping, and with the batch engine, which must not credit the rider.
 func TestParkWatchUndeclaredWakeEvaluates(t *testing.T) {
-	m := New(noJitter(X86()), 1<<16)
-	m.SetSuperblock(false)
-	c := m.Core(0)
-	evals := 0
-	c.Park(func() bool { evals++; return false }, nil)
-	c.ParkWatch(m.Mem().PageGen(watchedWord, 8))
-	m.Run(50)
-	if evals != 50 {
-		t.Fatalf("evaluated %d times in 50 cycles, want 50", evals)
+	for _, sb := range []bool{false, true} {
+		m := New(noJitter(X86()), 1<<16)
+		m.SetSuperblock(sb)
+		c := m.Core(0)
+		evals := 0
+		c.Park(func() bool { evals++; return false }, nil, 0, m.Mem().PageGen(watchedWord, 8))
+		m.Run(50)
+		if evals != 50 {
+			t.Fatalf("superblock %v: evaluated %d times in 50 cycles, want 50", sb, evals)
+		}
 	}
 }
 
@@ -192,6 +192,66 @@ func (d *flagDevice) NextEvent(now uint64) uint64 {
 	return NoEvent
 }
 
+// latchDevice latches an interrupt on core 1 at a fixed cycle: line 2
+// through RaiseIRQ, or an IPI through SendIPI.
+type latchDevice struct {
+	at  uint64
+	ipi bool
+}
+
+func (d *latchDevice) Tick(m *Machine) {
+	switch {
+	case m.Now() != d.at:
+	case d.ipi:
+		m.SendIPI(1)
+	default:
+		m.RaiseIRQ(2)
+	}
+}
+
+func (d *latchDevice) NextEvent(now uint64) uint64 {
+	if now < d.at {
+		return d.at
+	}
+	return NoEvent
+}
+
+// TestParkEpochInterruptLatch: a park condition may read its core's
+// interrupt latches because RaiseIRQ and SendIPI move the park epoch. Core 1
+// waits on its latch, wake never and watching a page, beside a spinning core
+// 0, and a device latches the interrupt in its Tick: the park must wake on
+// the cycle a reference declaring a wake of 0 (every poll evaluated) wakes
+// on, on naive stepping and with the batch engine.
+func TestParkEpochInterruptLatch(t *testing.T) {
+	for _, ipi := range []bool{false, true} {
+		for _, sb := range []bool{false, true} {
+			woke := func(wake uint64) (at uint64) {
+				m := New(noJitter(X86()), 1<<16)
+				m.SetSuperblock(sb)
+				mustLoad(t, m, spinThen(1<<30, func(*asm.Builder) {}), 0)
+				m.SetHandler(&flagHandler{})
+				m.StartCore(0, 0, flatAS(m.Mem().Size()))
+				m.AddDevice(&latchDevice{at: 777, ipi: ipi})
+				m.RouteIRQ(2, 1)
+				c := m.Core(1)
+				c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() }, func() {
+					at = m.Now()
+					c.Halt()
+				}, wake, m.Mem().PageGen(watchedWord, 8))
+				m.Run(5000)
+				return at
+			}
+			ref, got := woke(0), woke(NoEvent)
+			if ref != 777 {
+				t.Fatalf("ipi %v, superblock %v: the every-poll reference woke at cycle %d, want 777", ipi, sb, ref)
+			}
+			if got != ref {
+				t.Fatalf("ipi %v, superblock %v: the gated park woke at cycle %d, the reference at %d", ipi, sb, got, ref)
+			}
+		}
+	}
+}
+
 // TestParkWatchShadowReportsViolation declares a watch on a condition
 // that breaks the contract (a device flips its input) and checks that
 // DebugParkShadow reports the poll the gate wrongly skipped.
@@ -204,9 +264,7 @@ func TestParkWatchShadowReportsViolation(t *testing.T) {
 	dev := &flagDevice{at: 40}
 	m.AddDevice(dev)
 	c := m.Core(0)
-	c.Park(func() bool { return dev.flag }, nil)
-	c.ParkWakeNever()
-	c.ParkWatch(m.Mem().PageGen(watchedWord, 8))
+	c.Park(func() bool { return dev.flag }, nil, NoEvent, m.Mem().PageGen(watchedWord, 8))
 	m.Run(60)
 	if c.State != CoreParked {
 		t.Fatalf("the gate evaluated a poll it had no reason to: the test no longer violates the contract")

@@ -14,9 +14,10 @@
 // slightly, as real COTS cores do: this is the nondeterminism LC-RCoE must
 // tolerate and that exposes data races (paper §V-A1).
 //
-// A parked core is polled once per stepped cycle. A park that declares
-// what its condition reads (Core.ParkWatch) has the condition evaluated
-// only when one of those inputs can have changed; see Core.Park.
+// A parked core is polled once per stepped cycle. Every park declares what
+// its condition reads and when time alone can make it true, and has the
+// condition evaluated only when one of those inputs can have changed; see
+// Core.Park.
 //
 // Hot straight-line code runs through the superblock engine
 // (superblock.go, SetSuperblock): predecoded branch-to-branch runs executed

@@ -21,9 +21,9 @@ import (
 //
 // Park closures (parkCond/parkDone) cannot be serialized; the machine
 // layer clears them and the owning layer (internal/core) re-arms them
-// from its own serialized park descriptors after the load. parkWake is
-// serialized here and must be restored by the re-arming layer after its
-// installers run (Park resets it to 0).
+// from its own serialized park descriptors after the load, declaring the
+// wake cycle again from restored state. parkWake is still walked, because
+// RCOESNP v1 carries it.
 
 // StatefulDevice is the optional interface a Device implements to
 // participate in snapshots: its state walk. Devices that do not implement
@@ -277,7 +277,7 @@ func (co *Core) state(c *snapshot.Codec) {
 		return
 	}
 	// Park closures cannot cross a snapshot; the owning layer re-arms
-	// them (and then restores parkWake, which Park resets).
+	// them, with their declarations.
 	co.parkCond = nil
 	co.parkDone = nil
 	// The exec and superblock caches are host-derived and stay allocated.
@@ -294,11 +294,6 @@ func (co *Core) state(c *snapshot.Codec) {
 		co.sb.built, co.sb.instrs = 0, 0
 	}
 }
-
-// ParkWake returns the core's current wake hint (see ParkWakeAt). The
-// re-arming layer uses it to restore a serialized hint after its park
-// installer runs (Park resets the hint to 0).
-func (c *Core) ParkWake() uint64 { return c.parkWake }
 
 // State implements StatefulDevice: the duty-cycle phase machine is walked
 // in full so a restored fault resumes mid-phase. The stuck bit the fault

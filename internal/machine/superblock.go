@@ -305,15 +305,14 @@ func (st *sbRunState) keeps() bool {
 }
 
 // lookahead returns how many cycles the core can promise from its current
-// position: the rest of its stall (a stalled core only counts down) plus,
-// when run is set, one cycle per instruction of the fast-set run it stands
-// at — each takes at least a cycle, so the run cannot end earlier — cut at
-// the first fetch line not resident in its cache, since a fill would touch
-// the bus. The cache is private to the core and a fetch hit leaves it
+// position: the rest of its stall (a stalled core only counts down) plus
+// one cycle per instruction of the fast-set run it stands at — each takes
+// at least a cycle, so the run cannot end earlier — cut at the first fetch
+// line not resident in its cache, since a fill would touch the bus. The cache is private to the core and a fetch hit leaves it
 // unchanged, so lines found resident stay resident for the whole promise.
 // 0 means the core must be serviced cycle by cycle. A stall-only core (no
 // block) promises its stall.
-func (st *sbRunState) lookahead(run bool) uint64 {
+func (st *sbRunState) lookahead() uint64 {
 	c, sb := st.c, st.sb
 	if sb == nil {
 		return uint64(c.stall)
@@ -323,7 +322,7 @@ func (st *sbRunState) lookahead(run bool) uint64 {
 	}
 	p := uint64(c.stall)
 	n := uint64(sb.fast[st.pos])
-	if n == 0 || !run {
+	if n == 0 {
 		return p
 	}
 	ch := c.cache
@@ -473,27 +472,22 @@ func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
 }
 
 // sbGate lists in sbAct the cores a batch drives. A running core takes a
-// superblock at its PC unless stuck bits or a PC watch are armed, the build
-// hold is on, an interrupt is pending or a debug feature is armed on it, or
-// no block forms there; such a core is admitted stall-only (no block, its
-// promise is its stall) while it counts down a stall, and refuses the batch
-// otherwise. Parked cores ride along; halted and offline ones take no part.
-// It is the batch entry's gate and, with keep, the re-derivation after a
-// cycle in which code other than a core's own burst ran: then a core whose
-// promise survived that code (keeps) is taken over as it stands, lag
-// included, and every other one is derived afresh. An undeclared rider
-// forbids promising runs (see runBlocks), so with one present no run
-// promise is kept. On refusal sbAct is left as it was, still listing every
-// lagging core.
-func (m *Machine) sbGate(keep bool) (nparked int, deferRuns, ok bool) {
-	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0 || DebugPCWatch != nil
+// superblock at its PC unless stuck bits are armed, the build hold is on,
+// an interrupt is pending or a debug feature is armed on it, or no block
+// forms there; such a core is admitted stall-only (no block, its promise is
+// its stall) while it counts down a stall, and refuses the batch otherwise.
+// Parked cores ride along; halted and offline ones take no part. It is the
+// batch entry's gate and, with keep, the re-derivation after a cycle in
+// which code other than a core's own burst ran: then a core whose promise
+// survived that code (keeps) is taken over as it stands, lag included, and
+// every other one is derived afresh. On refusal sbAct is left as it was,
+// still listing every lagging core.
+func (m *Machine) sbGate(keep bool) (nparked int, ok bool) {
+	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0
 	act := m.sbGated[:0]
-	deferRuns = true
-	kept := false // a run promise was kept
 	for i, c := range m.cores {
 		st := &m.sbRun[i]
 		if keep && (st.sb == nil || !noBlocks) && st.keeps() {
-			kept = kept || st.sb != nil
 			act = append(act, st)
 			continue
 		}
@@ -507,9 +501,6 @@ func (m *Machine) sbGate(keep bool) (nparked int, deferRuns, ok bool) {
 		case CoreParked:
 			st.parked = true
 			nparked++
-			if c.parkGp == nil || c.parkWake == 0 {
-				deferRuns = false
-			}
 		default:
 			if !noBlocks && c.pendingIRQ == 0 && !c.pendingIPI &&
 				!c.BP.Enabled && !c.BranchWatch.Enabled && !c.SingleStep {
@@ -518,18 +509,15 @@ func (m *Machine) sbGate(keep bool) (nparked int, deferRuns, ok bool) {
 				}
 			}
 			if st.sb == nil && c.stall <= 0 {
-				return 0, false, false
+				return 0, false
 			}
 			st.parked, st.pos = false, 0
 			st.fline = ^uint64(0) // no line memoized yet
 		}
 		act = append(act, st)
 	}
-	if kept && !deferRuns {
-		return m.sbGate(false)
-	}
 	m.sbAct, m.sbGated = act, m.sbAct[:0]
-	return nparked, deferRuns, true
+	return nparked, true
 }
 
 // sbHorizon returns how many of the next limit cycles a batch may run: it
@@ -579,7 +567,7 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 //     promised and every parked rider provably stays parked, the shortest
 //     promise is charged in one step with no rotation at all. With every
 //     core parked, stall-only or halted this is the idle skip: the machine
-//     jumps to a stall's end, a rider's wake or probe, or the horizon.
+//     jumps to a stall's end, a rider's wake cycle, or the horizon.
 //   - Burst. The owed cycles are executed later, alone, in a tight loop
 //     (burst): when the promise runs out — the core then re-promises
 //     without spending a cycle — or at an observation point.
@@ -608,10 +596,8 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // that may have stored, a promised core whose block pages went stale
 // bursts at once — every cycle it owes precedes the store — and loses its
 // promise, so its next issue takes the stale-text path. A parked rider's
-// condition is host code too; one that declares a ParkWatch and a wake
-// cycle is only evaluated after an sbSync and is known false in between,
-// but an undeclared one is evaluated every cycle and may read a running
-// core's registers, so with such a rider present only stalls are promised.
+// condition is host code too: it is only evaluated after an sbSync, and
+// its declarations (Core.Park) prove it false in between.
 //
 // A batch ends only where something can observe its end. After a trap, a
 // naive issue, a store into device-watched RAM or a solo core's store into
@@ -634,7 +620,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		m.sbAct = make([]*sbRunState, 0, len(m.cores))
 		m.sbGated = make([]*sbRunState, 0, len(m.cores))
 	}
-	nparked, deferRuns, ok := m.sbGate(false)
+	nparked, ok := m.sbGate(false)
 	var horizon uint64
 	if ok {
 		horizon, ok = m.sbHorizon(limit)
@@ -652,16 +638,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	survive := !shadow && DebugParkShadow == nil
 	m.sbExit = 0
 	consumed := uint64(0)
-	// calm stands in for the proof an undeclared rider cannot give: it is
-	// set by a cycle in which every rider was polled and stayed parked and
-	// no executing core issued, so nothing a condition reads has changed
-	// since it returned false, and cleared by every credit so the next
-	// cycle polls again (the probe bound of undeclared wakes). It starts
-	// false with riders because a park condition may have become true
-	// during the very Step that preceded the batch (a trap later in that
-	// cycle's rotation changes condition inputs after the rider's advance
-	// already ran); the same holds after a cycle with a trap in it.
-	calm := nparked == 0
 	// seen is what the cycle just run let observe the machine, exitNone when
 	// nothing did; why is the reason the batch ends.
 	seen, why := exitNone, exitNone
@@ -676,7 +652,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				why = seen
 				break
 			}
-			if nparked, deferRuns, ok = m.sbGate(true); ok {
+			if nparked, ok = m.sbGate(true); ok {
 				var h uint64
 				h, ok = m.sbHorizon(limit - consumed)
 				horizon = consumed + h
@@ -688,7 +664,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			for i, gp := range m.watchGp {
 				m.watchSnap[i] = *gp
 			}
-			calm = nparked == 0
 			seen = exitNone
 		}
 		if shadow && consumed > 0 {
@@ -711,7 +686,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				if st.lag != 0 {
 					m.burst(st)
 				}
-				if st.promise = st.lookahead(deferRuns); st.promise == 0 {
+				if st.promise = st.lookahead(); st.promise == 0 {
 					lone = st
 					unpromised++
 					continue
@@ -738,7 +713,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		if unpromised != 0 {
 			k = 0
 		} else if nparked > 0 {
-			k = m.sbRiderBound(k, calm)
+			k = m.sbRiderBound(k)
 		}
 		if k > 0 {
 			if shadow {
@@ -761,7 +736,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 					st.c.idle(k)
 				}
 			}
-			calm = false
 			consumed += k
 			continue
 		}
@@ -770,7 +744,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			m.rr = 0
 		}
 		bus.tick()
-		anyIssue := false
 		// The rotation starts at the first active core at or after the
 		// round-robin origin; halted cores do nothing in a cycle.
 		act := m.sbAct
@@ -808,7 +781,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				c.stall--
 				continue
 			}
-			anyIssue = true
 			sb := st.sb
 			if sb == nil || !sb.pagesFresh() {
 				// No block (a stall-only core whose stall ran out, or a
@@ -842,7 +814,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				seen = exitWatched
 			}
 		}
-		calm = !anyIssue && seen == exitNone
 		consumed++
 	}
 	// Host code observing the machine after Run sees no lagging core.
@@ -1046,37 +1017,19 @@ func (m *Machine) sbRevoke() {
 }
 
 // sbRiderBound shrinks a credit of k cycles to what every parked rider
-// allows, 0 when one of them must be polled first. A rider with a ParkWatch
-// and a declared wake is known parked while the watched page, the park
-// epoch and its last false evaluation still agree (the poll gate of
-// advance) and its wake cycle is not due; any other rider needs calm, and
-// an undeclared wake is probed every ParkProbeInterval.
-func (m *Machine) sbRiderBound(k uint64, calm bool) uint64 {
+// allows, 0 when one of them must be polled first. A rider is known parked
+// while the watched page, the park epoch and its last false evaluation
+// still agree (the poll gate of advance), up to the cycle before its wake.
+func (m *Machine) sbRiderBound(k uint64) uint64 {
 	for _, st := range m.sbAct {
 		if !st.parked {
 			continue
 		}
 		c := st.c
-		if gp := c.parkGp; gp != nil && c.parkWake != 0 {
-			if *gp != c.parkSeenGen || m.parkEpoch != c.parkSeenEpoch {
-				return 0
-			}
-		} else if !calm {
+		if *c.parkGp != c.parkSeenGen || m.parkEpoch != c.parkSeenEpoch || c.parkWake <= c.Cycles+1 {
 			return 0
 		}
-		var d uint64
-		switch c.parkWake {
-		case 0:
-			d = ParkProbeInterval
-		case NoEvent:
-			continue
-		default:
-			if c.parkWake <= c.Cycles+1 {
-				return 0
-			}
-			d = c.parkWake - c.Cycles - 1
-		}
-		if d < k {
+		if d := c.parkWake - c.Cycles - 1; d < k {
 			k = d
 		}
 	}

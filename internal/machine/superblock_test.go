@@ -84,8 +84,7 @@ func TestSuperblockHotLoopEquivalence(t *testing.T) {
 // exactly n for adversarial n under every {exec-cache × superblock}
 // combination, with a schedule that keeps every kind of credit live — an
 // executing core with long FP stalls, a parked core with a declared odd
-// wake, an undeclared park probed at ParkProbeInterval, and a device with
-// an odd period.
+// wake, and a device with an odd period.
 func TestRunAdvancesExactly(t *testing.T) {
 	prog := asm.New()
 	prog.Label("loop")
@@ -101,10 +100,7 @@ func TestRunAdvancesExactly(t *testing.T) {
 			m.AddDevice(&fakeTimer{period: 997})
 			loadProg(t, m, prog)
 			c1 := m.Core(1)
-			c1.Park(func() bool { return c1.Cycles >= 100_003 }, nil)
-			c1.ParkWakeAt(100_003)
-			c2 := m.Core(2)
-			c2.Park(func() bool { return false }, nil) // undeclared wake
+			c1.Park(func() bool { return c1.Cycles >= 100_003 }, nil, 100_003, nil)
 			want := m.Now()
 			for _, n := range []uint64{1, 2, 3, 7, 127, 997, 1023, 1024, 1025, 9973, 50_000} {
 				m.Run(n)
@@ -227,7 +223,9 @@ func TestSuperblockIntermittentFaultMidBlock(t *testing.T) {
 // rotation flips a parked core's condition, and the batch that starts
 // immediately afterwards must not bulk-charge the executing core's long
 // stall before re-evaluating the rider's condition — naive stepping wakes
-// the rider on the very next cycle, and the batch must too.
+// the rider on the very next cycle, and the batch must too. The handler
+// releases the rider through its watched page (a store), or through a
+// kernel-side flag, which only the trap's park-epoch bump announces.
 func TestSuperblockParkReleaseAtBatchEntry(t *testing.T) {
 	const flagPA = 0x9000
 	type outcome struct {
@@ -238,7 +236,7 @@ func TestSuperblockParkReleaseAtBatchEntry(t *testing.T) {
 	// comes before the trapping core's, so its condition is first
 	// re-evaluated the cycle after — pad the lead-in to sweep every
 	// rotation phase for the trap cycle.
-	scenario := func(on bool, pad int) outcome {
+	scenario := func(on, page bool, pad int) outcome {
 		b := asm.New()
 		for i := 0; i < pad; i++ {
 			b.Addi(6, 6, 1)
@@ -251,6 +249,7 @@ func TestSuperblockParkReleaseAtBatchEntry(t *testing.T) {
 		m := New(noJitter(X86()), 1<<16)
 		m.SetSuperblock(on)
 		var out outcome
+		released := false // the kernel-side flag
 		h := &testHandler{}
 		prog, err := b.Assemble(0)
 		if err != nil {
@@ -266,6 +265,7 @@ func TestSuperblockParkReleaseAtBatchEntry(t *testing.T) {
 				if err := m.Mem().WriteU(flagPA, 8, 1); err != nil {
 					t.Fatal(err)
 				}
+				released = true
 				c.AddStall(m.Profile().Costs.KernelEntry)
 				return
 			}
@@ -273,25 +273,33 @@ func TestSuperblockParkReleaseAtBatchEntry(t *testing.T) {
 		}))
 		m.StartCore(0, 0, flatAS(m.Mem().Size()))
 		rider := m.Core(1)
-		rider.Park(func() bool {
-			v, _ := m.Mem().ReadU(flagPA, 8)
-			return v != 0
-		}, func() {
+		cond, watch := func() bool { return released }, (*uint64)(nil)
+		if page {
+			cond = func() bool {
+				v, _ := m.Mem().ReadU(flagPA, 8)
+				return v != 0
+			}
+			watch = m.Mem().PageGen(flagPA, 8)
+		}
+		rider.Park(cond, func() {
 			out.wakeCycles, out.wakeNow = rider.Cycles, m.Now()
 			rider.Halt()
-		})
-		rider.ParkWakeAt(1 << 40) // far time bound; the real wake is the flag
+		}, 1<<40, watch) // far time bound; the real wake is the flag
 		run(t, m, h)
 		out.final = takeSnapshot(m, h)
 		return out
 	}
-	for pad := 0; pad < 4; pad++ {
-		fast, naive := scenario(true, pad), scenario(false, pad)
-		if fast.wakeCycles != naive.wakeCycles || fast.wakeNow != naive.wakeNow {
-			t.Fatalf("pad %d: rider wake diverged: batched=(%d,%d) naive=(%d,%d)",
-				pad, fast.wakeCycles, fast.wakeNow, naive.wakeCycles, naive.wakeNow)
+	for _, page := range []bool{true, false} {
+		for pad := 0; pad < 4; pad++ {
+			fast := scenario(true, page, pad)
+			var naive outcome
+			parkShadowed(t, func() { naive = scenario(false, page, pad) })
+			if fast.wakeCycles != naive.wakeCycles || fast.wakeNow != naive.wakeNow {
+				t.Fatalf("page %v, pad %d: rider wake diverged: batched=(%d,%d) naive=(%d,%d)",
+					page, pad, fast.wakeCycles, fast.wakeNow, naive.wakeCycles, naive.wakeNow)
+			}
+			assertSameSnapshot(t, fast.final, naive.final)
 		}
-		assertSameSnapshot(t, fast.final, naive.final)
 	}
 }
 

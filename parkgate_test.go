@@ -10,7 +10,7 @@ import (
 )
 
 // TestParkGateShadow is the park gate's exactness proof by exhaustion: with
-// machine.DebugParkShadow set, every poll a ParkWatch declaration skips
+// machine.DebugParkShadow set, every poll a park's declarations skip
 // still evaluates its condition, and any that returns true — a wake the
 // gate would have missed — is a violation. It covers the differential
 // suite's scenarios (whose masking downgrade is a TMR barrier-timeout
