@@ -7,11 +7,18 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"rcoe/internal/isa"
 )
+
+// ErrBadProgram is wrapped by every error the builder records or Assemble
+// returns: an undefined opcode, a register out of range, a bad access size,
+// a duplicate label or one into a rewritten window, an undefined label, an
+// address beyond the imm32 range.
+var ErrBadProgram = errors.New("asm: bad program")
 
 // Builder accumulates a program. The zero value is not ready to use; call
 // New.
@@ -34,13 +41,18 @@ func New() *Builder {
 }
 
 // Err returns the first error recorded while building (duplicate labels,
-// bad register indices). Assemble also returns it.
+// bad register indices, undefined opcodes). Assemble also returns it.
 func (b *Builder) Err() error { return b.err }
 
 func (b *Builder) fail(format string, args ...any) {
 	if b.err == nil {
-		b.err = fmt.Errorf(format, args...)
+		b.err = badProgram(format, args...)
 	}
+}
+
+// badProgram formats an ErrBadProgram.
+func badProgram(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadProgram, fmt.Sprintf(format, args...))
 }
 
 // Len returns the number of instructions emitted so far.
@@ -49,7 +61,7 @@ func (b *Builder) Len() int { return len(b.instrs) }
 // Label defines a symbolic location at the current position.
 func (b *Builder) Label(name string) {
 	if _, dup := b.labels[name]; dup {
-		b.fail("asm: duplicate label %q", name)
+		b.fail("duplicate label %q", name)
 		return
 	}
 	b.labels[name] = len(b.instrs)
@@ -58,12 +70,15 @@ func (b *Builder) Label(name string) {
 func (b *Builder) checkReg(rs ...uint8) {
 	for _, r := range rs {
 		if r >= isa.NumRegs {
-			b.fail("asm: register r%d out of range", r)
+			b.fail("register r%d out of range", r)
 		}
 	}
 }
 
 func (b *Builder) emit(i isa.Instr) {
+	if !i.Op.Valid() {
+		b.fail("undefined opcode %d", uint8(i.Op))
+	}
 	b.checkReg(i.Rd, i.Rs1, i.Rs2)
 	b.instrs = append(b.instrs, i)
 }
@@ -206,7 +221,7 @@ func (b *Builder) LiLabel(rd uint8, label string) {
 // and device addresses are identical across replicas and use Li64.
 func (b *Builder) LiVA(rd uint8, va uint64) {
 	if int64(va) != int64(int32(va)) {
-		b.fail("asm: virtual address %#x exceeds imm32 range for LiVA", va)
+		b.fail("virtual address %#x exceeds imm32 range for LiVA", va)
 		return
 	}
 	b.relocs = append(b.relocs, len(b.instrs))
@@ -242,7 +257,7 @@ func (b *Builder) Fconst(rd uint8, f float64) {
 func (b *Builder) Ld(size int, rd, rs1 uint8, imm int32) {
 	op, ok := loadOp(size)
 	if !ok {
-		b.fail("asm: bad load size %d", size)
+		b.fail("bad load size %d", size)
 		return
 	}
 	b.emit(isa.Instr{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
@@ -252,7 +267,7 @@ func (b *Builder) Ld(size int, rd, rs1 uint8, imm int32) {
 func (b *Builder) St(size int, rs1, rs2 uint8, imm int32) {
 	op, ok := storeOp(size)
 	if !ok {
-		b.fail("asm: bad store size %d", size)
+		b.fail("bad store size %d", size)
 		return
 	}
 	b.emit(isa.Instr{Op: op, Rs1: rs1, Rs2: rs2, Imm: imm})
@@ -507,11 +522,11 @@ func (b *Builder) Assemble(base uint64) ([]isa.Instr, error) {
 	for _, f := range b.fixups {
 		idx, ok := b.labels[f.label]
 		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", f.label)
+			return nil, badProgram("undefined label %q", f.label)
 		}
 		addr := base + uint64(idx)*isa.InstrBytes
-		if addr > 0x7fffffff {
-			return nil, fmt.Errorf("asm: label %q address %#x exceeds imm32 range", f.label, addr)
+		if addr > 0x7fffffff || addr < base {
+			return nil, badProgram("label %q address %#x exceeds imm32 range", f.label, addr)
 		}
 		out[f.index].Imm = int32(addr)
 	}
@@ -558,7 +573,7 @@ func (b *Builder) RewriteWindows(size int, match func([]isa.Instr) bool, gen fun
 		if i+size <= len(b.instrs) && match(b.instrs[i:i+size]) {
 			for j := i + 1; j < i+size; j++ {
 				if names := labelAt[j]; len(names) > 0 {
-					b.fail("asm: label %q points into a rewritten window", names[0])
+					b.fail("label %q points into a rewritten window", names[0])
 					return
 				}
 			}

@@ -12,21 +12,25 @@ import (
 // Trap fuzzing. A batch goes on after a trap whose handler left the other
 // cores' promises intact (superblock.go, keeps). A seed expands to a
 // four-core machine on which one to four cores loop over register-only
-// runs, FP stalls, loads, stores and a syscall, optionally beside a parked
-// rider (with one parked no core runs solo, so its traps fall in the
-// rotation) and a device that watches one RAM word. The syscall handler
-// does one of trapActions to the trapping core, to another core or to
-// memory. The batch engine must leave the machine exactly where naive
-// stepping does after every Run and RunUntil call, every trap and device
-// event must observe the same machine, and the naive reference runs with
-// DebugParkShadow set, so a park gate skip that misses a wake fails too. A
-// seed's residue modulo len(trapActions) picks the action every syscall
-// takes; "mixed" draws one per syscall.
+// runs, FP stalls, loads, stores and a syscall, optionally beside parked
+// riders (which a solo run carries along) and a device that watches one
+// RAM word. The syscall handler does one of trapActions to the trapping
+// core, to another core or to memory; the "-self" actions arm on the
+// trapping core what makes it issue naively (an interrupt, a breakpoint,
+// single-step, a stuck bit) or a branch watch on its next branch, so a lone
+// core beside a rider runs solo with it armed. The batch engine must leave
+// the machine exactly where naive stepping does after every Run and
+// RunUntil call, every trap and device event must observe the same
+// machine, and the naive reference runs with DebugParkShadow set, so a
+// park gate skip that misses a wake fails too. A seed's residue modulo
+// len(trapActions) picks the action every syscall takes; "mixed" draws one
+// per syscall.
 
 var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark-other",
 	"ipi-other", "irq-other", "patch-other", "bp-other", "branch-watch-other",
 	"step-other", "move-other", "flush-other", "remap-other", "stall-other",
-	"watched-store", "page-store", "arm-device"}
+	"watched-store", "page-store", "arm-device",
+	"irq-self", "ipi-self", "bp-self", "step-self", "stuck-self", "branch-watch-self"}
 
 const (
 	trapText   = 0x1000 // core i's loop at trapText + i*0x1000
@@ -99,8 +103,9 @@ type trapScenario struct {
 	loops  [4]uint64     // each core's loop head, the instruction patch-other rewrites
 	log    []string
 	// traps counts the handler's calls, rider those made while a core was
-	// parked (no core then runs solo: a batched trap is in the rotation).
-	traps, rider int
+	// parked, and soloRider those of them the batch engine took inside a
+	// solo run (whose settlement the trap's sync has just made).
+	traps, rider, soloRider int
 }
 
 // observe logs everything code outside the cores can read.
@@ -116,9 +121,11 @@ func (sc *trapScenario) observe(tag string) {
 
 // loopProg is core id's program: a register-only run, the patchable
 // increment, an optional FP stall, private memory traffic, optional stores
-// into the watched word and beside it on its page, an optional MMIO load,
-// the syscall, another register-only run. The variant (alt) has the same
-// layout and draws, with other immediates in the register-only runs.
+// into the watched word and beside it on its page, into the park word and
+// beside it on its page, an optional MMIO load, the syscall, another
+// register-only run closed by the loop's one branch. The variant (alt) has
+// the same layout and draws, with other immediates in the register-only
+// runs.
 func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
 	bump := int32(0)
 	if alt {
@@ -127,6 +134,7 @@ func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
 	b := asm.New()
 	b.Li64(3, trapData+uint64(id)*0x100)
 	b.Li64(4, trapFlag)
+	b.Li64(10, trapPark)
 	b.Li64(11, trapMMIO)
 	b.Fconst(1, 1.25)
 	head := b.Len()
@@ -162,6 +170,12 @@ func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
 	}
 	if r.intn(3) == 0 {
 		b.St(8, 4, 5, 64) // the watched word's page, another word
+	}
+	if r.intn(4) == 0 {
+		b.St(8, 10, 5, 0) // the park word: wakes a rider that waits on it
+	}
+	if r.intn(4) == 0 {
+		b.St(8, 10, 5, 64) // the park word's page, another word: a rider looks, stays parked
 	}
 	if r.intn(4) == 0 {
 		b.Ld(8, 9, 11, 0) // a device register
@@ -269,6 +283,9 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 	for i := 0; i < m.NumCores(); i++ {
 		if m.Core(i).State == CoreParked {
 			sc.rider++
+			if m.superblock && m.sbSoloFrom == m.Now() {
+				sc.soloRider++
+			}
 			break
 		}
 	}
@@ -337,6 +354,28 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 		_ = m.Mem().WriteU(trapFlag+64, 8, uint64(r.intn(1<<20)))
 	case "arm-device":
 		sc.dev.due = m.Now() + 1 + uint64(r.intn(200))
+	case "irq-self":
+		m.RouteIRQ(trapOthIRQ, c.ID)
+		m.RaiseIRQ(trapOthIRQ)
+	case "ipi-self":
+		m.SendIPI(c.ID)
+	case "bp-self":
+		c.BP = Breakpoint{Addr: sc.loops[c.ID] + uint64(r.intn(4))*isa.InstrBytes, Enabled: true}
+	case "step-self":
+		c.SingleStep = true
+	case "stuck-self":
+		// A word nothing reads; armed, then cleared by the next such trap.
+		if addr := trapData + uint64(c.ID)*0x100 + 0x80; m.Mem().StuckBits() == 0 {
+			_ = m.Mem().SetStuck(addr, uint(r.intn(8)), 1)
+		} else {
+			for i := 0; i < m.NumCores(); i++ {
+				for bit := uint(0); bit < 8; bit++ {
+					m.Mem().ClearStuck(trapData+uint64(i)*0x100+0x80, bit)
+				}
+			}
+		}
+	case "branch-watch-self":
+		c.BranchWatch.Target, c.BranchWatch.Enabled = c.UserBranches+1, true
 	}
 }
 
@@ -385,18 +424,21 @@ func FuzzBatchTrap(f *testing.F) {
 
 // TestBatchTrapSurvival is the fuzz target's fixed-seed tier-1 run: three
 // seeds per action. Across them traps must have been taken both beside a
-// rider and without one, and batches must have gone on after most traps.
+// rider and without one, some beside a rider inside a solo run, solo runs
+// must have issued naively, and batches must have gone on after most traps.
 func TestBatchTrapSurvival(t *testing.T) {
-	var traps, rider int
+	var traps, rider, soloRider int
 	var exits BatchExits
-	var solo uint64
+	var solo, soloNaive uint64
 	for k := uint64(0); k < 3; k++ {
 		for a := range trapActions {
 			sc := batchTrapCheck(t, k*uint64(len(trapActions))+uint64(a)+2000)
 			traps += sc.traps
 			rider += sc.rider
+			soloRider += sc.soloRider
 			st := sc.m.SuperblockStats()
 			solo += st.Solo
+			soloNaive += st.SoloNaive
 			e := st.Exits
 			exits.Trap += e.Trap
 			exits.MMIO += e.MMIO
@@ -407,12 +449,16 @@ func TestBatchTrapSurvival(t *testing.T) {
 			exits.Refused += e.Refused
 		}
 	}
-	t.Logf("%d traps, %d beside a rider; %d solo cycles; batch exits: %+v", traps, rider, solo, exits)
-	if solo == 0 {
-		t.Fatal("nothing ran solo")
+	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; batch exits: %+v",
+		traps, rider, soloRider, solo, soloNaive, exits)
+	if solo == 0 || soloNaive == 0 {
+		t.Fatalf("%d cycles ran solo, %d of them issued naively", solo, soloNaive)
 	}
 	if rider == 0 || rider == traps {
-		t.Fatalf("%d of %d traps were taken beside a rider: the generator covers only one of solo and rotation", rider, traps)
+		t.Fatalf("%d of %d traps were taken beside a rider: the generator covers only one side", rider, traps)
+	}
+	if soloRider == 0 {
+		t.Fatal("no trap was taken inside a solo run beside a rider")
 	}
 	if exits.Trap*2 > uint64(traps) {
 		t.Fatalf("%d of %d traps ended their batch", exits.Trap, traps)

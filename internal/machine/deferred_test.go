@@ -94,14 +94,17 @@ const (
 
 // obsConfig places the cores of an observation run on the four-core
 // machine: loops register-only loops on the lowest cores other than the
-// observer's, and with rider a watched park on the next free one. Without a
-// rider the observer is, whenever the loops are all inside a promise, the
-// one core that holds none, so what it does it does solo.
+// observer's, with rider a park on the word the observer stores into on the
+// next free one, and with pageRider a park on another word of that page,
+// which the store moves without waking it, on the one after. The observer
+// is, whenever the loops are all inside a promise, the one core that holds
+// none, so what it does it does solo, beside the riders.
 type obsConfig struct {
-	loops    int
-	observer int
-	rider    bool
-	maxNops  int // the observer's lead-in is swept from 0 to this many NOPs
+	loops     int
+	observer  int
+	rider     bool
+	pageRider bool
+	maxNops   int // the observer's lead-in is swept from 0 to this many NOPs
 }
 
 func mustLoad(t *testing.T, m *Machine, b *asm.Builder, base uint64) {
@@ -223,18 +226,26 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 		m.StartCore(id, obsLoop1, as)
 	}
 	m.StartCore(observer, obsText, as)
-	if cfg.rider {
+	free := others[cfg.loops:]
+	park := func(tag string, word uint64) {
 		// Every evaluation of the rider's condition, and its done hook, is
 		// an observer.
-		rider := m.Core(others[cfg.loops])
+		rider := m.Core(free[0])
+		free = free[1:]
 		rider.Park(func() bool {
-			log = append(log, observe(m, "park-eval"))
-			v, _ := m.Mem().ReadU(obsParkPA, 8)
+			log = append(log, observe(m, tag+"-eval"))
+			v, _ := m.Mem().ReadU(word, 8)
 			return v != 0
 		}, func() {
-			log = append(log, observe(m, "park-wake"))
+			log = append(log, observe(m, tag+"-wake"))
 			rider.Halt()
-		}, NoEvent, m.Mem().PageGen(obsParkPA, 8))
+		}, NoEvent, m.Mem().PageGen(word, 8))
+	}
+	if cfg.rider {
+		park("park", obsParkPA)
+	}
+	if cfg.pageRider {
+		park("page-park", obsParkPA+64)
 	}
 	for _, n := range []uint64{1, 2, 61, 500, 1, 997, 1500} {
 		m.Run(n)
@@ -260,23 +271,25 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 // TestDeferredObservationExact: the whole observation log is identical
 // with the superblock engine on and off, for every rotation phase of the
 // start cycle and every alignment of the observations against the loops'
-// promises; with two, three and four executing cores and no rider, where
-// the observer does everything it does solo — a syscall, an MMIO load, a
-// store into another core's running loop, a store into device-watched RAM,
-// a load that misses, a MEMCPY, a store into the block it is executing, a
-// jump to a cold line — with promised cores
-// on both sides of its rotation slot, and with a watched rider, where
-// nothing may run solo; with the stock one-cycle cache hit as well as a
-// three-cycle one, which puts a stall behind every fetch.
+// promises; with two, three and four executing cores, where the observer
+// does everything it does solo — a syscall, an MMIO load, a store into
+// another core's running loop, a store into device-watched RAM, a load that
+// misses, a MEMCPY, a store into the block it is executing, a jump to a
+// cold line — with promised cores on both sides of its rotation slot; and
+// beside parked riders, one woken by the observer's store into its watched
+// word, one whose watched page that store moves while it stays parked; with
+// the stock one-cycle cache hit as well as a three-cycle one, which puts a
+// stall behind every fetch.
 func TestDeferredObservationExact(t *testing.T) {
 	for _, memHit := range []int{1, 3} {
 		for _, cfg := range []obsConfig{
 			{loops: 1, observer: 1, maxNops: 70},
 			{loops: 2, observer: 2, rider: true, maxNops: 70},
+			{loops: 1, observer: 1, rider: true, pageRider: true, maxNops: 23},
 			{loops: 2, observer: 1, maxNops: 23},
 			{loops: 3, observer: 2, maxNops: 23},
 		} {
-			var deferred, promises, solo uint64
+			var deferred, promises, solo, soloRider uint64
 			for phase := 0; phase < 4; phase++ {
 				for nops := 0; nops <= cfg.maxNops; nops++ {
 					fast, st := observationRun(t, true, memHit, cfg, phase, nops)
@@ -294,27 +307,35 @@ func TestDeferredObservationExact(t *testing.T) {
 					deferred += st.Deferred
 					promises += st.Promises
 					solo += st.Solo
+					soloRider += st.SoloRider
 				}
 			}
 			if deferred == 0 || promises == 0 {
 				t.Fatalf("hit %d %+v: nothing was deferred (%d cycles, %d promises): the test observes nothing",
 					memHit, cfg, deferred, promises)
 			}
-			if solo == 0 {
-				// Even the rider's configuration runs solo, once the rider
-				// has woken and halted.
-				t.Fatalf("hit %d %+v: nothing ran solo", memHit, cfg)
+			if solo == 0 || (soloRider != 0) != (cfg.rider || cfg.pageRider) {
+				t.Fatalf("hit %d %+v: %d cycles ran solo, %d beside a rider", memHit, cfg, solo, soloRider)
 			}
 		}
 	}
 }
 
-// TestSoloStaysOutWithRider: a memory loop beside an FP loop's long stalls
-// runs solo — unless a rider is parked, even a watched one that never
-// wakes: then no cycle runs solo and the rider's cycle counter moves as
-// under naive stepping.
-func TestSoloStaysOutWithRider(t *testing.T) {
-	scenario := func(sb, rider bool) (obsEntry, SuperblockStats) {
+// TestSoloRidesWithRider: a memory loop beside an FP loop's long stalls
+// runs solo, and goes on doing so beside a parked rider that never wakes:
+// the rider is credited its cycles, and every evaluation of its condition
+// sees, and the run ends in, exactly the machine naive stepping shows. In
+// the third variant the loop stores into the rider's watched page, beside
+// the word its condition reads: each store ends the solo run and the rider
+// evaluates on the first poll after it.
+func TestSoloRidesWithRider(t *testing.T) {
+	const (
+		noRider = iota
+		rider
+		riderPageStored
+	)
+	scenario := func(sb bool, kind int) ([]obsEntry, SuperblockStats) {
+		var log []obsEntry
 		m := New(X86(), 1<<16)
 		m.SetSuperblock(sb)
 		fp := asm.New()
@@ -335,24 +356,37 @@ func TestSoloStaysOutWithRider(t *testing.T) {
 		as := flatAS(m.Mem().Size())
 		m.StartCore(0, obsLoop1, as)
 		m.StartCore(1, obsText, as)
-		if rider {
+		if kind != noRider {
+			word := uint64(obsParkPA)
+			if kind == riderPageStored {
+				word = obsSrcPA + 64 // the loop stores into obsSrcPA
+			}
 			r := m.Core(2)
 			r.Park(func() bool {
-				v, _ := m.Mem().ReadU(obsParkPA, 8)
+				log = append(log, observe(m, "park-eval"))
+				v, _ := m.Mem().ReadU(word, 8)
 				return v != 0
-			}, nil, NoEvent, m.Mem().PageGen(obsParkPA, 8))
+			}, nil, NoEvent, m.Mem().PageGen(word, 8))
 		}
 		m.Run(5000)
-		return observe(m, "end"), m.SuperblockStats()
+		return append(log, observe(m, "end")), m.SuperblockStats()
 	}
-	for _, rider := range []bool{false, true} {
-		fast, st := scenario(true, rider)
-		naive, _ := scenario(false, rider)
-		if fast != naive {
-			t.Fatalf("rider %v: diverged\nbatched: %+v\nnaive:   %+v", rider, fast, naive)
+	for kind, name := range []string{"no rider", "rider", "rider's page stored"} {
+		fast, st := scenario(true, kind)
+		naive, _ := scenario(false, kind)
+		if len(fast) != len(naive) {
+			t.Fatalf("%s: %d observations batched, %d naive", name, len(fast), len(naive))
 		}
-		if st.Batched == 0 || (st.Solo != 0) == rider {
-			t.Fatalf("rider %v: %d of %d batched cycles ran solo", rider, st.Solo, st.Batched)
+		for i := range fast {
+			if fast[i] != naive[i] {
+				t.Fatalf("%s: observation %d (%s) diverged\nbatched: %+v\nnaive:   %+v", name, i, naive[i].tag, fast[i], naive[i])
+			}
+		}
+		if st.Batched == 0 || st.Solo == 0 || (st.SoloRider != 0) != (kind != noRider) {
+			t.Fatalf("%s: of %d batched cycles %d ran solo, %d beside a rider", name, st.Batched, st.Solo, st.SoloRider)
+		}
+		if evals := len(fast) - 1; kind == riderPageStored && evals < 10 {
+			t.Fatalf("%s: the rider evaluated %d times: the loop's stores were not seen", name, evals)
 		}
 	}
 }

@@ -139,17 +139,20 @@ type Machine struct {
 	sbExit uint8
 	// sbExits counts why batches ended, by batchExit (diagnostics).
 	sbExits [nBatchExits]uint64
-	// sbHold pins the machine to naive stepping until the given cycle
-	// after a failed block build (host-only cooldown heuristic).
+	// sbHold keeps every core off blocks, issuing naively, until the given
+	// cycle after a failed block build (host-only cooldown heuristic).
 	sbHold uint64
 	// sbJumped counts cycles credited in bulk inside batches, sbDeferred the
 	// cycles burst executed, sbPromises the promises made, sbBatched the
-	// cycles batches consumed and sbSoloRun those of them run solo
-	// (diagnostics).
+	// cycles batches consumed, sbSoloRun those of them run solo,
+	// sbSoloRider the solo cycles beside a parked rider and sbSoloNaive the
+	// solo cycles issued through the naive issue path (diagnostics).
 	sbJumped, sbDeferred, sbPromises, sbBatched, sbSoloRun uint64
+	sbSoloRider, sbSoloNaive                               uint64
 	// sbSolo is the core running solo (see solo), nil when none is, and
-	// sbSoloFrom the cycle count its run started at: until sbSettle the
-	// promised cores have not been credited the cycles since.
+	// sbSoloFrom the cycle up to which the other cores have been credited
+	// for the last run: its start until sbSettle, the cycle it was settled
+	// in after.
 	sbSolo     *sbRunState
 	sbSoloFrom uint64
 	// sbRun is the per-core batch state, allocated once; sbAct lists the
@@ -614,10 +617,17 @@ func (m *Machine) execOne(c *Core) {
 		return // bus stall mid-instruction; retry
 	}
 	c.Instructions++
-	if c.BranchWatch.Enabled && c.UserBranches != branchesBefore &&
-		c.UserBranches >= c.BranchWatch.Target {
-		c.BranchWatch.Enabled = false
-		m.trap(c, Trap{Kind: TrapBranchWatch, PC: c.PC})
+	m.debugTail(c, branchesBefore, atBP && c.PC != prevPC)
+}
+
+// debugTail finishes an issue that began with a debug feature armed, after
+// its instruction retired: the branch watch, then the resume flag, then
+// single-step — armed before the issue or by a trap handler the
+// instruction entered. completedAtBP says the instruction started on the
+// breakpoint and moved on. execOne and, for a core that keeps its blocks
+// under a branch watch, sbIssue share it.
+func (m *Machine) debugTail(c *Core, branchesBefore uint64, completedAtBP bool) {
+	if c.UserBranches != branchesBefore && m.branchWatch(c) {
 		return
 	}
 	// The resume flag acts at *instruction* granularity: a rep-style block
@@ -628,14 +638,28 @@ func (m *Machine) execOne(c *Core) {
 	// traps on each issue — which is what lets a kernel stop a replica at
 	// an exact position *inside* a block copy (the paper's §III-D
 	// rep-prefix discussion).
-	completed := c.PC != prevPC
-	if atBP && c.ResumeOnce && completed {
+	if completedAtBP && c.ResumeOnce {
 		c.ResumeOnce = false
 	}
 	if c.SingleStep {
 		c.SingleStep = false
 		m.trap(c, Trap{Kind: TrapSingleStep, PC: c.PC})
 	}
+}
+
+// branchWatch is the PMU overflow check after a retired instruction that
+// moved UserBranches: once the count reaches an armed target the watch
+// disarms and the core traps. Only a branch moves the count, and a branch
+// ends a superblock, so the batch engine calls this from sbIssue and keeps
+// promises short of the firing branch (lookahead). It reports whether the
+// trap was taken.
+func (m *Machine) branchWatch(c *Core) bool {
+	if !c.BranchWatch.Enabled || c.UserBranches < c.BranchWatch.Target {
+		return false
+	}
+	c.BranchWatch.Enabled = false
+	m.trap(c, Trap{Kind: TrapBranchWatch, PC: c.PC})
+	return true
 }
 
 // fetch resolves PC, charges the fetch through the cost model, and

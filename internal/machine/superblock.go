@@ -16,15 +16,17 @@ import (
 // that the cores are not interleaved where nothing can tell: a core's
 // register-only stretches are executed later than their cycles, in one
 // burst, before anything can observe the core, and while every other core
-// is inside such a stretch the remaining one runs alone (see runBlocks).
-// It is also the one place idle time is charged: a window in which every
-// core is parked, stalled, halted or offline is credited in bulk like any
-// other window of promises. The batch re-derives its state, ends, or never
-// starts whenever anything could diverge:
+// is inside such a stretch the remaining one runs alone, parked riders
+// beside it or not (see runBlocks). It is also the one place idle time is
+// charged: a window in which every core is parked, stalled, halted or
+// offline is credited in bulk like any other window of promises. The batch
+// re-derives its state, ends, or never starts whenever anything could
+// diverge:
 //
 //   - a device event falls due (preemption timer, DMA, intermittent-fault
 //     phase edge): the batch horizon stops one cycle short, so the event
-//     cycle is always stepped naively;
+//     cycle is always stepped naively; this is the only reason a batch
+//     does not start;
 //   - a core touches MMIO or a parked core's condition fires (barrier
 //     release): the remainder of that cycle is serviced through the naive
 //     advance path and the batch exits, because a device or the kernel may
@@ -39,12 +41,14 @@ import (
 //     generations are re-checked before every issue and the core falls
 //     back to the naive fetch path for that issue, after which the batch
 //     re-derives that core;
-//   - a stuck-at fault is armed, a debug feature (breakpoint, branch
-//     watch, single-step) is armed, or an interrupt is pending: the core
-//     takes no block; it is only credited the stall it is counting down,
-//     its next issue goes through the naive path and the batch re-derives
-//     the core after it (and refuses, or never starts, while such a core
-//     has no stall).
+//   - a stuck-at fault is armed, a breakpoint or single-step is armed, or
+//     an interrupt is pending: the core takes no block; it is only
+//     credited the stall it is counting down, and its issues go through
+//     the naive path — in the rotation, after which the batch re-derives
+//     the core, or alone at machine time (solo), where every check runs
+//     as naive stepping runs it. An armed branch watch keeps the core's
+//     blocks: only a branch can fire it, sbIssue checks it, and no
+//     promise covers the branch that fires it.
 //
 // The differential determinism suite runs every {exec-cache × superblock}
 // combination to enforce this.
@@ -257,14 +261,14 @@ func (m *Machine) watchDirty() bool {
 }
 
 // sbRunState tracks one core's progress through the batched loop: a core
-// running at batch entry is serviced from its superblock, or only credited
-// its stall when it may not take one (stall-only), one parked at entry (a
-// rider) is polled via advance or credited in bulk, and halted or offline
-// cores take no part. fline and fgen memoize the last fetch-probed
-// cache line: while the core's cache generation is unchanged, a line
-// probed present is still present, so sequential fetches within the line
-// skip the probe entirely (a fetch hit changes no cache or bus state, so
-// skipping it is free).
+// running at batch entry is serviced from its superblock, or credited its
+// stall and then issued naively when it may not take one (stall-only), one
+// parked at entry (a rider) is polled via advance or credited in bulk, and
+// halted or offline cores take no part. fline and fgen memoize the last
+// fetch-probed cache line: while the core's cache generation is unchanged,
+// a line probed present is still present, so sequential fetches within the
+// line skip the probe entirely (a fetch hit changes no cache or bus state,
+// so skipping it is free).
 //
 // promise and lag implement deferred execution (see runBlocks): promise is
 // the number of coming cycles in which the core provably touches nothing
@@ -308,10 +312,13 @@ func (st *sbRunState) keeps() bool {
 // position: the rest of its stall (a stalled core only counts down) plus
 // one cycle per instruction of the fast-set run it stands at — each takes
 // at least a cycle, so the run cannot end earlier — cut at the first fetch
-// line not resident in its cache, since a fill would touch the bus. The cache is private to the core and a fetch hit leaves it
-// unchanged, so lines found resident stay resident for the whole promise.
-// 0 means the core must be serviced cycle by cycle. A stall-only core (no
-// block) promises its stall.
+// line not resident in its cache, since a fill would touch the bus. The
+// cache is private to the core and a fetch hit leaves it unchanged, so
+// lines found resident stay resident for the whole promise. A run holds at
+// most one branch, its block's terminator; when that branch would fire an
+// armed branch watch the run stops short of it, so the core issues it at
+// machine time (sbIssue). 0 means the core must be serviced cycle by cycle.
+// A stall-only core (no block) promises its stall.
 func (st *sbRunState) lookahead() uint64 {
 	c, sb := st.c, st.sb
 	if sb == nil {
@@ -322,6 +329,10 @@ func (st *sbRunState) lookahead() uint64 {
 	}
 	p := uint64(c.stall)
 	n := uint64(sb.fast[st.pos])
+	if c.BranchWatch.Enabled && c.UserBranches+1 >= c.BranchWatch.Target &&
+		st.pos+int(n) == sb.n && sbEnds(sb.ins[sb.n-1].Op) {
+		n-- // a fast terminator is a branch
+	}
 	if n == 0 {
 		return p
 	}
@@ -415,12 +426,12 @@ type batchExit uint8
 const (
 	exitNone    batchExit = iota
 	exitTrap              // a trap (the kernel ran)
-	exitWatched           // a store into device-watched RAM
+	exitWatched           // a store into device-watched RAM, or a solo store into a rider's page
 	exitNaive             // a naive issue: stale text or no block under a core
 	exitMMIO              // a device register access
 	exitWake              // a parked core's condition fired
 	exitHorizon           // the limit or the device horizon was reached
-	exitRefused           // the batch could not start
+	exitRefused           // the batch could not start: a device event is due
 	nBatchExits
 )
 
@@ -471,19 +482,16 @@ func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
 	return seen
 }
 
-// sbGate lists in sbAct the cores a batch drives. A running core takes a
-// superblock at its PC unless stuck bits are armed, the build hold is on,
-// an interrupt is pending or a debug feature is armed on it, or no block
-// forms there; such a core is admitted stall-only (no block, its promise is
-// its stall) while it counts down a stall, and refuses the batch otherwise.
-// Parked cores ride along; halted and offline ones take no part. It is the
-// batch entry's gate and, with keep, the re-derivation after a cycle in
-// which code other than a core's own burst ran: then a core whose promise
-// survived that code (keeps) is taken over as it stands, lag included, and
-// every other one is derived afresh. On refusal sbAct is left as it was,
-// still listing every lagging core.
-func (m *Machine) sbGate(keep bool) (nparked int, ok bool) {
-	noBlocks := m.now < m.sbHold || len(m.mem.stuck) != 0
+// sbGate lists in sbAct the cores a batch drives, and returns how many of
+// them are parked. A running core takes a superblock at its PC (sbBlock) or
+// is admitted stall-only: credited the stall it counts down, then issued
+// naively. Parked cores ride along; halted and offline ones take no part.
+// It is the batch entry's gate and, with keep, the re-derivation after a
+// cycle in which code other than a core's own burst ran: then a core whose
+// promise survived that code (keeps) is taken over as it stands, lag
+// included, and every other one is derived afresh. It refuses no core.
+func (m *Machine) sbGate(keep bool) (nparked int) {
+	noBlocks := m.sbNoBlocks()
 	act := m.sbGated[:0]
 	for i, c := range m.cores {
 		st := &m.sbRun[i]
@@ -502,22 +510,36 @@ func (m *Machine) sbGate(keep bool) (nparked int, ok bool) {
 			st.parked = true
 			nparked++
 		default:
-			if !noBlocks && c.pendingIRQ == 0 && !c.pendingIPI &&
-				!c.BP.Enabled && !c.BranchWatch.Enabled && !c.SingleStep {
-				if st.sb = m.blockFor(c); st.sb == nil {
-					m.sbHold = m.now + sbBuildHold
-				}
-			}
-			if st.sb == nil && c.stall <= 0 {
-				return 0, false
-			}
+			st.sb = m.sbBlock(c, noBlocks)
 			st.parked, st.pos = false, 0
 			st.fline = ^uint64(0) // no line memoized yet
 		}
 		act = append(act, st)
 	}
 	m.sbAct, m.sbGated = act, m.sbAct[:0]
-	return nparked, true
+	return nparked
+}
+
+// sbNoBlocks reports whether every core must issue naively: stuck bits are
+// armed (they act on reads a block would have predecoded), or the build
+// hold is on.
+func (m *Machine) sbNoBlocks() bool {
+	return m.now < m.sbHold || len(m.mem.stuck) != 0
+}
+
+// sbBlock returns the superblock a running core issues from next, or nil
+// when it must issue naively: noBlocks, an interrupt pending (the naive
+// issue delivers it), a breakpoint or single-step armed (the naive issue
+// checks them), or no block forms at its PC, which starts the build hold.
+func (m *Machine) sbBlock(c *Core, noBlocks bool) *superblock {
+	if noBlocks || c.pendingIRQ != 0 || c.pendingIPI || c.BP.Enabled || c.SingleStep {
+		return nil
+	}
+	sb := m.blockFor(c)
+	if sb == nil {
+		m.sbHold = m.now + sbBuildHold
+	}
+	return sb
 }
 
 // sbHorizon returns how many of the next limit cycles a batch may run: it
@@ -544,12 +566,12 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 }
 
 // runBlocks executes up to limit cycles through the superblock engine and
-// returns the number of cycles consumed (possibly 0 when the batch cannot
-// safely start). cond is RunUntil's condition, nil under Run; it cannot
-// turn true inside a batch except through a trap handler (see RunUntil), so
-// it is evaluated after every cycle with a trap the batch goes on from,
-// and, before every batched cycle except the first, when DebugCondShadow
-// is set.
+// returns the number of cycles consumed (0 when a device event is due next
+// cycle, which only a naive step may run). cond is RunUntil's condition,
+// nil under Run; it cannot turn true inside a batch except through a trap
+// handler (see RunUntil), so it is evaluated after every cycle with a trap
+// the batch goes on from, and, before every batched cycle except the
+// first, when DebugCondShadow is set.
 //
 // Lagging cores and the one core at machine time. Between two kernel
 // entries a replica is an independent instruction stream, so the loop does
@@ -571,22 +593,27 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 //   - Burst. The owed cycles are executed later, alone, in a tight loop
 //     (burst): when the promise runs out — the core then re-promises
 //     without spending a cycle — or at an observation point.
-//   - Solo. When exactly one executing core holds no promise, no rider is
-//     parked and every other core's promise lasts at least sbSoloMin
-//     cycles, that core runs alone for the shortest of them (solo): it is
-//     the only core that does anything in those cycles, so the machine's
-//     clock simply follows it, one cycle per issue opportunity, any op, no
-//     promise to make or keep. The promised cores' credits for the stretch
-//     are settled by arithmetic (sbSettle) when it ends or at the first
-//     observation point inside it. Riders stay out: a solo core's store
-//     could move a rider's watched page in the middle of a cycle.
+//   - Solo. When exactly one executing core holds no promise and every
+//     other core's promise, and every rider's bound (sbRiderBound), lasts
+//     at least sbSoloMin cycles, that core runs alone for the shortest of
+//     them (solo): it is the only core that does anything in those cycles,
+//     so the machine's clock simply follows it, one cycle per issue
+//     opportunity, any op, no promise to make or keep — from its block, or
+//     through the naive issue path when it has none. The other cores'
+//     credits for the stretch, the riders' included, are settled by
+//     arithmetic (sbSettle) when it ends or at the first observation point
+//     inside it. A rider rides along: its declarations prove it stays
+//     parked, and the one of them the solo core can move without an
+//     observation point, its watched page, ends the run when a store moves
+//     it.
 //
 // Observation points are the places where code other than a core's own
 // burst can read or write a lagging core, and each starts with sbSync:
 // Machine.trap (the kernel), both MMIO arms of execSlow (a device), the
 // evaluation of a park condition in advance (and of its DebugParkShadow
 // twin), the DebugCondShadow evaluation here, a solo core's store that the
-// rest of the machine has to see, and batch end (the host). Devices tick
+// rest of the machine has to see (watched RAM, another core's promised
+// text, a rider's watched page), and batch end (the host). Devices tick
 // only outside batches (the horizon). Lags are rotation-exact: a core is
 // credited a cycle in its own slot — one by one in the rotation, or by slot
 // arithmetic when a solo run is observed mid-cycle — so when a core traps,
@@ -601,34 +628,29 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 //
 // A batch ends only where something can observe its end. After a trap, a
 // naive issue, a store into device-watched RAM or a solo core's store into
-// promised text, the cycle is finished (sbRest after a trap: the cores whose
-// promise the handler left intact are charged their slots, the rest are
-// stepped naively) and the batch re-derives what that may have changed: the
-// gate (sbGate, keeping the surviving promises), the device horizon and,
-// under RunUntil, the condition. It exits when one of them refuses, and at
-// once on an MMIO access, a park wake, or with DebugCondShadow or
-// DebugParkShadow set, whose evaluations are placed at batch boundaries.
+// promised text or a rider's page, the cycle is finished (sbRest after a
+// trap: the cores whose promise the handler left intact are charged their
+// slots, the rest are stepped naively) and the batch re-derives what that
+// may have changed: the gate (sbGate, keeping the surviving promises), the
+// device horizon and, under RunUntil, the condition. It exits when the
+// horizon or the condition refuses, and at once on an MMIO access, a park
+// wake, or with DebugCondShadow or DebugParkShadow set, whose evaluations
+// are placed at batch boundaries.
 func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	if limit == 0 {
 		return 0
 	}
-	// Core gates, before the device horizon: they are cheap, and a machine
-	// with many devices would otherwise scan them all on every refused
-	// entry.
+	horizon, ok := m.sbHorizon(limit)
+	if !ok {
+		m.sbExits[exitRefused]++
+		return 0
+	}
 	if m.sbRun == nil || len(m.sbRun) != len(m.cores) {
 		m.sbRun = make([]sbRunState, len(m.cores))
 		m.sbAct = make([]*sbRunState, 0, len(m.cores))
 		m.sbGated = make([]*sbRunState, 0, len(m.cores))
 	}
-	nparked, ok := m.sbGate(false)
-	var horizon uint64
-	if ok {
-		horizon, ok = m.sbHorizon(limit)
-	}
-	if !ok {
-		m.sbExits[exitRefused]++
-		return 0
-	}
+	nparked := m.sbGate(false)
 	for i, gp := range m.watchGp {
 		m.watchSnap[i] = *gp
 	}
@@ -652,15 +674,13 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				why = seen
 				break
 			}
-			if nparked, ok = m.sbGate(true); ok {
-				var h uint64
-				h, ok = m.sbHorizon(limit - consumed)
-				horizon = consumed + h
-			}
+			nparked = m.sbGate(true)
+			h, ok := m.sbHorizon(limit - consumed)
 			if !ok {
 				why = seen
 				break
 			}
+			horizon = consumed + h
 			for i, gp := range m.watchGp {
 				m.watchSnap[i] = *gp
 			}
@@ -701,19 +721,17 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				k = st.promise
 			}
 		}
-		if unpromised == 1 && k >= sbSoloMin && nparked == 0 && !shadow {
-			// A run of no cycles found no block or stale text under the
-			// core: the stepped path below takes the cycle.
-			if n, obs := m.solo(lone, k); n != 0 {
-				consumed += n
-				seen = obs
-				continue
-			}
+		if nparked > 0 && unpromised <= 1 {
+			k = m.sbRiderBound(k)
+		}
+		if unpromised == 1 && k >= sbSoloMin && !shadow {
+			n, obs := m.solo(lone, k)
+			consumed += n
+			seen = obs
+			continue
 		}
 		if unpromised != 0 {
 			k = 0
-		} else if nparked > 0 {
-			k = m.sbRiderBound(k)
 		}
 		if k > 0 {
 			if shadow {
@@ -783,11 +801,13 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 			}
 			sb := st.sb
 			if sb == nil || !sb.pagesFresh() {
-				// No block (a stall-only core whose stall ran out, or a
-				// failed chain), or text (or a page it shares) mutated under
-				// it: issue naively this cycle — the naive fetch re-derives
-				// bytes and any trap from scratch — and re-derive the core
-				// after the cycle.
+				// No block (a stall-only core whose stall ran out — an
+				// interrupt pending, a breakpoint or single-step armed, stuck
+				// bits, the build hold — or a failed chain), or text (or a
+				// page it shares) mutated under it: issue naively this cycle
+				// — the naive issue delivers the interrupt, checks the debug
+				// features and re-derives bytes and any trap from scratch —
+				// and re-derive the core after the cycle.
 				m.issue(c)
 				if m.sbExit != 0 {
 					seen = m.sbRest(c.ID, exitTrap)
@@ -826,11 +846,11 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 // sbIssue runs one issue opportunity of a batched core standing on a fresh
 // block: the jitter draw, the fetch, the instruction, the block chain. It is
 // the one definition of that step, for the rotation of runBlocks and for
-// solo. It reports whether the instruction went through execSlow: only such
-// an op can trap, reach a device or store, so only then has the caller
-// anything to check. After a trap or an MMIO access (m.sbExit) the block
-// position is left alone — the handler may have moved the core anywhere —
-// and the caller re-derives the core.
+// solo. It reports whether the instruction went through execSlow or fired
+// the branch watch: only such an issue can trap, reach a device or store,
+// so only then has the caller anything to check. After a trap or an MMIO
+// access (m.sbExit) the block position is left alone — the handler may have
+// moved the core anywhere — and the caller re-derives the core.
 func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	c, sb := st.c, st.sb
 	if c.nextJitter(m.prof.JitterShift) {
@@ -863,16 +883,25 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	prev := c.PC
 	ins := &sb.ins[st.pos]
 	if sb.fast[st.pos] != 0 {
+		br := c.UserBranches
 		execFast(c, ins, cost)
 		c.Instructions++
 		c.sb.instrs++
+		if c.BranchWatch.Enabled && c.UserBranches != br && m.branchWatch(c) {
+			return true
+		}
 	} else {
 		// Op outside the register-only fast set: memory, divide, atomic,
-		// block op, syscall.
+		// block op, syscall. Under a branch watch the naive issue ends with
+		// the debug tail, which a trap handler may give work (single-step).
 		slow = true
+		watched, br := c.BranchWatch.Enabled, c.UserBranches
 		if m.execSlow(c, ins) {
 			c.Instructions++
 			c.sb.instrs++
+			if watched {
+				m.debugTail(c, br, false)
+			}
 		}
 		if m.sbExit != 0 {
 			return true
@@ -895,32 +924,38 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	return slow
 }
 
-// solo runs st's core alone for up to span cycles, at the machine's clock,
-// while every other executing core holds a promise of at least span cycles
-// and no rider is parked. A cycle does what the rotation does when a single
-// core takes part — time, the bus bucket, the core's cycle count, a stall
-// (drained in one step), then sbIssue — and the promised cores, which would
-// only be credited the cycle, are settled by arithmetic when the run ends
-// or something observes them (sbSettle). Because the core does not lag it
-// may execute any op. A trap or an MMIO access has already synced when it
-// returns; a store that dirtied device-watched RAM or made another core's
-// block text stale syncs here; either way the run ends, the cycle's
-// remaining slots go through sbRest, and solo returns what observed the
-// machine for runBlocks to re-derive from or exit on, as after the same
-// event in the rotation. Stale text under the core itself, or a failed
-// chain, ends the run before the next cycle begins and the stepped path
-// takes that cycle. Returns the cycles consumed and the observation,
-// exitNone when the run simply ran out.
+// solo runs st's core alone for span cycles, at the machine's clock, while
+// every other executing core holds a promise of at least span cycles and
+// every rider provably stays parked for as long. A cycle does what the
+// rotation does when a single core takes part — time, the bus bucket, the
+// core's cycle count, a stall (drained in one step), then sbIssue, or the
+// naive issue when the core has no fresh block — and the other cores, which
+// would only be credited the cycle, are settled by arithmetic when the run
+// ends or something observes them (sbSettle). Because the core does not lag
+// it may execute any op, and a naive issue runs every interrupt and debug
+// check exactly as naive stepping does; after one the core takes a block
+// again where sbGate would give it one. A trap or an MMIO access has
+// already synced when it returns; a store that dirtied device-watched RAM,
+// made another core's block text stale or moved a rider's watched page
+// syncs here; either way the run ends, the cycle's remaining slots go
+// through sbRest — whose polls show the store to the riders after the solo
+// core's slot, the ones before it see it next cycle, as in the rotation —
+// and solo returns what observed the machine for runBlocks to re-derive
+// from or exit on, as after the same event in the rotation. Returns the
+// cycles consumed and the observation, exitNone when the run ran out.
 func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 	c, bus, mem := st.c, m.bus, m.mem
 	start := m.now
 	end := start + span
 	m.sbSolo, m.sbSoloFrom = st, start
-	// Only a store of the core's own can make text stale or dirty watched
-	// RAM in here, so those checks wait for the write count to move.
+	// Only a store of the core's own can make text stale, dirty watched RAM
+	// or move a rider's page in here, so those checks wait for the write
+	// count to move.
 	writes := mem.writes
+	// fresh: the core stands on a block whose text is unmodified. Only a
+	// store can change that; a chain or sbBlock hands out a valid block.
 	fresh := st.sb != nil && st.sb.pagesFresh()
-	for fresh && m.now < end {
+	for m.now < end {
 		if c.stall > 0 {
 			d := uint64(c.stall)
 			if d > end-m.now {
@@ -934,9 +969,22 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 		m.now++
 		bus.tick()
 		c.Cycles++
-		if !m.sbIssue(st) || m.sbExit == 0 && mem.writes == writes {
-			fresh = st.sb != nil // a chain that found no block ends the run
-			continue
+		if fresh {
+			if !m.sbIssue(st) || m.sbExit == 0 && mem.writes == writes {
+				fresh = st.sb != nil
+				continue
+			}
+		} else {
+			// No block (stall-only, a failed chain) or stale text under it.
+			m.issue(c)
+			m.sbSoloNaive++
+			if m.sbExit == 0 {
+				st.sb, st.pos = m.sbBlock(c, m.sbNoBlocks()), 0
+				fresh = st.sb != nil
+				if mem.writes == writes {
+					continue
+				}
+			}
 		}
 		switch {
 		case m.sbExit != 0:
@@ -945,9 +993,11 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 			seen = exitWatched
 		case m.sbStale():
 			seen = exitNaive
+		case m.sbRiderPage():
+			seen = exitWatched
 		default:
-			// A store nobody else reads; into the core's own text it ends
-			// the run.
+			// A store nobody else reads; stale text under the core itself
+			// takes the naive issue next cycle.
 			writes = mem.writes
 			fresh = st.sb != nil && st.sb.pagesFresh()
 			continue
@@ -957,6 +1007,18 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 	}
 	m.sbSettle(false)
 	return m.now - start, exitNone
+}
+
+// sbRiderPage reports whether a store of the solo core moved a rider's
+// watched page. Every rider's page was unmoved when the run began
+// (sbRiderBound).
+func (m *Machine) sbRiderPage() bool {
+	for _, st := range m.sbAct {
+		if st.parked && *st.c.parkGp != st.c.parkSeenGen {
+			return true
+		}
+	}
+	return false
 }
 
 // stale reports whether the block text under st's promise has been written
@@ -976,19 +1038,23 @@ func (m *Machine) sbStale() bool {
 	return false
 }
 
-// sbSettle ends a solo run: every promised core is credited the cycles the
-// solo core has begun since the run started. When the solo core is inside a
-// cycle (mid) that cycle counts only for the cores whose slot in its
-// rotation precedes the solo core's — the lag the stepped loop builds one
-// promise--, lag++ at a time — and the others get it from sbRest.
+// sbSettle ends a solo run: every other core the batch drives is credited
+// the cycles the solo core has begun since the run started, a promised core
+// as lag against its promise, a rider as idle cycles (its polls would all
+// have skipped: sbRiderBound). When the solo core is inside a cycle (mid)
+// that cycle counts only for the cores whose slot in its rotation precedes
+// the solo core's — what the stepped loop does one slot at a time — and the
+// others get it from sbRest.
 func (m *Machine) sbSettle(mid bool) {
 	solo := m.sbSolo
 	m.sbSolo = nil
 	n := m.now - m.sbSoloFrom
+	m.sbSoloFrom = m.now
 	m.sbSoloRun += n
 	ncores := len(m.cores)
 	m.rr = int(m.now % uint64(ncores))
 	slot := func(id int) int { return (id - m.rr + ncores) % ncores } // in this cycle's rotation
+	rider := false
 	for _, st := range m.sbAct {
 		if st == solo {
 			continue
@@ -997,8 +1063,16 @@ func (m *Machine) sbSettle(mid bool) {
 		if mid && slot(st.c.ID) > slot(solo.c.ID) {
 			k--
 		}
+		if st.parked {
+			st.c.idle(k)
+			rider = true
+			continue
+		}
 		st.promise -= k
 		st.lag += k
+	}
+	if rider {
+		m.sbSoloRider += n
 	}
 }
 
@@ -1170,17 +1244,19 @@ type SuperblockStats struct {
 	Promises    uint64 // promises made
 	Batched     uint64 // machine cycles run inside batches
 	Solo        uint64 // ... of which by one core alone at machine time (solo)
+	SoloRider   uint64 // ... of which beside a parked rider
+	SoloNaive   uint64 // solo cycles issued through the naive issue path (no fresh block)
 	Exits       BatchExits
 }
 
 // BatchExits counts why superblock batches ended, one count per batch. A
 // trap, a naive issue or a watched store ends a batch only when the state it
-// re-derives afterwards refuses to go on (an interrupt or device event due,
-// a core with neither block nor stall, RunUntil's condition true).
+// re-derives afterwards refuses to go on (a device event due, RunUntil's
+// condition true).
 type BatchExits struct {
 	Trap    uint64 // after a trap
 	MMIO    uint64 // a device register access
-	Watched uint64 // after a store into device-watched RAM
+	Watched uint64 // after a store into device-watched RAM or a solo run's rider's page
 	Naive   uint64 // after a naive issue: stale text or no block under a core
 	Wake    uint64 // a parked core's condition fired
 	Horizon uint64 // the limit or the device horizon was reached
@@ -1218,7 +1294,7 @@ func (m *Machine) BlockStartPAs(id int) []uint64 {
 func (m *Machine) SuperblockStats() SuperblockStats {
 	x := &m.sbExits
 	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises,
-		Batched: m.sbBatched, Solo: m.sbSoloRun, Exits: BatchExits{
+		Batched: m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Exits: BatchExits{
 			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched], Naive: x[exitNaive],
 			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
 	for _, c := range m.cores {

@@ -392,3 +392,56 @@ func TestSuperblockMemWatcherStore(t *testing.T) {
 		t.Fatal("payload never read back")
 	}
 }
+
+// TestSuperblockBranchWatchChase: the trailing replica of a closely-coupled
+// pair chases the leader with a PMU branch watch while the leader spins
+// parked. The chasing core keeps its blocks, runs solo beside the parked
+// rider, and traps on the cycle, at the branch count and in the state naive
+// stepping shows, for every distance to the target and with the firing
+// branch alone in its block (the core stands on the terminator) or closing
+// a register-only run (the promise before it is cut).
+func TestSuperblockBranchWatchChase(t *testing.T) {
+	scenario := func(sb bool, body, dist int) (obsEntry, SuperblockStats) {
+		m := New(X86(), 1<<16)
+		m.SetSuperblock(sb)
+		b := asm.New()
+		b.Li(5, 0)
+		b.Label("loop")
+		for i := 0; i < body; i++ {
+			b.Addi(6, 6, int32(i+1))
+		}
+		b.Addi(5, 5, 1)
+		b.J("loop")
+		mustLoad(t, m, b, 0)
+		var hit obsEntry
+		m.SetHandler(handlerFunc(func(c *Core, tr Trap) {
+			if tr.Kind == TrapBranchWatch {
+				hit = observe(m, "branch-watch")
+			}
+			c.Halt()
+		}))
+		as := flatAS(m.Mem().Size())
+		m.StartCore(0, 0, as)
+		c := m.Core(0)
+		m.Run(uint64(37 * body)) // some way into the loop
+		c.BranchWatch.Target, c.BranchWatch.Enabled = c.UserBranches+uint64(dist), true
+		m.Core(1).Park(func() bool { return false }, nil, NoEvent, nil)
+		_ = m.RunUntil(func() bool { return c.State == CoreHalted }, 100_000)
+		return hit, m.SuperblockStats()
+	}
+	for _, body := range []int{0, 5} {
+		var blockInstrs, soloRider uint64
+		for dist := 1; dist <= 40; dist++ {
+			fast, st := scenario(true, body, dist)
+			naive, _ := scenario(false, body, dist)
+			if fast != naive || fast.tag == "" {
+				t.Fatalf("body %d, distance %d: batched %+v, naive %+v", body, dist, fast, naive)
+			}
+			blockInstrs += st.BlockInstrs
+			soloRider += st.SoloRider
+		}
+		if blockInstrs == 0 || soloRider == 0 {
+			t.Fatalf("body %d: %d block instructions, %d solo cycles beside the rider: the chase ran naively", body, blockInstrs, soloRider)
+		}
+	}
+}

@@ -59,53 +59,55 @@ var hostDerived = map[string]string{
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
 
 	// machine
-	"machine.Machine.prof":       "construction-time profile (core count and bus rate are checked)",
-	"machine.Machine.windows":    "construction-time wiring",
-	"machine.Machine.events":     "construction-time wiring",
-	"machine.Machine.mmioLo":     "construction-time wiring",
-	"machine.Machine.mmioHi":     "construction-time wiring",
-	"machine.Machine.OnIRQRoute": "hook: construction-time wiring",
-	"machine.Machine.rr":         "derived: now % cores",
-	"machine.Machine.execCache":  "accelerator switch: the target keeps its own",
-	"machine.Machine.superblock": "accelerator switch: the target keeps its own",
-	"machine.Machine.ffSkipped":  "host-side diagnostics, restart on load",
-	"machine.Machine.parkEpoch":  "park gate memo: a re-armed park evaluates on its first poll",
-	"machine.Machine.parkStats":  "host-side diagnostics",
-	"machine.Machine.sbExit":     "batch-local flag of the superblock loop",
-	"machine.Machine.sbExits":    "host-side diagnostics",
-	"machine.Machine.sbDeferred": "host-side diagnostics",
-	"machine.Machine.sbPromises": "host-side diagnostics",
-	"machine.Machine.sbBatched":  "host-side diagnostics",
-	"machine.Machine.sbSoloRun":  "host-side diagnostics",
-	"machine.Machine.sbSolo":     "the core running solo: set and cleared inside one batch, nil whenever host code runs",
-	"machine.Machine.sbSoloFrom": "cycle the current solo run began at: meaningless while sbSolo is nil",
-	"machine.Machine.sbRun":      "per-batch scratch of the superblock loop",
-	"machine.Machine.sbAct":      "per-batch scratch of the superblock loop",
-	"machine.Machine.sbGated":    "per-batch scratch of the superblock loop",
-	"machine.Machine.watchGp":    "pointers into pageGen for device-watched pages, rebuilt per batch",
-	"machine.Machine.watchSnap":  "pageGen values at batch entry",
-	"machine.Machine.sbJumped":   "host-side diagnostics, restart on load",
-	"machine.Machine.sbHold":     "host-only cooldown, restarts on load",
-	"machine.Mem.pageGen":        "mutation generations: validity keys of host-side caches, bumped by load",
-	"machine.Mem.writes":         "host-side mutation count, only ever compared within one batch",
-	"machine.Mem.base":           "identity of the image a rewind may delta against",
-	"machine.Mem.baseGen":        "page generations at the last full load of base",
-	"machine.Core.ID":            "construction-time identity",
-	"machine.Core.AS":            "re-pointed at the kernel's address space by its walk",
-	"machine.Core.parkCond":      "closure: re-armed by core.rearmPark from the serialized park descriptor",
-	"machine.Core.parkDone":      "closure: re-armed by core.rearmPark from the serialized park descriptor",
-	"machine.Core.parkGp":        "park gate memo, cleared by Park",
-	"machine.Core.parkSeenGen":   "park gate memo, cleared by Park",
-	"machine.Core.parkSeenEpoch": "park gate memo, cleared by Park",
-	"machine.Core.m":             "wiring",
-	"machine.Core.ec":            "exec cache: entries revalidate on address-space and page generations",
-	"machine.Core.sb":            "superblock cache: entries revalidate on address-space and page generations",
-	"machine.cache.lineShift":    "construction-time geometry",
-	"machine.cache.nlines":       "construction-time geometry (checked as the arrays' length)",
-	"machine.cache.pow2":         "construction-time geometry",
-	"machine.cache.lineMask":     "construction-time geometry",
-	"machine.cache.gen":          "replacement count: validity key of the superblock fetch memo",
-	"device.NIC.mem":             "cache of the machine's memory handle, re-established on the first Tick",
+	"machine.Machine.prof":        "construction-time profile (core count and bus rate are checked)",
+	"machine.Machine.windows":     "construction-time wiring",
+	"machine.Machine.events":      "construction-time wiring",
+	"machine.Machine.mmioLo":      "construction-time wiring",
+	"machine.Machine.mmioHi":      "construction-time wiring",
+	"machine.Machine.OnIRQRoute":  "hook: construction-time wiring",
+	"machine.Machine.rr":          "derived: now % cores",
+	"machine.Machine.execCache":   "accelerator switch: the target keeps its own",
+	"machine.Machine.superblock":  "accelerator switch: the target keeps its own",
+	"machine.Machine.ffSkipped":   "host-side diagnostics, restart on load",
+	"machine.Machine.parkEpoch":   "park gate memo: a re-armed park evaluates on its first poll",
+	"machine.Machine.parkStats":   "host-side diagnostics",
+	"machine.Machine.sbExit":      "batch-local flag of the superblock loop",
+	"machine.Machine.sbExits":     "host-side diagnostics",
+	"machine.Machine.sbDeferred":  "host-side diagnostics",
+	"machine.Machine.sbPromises":  "host-side diagnostics",
+	"machine.Machine.sbBatched":   "host-side diagnostics",
+	"machine.Machine.sbSoloRun":   "host-side diagnostics",
+	"machine.Machine.sbSoloRider": "host-side diagnostics",
+	"machine.Machine.sbSoloNaive": "host-side diagnostics",
+	"machine.Machine.sbSolo":      "the core running solo: set and cleared inside one batch, nil whenever host code runs",
+	"machine.Machine.sbSoloFrom":  "cycle the last solo run is credited up to: only read while sbSolo is set",
+	"machine.Machine.sbRun":       "per-batch scratch of the superblock loop",
+	"machine.Machine.sbAct":       "per-batch scratch of the superblock loop",
+	"machine.Machine.sbGated":     "per-batch scratch of the superblock loop",
+	"machine.Machine.watchGp":     "pointers into pageGen for device-watched pages, rebuilt per batch",
+	"machine.Machine.watchSnap":   "pageGen values at batch entry",
+	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
+	"machine.Machine.sbHold":      "host-only cooldown, restarts on load",
+	"machine.Mem.pageGen":         "mutation generations: validity keys of host-side caches, bumped by load",
+	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
+	"machine.Mem.base":            "identity of the image a rewind may delta against",
+	"machine.Mem.baseGen":         "page generations at the last full load of base",
+	"machine.Core.ID":             "construction-time identity",
+	"machine.Core.AS":             "re-pointed at the kernel's address space by its walk",
+	"machine.Core.parkCond":       "closure: re-armed by core.rearmPark from the serialized park descriptor",
+	"machine.Core.parkDone":       "closure: re-armed by core.rearmPark from the serialized park descriptor",
+	"machine.Core.parkGp":         "park gate memo, cleared by Park",
+	"machine.Core.parkSeenGen":    "park gate memo, cleared by Park",
+	"machine.Core.parkSeenEpoch":  "park gate memo, cleared by Park",
+	"machine.Core.m":              "wiring",
+	"machine.Core.ec":             "exec cache: entries revalidate on address-space and page generations",
+	"machine.Core.sb":             "superblock cache: entries revalidate on address-space and page generations",
+	"machine.cache.lineShift":     "construction-time geometry",
+	"machine.cache.nlines":        "construction-time geometry (checked as the arrays' length)",
+	"machine.cache.pow2":          "construction-time geometry",
+	"machine.cache.lineMask":      "construction-time geometry",
+	"machine.cache.gen":           "replacement count: validity key of the superblock fetch memo",
+	"device.NIC.mem":              "cache of the machine's memory handle, re-established on the first Tick",
 }
 
 // boundary probes which struct fields reachable from a snapshotted root are

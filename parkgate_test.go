@@ -128,7 +128,10 @@ func shadowScenarios(t *testing.T, variants []hostVariant, verdict func(t *testi
 		if err := vm.System().Run(500_000_000); err != nil {
 			t.Fatalf("run (%s): %v", v.name, err)
 		}
-		if st := vm.System().Machine().ParkStats(); st.Evals >= st.Polls {
+		// Stepped naively a parked core is polled every cycle; with the
+		// superblock engine a rider is credited beside a solo run instead,
+		// so the gate's skips show only on the former.
+		if st := vm.System().Machine().ParkStats(); v.noSB && st.Evals >= st.Polls {
 			t.Fatalf("the gate never skipped a poll on a closely-coupled VM run: %+v", st)
 		}
 	})
