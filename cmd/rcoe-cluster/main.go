@@ -152,16 +152,13 @@ func systemFlags(fs *flag.FlagSet) func() (core.Config, error) {
 	masking := fs.Bool("masking", false, "enable TMR->DMR masking downgrade (requires -replicas 3)")
 	return func() (core.Config, error) {
 		cfg := core.Config{Replicas: *replicas, TickCycles: 50_000}
-		switch *mode {
-		case "base":
-			cfg.Mode = core.ModeNone
+		m, err := core.ParseMode(*mode)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Mode = m
+		if m == core.ModeNone {
 			cfg.Replicas = 1
-		case "lc":
-			cfg.Mode = core.ModeLC
-		case "cc":
-			cfg.Mode = core.ModeCC
-		default:
-			return cfg, fmt.Errorf("unknown mode %q", *mode)
 		}
 		cfg.Masking = *masking
 		if cfg.Masking {

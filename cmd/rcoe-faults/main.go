@@ -157,26 +157,16 @@ func runMemCampaign(args []string) int {
 	_ = fs.Parse(args)
 	exp.SetDefaultWorkers(*parallel)
 
-	var m core.Mode
-	switch *mode {
-	case "base":
-		m = core.ModeNone
-		*replicas = 1
-	case "lc":
-		m = core.ModeLC
-	case "cc":
-		m = core.ModeCC
-	default:
-		fmt.Fprintf(os.Stderr, "rcoe-faults: unknown mode %q\n", *mode)
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rcoe-faults: %v\n", err)
 		return 2
 	}
-	var prof machine.Profile
-	switch *arch {
-	case "x86":
-		prof = machine.X86()
-	case "arm":
-		prof = machine.Arm()
-	default:
+	if m == core.ModeNone {
+		*replicas = 1
+	}
+	prof, ok := machine.ProfileByName(*arch)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "rcoe-faults: unknown arch %q\n", *arch)
 		return 2
 	}
@@ -275,23 +265,13 @@ func runTaxonomy(args []string) int {
 	_ = fs.Parse(args)
 	exp.SetDefaultWorkers(*parallel)
 
-	var m core.Mode
-	switch *mode {
-	case "lc":
-		m = core.ModeLC
-	case "cc":
-		m = core.ModeCC
-	default:
+	m, err := core.ParseMode(*mode)
+	if err != nil || m == core.ModeNone {
 		fmt.Fprintf(os.Stderr, "rcoe-faults taxonomy: unknown mode %q\n", *mode)
 		return 2
 	}
-	var prof machine.Profile
-	switch *arch {
-	case "x86":
-		prof = machine.X86()
-	case "arm":
-		prof = machine.Arm()
-	default:
+	prof, ok := machine.ProfileByName(*arch)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "rcoe-faults taxonomy: unknown arch %q\n", *arch)
 		return 2
 	}

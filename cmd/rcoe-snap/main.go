@@ -93,25 +93,15 @@ func scenarioFlags(fs *flag.FlagSet) *scenario {
 }
 
 func (s *scenario) build() (*harness.KVRun, error) {
-	var m core.Mode
-	switch *s.mode {
-	case "base":
-		m = core.ModeNone
-		*s.replicas = 1
-	case "lc":
-		m = core.ModeLC
-	case "cc":
-		m = core.ModeCC
-	default:
-		return nil, fmt.Errorf("unknown mode %q", *s.mode)
+	m, err := core.ParseMode(*s.mode)
+	if err != nil {
+		return nil, err
 	}
-	var prof machine.Profile
-	switch *s.arch {
-	case "x86":
-		prof = machine.X86()
-	case "arm":
-		prof = machine.Arm()
-	default:
+	if m == core.ModeNone {
+		*s.replicas = 1
+	}
+	prof, ok := machine.ProfileByName(*s.arch)
+	if !ok {
 		return nil, fmt.Errorf("unknown arch %q", *s.arch)
 	}
 	return harness.NewKV(harness.KVOptions{

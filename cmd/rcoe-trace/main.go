@@ -100,13 +100,8 @@ func runRecord(args []string) int {
 	flip := fs.Int("flip", -1, "replica whose loop register to corrupt mid-run (-1: clean run)")
 	_ = fs.Parse(args)
 
-	var m core.Mode
-	switch *mode {
-	case "lc":
-		m = core.ModeLC
-	case "cc":
-		m = core.ModeCC
-	default:
+	m, err := core.ParseMode(*mode)
+	if err != nil || m == core.ModeNone {
 		fmt.Fprintf(os.Stderr, "rcoe-trace: unknown mode %q\n", *mode)
 		return 2
 	}

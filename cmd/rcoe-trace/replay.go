@@ -31,16 +31,6 @@ func traceSystemConfig(m core.Mode, replicas, events int) core.Config {
 	}
 }
 
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "lc":
-		return core.ModeLC, nil
-	case "cc":
-		return core.ModeCC, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
 // ftTraceLoop is the replay workload: each iteration feeds the loop
 // counter through FT_Add_Trace, so it is hashed into the vote signature
 // and any corruption of it is detected at the next synchronisation — the
@@ -243,9 +233,9 @@ func runReplay(args []string) int {
 	out := fs.String("o", "", "save the replay trace to FILE")
 	_ = fs.Parse(args)
 
-	m, err := parseMode(*mode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcoe-trace: %v\n", err)
+	m, err := core.ParseMode(*mode)
+	if err != nil || m == core.ModeNone {
+		fmt.Fprintf(os.Stderr, "rcoe-trace: unknown mode %q\n", *mode)
 		return 2
 	}
 	if *flip < 0 || *flip >= *replicas {

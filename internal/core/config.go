@@ -49,6 +49,20 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseMode maps a command-line mode name — "base", "lc" or "cc" — to its
+// Mode. A tool that accepts fewer modes refuses the others itself.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "base":
+		return ModeNone, nil
+	case "lc":
+		return ModeLC, nil
+	case "cc":
+		return ModeCC, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // SigConfig selects how much state is folded into the signature and how
 // often the replicas vote (§V-B): a performance/detection-latency
 // trade-off.
@@ -100,13 +114,6 @@ type Config struct {
 	// BarrierTimeout is the spin budget, in cycles, before a replica
 	// waiting on a kernel barrier declares a straggler divergent.
 	BarrierTimeout uint64
-	// WatchdogCycles is the synchronisation-watchdog period: when no
-	// rendezvous has opened for this many cycles, a probe rendezvous is
-	// opened so a silently dead primary (which receives all device
-	// interrupts) is caught by the barrier timeout instead of hanging
-	// the system. 0 selects 2*BarrierTimeout under Masking and disables
-	// the watchdog otherwise.
-	WatchdogCycles uint64
 	// Masking enables TMR->DMR downgrade on a failed signature vote
 	// (§IV). Requires Replicas >= 3.
 	Masking bool
@@ -156,9 +163,6 @@ type Config struct {
 	// LayoutSeed selects the per-replica deltas when Decorrelate is on
 	// (0 = a fixed default). Deltas are bounded by kernel.MaxLayoutShift.
 	LayoutSeed uint64
-	// TraceSeed perturbs nothing functional; it seeds workload-level
-	// randomness so repeated runs differ deterministically.
-	TraceSeed uint64
 	// Trace configures the flight recorder and metrics (off by default;
 	// ~zero cost when disabled).
 	Trace TraceConfig
@@ -226,13 +230,12 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// watchdogCycles resolves the effective synchronisation-watchdog period:
-// the configured value, or twice the barrier timeout for masking
-// configurations (0 = watchdog disabled).
+// watchdogCycles is the synchronisation-watchdog period: when no rendezvous
+// has opened for this many cycles, a probe rendezvous is opened so a
+// silently dead primary (which receives all device interrupts) is caught by
+// the barrier timeout instead of hanging the system. It is twice the
+// barrier timeout under Masking; 0, no watchdog, otherwise.
 func (c Config) watchdogCycles() uint64 {
-	if c.WatchdogCycles != 0 {
-		return c.WatchdogCycles
-	}
 	if c.Masking {
 		return 2 * c.BarrierTimeout
 	}

@@ -154,7 +154,7 @@ func (s *System) meta(c *snapshot.Codec) {
 	c.Check("vm", s.cfg.VM)
 	c.Check("decorrelate", s.cfg.Decorrelate)
 	c.Check("layout-seed", s.cfg.LayoutSeed)
-	c.Check("trace-seed", s.cfg.TraceSeed)
+	c.Check("trace-seed", uint64(0)) // RCOESNP v1 carries a trace seed; nothing sets one
 	sites := s.cfg.branchSiteKeys()
 	c.Check("branch-sites", len(sites))
 	for _, va := range sites {

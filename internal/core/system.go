@@ -239,7 +239,7 @@ func (t *preemptionTimer) Tick(m *machine.Machine) {
 	t.next = now - now%t.period + t.period
 }
 
-// NextEvent implements machine.EventSource: the timer only acts on exact
+// NextEvent implements machine.Device: the timer only acts on exact
 // multiples of its period.
 func (t *preemptionTimer) NextEvent(now uint64) uint64 {
 	return now - now%t.period + t.period
@@ -282,7 +282,7 @@ func (w *syncWatchdog) Tick(m *machine.Machine) {
 	s.requestSync(-1, 0, 0)
 }
 
-// NextEvent implements machine.EventSource: the watchdog can only fire at
+// NextEvent implements machine.Device: the watchdog can only fire at
 // a poll boundary once the period since the last opened synchronisation
 // has elapsed. Every input consulted here (halt/finish flags, pending
 // sync, lastSyncOpen) changes only through core execution, which ends the

@@ -199,7 +199,7 @@ func (n *NIC) Tick(m *machine.Machine) {
 	}
 }
 
-// NextEvent implements machine.EventSource. The NIC acts on a cycle only
+// NextEvent implements machine.Device. The NIC acts on a cycle only
 // when the doorbell rang or a queued frame can enter a free RX mailbox;
 // both the doorbell and the mailbox flag change only through core or host
 // action, which ends any idle window, so the answer computed here stays

@@ -112,6 +112,31 @@ func TestHardTrialIntermittentRuns(t *testing.T) {
 	t.Logf("outcome=%v (category %v)", a.Outcome, Categorize(a.Outcome))
 }
 
+// TestHardTrialEnginesAgree runs the stuck-at and intermittent classes,
+// whose stuck bits the batch engine executes blocks under, on the batch
+// engine and on naive stepping: every trial must end the same way.
+func TestHardTrialEnginesAgree(t *testing.T) {
+	for _, class := range []FaultClass{ClassStuckAt, ClassIntermittent} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			var got [2]TrialResult
+			for i, naive := range []bool{false, true} {
+				opts := HardCampaignOptions{KV: kvBase(core.ModeLC, 2)}
+				opts.KV.Operations = 120
+				opts.KV.System.DisableSuperblock = naive
+				res, err := HardTrial(opts, class, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = res
+			}
+			if got[0] != got[1] {
+				t.Fatalf("%v seed %d: batch engine %+v, naive stepping %+v", class, seed, got[0], got[1])
+			}
+			t.Logf("%v seed %d: %+v", class, seed, got[0])
+		}
+	}
+}
+
 func TestHardCampaignProgressCallback(t *testing.T) {
 	var calls []FaultClass
 	var dones []int

@@ -88,6 +88,33 @@ func sigFaultRun(o *RecoveryOptions) (*harness.KVRun, error) {
 	})
 }
 
+// sigFault is the Drive-step hook both signature-fault trials share: once
+// the run has completed InjectAfterOps operations, inject corrupts the
+// faulty replica's signature accumulator word at pa; with Reintegrate the
+// replica is then asked back once it has been voted out.
+type sigFault struct {
+	inject          func(pa uint64) error
+	injected, asked bool
+	err             error // the injection's or the request's: it stops the drive
+}
+
+// step takes the fault's part of one Drive step after ops completed
+// operations and reports whether the drive must stop.
+func (f *sigFault) step(run *harness.KVRun, o *RecoveryOptions, ops uint64) bool {
+	if !f.injected && ops >= o.InjectAfterOps {
+		f.injected = true
+		lay := run.Sys.Replica(o.FaultyReplica).K.Layout()
+		if f.err = f.inject(lay.SigPA() + 8); f.err != nil {
+			return true
+		}
+	}
+	if o.Reintegrate && f.injected && !f.asked && !run.Sys.Alive(o.FaultyReplica) {
+		f.asked = true
+		f.err = run.Sys.RequestReintegrate(o.FaultyReplica)
+	}
+	return f.err != nil
+}
+
 // RecoveryTrial runs one masked-downgrade measurement.
 func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 	opts.System.Masking = true
@@ -99,12 +126,10 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 	var res RecoveryResult
 	res.DowngradeWindow = -1
 	res.ReintegrateWindow = -1
-	injected := false
-	reintegrateAsked := false
 	lastOps := uint64(0)
 	var windowOps uint64
 	nextWindow := run.Sys.Machine().Now() + window
-	var hookErr error
+	f := sigFault{inject: func(pa uint64) error { return run.Sys.Machine().Mem().FlipBit(pa, 5) }}
 	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool {
 		snap := run.Snapshot()
 		windowOps += snap.Ops - lastOps
@@ -114,21 +139,15 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 			res.WindowThroughput = append(res.WindowThroughput, float64(windowOps)/(float64(window)/1e6))
 			windowOps = 0
 		}
-		if !injected && snap.Ops >= opts.InjectAfterOps {
-			injected = true
-			lay := run.Sys.Replica(opts.FaultyReplica).K.Layout()
-			if hookErr = run.Sys.Machine().Mem().FlipBit(lay.SigPA()+8, 5); hookErr != nil {
-				return true
-			}
+		injected, asked := f.injected, f.asked
+		if f.step(run, &opts, snap.Ops) {
+			return true
+		}
+		if !injected && f.injected {
 			res.DowngradeWindow = len(res.WindowThroughput)
 			res.WasPrimary = opts.FaultyReplica == run.Sys.Primary()
 		}
-		if opts.Reintegrate && injected && !reintegrateAsked &&
-			!run.Sys.Alive(opts.FaultyReplica) {
-			reintegrateAsked = true
-			if hookErr = run.Sys.RequestReintegrate(opts.FaultyReplica); hookErr != nil {
-				return true
-			}
+		if !asked && f.asked {
 			res.ReintegrateWindow = len(res.WindowThroughput)
 		}
 		return false
@@ -139,17 +158,17 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 	case harness.StopBudget:
 		return res, fmt.Errorf("faults: recovery trial exceeded budget after %d ops", run.Snapshot().Ops)
 	case harness.StopCallback:
-		return res, hookErr
+		return res, f.err
 	}
 	_ = run.Sys.Run(50_000_000)
 	snap := run.Snapshot()
 	res.Ops = snap.Ops
 	res.Throughput = snap.Throughput
 	res.Cycles = snap.Stats.DowngradeCycles
-	if !injected || res.Cycles == 0 {
+	if !f.injected || res.Cycles == 0 {
 		return res, ErrNoDowngrade
 	}
-	res.Reintegrated = reintegrateAsked && run.Sys.Stats().Reintegrations > 0
+	res.Reintegrated = f.asked && run.Sys.Stats().Reintegrations > 0
 	if !res.Reintegrated && run.Sys.Alive(opts.FaultyReplica) {
 		return res, fmt.Errorf("faults: replica %d was not removed", opts.FaultyReplica)
 	}

@@ -60,36 +60,18 @@ func SurvivalTrial(so SurvivalOptions) (SurvivalResult, error) {
 		return SurvivalResult{}, err
 	}
 	var res SurvivalResult
-	injected := false
-	reintegrateAsked := false
-	var hookErr error
-	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool {
-		if !injected && run.Snapshot().Ops >= opts.InjectAfterOps {
-			injected = true
-			lay := run.Sys.Replica(opts.FaultyReplica).K.Layout()
-			// The same accumulator bit RecoveryTrial flips once — but stuck,
-			// so it re-asserts against every signature the replica ever
-			// writes from here on.
-			if hookErr = run.Sys.Machine().Mem().SetStuck(lay.SigPA()+8, 5, 1); hookErr != nil {
-				return true
-			}
-		}
-		if opts.Reintegrate && injected && !reintegrateAsked &&
-			!run.Sys.Alive(opts.FaultyReplica) {
-			reintegrateAsked = true
-			if hookErr = run.Sys.RequestReintegrate(opts.FaultyReplica); hookErr != nil {
-				return true
-			}
-		}
-		return false
-	})
+	// The same accumulator bit RecoveryTrial flips once — but stuck, so it
+	// re-asserts against every signature the replica ever writes from here
+	// on.
+	f := sigFault{inject: func(pa uint64) error { return run.Sys.Machine().Mem().SetStuck(pa, 5, 1) }}
+	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool { return f.step(run, &opts, run.Snapshot().Ops) })
 	switch stop {
 	case harness.StopHalted:
 		res.HaltReason = reason
 	case harness.StopBudget:
 		return res, fmt.Errorf("faults: survival trial exceeded budget after %d ops", run.Snapshot().Ops)
 	case harness.StopCallback:
-		return res, hookErr
+		return res, f.err
 	}
 	if run.Done() {
 		_ = run.Sys.Run(50_000_000) // drain trailing responses
@@ -101,7 +83,7 @@ func SurvivalTrial(so SurvivalOptions) (SurvivalResult, error) {
 	res.Removals = stats.Downgrades + stats.Ejections
 	res.Reintegrations = stats.Reintegrations
 	res.StuckBits = run.Sys.Machine().Mem().StuckBits()
-	if !injected {
+	if !f.injected {
 		return res, fmt.Errorf("faults: workload finished before the injection point (%d ops)", res.Ops)
 	}
 	return res, nil

@@ -17,20 +17,22 @@ import (
 // RAM word. The syscall handler does one of trapActions to the trapping
 // core, to another core or to memory; the "-self" actions arm on the
 // trapping core what makes it issue naively (an interrupt, a breakpoint,
-// single-step, a stuck bit) or a branch watch on its next branch, so a lone
-// core beside a rider runs solo with it armed. The batch engine must leave
-// the machine exactly where naive stepping does after every Run and
-// RunUntil call, every trap and device event must observe the same
-// machine, and the naive reference runs with DebugParkShadow set, so a
-// park gate skip that misses a wake fails too. A seed's residue modulo
-// len(trapActions) picks the action every syscall takes; "mixed" draws one
-// per syscall.
+// single-step) or a branch watch on its next branch, so a lone core beside
+// a rider runs solo with it armed, and "dma-text-stuck" sticks a bit of the
+// trapping core's loop text and has the device rewrite that instruction
+// through a Mem.Slice window, de-asserting the bit. The batch engine must
+// leave the machine exactly where naive stepping, with every accelerator
+// off, does after every Run and RunUntil call, every trap and device event
+// must observe the same machine, and the naive reference runs with
+// DebugParkShadow set, so a park gate skip that misses a wake fails too. A
+// seed's residue modulo len(trapActions) picks the action every syscall
+// takes; "mixed" draws one per syscall.
 
 var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark-other",
 	"ipi-other", "irq-other", "patch-other", "bp-other", "branch-watch-other",
 	"step-other", "move-other", "flush-other", "remap-other", "stall-other",
 	"watched-store", "page-store", "arm-device",
-	"irq-self", "ipi-self", "bp-self", "step-self", "stuck-self", "branch-watch-self"}
+	"irq-self", "ipi-self", "bp-self", "step-self", "dma-text-stuck", "branch-watch-self"}
 
 const (
 	trapText   = 0x1000 // core i's loop at trapText + i*0x1000
@@ -48,10 +50,17 @@ var trapAlt = [4]uint64{0x5000, 0x6000, 0x7000, 0x9000}
 // trapDevice watches one RAM word like the NIC's RX flag: on the first Tick
 // after the word is cleared it logs the machine, sets the word and raises
 // its interrupt. It does the same at a deadline the handler may arm (due, 0
-// when none), and an MMIO access logs the machine too.
+// when none), and an MMIO access logs the machine too. At another deadline
+// (dma.due) it logs the machine and writes dma.ins at dma.at through a
+// Mem.Slice window; dma.bit is the bit dma-text-stuck stuck there.
 type trapDevice struct {
 	sc  *trapScenario
 	due uint64
+	dma struct {
+		due, at uint64
+		bit     uint
+		ins     [isa.InstrBytes]byte
+	}
 }
 
 func (d *trapDevice) armed() bool {
@@ -70,16 +79,28 @@ func (d *trapDevice) Tick(m *Machine) {
 		d.due = 0
 		m.RaiseIRQ(trapIRQ)
 	}
+	if d.dma.due != 0 && m.Now() >= d.dma.due {
+		d.sc.observe("dma-text")
+		d.dma.due = 0
+		win, err := m.Mem().Slice(d.dma.at, isa.InstrBytes)
+		if err != nil {
+			panic(err)
+		}
+		copy(win, d.dma.ins[:])
+	}
 }
 
 func (d *trapDevice) NextEvent(now uint64) uint64 {
-	switch {
-	case d.armed():
+	if d.armed() {
 		return now + 1
-	case d.due != 0:
-		return max(d.due, now+1)
 	}
-	return NoEvent
+	ne := uint64(NoEvent)
+	for _, due := range [...]uint64{d.due, d.dma.due} {
+		if due != 0 {
+			ne = min(ne, max(due, now+1))
+		}
+	}
+	return ne
 }
 
 func (d *trapDevice) WatchedMem() (uint64, uint64) { return trapFlag, trapFlag + 8 }
@@ -193,6 +214,7 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 	r := idleRand(seed)
 	m := New(X86(), 1<<16) // jitter on
 	m.SetSuperblock(sb)
+	m.SetExecCache(sb) // the reference fetches every instruction from memory
 	sc := &trapScenario{m: m, r: idleRand(seed ^ 0x5eed), holds: idleRand(seed ^ 0xb01d),
 		action: trapActions[seed%uint64(len(trapActions))]}
 	sc.as = &AddrSpace{Segs: []Segment{
@@ -363,17 +385,21 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 		c.BP = Breakpoint{Addr: sc.loops[c.ID] + uint64(r.intn(4))*isa.InstrBytes, Enabled: true}
 	case "step-self":
 		c.SingleStep = true
-	case "stuck-self":
-		// A word nothing reads; armed, then cleared by the next such trap.
-		if addr := trapData + uint64(c.ID)*0x100 + 0x80; m.Mem().StuckBits() == 0 {
-			_ = m.Mem().SetStuck(addr, uint(r.intn(8)), 1)
-		} else {
-			for i := 0; i < m.NumCores(); i++ {
-				for bit := uint(0); bit < 8; bit++ {
-					m.Mem().ClearStuck(trapData+uint64(i)*0x100+0x80, bit)
-				}
-			}
+	case "dma-text-stuck":
+		// A bit of the low immediate byte of c's loop head sticks at 1, and
+		// the device rewrites the instruction with that bit clear, which
+		// the next read re-asserts; cleared by the next such trap.
+		d := &sc.dev.dma
+		if m.Mem().StuckBits() != 0 {
+			m.Mem().ClearStuck(d.at+4, d.bit)
+			break
 		}
+		v := r.intn(1 << 20)
+		d.bit = uint(v % 7)
+		_ = m.Mem().SetStuck(sc.loops[c.ID]+4, d.bit, 1)
+		imm := int32(2+v>>3%100) &^ (1 << d.bit)
+		d.due, d.at = m.Now()+1+uint64(v>>10%200), sc.loops[c.ID]
+		d.ins = isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: imm})
 	case "branch-watch-self":
 		c.BranchWatch.Target, c.BranchWatch.Enabled = c.UserBranches+1, true
 	}
@@ -443,7 +469,6 @@ func TestBatchTrapSurvival(t *testing.T) {
 			exits.Trap += e.Trap
 			exits.MMIO += e.MMIO
 			exits.Watched += e.Watched
-			exits.Naive += e.Naive
 			exits.Wake += e.Wake
 			exits.Horizon += e.Horizon
 			exits.Refused += e.Refused

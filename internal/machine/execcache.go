@@ -170,8 +170,7 @@ func (ec *execCache) islot(pc uint64) *icacheEntry {
 // current memory state, else nil. Small enough to inline into the
 // execution loop's fast path.
 func (ec *execCache) fetchHit(pc uint64, as *AddrSpace, mem *Mem) *icacheEntry {
-	e := &ec.entries[(pc>>3)&(1<<icacheBits-1)]
-	if e.hit(pc, as, mem) {
+	if e := ec.islot(pc); e.hit(pc, as, mem) {
 		return e
 	}
 	return nil

@@ -6,15 +6,19 @@ package machine
 // starvation. Transient flips (Mem.FlipBit) and device-level corruption
 // (internal/device) complete the fault-class taxonomy.
 //
-// Stuck-at bits maintain one invariant: the backing byte array always has
-// every registered stuck bit asserted. SetStuck asserts immediately; every
-// mutation path re-asserts its touched range after writing; and the read
-// paths re-assert before serving, which catches writes that bypassed the
-// mutation APIs (device DMA through a Slice window). Each assertion that
-// actually changes a byte bumps that page's mutation generation, so the
-// predecoded instruction cache and the translation memos revalidate
-// exactly as they do for any other store — the exec-cache invisibility
-// contract holds with hard faults active (see TestStuckBitExecCache).
+// Stuck-at bits maintain one invariant: every registered stuck bit reads as
+// its stuck value. SetStuck asserts immediately; every mutation path
+// re-asserts its touched range after writing; and the read paths — a
+// snapshot save included — re-assert before serving, which catches writes
+// that bypassed the mutation APIs (device DMA through a Slice window, whose
+// grant already bumped the page generations); ClearStuck asserts one last
+// time before it removes the fault. So when a read happens cannot change
+// what any read returns, and each assertion that actually changes a byte
+// bumps that page's mutation generation: the predecoded instruction cache,
+// the translation memos and the superblock engine's blocks, which read
+// text ahead of the naive fetch, revalidate exactly as they do for any
+// other store — the accelerators stay invisible with hard faults active
+// (see TestStuckBitExecCache).
 
 // stuckMask describes the stuck bits of one physical byte: `or` bits are
 // stuck at 1, `andNot` bits are stuck at 0.
@@ -52,12 +56,15 @@ func (m *Mem) SetStuck(addr uint64, bit uint, value uint) error {
 }
 
 // ClearStuck removes the stuck-at fault on bit of the byte at addr (e.g. a
-// replaced component). The byte keeps its current value.
+// replaced component). The byte keeps the value it reads as: the fault is
+// asserted one last time first, so the value left behind does not depend
+// on whether a read re-asserted it since a write through a Slice window.
 func (m *Mem) ClearStuck(addr uint64, bit uint) {
 	msk, ok := m.stuck[addr]
 	if !ok {
 		return
 	}
+	m.applyStuck(addr, msk)
 	b := byte(1) << (bit % 8)
 	msk.or &^= b
 	msk.andNot &^= b
@@ -148,7 +155,7 @@ func (f *IntermittentFault) Tick(m *Machine) {
 	}
 }
 
-// NextEvent implements machine.EventSource: the fault only acts at its
+// NextEvent implements machine.Device: the fault only acts at its
 // next phase boundary, so a batch may run up to it.
 func (f *IntermittentFault) NextEvent(now uint64) uint64 {
 	if !f.seeded {

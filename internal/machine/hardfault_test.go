@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"bytes"
 	"testing"
 
 	"rcoe/internal/asm"
+	"rcoe/internal/snapshot"
 )
 
 // TestStuckBitSurvivesMutation pins the hard-fault invariant: a stuck-at
@@ -75,6 +77,30 @@ func TestStuckBitSurvivesMutation(t *testing.T) {
 	}
 	if v, _ := m.ReadU(addr, 1); v != 0x01 {
 		t.Fatalf("after ClearStuck: byte = %#02x, want 0x01", v)
+	}
+}
+
+// TestStuckBitReadTimingInvisible: after a Slice window write clears a stuck
+// bit, whether a read re-asserted it before a snapshot save or ClearStuck
+// must not show — the superblock engine reads text ahead of naive fetches.
+func TestStuckBitReadTimingInvisible(t *testing.T) {
+	var saved [2][]byte
+	var after [2]uint64
+	for i := range saved {
+		m := New(X86(), 1<<16)
+		_ = m.Mem().SetStuck(0x100, 2, 1)
+		win, _ := m.Mem().Slice(0x100, 1)
+		win[0] = 0
+		if i == 1 {
+			_, _ = m.Mem().ReadU(0x100, 1)
+		}
+		saved[i], _ = snapshot.Save(m)
+		m.Mem().ClearStuck(0x100, 2)
+		after[i], _ = m.Mem().ReadU(0x100, 1)
+	}
+	if !bytes.Equal(saved[0], saved[1]) || after != [2]uint64{4, 4} {
+		t.Fatalf("read timing shows: saves equal %v, bytes after ClearStuck %v, want [4 4]",
+			bytes.Equal(saved[0], saved[1]), after)
 	}
 }
 

@@ -33,10 +33,12 @@ func (f *fakeTimer) NextEvent(now uint64) uint64 {
 	return now - now%f.period + f.period
 }
 
-// opaqueDevice implements only Device, not EventSource.
+// opaqueDevice cannot predict its next event, so it answers now+1.
 type opaqueDevice struct{ ticks uint64 }
 
 func (d *opaqueDevice) Tick(m *Machine) { d.ticks++ }
+
+func (d *opaqueDevice) NextEvent(now uint64) uint64 { return now + 1 }
 
 // TestRotationIndexLargeNow is the regression test for the round-robin
 // scheduler index: int(m.now) % n goes negative once now exceeds 2^63 and
@@ -130,8 +132,8 @@ func TestIdleCreditStallEquivalence(t *testing.T) {
 	}
 }
 
-// TestIdleCreditUnknownDeviceDisables: a registered device without
-// NextEvent must pin the machine to naive stepping.
+// TestIdleCreditUnknownDeviceDisables: a registered device whose NextEvent
+// answers now+1 must pin the machine to naive stepping.
 func TestIdleCreditUnknownDeviceDisables(t *testing.T) {
 	m := New(noJitter(X86()), 1<<16)
 	dev := &opaqueDevice{}
@@ -139,8 +141,8 @@ func TestIdleCreditUnknownDeviceDisables(t *testing.T) {
 	c := m.Core(0)
 	c.Park(func() bool { return false }, nil, NoEvent, nil)
 	m.Run(5000)
-	if m.FastForwarded() != 0 {
-		t.Fatalf("skipped %d cycles past a device with no event schedule", m.FastForwarded())
+	if b := m.SuperblockStats().Batched; b != 0 {
+		t.Fatalf("batched %d cycles past a device with an event due every cycle", b)
 	}
 	if dev.ticks != 5000 {
 		t.Fatalf("device ticked %d times, want 5000", dev.ticks)
@@ -192,23 +194,25 @@ func TestBusSkipMatchesTicks(t *testing.T) {
 // Idle-credit fuzzing. A seed expands to a machine of one to four cores that
 // spend most of their time unable to issue — parked, halted, offline, or
 // counting down a stall while something keeps them from taking a block —
-// and to a sequence of Run and RunUntil calls. The batch engine must leave
+// and to a sequence of Run and RunUntil calls. In one seed in four the loop
+// also stores into its own text page, so a running core's block goes stale
+// and its next issue is naive, inside a solo run or the rotation. The batch engine must leave
 // the machine exactly where naive stepping does after every call, and the
 // park gate, which both engines share, must skip no poll whose condition
 // holds: the naive reference runs with DebugParkShadow set. A seed's
 // residue modulo len(idleStates) picks the state it is about: "mixed" draws
 // every core and feature at random; each other state puts core 0 alone in
-// it, so the idle cycles the batch credits can only come from admitting
-// that state.
+// it, so the idle cycles the batch credits come from admitting that state.
 
 const (
 	idleLoopPC = 0x0    // the FP-stall loop every running core executes
+	idleText   = 0x800  // a word on the loop's page that holds no instruction
 	idleBadPC  = 0x3000 // bytes that do not decode: no block forms here
 	idleWord   = 0x4000 // the loop's store target, which every park reads
 )
 
 var idleStates = []string{"mixed", "all-idle", "irq", "ipi", "breakpoint",
-	"single-step", "stuck-bit", "unbuildable-pc", "build-hold"}
+	"single-step", "stuck-bit", "unbuildable-pc"}
 
 // idleRand is splitmix64: the seed's whole expansion comes from it.
 type idleRand uint64
@@ -250,10 +254,14 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 
 	b := asm.New()
 	b.Li64(3, idleWord)
+	b.Li64(4, idleText)
 	b.Label("loop")
 	b.Fsin(5, 1) // FPTrans stall: the core is mostly not issuing
 	b.Addi(1, 1, 1)
 	b.St(8, 3, 1, 0) // what the parks wait on
+	if r.intn(4) == 0 {
+		b.St(8, 4, 1, 0) // the loop's own page: its blocks go stale
+	}
 	b.J("loop")
 	mustLoad(t, m, b, idleLoopPC)
 	if err := m.Mem().Write(idleBadPC, bytes.Repeat([]byte{0xff}, 64)); err != nil {
@@ -292,12 +300,11 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 				t.Fatal(err)
 			}
 		case "unbuildable-pc":
+			// Stalled it is admitted stall-only; unstalled it traps at once.
 			c.PC = idleBadPC
-		case "build-hold":
-			// No stall: the failed build sets the hold and refuses the
-			// batch. After the illegal-instruction trap the core is back at
-			// the loop, stalled, and held: stall-only.
-			c.PC, c.stall = idleBadPC, 0
+			if r.intn(2) == 0 {
+				c.stall = 0
+			}
 		}
 	}
 	for i := 0; i < prof.Cores; i++ {
@@ -424,13 +431,17 @@ func (sc *idleScenario) render() string {
 
 // idleCreditCheck runs seed's scenario on both engines, compares them after
 // every call, and checks that a focused seed had its state's idle window
-// credited: a stall-only core from the very first Run(2), the build hold
-// and a machine with no core executing some time during the run.
+// credited — a stall-only core from the very first Run(2) (an unbuildable
+// PC only when the core starts stalled), a machine with no core executing
+// some time during the run — and that a core under a stuck bit held a
+// block in the first batch.
 func idleCreditCheck(t *testing.T, seed uint64) {
 	fast, calls := newIdleScenario(t, seed, true)
 	naive, _ := newIdleScenario(t, seed, false)
 	state := idleStates[seed%uint64(len(idleStates))]
+	stalled := fast.m.Core(0).stall > 0
 	var first uint64
+	var kept bool
 	for i, call := range calls {
 		fast.do(call)
 		parkShadowed(t, func() { naive.do(call) })
@@ -439,14 +450,23 @@ func idleCreditCheck(t *testing.T, seed uint64) {
 		}
 		if i == 0 {
 			first = fast.m.FastForwarded()
+			kept = len(fast.m.sbRun) != 0 && fast.m.sbRun[0].sb != nil
 		}
 	}
 	total := fast.m.FastForwarded()
 	switch state {
 	case "mixed":
-	case "all-idle", "build-hold":
+	case "stuck-bit":
+		if !kept {
+			t.Fatalf("seed %d (%s): the core took no block under a stuck bit", seed, state)
+		}
+	case "all-idle":
 		if total == 0 {
 			t.Fatalf("seed %d (%s): no idle cycle credited", seed, state)
+		}
+	case "unbuildable-pc":
+		if stalled && first == 0 {
+			t.Fatalf("seed %d (%s): the first Run(2) credited no idle cycle", seed, state)
 		}
 	default:
 		if first == 0 {

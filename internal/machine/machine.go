@@ -15,22 +15,14 @@ type MMIOHandler interface {
 }
 
 // Device is ticked once per global cycle so it can raise interrupts and
-// perform DMA.
+// perform DMA. NextEvent returns the earliest cycle after now at which Tick
+// would not be a no-op, or NoEvent while the device stays quiescent until a
+// core or host action changes its state; a superblock batch runs up to the
+// cycle before it (sbHorizon). An early answer only costs naive steps — a
+// device that cannot predict its next event answers now+1 — but a late one
+// would let a batch run over a DMA transfer or interrupt.
 type Device interface {
 	Tick(m *Machine)
-}
-
-// EventSource is implemented by devices that can predict their next
-// interesting cycle, enabling the superblock batch (and with it the idle
-// skip). NextEvent returns the earliest cycle value strictly greater than
-// now at which the device's Tick would not be a no-op, or NoEvent when the
-// device stays quiescent until a core or host action changes its state. A
-// device may answer conservatively early — the machine simply ticks it
-// normally at that cycle — but never late: a late answer would let a batch
-// run over a DMA transfer or interrupt and break the determinism contract.
-// Devices that do not implement EventSource pin the machine to naive
-// stepping, which is always safe.
-type EventSource interface {
 	NextEvent(now uint64) uint64
 }
 
@@ -84,8 +76,6 @@ type Machine struct {
 	handler TrapHandler
 	windows []mmioWindow
 	devices []Device
-	// events lists the devices that implement EventSource, in order.
-	events []EventSource
 
 	// irqRoute maps device interrupt lines to the core that receives
 	// them. RCoE routes all device interrupts to the primary replica and
@@ -139,9 +129,6 @@ type Machine struct {
 	sbExit uint8
 	// sbExits counts why batches ended, by batchExit (diagnostics).
 	sbExits [nBatchExits]uint64
-	// sbHold keeps every core off blocks, issuing naively, until the given
-	// cycle after a failed block build (host-only cooldown heuristic).
-	sbHold uint64
 	// sbJumped counts cycles credited in bulk inside batches, sbDeferred the
 	// cycles burst executed, sbPromises the promises made, sbBatched the
 	// cycles batches consumed, sbSoloRun those of them run solo,
@@ -258,9 +245,6 @@ func (m *Machine) MapMMIO(base, size uint64, dev MMIOHandler) {
 // superblock engine (see watchMem).
 func (m *Machine) AddDevice(d Device) {
 	m.devices = append(m.devices, d)
-	if es, ok := d.(EventSource); ok {
-		m.events = append(m.events, es)
-	}
 	if w, ok := d.(MemWatcher); ok {
 		m.watchMem(w.WatchedMem())
 	}
@@ -582,9 +566,8 @@ func (m *Machine) trap(c *Core, t Trap) {
 // exhaustion leaves the core at the same PC to retry next cycle.
 func (m *Machine) execOne(c *Core) {
 	var ins isa.Instr
-	// Predecode-cache hit fast path, open-coded to spare the fetch call
-	// frame on the ~100% case. Identical to the hit branch inside fetch;
-	// any other case (miss, cache disabled, first fetch) falls through to
+	// Predecode-cache hit, open-coded to spare the fetch call frame on the
+	// ~100% case; any other case (miss, cache disabled, first fetch) runs
 	// fetch, which re-derives it from scratch.
 	var ent *icacheEntry
 	if ec := c.ec; m.execCache && ec != nil {
@@ -662,47 +645,15 @@ func (m *Machine) branchWatch(c *Core) bool {
 	return true
 }
 
-// fetch resolves PC, charges the fetch through the cost model, and
-// returns the decoded instruction. ok=false means no instruction executes
-// this cycle: a trap was taken (translation, read, or decode failure) or
-// the bus stalled the fetch. The cached and naive paths make the same
-// cost-model calls in the same order and take the same traps with the
-// same fields, so simulated state cannot tell them apart.
+// fetch resolves PC, charges the fetch through the cost model, and returns
+// the decoded instruction. ok=false means no instruction executes this
+// cycle: a trap was taken (translation, read or decode failure) or the bus
+// stalled the fetch. The execution cache's one step is the fill on full
+// success — a faulting fetch re-derives its trap every cycle — and its hit
+// in execOne makes the same cost-model call.
 func (m *Machine) fetch(c *Core) (isa.Instr, bool) {
 	if m.execCache {
-		ec := c.ecLazy()
-		e := ec.islot(c.PC)
-		if e.hit(c.PC, c.AS, m.mem) {
-			ec.decodeHits++
-			if !c.memAccess(e.pa, isa.InstrBytes, false) {
-				return isa.Instr{}, false // bus stall on fetch
-			}
-			return e.ins, true
-		}
-		// Miss: run the naive pipeline and memoise on full success. The
-		// failure paths trap exactly as the naive loop does and are never
-		// cached, so a faulting fetch re-derives its trap every cycle.
-		ec.decodeMisses++
-		pa, _, ok := c.AS.Translate(c.PC, isa.InstrBytes, PermX)
-		if !ok {
-			m.trap(c, Trap{Kind: TrapMemFault, Addr: c.PC, PC: c.PC})
-			return isa.Instr{}, false
-		}
-		if !c.memAccess(pa, isa.InstrBytes, false) {
-			return isa.Instr{}, false // bus stall on fetch
-		}
-		var raw [isa.InstrBytes]byte
-		if err := m.mem.ReadAt(pa, raw[:]); err != nil {
-			m.trap(c, Trap{Kind: TrapMemFault, Addr: c.PC, PC: c.PC})
-			return isa.Instr{}, false
-		}
-		ins, err := isa.Decode(raw[:])
-		if err != nil {
-			m.trap(c, Trap{Kind: TrapIllegal, Addr: c.PC, PC: c.PC})
-			return isa.Instr{}, false
-		}
-		e.fill(c.PC, pa, c.AS, m.mem, ins)
-		return ins, true
+		c.ecLazy().decodeMisses++
 	}
 	pa, _, ok := c.AS.Translate(c.PC, isa.InstrBytes, PermX)
 	if !ok {
@@ -712,15 +663,18 @@ func (m *Machine) fetch(c *Core) (isa.Instr, bool) {
 	if !c.memAccess(pa, isa.InstrBytes, false) {
 		return isa.Instr{}, false // bus stall on fetch
 	}
-	raw, err := m.mem.Read(pa, isa.InstrBytes)
-	if err != nil {
+	var raw [isa.InstrBytes]byte
+	if m.mem.ReadAt(pa, raw[:]) != nil {
 		m.trap(c, Trap{Kind: TrapMemFault, Addr: c.PC, PC: c.PC})
 		return isa.Instr{}, false
 	}
-	ins, err := isa.Decode(raw)
+	ins, err := isa.Decode(raw[:])
 	if err != nil {
 		m.trap(c, Trap{Kind: TrapIllegal, Addr: c.PC, PC: c.PC})
 		return isa.Instr{}, false
+	}
+	if m.execCache {
+		c.ec.islot(c.PC).fill(c.PC, pa, c.AS, m.mem, ins)
 	}
 	return ins, true
 }

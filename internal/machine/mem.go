@@ -109,12 +109,8 @@ func (m *Mem) Read(addr uint64, n int) ([]byte, error) {
 	if err := m.check(addr, n); err != nil {
 		return nil, err
 	}
-	if len(m.stuck) != 0 {
-		m.assertStuck(addr, n)
-	}
 	out := make([]byte, n)
-	copy(out, m.bytes[addr:])
-	return out, nil
+	return out, m.ReadAt(addr, out)
 }
 
 // ReadAt copies len(dst) bytes starting at addr into dst — the

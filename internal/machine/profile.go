@@ -30,9 +30,9 @@
 // And while every other core lags, the one core that does not runs alone
 // at the machine's clock, any instruction, with the others' credits
 // settled by arithmetic. The same bulk credit carries idle windows: when
-// every core is parked, halted or counting down a stall and every device
-// has declared its next event cycle (the EventSource interface), the
-// batch jumps to the first cycle at which anything can happen. Naive
+// every core is parked, halted or counting down a stall, the batch jumps to
+// the first cycle at which anything can happen: every device declares its
+// next event cycle (Device.NextEvent). Naive
 // stepping (every accelerator off) stays the reference the differential
 // suites compare against.
 //
@@ -173,4 +173,16 @@ func Arm() Profile {
 			VMExit:         0, GuestWalk: 0, // no hypervisor mode (§V-A3)
 		},
 	}
+}
+
+// ProfileByName returns the shipped profile called name ("x86" or "arm"),
+// and whether there is one.
+func ProfileByName(name string) (Profile, bool) {
+	switch name {
+	case "x86":
+		return X86(), true
+	case "arm":
+		return Arm(), true
+	}
+	return Profile{}, false
 }

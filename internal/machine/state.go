@@ -64,11 +64,11 @@ func (m *Machine) State(c *snapshot.Codec) {
 		}
 	}
 	if c.Loading() && c.Err() == nil {
-		// Host-side diagnostics and cooldowns restart (now may have moved
-		// backwards), and the scheduler's derived state is re-established:
-		// the rotation index advances in lockstep with now (a batch's bulk
-		// credit re-derives it the same way).
-		m.ffSkipped, m.sbJumped, m.sbHold = 0, 0, 0
+		// Host-side diagnostics restart (now may have moved backwards), and
+		// the scheduler's derived state is re-established: the rotation
+		// index advances in lockstep with now (a batch's bulk credit
+		// re-derives it the same way).
+		m.ffSkipped, m.sbJumped = 0, 0
 		if n := len(m.cores); n > 0 {
 			m.rr = int(m.now % uint64(n))
 		}
@@ -102,6 +102,9 @@ func (m *Machine) countStatefulDevices() int {
 // fresh machine's memory is zeroed, so the sparse image restores exactly
 // while keeping snapshots proportional to the touched working set.
 func (mm *Mem) saveState(e *snapshot.Enc) {
+	for a, msk := range mm.stuck { // a save reads every byte (hardfault.go)
+		mm.applyStuck(a, msk)
+	}
 	e.U64(uint64(len(mm.bytes)))
 	const pageSize = 1 << pageShift
 	var pages []uint64

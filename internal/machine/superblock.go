@@ -39,16 +39,15 @@ import (
 //   - text mutates under a cached block (self-modifying code, injected
 //     bit-flip, DMA, re-integration copy): the spanned pages' mutation
 //     generations are re-checked before every issue and the core falls
-//     back to the naive fetch path for that issue, after which the batch
-//     re-derives that core;
-//   - a stuck-at fault is armed, a breakpoint or single-step is armed, or
-//     an interrupt is pending: the core takes no block; it is only
-//     credited the stall it is counting down, and its issues go through
-//     the naive path — in the rotation, after which the batch re-derives
-//     the core, or alone at machine time (solo), where every check runs
-//     as naive stepping runs it. An armed branch watch keeps the core's
-//     blocks: only a branch can fire it, sbIssue checks it, and no
-//     promise covers the branch that fires it.
+//     back to the naive fetch path for that issue, after which it takes a
+//     block again;
+//   - a breakpoint or single-step is armed, an interrupt is pending, or no
+//     block forms at the core's PC: that core alone takes no block; it is
+//     credited the stall it is counting down, then issues through sbNaive.
+//     A branch watch keeps the core's blocks (sbIssue checks it, no
+//     promise covers the branch that fires it), and so do stuck-at bits,
+//     under the page-generation invariant that keeps the execution cache
+//     exact (hardfault.go).
 //
 // The differential determinism suite runs every {exec-cache × superblock}
 // combination to enforce this.
@@ -64,11 +63,6 @@ const (
 	// Machine.solo): below it the stepped cycle costs no more than the
 	// entry and the settlement.
 	sbSoloMin = 2
-	// sbBuildHold is the naive-stepping cooldown after a failed block
-	// build, so unbuildable code regions don't pay a rebuild attempt on
-	// every batch entry. Host-only heuristic: it changes when the
-	// accelerator engages, never what the simulation computes.
-	sbBuildHold = 256
 )
 
 // superblock is a predecoded straight-line run starting at start. Validity
@@ -419,15 +413,14 @@ func (m *Machine) sbSync() {
 }
 
 // batchExit names why a batch ended (SuperblockStats.Exits). The first
-// three are observations the batch survives when re-deriving its state
+// two are observations the batch survives when re-deriving its state
 // allows it; they count as exits only when it does not.
 type batchExit uint8
 
 const (
 	exitNone    batchExit = iota
 	exitTrap              // a trap (the kernel ran)
-	exitWatched           // a store into device-watched RAM, or a solo store into a rider's page
-	exitNaive             // a naive issue: stale text or no block under a core
+	exitWatched           // a store into device-watched RAM, or a solo store another core can see
 	exitMMIO              // a device register access
 	exitWake              // a parked core's condition fired
 	exitHorizon           // the limit or the device horizon was reached
@@ -491,11 +484,10 @@ func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
 // promise survived that code (keeps) is taken over as it stands, lag
 // included, and every other one is derived afresh. It refuses no core.
 func (m *Machine) sbGate(keep bool) (nparked int) {
-	noBlocks := m.sbNoBlocks()
 	act := m.sbGated[:0]
 	for i, c := range m.cores {
 		st := &m.sbRun[i]
-		if keep && (st.sb == nil || !noBlocks) && st.keeps() {
+		if keep && st.keeps() {
 			act = append(act, st)
 			continue
 		}
@@ -510,7 +502,7 @@ func (m *Machine) sbGate(keep bool) (nparked int) {
 			st.parked = true
 			nparked++
 		default:
-			st.sb = m.sbBlock(c, noBlocks)
+			st.sb = m.sbBlock(c)
 			st.parked, st.pos = false, 0
 			st.fline = ^uint64(0) // no line memoized yet
 		}
@@ -520,38 +512,23 @@ func (m *Machine) sbGate(keep bool) (nparked int) {
 	return nparked
 }
 
-// sbNoBlocks reports whether every core must issue naively: stuck bits are
-// armed (they act on reads a block would have predecoded), or the build
-// hold is on.
-func (m *Machine) sbNoBlocks() bool {
-	return m.now < m.sbHold || len(m.mem.stuck) != 0
-}
-
 // sbBlock returns the superblock a running core issues from next, or nil
-// when it must issue naively: noBlocks, an interrupt pending (the naive
-// issue delivers it), a breakpoint or single-step armed (the naive issue
-// checks them), or no block forms at its PC, which starts the build hold.
-func (m *Machine) sbBlock(c *Core, noBlocks bool) *superblock {
-	if noBlocks || c.pendingIRQ != 0 || c.pendingIPI || c.BP.Enabled || c.SingleStep {
+// when it must issue naively: an interrupt pending (the naive issue
+// delivers it), a breakpoint or single-step armed (the naive issue checks
+// them), or no block forms at its PC (the naive fetch traps there).
+func (m *Machine) sbBlock(c *Core) *superblock {
+	if c.pendingIRQ != 0 || c.pendingIPI || c.BP.Enabled || c.SingleStep {
 		return nil
 	}
-	sb := m.blockFor(c)
-	if sb == nil {
-		m.sbHold = m.now + sbBuildHold
-	}
-	return sb
+	return m.blockFor(c)
 }
 
 // sbHorizon returns how many of the next limit cycles a batch may run: it
 // must end one cycle before the earliest device event so that cycle is
-// stepped naively. It refuses when an event is due next cycle, or when a
-// device has no event schedule, which pins the machine to naive stepping.
+// stepped naively. It refuses only when an event is due next cycle.
 func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
-	if len(m.events) != len(m.devices) {
-		return 0, false
-	}
-	for _, es := range m.events {
-		ne := es.NextEvent(m.now)
+	for _, d := range m.devices {
+		ne := d.NextEvent(m.now)
 		if ne == NoEvent {
 			continue
 		}
@@ -626,9 +603,11 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // condition is host code too: it is only evaluated after an sbSync, and
 // its declarations (Core.Park) prove it false in between.
 //
-// A batch ends only where something can observe its end. After a trap, a
-// naive issue, a store into device-watched RAM or a solo core's store into
-// promised text or a rider's page, the cycle is finished (sbRest after a
+// A batch ends only where something can observe its end. A naive issue is
+// no such place: it is followed by a slow op's checks (sbRevoke, watched
+// RAM) and re-derives only its own core (sbNaive). After a trap, a store
+// into device-watched RAM or a solo core's store into promised text or a
+// rider's page, the cycle is finished (sbRest after a
 // trap: the cores whose promise the handler left intact are charged their
 // slots, the rest are stepped naively) and the batch re-derives what that
 // may have changed: the gate (sbGate, keeping the surviving promises), the
@@ -799,25 +778,12 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				c.stall--
 				continue
 			}
-			sb := st.sb
-			if sb == nil || !sb.pagesFresh() {
-				// No block (a stall-only core whose stall ran out — an
-				// interrupt pending, a breakpoint or single-step armed, stuck
-				// bits, the build hold — or a failed chain), or text (or a
-				// page it shares) mutated under it: issue naively this cycle
-				// — the naive issue delivers the interrupt, checks the debug
-				// features and re-derives bytes and any trap from scratch —
-				// and re-derive the core after the cycle.
-				m.issue(c)
-				if m.sbExit != 0 {
-					seen = m.sbRest(c.ID, exitTrap)
-					break rotation
-				}
-				m.sbRevoke()
-				seen = exitNaive
-				continue
-			}
-			if !m.sbIssue(st) {
+			if sb := st.sb; sb == nil || !sb.pagesFresh() {
+				// No block under the core, or its text (or a page it shares)
+				// mutated since decode: the naive issue, which a slow op's
+				// checks follow.
+				m.sbNaive(st)
+			} else if !m.sbIssue(st) {
 				continue
 			}
 			if m.sbExit != 0 {
@@ -841,6 +807,20 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	m.sbExits[why]++
 	m.sbBatched += consumed
 	return consumed
+}
+
+// sbNaive is the one naive-issue step of the rotation and solo, for a core
+// on no fresh block (sbBlock's reasons, or text written since decode): the
+// naive issue delivers the interrupt, checks the debug features and derives
+// bytes and any trap from scratch; then, unless a trap or an MMIO access
+// observed the machine (m.sbExit), the core alone is re-derived in place.
+// Like a slow op of sbIssue it is no observation point: the caller checks
+// the stores it may have made.
+func (m *Machine) sbNaive(st *sbRunState) {
+	m.issue(st.c)
+	if m.sbExit == 0 {
+		st.sb, st.pos = m.sbBlock(st.c), 0
+	}
 }
 
 // sbIssue runs one issue opportunity of a batched core standing on a fresh
@@ -928,13 +908,12 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 // every other executing core holds a promise of at least span cycles and
 // every rider provably stays parked for as long. A cycle does what the
 // rotation does when a single core takes part — time, the bus bucket, the
-// core's cycle count, a stall (drained in one step), then sbIssue, or the
-// naive issue when the core has no fresh block — and the other cores, which
+// core's cycle count, a stall (drained in one step), then sbIssue, or
+// sbNaive when the core has no fresh block — and the other cores, which
 // would only be credited the cycle, are settled by arithmetic when the run
 // ends or something observes them (sbSettle). Because the core does not lag
 // it may execute any op, and a naive issue runs every interrupt and debug
-// check exactly as naive stepping does; after one the core takes a block
-// again where sbGate would give it one. A trap or an MMIO access has
+// check exactly as naive stepping does. A trap or an MMIO access has
 // already synced when it returns; a store that dirtied device-watched RAM,
 // made another core's block text stale or moved a rider's watched page
 // syncs here; either way the run ends, the cycle's remaining slots go
@@ -969,31 +948,21 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 		m.now++
 		bus.tick()
 		c.Cycles++
-		if fresh {
-			if !m.sbIssue(st) || m.sbExit == 0 && mem.writes == writes {
-				fresh = st.sb != nil
-				continue
-			}
-		} else {
-			// No block (stall-only, a failed chain) or stale text under it.
-			m.issue(c)
+		if !fresh {
+			m.sbNaive(st)
 			m.sbSoloNaive++
-			if m.sbExit == 0 {
-				st.sb, st.pos = m.sbBlock(c, m.sbNoBlocks()), 0
-				fresh = st.sb != nil
-				if mem.writes == writes {
-					continue
-				}
-			}
+		} else if !m.sbIssue(st) {
+			fresh = st.sb != nil
+			continue
+		}
+		fresh = st.sb != nil
+		if m.sbExit == 0 && mem.writes == writes {
+			continue
 		}
 		switch {
 		case m.sbExit != 0:
 			seen = exitTrap
-		case m.watchGp != nil && m.watchDirty():
-			seen = exitWatched
-		case m.sbStale():
-			seen = exitNaive
-		case m.sbRiderPage():
+		case m.watchGp != nil && m.watchDirty() || m.sbSeen():
 			seen = exitWatched
 		default:
 			// A store nobody else reads; stale text under the core itself
@@ -1009,18 +978,6 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 	return m.now - start, exitNone
 }
 
-// sbRiderPage reports whether a store of the solo core moved a rider's
-// watched page. Every rider's page was unmoved when the run began
-// (sbRiderBound).
-func (m *Machine) sbRiderPage() bool {
-	for _, st := range m.sbAct {
-		if st.parked && *st.c.parkGp != st.c.parkSeenGen {
-			return true
-		}
-	}
-	return false
-}
-
 // stale reports whether the block text under st's promise has been written
 // since it was decoded: the one input of a promise another core can change.
 // A stall-only promise has no text.
@@ -1028,10 +985,12 @@ func (st *sbRunState) stale() bool {
 	return st.promise != 0 && st.sb != nil && !st.sb.pagesFresh()
 }
 
-// sbStale reports whether a store of the solo core made some promise stale.
-func (m *Machine) sbStale() bool {
+// sbSeen reports whether a store of the solo core is one another core can
+// see: it made some promise's text stale, or moved a rider's watched page
+// (every rider's page was unmoved when the run began: sbRiderBound).
+func (m *Machine) sbSeen() bool {
 	for _, st := range m.sbAct {
-		if st.stale() {
+		if st.stale() || st.parked && *st.c.parkGp != st.c.parkSeenGen {
 			return true
 		}
 	}
@@ -1250,14 +1209,13 @@ type SuperblockStats struct {
 }
 
 // BatchExits counts why superblock batches ended, one count per batch. A
-// trap, a naive issue or a watched store ends a batch only when the state it
-// re-derives afterwards refuses to go on (a device event due, RunUntil's
-// condition true).
+// trap or a watched store ends a batch only when the state it re-derives
+// afterwards refuses to go on (a device event due, RunUntil's condition
+// true).
 type BatchExits struct {
 	Trap    uint64 // after a trap
 	MMIO    uint64 // a device register access
-	Watched uint64 // after a store into device-watched RAM or a solo run's rider's page
-	Naive   uint64 // after a naive issue: stale text or no block under a core
+	Watched uint64 // after a store into device-watched RAM, or a solo store into another core's promised text or a rider's page
 	Wake    uint64 // a parked core's condition fired
 	Horizon uint64 // the limit or the device horizon was reached
 	Refused uint64 // entries that could not start a batch
@@ -1295,7 +1253,7 @@ func (m *Machine) SuperblockStats() SuperblockStats {
 	x := &m.sbExits
 	s := SuperblockStats{Jumped: m.sbJumped, Deferred: m.sbDeferred, Promises: m.sbPromises,
 		Batched: m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Exits: BatchExits{
-			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched], Naive: x[exitNaive],
+			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched],
 			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
 	for _, c := range m.cores {
 		s.Instrs += c.Instructions

@@ -186,11 +186,11 @@ func TestSuperblockBitFlipInBlockText(t *testing.T) {
 }
 
 // TestSuperblockIntermittentFaultMidBlock arms an intermittent stuck-at
-// fault on a byte the hot loop keeps loading. The batch must not run a
-// block while the fault is asserted (armed stuck bits take the naive path;
-// a stalled core is only credited its stall) and re-engage during OFF
-// phases, with outcomes identical to naive stepping across several phase
-// flips.
+// fault on a byte the hot loop keeps loading. Stuck bits keep no core off
+// its blocks — a block's text is exact under them, as the execution cache's
+// is — so the batched path must retire instructions during ON phases as
+// well as OFF ones, with outcomes identical to naive stepping across
+// several phase flips.
 func TestSuperblockIntermittentFaultMidBlock(t *testing.T) {
 	const dataPA = 0x8000
 	b := asm.New()
@@ -210,10 +210,13 @@ func TestSuperblockIntermittentFaultMidBlock(t *testing.T) {
 		f := &IntermittentFault{Addr: dataPA, Bit: 2, Value: 1, OnCycles: 700, OffCycles: 900, Seed: 3}
 		m.AddDevice(f)
 		h := loadProg(t, m, b)
-		run(t, m, h)
-		if m.SuperblockEnabled() && m.SuperblockStats().BlockInstrs == 0 {
-			t.Fatal("batched path never engaged between fault phases")
+		_ = m.RunUntil(f.On, 1_000_000)
+		before := m.SuperblockStats().BlockInstrs
+		_ = m.RunUntil(func() bool { return !f.On() }, 1_000_000)
+		if m.SuperblockEnabled() && m.SuperblockStats().BlockInstrs == before {
+			t.Fatal("no block instruction retired during the first ON phase")
 		}
+		run(t, m, h)
 		return takeSnapshot(m, h)
 	})
 }

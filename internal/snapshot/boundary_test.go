@@ -61,7 +61,6 @@ var hostDerived = map[string]string{
 	// machine
 	"machine.Machine.prof":        "construction-time profile (core count and bus rate are checked)",
 	"machine.Machine.windows":     "construction-time wiring",
-	"machine.Machine.events":      "construction-time wiring",
 	"machine.Machine.mmioLo":      "construction-time wiring",
 	"machine.Machine.mmioHi":      "construction-time wiring",
 	"machine.Machine.OnIRQRoute":  "hook: construction-time wiring",
@@ -87,7 +86,6 @@ var hostDerived = map[string]string{
 	"machine.Machine.watchGp":     "pointers into pageGen for device-watched pages, rebuilt per batch",
 	"machine.Machine.watchSnap":   "pageGen values at batch entry",
 	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
-	"machine.Machine.sbHold":      "host-only cooldown, restarts on load",
 	"machine.Mem.pageGen":         "mutation generations: validity keys of host-side caches, bumped by load",
 	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
 	"machine.Mem.base":            "identity of the image a rewind may delta against",
