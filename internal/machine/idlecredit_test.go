@@ -502,7 +502,9 @@ func diffLine(a, b string) string {
 }
 
 // FuzzIdleCredit runs idleCreditCheck on arbitrary seeds. The committed
-// corpus holds one seed per admission state.
+// corpus holds one seed per admission state, and unbuildable-pc has two:
+// its own seed starts the core stalled (admitted stall-only), and
+// build-hold's starts it unstalled (the failed build traps at once).
 func FuzzIdleCredit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) { idleCreditCheck(t, seed) })
 }
