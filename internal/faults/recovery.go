@@ -88,31 +88,28 @@ func sigFaultRun(o *RecoveryOptions) (*harness.KVRun, error) {
 	})
 }
 
-// sigFault is the Drive-step hook both signature-fault trials share: once
-// the run has completed InjectAfterOps operations, inject corrupts the
-// faulty replica's signature accumulator word at pa; with Reintegrate the
-// replica is then asked back once it has been voted out.
+// sigFault is the Drive-step hook both signature-fault trials share: after
+// InjectAfterOps operations inject corrupts the faulty replica's signature
+// accumulator word at pa; with Reintegrate the replica is asked back once voted out.
 type sigFault struct {
 	inject          func(pa uint64) error
 	injected, asked bool
-	err             error // the injection's or the request's: it stops the drive
+	err             error // the injection's or the request's
 }
 
-// step takes the fault's part of one Drive step after ops completed
-// operations and reports whether the drive must stop.
-func (f *sigFault) step(run *harness.KVRun, o *RecoveryOptions, ops uint64) bool {
+// step reports what this Drive step did, and stop when it failed.
+func (f *sigFault) step(run *harness.KVRun, o *RecoveryOptions, ops uint64) (injectedNow, askedNow, stop bool) {
 	if !f.injected && ops >= o.InjectAfterOps {
-		f.injected = true
-		lay := run.Sys.Replica(o.FaultyReplica).K.Layout()
-		if f.err = f.inject(lay.SigPA() + 8); f.err != nil {
-			return true
+		f.injected, injectedNow = true, true
+		if f.err = f.inject(run.Sys.Replica(o.FaultyReplica).K.Layout().SigPA() + 8); f.err != nil {
+			return injectedNow, false, true
 		}
 	}
 	if o.Reintegrate && f.injected && !f.asked && !run.Sys.Alive(o.FaultyReplica) {
-		f.asked = true
+		f.asked, askedNow = true, true
 		f.err = run.Sys.RequestReintegrate(o.FaultyReplica)
 	}
-	return f.err != nil
+	return injectedNow, askedNow, f.err != nil
 }
 
 // RecoveryTrial runs one masked-downgrade measurement.
@@ -139,15 +136,15 @@ func RecoveryTrial(opts RecoveryOptions) (RecoveryResult, error) {
 			res.WindowThroughput = append(res.WindowThroughput, float64(windowOps)/(float64(window)/1e6))
 			windowOps = 0
 		}
-		injected, asked := f.injected, f.asked
-		if f.step(run, &opts, snap.Ops) {
+		injectedNow, askedNow, stop := f.step(run, &opts, snap.Ops)
+		if stop {
 			return true
 		}
-		if !injected && f.injected {
+		if injectedNow {
 			res.DowngradeWindow = len(res.WindowThroughput)
 			res.WasPrimary = opts.FaultyReplica == run.Sys.Primary()
 		}
-		if !asked && f.asked {
+		if askedNow {
 			res.ReintegrateWindow = len(res.WindowThroughput)
 		}
 		return false

@@ -60,11 +60,13 @@ func SurvivalTrial(so SurvivalOptions) (SurvivalResult, error) {
 		return SurvivalResult{}, err
 	}
 	var res SurvivalResult
-	// The same accumulator bit RecoveryTrial flips once — but stuck, so it
-	// re-asserts against every signature the replica ever writes from here
-	// on.
+	// The bit RecoveryTrial flips once, but stuck: it re-asserts against
+	// every signature the replica writes from here on.
 	f := sigFault{inject: func(pa uint64) error { return run.Sys.Machine().Mem().SetStuck(pa, 5, 1) }}
-	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool { return f.step(run, &opts, run.Snapshot().Ops) })
+	stop, reason := run.Drive(2_000, 1_500_000_000, func() bool {
+		_, _, stop := f.step(run, &opts, run.Snapshot().Ops)
+		return stop
+	})
 	switch stop {
 	case harness.StopHalted:
 		res.HaltReason = reason
