@@ -100,7 +100,9 @@ func (m *Machine) countStatefulDevices() int {
 // saveState serializes physical memory sparsely: only pages with at
 // least one nonzero byte are written, plus the stuck-at fault set. A
 // fresh machine's memory is zeroed, so the sparse image restores exactly
-// while keeping snapshots proportional to the touched working set.
+// while keeping snapshots proportional to the touched working set. A page
+// still at generation 0 is zero without a look (Mem), so a save never
+// reads, and never makes the host commit, RAM the guest left untouched.
 func (mm *Mem) saveState(e *snapshot.Enc) {
 	for a, msk := range mm.stuck { // a save reads every byte (hardfault.go)
 		mm.applyStuck(a, msk)
@@ -113,7 +115,7 @@ func (mm *Mem) saveState(e *snapshot.Enc) {
 		if end > len(mm.bytes) {
 			end = len(mm.bytes)
 		}
-		if !allZero(mm.bytes[off:end]) {
+		if mm.pageGen[off>>pageShift] != 0 && !allZero(mm.bytes[off:end]) {
 			pages = append(pages, uint64(off)>>pageShift)
 		}
 	}
@@ -201,19 +203,22 @@ func (mm *Mem) loadState(d *snapshot.Dec, img *snapshot.Snapshot) error {
 
 // restore makes [lo, hi) equal to src, or zero when src is nil, one page
 // at a time; with delta set it leaves the pages still at their base
-// generation alone. Every page it rewrites changed from the restorer's
+// generation alone. Every page it restores changed from the restorer's
 // perspective, so its mutation generation is bumped and any live
 // predecode/translation cache entry revalidates (pageGen itself is
-// derived state, never serialized).
+// derived state, never serialized). A page that is to be zero and already
+// is stays unwritten — without a look when its generation is still 0 — so
+// loading a sparse image onto a fresh machine commits only the image's
+// pages on the host.
 func (mm *Mem) restore(lo, hi uint64, src []byte, delta bool) {
 	for start := lo; lo < hi; {
 		p := lo >> pageShift
 		end := min((p+1)<<pageShift, hi)
 		if !delta || mm.pageGen[p] != mm.baseGen[p] {
-			if src == nil {
-				clear(mm.bytes[lo:end])
-			} else {
+			if src != nil {
 				copy(mm.bytes[lo:end], src[lo-start:])
+			} else if mm.pageGen[p] != 0 && !allZero(mm.bytes[lo:end]) {
+				clear(mm.bytes[lo:end])
 			}
 			mm.pageGen[p]++
 		}
