@@ -13,7 +13,6 @@ import (
 	"rcoe/internal/harness"
 	"rcoe/internal/metrics"
 	"rcoe/internal/netstack"
-	"rcoe/internal/snapshot"
 	"rcoe/internal/workload"
 )
 
@@ -165,15 +164,18 @@ type shard struct {
 	node  *harness.Node
 	win   *harness.Window
 	queue []routed
-	// lastCkpt is the latest checkpoint image; replay the acked writes
-	// on top of it to rebuild the shard's authoritative state. spareCkpt
-	// is the image before it, retired and kept only for its memory: the
-	// next checkpoint is written into it and the two swap, so lastCkpt
-	// stays intact until its successor is complete and a steady-state
-	// checkpoint allocates nothing. Both are private to the shard and
-	// Restore copies out of the image, so nothing aliases a recycled one.
-	lastCkpt  []byte
-	spareCkpt []byte
+	// standby is the shard's checkpoint: an idle node, booted at the first
+	// checkpoint and never run, that each checkpoint copies the serving
+	// node onto (harness.Node.CopyFrom, page by page). Replay the acked
+	// writes on a copy of it to rebuild the shard's authoritative state.
+	// A failover copies out of it and leaves it as it was, so it serves
+	// any number of failovers until the next checkpoint. nil before the
+	// first checkpoint, and after a copy into it was torn.
+	standby *harness.Node
+	// truncated is set once a checkpoint has truncated the replay log:
+	// from then on the log alone no longer rebuilds the shard, and a
+	// failover needs the standby.
+	truncated bool
 	replay    []ackedWrite
 	stats     ShardStats
 }
@@ -183,10 +185,19 @@ type shard struct {
 var ErrClusterStall = errors.New("cluster: no progress")
 
 // ErrCheckpoint reports that a periodic (CheckpointRounds) checkpoint
-// failed during the run: the shard kept its previous image and a longer
-// replay log, so failover still works, but the run was not the one
+// failed during the run: the shard kept its previous checkpoint, or lost
+// it (ErrCheckpointLost), and a longer replay log; the run was not the one
 // configured.
 var ErrCheckpoint = errors.New("cluster: periodic checkpoint failed")
+
+// ErrNoShard reports a shard ID outside [0, Shards).
+var ErrNoShard = errors.New("cluster: no such shard")
+
+// ErrCheckpointLost reports a failover of a shard whose standby was
+// discarded by a torn checkpoint after an earlier checkpoint had truncated
+// its replay log: neither a checkpoint nor the log reaches the
+// acknowledged state. The shard's next successful checkpoint mends it.
+var ErrCheckpointLost = errors.New("cluster: shard checkpoint lost")
 
 // Cluster is a constructed, steppable sharded system.
 type Cluster struct {
@@ -226,6 +237,9 @@ type Cluster struct {
 
 	// pool fans the run phase and the audit out over host cores.
 	pool pool
+	// scratch is the transfer image buffer every checkpoint and failover
+	// copy goes through (harness.Node.CopyFrom), reused across shards.
+	scratch []byte
 	// ckptErr is the first periodic-checkpoint failure; Run returns it.
 	ckptErr error
 }
@@ -544,47 +558,75 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // OpsDone returns completed run-phase operations so far.
 func (c *Cluster) OpsDone() uint64 { return c.opsDone }
 
-// saveNode serializes a shard node; a variable only so a test can make a
-// checkpoint fail, which no healthy node's SaveState does.
-var saveNode = snapshot.AppendSave
+// copyNode copies one node onto another; a variable only so a test can
+// make a checkpoint fail, which no healthy node's copy does.
+var copyNode = (*harness.Node).CopyFrom
 
-// Checkpoint snapshots shard id's node and truncates its replay log:
-// subsequent failover restores the checkpoint and replays only the
-// writes acknowledged since.
+// shard returns shard id, or ErrNoShard.
+func (c *Cluster) shard(id int) (*shard, error) {
+	if id < 0 || id >= len(c.shards) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoShard, id, len(c.shards))
+	}
+	return c.shards[id], nil
+}
+
+// Checkpoint copies shard id's node onto its standby, booting the standby
+// at the first checkpoint, and truncates the replay log: subsequent
+// failover starts from the standby and replays only the writes
+// acknowledged since. A copy that fails before touching the standby keeps
+// the previous checkpoint and the log; a torn one discards the standby
+// (see ErrCheckpointLost).
 func (c *Cluster) Checkpoint(id int) error {
+	sh, err := c.shard(id)
+	if err != nil {
+		return err
+	}
 	t0 := time.Now()
 	defer func() {
 		c.prof.Checkpoints++
 		c.prof.CheckpointNS += uint64(time.Since(t0))
 	}()
-	sh := c.shards[id]
-	ckpt, err := saveNode(sh.spareCkpt[:0], sh.node)
-	if err != nil {
+	if sh.standby == nil {
+		if sh.standby, err = c.bootNode(); err != nil {
+			return fmt.Errorf("cluster: checkpoint shard %d: boot standby: %w", id, err)
+		}
+	}
+	if err := copyNode(sh.standby, sh.node, &c.scratch); err != nil {
+		if errors.Is(err, harness.ErrCopyTorn) {
+			sh.standby = nil
+		}
 		return fmt.Errorf("cluster: checkpoint shard %d: %w", id, err)
 	}
-	sh.spareCkpt, sh.lastCkpt = sh.lastCkpt, ckpt
+	sh.truncated = true
 	sh.replay = sh.replay[:0]
 	return nil
 }
 
 // Failover replaces shard id's node wholesale — the crash-and-replace
-// path. The dead node's state is discarded (any responses still in its
-// NIC are lost with it); a fresh node is booted, the last checkpoint
-// (if any) is restored into it, the acked writes since that checkpoint
-// are replayed in acknowledgement order, and the shard's in-flight
-// window is retransmitted. Because the ledger writes land before the
-// retransmits, every acknowledged value is re-established before any
-// in-flight request can observe the shard — zero acknowledged writes
-// are lost. The shard keeps its ID, so the ring partition is unchanged.
+// path. The dead node is left as it is (callers may still read its
+// counters), and anything still in its NIC is lost with it; a fresh node
+// is booted, the standby (if any) is copied onto it, the acked writes since
+// that checkpoint are replayed in acknowledgement order, and the shard's
+// in-flight window is retransmitted. Because the ledger writes land before
+// the retransmits, every acknowledged value is re-established before any
+// in-flight request can observe the shard — zero acknowledged writes are
+// lost. The shard keeps its ID, so the ring partition is unchanged, and
+// its standby, which the copy only reads, serves the next failover too.
 func (c *Cluster) Failover(id int) error {
-	sh := c.shards[id]
+	sh, err := c.shard(id)
+	if err != nil {
+		return err
+	}
+	if sh.standby == nil && sh.truncated {
+		return fmt.Errorf("%w: shard %d", ErrCheckpointLost, id)
+	}
 	node, err := c.bootNode()
 	if err != nil {
 		return fmt.Errorf("cluster: failover shard %d: boot: %w", id, err)
 	}
-	if sh.lastCkpt != nil {
-		if err := snapshot.Restore(node, sh.lastCkpt); err != nil {
-			return fmt.Errorf("cluster: failover shard %d: restore: %w", id, err)
+	if sh.standby != nil {
+		if err := node.CopyFrom(sh.standby, &c.scratch); err != nil {
+			return fmt.Errorf("cluster: failover shard %d: copy standby: %w", id, err)
 		}
 	}
 	sh.node = node

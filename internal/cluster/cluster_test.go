@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"rcoe/internal/core"
+	"rcoe/internal/harness"
 	"rcoe/internal/snapshot"
 	"rcoe/internal/workload"
 )
@@ -124,16 +126,27 @@ func TestClusterFailoverZeroLostWrites(t *testing.T) {
 	}
 }
 
+// mustSave serializes a node.
+func mustSave(t *testing.T, n *harness.Node) []byte {
+	t.Helper()
+	data, err := snapshot.Save(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestClusterCheckpointRecycling checkpoints one shard four times with
-// traffic in between — so the shard's two image buffers have each been
-// recycled — and requires every image to equal an independent fresh
-// save of the node at that moment, the restored node to equal the
-// fourth image, the restored node not to alias the image it came from,
-// and failover from it to lose no acknowledged write. A swapped, stale
-// or aliased recycled buffer fails one of these.
+// traffic in between — so the standby has been updated page by page three
+// times after its full first copy — and requires the standby to save
+// byte-identically to the node after every checkpoint, scribbling over the
+// transfer scratch to change neither, a failover that replays writes on
+// top of it to leave the standby as it was, and the failover to lose no
+// acknowledged write. A stale page, a stale section or a standby aliasing
+// the scratch fails one of these.
 func TestClusterCheckpointRecycling(t *testing.T) {
 	opts := testOptions()
-	opts.Operations = 80
+	opts.Operations = 200
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -151,17 +164,18 @@ func TestClusterCheckpointRecycling(t *testing.T) {
 		if err := c.Checkpoint(victim); err != nil {
 			t.Fatal(err)
 		}
-		if want, err = snapshot.Save(sh.node); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sh.lastCkpt, want) {
-			t.Fatalf("checkpoint %d differs from a fresh save of the same node", k)
+		want = mustSave(t, sh.node)
+		if !bytes.Equal(mustSave(t, sh.standby), want) {
+			t.Fatalf("checkpoint %d: the standby does not save to the node's bytes", k)
 		}
 		if bytes.Equal(want, prev) {
 			t.Fatalf("checkpoint %d equals checkpoint %d: no traffic reached the shard in between", k, k-1)
 		}
-		if k > 1 && &sh.spareCkpt[0] == &sh.lastCkpt[0] {
-			t.Fatalf("checkpoint %d: latest and spare image share memory", k)
+		for i := range c.scratch {
+			c.scratch[i] = 0xFF // the next copy overwrites the scratch just like this
+		}
+		if !bytes.Equal(mustSave(t, sh.standby), want) || !bytes.Equal(mustSave(t, sh.node), want) {
+			t.Fatalf("checkpoint %d: scribbling over the transfer scratch changed the standby or the node", k)
 		}
 		prev = want
 	}
@@ -169,23 +183,17 @@ func TestClusterCheckpointRecycling(t *testing.T) {
 		t.Fatalf("host profile counts %d checkpoints in %d ns, want 4 in > 0", got.Checkpoints, got.CheckpointNS)
 	}
 
-	node, err := c.bootNode()
-	if err != nil {
-		t.Fatal(err)
+	for len(sh.replay) == 0 && !c.Done() {
+		c.Step()
 	}
-	image := bytes.Clone(sh.lastCkpt)
-	if err := snapshot.Restore(node, image); err != nil {
-		t.Fatal(err)
+	if len(sh.replay) == 0 {
+		t.Fatal("no write reached the shard after its last checkpoint: the failover replays nothing")
 	}
-	for i := range image {
-		image[i] = 0xFF // a recycled image is overwritten just like this
-	}
-	if resave, err := snapshot.Save(node); err != nil || !bytes.Equal(resave, want) {
-		t.Fatalf("node restored from the latest image does not re-save to the fourth checkpoint (err %v)", err)
-	}
-
 	if err := c.Failover(victim); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(mustSave(t, sh.standby), want) {
+		t.Fatal("the failover changed the standby")
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -195,24 +203,73 @@ func TestClusterCheckpointRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lost != 0 {
-		t.Fatalf("lost %d acknowledged writes after failover from a recycled image", lost)
+		t.Fatalf("lost %d acknowledged writes after failover from the standby", lost)
+	}
+}
+
+// TestClusterDoubleFailover fails the same shard twice with no checkpoint
+// in between: the second replacement starts from the same standby and
+// replays the longer log, and no acknowledged write is lost.
+func TestClusterDoubleFailover(t *testing.T) {
+	opts := testOptions()
+	opts.Operations = 60
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.LoadPhaseDone() {
+		c.Step()
+	}
+	const victim = 2
+	if err := c.Checkpoint(victim); err != nil {
+		t.Fatal(err)
+	}
+	for _, ops := range []uint64{15, 30} {
+		for c.OpsDone() < ops {
+			c.Step()
+		}
+		if err := c.Failover(victim); err != nil {
+			t.Fatalf("failover at %d ops: %v", ops, err)
+		}
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != opts.Operations {
+		t.Fatalf("ops = %d, want %d", res.Ops, opts.Operations)
+	}
+	lost, err := c.VerifyAcked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost != 0 {
+		t.Fatalf("lost %d acknowledged writes across two failovers", lost)
+	}
+	if got := c.Snapshot().Shards[victim].Failovers; got != 2 {
+		t.Fatalf("victim failovers = %d, want 2", got)
 	}
 }
 
 // TestClusterPeriodicCheckpointErrorSurfaces: a periodic checkpoint
 // that fails mid-run used to be dropped, silently leaving the shard
-// with a stale image. Run now returns it, and the shard still holds its
-// last good image.
+// with a stale image. Run now returns it, and a copy that failed before
+// touching the standby leaves it at the last good checkpoint.
 func TestClusterPeriodicCheckpointErrorSurfaces(t *testing.T) {
 	boom := errors.New("disk on fire")
 	calls := 0
-	saveNode = func(buf []byte, s snapshot.Snapshotter) ([]byte, error) {
+	good := map[*harness.Node][]byte{} // standby -> the node's bytes at its last good checkpoint
+	copyNode = func(dst, src *harness.Node, scratch *[]byte) error {
 		if calls++; calls > 3 {
-			return nil, boom
+			return boom
 		}
-		return snapshot.AppendSave(buf, s)
+		if err := dst.CopyFrom(src, scratch); err != nil {
+			return err
+		}
+		good[dst] = mustSave(t, src)
+		return nil
 	}
-	defer func() { saveNode = snapshot.AppendSave }()
+	defer func() { copyNode = (*harness.Node).CopyFrom }()
 
 	opts := testOptions()
 	opts.CheckpointRounds = 5 // the run is ~35 rounds: round 5 succeeds, round 10 fails
@@ -222,15 +279,136 @@ func TestClusterPeriodicCheckpointErrorSurfaces(t *testing.T) {
 	}
 	_, err = c.Run()
 	if !errors.Is(err, ErrCheckpoint) || !errors.Is(err, boom) {
-		t.Fatalf("Run returned %v, want ErrCheckpoint wrapping the save failure", err)
+		t.Fatalf("Run returned %v, want ErrCheckpoint wrapping the copy failure", err)
 	}
 	if calls <= 3 {
 		t.Fatalf("only %d checkpoints attempted; the failing one never ran", calls)
 	}
 	for _, sh := range c.shards {
-		if _, err := snapshot.Parse(sh.lastCkpt); err != nil {
-			t.Fatalf("shard %d lost its last good image: %v", sh.id, err)
+		want, ok := good[sh.standby]
+		if !ok {
+			t.Fatalf("shard %d has no standby from its good checkpoint", sh.id)
 		}
+		if !bytes.Equal(mustSave(t, sh.standby), want) {
+			t.Fatalf("shard %d's standby no longer saves to its last good checkpoint", sh.id)
+		}
+	}
+}
+
+// TestClusterTornCheckpoint: a copy that fails after touching the standby
+// discards it. Where an earlier checkpoint had truncated the replay log,
+// failover is then a named error, not a replay of a truncated log onto an
+// empty node, until the next good checkpoint; where none had, failover
+// replays the whole log as if no checkpoint had been taken.
+func TestClusterTornCheckpoint(t *testing.T) {
+	torn := false
+	copyNode = func(dst, src *harness.Node, scratch *[]byte) error {
+		if torn {
+			_ = dst.Sys().Machine().Mem().Fill(0, 1<<12, 0xEE)
+			return fmt.Errorf("%w: injected", harness.ErrCopyTorn)
+		}
+		return dst.CopyFrom(src, scratch)
+	}
+	defer func() { copyNode = (*harness.Node).CopyFrom }()
+
+	opts := testOptions()
+	opts.Operations = 60
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.LoadPhaseDone() {
+		c.Step()
+	}
+	const victim, fresh = 1, 0
+	if err := c.Checkpoint(victim); err != nil {
+		t.Fatal(err)
+	}
+	for c.OpsDone() < 15 {
+		c.Step()
+	}
+	torn = true
+	for _, id := range []int{victim, fresh} {
+		if err := c.Checkpoint(id); !errors.Is(err, harness.ErrCopyTorn) {
+			t.Fatalf("torn checkpoint of shard %d returned %v, want ErrCopyTorn", id, err)
+		}
+		if c.shards[id].standby != nil {
+			t.Fatalf("shard %d kept a torn standby", id)
+		}
+	}
+	torn = false
+	old := c.Node(victim)
+	if err := c.Failover(victim); !errors.Is(err, ErrCheckpointLost) {
+		t.Fatalf("failover after a torn checkpoint returned %v, want ErrCheckpointLost", err)
+	}
+	if c.Node(victim) != old {
+		t.Fatal("a refused failover replaced the node")
+	}
+	if err := c.Failover(fresh); err != nil {
+		t.Fatalf("failover of a shard whose only checkpoint tore: %v", err)
+	}
+	for c.OpsDone() < 30 {
+		c.Step()
+	}
+	if err := c.Checkpoint(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Failover(victim); err != nil {
+		t.Fatalf("failover after a good checkpoint: %v", err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := c.VerifyAcked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost != 0 {
+		t.Fatalf("lost %d acknowledged writes", lost)
+	}
+}
+
+// TestClusterBadShardID: Checkpoint and Failover of a shard that does not
+// exist are named errors, not index panics.
+func TestClusterBadShardID(t *testing.T) {
+	c, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, c.opts.Shards} {
+		if err := c.Checkpoint(id); !errors.Is(err, ErrNoShard) {
+			t.Fatalf("Checkpoint(%d) returned %v, want ErrNoShard", id, err)
+		}
+		if err := c.Failover(id); !errors.Is(err, ErrNoShard) {
+			t.Fatalf("Failover(%d) returned %v, want ErrNoShard", id, err)
+		}
+	}
+}
+
+// TestClusterTransferImageIsNotASnapshot: the transfer image a checkpoint
+// leaves in the scratch carries no RAM, so restoring it as a snapshot is a
+// named error that stores nothing.
+func TestClusterTransferImageIsNotASnapshot(t *testing.T) {
+	c, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.LoadPhaseDone() {
+		c.Step()
+	}
+	if err := c.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	node, err := c.bootNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mustSave(t, node)
+	if err := snapshot.Restore(node, c.scratch); !errors.Is(err, snapshot.ErrTransferImage) {
+		t.Fatalf("Restore of a transfer image returned %v, want ErrTransferImage", err)
+	}
+	if !bytes.Equal(mustSave(t, node), before) {
+		t.Fatal("a refused transfer image changed the node")
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"rcoe/internal/compilerpass"
@@ -24,7 +25,8 @@ import (
 //     DrainResponses, the pair a Window drives the node through, and the
 //     copying Inject and TakeResponses for one-off callers;
 //   - state transfer (SaveState/LoadState, the snapshot.Snapshotter
-//     boundary from the checkpoint/restore subsystem);
+//     boundary from the checkpoint/restore subsystem, and CopyFrom, the
+//     live node-to-node copy behind cluster checkpoints);
 //   - redundancy-mode control (InjectStall, RequestReintegrate,
 //     AliveCount) so a policy layer can trade redundancy for throughput
 //     per shard;
@@ -193,6 +195,42 @@ func (n *Node) SaveState(w *snapshot.Writer) error { return w.Walk(n.state) }
 // LoadState implements snapshot.Snapshotter. The target must be a node
 // booted with behaviourally identical options.
 func (n *Node) LoadState(snap *snapshot.Snapshot) error { return snap.Walk(n.state) }
+
+// ErrCopyTorn reports a CopyFrom that failed after it began storing into
+// its target: the target holds a mix of two states and is only good for
+// another CopyFrom or for dropping.
+var ErrCopyTorn = errors.New("harness: copy failed part-way into its target")
+
+// CopyFrom makes n's simulated state equal to src's — a snapshot.Save of n
+// afterwards is byte-identical to one of src — without serializing src's
+// RAM. src's state walk goes through a transfer image
+// (snapshot.AppendTransfer: every section but physical memory) in
+// *scratch, which CopyFrom grows and keeps for the next call, and is
+// loaded into n; then machine.Mem.CopyFrom copies the RAM, rewriting only
+// the pages that changed since n's last copy from the same src. Nothing in
+// n aliases *scratch afterwards. n must be booted with behaviourally
+// identical options; src must not run while it is copied.
+//
+// An error from the walk over src leaves n untouched. Any later error
+// wraps ErrCopyTorn.
+func (n *Node) CopyFrom(src *Node, scratch *[]byte) error {
+	img, err := snapshot.AppendTransfer((*scratch)[:0], src)
+	if err != nil {
+		return fmt.Errorf("harness: copy: %w", err)
+	}
+	*scratch = img
+	t, err := snapshot.ParseTransfer(img)
+	if err == nil {
+		err = n.LoadState(t)
+	}
+	if err == nil {
+		err = n.sys.Machine().Mem().CopyFrom(src.sys.Machine().Mem())
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCopyTorn, err)
+	}
+	return nil
+}
 
 // state walks the node's identity section and the full replicated-system
 // state.

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"sync/atomic"
 
 	"rcoe/internal/snapshot"
 )
@@ -51,7 +53,18 @@ type Mem struct {
 	// base rewrites only the others. nil until a load succeeds.
 	base    *snapshot.Snapshot
 	baseGen []uint64
+	// serial names this Mem as a CopyFrom source; copySerial is the serial
+	// of the source the last CopyFrom copied from (0: none), copySrcGen
+	// that source's page generations right after the copy and copyGen this
+	// memory's own. All host-derived (CopyFrom).
+	serial     uint64
+	copySerial uint64
+	copySrcGen []uint64
+	copyGen    []uint64
 }
+
+// memSerials hands out Mem serial numbers, from 1.
+var memSerials atomic.Uint64
 
 // NewMem allocates size bytes of demand-zero physical memory: every byte
 // reads zero, and on unix hosts the RAM is an anonymous mapping
@@ -63,6 +76,7 @@ func NewMem(size int) *Mem {
 	m := &Mem{
 		bytes:   mapRAM(size),
 		pageGen: make([]uint64, (size+(1<<pageShift)-1)>>pageShift),
+		serial:  memSerials.Add(1),
 	}
 	if m.bytes == nil {
 		m.bytes = make([]byte, size)
@@ -275,6 +289,57 @@ func (m *Mem) Slice(addr uint64, n int) ([]byte, error) {
 		m.assertStuck(addr, n)
 	}
 	return m.bytes[addr : addr+uint64(n)], nil
+}
+
+// CopyFrom makes m's bytes and stuck-at set equal to src's, as a save of
+// src loaded into m would, without an image in between. It rewrites only
+// the pages that may differ: after a copy from src, a page counts as
+// current while both src's generation and m's own are where that copy
+// left them — every mutation path bumps a page's generation, so a page
+// neither side touched still holds the same bytes on both. The first copy
+// from a source, and every copy after one from another, rewrites every
+// page src ever wrote and zeroes the pages of the rest that m wrote, so a
+// fresh target commits on the host only the pages src wrote. Each page the
+// copy rewrites has its generation bumped, so m's execution caches
+// revalidate as they do after a restore, and m's rewind base is dropped.
+//
+// The source is known by its serial number, never by a pointer: a
+// pointer from one Mem to another would chain their finalizers, and each
+// link would take one more GC cycle to unmap its RAM. src's stuck bits
+// are asserted first, as a save does. A size mismatch is
+// snapshot.ErrIncompatible and leaves m untouched.
+func (m *Mem) CopyFrom(src *Mem) error {
+	if len(src.bytes) != len(m.bytes) {
+		return fmt.Errorf("%w: source memory is %d bytes, target has %d",
+			snapshot.ErrIncompatible, len(src.bytes), len(m.bytes))
+	}
+	for a, msk := range src.stuck {
+		src.applyStuck(a, msk)
+	}
+	delta := m.copySerial == src.serial
+	if !delta {
+		m.copySrcGen = make([]uint64, len(m.pageGen))
+		m.copyGen = make([]uint64, len(m.pageGen))
+	}
+	m.base = nil
+	for p, g := range src.pageGen {
+		if delta && g == m.copySrcGen[p] && m.pageGen[p] == m.copyGen[p] {
+			continue
+		}
+		lo, hi := p<<pageShift, min((p+1)<<pageShift, len(m.bytes))
+		switch {
+		case g != 0:
+			copy(m.bytes[lo:hi], src.bytes[lo:hi])
+			m.pageGen[p]++
+		case m.pageGen[p] != 0: // src's page is zero, without a look at generation 0
+			clear(m.bytes[lo:hi])
+			m.pageGen[p]++
+		}
+		m.copySrcGen[p], m.copyGen[p] = g, m.pageGen[p]
+	}
+	m.copySerial = src.serial
+	m.stuck = maps.Clone(src.stuck)
+	return nil
 }
 
 // cache is a direct-mapped write-back cache keyed on line tags. It tracks

@@ -4,6 +4,7 @@ package machine
 
 import (
 	"bufio"
+	"bytes"
 	"os"
 	"runtime"
 	"strconv"
@@ -130,6 +131,40 @@ func TestRAMDemandZero(t *testing.T) {
 		t.Fatalf("delta rewind: %d resident pages, want %d", n, before)
 	}
 	mustMatch(t, dst, data)
+}
+
+// TestRAMCopyFromCommitsWrittenPages: a copy onto a fresh machine commits
+// only the pages the source wrote, and a later copy from the same source
+// commits only the page written since.
+func TestRAMCopyFromCommitsWrittenPages(t *testing.T) {
+	const size = 64 << 20
+	src := New(X86(), size)
+	written := []uint64{3, 1000, 16000}
+	for i, p := range written {
+		if err := src.Mem().Fill(p<<pageShift, 1<<pageShift, byte(0x11*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := demandZeroMachine(t, size)
+	if err := dst.Mem().CopyFrom(src.Mem()); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := resident(t, dst.Mem()), hostPages(written); n != want {
+		t.Fatalf("copy onto a fresh machine: %d resident pages, want %d", n, want)
+	}
+	written = append(written, 9000)
+	if err := src.Mem().WriteU(9000<<pageShift, 8, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Mem().CopyFrom(src.Mem()); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := resident(t, dst.Mem()), hostPages(written); n != want {
+		t.Fatalf("second copy: %d resident pages, want %d", n, want)
+	}
+	if !bytes.Equal(dst.Mem().bytes, src.Mem().bytes) {
+		t.Fatal("the copy differs from its source")
+	}
 }
 
 // vmSize reads the process's mapped address space from /proc/self/status.

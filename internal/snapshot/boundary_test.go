@@ -90,6 +90,10 @@ var hostDerived = map[string]string{
 	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
 	"machine.Mem.base":            "identity of the image a rewind may delta against",
 	"machine.Mem.baseGen":         "page generations at the last full load of base",
+	"machine.Mem.serial":          "host identity of a CopyFrom source",
+	"machine.Mem.copySerial":      "identity of the source a CopyFrom may delta against",
+	"machine.Mem.copySrcGen":      "the source's page generations at the last CopyFrom",
+	"machine.Mem.copyGen":         "page generations right after the last CopyFrom",
 	"machine.Core.ID":             "construction-time identity",
 	"machine.Core.AS":             "re-pointed at the kernel's address space by its walk",
 	"machine.Core.parkCond":       "closure: re-armed by core.rearmPark from the serialized park descriptor",

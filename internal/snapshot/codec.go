@@ -65,9 +65,11 @@ func (c *Codec) Section(name string, walk func(*Codec)) {
 }
 
 // RawSection hands one named section to a hand-written pair, for a payload
-// whose save and load are different algorithms (machine.Mem).
+// whose save and load are different algorithms (machine.Mem). A walk over a
+// transfer image skips it in both directions: the owner copies that state
+// itself.
 func (c *Codec) RawSection(name string, save func(*Enc), load func(*Dec, *Snapshot) error) {
-	if !c.open(name) {
+	if c.transfer() || !c.open(name) {
 		return
 	}
 	if c.w != nil {
@@ -78,6 +80,14 @@ func (c *Codec) RawSection(name string, save func(*Enc), load func(*Dec, *Snapsh
 		c.Fail(fmt.Errorf("section %s: %w", name, err))
 	}
 	c.close()
+}
+
+// transfer reports whether the walk is over a transfer image.
+func (c *Codec) transfer() bool {
+	if c.w != nil {
+		return c.w.transfer
+	}
+	return c.s.transfer
 }
 
 // open begins a section and reports whether it is to be walked.

@@ -38,8 +38,16 @@
 // Writer streams: every section's payload is appended straight to the
 // one output buffer and the two counts above are back-patched, so a save
 // costs one pass over the state and no intermediate copies. AppendSave
-// is Save into a caller-supplied buffer, for owners that checkpoint
-// repeatedly and recycle retired images (internal/cluster).
+// is Save into a caller-supplied buffer, for owners that save repeatedly
+// into one recycled buffer.
+//
+// A transfer image (AppendTransfer, ParseTransfer) is the same layout
+// under its own magic, "RCOEXFR\x01", with every RawSection left out: the
+// in-memory half of copying one live system onto another whose owner
+// moves the raw payload — physical memory — itself (harness.Node.CopyFrom
+// with machine.Mem.CopyFrom). It is never written to disk, and Parse
+// refuses it with ErrTransferImage, so it cannot be restored as a
+// snapshot that zeroes RAM.
 package snapshot
 
 import (
@@ -58,6 +66,17 @@ const Version = 1
 
 var magic = [8]byte{'R', 'C', 'O', 'E', 'S', 'N', 'P', 1}
 
+// transferMagic opens a transfer image.
+var transferMagic = [8]byte{'R', 'C', 'O', 'E', 'X', 'F', 'R', 1}
+
+// magicFor returns the magic of a snapshot or of a transfer image.
+func magicFor(transfer bool) [8]byte {
+	if transfer {
+		return transferMagic
+	}
+	return magic
+}
+
 // ErrBadSnapshot reports a corrupt, truncated or foreign snapshot.
 var ErrBadSnapshot = errors.New("snapshot: bad snapshot")
 
@@ -65,6 +84,12 @@ var ErrBadSnapshot = errors.New("snapshot: bad snapshot")
 // restored into the given target system (config mismatch, missing
 // section, device list mismatch).
 var ErrIncompatible = errors.New("snapshot: incompatible restore target")
+
+// ErrTransferImage reports a transfer image handed to Parse: it holds a
+// system's state without its raw sections, so restoring it as a snapshot
+// would leave physical memory as the target had it. It wraps
+// ErrBadSnapshot.
+var ErrTransferImage = fmt.Errorf("%w: transfer image, not a snapshot", ErrBadSnapshot)
 
 // IncompatibleError builds an ErrIncompatible-wrapped mismatch report for
 // one field of one section.
@@ -106,11 +131,12 @@ type Section struct {
 // call is made. Errors latch: after the first failure Bytes returns the
 // error. The zero value is an empty writer.
 type Writer struct {
-	enc   Enc      // enc.buf is the output: header, closed sections, open payload
-	base  int      // offset of the header in enc.buf (AppendSave appends)
-	lenAt int      // offset of the open section's length placeholder; 0 = none open
-	names []string // sections so far, for the uniqueness check
-	err   error
+	enc      Enc      // enc.buf is the output: header, closed sections, open payload
+	base     int      // offset of the header in enc.buf (AppendSave appends)
+	lenAt    int      // offset of the open section's length placeholder; 0 = none open
+	names    []string // sections so far, for the uniqueness check
+	transfer bool     // a transfer image: RawSections are left out
+	err      error
 }
 
 // NewWriter returns an empty snapshot writer.
@@ -121,7 +147,8 @@ func (w *Writer) start() {
 	if len(w.enc.buf) != w.base {
 		return
 	}
-	w.enc.buf = append(w.enc.buf, magic[:]...)
+	m := magicFor(w.transfer)
+	w.enc.buf = append(w.enc.buf, m[:]...)
 	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, Version)
 	w.enc.buf = binary.LittleEndian.AppendUint32(w.enc.buf, 0)
 }
@@ -175,16 +202,28 @@ func (w *Writer) Bytes() ([]byte, error) {
 type Snapshot struct {
 	sections []Section
 	index    map[string]int
+	transfer bool // a transfer image: RawSections are skipped
 }
 
-// Parse reads a serialized snapshot.
-func Parse(data []byte) (*Snapshot, error) {
+// Parse reads a serialized snapshot. A transfer image is refused with
+// ErrTransferImage.
+func Parse(data []byte) (*Snapshot, error) { return parse(data, false) }
+
+// ParseTransfer reads a transfer image written by AppendTransfer. A walk
+// over it skips every RawSection, leaving that state to the owner's own
+// transfer path.
+func ParseTransfer(data []byte) (*Snapshot, error) { return parse(data, true) }
+
+func parse(data []byte, transfer bool) (*Snapshot, error) {
 	if len(data) < len(magic)+8 {
 		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
 	}
 	var m [8]byte
 	copy(m[:], data)
-	if m != magic {
+	if m != magicFor(transfer) {
+		if m == transferMagic {
+			return nil, ErrTransferImage
+		}
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	ver := binary.LittleEndian.Uint32(data[8:])
@@ -197,7 +236,7 @@ func Parse(data []byte) (*Snapshot, error) {
 	if count > (len(data)-16)/12 {
 		return nil, fmt.Errorf("%w: %d sections claimed in %d bytes", ErrBadSnapshot, count, len(data))
 	}
-	snap := &Snapshot{index: make(map[string]int, count)}
+	snap := &Snapshot{index: make(map[string]int, count), transfer: transfer}
 	off := 16
 	for i := 0; i < count; i++ {
 		if off+4 > len(data) {
@@ -499,12 +538,19 @@ func (d *Dec) SortedU64Map() map[uint64]uint64 {
 func Save(s Snapshotter) ([]byte, error) { return AppendSave(nil, s) }
 
 // AppendSave appends s's serialized state to buf and returns the
-// extended slice, like the strconv.Append functions: a caller that
-// checkpoints repeatedly passes a retired image's buf[:0] and pays
-// neither the allocation nor the page faults of a fresh buffer. On
-// error buf's spare capacity may have been scribbled on.
-func AppendSave(buf []byte, s Snapshotter) ([]byte, error) {
-	w := &Writer{enc: Enc{buf: buf}, base: len(buf)}
+// extended slice, like the strconv.Append functions: a caller that saves
+// repeatedly passes its previous image's buf[:0] and pays neither the
+// allocation nor the page faults of a fresh buffer — the cluster's
+// transfer scratch (AppendTransfer, harness.Node.CopyFrom) is that
+// caller. On error buf's spare capacity may have been scribbled on.
+func AppendSave(buf []byte, s Snapshotter) ([]byte, error) { return appendImage(buf, s, false) }
+
+// AppendTransfer is AppendSave for a transfer image: the same walk with
+// every RawSection left out, under the transfer magic, for ParseTransfer.
+func AppendTransfer(buf []byte, s Snapshotter) ([]byte, error) { return appendImage(buf, s, true) }
+
+func appendImage(buf []byte, s Snapshotter, transfer bool) ([]byte, error) {
+	w := &Writer{enc: Enc{buf: buf}, base: len(buf), transfer: transfer}
 	if err := s.SaveState(w); err != nil {
 		return nil, err
 	}

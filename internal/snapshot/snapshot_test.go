@@ -355,3 +355,67 @@ func TestBulkInto(t *testing.T) {
 		t.Fatalf("truncated U64sInto: n=%d err=%v", n, d.Err())
 	}
 }
+
+// rawState has one walked section and one RawSection around it.
+type rawState struct {
+	head, raw, tail uint64
+	rawLoads        int
+}
+
+func (r *rawState) walk(c *Codec) {
+	c.Section("head", func(c *Codec) { c.U64(&r.head) })
+	c.RawSection("raw", func(e *Enc) { e.U64(r.raw) }, func(d *Dec, _ *Snapshot) error {
+		r.raw = d.U64()
+		r.rawLoads++
+		return d.Err()
+	})
+	c.Section("tail", func(c *Codec) { c.U64(&r.tail) })
+}
+
+func (r *rawState) SaveState(w *Writer) error   { return w.Walk(r.walk) }
+func (r *rawState) LoadState(s *Snapshot) error { return s.Walk(r.walk) }
+
+// TestTransferImage: a transfer image carries every walked section and no
+// RawSection, loads through ParseTransfer without calling the raw loader,
+// and is refused by Parse — and so by Restore — with ErrTransferImage
+// before anything is stored, as Parse's image is by ParseTransfer.
+func TestTransferImage(t *testing.T) {
+	src := &rawState{head: 1, raw: 2, tail: 3}
+	img, err := AppendTransfer(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ParseTransfer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range snap.Sections() {
+		names = append(names, s.Name)
+	}
+	if !reflect.DeepEqual(names, []string{"head", "tail"}) {
+		t.Fatalf("transfer image sections %v, want [head tail]", names)
+	}
+	dst := &rawState{raw: 9}
+	if err := dst.LoadState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if *dst != (rawState{head: 1, raw: 9, tail: 3}) {
+		t.Fatalf("transfer load gave %+v, want head and tail copied and raw untouched", *dst)
+	}
+
+	target := &rawState{raw: 9}
+	if err := Restore(target, img); !errors.Is(err, ErrTransferImage) || !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Restore of a transfer image returned %v, want ErrTransferImage (an ErrBadSnapshot)", err)
+	}
+	if *target != (rawState{raw: 9}) {
+		t.Fatalf("a refused transfer image stored %+v", *target)
+	}
+	full, err := Save(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseTransfer(full); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("ParseTransfer of a snapshot returned %v, want ErrBadSnapshot", err)
+	}
+}
