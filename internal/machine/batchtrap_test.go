@@ -16,9 +16,11 @@ import (
 // riders (which a solo run carries along) and a device that watches one
 // RAM word. The syscall handler does one of trapActions to the trapping
 // core, to another core or to memory; the "-self" actions arm on the
-// trapping core what makes it issue naively (an interrupt, a breakpoint,
-// single-step) or a branch watch on its next branch, so a lone core beside
-// a rider runs solo with it armed, and "dma-text-stuck" sticks a bit of the
+// trapping core what makes it issue naively (an interrupt, single-step), a
+// breakpoint anywhere in its loop (disarmed by its trap, or, for
+// "bp-resume-self", kept armed and stepped over with ResumeOnce) or a branch
+// watch on its next branch, so a lone core beside a rider runs solo with it
+// armed, and "dma-text-stuck" sticks a bit of the
 // trapping core's loop text and has the device rewrite that instruction
 // through a Mem.Slice window, de-asserting the bit. The batch engine must
 // leave the machine exactly where naive stepping, with every accelerator
@@ -32,7 +34,8 @@ var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark
 	"ipi-other", "irq-other", "patch-other", "bp-other", "branch-watch-other",
 	"step-other", "move-other", "flush-other", "remap-other", "stall-other",
 	"watched-store", "page-store", "arm-device",
-	"irq-self", "ipi-self", "bp-self", "step-self", "dma-text-stuck", "branch-watch-self"}
+	"irq-self", "ipi-self", "bp-self", "step-self", "dma-text-stuck", "branch-watch-self",
+	"bp-resume-self"}
 
 const (
 	trapText   = 0x1000 // core i's loop at trapText + i*0x1000
@@ -122,11 +125,43 @@ type trapScenario struct {
 	as     *AddrSpace
 	alt    [4]*AddrSpace // as, with core i's text page mapped to a variant of its loop
 	loops  [4]uint64     // each core's loop head, the instruction patch-other rewrites
+	body   [4]int        // each core's loop length in instructions, its closing branch included
+	// resume marks the cores whose breakpoint bp-resume-self armed: its
+	// handler keeps the breakpoint and steps over it with ResumeOnce.
+	resume [4]bool
 	log    []string
 	// traps counts the handler's calls, rider those made while a core was
 	// parked, and soloRider those of them the batch engine took inside a
 	// solo run (whose settlement the trap's sync has just made).
 	traps, rider, soloRider int
+	// bpAt counts the breakpoints that fired by where they stand (bpKinds).
+	bpAt [len(bpKinds)]int
+}
+
+// bpKinds names where in its loop a breakpoint can fire: after a
+// register-only op of its block, on a block's terminator (the loop's branch
+// or the syscall), on a chain target (the loop head or the instruction after
+// the syscall), or after a slow op of its block.
+var bpKinds = [...]string{"mid-run", "terminator", "chain-target", "after-slow"}
+
+// bpKind classifies a breakpoint that fired at pc in c's loop.
+func (sc *trapScenario) bpKind(c *Core, pc uint64) int {
+	op := func(va uint64) isa.Opcode {
+		var raw [isa.InstrBytes]byte
+		pa, _, _ := c.AS.Translate(va, isa.InstrBytes, PermX)
+		_ = sc.m.Mem().ReadAt(pa, raw[:])
+		ins, _ := isa.Decode(raw[:])
+		return ins.Op
+	}
+	switch {
+	case sbEnds(op(pc)):
+		return 1
+	case pc == sc.loops[c.ID] || sbEnds(op(pc-isa.InstrBytes)):
+		return 2
+	case sbFast[op(pc-isa.InstrBytes)]:
+		return 0
+	}
+	return 3
 }
 
 // observe logs everything code outside the cores can read.
@@ -238,6 +273,7 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 		base := trapText + uint64(i)*0x1000
 		mustLoad(t, m, b, base)
 		sc.loops[i] = base + uint64(head)*isa.InstrBytes
+		sc.body[i] = b.Len() - head
 		alt, _ := loopProg(&ra, i, true)
 		pa := trapAlt[i]
 		mustLoad(t, m, alt, pa)
@@ -318,7 +354,12 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 		c.AckIPI()
 		return
 	case TrapBreakpoint:
-		c.BP.Enabled = false
+		sc.bpAt[sc.bpKind(c, tr.PC)]++
+		if sc.resume[c.ID] {
+			c.ResumeOnce = true
+		} else {
+			c.BP.Enabled = false
+		}
 		return
 	case TrapSyscall:
 	default: // branch watch and single-step disarm themselves
@@ -351,7 +392,7 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 		p := isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: int32(1 + r.intn(100))})
 		_ = m.Mem().Write(sc.loops[o.ID], p[:])
 	case "bp-other":
-		o.BP = Breakpoint{Addr: sc.loops[o.ID] + uint64(r.intn(4))*isa.InstrBytes, Enabled: true}
+		sc.breakpoint(o, false)
 	case "branch-watch-other":
 		o.BranchWatch.Target, o.BranchWatch.Enabled = o.UserBranches+1+uint64(r.intn(4)), true
 	case "step-other":
@@ -382,7 +423,9 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 	case "ipi-self":
 		m.SendIPI(c.ID)
 	case "bp-self":
-		c.BP = Breakpoint{Addr: sc.loops[c.ID] + uint64(r.intn(4))*isa.InstrBytes, Enabled: true}
+		sc.breakpoint(c, false)
+	case "bp-resume-self":
+		sc.breakpoint(c, true)
 	case "step-self":
 		c.SingleStep = true
 	case "dma-text-stuck":
@@ -403,6 +446,15 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 	case "branch-watch-self":
 		c.BranchWatch.Target, c.BranchWatch.Enabled = c.UserBranches+1, true
 	}
+}
+
+// breakpoint arms a breakpoint on c anywhere in its loop — in a
+// register-only run, on a block's terminator, on a chain target — which its
+// handler disarms, or, with resume, keeps armed and steps over.
+func (sc *trapScenario) breakpoint(c *Core, resume bool) {
+	at := sc.loops[c.ID] + uint64(sc.r.intn(sc.body[c.ID]))*isa.InstrBytes
+	c.BP = Breakpoint{Addr: at, Enabled: true}
+	sc.resume[c.ID] = resume
 }
 
 func (sc *trapScenario) do(call idleCall) {
@@ -451,9 +503,11 @@ func FuzzBatchTrap(f *testing.F) {
 // TestBatchTrapSurvival is the fuzz target's fixed-seed tier-1 run: three
 // seeds per action. Across them traps must have been taken both beside a
 // rider and without one, some beside a rider inside a solo run, solo runs
-// must have issued naively, and batches must have gone on after most traps.
+// must have issued naively, breakpoints must have fired at every kind of
+// place in a loop, and batches must have gone on after most traps.
 func TestBatchTrapSurvival(t *testing.T) {
 	var traps, rider, soloRider int
+	var bpAt [len(bpKinds)]int
 	var exits BatchExits
 	var solo, soloNaive uint64
 	for k := uint64(0); k < 3; k++ {
@@ -462,6 +516,9 @@ func TestBatchTrapSurvival(t *testing.T) {
 			traps += sc.traps
 			rider += sc.rider
 			soloRider += sc.soloRider
+			for i, n := range sc.bpAt {
+				bpAt[i] += n
+			}
 			st := sc.m.SuperblockStats()
 			solo += st.Solo
 			soloNaive += st.SoloNaive
@@ -474,8 +531,13 @@ func TestBatchTrapSurvival(t *testing.T) {
 			exits.Refused += e.Refused
 		}
 	}
-	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; batch exits: %+v",
-		traps, rider, soloRider, solo, soloNaive, exits)
+	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; breakpoints by place %v: %v; batch exits: %+v",
+		traps, rider, soloRider, solo, soloNaive, bpKinds, bpAt, exits)
+	for i, n := range bpAt {
+		if n == 0 {
+			t.Fatalf("no breakpoint fired at a %s place", bpKinds[i])
+		}
+	}
 	if solo == 0 || soloNaive == 0 {
 		t.Fatalf("%d cycles ran solo, %d of them issued naively", solo, soloNaive)
 	}

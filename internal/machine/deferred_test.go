@@ -82,6 +82,7 @@ const (
 	obsLoop0   = 0x1000 // the first loop: integer and MUL
 	obsLoop1   = 0x2000 // the other loops: FP, long stalls
 	obsText    = 0x3000 // the observer's program
+	obsSpin    = 0x4000 // the spinner's load loop
 	obsCold    = 0x5000 // a line the observer has never fetched
 	obsFlagPA  = 0x8000 // device-watched RAM
 	obsParkPA  = 0x9000 // the word a watched park waits on
@@ -98,12 +99,16 @@ const (
 // next free one, and with pageRider a park on another word of that page,
 // which the store moves without waking it, on the one after. The observer
 // is, whenever the loops are all inside a promise, the one core that holds
-// none, so what it does it does solo, beside the riders.
+// none, so what it does it does solo, beside the riders — unless spinner
+// puts a load loop, which can promise at most a cycle at a time, on the
+// next free core: then the observer's stores land in the rotation, beside
+// promised loops.
 type obsConfig struct {
 	loops     int
 	observer  int
 	rider     bool
 	pageRider bool
+	spinner   bool
 	maxNops   int // the observer's lead-in is swept from 0 to this many NOPs
 }
 
@@ -207,6 +212,13 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	}
 	cold.Hlt()
 	mustLoad(t, m, cold, obsCold)
+	spin := asm.New()
+	spin.Li64(1, obsSrcPA+64)
+	spin.Label("loop")
+	spin.Ld(8, 2, 1, 0)
+	spin.Addi(3, 3, 1)
+	spin.J("loop")
+	mustLoad(t, m, spin, obsSpin)
 
 	as := &AddrSpace{Segs: []Segment{
 		{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX},
@@ -227,6 +239,10 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	}
 	m.StartCore(observer, obsText, as)
 	free := others[cfg.loops:]
+	if cfg.spinner {
+		m.StartCore(free[0], obsSpin, as)
+		free = free[1:]
+	}
 	park := func(tag string, word uint64) {
 		// Every evaluation of the rider's condition, and its done hook, is
 		// an observer.
@@ -279,7 +295,9 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 // beside parked riders, one woken by the observer's store into its watched
 // word, one whose watched page that store moves while it stays parked; with
 // the stock one-cycle cache hit as well as a three-cycle one, which puts a
-// stall behind every fetch.
+// stall behind every fetch; and beside a spinner that keeps solo rare, so
+// the observer's store into the running loop lands in the rotation, where
+// the loop's promise is revoked (sbRevoke).
 func TestDeferredObservationExact(t *testing.T) {
 	for _, memHit := range []int{1, 3} {
 		for _, cfg := range []obsConfig{
@@ -288,6 +306,7 @@ func TestDeferredObservationExact(t *testing.T) {
 			{loops: 1, observer: 1, rider: true, pageRider: true, maxNops: 23},
 			{loops: 2, observer: 1, maxNops: 23},
 			{loops: 3, observer: 2, maxNops: 23},
+			{loops: 1, observer: 1, spinner: true, maxNops: 23},
 		} {
 			var deferred, promises, solo, soloRider uint64
 			for phase := 0; phase < 4; phase++ {

@@ -433,13 +433,15 @@ func (sc *idleScenario) render() string {
 // every call, and checks that a focused seed had its state's idle window
 // credited — a stall-only core from the very first Run(2) (an unbuildable
 // PC only when the core starts stalled), a machine with no core executing
-// some time during the run — and that a core under a stuck bit held a
-// block in the first batch.
+// some time during the run — and that a core under a stuck bit, or under a
+// breakpoint it does not stand on, held a block in the first batch.
 func idleCreditCheck(t *testing.T, seed uint64) {
 	fast, calls := newIdleScenario(t, seed, true)
 	naive, _ := newIdleScenario(t, seed, false)
 	state := idleStates[seed%uint64(len(idleStates))]
-	stalled := fast.m.Core(0).stall > 0
+	c0 := fast.m.Core(0)
+	stalled := c0.stall > 0
+	onBP := c0.BP.Enabled && c0.PC == c0.BP.Addr
 	var first uint64
 	var kept bool
 	for i, call := range calls {
@@ -459,6 +461,10 @@ func idleCreditCheck(t *testing.T, seed uint64) {
 	case "stuck-bit":
 		if !kept {
 			t.Fatalf("seed %d (%s): the core took no block under a stuck bit", seed, state)
+		}
+	case "breakpoint":
+		if !kept && !onBP {
+			t.Fatalf("seed %d (%s): the core took no block beside its breakpoint", seed, state)
 		}
 	case "all-idle":
 		if total == 0 {

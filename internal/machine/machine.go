@@ -111,6 +111,10 @@ type Machine struct {
 	// ffSkipped counts the cycles a batch credits in bulk while no
 	// executing core holds a block: the idle skip (diagnostics).
 	ffSkipped uint64
+	// opCycles[op] is the fewest cycles an issue of a fast-set op occupies
+	// under prof (the issue, the fetch-hit charge and the stall the op
+	// adds), 0 for any other op: what a promise counts (superblock.go).
+	opCycles [256]uint32
 
 	// parkEpoch counts the points at which a park condition's inputs other
 	// than its watched page and its core's Cycles may have changed: every
@@ -185,6 +189,15 @@ func New(prof Profile, memBytes int) *Machine {
 		superblock: defaultSuperblock,
 		mmioLo:     ^uint64(0), // empty until MapMMIO
 		parkEpoch:  1,
+	}
+	// The cycle table is derived from execFast itself, like sbFast, so the
+	// two cannot drift.
+	hit := max(prof.Costs.MemHit-1, 0)
+	for op := range m.opCycles {
+		var c Core
+		if execFast(&c, &isa.Instr{Op: isa.Opcode(op)}, &prof.Costs) {
+			m.opCycles[op] = uint32(1 + hit + c.stall)
+		}
 	}
 	for i := 0; i < prof.Cores; i++ {
 		c := &Core{

@@ -41,11 +41,13 @@ import (
 //     generations are re-checked before every issue and the core falls
 //     back to the naive fetch path for that issue, after which it takes a
 //     block again;
-//   - a breakpoint or single-step is armed, an interrupt is pending, or no
-//     block forms at the core's PC: that core alone takes no block; it is
-//     credited the stall it is counting down, then issues through sbNaive.
-//     A branch watch keeps the core's blocks (sbIssue checks it, no
-//     promise covers the branch that fires it), and so do stuck-at bits,
+//   - single-step is armed, an interrupt is pending, or no block forms at
+//     the core's PC: that core alone takes no block; it is credited the
+//     stall it is counting down, then issues through sbNaive. An armed
+//     breakpoint costs its core only the instruction at its address, which
+//     issues through sbNaive (blockFor hands out no block there, no promise
+//     covers it); a branch watch keeps the core's blocks (sbIssue checks it,
+//     no promise covers the branch that fires it), and so do stuck-at bits,
 //     under the page-generation invariant that keeps the execution cache
 //     exact (hardfault.go).
 //
@@ -57,8 +59,11 @@ const (
 	// block spans at most two physical 4 KiB pages.
 	sbMaxLen   = 64
 	sbMaxPages = 2
-	// sbSlots is the per-core direct-mapped block cache size.
-	sbSlots = 256
+	// sbSlots is the per-core direct-mapped block cache size; blockFor
+	// folds the PC bits above the index's into it, so blocks 2 KiB apart
+	// do not share a slot.
+	sbSlotBits = 8
+	sbSlots    = 1 << sbSlotBits
 	// sbSoloMin is the shortest stretch worth running solo (see
 	// Machine.solo): below it the stepped cycle costs no more than the
 	// entry and the settlement.
@@ -83,8 +88,12 @@ type superblock struct {
 	gens   [sbMaxPages]uint64  // their values when the block was decoded
 	ins    [sbMaxLen]isa.Instr
 	// fast[i] is the length of the run of fast-set instructions (sbFast)
-	// starting at ins[i]; 0 when ins[i] needs execSlow.
+	// starting at ins[i]; 0 when ins[i] needs execSlow. span[i] is the
+	// fewest cycles the rest of that run occupies, the sum of its ops'
+	// Machine.opCycles, saturated (a difference of two saturated sums
+	// still never exceeds the true one); span[n] is 0.
 	fast [sbMaxLen]uint8
+	span [sbMaxLen + 1]uint16
 }
 
 // valid reports whether the block can serve (pc, as) right now.
@@ -190,11 +199,14 @@ func (m *Machine) buildBlock(c *Core, sb *superblock) bool {
 	sb.start, sb.pa0 = pc, pa
 	sb.as, sb.asGen, sb.nsegs = as, as.gen, len(as.Segs)
 	sb.n = n
-	for i, r := n-1, uint8(0); i >= 0; i-- {
-		if r++; !sbFast[sb.ins[i].Op] {
-			r = 0
+	sb.span[n] = 0
+	for i, r, s := n-1, uint8(0), uint32(0); i >= 0; i-- {
+		if op := sb.ins[i].Op; sbFast[op] {
+			r, s = r+1, min(s+m.opCycles[op], math.MaxUint16)
+		} else {
+			r, s = 0, 0
 		}
-		sb.fast[i] = r
+		sb.fast[i], sb.span[i] = r, uint16(s)
 	}
 	p0 := pa >> pageShift
 	p1 := (pa + uint64(n)*isa.InstrBytes - 1) >> pageShift
@@ -208,11 +220,16 @@ func (m *Machine) buildBlock(c *Core, sb *superblock) bool {
 }
 
 // blockFor returns a valid superblock starting at c.PC, building one into
-// the core's direct-mapped cache on miss, or nil when the code there
-// cannot form a block.
+// the core's direct-mapped cache on miss, or nil when the core stands on
+// its armed breakpoint (that instruction issues naively, which checks it)
+// or the code there cannot form a block. Every block a core takes, at the
+// gate, after a naive issue or on a chain, comes from here.
 func (m *Machine) blockFor(c *Core) *superblock {
+	if c.BP.Enabled && c.PC == c.BP.Addr {
+		return nil
+	}
 	sc := c.sbLazy()
-	sb := &sc.blocks[(c.PC>>3)&(sbSlots-1)]
+	sb := &sc.blocks[(c.PC>>3^c.PC>>(3+sbSlotBits))&(sbSlots-1)]
 	if sb.valid(c.PC, c.AS) {
 		return sb
 	}
@@ -304,15 +321,18 @@ func (st *sbRunState) keeps() bool {
 
 // lookahead returns how many cycles the core can promise from its current
 // position: the rest of its stall (a stalled core only counts down) plus
-// one cycle per instruction of the fast-set run it stands at — each takes
-// at least a cycle, so the run cannot end earlier — cut at the first fetch
-// line not resident in its cache, since a fill would touch the bus. The
-// cache is private to the core and a fetch hit leaves it unchanged, so
-// lines found resident stay resident for the whole promise. A run holds at
-// most one branch, its block's terminator; when that branch would fire an
-// armed branch watch the run stops short of it, so the core issues it at
-// machine time (sbIssue). 0 means the core must be serviced cycle by cycle.
-// A stall-only core (no block) promises its stall.
+// the fewest cycles the fast-set run it stands at occupies (span: per op
+// the issue, the fetch-hit charge and the stall the op adds, the last op's
+// included; jitter only adds cycles, so the run cannot end earlier). The
+// run is cut at the first fetch line not resident in its cache, since a
+// fill would touch the bus; the cache is private to the core and a fetch
+// hit leaves it unchanged, so lines found resident stay resident for the
+// whole promise. It is also cut before an armed breakpoint, whose
+// instruction issues naively (blockFor), and, when the run's one branch,
+// its block's terminator, would fire an armed branch watch, before that
+// branch, so the core issues it at machine time (sbIssue). 0 means the core
+// must be serviced cycle by cycle. A stall-only core (no block) promises
+// its stall.
 func (st *sbRunState) lookahead() uint64 {
 	c, sb := st.c, st.sb
 	if sb == nil {
@@ -321,39 +341,46 @@ func (st *sbRunState) lookahead() uint64 {
 	if !sb.pagesFresh() {
 		return 0
 	}
-	p := uint64(c.stall)
-	n := uint64(sb.fast[st.pos])
+	pos := st.pos
+	end := pos + int(sb.fast[pos])
 	if c.BranchWatch.Enabled && c.UserBranches+1 >= c.BranchWatch.Target &&
-		st.pos+int(n) == sb.n && sbEnds(sb.ins[sb.n-1].Op) {
-		n-- // a fast terminator is a branch
+		end == sb.n && sbEnds(sb.ins[sb.n-1].Op) {
+		end-- // a fast terminator is a branch
 	}
-	if n == 0 {
-		return p
+	pc := sb.start + uint64(pos)*isa.InstrBytes
+	if bp := c.BP.Addr; c.BP.Enabled && bp >= pc && bp < pc+uint64(end-pos)*isa.InstrBytes {
+		end = pos + int((bp-pc)/isa.InstrBytes)
 	}
-	ch := c.cache
-	pa := sb.pa0 + uint64(st.pos)*isa.InstrBytes
-	last := (pa + n*isa.InstrBytes - 1) >> ch.lineShift
-	for line := pa >> ch.lineShift; line <= last; line++ {
-		if line == st.fline && ch.gen == st.fgen {
-			continue
-		}
-		if idx := ch.index(line); !ch.valid[idx] || ch.tags[idx] != line {
-			if lo := line << ch.lineShift; lo > pa {
-				return p + (lo-pa)/isa.InstrBytes
+	if end > pos {
+		ch := c.cache
+		pa := sb.pa0 + uint64(pos)*isa.InstrBytes
+		last := (pa + uint64(end-pos)*isa.InstrBytes - 1) >> ch.lineShift
+		for line := pa >> ch.lineShift; line <= last; line++ {
+			if line == st.fline && ch.gen == st.fgen {
+				continue
 			}
-			return p
+			if idx := ch.index(line); !ch.valid[idx] || ch.tags[idx] != line {
+				if lo := line << ch.lineShift; lo > pa {
+					end = pos + int((lo-pa)/isa.InstrBytes)
+				} else {
+					end = pos
+				}
+				break
+			}
 		}
 	}
-	return p + n
+	return uint64(c.stall) + uint64(sb.span[pos]-sb.span[end])
 }
 
 // burst executes the cycles a core owes, alone: per cycle exactly what the
 // interleaved loop does for a core inside a promise — cycle count, stall,
 // one jitter draw per issue opportunity from the same stream, the
 // fetch-hit charge, execFast, block chain. A stall is counted down in one
-// step. A chain can only happen on the last cycle of a promise (it follows
-// the last instruction of the run); when it finds no block st.sb is left
-// nil and the core's next issue goes through the naive path.
+// step. A chain can only follow the last instruction of the run (only the
+// stall that instruction added is left of the promise then); when it finds
+// no block, or the run ends on the armed breakpoint lookahead cut it
+// before, st.sb is left nil and the core's next issue goes through the
+// naive path.
 func (m *Machine) burst(st *sbRunState) {
 	c, n := st.c, st.lag
 	st.lag = 0
@@ -387,6 +414,9 @@ func (m *Machine) burst(st *sbRunState) {
 		if pos++; pos == sb.n || c.PC != prev+isa.InstrBytes {
 			sb, pos = m.blockFor(c), 0
 		}
+	}
+	if sb != nil && c.BP.Enabled && c.PC == c.BP.Addr {
+		sb = nil // stepped onto the breakpoint inside the block
 	}
 	st.sb, st.pos = sb, pos
 	if instrs != 0 { // a stall-only core may never have built a block
@@ -514,10 +544,12 @@ func (m *Machine) sbGate(keep bool) (nparked int) {
 
 // sbBlock returns the superblock a running core issues from next, or nil
 // when it must issue naively: an interrupt pending (the naive issue
-// delivers it), a breakpoint or single-step armed (the naive issue checks
-// them), or no block forms at its PC (the naive fetch traps there).
+// delivers it), single-step armed (the naive issue checks it), or none of
+// blockFor's (the core stands on its armed breakpoint, or no block forms at
+// its PC and the naive fetch traps there). A breakpoint armed elsewhere
+// keeps the core's blocks.
 func (m *Machine) sbBlock(c *Core) *superblock {
-	if c.pendingIRQ != 0 || c.pendingIPI || c.BP.Enabled || c.SingleStep {
+	if c.pendingIRQ != 0 || c.pendingIPI || c.SingleStep {
 		return nil
 	}
 	return m.blockFor(c)
@@ -872,10 +904,11 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 		}
 	} else {
 		// Op outside the register-only fast set: memory, divide, atomic,
-		// block op, syscall. Under a branch watch the naive issue ends with
-		// the debug tail, which a trap handler may give work (single-step).
+		// block op, syscall. Under a branch watch or a breakpoint the naive
+		// issue ends with the debug tail, which a trap handler may give work
+		// (single-step).
 		slow = true
-		watched, br := c.BranchWatch.Enabled, c.UserBranches
+		watched, br := c.BranchWatch.Enabled || c.BP.Enabled, c.UserBranches
 		if m.execSlow(c, ins) {
 			c.Instructions++
 			c.sb.instrs++
@@ -889,9 +922,10 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	}
 	switch c.PC {
 	case prev + isa.InstrBytes:
-		if st.pos++; st.pos == sb.n {
+		if st.pos++; st.pos == sb.n || c.BP.Enabled && c.PC == c.BP.Addr {
 			// Fell through the end (non-taken terminator or a block
-			// truncated at a segment edge): chain to the next block.
+			// truncated at a segment edge) or onto the armed breakpoint:
+			// chain (blockFor hands out no block on the breakpoint).
 			st.sb, st.pos = m.blockFor(c), 0
 		}
 	case prev:

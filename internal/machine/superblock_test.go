@@ -448,3 +448,114 @@ func TestSuperblockBranchWatchChase(t *testing.T) {
 		}
 	}
 }
+
+// TestSuperblockOpCycles pins the table promises are counted in: for every
+// opcode on both stock profiles, opCycles is what naive stepping shows an
+// issue of the op to occupy, from that issue to the next, with its fetch a
+// hit — and 0 for an op outside the fast set, like sbFast.
+func TestSuperblockOpCycles(t *testing.T) {
+	for _, prof := range []Profile{noJitter(X86()), noJitter(Arm())} {
+		tab := New(prof, 1<<16).opCycles
+		for op := 0; op < 256; op++ {
+			ins := isa.Instr{Op: isa.Opcode(op), Rd: 1, Rs1: 2, Rs2: 3, Imm: 8}
+			if !sbFast[op] {
+				if tab[op] != 0 {
+					t.Errorf("%s %v: opCycles = %d outside the fast set", prof.Name, ins.Op, tab[op])
+				}
+				continue
+			}
+			m := New(prof, 1<<16)
+			m.SetSuperblock(false)
+			// Four copies in one fetch line; every branch target (8, or 16
+			// for jalr) holds the op again.
+			for pc := uint64(0); pc < 32; pc += isa.InstrBytes {
+				w := isa.Encode(ins)
+				if err := m.Mem().Write(pc, w[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.SetHandler(handlerFunc(func(c *Core, tr Trap) { t.Fatalf("%v: trap %v", ins.Op, tr.Kind) }))
+			m.StartCore(0, 0, flatAS(m.Mem().Size()))
+			c := m.Core(0)
+			c.Regs[2] = 8
+			var at []uint64 // the cycle of each issue
+			for len(at) < 3 {
+				n := c.Instructions
+				m.Step()
+				if c.Instructions != n {
+					at = append(at, c.Cycles)
+				}
+			}
+			if got := at[2] - at[1]; uint64(tab[op]) != got {
+				t.Errorf("%s %v: opCycles = %d, naive stepping issues every %d cycles", prof.Name, ins.Op, tab[op], got)
+			}
+		}
+	}
+}
+
+// TestSuperblockStallRunOnePromise runs an FP-stall run (fdiv, fmul, fadd,
+// then a load) on two cores. A promise counts the stalls its ops add, so
+// each core covers its run with one promise, and one more for the load's
+// miss; and after Run(n), for every n up to the program's end, the machine
+// is where naive stepping leaves it.
+func TestSuperblockStallRunOnePromise(t *testing.T) {
+	b := asm.New()
+	b.Nop() // core 0's first fetch misses here, core 1's on the fdiv
+	b.Fdiv(6, 6, 1)
+	b.Fmul(7, 6, 1)
+	b.Fadd(8, 7, 1)
+	b.Ld(8, 9, 0, 0x4000)
+	b.Hlt()
+	boot := func(prof Profile, sb bool) *Machine {
+		m := New(prof, 1<<16)
+		m.SetSuperblock(sb)
+		loadProg(t, m, b)
+		m.StartCore(1, isa.InstrBytes, flatAS(m.Mem().Size()))
+		return m
+	}
+	for _, prof := range []Profile{noJitter(X86()), X86()} {
+		m := boot(prof, true)
+		if err := m.RunUntil(m.AllHalted, 10_000); err != nil {
+			t.Fatal(err)
+		}
+		end := m.Now()
+		if p := m.SuperblockStats().Promises; prof.JitterShift == 63 && p != 4 {
+			t.Fatalf("%d promises for two cores, want one per run and one per load miss: 4", p)
+		}
+		for n := uint64(1); n <= end; n++ {
+			fast, naive := boot(prof, true), boot(prof, false)
+			fast.Run(n)
+			naive.Run(n)
+			if f, g := (&idleScenario{m: fast}).render(), (&idleScenario{m: naive}).render(); f != g {
+				t.Fatalf("jitter shift %d, after Run(%d) the engines diverged\n%s", prof.JitterShift, n, diffLine(f, g))
+			}
+		}
+	}
+}
+
+// TestSuperblockSlotIndex runs a loop whose two blocks lie 2 KiB apart, so
+// the PC bits just above the instruction offset alone would put them in one
+// slot: folding the higher bits into the index, each is built once.
+func TestSuperblockSlotIndex(t *testing.T) {
+	m := New(noJitter(X86()), 1<<16)
+	a := asm.New()
+	a.Addi(1, 1, 1)
+	a.Raw(isa.Instr{Op: isa.OpJ, Imm: 0x1800})
+	mustLoad(t, m, a, 0x1000)
+	b := asm.New()
+	b.Raw(isa.Instr{Op: isa.OpBlt, Rs1: 1, Rs2: 2, Imm: 0x1000})
+	b.Hlt()
+	mustLoad(t, m, b, 0x1800)
+	h := &testHandler{}
+	m.SetHandler(h)
+	m.StartCore(0, 0x1000, flatAS(m.Mem().Size()))
+	c := m.Core(0)
+	c.Regs[2] = 1000
+	run(t, m, h)
+	if c.Regs[1] != 1000 {
+		t.Fatalf("r1 = %d, want 1000", c.Regs[1])
+	}
+	if st := m.SuperblockStats(); st.Blocks != 3 {
+		t.Fatalf("%d blocks built for the loop's two and the exit's one", st.Blocks)
+	}
+}

@@ -68,6 +68,7 @@ var hostDerived = map[string]string{
 	"machine.Machine.execCache":   "accelerator switch: the target keeps its own",
 	"machine.Machine.superblock":  "accelerator switch: the target keeps its own",
 	"machine.Machine.ffSkipped":   "host-side diagnostics, restart on load",
+	"machine.Machine.opCycles":    "derived from the profile",
 	"machine.Machine.parkEpoch":   "park gate memo: a re-armed park evaluates on its first poll",
 	"machine.Machine.parkStats":   "host-side diagnostics",
 	"machine.Machine.sbExit":      "batch-local flag of the superblock loop",
