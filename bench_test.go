@@ -180,7 +180,9 @@ func BenchmarkExecHotLoop(b *testing.B) {
 					s := sys.Machine().SuperblockStats()
 					b.ReportMetric(s.HitRate()*100, "block-hit-%")
 					m := sys.Machine()
-					b.ReportMetric(float64(s.Deferred)/float64(m.Core(0).Cycles+m.Core(1).Cycles)*100, "deferred-%")
+					cycles := float64(m.Core(0).Cycles + m.Core(1).Cycles)
+					b.ReportMetric(float64(s.Ahead)/cycles*100, "ahead-%")
+					b.ReportMetric(float64(s.Rewound.Total())/cycles*100, "rewound-%")
 					b.ReportMetric(float64(s.Solo)/float64(s.Batched)*100, "solo-%")
 				}
 			}

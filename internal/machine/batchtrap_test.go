@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -37,11 +38,32 @@ var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark
 	"irq-self", "ipi-self", "bp-self", "step-self", "dma-text-stuck", "branch-watch-self",
 	"bp-resume-self"}
 
+// privActions extend trapActions on a seed with bit 32 set, whose cores
+// each run in an address space of their own: a private data page, their own
+// text page (writable, so a loop can store into it), and the watched and
+// park pages shared. Their loops add what stops or rewinds a run ahead of
+// machine time: a load from a line not yet in the cache, a divide whose
+// divisor is zero every eighth iteration (its trap skips it), a store that
+// rewrites an increment two instructions on in their own text, a MEMCPY
+// and a MEMSET inside
+// their private page, a store into a device register, a store into a line
+// a register picks. The handler actions
+// stick a bit of a core's private page (cleared by the next such trap),
+// write another core's private page or a register its loop reads, or arm
+// another core's block watch at a block op's first chunk. Seeds without bit 32 expand exactly as before the split.
+var privActions = []string{"stuck-private", "poke-other-page", "poke-other-reg", "block-watch-other"}
+
+// privCopy holds the lengths of the private-layout loops' block ops, which
+// block-watch-other arms a watch on.
+var privCopy = [...]int32{40, 100, 150}
+
 const (
-	trapText   = 0x1000 // core i's loop at trapText + i*0x1000
-	trapData   = 0x8000 // core i's private words at trapData + i*0x100
-	trapFlag   = 0xC000 // the device-watched word
-	trapPark   = 0xD000 // the word parks wait on
+	trapText   = 0x1000  // core i's loop at trapText + i*0x1000
+	trapData   = 0x8000  // core i's private words at trapData + i*0x100
+	trapPriv   = 0x10000 // with bit 32: core i's private page at trapPriv + i*0x1000
+	trapPriv2  = 0x18000 // ... and the one its variant maps instead
+	trapFlag   = 0xC000  // the device-watched word
+	trapPark   = 0xD000  // the word parks wait on
 	trapMMIO   = 0xF000_0000
 	trapIRQ    = 3 // the device's interrupt line
 	trapOthIRQ = 5 // the line the handler raises
@@ -122,7 +144,8 @@ type trapScenario struct {
 	r      idleRand // the handler's draws
 	holds  idleRand // park's draws of a condition that already holds
 	action string
-	as     *AddrSpace
+	priv   bool          // each core has an address space of its own (privActions)
+	as     [4]*AddrSpace // core i's address space
 	alt    [4]*AddrSpace // as, with core i's text page mapped to a variant of its loop
 	loops  [4]uint64     // each core's loop head, the instruction patch-other rewrites
 	body   [4]int        // each core's loop length in instructions, its closing branch included
@@ -136,6 +159,8 @@ type trapScenario struct {
 	traps, rider, soloRider int
 	// bpAt counts the breakpoints that fired by where they stand (bpKinds).
 	bpAt [len(bpKinds)]int
+	// stuck is the private byte stuck-private stuck, 0 when none is.
+	stuck uint64
 }
 
 // bpKinds names where in its loop a breakpoint can fire: after a
@@ -182,13 +207,17 @@ func (sc *trapScenario) observe(tag string) {
 // register-only run closed by the loop's one branch. The variant (alt) has
 // the same layout and draws, with other immediates in the register-only
 // runs.
-func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
+func loopProg(r *idleRand, id int, alt, priv bool) (*asm.Builder, int) {
 	bump := int32(0)
 	if alt {
 		bump = 100
 	}
 	b := asm.New()
-	b.Li64(3, trapData+uint64(id)*0x100)
+	if priv {
+		b.Li64(3, trapPriv+uint64(id)*0x1000)
+	} else {
+		b.Li64(3, trapData+uint64(id)*0x100)
+	}
 	b.Li64(4, trapFlag)
 	b.Li64(10, trapPark)
 	b.Li64(11, trapMMIO)
@@ -236,10 +265,59 @@ func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
 	if r.intn(4) == 0 {
 		b.Ld(8, 9, 11, 0) // a device register
 	}
+	if priv {
+		privPieces(b, r)
+	}
 	b.Syscall(1)
 	run()
 	b.J("loop")
 	return b, head
+}
+
+// privPieces adds a private-layout loop's memory traffic: each piece is
+// drawn, so a run ahead meets them in any order.
+func privPieces(b *asm.Builder, r *idleRand) {
+	for k := 1 + r.intn(4); k > 0; k-- {
+		switch r.intn(8) {
+		case 0: // a line of the private page not touched for 32 iterations
+			b.Andi(16, 5, 31)
+			b.Shli(16, 16, 6)
+			b.Add(16, 16, 3)
+			b.Ld(8, 15, 16, 0x200)
+		case 1: // a zero divisor every eighth iteration
+			b.Andi(17, 5, 7)
+			b.Div(18, 12, 17)
+		case 2: // self-modifying code: an increment two instructions on
+			smc := fmt.Sprintf("smc%d", b.Len())
+			b.LiLabel(19, smc)
+			b.Andi(23, 12, 7)
+			b.Addi(23, 23, 1)
+			b.St(2, 19, 23, 4)
+			b.Nop()
+			b.Label(smc)
+			b.Addi(25, 25, 1)
+		case 3:
+			b.Li(20, privCopy[r.intn(len(privCopy))])
+			b.Addi(21, 3, 0xa00)
+			b.Addi(22, 3, 0x10)
+			b.Memcpy(20, 21, 22)
+		case 4:
+			b.Li(20, privCopy[r.intn(len(privCopy))])
+			b.Addi(21, 3, 0xc00)
+			b.Memset(20, 21, byte(r.intn(256)))
+		case 5:
+			b.St(8, 11, 5, 8) // a device register
+		case 6: // a line picked by a register poke-other-reg may change
+			b.Andi(24, 12, 15)
+			b.Shli(24, 24, 6)
+			b.Add(24, 24, 3)
+			b.St(8, 24, 5, 0x400)
+		default:
+			b.Ld(8, 8, 3, 0x18)
+			b.Add(12, 12, 8)
+			b.St(8, 3, 12, 0x20)
+		}
+	}
 }
 
 // newTrapScenario builds seed's machine on the batch engine (sb) or on naive
@@ -247,15 +325,18 @@ func loopProg(r *idleRand, id int, alt bool) (*asm.Builder, int) {
 func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleCall) {
 	t.Helper()
 	r := idleRand(seed)
-	m := New(X86(), 1<<16) // jitter on
+	priv := seed>>32&1 != 0
+	size, actions := 1<<16, trapActions
+	if priv {
+		size, actions = 1<<17, append(trapActions[:len(trapActions):len(trapActions)], privActions...)
+	}
+	m := New(X86(), size) // jitter on
 	m.SetSuperblock(sb)
 	m.SetExecCache(sb) // the reference fetches every instruction from memory
 	sc := &trapScenario{m: m, r: idleRand(seed ^ 0x5eed), holds: idleRand(seed ^ 0xb01d),
-		action: trapActions[seed%uint64(len(trapActions))]}
-	sc.as = &AddrSpace{Segs: []Segment{
-		{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX},
-		{VBase: trapMMIO, PBase: trapMMIO, Size: 0x100, Perm: PermR | PermW},
-	}}
+		action: actions[seed%uint64(len(actions))], priv: priv}
+	mmio := Segment{VBase: trapMMIO, PBase: trapMMIO, Size: 0x100, Perm: PermR | PermW}
+	flat := &AddrSpace{Segs: []Segment{{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX}, mmio}}
 	dev := &trapDevice{sc: sc}
 	sc.dev = dev
 	if err := m.Mem().WriteU(trapFlag, 8, 1); err != nil { // nothing to deliver yet
@@ -269,19 +350,36 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 	m.SetHandler(handlerFunc(sc.handle))
 	for i := 0; i < m.NumCores(); i++ {
 		ra := r
-		b, head := loopProg(&r, i, false)
+		b, head := loopProg(&r, i, false, priv)
 		base := trapText + uint64(i)*0x1000
 		mustLoad(t, m, b, base)
 		sc.loops[i] = base + uint64(head)*isa.InstrBytes
 		sc.body[i] = b.Len() - head
-		alt, _ := loopProg(&ra, i, true)
+		alt, _ := loopProg(&ra, i, true, priv)
 		pa := trapAlt[i]
 		mustLoad(t, m, alt, pa)
+		if priv {
+			// The core's text and private page, and the shared watched and
+			// park pages; the variant maps the private page's addresses onto
+			// a second private page.
+			own := func(text, data uint64) *AddrSpace {
+				return &AddrSpace{Segs: []Segment{
+					{VBase: base, PBase: text, Size: 0x1000, Perm: PermR | PermW | PermX},
+					{VBase: trapPriv + uint64(i)*0x1000, PBase: data, Size: 0x1000, Perm: PermR | PermW},
+					{VBase: trapFlag, PBase: trapFlag, Size: 0x1000, Perm: PermR | PermW},
+					{VBase: trapPark, PBase: trapPark, Size: 0x1000, Perm: PermR | PermW},
+					mmio,
+				}}
+			}
+			sc.as[i], sc.alt[i] = own(base, trapPriv+uint64(i)*0x1000), own(pa, trapPriv2+uint64(i)*0x1000)
+			continue
+		}
+		sc.as[i] = flat
 		sc.alt[i] = &AddrSpace{Segs: []Segment{
 			{VBase: 0, PBase: 0, Size: base, Perm: PermR | PermW | PermX},
 			{VBase: base, PBase: pa, Size: 0x1000, Perm: PermR | PermW | PermX},
 			{VBase: base + 0x1000, PBase: base + 0x1000, Size: 1<<16 - base - 0x1000, Perm: PermR | PermW | PermX},
-			sc.as.Segs[1],
+			mmio,
 		}}
 	}
 	running := 1 + r.intn(4)
@@ -289,11 +387,11 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 		c := m.Core(i)
 		switch {
 		case i < running:
-			m.StartCore(i, trapText+uint64(i)*0x1000, sc.as)
+			m.StartCore(i, trapText+uint64(i)*0x1000, sc.as[i])
 			c.AddStall(r.intn(300))
 		case r.intn(2) == 0:
 			// A rider: woken by the handler, by time, or never.
-			c.PC, c.AS = trapText+uint64(i)*0x1000, sc.as
+			c.PC, c.AS = trapText+uint64(i)*0x1000, sc.as[i]
 			sc.park(c, &r)
 		}
 	}
@@ -324,14 +422,15 @@ func (sc *trapScenario) park(c *Core, r *idleRand) {
 		return v != seen
 	}
 	page := m.Mem().PageGen(trapPark, 8)
+	done := func() { sc.observe(fmt.Sprintf("wake core %d", c.ID)) } // kernel code: it sees every core
 	switch r.intn(3) {
 	case 0:
-		c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() || changed() }, nil, NoEvent, page)
+		c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() || changed() }, done, NoEvent, page)
 	case 1:
 		wake := c.Cycles + 20 + uint64(r.intn(600))
-		c.Park(func() bool { return c.Cycles >= wake || changed() }, nil, wake, page)
+		c.Park(func() bool { return c.Cycles >= wake || changed() }, done, wake, page)
 	default:
-		c.Park(changed, nil, NoEvent, page)
+		c.Park(changed, done, NoEvent, page)
 	}
 }
 
@@ -361,6 +460,9 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 			c.BP.Enabled = false
 		}
 		return
+	case TrapDivZero:
+		c.PC += isa.InstrBytes
+		return
 	case TrapSyscall:
 	default: // branch watch and single-step disarm themselves
 		return
@@ -369,6 +471,9 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 	action := sc.action
 	if action == "mixed" {
 		action = trapActions[1+r.intn(len(trapActions)-1)]
+		if sc.priv && r.intn(4) == 0 {
+			action = privActions[r.intn(len(privActions))]
+		}
 	}
 	o := m.Core((c.ID + 1 + r.intn(m.NumCores()-1)) % m.NumCores())
 	running := o.State == CoreRunning
@@ -404,10 +509,10 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 			m.StartCore(o.ID, o.PC, o.AS) // same place, cold cache
 		}
 	case "remap-other":
-		if running && o.AS == sc.as {
+		if running && o.AS == sc.as[o.ID] {
 			o.AS = sc.alt[o.ID]
 		} else if running {
-			o.AS = sc.as
+			o.AS = sc.as[o.ID]
 		}
 	case "stall-other":
 		o.AddStall(1 + r.intn(60))
@@ -445,6 +550,21 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 		d.ins = isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: imm})
 	case "branch-watch-self":
 		c.BranchWatch.Target, c.BranchWatch.Enabled = c.UserBranches+1, true
+	case "stuck-private":
+		at := trapPriv + uint64(o.ID)*0x1000 + uint64(r.intn(0x40))
+		if sc.stuck != 0 {
+			m.Mem().ClearStuck(sc.stuck, 0)
+			sc.stuck = 0
+			break
+		}
+		_ = m.Mem().SetStuck(at, 0, 1)
+		sc.stuck = at
+	case "poke-other-page":
+		_ = m.Mem().WriteU(trapPriv+uint64(o.ID)*0x1000+uint64(8*r.intn(8)), 8, uint64(r.intn(1<<20)))
+	case "poke-other-reg":
+		o.Regs[12+r.intn(2)] += uint64(1 + r.intn(9))
+	case "block-watch-other":
+		o.BlockWatch.Rem, o.BlockWatch.Enabled = uint64(privCopy[r.intn(len(privCopy))]), true
 	}
 }
 
@@ -475,7 +595,38 @@ func (sc *trapScenario) render() string {
 		fmt.Fprintf(&b, "core %d: %+v\n", i, idleCoreState{c.Cycles, c.Instructions, c.PC, c.jitter,
 			c.pendingIRQ, c.stall, c.State, c.Regs, c.pendingIPI, c.SingleStep, c.BP.Enabled})
 	}
+	b.WriteString(memState(sc.m))
 	b.WriteString(strings.Join(sc.log, "\n"))
+	return b.String()
+}
+
+// memState digests what a run ahead may change besides registers: every
+// byte of RAM and every cache line's tag, valid and dirty bits. Stuck bits
+// are asserted first, as any read would: when a read happens may not show.
+func memState(m *Machine) string {
+	for a, msk := range m.mem.stuck {
+		m.mem.applyStuck(a, msk)
+	}
+	h := crc32.NewIEEE()
+	h.Write(m.mem.bytes)
+	var b strings.Builder
+	fmt.Fprintf(&b, "ram %08x", h.Sum32())
+	for _, c := range m.cores {
+		h.Reset()
+		ch := c.cache
+		for i := range ch.tags {
+			v := ch.tags[i] << 2
+			if ch.valid[i] {
+				v |= 2
+			}
+			if ch.dirty[i] {
+				v |= 1
+			}
+			h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)})
+		}
+		fmt.Fprintf(&b, " cache%d %08x", c.ID, h.Sum32())
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 
@@ -501,38 +652,52 @@ func FuzzBatchTrap(f *testing.F) {
 }
 
 // TestBatchTrapSurvival is the fuzz target's fixed-seed tier-1 run: three
-// seeds per action. Across them traps must have been taken both beside a
-// rider and without one, some beside a rider inside a solo run, solo runs
-// must have issued naively, breakpoints must have fired at every kind of
-// place in a loop, and batches must have gone on after most traps.
+// seeds per action, and one per action of the private layout. Across them
+// traps must have been taken both beside a rider and without one, some
+// beside a rider inside a solo run, solo runs must have issued naively,
+// breakpoints must have fired at every kind of place in a loop, batches
+// must have gone on after most traps, and in the private layout cores must
+// have run ahead, been rewound and replayed, and had runs undone for good.
 func TestBatchTrapSurvival(t *testing.T) {
 	var traps, rider, soloRider int
 	var bpAt [len(bpKinds)]int
 	var exits BatchExits
-	var solo, soloNaive uint64
+	var solo, soloNaive, ahead, replayed, rewound uint64
+	var seeds []uint64
 	for k := uint64(0); k < 3; k++ {
 		for a := range trapActions {
-			sc := batchTrapCheck(t, k*uint64(len(trapActions))+uint64(a)+2000)
-			traps += sc.traps
-			rider += sc.rider
-			soloRider += sc.soloRider
-			for i, n := range sc.bpAt {
-				bpAt[i] += n
-			}
-			st := sc.m.SuperblockStats()
-			solo += st.Solo
-			soloNaive += st.SoloNaive
-			e := st.Exits
-			exits.Trap += e.Trap
-			exits.MMIO += e.MMIO
-			exits.Watched += e.Watched
-			exits.Wake += e.Wake
-			exits.Horizon += e.Horizon
-			exits.Refused += e.Refused
+			seeds = append(seeds, k*uint64(len(trapActions))+uint64(a)+2000)
 		}
 	}
-	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; breakpoints by place %v: %v; batch exits: %+v",
-		traps, rider, soloRider, solo, soloNaive, bpKinds, bpAt, exits)
+	for a := range len(trapActions) + len(privActions) {
+		seeds = append(seeds, 1<<32+uint64(len(trapActions)+len(privActions))*70+uint64(a))
+	}
+	for _, seed := range seeds {
+		sc := batchTrapCheck(t, seed)
+		traps += sc.traps
+		rider += sc.rider
+		soloRider += sc.soloRider
+		for i, n := range sc.bpAt {
+			bpAt[i] += n
+		}
+		st := sc.m.SuperblockStats()
+		solo += st.Solo
+		soloNaive += st.SoloNaive
+		if sc.priv {
+			ahead += st.Ahead
+			replayed += st.Replayed
+			rewound += st.Rewound.Total()
+		}
+		e := st.Exits
+		exits.Trap += e.Trap
+		exits.MMIO += e.MMIO
+		exits.Watched += e.Watched
+		exits.Wake += e.Wake
+		exits.Horizon += e.Horizon
+		exits.Refused += e.Refused
+	}
+	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; breakpoints by place %v: %v; batch exits: %+v; private layout: %d cycles ahead, %d replayed, %d undone",
+		traps, rider, soloRider, solo, soloNaive, bpKinds, bpAt, exits, ahead, replayed, rewound)
 	for i, n := range bpAt {
 		if n == 0 {
 			t.Fatalf("no breakpoint fired at a %s place", bpKinds[i])
@@ -549,5 +714,8 @@ func TestBatchTrapSurvival(t *testing.T) {
 	}
 	if exits.Trap*2 > uint64(traps) {
 		t.Fatalf("%d of %d traps ended their batch", exits.Trap, traps)
+	}
+	if ahead == 0 || replayed == 0 || rewound == 0 {
+		t.Fatalf("private layout: %d cycles ran ahead, %d were replayed, %d undone", ahead, replayed, rewound)
 	}
 }

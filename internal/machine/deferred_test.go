@@ -79,15 +79,16 @@ func (d *obsDevice) NextEvent(now uint64) uint64 {
 }
 
 const (
-	obsLoop0   = 0x1000 // the first loop: integer and MUL
-	obsLoop1   = 0x2000 // the other loops: FP, long stalls
-	obsText    = 0x3000 // the observer's program
-	obsSpin    = 0x4000 // the spinner's load loop
-	obsCold    = 0x5000 // a line the observer has never fetched
-	obsFlagPA  = 0x8000 // device-watched RAM
-	obsParkPA  = 0x9000 // the word a watched park waits on
-	obsSrcPA   = 0xA000 // data nobody has touched: a load from it misses
-	obsDstPA   = 0xB000 // the destination of the observer's MEMCPY
+	obsLoop0   = 0x1000  // the first loop: integer and MUL
+	obsLoop1   = 0x2000  // the other loops: FP, long stalls
+	obsText    = 0x3000  // the observer's program
+	obsSpin    = 0x4000  // the spinner's load loop
+	obsCold    = 0x5000  // a line the observer has never fetched
+	obsFlagPA  = 0x8000  // device-watched RAM
+	obsParkPA  = 0x9000  // the word a watched park waits on
+	obsSrcPA   = 0xA000  // data nobody has touched: a load from it misses
+	obsDstPA   = 0xB000  // the destination of the observer's MEMCPY
+	obsPriv    = 0x10000 // with priv: the FP loops' private page, at obsPriv + id*0x1000
 	obsMMIO    = 0xF000_0000
 	obsPatched = 100                   // the increment the observer patches into loop 0
 	obsFill    = 0x5a5a_5a5a_5a5a_5a5a // the last word the MEMCPY moves
@@ -109,7 +110,11 @@ type obsConfig struct {
 	rider     bool
 	pageRider bool
 	spinner   bool
-	maxNops   int // the observer's lead-in is swept from 0 to this many NOPs
+	// priv runs the FP loops in address spaces of their own, each with a
+	// private page it loads from and stores into, and text no other core
+	// maps writable, so they run ahead of machine time.
+	priv    bool
+	maxNops int // the observer's lead-in is swept from 0 to this many NOPs
 }
 
 func mustLoad(t *testing.T, m *Machine, b *asm.Builder, base uint64) {
@@ -130,7 +135,11 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	t.Helper()
 	prof := X86() // jitter on
 	prof.Costs.MemHit = memHit
-	m := New(prof, 1<<16)
+	size := 1 << 16
+	if cfg.priv {
+		size = 1 << 17
+	}
+	m := New(prof, size)
 	m.SetSuperblock(sb)
 	dev := &obsDevice{m: m, flagPA: obsFlagPA, log: &log}
 	if err := m.Mem().WriteU(obsFlagPA, 8, 1); err != nil { // mailbox occupied
@@ -160,7 +169,13 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 
 	l1 := asm.New()
 	l1.Fconst(1, 1.5)
+	l1.Li64(10, obsPriv)
 	l1.Label("loop")
+	if cfg.priv {
+		l1.Ld(8, 11, 10, 0)
+		l1.Add(11, 11, 5)
+		l1.St(8, 10, 11, 8)
+	}
 	l1.Fadd(2, 2, 1)
 	l1.Fmul(3, 2, 1)
 	l1.Fsin(4, 3)
@@ -220,10 +235,25 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	spin.J("loop")
 	mustLoad(t, m, spin, obsSpin)
 
-	as := &AddrSpace{Segs: []Segment{
-		{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX},
-		{VBase: obsMMIO, PBase: obsMMIO, Size: 0x100, Perm: PermR | PermW},
-	}}
+	mmio := Segment{VBase: obsMMIO, PBase: obsMMIO, Size: 0x100, Perm: PermR | PermW}
+	as := &AddrSpace{Segs: []Segment{{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX}, mmio}}
+	loop1AS := func(int) *AddrSpace { return as }
+	if cfg.priv {
+		// Nobody else maps the FP loops' text writable or their pages.
+		rwx := PermR | PermW | PermX
+		as = &AddrSpace{Segs: []Segment{
+			{VBase: 0, PBase: 0, Size: obsLoop1, Perm: rwx},
+			{VBase: obsLoop1, PBase: obsLoop1, Size: 0x1000, Perm: PermR | PermX},
+			{VBase: obsLoop1 + 0x1000, PBase: obsLoop1 + 0x1000, Size: 1<<16 - obsLoop1 - 0x1000, Perm: rwx},
+			mmio,
+		}}
+		loop1AS = func(id int) *AddrSpace {
+			return &AddrSpace{Segs: []Segment{
+				{VBase: obsLoop1, PBase: obsLoop1, Size: 0x1000, Perm: PermR | PermX},
+				{VBase: obsPriv, PBase: obsPriv + uint64(id)*0x1000, Size: 0x1000, Perm: PermR | PermW},
+			}}
+		}
+	}
 	m.Run(uint64(phase)) // every core halted: only the rotation origin moves
 	observer := cfg.observer
 	var others []int // the cores beside the observer, ascending
@@ -235,7 +265,7 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 	patched := others[0]
 	m.StartCore(patched, obsLoop0, as)
 	for _, id := range others[1:cfg.loops] {
-		m.StartCore(id, obsLoop1, as)
+		m.StartCore(id, obsLoop1, loop1AS(id))
 	}
 	m.StartCore(observer, obsText, as)
 	free := others[cfg.loops:]
@@ -295,9 +325,11 @@ func observationRun(t *testing.T, sb bool, memHit int, cfg obsConfig, phase, nop
 // beside parked riders, one woken by the observer's store into its watched
 // word, one whose watched page that store moves while it stays parked; with
 // the stock one-cycle cache hit as well as a three-cycle one, which puts a
-// stall behind every fetch; and beside a spinner that keeps solo rare, so
-// the observer's store into the running loop lands in the rotation, where
-// the loop's promise is revoked (sbRevoke).
+// stall behind every fetch; beside a spinner that keeps solo rare, so the
+// observer's store into the running loop lands in the rotation; and with
+// FP loops that load from and store into private pages, in address spaces
+// of their own, so they run ahead of machine time and every observation
+// rewinds them.
 func TestDeferredObservationExact(t *testing.T) {
 	for _, memHit := range []int{1, 3} {
 		for _, cfg := range []obsConfig{
@@ -307,6 +339,8 @@ func TestDeferredObservationExact(t *testing.T) {
 			{loops: 2, observer: 1, maxNops: 23},
 			{loops: 3, observer: 2, maxNops: 23},
 			{loops: 1, observer: 1, spinner: true, maxNops: 23},
+			{loops: 2, observer: 2, rider: true, priv: true, maxNops: 23},
+			{loops: 3, observer: 0, priv: true, maxNops: 23},
 		} {
 			var deferred, promises, solo, soloRider uint64
 			for phase := 0; phase < 4; phase++ {
@@ -323,14 +357,14 @@ func TestDeferredObservationExact(t *testing.T) {
 								where, i, naive[i].tag, fast[i], naive[i])
 						}
 					}
-					deferred += st.Deferred
+					deferred += st.Ahead
 					promises += st.Promises
 					solo += st.Solo
 					soloRider += st.SoloRider
 				}
 			}
 			if deferred == 0 || promises == 0 {
-				t.Fatalf("hit %d %+v: nothing was deferred (%d cycles, %d promises): the test observes nothing",
+				t.Fatalf("hit %d %+v: nothing ran ahead (%d cycles, %d promises): the test observes nothing",
 					memHit, cfg, deferred, promises)
 			}
 			if solo == 0 || (soloRider != 0) != (cfg.rider || cfg.pageRider) {
@@ -455,8 +489,8 @@ func TestDeferredCondShadowReportsViolation(t *testing.T) {
 }
 
 // TestSuperblockFastSet pins the one definition of the fast set: for every
-// opcode, defined or not, sbFast — what buildBlock's run lengths are made
-// of — says what execFast does.
+// opcode, defined or not, sbFast — what a run ahead executes without a
+// check — says what execFast does.
 func TestSuperblockFastSet(t *testing.T) {
 	cost := X86().Costs
 	fast := 0
@@ -479,21 +513,5 @@ func TestSuperblockFastSet(t *testing.T) {
 	}
 	if fast < 40 {
 		t.Fatalf("only %d opcodes in the fast set", fast)
-	}
-	// buildBlock's table: run lengths count down to the first slow op.
-	m := New(noJitter(X86()), 1<<16)
-	b := asm.New()
-	b.Addi(1, 1, 1)
-	b.Mul(2, 1, 1)
-	b.Ld(8, 3, 0, 0x100)
-	b.Fadd(4, 4, 4)
-	b.Hlt()
-	loadProg(t, m, b)
-	sb := m.blockFor(m.Core(0))
-	if sb == nil || sb.n != 5 {
-		t.Fatalf("block = %+v", sb)
-	}
-	if got := [5]uint8(sb.fast[:5]); got != [5]uint8{2, 1, 0, 1, 0} {
-		t.Fatalf("fast run lengths = %v, want [2 1 0 1 0]", got)
 	}
 }

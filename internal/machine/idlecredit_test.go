@@ -209,6 +209,7 @@ const (
 	idleText   = 0x800  // a word on the loop's page that holds no instruction
 	idleBadPC  = 0x3000 // bytes that do not decode: no block forms here
 	idleWord   = 0x4000 // the loop's store target, which every park reads
+	idlePriv   = 0x8000 // with bit 32: core i's private page at idlePriv + i*0x1000
 )
 
 var idleStates = []string{"mixed", "all-idle", "irq", "ipi", "breakpoint",
@@ -246,6 +247,11 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 	t.Helper()
 	state := idleStates[seed%uint64(len(idleStates))]
 	r := idleRand(seed)
+	// A seed with bit 32 set gives each running core an address space of its
+	// own: the loop's text read-only, the parks' word shared, and a private
+	// page it loads from and stores into, so it runs ahead of machine time
+	// between its stores into the shared word. Other seeds expand as before.
+	priv := seed>>32&1 != 0
 	prof := X86() // jitter on: the PRNG must advance identically
 	prof.Cores = 1 + r.intn(4)
 	m := New(prof, 1<<16)
@@ -255,11 +261,21 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 	b := asm.New()
 	b.Li64(3, idleWord)
 	b.Li64(4, idleText)
+	if priv {
+		b.Li64(7, idlePriv)
+	}
 	b.Label("loop")
 	b.Fsin(5, 1) // FPTrans stall: the core is mostly not issuing
+	if priv {
+		for k := 1 + r.intn(3); k > 0; k-- {
+			b.Ld(8, 6, 7, 0)
+			b.Add(6, 6, 5)
+			b.St(8, 7, 6, int32(8*r.intn(16)))
+		}
+	}
 	b.Addi(1, 1, 1)
 	b.St(8, 3, 1, 0) // what the parks wait on
-	if r.intn(4) == 0 {
+	if r.intn(4) == 0 && !priv {
 		b.St(8, 4, 1, 0) // the loop's own page: its blocks go stale
 	}
 	b.J("loop")
@@ -281,7 +297,17 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 			c.PC = idleLoopPC
 		}
 	}))
-	as := flatAS(m.Mem().Size())
+	as := func(int) *AddrSpace { return flatAS(m.Mem().Size()) }
+	if priv {
+		as = func(i int) *AddrSpace {
+			return &AddrSpace{Segs: []Segment{
+				{VBase: idleLoopPC, PBase: idleLoopPC, Size: 0x1000, Perm: PermR | PermX},
+				{VBase: idleBadPC, PBase: idleBadPC, Size: 0x1000, Perm: PermR | PermX},
+				{VBase: idleWord, PBase: idleWord, Size: 0x1000, Perm: PermR | PermW},
+				{VBase: idlePriv, PBase: idlePriv + uint64(i)*0x1000, Size: 0x1000, Perm: PermR | PermW},
+			}}
+		}
+	}
 
 	feature := func(c *Core, f string) {
 		switch f {
@@ -324,7 +350,7 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 		}
 		switch kind {
 		case 0:
-			m.StartCore(i, idleLoopPC, as)
+			m.StartCore(i, idleLoopPC, as(i))
 			c.Regs[1] = uint64(r.intn(64))
 			c.AddStall(2 + r.intn(400))
 			switch {
@@ -334,7 +360,7 @@ func newIdleScenario(t *testing.T, seed uint64, sb bool) (*idleScenario, []idleC
 				feature(c, idleStates[2+r.intn(len(idleStates)-2)])
 			}
 		case 1:
-			c.PC, c.AS = idleLoopPC, as // where it runs once woken
+			c.PC, c.AS = idleLoopPC, as(i) // where it runs once woken
 			c.AddStall(r.intn(400))
 			sc.park(c, &r)
 		case 3:
@@ -422,6 +448,7 @@ func (sc *idleScenario) render() string {
 		fmt.Fprintf(&b, "core %d: %+v\n", i, idleCoreState{c.Cycles, c.Instructions, c.PC, c.jitter,
 			c.pendingIRQ, c.stall, c.State, c.Regs, c.pendingIPI, c.SingleStep, c.BP.Enabled})
 	}
+	b.WriteString(memState(sc.m))
 	b.WriteString(strings.Join(sc.traps, "\n"))
 	if sc.timer != nil {
 		fmt.Fprintf(&b, "\ntimer fires %v", sc.timer.fires)

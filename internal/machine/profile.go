@@ -22,13 +22,15 @@
 // Hot straight-line code runs through the superblock engine
 // (superblock.go, SetSuperblock): predecoded branch-to-branch runs executed
 // in a batched loop. Inside a batch the cores are not interleaved cycle by
-// cycle where nothing can tell the difference. A core lags behind the
-// machine's clock through its register-only stretches and stalls: it is
-// credited the cycles and executes them afterwards in one burst, always
-// before anything can observe it — the kernel at a trap, a device at an
-// MMIO access, a park condition, the host when Run or RunUntil returns.
-// And while every other core lags, the one core that does not runs alone
-// at the machine's clock, any instruction, with the others' credits
+// cycle where nothing can tell the difference. A core may run ahead of the
+// machine's clock while everything it touches is its own — its registers,
+// its cache's resident lines, RAM pages no other core maps, text no other
+// core can write — and whatever could observe it rewinds it first: the
+// kernel at a trap, a device at an MMIO access, a park condition, the host
+// when Run or RunUntil returns. The run is then undone and replayed up to
+// the observed cycle, and put back afterwards when the observer left it
+// alone. And while every other core is ahead, the one core that is not runs
+// alone at the machine's clock, any instruction, with the others' credits
 // settled by arithmetic. The same bulk credit carries idle windows: when
 // every core is parked, halted or counting down a stall, the batch jumps to
 // the first cycle at which anything can happen: every device declares its

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rcoe/internal/asm"
@@ -449,55 +450,13 @@ func TestSuperblockBranchWatchChase(t *testing.T) {
 	}
 }
 
-// TestSuperblockOpCycles pins the table promises are counted in: for every
-// opcode on both stock profiles, opCycles is what naive stepping shows an
-// issue of the op to occupy, from that issue to the next, with its fetch a
-// hit — and 0 for an op outside the fast set, like sbFast.
-func TestSuperblockOpCycles(t *testing.T) {
-	for _, prof := range []Profile{noJitter(X86()), noJitter(Arm())} {
-		tab := New(prof, 1<<16).opCycles
-		for op := 0; op < 256; op++ {
-			ins := isa.Instr{Op: isa.Opcode(op), Rd: 1, Rs1: 2, Rs2: 3, Imm: 8}
-			if !sbFast[op] {
-				if tab[op] != 0 {
-					t.Errorf("%s %v: opCycles = %d outside the fast set", prof.Name, ins.Op, tab[op])
-				}
-				continue
-			}
-			m := New(prof, 1<<16)
-			m.SetSuperblock(false)
-			// Four copies in one fetch line; every branch target (8, or 16
-			// for jalr) holds the op again.
-			for pc := uint64(0); pc < 32; pc += isa.InstrBytes {
-				w := isa.Encode(ins)
-				if err := m.Mem().Write(pc, w[:]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.SetHandler(handlerFunc(func(c *Core, tr Trap) { t.Fatalf("%v: trap %v", ins.Op, tr.Kind) }))
-			m.StartCore(0, 0, flatAS(m.Mem().Size()))
-			c := m.Core(0)
-			c.Regs[2] = 8
-			var at []uint64 // the cycle of each issue
-			for len(at) < 3 {
-				n := c.Instructions
-				m.Step()
-				if c.Instructions != n {
-					at = append(at, c.Cycles)
-				}
-			}
-			if got := at[2] - at[1]; uint64(tab[op]) != got {
-				t.Errorf("%s %v: opCycles = %d, naive stepping issues every %d cycles", prof.Name, ins.Op, tab[op], got)
-			}
-		}
-	}
-}
-
 // TestSuperblockStallRunOnePromise runs an FP-stall run (fdiv, fmul, fadd,
-// then a load) on two cores. A promise counts the stalls its ops add, so
-// each core covers its run with one promise, and one more for the load's
-// miss; and after Run(n), for every n up to the program's end, the machine
-// is where naive stepping leaves it.
+// then a load from the core's private page) on two cores, each in an
+// address space of its own. A promise is the run a core executed ahead, its
+// stalls included, so each core covers its run with one promise, stopping
+// before the load's miss, and one more after the miss; and after Run(n), for
+// every n up to the program's end, the machine is where naive stepping
+// leaves it.
 func TestSuperblockStallRunOnePromise(t *testing.T) {
 	b := asm.New()
 	b.Nop() // core 0's first fetch misses here, core 1's on the fdiv
@@ -510,7 +469,13 @@ func TestSuperblockStallRunOnePromise(t *testing.T) {
 		m := New(prof, 1<<16)
 		m.SetSuperblock(sb)
 		loadProg(t, m, b)
-		m.StartCore(1, isa.InstrBytes, flatAS(m.Mem().Size()))
+		// Read-only text, and a private data page each.
+		for i := range 2 {
+			m.StartCore(i, uint64(i)*isa.InstrBytes, &AddrSpace{Segs: []Segment{
+				{VBase: 0, PBase: 0, Size: 0x1000, Perm: PermR | PermX},
+				{VBase: 0x4000, PBase: 0x4000 + uint64(i)*0x1000, Size: 0x1000, Perm: PermR | PermW},
+			}})
+		}
 		return m
 	}
 	for _, prof := range []Profile{noJitter(X86()), X86()} {
@@ -557,5 +522,186 @@ func TestSuperblockSlotIndex(t *testing.T) {
 	}
 	if st := m.SuperblockStats(); st.Blocks != 3 {
 		t.Fatalf("%d blocks built for the loop's two and the exit's one", st.Blocks)
+	}
+}
+
+// TestRunAheadPrivacyMap pins which pages a run ahead of machine time may
+// touch: data pages one core's address space alone maps, not executable,
+// not device-watched, under no MMIO window; and text no other core maps
+// writable. It also pins the rebuild when an address space changes.
+func TestRunAheadPrivacyMap(t *testing.T) {
+	m := New(noJitter(X86()), 1<<17)
+	const rw, rx, rwx = PermR | PermW, PermR | PermX, PermR | PermW | PermX
+	as0 := &AddrSpace{Segs: []Segment{
+		{VBase: 0x1000, PBase: 0x1000, Size: 0x1000, Perm: rx},   // text, read-only
+		{VBase: 0x2000, PBase: 0x2000, Size: 0x2000, Perm: rw},   // private data
+		{VBase: 0x4000, PBase: 0x4000, Size: 0x1000, Perm: rw},   // shared with core 1
+		{VBase: 0x5000, PBase: 0x5000, Size: 0x1000, Perm: rwx},  // own writable text
+		{VBase: 0x6000, PBase: 0x6000, Size: 0x1000, Perm: rw},   // device-watched
+		{VBase: 0x7000, PBase: 0x7000, Size: 0x1000, Perm: rw},   // an MMIO window
+		{VBase: 0x8000, PBase: 0x1_0000, Size: 0x1000, Perm: rw}, // private, remapped
+	}}
+	as1 := &AddrSpace{Segs: []Segment{
+		{VBase: 0x1000, PBase: 0x1000, Size: 0x1000, Perm: rx},
+		{VBase: 0x4000, PBase: 0x4000, Size: 0x1000, Perm: rw},
+		{VBase: 0x9000, PBase: 0x9000, Size: 0x1000, Perm: rwx}, // core 1's text, writable by it
+	}}
+	m.AddDevice(&watchOnly{lo: 0x6000, hi: 0x6008})
+	m.MapMMIO(0x7000, 0x100, nopMMIO{})
+	m.StartCore(0, 0x1000, as0)
+	m.StartCore(1, 0x1000, as1)
+	m.privRefresh()
+	for _, tc := range []struct {
+		pa           uint64
+		data, writer uint8
+	}{
+		{0x1000, pgShared, 0},        // read-only text: runs of both fetch it, none stores
+		{0x2000, 1, 1},               // core 0's private data
+		{0x3000, 1, 1},               // ... its second page
+		{0x4000, pgShared, pgShared}, // shared
+		{0x5000, pgShared, 1},        // executable: no run stores there; core 0 may fetch it
+		{0x6000, pgShared, 1},        // watched
+		{0x7000, pgShared, 1},        // under an MMIO window
+		{0x1_0000, 1, 1},             // physical pages count, not virtual ones
+		{0x9000, pgShared, 2},        // core 1's writable text: core 0 may not fetch it ahead
+		{0xa000, 0, 0},               // mapped by nobody
+	} {
+		p := tc.pa >> pageShift
+		if m.pgData[p] != tc.data || m.pgWriter[p] != tc.writer {
+			t.Errorf("page %#x: pgData %d pgWriter %d, want %d %d", tc.pa, m.pgData[p], m.pgWriter[p], tc.data, tc.writer)
+		}
+	}
+	gen := m.privGen
+	m.privRefresh()
+	if m.privGen != gen {
+		t.Fatal("the map was rebuilt with no address space changed")
+	}
+	as1.Map(Segment{VBase: 0xa000, PBase: 0x2000, Size: 0x1000, Perm: PermR})
+	m.privRefresh()
+	if m.privGen == gen || m.pgData[0x2] != pgShared || m.pgData[0x3] != 1 {
+		t.Fatalf("after core 1 mapped core 0's page: gen %d → %d, pgData %d %d", gen, m.privGen, m.pgData[0x2], m.pgData[0x3])
+	}
+}
+
+// watchOnly is a device that only watches RAM.
+type watchOnly struct{ lo, hi uint64 }
+
+func (watchOnly) Tick(*Machine)                  {}
+func (watchOnly) NextEvent(uint64) uint64        { return NoEvent }
+func (w watchOnly) WatchedMem() (uint64, uint64) { return w.lo, w.hi }
+
+type nopMMIO struct{}
+
+func (nopMMIO) MMIORead(uint64, int) uint64   { return 0 }
+func (nopMMIO) MMIOWrite(uint64, int, uint64) {}
+
+// TestRunAheadStuckBit pins the stuck-bit condition of a run ahead of
+// machine time: core 1 keeps storing into its private page while core 0's
+// syscalls stick a bit of that page and later clear it, which changes no
+// byte and so no page generation. A store made ahead while the bit is stuck
+// would be forced, and kept by a resumed run, where naive stepping stores
+// after the clear; so no run may touch a page while a bit in it is stuck.
+func TestRunAheadStuckBit(t *testing.T) {
+	const data1 = 0x11000
+	scenario := func(sb bool) string {
+		m := New(noJitter(X86()), 1<<17)
+		m.SetSuperblock(sb)
+		m.SetExecCache(sb)
+		calls := 0
+		m.SetHandler(handlerFunc(func(c *Core, tr Trap) {
+			switch calls++; calls % 3 {
+			case 1:
+				_ = m.Mem().SetStuck(data1, 0, 1)
+			case 2:
+				m.Mem().ClearStuck(data1, 0)
+			}
+		}))
+		a := asm.New()
+		a.Label("loop")
+		for i := 0; i < 40; i++ {
+			a.Addi(4, 4, 3)
+		}
+		a.Syscall(1)
+		a.J("loop")
+		mustLoad(t, m, a, 0x1000)
+		b := asm.New()
+		b.Li64(3, data1)
+		b.Label("loop")
+		b.Addi(5, 5, 1)
+		b.St(8, 3, 5, 0)
+		b.Ld(8, 6, 3, 0)
+		b.Add(7, 7, 6)
+		b.J("loop")
+		mustLoad(t, m, b, 0x2000)
+		text := func(pa uint64) Segment { return Segment{VBase: pa, PBase: pa, Size: 0x1000, Perm: PermR | PermX} }
+		m.StartCore(0, 0x1000, &AddrSpace{Segs: []Segment{text(0x1000)}})
+		m.StartCore(1, 0x2000, &AddrSpace{Segs: []Segment{text(0x2000),
+			{VBase: data1, PBase: data1, Size: 0x1000, Perm: PermR | PermW}}})
+		var out strings.Builder
+		for _, n := range []uint64{700, 1, 333, 2000, 57, 4000} {
+			m.Run(n)
+			for i := 0; i < 2; i++ {
+				c := m.Core(i)
+				fmt.Fprintf(&out, "%d: %d %d %#x %v\n", i, c.Cycles, c.Instructions, c.PC, c.Regs)
+			}
+			out.WriteString(memState(m))
+		}
+		return out.String()
+	}
+	if f, n := scenario(true), scenario(false); f != n {
+		t.Fatalf("the engines diverged\n%s", diffLine(f, n))
+	}
+}
+
+// TestRunAheadDirtyUndo pins the dirty bits in a run's undo log: core 1
+// stores into a resident clean line only once its counter reaches 150, which
+// a run ahead of machine time reaches and machine time never does, since
+// every syscall of core 0 resets the counter. The handler's register write
+// drops the run, and with it the dirty bit that store set.
+func TestRunAheadDirtyUndo(t *testing.T) {
+	const data1 = 0x11000
+	scenario := func(sb bool) string {
+		m := New(noJitter(X86()), 1<<17)
+		m.SetSuperblock(sb)
+		m.SetExecCache(sb)
+		m.SetHandler(handlerFunc(func(c *Core, tr Trap) { m.Core(1).Regs[5] = 0 }))
+		a := asm.New()
+		a.Label("loop")
+		for i := 0; i < 40; i++ {
+			a.Addi(4, 4, 3)
+		}
+		a.Syscall(1)
+		a.J("loop")
+		mustLoad(t, m, a, 0x1000)
+		b := asm.New()
+		b.Li64(3, data1)
+		b.Li(10, 150)
+		b.Ld(8, 6, 3, 0x100) // the line the store would dirty, resident and clean
+		b.Label("loop")
+		b.Addi(5, 5, 1)
+		b.Bne(5, 10, "loop")
+		b.St(8, 3, 5, 0x100)
+		b.J("loop")
+		mustLoad(t, m, b, 0x2000)
+		text := func(pa uint64) Segment { return Segment{VBase: pa, PBase: pa, Size: 0x1000, Perm: PermR | PermX} }
+		m.StartCore(0, 0x1000, &AddrSpace{Segs: []Segment{text(0x1000)}})
+		m.StartCore(1, 0x2000, &AddrSpace{Segs: []Segment{text(0x2000),
+			{VBase: data1, PBase: data1, Size: 0x1000, Perm: PermR | PermW}}})
+		var out strings.Builder
+		for _, n := range []uint64{700, 1, 333, 2000, 57, 4000} {
+			m.Run(n)
+			for i := 0; i < 2; i++ {
+				c := m.Core(i)
+				fmt.Fprintf(&out, "%d: %d %d %#x %v\n", i, c.Cycles, c.Instructions, c.PC, c.Regs)
+			}
+			out.WriteString(memState(m))
+		}
+		if st := m.SuperblockStats(); sb && (st.Ahead == 0 || st.Rewound.Trap == 0) {
+			t.Fatalf("no run ahead was dropped at a trap: %+v", st)
+		}
+		return out.String()
+	}
+	if f, n := scenario(true), scenario(false); f != n {
+		t.Fatalf("the engines diverged\n%s", diffLine(f, n))
 	}
 }

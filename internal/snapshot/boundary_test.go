@@ -68,12 +68,13 @@ var hostDerived = map[string]string{
 	"machine.Machine.execCache":   "accelerator switch: the target keeps its own",
 	"machine.Machine.superblock":  "accelerator switch: the target keeps its own",
 	"machine.Machine.ffSkipped":   "host-side diagnostics, restart on load",
-	"machine.Machine.opCycles":    "derived from the profile",
 	"machine.Machine.parkEpoch":   "park gate memo: a re-armed park evaluates on its first poll",
 	"machine.Machine.parkStats":   "host-side diagnostics",
 	"machine.Machine.sbExit":      "batch-local flag of the superblock loop",
 	"machine.Machine.sbExits":     "host-side diagnostics",
-	"machine.Machine.sbDeferred":  "host-side diagnostics",
+	"machine.Machine.sbAhead":     "host-side diagnostics",
+	"machine.Machine.sbReplayed":  "host-side diagnostics",
+	"machine.Machine.sbRewound":   "host-side diagnostics",
 	"machine.Machine.sbPromises":  "host-side diagnostics",
 	"machine.Machine.sbBatched":   "host-side diagnostics",
 	"machine.Machine.sbSoloRun":   "host-side diagnostics",
@@ -81,11 +82,17 @@ var hostDerived = map[string]string{
 	"machine.Machine.sbSoloNaive": "host-side diagnostics",
 	"machine.Machine.sbSolo":      "the core running solo: set and cleared inside one batch, nil whenever host code runs",
 	"machine.Machine.sbSoloFrom":  "cycle the last solo run is credited up to: only read while sbSolo is set",
-	"machine.Machine.sbRun":       "per-batch scratch of the superblock loop",
+	"machine.Machine.sbRun":       "batch state of the superblock loop: each core's run-ahead checkpoint, undo log and remainder, which only resume reads, after comparing the core, its pages and the privacy map with what the run read",
 	"machine.Machine.sbAct":       "per-batch scratch of the superblock loop",
 	"machine.Machine.sbGated":     "per-batch scratch of the superblock loop",
 	"machine.Machine.watchGp":     "pointers into pageGen for device-watched pages, rebuilt per batch",
 	"machine.Machine.watchSnap":   "pageGen values at batch entry",
+	"machine.Machine.watchPg":     "the device-watched pages, set up with the devices",
+	"machine.Machine.pgData":      "privacy map: derived from the address spaces, rebuilt when one changes",
+	"machine.Machine.pgWriter":    "privacy map: derived from the address spaces, rebuilt when one changes",
+	"machine.Machine.privKeys":    "what the privacy map was built from",
+	"machine.Machine.privWatch":   "what the privacy map was built from",
+	"machine.Machine.privGen":     "privacy map build count, a validity key of rewound runs",
 	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
 	"machine.Mem.pageGen":         "mutation generations: validity keys of host-side caches, bumped by load",
 	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
