@@ -143,10 +143,10 @@ func BenchmarkIdleFastForward(b *testing.B) {
 // an instruction-dense workload: Table II's Dhrystone under LC-DMR, where
 // nearly every simulated cycle retires a replicated instruction and there
 // is almost no idle window to credit. "on" is the shipping default
-// (superblock engine + execution cache); "ec" is the PR-5 configuration
-// (execution cache only) — the baseline the superblock speedup is quoted
-// against; "sb" is the superblock engine alone; "off" is the naive
-// translate/read/decode path per instruction. All four produce
+// (superblock engine + execution cache); "ec" is the execution cache
+// (the data translation memo) alone, every instruction fetched naively;
+// "sb" is the superblock engine alone; "off" is the naive
+// translate/read/decode path per instruction and access. All four produce
 // bit-identical simulations (see the TestDeterminism differential suite);
 // only host time differs. EXPERIMENTS.md records the measured speedups
 // and hit rates.
@@ -169,11 +169,8 @@ func BenchmarkExecHotLoop(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
-				if !noEC && noSB {
-					// Icache stats are only meaningful when the batch
-					// path isn't bypassing the per-instruction fetch.
+				if !noEC {
 					s := sys.Machine().ExecCacheStats()
-					b.ReportMetric(s.DecodeHitRate()*100, "decode-hit-%")
 					b.ReportMetric(s.TLBHitRate()*100, "tlb-hit-%")
 				}
 				if !noSB {

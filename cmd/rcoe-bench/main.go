@@ -20,13 +20,13 @@
 // progress on stderr. Artifacts carry no host timings, so they are
 // byte-reproducible across runs and worker counts.
 //
-// -no-execcache disables the host-side execution cache (predecoded
-// instructions + translation memos) and -no-superblock the superblock
-// engine (batched straight-line execution and the bulk credit of idle
-// windows); with both the machine steps every cycle naively. Results are
-// bit-identical either way (the determinism contract); the flags exist so
-// CI can diff artifacts across all four on/off combinations and so
-// suspected accelerator drift can be debugged in the field.
+// -no-execcache disables the host-side execution cache (the data
+// translation memo) and -no-superblock the superblock engine (batched
+// straight-line execution and the bulk credit of idle windows); with both
+// the machine steps every cycle naively. Results are bit-identical either
+// way (the determinism contract); the flags exist so CI can diff artifacts
+// across all four on/off combinations and so suspected accelerator drift
+// can be debugged in the field.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run (see
 // "Profiling the simulator" in EXPERIMENTS.md).
@@ -55,7 +55,7 @@ func run() int {
 	parallel := flag.Int("parallel", 0, "host workers for the experiment engine (0 = all cores)")
 	jsonOut := flag.Bool("json", false, "emit an rcoe-bench/v1 JSON report instead of text tables")
 	outFile := flag.String("out", "", "write the artifact to FILE (progress goes to stderr)")
-	noEC := flag.Bool("no-execcache", false, "disable the host-side execution cache (predecode + translation memos)")
+	noEC := flag.Bool("no-execcache", false, "disable the host-side execution cache (the data translation memo)")
 	noSB := flag.Bool("no-superblock", false, "disable the superblock engine (batched straight-line execution)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to FILE")
 	memProfile := flag.String("memprofile", "", "write a heap profile to FILE at exit")

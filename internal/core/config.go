@@ -136,10 +136,9 @@ type Config struct {
 	// block-copy instruction requires a guest page-table walk (§III-D).
 	VM bool
 	// DisableExecCache turns off the machine's host-side execution cache
-	// (predecoded instructions and translation memos) for this system,
-	// forcing the naive fetch/translate/decode path. The two modes are
-	// bit-identical by contract, enforced by the differential determinism
-	// tests.
+	// (the data translation memo) for this system, so every data access
+	// scans the address space's segments. The two modes are bit-identical
+	// by contract, enforced by the differential determinism tests.
 	DisableExecCache bool
 	// DisableSuperblock turns off the machine's superblock engine (batched
 	// execution of predecoded straight-line runs, and the bulk credit of

@@ -57,6 +57,23 @@ func (a *AddrSpace) Map(s Segment) {
 // memo built on it to re-scan. Call it after any direct edit of Segs.
 func (a *AddrSpace) Invalidate() { a.gen++ }
 
+// asKey pins an address space's segment layout for a host memo: identity,
+// generation and segment count. Translate is a pure function of (va,
+// Segs), so a memo filled under one key serves exactly while the key holds.
+type asKey struct {
+	as    *AddrSpace
+	gen   uint64
+	nsegs int
+}
+
+// key returns a's current layout key; a nil space has the zero key.
+func (a *AddrSpace) key() asKey {
+	if a == nil {
+		return asKey{}
+	}
+	return asKey{a, a.gen, len(a.Segs)}
+}
+
 // overlapFree reports whether every pair of segments covers disjoint
 // virtual ranges. Translate returns the first match in segment order, so
 // the translation memo may only short-circuit the scan when no virtual
@@ -250,13 +267,11 @@ type Core struct {
 
 	cache *cache
 
-	// ec is the host-side execution cache (predecoded instructions plus
-	// translation memos). Allocated lazily on the first cached fetch; nil
-	// while the core has never executed with caching enabled.
-	ec *execCache
+	// ec is the host-side data translation memo (execcache.go).
+	ec execCache
 
-	// sb is the host-side superblock cache (superblock.go), lazily
-	// allocated like ec and likewise outside the snapshot state boundary.
+	// sb is the host-side superblock cache (superblock.go), allocated on
+	// first use and, like ec, outside the snapshot state boundary.
 	sb *sbCache
 
 	m *Machine

@@ -269,34 +269,52 @@ func TestExecCacheOverlapFallback(t *testing.T) {
 	}
 }
 
-// TestExecCacheHitPathAllocFree verifies the acceptance criterion that a
-// warm hot loop executes with zero host allocations per instruction.
+// TestExecCacheHitPathAllocFree verifies that a warm hot loop executes
+// with zero host allocations per instruction, and that with the superblock
+// engine off a fresh core's first Run allocates nothing: the translation
+// memo is part of the core.
 func TestExecCacheHitPathAllocFree(t *testing.T) {
-	m := New(noJitter(X86()), 1<<16)
-	m.SetExecCache(true)
 	b := asm.New()
 	b.Label("loop")
 	b.Addi(5, 5, 1)
 	b.St(8, 2, 5, 0x4000) // keep a store in the loop: WriteU is on the hit path too
 	b.Ld(8, 6, 2, 0x4000)
 	b.J("loop")
+
+	m := New(noJitter(X86()), 1<<16)
+	m.SetExecCache(true)
 	h := loadProg(t, m, b)
-	m.Run(10_000) // warm up: predecode + memo fills, lazy allocations done
+	m.Run(10_000) // warm up: memo fills, lazy allocations done
 	if len(h.traps) != 0 {
 		t.Fatalf("unexpected trap during warmup: %+v", h.traps)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { m.Run(5_000) }); allocs != 0 {
 		t.Fatalf("warm hot loop allocates: %v allocs per 5k cycles, want 0", allocs)
 	}
+
+	t.Run("first-run-naive", func(t *testing.T) {
+		// Each measured run starts on a core that has never executed.
+		var ms []*Machine
+		for i := 0; i < 11; i++ {
+			m := New(noJitter(X86()), 1<<16)
+			m.SetExecCache(true)
+			m.SetSuperblock(false)
+			loadProg(t, m, b)
+			ms = append(ms, m)
+		}
+		next := 0
+		if allocs := testing.AllocsPerRun(10, func() { ms[next].Run(1_000); next++ }); allocs != 0 {
+			t.Fatalf("a fresh core's first Run allocates: %v allocs, want 0", allocs)
+		}
+	})
 }
 
 // TestExecCacheStatsCount sanity-checks the host-side counters: a warm
-// loop should be overwhelmingly hits.
+// loop's data translations should be overwhelmingly memo hits, and no
+// fetch is counted as a decode hit or miss, since fetch has no memo.
 func TestExecCacheStatsCount(t *testing.T) {
 	m := New(noJitter(X86()), 1<<16)
 	m.SetExecCache(true)
-	// The superblock engine bypasses the icache on its batched path;
-	// this test counts icache traffic specifically.
 	m.SetSuperblock(false)
 	b := asm.New()
 	b.Label("loop")
@@ -309,13 +327,108 @@ func TestExecCacheStatsCount(t *testing.T) {
 		t.Fatalf("unexpected trap: %+v", h.traps)
 	}
 	s := m.ExecCacheStats()
-	if s.DecodeHits.Value() == 0 || s.TLBHits.Value() == 0 {
-		t.Fatalf("no cache hits recorded: %+v", s)
-	}
-	if rate := s.DecodeHitRate(); rate < 0.99 {
-		t.Fatalf("decode hit rate %.4f, want ≈1 for a tight loop", rate)
+	if s.TLBHits.Value() == 0 {
+		t.Fatalf("no memo hits recorded: %+v", s)
 	}
 	if rate := s.TLBHitRate(); rate < 0.99 {
 		t.Fatalf("tlb hit rate %.4f, want ≈1 for a tight loop", rate)
 	}
+	if s.DecodeHits.Value() != 0 || s.DecodeMisses.Value() != 0 {
+		t.Fatalf("decode counters read %d/%d, want 0/0: fetch has no memo",
+			s.DecodeHits.Value(), s.DecodeMisses.Value())
+	}
+}
+
+// TestAddrSpaceKeyGeneration edits segments in place and calls Invalidate,
+// which moves only the address space's generation: identity and segment
+// count stay. A memo keyed on the space must still miss. A block decoded
+// from the old text mapping must not run after the text segment moves to
+// another physical copy, and the translation memo must not keep a data
+// segment that an edit has put behind an earlier, overlapping one.
+func TestAddrSpaceKeyGeneration(t *testing.T) {
+	const dataVA = 0x9000
+	t.Run("text-remap", func(t *testing.T) {
+		body := func(imm int32) []byte {
+			b := asm.New()
+			b.Label("loop")
+			b.Addi(5, 5, imm)
+			b.Addi(6, 6, 1)
+			b.Li(7, 400)
+			b.Blt(6, 7, "loop")
+			b.Hlt()
+			prog, err := b.Assemble(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return isa.EncodeProgram(prog)
+		}
+		got := sbDifferential(t, func(t *testing.T, m *Machine) coreSnapshot {
+			// Two physical copies of the loop that differ in one immediate.
+			if err := m.Mem().Write(0, body(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Mem().Write(0x2000, body(100)); err != nil {
+				t.Fatal(err)
+			}
+			as := &AddrSpace{Segs: []Segment{{VBase: 0, PBase: 0, Size: 0x1000, Perm: PermR | PermX}}}
+			h := &testHandler{}
+			m.SetHandler(h)
+			m.StartCore(0, 0, as)
+			m.Run(300)
+			if len(h.traps) != 0 {
+				t.Fatalf("unexpected trap during warmup: %+v", h.traps)
+			}
+			as.Segs[0].PBase = 0x2000
+			as.Invalidate()
+			run(t, m, h)
+			return takeSnapshot(m, h)
+		})
+		if got.regs[5] == 400 {
+			t.Fatalf("r5 = %d after 400 iterations: the loop never ran the remapped copy", got.regs[5])
+		}
+	})
+	t.Run("overlap-remap", func(t *testing.T) {
+		b := asm.New()
+		b.Li(1, dataVA)
+		b.Label("loop")
+		b.Ld(8, 5, 1, 0) // r5 = mem[dataVA]
+		b.Addi(6, 6, 1)
+		b.Li(7, 200)
+		b.Blt(6, 7, "loop")
+		b.Hlt()
+		got := differential(t, func(t *testing.T, m *Machine) coreSnapshot {
+			prog, err := b.Assemble(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Mem().Write(0, isa.EncodeProgram(prog)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Mem().WriteU(0xA000, 8, 111); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Mem().WriteU(0xB000, 8, 222); err != nil {
+				t.Fatal(err)
+			}
+			as := &AddrSpace{Segs: []Segment{
+				{VBase: 0, PBase: 0, Size: 0x4000, Perm: PermR | PermX},
+				{VBase: dataVA - 0x1000, PBase: 0xA000, Size: 0x1000, Perm: PermR | PermW},
+				{VBase: dataVA, PBase: 0xB000, Size: 0x1000, Perm: PermR | PermW},
+			}}
+			h := &testHandler{}
+			m.SetHandler(h)
+			m.StartCore(0, 0, as)
+			m.Run(300) // loads resolve through the third segment: copy B
+			if len(h.traps) != 0 {
+				t.Fatalf("unexpected trap during warmup: %+v", h.traps)
+			}
+			as.Segs[1].VBase = dataVA // the second segment now covers dataVA first
+			as.Invalidate()
+			run(t, m, h)
+			return takeSnapshot(m, h)
+		})
+		if got.regs[5] != 111 {
+			t.Fatalf("r5 = %d, want 111 (the first matching segment wins after the edit)", got.regs[5])
+		}
+	})
 }

@@ -14,11 +14,10 @@ package machine
 // grant already bumped the page generations); ClearStuck asserts one last
 // time before it removes the fault. So when a read happens cannot change
 // what any read returns, and each assertion that actually changes a byte
-// bumps that page's mutation generation: the predecoded instruction cache,
-// the translation memos and the superblock engine's blocks, which read
-// text ahead of the naive fetch, revalidate exactly as they do for any
-// other store — the accelerators stay invisible with hard faults active
-// (see TestStuckBitExecCache).
+// bumps that page's mutation generation: the superblock engine's blocks,
+// which read text ahead of the naive fetch, revalidate exactly as they do
+// for any other store — the accelerators stay invisible with hard faults
+// active (see TestStuckBitExecCache).
 
 // stuckMask describes the stuck bits of one physical byte: `or` bits are
 // stuck at 1, `andNot` bits are stuck at 0.

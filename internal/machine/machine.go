@@ -99,10 +99,10 @@ type Machine struct {
 	// time jump.
 	rr int
 
-	// execCache enables the host-side predecoded instruction cache and
-	// translation memos (execcache.go). Provably invisible to simulated
-	// state; the differential determinism suite compares fingerprints
-	// with it on and off.
+	// execCache enables the host-side data translation memo
+	// (execcache.go). Provably invisible to simulated state; the
+	// differential determinism suite compares fingerprints with it on and
+	// off.
 	execCache bool
 	// superblock enables the batched execution engine (superblock.go),
 	// which also charges idle windows in bulk. Like the execution cache it
@@ -165,7 +165,7 @@ type Machine struct {
 	// excludes, and privGen counts its builds.
 	watchPg          []uint64
 	pgData, pgWriter []uint8
-	privKeys         []privKey
+	privKeys         []asKey
 	privWatch        int
 	privGen          uint64
 }
@@ -361,13 +361,11 @@ func (m *Machine) step() {
 	}
 }
 
-// SetExecCache enables or disables the execution cache for this machine.
-// Safe to flip at any point: the caches validate against mutation
-// generations, never against "the cache was on the whole time".
+// SetExecCache enables or disables the execution cache (the data
+// translation memo) for this machine. Safe to flip at any point: the memo
+// validates against address-space keys, never against "the cache was on
+// the whole time".
 func (m *Machine) SetExecCache(on bool) { m.execCache = on }
-
-// ExecCacheEnabled reports whether the execution cache is enabled.
-func (m *Machine) ExecCacheEnabled() bool { return m.execCache }
 
 // SetSuperblock enables or disables the superblock engine, and with it the
 // idle skip, for this machine. Safe to flip at any point: blocks validate
@@ -578,25 +576,9 @@ func (m *Machine) trap(c *Core, t Trap) {
 // execOne fetches, decodes and executes one instruction on c. Bus
 // exhaustion leaves the core at the same PC to retry next cycle.
 func (m *Machine) execOne(c *Core) {
-	var ins isa.Instr
-	// Predecode-cache hit, open-coded to spare the fetch call frame on the
-	// ~100% case; any other case (miss, cache disabled, first fetch) runs
-	// fetch, which re-derives it from scratch.
-	var ent *icacheEntry
-	if ec := c.ec; m.execCache && ec != nil {
-		ent = ec.fetchHit(c.PC, c.AS, m.mem)
-	}
-	if ent != nil {
-		c.ec.decodeHits++
-		if !c.memAccess(ent.pa, isa.InstrBytes, false) {
-			return // bus stall on fetch
-		}
-		ins = ent.ins
-	} else {
-		var ok bool
-		if ins, ok = m.fetch(c); !ok {
-			return // trap taken or bus stall on fetch
-		}
+	ins, ok := m.fetch(c)
+	if !ok {
+		return // trap taken or bus stall on fetch
 	}
 	// Fast tail for the common case: no debug feature armed on this core,
 	// so the instruction either retires or retries — nothing to observe.
@@ -661,13 +643,8 @@ func (m *Machine) branchWatch(c *Core) bool {
 // fetch resolves PC, charges the fetch through the cost model, and returns
 // the decoded instruction. ok=false means no instruction executes this
 // cycle: a trap was taken (translation, read or decode failure) or the bus
-// stalled the fetch. The execution cache's one step is the fill on full
-// success — a faulting fetch re-derives its trap every cycle — and its hit
-// in execOne makes the same cost-model call.
+// stalled the fetch.
 func (m *Machine) fetch(c *Core) (isa.Instr, bool) {
-	if m.execCache {
-		c.ecLazy().decodeMisses++
-	}
 	pa, _, ok := c.AS.Translate(c.PC, isa.InstrBytes, PermX)
 	if !ok {
 		m.trap(c, Trap{Kind: TrapMemFault, Addr: c.PC, PC: c.PC})
@@ -686,9 +663,6 @@ func (m *Machine) fetch(c *Core) (isa.Instr, bool) {
 		m.trap(c, Trap{Kind: TrapIllegal, Addr: c.PC, PC: c.PC})
 		return isa.Instr{}, false
 	}
-	if m.execCache {
-		c.ec.islot(c.PC).fill(c.PC, pa, c.AS, m.mem, ins)
-	}
 	return ins, true
 }
 
@@ -697,8 +671,7 @@ func (m *Machine) fetch(c *Core) (isa.Instr, bool) {
 // (pa, ok) result is bit-identical to AddrSpace.Translate either way.
 func (m *Machine) xlate(c *Core, va uint64, n int, need Perm) (uint64, bool) {
 	if m.execCache {
-		ec := c.ecLazy()
-		return ec.translate(c.AS, ec.dslot(va), va, n, need)
+		return c.ec.translate(c.AS, va, n, need)
 	}
 	pa, _, ok := c.AS.Translate(va, n, need)
 	return pa, ok

@@ -16,8 +16,7 @@ import (
 var ErrBadPhysAddr = errors.New("machine: physical address out of range")
 
 // pageShift sets the granularity of the mutation-generation tracking that
-// invalidates the predecoded instruction cache: one counter per 4 KiB
-// physical page.
+// invalidates decoded superblocks: one counter per 4 KiB physical page.
 const pageShift = 12
 
 // Mem is the machine's physical memory. Reads and writes are raw; cache
@@ -27,12 +26,12 @@ const pageShift = 12
 //
 // Every mutation path — Write, WriteU, Fill, Move, FlipBit, and Slice
 // window grants — bumps a per-page generation counter. The per-core
-// execution caches (execcache.go) validate their predecoded entries
-// against these counters, which is what makes self-modifying code,
-// injected bit-flips in text, DMA, and re-integration partition copies
-// behave bit-identically with and without the caches. It also makes a
-// page whose generation is still 0 a witness that the page is zero: it
-// was never written since NewMem, so a save or a restore need not read it
+// superblock caches (superblock.go) validate their decoded blocks against
+// these counters, which is what makes self-modifying code, injected
+// bit-flips in text, DMA, and re-integration partition copies behave
+// bit-identically with and without the engine. It also makes a page whose
+// generation is still 0 a witness that the page is zero: it was never
+// written since NewMem, so a save or a restore need not read it
 // (state.go).
 type Mem struct {
 	bytes []byte
@@ -278,8 +277,8 @@ func (m *Mem) FlipBit(addr uint64, bit uint) error {
 // RAM may be a mapping that is released with the Mem — and only until the
 // next core instruction executes: complete any writes through it before
 // then, and re-acquire the window for each DMA burst. The grant
-// conservatively marks the whole window mutated, which is what keeps the
-// predecoded instruction cache coherent with DMA into text pages.
+// conservatively marks the whole window mutated, which is what keeps
+// decoded superblocks coherent with DMA into text pages.
 func (m *Mem) Slice(addr uint64, n int) ([]byte, error) {
 	if err := m.check(addr, n); err != nil {
 		return nil, err
@@ -300,8 +299,8 @@ func (m *Mem) Slice(addr uint64, n int) ([]byte, error) {
 // from a source, and every copy after one from another, rewrites every
 // page src ever wrote and zeroes the pages of the rest that m wrote, so a
 // fresh target commits on the host only the pages src wrote. Each page the
-// copy rewrites has its generation bumped, so m's execution caches
-// revalidate as they do after a restore, and m's rewind base is dropped.
+// copy rewrites has its generation bumped, so m's superblocks revalidate
+// as they do after a restore, and m's rewind base is dropped.
 //
 // The source is known by its serial number, never by a pointer: a
 // pointer from one Mem to another would chain their finalizers, and each

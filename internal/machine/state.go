@@ -205,11 +205,10 @@ func (mm *Mem) loadState(d *snapshot.Dec, img *snapshot.Snapshot) error {
 // at a time; with delta set it leaves the pages still at their base
 // generation alone. Every page it restores changed from the restorer's
 // perspective, so its mutation generation is bumped and any live
-// predecode/translation cache entry revalidates (pageGen itself is
-// derived state, never serialized). A page that is to be zero and already
-// is stays unwritten — without a look when its generation is still 0 — so
-// loading a sparse image onto a fresh machine commits only the image's
-// pages on the host.
+// superblock over it revalidates (pageGen itself is derived state, never
+// serialized). A page that is to be zero and already is stays unwritten —
+// without a look when its generation is still 0 — so loading a sparse
+// image onto a fresh machine commits only the image's pages on the host.
 func (mm *Mem) restore(lo, hi uint64, src []byte, delta bool) {
 	for start := lo; lo < hi; {
 		p := lo >> pageShift
@@ -288,16 +287,15 @@ func (co *Core) state(c *snapshot.Codec) {
 	// them, with their declarations.
 	co.parkCond = nil
 	co.parkDone = nil
-	// The exec and superblock caches are host-derived and stay allocated.
-	// Every entry is keyed on its address space's identity and generation
-	// and on its text pages' mutation generations; those only count up,
-	// and a restore bumps them for everything it rewrites (Mem.loadState
-	// per page, the kernel's state walk for the address space), so an entry
-	// filled before the restore can only hit on state that is still what
-	// it was filled from. Their diagnostic counters restart, like ffSkipped.
-	if co.ec != nil {
-		co.ec.decodeHits, co.ec.decodeMisses, co.ec.tlbHits, co.ec.tlbMisses = 0, 0, 0, 0
-	}
+	// The translation memo and the superblock cache are host-derived and
+	// stay as they are. Every entry is keyed on its address space's
+	// identity and generation (and a block on its text pages' mutation
+	// generations); those only count up, and a restore bumps them for
+	// everything it rewrites (Mem.loadState per page, the kernel's state
+	// walk for the address space), so an entry filled before the restore
+	// can only hit on state that is still what it was filled from. Their
+	// diagnostic counters restart, like ffSkipped.
+	co.ec.tlbHits, co.ec.tlbMisses = 0, 0
 	if co.sb != nil {
 		co.sb.built, co.sb.instrs = 0, 0
 	}

@@ -74,17 +74,15 @@ const (
 )
 
 // superblock is a predecoded straight-line run starting at start. Validity
-// is keyed exactly like an icacheEntry — address-space identity and
-// generation, segment count, and the mutation generations of the spanned
-// text pages. The page generations are held as pointers into Mem.pageGen
-// (allocated once, never moved), so the per-issue staleness check is one
-// or two pointer compares with no indexing.
+// is keyed on the address space's layout (asKey) and the mutation
+// generations of the spanned text pages. The page generations are held as
+// pointers into Mem.pageGen (allocated once, never moved), so the
+// per-issue staleness check is one or two pointer compares with no
+// indexing.
 type superblock struct {
 	start  uint64 // virtual PC of ins[0]
 	pa0    uint64 // physical address of ins[0]; the run is physically contiguous
-	as     *AddrSpace
-	asGen  uint64
-	nsegs  int
+	key    asKey
 	n      int
 	npages int
 	gp     [sbMaxPages]*uint64 // live mutation counters of the spanned pages
@@ -94,7 +92,7 @@ type superblock struct {
 
 // valid reports whether the block can serve (pc, as) right now.
 func (sb *superblock) valid(pc uint64, as *AddrSpace) bool {
-	if sb.n == 0 || sb.start != pc || sb.as != as || sb.asGen != as.gen || sb.nsegs != len(as.Segs) {
+	if sb.n == 0 || sb.start != pc || sb.key != as.key() {
 		return false
 	}
 	return sb.pagesFresh()
@@ -193,7 +191,7 @@ func (m *Machine) buildBlock(c *Core, sb *superblock) bool {
 		return false
 	}
 	sb.start, sb.pa0 = pc, pa
-	sb.as, sb.asGen, sb.nsegs = as, as.gen, len(as.Segs)
+	sb.key = as.key()
 	sb.n = n
 	p0 := pa >> pageShift
 	p1 := (pa + uint64(n)*isa.InstrBytes - 1) >> pageShift
@@ -310,9 +308,7 @@ type sbRunState struct {
 	end     coreRun
 	atEnd   blockAt
 	redo    aheadLog
-	as      *AddrSpace
-	asGen   uint64
-	nsegs   int
+	as      asKey
 	cgen    uint64
 	privGen uint64
 }
@@ -479,7 +475,7 @@ func (m *Machine) privRefresh() {
 	if len(m.privKeys) == len(m.cores) && m.privWatch == len(m.watchPg)+len(m.windows) {
 		same := true
 		for i, c := range m.cores {
-			if k := &m.privKeys[i]; k.as != c.AS || c.AS != nil && (k.gen != c.AS.gen || k.nsegs != len(c.AS.Segs)) {
+			if m.privKeys[i] != c.AS.key() {
 				same = false
 				break
 			}
@@ -505,11 +501,7 @@ func (m *Machine) privRefresh() {
 	ram := m.mem.Size()
 	m.privKeys = m.privKeys[:0]
 	for i, c := range m.cores {
-		k := privKey{as: c.AS}
-		if c.AS != nil {
-			k.gen, k.nsegs = c.AS.gen, len(c.AS.Segs)
-		}
-		m.privKeys = append(m.privKeys, k)
+		m.privKeys = append(m.privKeys, c.AS.key())
 		if c.AS == nil {
 			continue
 		}
@@ -548,13 +540,6 @@ func (m *Machine) privRefresh() {
 	}
 	m.privWatch = len(m.watchPg) + len(m.windows)
 	m.privGen++
-}
-
-// privKey is what the privacy map was built from, per core.
-type privKey struct {
-	as    *AddrSpace
-	gen   uint64
-	nsegs int
 }
 
 // promise makes st's core a promise from where it stands: it runs the core
@@ -852,7 +837,7 @@ func (m *Machine) rewind(st *sbRunState, why rewindCause) {
 	for i := range st.pages {
 		st.pages[i].gen = m.mem.pageGen[st.pages[i].p]
 	}
-	st.as, st.asGen, st.nsegs, st.cgen, st.privGen = c.AS, c.AS.gen, len(c.AS.Segs), c.cache.gen, m.privGen
+	st.as, st.cgen, st.privGen = c.AS.key(), c.cache.gen, m.privGen
 	st.back, st.why = true, why
 }
 
@@ -874,8 +859,7 @@ func (m *Machine) resume(st *sbRunState) bool {
 		return true
 	}
 	m.privRefresh()
-	if c.AS != st.as || c.AS.gen != st.asGen || len(c.AS.Segs) != st.nsegs || c.cache.gen != st.cgen ||
-		m.privGen != st.privGen || st.untracked {
+	if c.AS.key() != st.as || c.cache.gen != st.cgen || m.privGen != st.privGen || st.untracked {
 		return false
 	}
 	if !c.atRun(&st.ck) {

@@ -110,7 +110,7 @@ var hostDerived = map[string]string{
 	"machine.Core.parkSeenGen":    "park gate memo, cleared by Park",
 	"machine.Core.parkSeenEpoch":  "park gate memo, cleared by Park",
 	"machine.Core.m":              "wiring",
-	"machine.Core.ec":             "exec cache: entries revalidate on address-space and page generations",
+	"machine.Core.ec":             "translation memo: slots revalidate on the address-space key",
 	"machine.Core.sb":             "superblock cache: entries revalidate on address-space and page generations",
 	"machine.cache.lineShift":     "construction-time geometry",
 	"machine.cache.nlines":        "construction-time geometry (checked as the arrays' length)",
