@@ -10,6 +10,7 @@ import (
 
 	"rcoe/internal/core"
 	"rcoe/internal/exp"
+	"rcoe/internal/forkjoin"
 	"rcoe/internal/harness"
 	"rcoe/internal/metrics"
 	"rcoe/internal/netstack"
@@ -236,7 +237,7 @@ type Cluster struct {
 	prof HostProfile
 
 	// pool fans the run phase and the audit out over host cores.
-	pool pool
+	pool *forkjoin.Pool
 	// scratch is the transfer image buffer every checkpoint and failover
 	// copy goes through (harness.Node.CopyFrom), reused across shards.
 	scratch []byte
@@ -279,6 +280,7 @@ func New(opts Options) (*Cluster, error) {
 		// than the inserts themselves, so claim the space up front.
 		expected: make(map[string][]byte, opts.Records),
 		hotKey:   workload.Key(0),
+		pool:     new(forkjoin.Pool),
 	}
 	for i := 0; i < opts.Shards; i++ {
 		node, err := c.bootNode()
@@ -499,8 +501,9 @@ func (c *Cluster) workers() int {
 // run serialized in shard-ID order on the caller's goroutine — they
 // own everything order-sensitive (wire IDs, the acked-write ledger,
 // retry state). The chunk executions between them share nothing and
-// run concurrently on up to ShardWorkers host goroutines; see pool.go
-// for why that is invisible in the results. A failed periodic
+// run concurrently on up to ShardWorkers host goroutines (internal/forkjoin):
+// each node's chunk is a pure function of its injected frames and its own
+// simulated state, so that is invisible in the results. A failed periodic
 // checkpoint is latched and returned by Run.
 func (c *Cluster) Step() {
 	t0 := time.Now()
@@ -510,7 +513,7 @@ func (c *Cluster) Step() {
 		c.fill(sh)
 	}
 	t2 := time.Now()
-	c.pool.run(c.workers(), len(c.shards), func(i int) {
+	c.pool.Run(c.workers(), len(c.shards), func(i int) {
 		c.shards[i].node.RunCycles(c.opts.ChunkCycles)
 	})
 	t3 := time.Now()
@@ -756,7 +759,7 @@ func (c *Cluster) VerifyAcked() (lost uint64, err error) {
 	}
 	lostPer := make([]uint64, len(c.shards))
 	errPer := make([]error, len(c.shards))
-	c.pool.run(c.workers(), len(c.shards), func(id int) {
+	c.pool.Run(c.workers(), len(c.shards), func(id int) {
 		lostPer[id], errPer[id] = c.auditShard(c.shards[id], perShard[id])
 	})
 	for id := range c.shards {

@@ -7,7 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rcoe/internal/forkjoin"
 )
+
+// The tests named TestRunShards* pin the fork-join pool the cluster runs its
+// shards on (internal/forkjoin) at shard-like shapes; the others pin it
+// through a whole cluster.
 
 // TestRunShardsCoversAll checks every index runs exactly once at any
 // worker/shard-count combination, including workers > shards and the
@@ -16,7 +22,7 @@ func TestRunShardsCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 2, 5, 17} {
 			counts := make([]atomic.Int64, max(n, 1))
-			new(pool).run(workers, n, func(i int) {
+			new(forkjoin.Pool).Run(workers, n, func(i int) {
 				counts[i].Add(1)
 			})
 			for i := 0; i < n; i++ {
@@ -42,7 +48,7 @@ func TestRunShardsPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want the original panic value", workers, r)
 				}
 			}()
-			new(pool).run(workers, 5, func(i int) {
+			new(forkjoin.Pool).Run(workers, 5, func(i int) {
 				ran.Add(1)
 				if i == 2 {
 					panic("shard 2 exploded")
@@ -65,7 +71,7 @@ func TestRunShardsPanicLowestIndexWins(t *testing.T) {
 			t.Fatalf("recovered %v, want panic value 1 (lowest panicking shard)", r)
 		}
 	}()
-	new(pool).run(4, 6, func(i int) {
+	new(forkjoin.Pool).Run(4, 6, func(i int) {
 		if i >= 1 && i <= 4 {
 			panic(i)
 		}
@@ -87,7 +93,7 @@ func TestRunShardsSerialStopsAtPanic(t *testing.T) {
 			t.Fatalf("serial run reached index %d after a panic at 1", got)
 		}
 	}()
-	new(pool).run(1, 4, func(i int) {
+	new(forkjoin.Pool).Run(1, 4, func(i int) {
 		last.Store(int64(i))
 		if i == 1 {
 			panic("stop")
@@ -96,12 +102,12 @@ func TestRunShardsSerialStopsAtPanic(t *testing.T) {
 }
 
 // waitHelpersGone waits (bounded) for the pool's helpers to exit.
-func waitHelpersGone(t *testing.T, p *pool, within time.Duration) {
+func waitHelpersGone(t *testing.T, p *forkjoin.Pool, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for p.alive.Load() != 0 {
+	for p.Alive() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d helpers still alive %v after the last round", p.alive.Load(), within)
+			t.Fatalf("%d helpers still alive %v after the last round", p.Alive(), within)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -113,14 +119,14 @@ func waitHelpersGone(t *testing.T, p *pool, within time.Duration) {
 // the linger bound — the pool never holds a goroutine for an idle (or
 // dropped) Cluster.
 func TestRunShardsHelpersLingerAndExit(t *testing.T) {
-	var p pool
+	var p forkjoin.Pool
 	for round := 0; round < 200; round++ {
 		var ran atomic.Int64
-		p.run(3, 6, func(int) { ran.Add(1) })
+		p.Run(3, 6, func(int) { ran.Add(1) })
 		if ran.Load() != 6 {
 			t.Fatalf("round %d ran %d of 6 indices", round, ran.Load())
 		}
-		if a := p.alive.Load(); a < 0 || a > 2 {
+		if a := p.Alive(); a < 0 || a > 2 {
 			t.Fatalf("round %d: %d helpers alive, want 0..2", round, a)
 		}
 	}
@@ -159,10 +165,10 @@ func TestClusterHelpersExitAfterLastStep(t *testing.T) {
 func TestRunShardsOversubscribed(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
-		var p pool
+		var p forkjoin.Pool
 		for round := 0; round < 200; round++ {
 			counts := make([]atomic.Int64, 8)
-			p.run(6, 8, func(i int) {
+			p.Run(6, 8, func(i int) {
 				// Hand the core over mid-index, so that at GOMAXPROCS=1 a
 				// helper is routinely parked while it owns a claimed index.
 				runtime.Gosched()
@@ -208,15 +214,15 @@ func TestClusterRunOversubscribed(t *testing.T) {
 // index's value on the coordinator, and round k+1 runs normally on the
 // same pool.
 func TestRunShardsPanicWithLingeringHelper(t *testing.T) {
-	var p pool
-	p.run(3, 6, func(int) {}) // leaves helpers lingering (2 ms) for the next round
+	var p forkjoin.Pool
+	p.Run(3, 6, func(int) {}) // leaves helpers lingering (2 ms) for the next round
 	func() {
 		defer func() {
 			if r := recover(); r != 2 {
 				t.Fatalf("recovered %v, want 2 (lowest panicking index)", r)
 			}
 		}()
-		p.run(3, 6, func(i int) {
+		p.Run(3, 6, func(i int) {
 			if i == 2 || i == 5 {
 				panic(i)
 			}
@@ -224,7 +230,7 @@ func TestRunShardsPanicWithLingeringHelper(t *testing.T) {
 		t.Fatal("run returned instead of panicking")
 	}()
 	var ran atomic.Int64
-	p.run(3, 6, func(int) { ran.Add(1) })
+	p.Run(3, 6, func(int) { ran.Add(1) })
 	if ran.Load() != 6 {
 		t.Fatalf("round after the panic ran %d of 6 indices", ran.Load())
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"rcoe/internal/forkjoin"
 	"rcoe/internal/isa"
 )
 
@@ -134,10 +135,11 @@ type Machine struct {
 	// rewinds re-executed, sbRewound the cycles run ahead and then undone
 	// for good, by cause, sbPromises the promises made, sbBatched the cycles
 	// batches consumed, sbSoloRun those of them run solo, sbSoloRider the
-	// solo cycles beside a parked rider and sbSoloNaive the solo cycles
-	// issued through the naive issue path (diagnostics).
+	// solo cycles beside a parked rider, sbSoloNaive the solo cycles
+	// issued through the naive issue path and sbOverlapped the cycles runs
+	// went on past their probe beside another core's run (diagnostics).
 	sbJumped, sbAhead, sbReplayed, sbPromises, sbBatched, sbSoloRun uint64
-	sbSoloRider, sbSoloNaive                                        uint64
+	sbSoloRider, sbSoloNaive, sbOverlapped                          uint64
 	sbRewound                                                       [nRewindCauses]uint64
 	// sbSolo is the core running solo (see solo), nil when none is, and
 	// sbSoloFrom the cycle up to which the other cores have been credited
@@ -151,6 +153,11 @@ type Machine struct {
 	sbRun   []sbRunState
 	sbAct   []*sbRunState
 	sbGated []*sbRunState
+	// sbLong lists the runs of a loop top that used their whole probe
+	// (runBlocks), and runPool is the pool that lets them go on side by
+	// side, allocated at the first such loop top.
+	sbLong  []*sbRunState
+	runPool *forkjoin.Pool
 	// watchGp points into mem.pageGen for every device-watched RAM page
 	// (MemWatcher); watchSnap holds their values at batch entry and at
 	// every re-derivation. A batched store that bumps a watched generation
@@ -160,11 +167,13 @@ type Machine struct {
 	watchSnap []uint64
 	// watchPg lists the device-watched pages, and the privacy map
 	// (privRefresh) holds per page which core may touch it ahead of machine
-	// time: pgData for data, pgWriter for text. privKeys is what the map was
+	// time: pgData for data, pgWriter for text. privSegs is what the map was
 	// built from, privWatch how many watched pages and MMIO windows it
-	// excludes, and privGen counts its builds.
+	// excludes, privKeys the address spaces' keys when that was last
+	// checked, and privGen counts its builds.
 	watchPg          []uint64
 	pgData, pgWriter []uint8
+	privSegs         []privSeg
 	privKeys         []asKey
 	privWatch        int
 	privGen          uint64

@@ -40,8 +40,13 @@ type Mem struct {
 	pageGen []uint64
 	// writes counts the mutation paths' calls (touch): while it stands
 	// still no page generation moved, so the superblock batch skips its
-	// store checks after an op that wrote nothing. Host-derived.
-	writes uint64
+	// store checks after an op that wrote nothing. Host-derived. It stands
+	// still while uncounted is set, which runBlocks does while runs of
+	// several cores execute ahead of machine time at once: nothing reads
+	// the count until they have all returned, and a plain counter shared by
+	// two host threads would be a data race.
+	writes    uint64
+	uncounted bool
 	// stuck holds the persistent stuck-at faults (hardfault.go), keyed by
 	// physical byte address. nil when no hard fault is registered, which
 	// keeps the access paths at a single len check.
@@ -113,7 +118,9 @@ func (m *Mem) touch(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	m.writes++
+	if !m.uncounted {
+		m.writes++
+	}
 	for p := addr >> pageShift; p <= (addr+uint64(n)-1)>>pageShift; p++ {
 		m.pageGen[p]++
 	}

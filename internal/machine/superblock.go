@@ -2,7 +2,10 @@ package machine
 
 import (
 	"math"
+	"runtime"
+	"slices"
 
+	"rcoe/internal/forkjoin"
 	"rcoe/internal/isa"
 )
 
@@ -71,6 +74,11 @@ const (
 	// Machine.solo): below it the stepped cycle costs no more than the
 	// entry and the settlement.
 	sbSoloMin = 2
+	// sbProbe is how far a core runs ahead before its run may go on beside
+	// another core's on a second host thread (runBlocks): a shorter run
+	// costs less than the threads' meeting, and a workload whose cores
+	// enter the kernel every few dozen instructions never starts a helper.
+	sbProbe = 2048
 )
 
 // superblock is a predecoded straight-line run starting at start. Validity
@@ -463,14 +471,25 @@ const (
 // core maps (or, in pgData, that no run may access).
 const pgShared = 0xff
 
-// privRefresh rebuilds the privacy map when any core's address space, or
-// the set of device-watched pages, changed since it was built. pgData[p] is
-// id+1 when page p is private data of core id: mapped by that core's
-// address space alone, never executable, not device-watched, under no MMIO
-// window. pgWriter[p] is
-// id+1 when core id's address space is the only one mapping p writable, 0
-// when none does. Only kernel or host code changes an address space, and
-// each such change is followed by a gate (sbGate), which refreshes the map.
+// privSeg is what one segment of core id's address space gives the
+// privacy map: its physical range and whether it is writable or executable.
+type privSeg struct {
+	id          int
+	pbase, size uint64
+	perm        Perm
+}
+
+// privRefresh rebuilds the privacy map when what it is built from changed:
+// the physical ranges the cores' address spaces map and how, or the set of
+// device-watched pages. pgData[p] is id+1 when page p is private data of
+// core id: mapped by that core's address space alone, never executable,
+// not device-watched, under no MMIO window. pgWriter[p] is id+1 when core
+// id's address space is the only one mapping p writable, 0 when none does.
+// Only kernel or host code changes an address space, and each such change
+// is followed by a gate (sbGate), which refreshes the map. An address-space
+// change that maps the same physical pages the same way (a virtual remap)
+// leaves the map and privGen alone; a rewound run of that core sees it in
+// its own address-space key (resume).
 func (m *Machine) privRefresh() {
 	if len(m.privKeys) == len(m.cores) && m.privWatch == len(m.watchPg)+len(m.windows) {
 		same := true
@@ -484,6 +503,21 @@ func (m *Machine) privRefresh() {
 			return
 		}
 	}
+	m.privKeys = m.privKeys[:0]
+	var segs []privSeg
+	for i, c := range m.cores {
+		m.privKeys = append(m.privKeys, c.AS.key())
+		if c.AS == nil {
+			continue
+		}
+		for _, s := range c.AS.Segs {
+			segs = append(segs, privSeg{i, s.PBase, s.Size, s.Perm & (PermW | PermX)})
+		}
+	}
+	if m.pgData != nil && m.privWatch == len(m.watchPg)+len(m.windows) && slices.Equal(segs, m.privSegs) {
+		return
+	}
+	m.privSegs = segs
 	np := len(m.mem.pageGen)
 	if m.pgData == nil {
 		m.pgData, m.pgWriter = make([]uint8, np), make([]uint8, np)
@@ -499,29 +533,22 @@ func (m *Machine) privRefresh() {
 		}
 	}
 	ram := m.mem.Size()
-	m.privKeys = m.privKeys[:0]
-	for i, c := range m.cores {
-		m.privKeys = append(m.privKeys, c.AS.key())
-		if c.AS == nil {
+	for _, s := range segs {
+		if s.size == 0 || s.pbase >= ram {
 			continue
 		}
-		id := uint8(i + 1)
-		for _, s := range c.AS.Segs {
-			if s.Size == 0 || s.PBase >= ram {
-				continue
+		id := uint8(s.id + 1)
+		hi := ram
+		if s.size < ram-s.pbase {
+			hi = s.pbase + s.size
+		}
+		for p := s.pbase >> pageShift; p <= (hi-1)>>pageShift; p++ {
+			mark(&m.pgData[p], id)
+			if s.perm&PermX != 0 {
+				m.pgData[p] = pgShared
 			}
-			hi := ram
-			if s.Size < ram-s.PBase {
-				hi = s.PBase + s.Size
-			}
-			for p := s.PBase >> pageShift; p <= (hi-1)>>pageShift; p++ {
-				mark(&m.pgData[p], id)
-				if s.Perm&PermX != 0 {
-					m.pgData[p] = pgShared
-				}
-				if s.Perm&PermW != 0 {
-					mark(&m.pgWriter[p], id)
-				}
+			if s.perm&PermW != 0 {
+				mark(&m.pgWriter[p], id)
 			}
 		}
 	}
@@ -570,10 +597,13 @@ func (m *Machine) promise(st *sbRunState, limit uint64) uint64 {
 // MEMSET that hits resident lines of the core's private pages (aheadSlow);
 // the armed breakpoint's address; a branch that would fire the armed branch
 // watch. A stall is counted down in one step. It stops at a chain that
-// finds no block, and a core left standing on its breakpoint keeps no block
+// finds no block, and a core standing on its breakpoint keeps no block
 // (blockFor hands out none there), so its next issue goes through the naive
 // path. ahead also replays the first cycles of a run after a rewind: the
-// same state, memory and map make it take the same path.
+// same state, memory and map make it take the same path. Every choice it
+// makes depends on the core's state, its block position and its own pages
+// alone, never on where a call began, so ahead(a) then ahead(b) leaves what
+// ahead(a+b) leaves; runBlocks splits runs there.
 func (m *Machine) ahead(st *sbRunState, limit uint64) uint64 {
 	c := st.c
 	ch := c.cache
@@ -590,6 +620,9 @@ func (m *Machine) ahead(st *sbRunState, limit uint64) uint64 {
 	}
 	fline := ^uint64(0) // the last fetch line found resident on a page the core may run
 	sb, pos := st.sb, st.pos
+	if c.PC == bp {
+		sb = nil
+	}
 	n := uint64(0)
 	for n < limit {
 		if c.stall > 0 {
@@ -617,7 +650,7 @@ func (m *Machine) ahead(st *sbRunState, limit uint64) uint64 {
 			}
 			fline = line
 		}
-		if c.PC == bp || c.UserBranches >= bw && sbEnds(ins.Op) {
+		if c.UserBranches >= bw && sbEnds(ins.Op) {
 			c.jitter = j
 			break
 		}
@@ -634,16 +667,13 @@ func (m *Machine) ahead(st *sbRunState, limit uint64) uint64 {
 		c.Instructions++
 		switch c.PC {
 		case prev + isa.InstrBytes:
-			if pos++; pos == sb.n {
+			if pos++; pos == sb.n || c.PC == bp {
 				sb, pos = m.blockFor(c), 0
 			}
 		case prev: // a block op still copying
 		default:
 			sb, pos = m.blockFor(c), 0
 		}
-	}
-	if c.PC == bp {
-		sb = nil // stepped onto the breakpoint inside the block
 	}
 	st.sb, st.pos, st.fline = sb, pos, ^uint64(0)
 	return n
@@ -1091,6 +1121,8 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 //     cycles it ran are its promise, the cycles the loop still owes it
 //     credit for; meanwhile its registers, memory and cache stand at the
 //     run's end, with an undo log of the old bytes and dirty bits behind it.
+//     A run executes sbProbe cycles first; the runs that use them all go
+//     on side by side on two host threads (goOn).
 //   - Credit. While the promise lasts a cycle services the core with
 //     lag++ in its slot of the rotation; when every executing core is
 //     promised and every parked rider provably stays parked, the shortest
@@ -1209,11 +1241,14 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		}
 		// k is the shortest promise, capped by the horizon; lone the core
 		// without one, when there is exactly one such core; idle whether
-		// no executing core holds a block.
+		// no executing core holds a block. A core makes its promise for at
+		// most a probe first; the runs that used their whole probe go on
+		// (goOn) before they count.
 		k := horizon - consumed
 		room := m.sbRoom(k)
 		var lone *sbRunState
 		unpromised, idle := 0, true
+		long := m.sbLong[:0]
 		for _, st := range m.sbAct {
 			if st.parked {
 				continue
@@ -1225,18 +1260,29 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				if st.lag != 0 {
 					m.commit(st)
 				}
-				if st.promise = m.promise(st, room); st.promise == 0 {
+				if st.promise = m.promise(st, min(room, sbProbe)); st.promise == 0 {
 					lone = st
 					unpromised++
 					continue
 				}
 				m.sbPromises++
+				if st.promise == sbProbe && room > sbProbe {
+					long = append(long, st)
+					continue
+				}
 			}
 			if st.sb != nil {
 				idle = false
 			}
-			if st.promise < k {
-				k = st.promise
+			k = min(k, st.promise)
+		}
+		if m.sbLong = long; len(long) != 0 {
+			m.goOn(long, room-sbProbe)
+			for _, st := range long {
+				if st.sb != nil {
+					idle = false
+				}
+				k = min(k, st.promise)
 			}
 		}
 		if nparked > 0 && unpromised <= 1 {
@@ -1349,6 +1395,46 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	m.sbExits[why]++
 	m.sbBatched += consumed
 	return consumed
+}
+
+// goOn lets the runs that used their whole probe at a loop top go on for up
+// to more cycles each. Two or more of them go on side by side, each an index
+// of a fork-join job on the machine's pool: the coordinator claims one and a
+// helper thread the other, and with GOMAXPROCS 1, or before a helper has
+// claimed one, the coordinator runs them all. That cannot change a result:
+// each run is a pure function of its own core's state — registers, cache,
+// block cache and translation memo, its private data pages (pgData), text no
+// core's run writes (pgData marks every executable page shared) — so no run
+// writes what another reads, and it splits exactly where the probe ended
+// (ahead). While they overlap the machine's shared state is only read: the
+// privacy map, the profile, the stuck set, the address spaces, the text the
+// block builds decode. Mem's write count stands still (Mem.uncounted), and
+// the cycles are added up after the join. A stuck bit can be re-asserted by
+// any read, text included, so while one is registered the runs go on one
+// after the other. Overlapped counts the cycles past the probe whether a
+// helper ran them or not, so it does not depend on the host.
+func (m *Machine) goOn(long []*sbRunState, more uint64) {
+	if len(long) < 2 || len(m.mem.stuck) != 0 {
+		for _, st := range long {
+			n := m.ahead(st, more)
+			st.promise += n
+			m.sbAhead += n
+		}
+		return
+	}
+	if m.runPool == nil {
+		m.runPool = new(forkjoin.Pool)
+	}
+	m.mem.uncounted = true
+	m.runPool.Run(runtime.GOMAXPROCS(0), len(long), func(i int) {
+		st := long[i]
+		st.promise += m.ahead(st, more)
+	})
+	m.mem.uncounted = false
+	for _, st := range long {
+		m.sbAhead += st.promise - sbProbe
+		m.sbOverlapped += st.promise - sbProbe
+	}
 }
 
 // sbRoom caps at k how far a core may run ahead: no further than the issue
@@ -1760,6 +1846,7 @@ type SuperblockStats struct {
 	Solo        uint64 // ... of which by one core alone at machine time (solo)
 	SoloRider   uint64 // ... of which beside a parked rider
 	SoloNaive   uint64 // solo cycles issued through the naive issue path (no fresh block)
+	Overlapped  uint64 // cycles runs went on past their probe beside another core's run
 	Exits       BatchExits
 }
 
@@ -1825,7 +1912,7 @@ func (m *Machine) SuperblockStats() SuperblockStats {
 	s := SuperblockStats{Jumped: m.sbJumped, Ahead: m.sbAhead, Replayed: m.sbReplayed, Rewound: Rewinds{
 		Trap: w[rwTrap], MMIO: w[rwMMIO], Park: w[rwPark], Seen: w[rwSeen], Shadow: w[rwShadow], Exit: w[rwExit]},
 		Promises: m.sbPromises,
-		Batched:  m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Exits: BatchExits{
+		Batched:  m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Overlapped: m.sbOverlapped, Exits: BatchExits{
 			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched],
 			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
 	for _, c := range m.cores {

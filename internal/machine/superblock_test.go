@@ -705,3 +705,98 @@ func TestRunAheadDirtyUndo(t *testing.T) {
 		t.Fatalf("the engines diverged\n%s", diffLine(f, n))
 	}
 }
+
+// TestRunAheadRemapDropsRun pins the address-space key in resume. Core 0
+// traps on a zero divisor, which nothing predicts, so core 1's run is ahead
+// when it does, and RunUntil ends the batch there: the run is rewound. The
+// host then swaps the virtual addresses of core 1's two private data pages
+// in place and calls Invalidate. The same physical pages stay private to
+// core 1 the same way, so the privacy map is not rebuilt and the pages the
+// run touched keep their generations; only the address space's key tells
+// that the run loaded through translations that no longer hold. The run
+// must be dropped, and the machine must go on as naive stepping does.
+func TestRunAheadRemapDropsRun(t *testing.T) {
+	const dataA, dataB = 0x11000, 0x12000
+	scenario := func(sb bool) string {
+		m := New(noJitter(X86()), 1<<17)
+		m.SetSuperblock(sb)
+		m.SetExecCache(sb)
+		traps := 0
+		m.SetHandler(handlerFunc(func(c *Core, tr Trap) {
+			traps++
+			if tr.Kind == TrapDivZero {
+				c.PC += isa.InstrBytes
+			}
+		}))
+		a := asm.New()
+		a.Label("loop")
+		for i := 0; i < 40; i++ {
+			a.Addi(4, 4, 3)
+		}
+		a.Div(5, 4, 0)
+		a.J("loop")
+		mustLoad(t, m, a, 0x1000)
+		b := asm.New()
+		b.Li64(3, dataA)
+		b.Label("loop")
+		b.Ld(8, 6, 3, 0)
+		b.Add(7, 7, 6)
+		b.St(8, 3, 7, 8)
+		b.J("loop")
+		mustLoad(t, m, b, 0x2000)
+		for pa, v := range map[uint64]uint64{dataA: 5, dataB: 9} {
+			if err := m.Mem().WriteU(pa, 8, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		text := func(pa uint64) Segment { return Segment{VBase: pa, PBase: pa, Size: 0x1000, Perm: PermR | PermX} }
+		as1 := &AddrSpace{Segs: []Segment{text(0x2000),
+			{VBase: dataA, PBase: dataA, Size: 0x1000, Perm: PermR | PermW},
+			{VBase: dataB, PBase: dataB, Size: 0x1000, Perm: PermR | PermW}}}
+		m.StartCore(0, 0x1000, &AddrSpace{Segs: []Segment{text(0x1000)}})
+		m.StartCore(1, 0x2000, as1)
+		var out strings.Builder
+		render := func() {
+			fmt.Fprintf(&out, "now=%d traps=%d\n", m.Now(), traps)
+			for i := 0; i < 2; i++ {
+				c := m.Core(i)
+				fmt.Fprintf(&out, "%d: %d %d %#x %v\n", i, c.Cycles, c.Instructions, c.PC, c.Regs)
+			}
+			out.WriteString(memState(m))
+		}
+		m.Run(300)
+		k := traps
+		_ = m.RunUntil(func() bool { return traps > k }, 1000)
+		render()
+		if sb {
+			st := &m.sbRun[1]
+			if !st.back || st.promise == 0 {
+				t.Fatalf("core 1 holds no rewound run after the trap: back %v, promise %d", st.back, st.promise)
+			}
+			promise, gen := st.promise, m.privGen
+			as1.Segs[1].VBase, as1.Segs[2].VBase = dataB, dataA
+			as1.Invalidate()
+			before := m.SuperblockStats().Rewound.Exit
+			m.Run(1000)
+			if m.privGen != gen {
+				t.Fatal("a virtual remap rebuilt the privacy map")
+			}
+			if got := m.SuperblockStats().Rewound.Exit - before; got != promise {
+				t.Fatalf("%d cycles of the remapped core's %d-cycle run were undone for good: it resumed", got, promise)
+			}
+		} else {
+			as1.Segs[1].VBase, as1.Segs[2].VBase = dataB, dataA
+			as1.Invalidate()
+			m.Run(1000)
+		}
+		render()
+		for _, n := range []uint64{333, 2000, 57, 4000} {
+			m.Run(n)
+			render()
+		}
+		return out.String()
+	}
+	if f, n := scenario(true), scenario(false); f != n {
+		t.Fatalf("the engines diverged\n%s", diffLine(f, n))
+	}
+}

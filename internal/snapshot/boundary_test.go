@@ -90,12 +90,16 @@ var hostDerived = map[string]string{
 	"machine.Machine.watchPg":     "the device-watched pages, set up with the devices",
 	"machine.Machine.pgData":      "privacy map: derived from the address spaces, rebuilt when one changes",
 	"machine.Machine.pgWriter":    "privacy map: derived from the address spaces, rebuilt when one changes",
-	"machine.Machine.privKeys":    "what the privacy map was built from",
+	"machine.Machine.privKeys":    "the address-space keys the privacy map was last checked against",
+	"machine.Machine.privSegs":    "what the privacy map was built from",
+	"machine.Machine.sbLong":      "per-loop-top scratch of the superblock loop",
+	"machine.Machine.runPool":     "host threads for runs ahead side by side",
 	"machine.Machine.privWatch":   "what the privacy map was built from",
 	"machine.Machine.privGen":     "privacy map build count, a validity key of rewound runs",
 	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
 	"machine.Mem.pageGen":         "mutation generations: validity keys of host-side caches, bumped by load",
 	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
+	"machine.Mem.uncounted":       "set only while runs ahead overlap at one loop top of a batch",
 	"machine.Mem.base":            "identity of the image a rewind may delta against",
 	"machine.Mem.baseGen":         "page generations at the last full load of base",
 	"machine.Mem.serial":          "host identity of a CopyFrom source",
@@ -118,6 +122,8 @@ var hostDerived = map[string]string{
 	"machine.cache.lineMask":      "construction-time geometry",
 	"machine.cache.gen":           "replacement count: validity key of the superblock fetch memo",
 	"device.NIC.mem":              "cache of the machine's memory handle, re-established on the first Tick",
+
+	"machine.Machine.sbOverlapped": "host-side diagnostics",
 }
 
 // boundary probes which struct fields reachable from a snapshotted root are

@@ -48,6 +48,12 @@ func TestSuperblockDhrystoneHitRate(t *testing.T) {
 	if r := s.Rewound.Total(); r*50 > s.Ahead {
 		t.Fatalf("%d of %d cycles run ahead were undone (%+v): over 2%%", r, s.Ahead, s)
 	}
+	// Between syncs both replicas run far past the probe, so most of what
+	// runs ahead goes on beside the other replica's run, on a second host
+	// thread when there is one.
+	if s.Overlapped*2 < s.Ahead {
+		t.Fatalf("%d of %d cycles run ahead went on beside the other replica's run: under 50%% (%+v)", s.Overlapped, s.Ahead, s)
+	}
 }
 
 // TestSuperblockKVSoloShare is the same kind of smoke for the engine on
@@ -101,6 +107,12 @@ func TestSuperblockKVSoloShare(t *testing.T) {
 	cycles := m.Core(0).Cycles + m.Core(1).Cycles
 	if share := float64(s.Ahead) / float64(cycles); share < 0.7 {
 		t.Fatalf("run-ahead share %.1f%% < 70%% of %d core cycles on LC-DMR KV (%+v)", share*100, cycles, s)
+	}
+	// No run outlasts the probe beside another: the KV node never hands a
+	// run to a helper thread, so it leaves the host's second core to the
+	// shard and trial pools.
+	if s.Overlapped != 0 {
+		t.Fatalf("%d cycles ran past the probe beside another core's run on LC-DMR KV (%+v)", s.Overlapped, s)
 	}
 	if e := s.Exits; e.Watched > records+ops || e.Trap*2 >= traps {
 		t.Fatalf("batch exits %+v over %d ops and %d traps: want at most one watched-store exit per op and trap exits below half of all traps",
