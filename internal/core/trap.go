@@ -6,23 +6,47 @@ import (
 	"rcoe/internal/trace"
 )
 
+// entry is what a kernel entry finds before it reaches its kind's handler.
+type entry uint8
+
+const (
+	entryOpen   entry = iota // the kernel-text check, then the kind's handler
+	entrySpare               // a spare core with no replica: it halts
+	entryHalted              // the system fail-stopped: the core halts
+	entryDead                // the replica was voted out: the core goes offline
+	entryStall               // an injected stall is pending: the replica hangs
+)
+
+// entryOf classifies a kernel entry on c, changing nothing. HandleTrap acts
+// on the answer; LocalTrap requires entryOpen.
+func (s *System) entryOf(c *machine.Core) (*Replica, entry) {
+	if c.ID >= len(s.reps) {
+		return nil, entrySpare
+	}
+	r := s.reps[c.ID]
+	switch {
+	case s.halted:
+		return r, entryHalted
+	case s.cfg.Mode != ModeNone && !s.sh.alive(r.ID):
+		return r, entryDead
+	case r.stallPending:
+		return r, entryStall
+	}
+	return r, entryOpen
+}
+
 // HandleTrap implements machine.TrapHandler: it is the replicated kernel's
 // entry point for every trap on every core.
 func (s *System) HandleTrap(c *machine.Core, t machine.Trap) {
-	if c.ID >= len(s.reps) {
-		c.Halt() // spare core with no replica
-		return
-	}
-	r := s.reps[c.ID]
-	if s.halted {
+	r, e := s.entryOf(c)
+	switch e {
+	case entrySpare, entryHalted:
 		c.Halt()
 		return
-	}
-	if s.cfg.Mode != ModeNone && !s.sh.alive(r.ID) {
+	case entryDead:
 		c.SetOffline()
 		return
-	}
-	if r.stallPending {
+	case entryStall:
 		s.consumeStall(r)
 		return
 	}
@@ -59,6 +83,35 @@ func (s *System) HandleTrap(c *machine.Core, t machine.Trap) {
 	default:
 		s.afterKernel(r)
 	}
+}
+
+// LocalTrap implements machine.LocalTrapper. It answers true only for the
+// syscalls whose handling touches nothing but the caller — its registers and
+// stall, its kernel's event counter and signature (RAM no address space
+// maps), its published logical time and its trace ring — and only where
+// HandleTrap's entry checks, the per-syscall vote and afterKernel take no
+// other path: a replicated mode with signatures below SigSync, the system
+// not halted, the replica alive with no injected stall pending, not chasing,
+// with no kernel error and its kernel text known intact, no synchronisation
+// pending, and no debug feature armed on the core. While a stuck bit is
+// registered any RAM read may write, so it answers false.
+func (s *System) LocalTrap(c *machine.Core, t machine.Trap) bool {
+	if t.Kind != machine.TrapSyscall || s.cfg.Mode == ModeNone || s.cfg.Sig >= SigSync {
+		return false
+	}
+	switch t.Num {
+	case kernel.SysGetRID, kernel.SysGetPrimary, kernel.SysFTAddTrace, kernel.SysGetEvent, kernel.SysNull, kernel.SysPutc:
+	default:
+		return false
+	}
+	if s.m.Mem().StuckBits() != 0 {
+		return false
+	}
+	r, e := s.entryOf(c)
+	if e != entryOpen || r.chasing || r.K.Err != nil || !r.K.CanaryKnown() || s.syncPending() {
+		return false
+	}
+	return !c.BP.Enabled && !c.SingleStep && !c.BranchWatch.Enabled && !c.BlockWatch.Enabled
 }
 
 // kernelException fail-stops one replica. Peers detect the loss through a
@@ -346,7 +399,7 @@ func (s *System) sysFTAddTrace(r *Replica, va, n uint64) {
 		setRet(r, ^uint64(0))
 		return
 	}
-	buf, err := r.K.CopyFromUser(va, int(n))
+	buf, err := r.K.ReadUser(va, int(n))
 	if err != nil {
 		setRet(r, ^uint64(0))
 		return

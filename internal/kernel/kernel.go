@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rcoe/internal/checksum"
 	"rcoe/internal/machine"
@@ -66,7 +67,10 @@ type Kernel struct {
 	// canaryGen is the canary page's mutation generation at the last check
 	// that passed, 0 before one did: while the page's generation still
 	// equals it, nothing has written the page and the words still match.
+	// canaryGp points at that generation (Mem.PageGen), nil when the words
+	// span pages.
 	canaryGen uint64
+	canaryGp  *uint64
 
 	// Err is set when the kernel detects internal corruption; the
 	// replica fail-stops (the seL4 "halt on kernel exception" behaviour).
@@ -85,8 +89,10 @@ type Kernel struct {
 	// or machine state.
 	OnPreempt func(preemptions uint64)
 
-	// traceWords is AddTraceBytes' scratch, rebuilt by every call.
+	// traceWords is AddTraceBytes' scratch, rebuilt by every call, and
+	// userBuf ReadUser's.
 	traceWords []uint64
+	userBuf    []byte
 }
 
 // New creates a kernel for replica rid on the given core, with its
@@ -110,6 +116,7 @@ func New(rid int, c *machine.Core, lay Layout) (*Kernel, error) {
 	for i := range k.canaryWords {
 		k.canaryWords[i] = canaryWord(rid, uint64(i)*8)
 	}
+	k.canaryGp = mem.PageGen(lay.CanaryPA(), len(k.canaryWords)*8)
 	// Zero the signature block.
 	for w := uint64(0); w < 4; w++ {
 		if err := mem.WriteU(lay.SigPA()+w*8, 8, 0); err != nil {
@@ -153,11 +160,10 @@ func (k *Kernel) NumThreads() int { return len(k.threads) }
 // mismatch is the moral equivalent of executing a corrupted kernel
 // instruction: the kernel records the error and the replica fail-stops.
 func (k *Kernel) CheckCanary() bool {
-	mem := k.m.Mem()
-	gp := mem.PageGen(k.lay.CanaryPA(), len(k.canaryWords)*8)
-	if gp != nil && *gp != 0 && *gp == k.canaryGen {
+	if k.CanaryKnown() {
 		return true
 	}
+	mem := k.m.Mem()
 	for i, want := range k.canaryWords {
 		got, err := mem.ReadU(k.lay.CanaryPA()+uint64(i)*8, 8)
 		if err != nil || got != want {
@@ -165,10 +171,18 @@ func (k *Kernel) CheckCanary() bool {
 			return false
 		}
 	}
-	if gp != nil {
-		k.canaryGen = *gp
+	if k.canaryGp != nil {
+		k.canaryGen = *k.canaryGp
 	}
 	return true
+}
+
+// CanaryKnown reports, reading no RAM, that CheckCanary would pass without
+// re-reading the canary: its page has not been written since a check found
+// it intact.
+func (k *Kernel) CanaryKnown() bool {
+	gp := k.canaryGp
+	return gp != nil && *gp != 0 && *gp == k.canaryGen
 }
 
 // --- Threads and context switching ---
@@ -456,6 +470,17 @@ func (k *Kernel) CopyFromUser(va uint64, n int) ([]byte, error) {
 		return nil, fmt.Errorf("kernel: bad user read [%#x,+%d)", va, n)
 	}
 	return k.m.Mem().Read(pa, n)
+}
+
+// ReadUser is CopyFromUser into a scratch buffer, which the next call
+// overwrites: for a kernel entry that only looks at the bytes.
+func (k *Kernel) ReadUser(va uint64, n int) ([]byte, error) {
+	pa, _, ok := k.as.Translate(va, n, machine.PermR)
+	if !ok {
+		return nil, fmt.Errorf("kernel: bad user read [%#x,+%d)", va, n)
+	}
+	k.userBuf = slices.Grow(k.userBuf[:0], n)[:n]
+	return k.userBuf, k.m.Mem().ReadAt(pa, k.userBuf)
 }
 
 // CopyToUser writes b at user virtual address va.

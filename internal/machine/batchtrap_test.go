@@ -30,6 +30,19 @@ import (
 // DebugParkShadow set, so a park gate skip that misses a wake fails too. A
 // seed's residue modulo len(trapActions) picks the action every syscall
 // takes; "mixed" draws one per syscall.
+//
+// A seed with bit 33 set adds local kernel entries (LocalTrapper), with
+// either layout: the loops also issue syscall 2 at drawn places, whose
+// handler touches only its own core and state no core's run reads — it sets
+// the core's R1, charges it a stall, bumps a kernel counter one kind of
+// rider's condition waits on (a condition that reads kernel state, declared
+// through the park epoch) and, in the private layout, writes RAM no address
+// space maps — and, one call in 32, halts its own core. The handler's
+// LocalTrap calls syscall 2 local in three of every four 64-cycle windows of
+// machine time, so a syscall the batch predicted local at a loop top
+// (sbRoom) may be non-local when it traps. A local entry must leave the
+// other cores' runs ahead and re-derive only its own core's block. Seeds
+// without bit 33 expand exactly as before it.
 
 var trapActions = []string{"mixed", "return", "park-self", "park-other", "unpark-other",
 	"ipi-other", "irq-other", "patch-other", "bp-other", "branch-watch-other",
@@ -64,6 +77,7 @@ const (
 	trapPriv2  = 0x18000 // ... and the one its variant maps instead
 	trapFlag   = 0xC000  // the device-watched word
 	trapPark   = 0xD000  // the word parks wait on
+	trapKern   = 0x1F000 // with bits 32 and 33: RAM the local handler writes, mapped by no core
 	trapMMIO   = 0xF000_0000
 	trapIRQ    = 3 // the device's interrupt line
 	trapOthIRQ = 5 // the line the handler raises
@@ -145,6 +159,7 @@ type trapScenario struct {
 	holds  idleRand // park's draws of a condition that already holds
 	action string
 	priv   bool          // each core has an address space of its own (privActions)
+	local  bool          // syscall 2 is a local kernel entry (bit 33)
 	as     [4]*AddrSpace // core i's address space
 	alt    [4]*AddrSpace // as, with core i's text page mapped to a variant of its loop
 	loops  [4]uint64     // each core's loop head, the instruction patch-other rewrites
@@ -161,6 +176,39 @@ type trapScenario struct {
 	bpAt [len(bpKinds)]int
 	// stuck is the private byte stuck-private stuck, 0 when none is.
 	stuck uint64
+	// kernel is the kernel state the local handler bumps and a rider may
+	// wait on. locals counts the local syscalls' handler calls, and paths
+	// counts them by the path the batch engine took (localPaths).
+	kernel uint64
+	locals int
+	paths  [len(localPaths)]int
+	// predicted is, per core, the syscall PC and the answer of the last
+	// LocalTrap asked ahead of the trap (by sbRoom), pc 0 when none was.
+	predicted [4]struct {
+		pc    uint64
+		local bool
+	}
+}
+
+// localPaths names the paths a local syscall can take on the batch engine:
+// taken locally inside a solo run or in the rotation (a peer's run ahead of
+// machine time in either), a handler that halts its own core (the entry
+// then finishes as any other), called local while a core is parked (so
+// taken as any other), and predicted local at a loop top but non-local when
+// it trapped.
+var localPaths = [...]string{"solo", "rotation", "halt-self", "beside-rider", "mispredicted"}
+
+// trapLocal is the handler of a seed with bit 33 set.
+type trapLocal struct{ sc *trapScenario }
+
+func (h trapLocal) HandleTrap(c *Core, t Trap) { h.sc.handle(c, t) }
+
+func (h trapLocal) LocalTrap(c *Core, t Trap) bool {
+	local := t.Kind == TrapSyscall && t.Num == 2 && h.sc.m.Now()>>6&3 != 0
+	if c.PC != t.PC { // asked ahead: the core still stands on the syscall
+		h.sc.predicted[c.ID].pc, h.sc.predicted[c.ID].local = t.PC, local
+	}
+	return local
 }
 
 // bpKinds names where in its loop a breakpoint can fire: after a
@@ -207,7 +255,7 @@ func (sc *trapScenario) observe(tag string) {
 // register-only run closed by the loop's one branch. The variant (alt) has
 // the same layout and draws, with other immediates in the register-only
 // runs.
-func loopProg(r *idleRand, id int, alt, priv bool) (*asm.Builder, int) {
+func loopProg(r *idleRand, id int, alt, priv, local bool) (*asm.Builder, int) {
 	bump := int32(0)
 	if alt {
 		bump = 100
@@ -236,6 +284,9 @@ func loopProg(r *idleRand, id int, alt, priv bool) (*asm.Builder, int) {
 				b.Mul(14, 5, 5)
 			default:
 				b.Fadd(2, 2, 1)
+			}
+			if local && r.intn(3) == 0 {
+				b.Syscall(2)
 			}
 		}
 	}
@@ -325,7 +376,7 @@ func privPieces(b *asm.Builder, r *idleRand) {
 func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleCall) {
 	t.Helper()
 	r := idleRand(seed)
-	priv := seed>>32&1 != 0
+	priv, local := seed>>32&1 != 0, seed>>33&1 != 0
 	size, actions := 1<<16, trapActions
 	if priv {
 		size, actions = 1<<17, append(trapActions[:len(trapActions):len(trapActions)], privActions...)
@@ -334,7 +385,7 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 	m.SetSuperblock(sb)
 	m.SetExecCache(sb) // the reference fetches every instruction from memory
 	sc := &trapScenario{m: m, r: idleRand(seed ^ 0x5eed), holds: idleRand(seed ^ 0xb01d),
-		action: actions[seed%uint64(len(actions))], priv: priv}
+		action: actions[seed%uint64(len(actions))], priv: priv, local: local}
 	mmio := Segment{VBase: trapMMIO, PBase: trapMMIO, Size: 0x100, Perm: PermR | PermW}
 	flat := &AddrSpace{Segs: []Segment{{VBase: 0, PBase: 0, Size: 1 << 16, Perm: PermR | PermW | PermX}, mmio}}
 	dev := &trapDevice{sc: sc}
@@ -347,15 +398,19 @@ func newTrapScenario(t *testing.T, seed uint64, sb bool) (*trapScenario, []idleC
 	if r.intn(2) == 0 {
 		m.AddDevice(&fakeTimer{period: 301 + 2*uint64(r.intn(1500))})
 	}
-	m.SetHandler(handlerFunc(sc.handle))
+	if local {
+		m.SetHandler(trapLocal{sc})
+	} else {
+		m.SetHandler(handlerFunc(sc.handle))
+	}
 	for i := 0; i < m.NumCores(); i++ {
 		ra := r
-		b, head := loopProg(&r, i, false, priv)
+		b, head := loopProg(&r, i, false, priv, local)
 		base := trapText + uint64(i)*0x1000
 		mustLoad(t, m, b, base)
 		sc.loops[i] = base + uint64(head)*isa.InstrBytes
 		sc.body[i] = b.Len() - head
-		alt, _ := loopProg(&ra, i, true, priv)
+		alt, _ := loopProg(&ra, i, true, priv, local)
 		pa := trapAlt[i]
 		mustLoad(t, m, alt, pa)
 		if priv {
@@ -423,6 +478,13 @@ func (sc *trapScenario) park(c *Core, r *idleRand) {
 	}
 	page := m.Mem().PageGen(trapPark, 8)
 	done := func() { sc.observe(fmt.Sprintf("wake core %d", c.ID)) } // kernel code: it sees every core
+	if sc.local && r.intn(4) == 0 {
+		// Kernel state only the local handler changes, declared through the
+		// park epoch, which every trap moves.
+		kernel := sc.kernel
+		c.Park(func() bool { return sc.kernel != kernel || changed() }, done, NoEvent, page)
+		return
+	}
 	switch r.intn(3) {
 	case 0:
 		c.Park(func() bool { return c.PendingIRQ() != 0 || c.IPIPending() || changed() }, done, NoEvent, page)
@@ -436,6 +498,10 @@ func (sc *trapScenario) park(c *Core, r *idleRand) {
 
 func (sc *trapScenario) handle(c *Core, tr Trap) {
 	m := sc.m
+	if tr.Kind == TrapSyscall && tr.Num == 2 {
+		sc.local2(c, tr)
+		return
+	}
 	sc.traps++
 	for i := 0; i < m.NumCores(); i++ {
 		if m.Core(i).State == CoreParked {
@@ -568,6 +634,60 @@ func (sc *trapScenario) handle(c *Core, tr Trap) {
 	}
 }
 
+// local2 is syscall 2's handler: it touches only c and state no core's run
+// reads, so it logs c alone. On the batch engine it also counts the path
+// the entry took (localPaths).
+func (sc *trapScenario) local2(c *Core, tr Trap) {
+	m := sc.m
+	sc.locals++
+	sc.log = append(sc.log, fmt.Sprintf("local core %d now=%d pc=%#x cyc=%d ins=%d st=%d r5=%d",
+		c.ID, m.Now(), c.PC, c.Cycles, c.Instructions, c.stall, c.Regs[5]))
+	local := trapLocal{sc}.LocalTrap(c, tr)
+	if p := &sc.predicted[c.ID]; m.superblock && p.pc == tr.PC {
+		if p.local && !local {
+			sc.paths[4]++
+		}
+		p.pc = 0
+	}
+	r := &sc.r
+	c.Regs[1] = uint64(c.ID)<<32 | uint64(sc.locals)
+	c.AddStall(r.intn(8))
+	sc.kernel++
+	if sc.priv {
+		_ = m.Mem().WriteU(trapKern+uint64(8*c.ID), 8, uint64(sc.locals))
+	}
+	halt := r.intn(32) == 0
+	if halt {
+		c.Halt()
+	}
+	if !m.superblock || !local {
+		return
+	}
+	switch {
+	case m.anyParked():
+		sc.paths[3]++
+	case halt:
+		sc.paths[2]++
+	case m.sbExit&sbExitTrap == 0 && sc.peerAhead(c):
+		if m.sbSolo != nil {
+			sc.paths[0]++
+		} else {
+			sc.paths[1]++
+		}
+	}
+}
+
+// peerAhead reports whether a core other than c stands ahead of machine
+// time in a run.
+func (sc *trapScenario) peerAhead(c *Core) bool {
+	for i := range sc.m.sbRun {
+		if st := &sc.m.sbRun[i]; st.c != c && st.promise != 0 && !st.back {
+			return true
+		}
+	}
+	return false
+}
+
 // breakpoint arms a breakpoint on c anywhere in its loop — in a
 // register-only run, on a block's terminator, on a chain target — which its
 // handler disarms, or, with resume, keeps armed and steps over.
@@ -651,18 +771,25 @@ func FuzzBatchTrap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) { batchTrapCheck(t, seed) })
 }
 
+// localSeeds are the corpus seeds named after the path of a local syscall
+// they take most (localPaths): local-solo, local-rotation, local-halt-self,
+// local-beside-rider and local-mispredicted.
+var localSeeds = [len(localPaths)]uint64{12884902044, 12884901928, 12884901934, 12884902046, 12884901910}
+
 // TestBatchTrapSurvival is the fuzz target's fixed-seed tier-1 run: three
-// seeds per action, and one per action of the private layout. Across them
-// traps must have been taken both beside a rider and without one, some
-// beside a rider inside a solo run, solo runs must have issued naively,
-// breakpoints must have fired at every kind of place in a loop, batches
-// must have gone on after most traps, and in the private layout cores must
-// have run ahead, been rewound and replayed, and had runs undone for good.
+// seeds per action, one per action of the private layout, and the local
+// seeds. Across them traps must have been taken both beside a rider and
+// without one, some beside a rider inside a solo run, solo runs must have
+// issued naively, breakpoints must have fired at every kind of place in a
+// loop, batches must have gone on after most traps, in the private layout
+// cores must have run ahead, been rewound and replayed, and had runs undone
+// for good, and local syscalls must have taken every path.
 func TestBatchTrapSurvival(t *testing.T) {
 	var traps, rider, soloRider int
 	var bpAt [len(bpKinds)]int
 	var exits BatchExits
-	var solo, soloNaive, ahead, replayed, rewound uint64
+	var solo, soloNaive, ahead, replayed, rewound, local uint64
+	var paths [len(localPaths)]int
 	var seeds []uint64
 	for k := uint64(0); k < 3; k++ {
 		for a := range trapActions {
@@ -672,6 +799,7 @@ func TestBatchTrapSurvival(t *testing.T) {
 	for a := range len(trapActions) + len(privActions) {
 		seeds = append(seeds, 1<<32+uint64(len(trapActions)+len(privActions))*70+uint64(a))
 	}
+	seeds = append(seeds, localSeeds[:]...)
 	for _, seed := range seeds {
 		sc := batchTrapCheck(t, seed)
 		traps += sc.traps
@@ -680,7 +808,11 @@ func TestBatchTrapSurvival(t *testing.T) {
 		for i, n := range sc.bpAt {
 			bpAt[i] += n
 		}
+		for i, n := range sc.paths {
+			paths[i] += n
+		}
 		st := sc.m.SuperblockStats()
+		local += st.Local
 		solo += st.Solo
 		soloNaive += st.SoloNaive
 		if sc.priv {
@@ -696,8 +828,13 @@ func TestBatchTrapSurvival(t *testing.T) {
 		exits.Horizon += e.Horizon
 		exits.Refused += e.Refused
 	}
-	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; breakpoints by place %v: %v; batch exits: %+v; private layout: %d cycles ahead, %d replayed, %d undone",
-		traps, rider, soloRider, solo, soloNaive, bpKinds, bpAt, exits, ahead, replayed, rewound)
+	t.Logf("%d traps, %d beside a rider, %d of them inside a solo run; %d solo cycles, %d issued naively; breakpoints by place %v: %v; batch exits: %+v; private layout: %d cycles ahead, %d replayed, %d undone; %d local entries, local syscalls by path %v: %v",
+		traps, rider, soloRider, solo, soloNaive, bpKinds, bpAt, exits, ahead, replayed, rewound, local, localPaths, paths)
+	for i, n := range paths {
+		if n == 0 {
+			t.Fatalf("no local syscall took the %s path", localPaths[i])
+		}
+	}
 	for i, n := range bpAt {
 		if n == 0 {
 			t.Fatalf("no breakpoint fired at a %s place", bpKinds[i])

@@ -165,6 +165,21 @@ type TrapHandler interface {
 	HandleTrap(c *Core, t Trap)
 }
 
+// LocalTrapper is what a TrapHandler may also implement to name its local
+// kernel entries. LocalTrap(c, t) reports that HandleTrap(c, t), run on the
+// machine as it stands, touches no core but c (no other core's registers,
+// latches, debug registers, state, address space or cache), writes no RAM
+// another core's address space maps, and changes nothing a device's
+// NextEvent or RunUntil's condition reads; what it changes besides c may be
+// read only by kernel code and park conditions. It must change nothing
+// itself: the superblock engine also asks it ahead of a syscall, to predict
+// (sbRoom). While no core is parked a local entry is no observation point:
+// a batch takes it without rewinding the other cores' runs (Machine.trap).
+// An answer of false only costs the rewinds.
+type LocalTrapper interface {
+	LocalTrap(c *Core, t Trap) bool
+}
+
 // CoreState is the scheduling state of a core.
 type CoreState int
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rcoe/internal/forkjoin"
 	"rcoe/internal/isa"
@@ -75,6 +76,8 @@ type Machine struct {
 	bus     *bus
 	cores   []*Core
 	handler TrapHandler
+	// local is the handler's LocalTrapper side, nil when it has none.
+	local   LocalTrapper
 	windows []mmioWindow
 	devices []Device
 
@@ -126,7 +129,9 @@ type Machine struct {
 	// sbExit is set by trap (sbExitTrap) and the MMIO execution branches
 	// (sbExitMMIO) so the batched superblock loop can detect, immediately
 	// after exec returns, that the kernel or a device observed (and may
-	// have mutated) machine state. The naive paths never read it.
+	// have mutated) machine state, and by a local kernel entry
+	// (sbExitLocal), after which only the trapping core is re-derived. The
+	// naive paths never read it.
 	sbExit uint8
 	// sbExits counts why batches ended, by batchExit (diagnostics).
 	sbExits [nBatchExits]uint64
@@ -136,10 +141,11 @@ type Machine struct {
 	// for good, by cause, sbPromises the promises made, sbBatched the cycles
 	// batches consumed, sbSoloRun those of them run solo, sbSoloRider the
 	// solo cycles beside a parked rider, sbSoloNaive the solo cycles
-	// issued through the naive issue path and sbOverlapped the cycles runs
-	// went on past their probe beside another core's run (diagnostics).
+	// issued through the naive issue path, sbOverlapped the cycles runs
+	// went on past their probe beside another core's run and sbLocal the
+	// local kernel entries (diagnostics).
 	sbJumped, sbAhead, sbReplayed, sbPromises, sbBatched, sbSoloRun uint64
-	sbSoloRider, sbSoloNaive, sbOverlapped                          uint64
+	sbSoloRider, sbSoloNaive, sbOverlapped, sbLocal                 uint64
 	sbRewound                                                       [nRewindCauses]uint64
 	// sbSolo is the core running solo (see solo), nil when none is, and
 	// sbSoloFrom the cycle up to which the other cores have been credited
@@ -224,7 +230,10 @@ func New(prof Profile, memBytes int) *Machine {
 }
 
 // SetHandler installs the kernel trap handler.
-func (m *Machine) SetHandler(h TrapHandler) { m.handler = h }
+func (m *Machine) SetHandler(h TrapHandler) {
+	m.handler = h
+	m.local, _ = h.(LocalTrapper)
+}
 
 // Profile returns the machine profile.
 func (m *Machine) Profile() Profile { return m.prof }
@@ -429,11 +438,12 @@ func (m *Machine) Run(n uint64) {
 // host or device code mutates — a trap handler's flags, a halted or
 // offline core, a device register — never on what a core changes by merely
 // executing (its registers, PC or counters) nor on time alone (Now() >= X;
-// bound such waits with Run). The superblock engine relies on it: a batch
+// bound such waits with Run), and not on what a local kernel entry
+// (LocalTrapper) changes. The superblock engine relies on it: a batch
 // evaluates cond only after a cycle in which such code ran — a park wake
 // or an MMIO access ends the batch with its cycle and RunUntil evaluates
-// cond before the next one; after a trap the batch goes on only while cond
-// is false. DebugCondShadow checks the contract.
+// cond before the next one; after a trap other than a local one the batch
+// goes on only while cond is false. DebugCondShadow checks the contract.
 func (m *Machine) RunUntil(cond func() bool, maxCycles uint64) error {
 	// Kept small enough to inline, so a caller that drops the error does
 	// not pay for boxing it.
@@ -566,13 +576,32 @@ var DebugParkShadow func(coreID int, now uint64)
 // violation of RunUntil's contract (tests only).
 var DebugCondShadow func(now uint64)
 
+// DebugLocalShadow, when non-nil, makes every local kernel entry bring the
+// other cores to machine time first, as any other entry does, and observes
+// each thing its handler changed that LocalTrapper promises it leaves alone
+// — another core's run state, latches, debug registers, scheduling state,
+// address space or cache, or a page one of their runs touched (tests only).
+// The batch then goes on as after any other entry.
+var DebugLocalShadow func(coreID int, now uint64, what string)
+
 // trap hands control to the kernel. The handler mutates the core and
 // returns; user execution resumes on a later cycle (after any stall the
-// handler charged).
+// handler charged). A local entry (LocalTrapper) while no core is parked is
+// no observation point: the other cores' runs stay ahead, and the batch
+// re-derives only c's block (sbExitLocal) — unless the handler left c not
+// running, in which case the entry is finished as any other.
 func (m *Machine) trap(c *Core, t Trap) {
-	m.sbSync(rwTrap)       // the kernel may read any core: none may run ahead of this cycle
-	m.sbExit |= sbExitTrap // ... and may mutate anything
-	m.parkEpoch++          // ... including what parked cores wait on
+	local := m.local != nil && !m.anyParked() && m.local.LocalTrap(c, t)
+	shadowed := local && DebugLocalShadow != nil
+	var shadow []shadowCore
+	if !local {
+		m.sbSync(rwTrap)       // the kernel may read any core: none may run ahead of this cycle
+		m.sbExit |= sbExitTrap // ... and may mutate anything
+	} else if shadowed {
+		m.sbSync(rwShadow)
+		shadow = m.localShadow(c, nil)
+	}
+	m.parkEpoch++ // the handler may change what parked cores wait on
 	if DebugTrace != nil {
 		DebugTrace(c.ID, t.Kind, t.PC, m.now)
 	}
@@ -580,6 +609,76 @@ func (m *Machine) trap(c *Core, t Trap) {
 	if m.handler != nil {
 		m.handler.HandleTrap(c, t)
 	}
+	if !local {
+		return
+	}
+	if shadowed {
+		m.localShadow(c, shadow)
+	}
+	if c.State == CoreRunning {
+		m.sbLocal++
+		if !shadowed {
+			m.sbExit |= sbExitLocal
+			return
+		}
+	}
+	m.sbSync(rwTrap)
+	m.sbExit |= sbExitTrap
+}
+
+// shadowCore is what DebugLocalShadow compares of a core other than the
+// trapping one: its run state (registers, counters, latches, debug
+// registers), scheduling state, address space, cache and the pages its last
+// run touched, with their generations.
+type shadowCore struct {
+	id    int
+	run   coreRun
+	state CoreState
+	as    asKey
+	cgen  uint64
+	pages []aheadPage
+}
+
+// localShadow records every core but c, and with want — the record taken
+// before the handler ran — reports to DebugLocalShadow what differs.
+func (m *Machine) localShadow(c *Core, want []shadowCore) []shadowCore {
+	var got []shadowCore
+	for _, o := range m.cores {
+		if o == c {
+			continue
+		}
+		s := shadowCore{id: o.ID, state: o.State, as: o.AS.key(), cgen: o.cache.gen}
+		o.saveRun(&s.run)
+		if o.ID < len(m.sbRun) {
+			for _, pg := range m.sbRun[o.ID].pages {
+				s.pages = append(s.pages, aheadPage{pg.p, m.mem.pageGen[pg.p]})
+			}
+		}
+		got = append(got, s)
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		if g.run != w.run {
+			DebugLocalShadow(c.ID, m.now, fmt.Sprintf("core %d's run state", g.id))
+		}
+		if g.state != w.state || g.as != w.as || g.cgen != w.cgen {
+			DebugLocalShadow(c.ID, m.now, fmt.Sprintf("core %d's state, address space or cache", g.id))
+		}
+		if !slices.Equal(g.pages, w.pages) {
+			DebugLocalShadow(c.ID, m.now, fmt.Sprintf("a page core %d's run touched", g.id))
+		}
+	}
+	return got
+}
+
+// anyParked reports whether a core is parked.
+func (m *Machine) anyParked() bool {
+	for _, c := range m.cores {
+		if c.State == CoreParked {
+			return true
+		}
+	}
+	return false
 }
 
 // execOne fetches, decodes and executes one instruction on c. Bus

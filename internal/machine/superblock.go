@@ -40,7 +40,8 @@ import (
 //     serviced the same way, except that a core whose run the handler left
 //     alone resumes it, and then the batch re-derives everything else — the
 //     cores' admission, the device horizon — and goes on; it ends only when
-//     that re-derivation refuses;
+//     that re-derivation refuses. A local kernel entry (LocalTrapper) while
+//     no core is parked rewinds nothing and re-derives only its own core;
 //   - text mutates under a cached block (self-modifying code, injected
 //     bit-flip, DMA, re-integration copy): the spanned pages' mutation
 //     generations are re-checked before every issue and the core falls
@@ -293,6 +294,10 @@ type sbRunState struct {
 	fgen    uint64
 	promise uint64
 	lag     uint64
+	// sbRoom's LocalTrap prediction for the syscall the core stood on at
+	// localPC with localAt instructions retired (localAhead).
+	local            bool
+	localPC, localAt uint64
 
 	// The run's start: the core's state and its block position.
 	ck  coreRun
@@ -936,29 +941,6 @@ func (m *Machine) drop(st *sbRunState) {
 	st.redo.reset()
 }
 
-// sbSync brings every core the batch drives to machine time, first
-// crediting them the cycles of a solo run in progress (which thereby ends:
-// its caller finishes the cycle naively): an ahead core is rewound, one
-// whose promise the loop has credited in full commits. It is called
-// wherever code other than a core's own run can observe a core — see
-// runBlocks for the list and the argument — so outside those points a core
-// may lead the machine's clock unseen. Outside a batch no core is ahead and
-// the call is a few compares.
-func (m *Machine) sbSync(why rewindCause) {
-	if m.sbSolo != nil {
-		m.sbSettle(true)
-	}
-	for _, st := range m.sbAct {
-		switch {
-		case st.back:
-		case st.promise != 0:
-			m.rewind(st, why)
-		case st.lag != 0:
-			m.commit(st)
-		}
-	}
-}
-
 // batchExit names why a batch ended (SuperblockStats.Exits). The first
 // two are observations the batch survives when re-deriving its state
 // allows it; they count as exits only when it does not.
@@ -979,6 +961,7 @@ const (
 const (
 	sbExitTrap uint8 = 1 << iota
 	sbExitMMIO
+	sbExitLocal // a local kernel entry (LocalTrapper): only its core is re-derived
 )
 
 // sbRest finishes the current cycle's rotation after core idx, once code
@@ -1102,10 +1085,10 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // runBlocks executes up to limit cycles through the superblock engine and
 // returns the number of cycles consumed (0 when a device event is due next
 // cycle, which only a naive step may run). cond is RunUntil's condition,
-// nil under Run; it cannot turn true inside a batch except through a trap
-// handler (see RunUntil), so it is evaluated after every cycle with a trap
-// the batch goes on from, and, before every batched cycle except the
-// first, when DebugCondShadow is set.
+// nil under Run; it cannot turn true inside a batch except through the
+// handler of a trap other than a local one (see RunUntil), so it is
+// evaluated after every cycle with such a trap the batch goes on from, and,
+// before every batched cycle except the first, when DebugCondShadow is set.
 //
 // Cores ahead of the clock and the one core at machine time. Between two
 // kernel entries a replica is an independent instruction stream, so the
@@ -1150,12 +1133,23 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // can read or write a core ahead of the clock, and each starts with sbSync,
 // which rewinds it: undo the log, restore the checkpoint, replay the lag
 // cycles the loop has credited with the same executor. They are
-// Machine.trap (the kernel), both MMIO arms of execSlow (a device), the
-// evaluation of a park condition in advance (and of its DebugParkShadow
-// twin), the DebugCondShadow evaluation here, a solo core's store that the
-// rest of the machine has to see (watched RAM, a rider's watched page), and
-// batch end (the host). Devices tick only outside batches (the horizon),
-// and a device's NextEvent reads only watched RAM, which no run touches.
+// Machine.trap (the kernel) unless the entry is local, both MMIO arms of
+// execSlow (a device), the evaluation of a park condition in advance (and
+// of its DebugParkShadow twin), the DebugCondShadow evaluation here, a solo
+// core's store that the rest of the machine has to see (watched RAM, a
+// rider's watched page), and batch end (the host). Devices tick only
+// outside batches (the horizon), and a device's NextEvent reads only
+// watched RAM, which no run touches. A local kernel entry while no core is
+// parked is no observation point: its handler promises (LocalTrapper) to
+// touch no core but its own, no RAM another core maps and nothing a device
+// or RunUntil's condition reads, and what else it changes only kernel code
+// and park conditions read — and with no core parked there is no park to
+// evaluate — so nothing can tell that the other cores' runs stayed ahead.
+// Only its own core is re-derived (sbIssue, sbNaive) and the batch goes on
+// after the usual store checks; a handler that leaves its core not running
+// makes the entry an observation point after all, and DebugLocalShadow
+// checks the promise. sbRoom does not cap runs at a syscall the handler
+// calls local.
 // Credits are rotation-exact: a core is credited a cycle in its own slot —
 // one by one in the rotation, or by slot arithmetic when a solo run is
 // observed mid-cycle — so when a core traps, the cores serviced before it
@@ -1245,7 +1239,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		// most a probe first; the runs that used their whole probe go on
 		// (goOn) before they count.
 		k := horizon - consumed
-		room := m.sbRoom(k)
+		room := m.sbRoom(k, nparked)
 		var lone *sbRunState
 		unpromised, idle := 0, true
 		long := m.sbLong[:0]
@@ -1440,16 +1434,17 @@ func (m *Machine) goOn(long []*sbRunState, more uint64) {
 // sbRoom caps at k how far a core may run ahead: no further than the issue
 // at which another core surely traps — one without a block that will take
 // an interrupt, single-step or stands on its breakpoint, or one standing on
-// a syscall — since that trap rewinds every run. It only saves work: a
-// longer run would be exact, and undone.
-func (m *Machine) sbRoom(k uint64) uint64 {
+// a syscall the handler does not call local while no core is parked — since
+// that trap rewinds every run. It only saves work: a longer run would be
+// exact, and undone.
+func (m *Machine) sbRoom(k uint64, nparked int) uint64 {
 	for _, st := range m.sbAct {
 		c := st.c
 		if st.parked {
 			continue
 		}
 		if sb := st.sb; sb != nil {
-			if sb.ins[st.pos].Op != isa.OpSyscall {
+			if ins := &sb.ins[st.pos]; ins.Op != isa.OpSyscall || nparked == 0 && m.localAhead(st, ins) {
 				continue
 			}
 		} else if !(c.IntEnabled && (c.pendingIRQ != 0 || c.pendingIPI) ||
@@ -1468,13 +1463,13 @@ func (m *Machine) sbRoom(k uint64) uint64 {
 // sbNaive is the one naive-issue step of the rotation and solo, for a core
 // on no fresh block (sbBlock's reasons, or text written since decode): the
 // naive issue delivers the interrupt, checks the debug features and derives
-// bytes and any trap from scratch; then, unless a trap or an MMIO access
-// observed the machine (m.sbExit), the core alone is re-derived in place.
-// Like a slow op of sbIssue it is no observation point: the caller checks
-// the stores it may have made.
+// bytes and any trap from scratch; then, unless a trap other than a local
+// one or an MMIO access observed the machine (m.sbExit), the core alone is
+// re-derived in place. Like a slow op of sbIssue it is no observation point:
+// the caller checks the stores it may have made.
 func (m *Machine) sbNaive(st *sbRunState) {
 	m.issue(st.c)
-	if m.sbExit == 0 {
+	if m.sbExit &^= sbExitLocal; m.sbExit == 0 {
 		st.sb, st.pos = m.sbBlock(st.c), 0
 	}
 }
@@ -1484,9 +1479,11 @@ func (m *Machine) sbNaive(st *sbRunState) {
 // the one definition of that step, for the rotation of runBlocks and for
 // solo. It reports whether the instruction went through execSlow or fired
 // the branch watch: only such an issue can trap, reach a device or store,
-// so only then has the caller anything to check. After a trap or an MMIO
-// access (m.sbExit) the block position is left alone — the handler may have
-// moved the core anywhere — and the caller re-derives the core.
+// so only then has the caller anything to check. After a local kernel entry
+// the core takes the block at wherever its handler left it (sbBlock). After
+// any other trap or an MMIO access (m.sbExit) the block position is left
+// alone — the handler may have moved the core anywhere — and the caller
+// re-derives the core.
 func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	c, sb := st.c, st.sb
 	if c.nextJitter(m.prof.JitterShift) {
@@ -1539,6 +1536,11 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 			if watched {
 				m.debugTail(c, br, false)
 			}
+		}
+		if m.sbExit == sbExitLocal {
+			m.sbExit = 0
+			st.sb, st.pos = m.sbBlock(c), 0
+			return true
 		}
 		if m.sbExit != 0 {
 			return true
@@ -1832,6 +1834,46 @@ func execFast(c *Core, ins *isa.Instr, cost *Costs) bool {
 	return true
 }
 
+// sbSync brings every core the batch drives to machine time, first
+// crediting them the cycles of a solo run in progress (which thereby ends:
+// its caller finishes the cycle naively): an ahead core is rewound, one
+// whose promise the loop has credited in full commits. It is called
+// wherever code other than a core's own run can observe a core — see
+// runBlocks for the list and the argument — so outside those points a core
+// may lead the machine's clock unseen. Outside a batch no core is ahead and
+// the call is a few compares.
+func (m *Machine) sbSync(why rewindCause) {
+	if m.sbSolo != nil {
+		m.sbSettle(true)
+	}
+	for _, st := range m.sbAct {
+		switch {
+		case st.back:
+		case st.promise != 0:
+			m.rewind(st, why)
+		case st.lag != 0:
+			m.commit(st)
+		}
+	}
+}
+
+// localAhead predicts whether the syscall ins, which st's core stands on,
+// will be a local kernel entry (LocalTrapper). The handler is asked once
+// per arrival at the syscall — while the core stands on it, neither its PC
+// nor its retired instructions move — although what its answer reads may
+// change before the core traps: a stale answer only costs a rewind or a
+// shorter run, since Machine.trap asks again at the entry itself.
+func (m *Machine) localAhead(st *sbRunState, ins *isa.Instr) bool {
+	if m.local == nil {
+		return false
+	}
+	if c := st.c; st.localPC != c.PC || st.localAt != c.Instructions {
+		st.localPC, st.localAt = c.PC, c.Instructions
+		st.local = m.local.LocalTrap(c, Trap{Kind: TrapSyscall, Num: ins.Imm, PC: c.PC + isa.InstrBytes})
+	}
+	return st.local
+}
+
 // SuperblockStats aggregates the per-core superblock caches.
 type SuperblockStats struct {
 	Blocks      uint64 // superblocks decoded
@@ -1847,6 +1889,7 @@ type SuperblockStats struct {
 	SoloRider   uint64 // ... of which beside a parked rider
 	SoloNaive   uint64 // solo cycles issued through the naive issue path (no fresh block)
 	Overlapped  uint64 // cycles runs went on past their probe beside another core's run
+	Local       uint64 // local kernel entries (LocalTrapper) that left their core running: no observation point
 	Exits       BatchExits
 }
 
@@ -1912,7 +1955,7 @@ func (m *Machine) SuperblockStats() SuperblockStats {
 	s := SuperblockStats{Jumped: m.sbJumped, Ahead: m.sbAhead, Replayed: m.sbReplayed, Rewound: Rewinds{
 		Trap: w[rwTrap], MMIO: w[rwMMIO], Park: w[rwPark], Seen: w[rwSeen], Shadow: w[rwShadow], Exit: w[rwExit]},
 		Promises: m.sbPromises,
-		Batched:  m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Overlapped: m.sbOverlapped, Exits: BatchExits{
+		Batched:  m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Overlapped: m.sbOverlapped, Local: m.sbLocal, Exits: BatchExits{
 			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched],
 			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
 	for _, c := range m.cores {

@@ -54,8 +54,10 @@ var hostDerived = map[string]string{
 	"kernel.Kernel.lay":         "construction-time layout",
 	"kernel.Kernel.canaryWords": "pure function of the replica ID",
 	"kernel.Kernel.canaryGen":   "host memo keyed on a page generation, which load bumps",
+	"kernel.Kernel.canaryGp":    "construction-time pointer to the canary page's generation",
 	"kernel.Kernel.OnPreempt":   "hook: re-wired by the owner",
 	"kernel.Kernel.traceWords":  "scratch of AddTraceBytes, rebuilt by every call",
+	"kernel.Kernel.userBuf":     "scratch of ReadUser, refilled by every call",
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
 
 	// machine
@@ -124,6 +126,7 @@ var hostDerived = map[string]string{
 	"device.NIC.mem":              "cache of the machine's memory handle, re-established on the first Tick",
 
 	"machine.Machine.sbOverlapped": "host-side diagnostics",
+	"machine.Machine.sbLocal":      "host-side diagnostics",
 }
 
 // boundary probes which struct fields reachable from a snapshotted root are
