@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 	"unsafe"
@@ -488,14 +487,6 @@ func (c *Cluster) clientErrors() uint64 {
 	return n
 }
 
-// workers returns the effective shard-worker count (0 = host cores).
-func (c *Cluster) workers() int {
-	if c.opts.ShardWorkers > 0 {
-		return c.opts.ShardWorkers
-	}
-	return runtime.NumCPU()
-}
-
 // Step advances the cluster one lockstep round: fill every shard,
 // advance every node by the chunk, drain every shard. Fill and drain
 // run serialized in shard-ID order on the caller's goroutine — they
@@ -513,7 +504,7 @@ func (c *Cluster) Step() {
 		c.fill(sh)
 	}
 	t2 := time.Now()
-	c.pool.Run(c.workers(), len(c.shards), func(i int) {
+	c.pool.Run(c.opts.ShardWorkers, len(c.shards), func(i int) {
 		c.shards[i].node.RunCycles(c.opts.ChunkCycles)
 	})
 	t3 := time.Now()
@@ -759,7 +750,7 @@ func (c *Cluster) VerifyAcked() (lost uint64, err error) {
 	}
 	lostPer := make([]uint64, len(c.shards))
 	errPer := make([]error, len(c.shards))
-	c.pool.Run(c.workers(), len(c.shards), func(id int) {
+	c.pool.Run(c.opts.ShardWorkers, len(c.shards), func(id int) {
 		lostPer[id], errPer[id] = c.auditShard(c.shards[id], perShard[id])
 	})
 	for id := range c.shards {

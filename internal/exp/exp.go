@@ -14,14 +14,20 @@
 //
 // Together these make worker count invisible: a campaign run with one
 // worker and with N workers produces identical results, byte for byte.
+//
+// Each Run is one job of a fresh internal/forkjoin pool, one index per
+// campaign job; the engine has no scheduler of its own.
 package exp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"rcoe/internal/forkjoin"
 )
 
 // defaultWorkers is the process-wide worker-pool size used when
@@ -101,18 +107,18 @@ type Options struct {
 	// explicit seed.
 	MasterSeed uint64
 	// OnProgress, when set, is called after every job completes. Calls
-	// are serialised by the engine but may come from any worker.
+	// are serialised by the engine but may come from any worker. A panic
+	// in it is no job failure: with one worker it reaches Run's caller at
+	// once; with more, every job runs and Run re-raises the lowest index's.
 	OnProgress func(Progress)
 }
 
 // Run executes the jobs on a host worker pool and returns their results
-// indexed by job index. Job errors are recorded per job and do not stop
+// indexed by job index. With one worker the jobs run in index order on the
+// caller's goroutine. Job errors are recorded per job and do not stop
 // the campaign; Run itself fails only when the context is cancelled.
 func Run[T any](opts Options, jobs []Job[T]) ([]Result[T], error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := cmp.Or(opts.Context, context.Background())
 	results := make([]Result[T], len(jobs))
 	for i, j := range jobs {
 		seed := j.Seed
@@ -121,24 +127,20 @@ func Run[T any](opts Options, jobs []Job[T]) ([]Result[T], error) {
 		}
 		results[i] = Result[T]{Index: i, Name: j.Name, Seed: seed}
 	}
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
 		progress sync.Mutex
 		done     int
 	)
-	report := func(i int) {
+	new(forkjoin.Pool).Run(workers, len(jobs), func(i int) {
+		if err := ctx.Err(); err != nil {
+			results[i].Err = err
+		} else {
+			results[i].Value, results[i].Err = runJob(ctx, jobs[i], results[i].Seed)
+		}
 		if opts.OnProgress == nil {
 			return
 		}
@@ -149,26 +151,7 @@ func Run[T any](opts Options, jobs []Job[T]) ([]Result[T], error) {
 			Index: i, Name: results[i].Name, Err: results[i].Err,
 			Done: done, Total: len(jobs),
 		})
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i].Err = err
-				} else {
-					results[i].Value, results[i].Err = runJob(ctx, jobs[i], results[i].Seed)
-				}
-				report(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return results, ctx.Err()
 }
 

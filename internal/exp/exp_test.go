@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -250,5 +251,42 @@ func TestSetDefaultWorkers(t *testing.T) {
 	SetDefaultWorkers(0) // restores host core count
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers = %d after reset", DefaultWorkers())
+	}
+}
+
+// TestRunProgressPanicReachesCaller: a panicking OnProgress is not a job
+// failure. With one worker it propagates at once and later jobs never
+// start; with four every job runs, and Run re-raises the value of the
+// lowest index whose callback panicked.
+func TestRunProgressPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		jobs := make([]Job[int], 6)
+		for i := range jobs {
+			jobs[i] = Job[int]{Run: func(context.Context, uint64) (int, error) {
+				ran.Add(1)
+				return 0, nil
+			}}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != 2 {
+					t.Fatalf("workers=%d: recovered %v, want 2 (lowest panicking index)", workers, r)
+				}
+			}()
+			Run(Options{Workers: workers, OnProgress: func(p Progress) {
+				if p.Index == 2 || p.Index == 4 {
+					panic(p.Index)
+				}
+			}}, jobs)
+			t.Fatalf("workers=%d: Run returned instead of panicking", workers)
+		}()
+		want := int64(len(jobs))
+		if workers == 1 {
+			want = 3
+		}
+		if ran.Load() != want {
+			t.Fatalf("workers=%d: %d jobs ran, want %d", workers, ran.Load(), want)
+		}
 	}
 }

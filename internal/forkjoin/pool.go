@@ -1,109 +1,88 @@
 // Package forkjoin is the host's one fork-join pool: a coordinator hands
 // out the indices of a job to itself and to helpers that spin between jobs,
 // and returns when every index has run. A cluster fans its shards' run
-// phase and audit out over it (internal/cluster), and a machine runs two
-// cores' runs ahead of machine time side by side on it (internal/machine).
+// phase and audit out over it (internal/cluster), a machine runs two cores'
+// runs ahead of machine time side by side on it (internal/machine), and the
+// experiment engine runs each campaign on it, one trial per index
+// (internal/exp).
 package forkjoin
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// A job is short: a cluster round is ~100 µs of work, two cores' runs
-// ahead a few hundred µs. So how the host cores meet at its barrier matters
-// as much as the work: a goroutine spawn and a futex sleep/wake per job
-// costs about what the job saves (the paper's replicas busy-wait at their
-// sync points for the same reason). The pool therefore keeps its helpers
-// spinning between jobs and lets them expire when jobs stop coming.
+// Most jobs are short: a cluster round is ~100 µs of work, two cores' runs
+// ahead a few hundred µs. A goroutine spawn and a futex sleep/wake per job
+// costs about what such a job saves (the paper's replicas busy-wait at their
+// sync points for the same reason), so helpers spin between jobs and expire
+// when jobs stop coming, and the coordinator spins at the barrier. A
+// campaign trial runs for seconds, where a spin saves nothing and takes a
+// core from the trials' own pools, so the coordinator spins only as long as
+// a helper lingers and then blocks until the last index to complete wakes it.
 //
-// Protocol. The coordinator (the goroutine calling Run) publishes a
-// job — fn, n, a claim counter and a completed counter — through the
-// pool's atomic pointer, claims indices itself with the claim counter,
-// then spin-waits until completed == n. A helper polls the pointer; on a
-// job it has not seen it claims indices the same way, bumps completed
-// once per index it ran, and goes back to polling. A helper that sees no
-// new job for helperLinger exits, and the coordinator starts helpers only
-// when fewer than workers-1 are alive, so in steady state nobody sleeps
-// and nobody is spawned, while a pool whose owner is idle or dropped holds
-// no goroutine past the linger. A helper that has not claimed an index
-// yet when the coordinator runs out of work costs nothing: the coordinator
-// has run every index itself.
+// Protocol. The pool owns one job record that each Run re-arms, publishing
+// it last through the claim word: the job's generation in the high 32 bits,
+// the count u of unclaimed indices in the low 32. Index n-u is claimed by
+// swapping the word from (gen, u) to (gen, u-1). fn and n are read only
+// after such a swap, and the coordinator re-arms only once every claimed
+// index has completed, so a helper still returning from job k can never
+// claim an index of job k+1: its generation is stale and the swap fails.
+// Helpers are started only when fewer than workers-1 are alive, so in
+// steady state nobody sleeps and nobody is spawned. To block, the
+// coordinator stores the generation in waiting; whoever brings done to n
+// swaps it back to 0 and sends on wake, which a late finisher of an earlier
+// job, holding another generation, cannot do.
 //
-// Both spin loops yield to the scheduler every spinYield polls. That is
-// required, not a courtesy: with more spinners than cores (GOMAXPROCS=1,
-// or several pools under internal/exp) the goroutine that holds a
-// claimed index must get a core for completed to ever reach n.
+// A spin yields every spinYield polls: with more spinners than cores
+// (GOMAXPROCS=1, or trials that fork on pools of their own) the goroutine
+// holding a claimed index must get a core. Both spins are written out in
+// place: a closure call per poll stretched the period and raised the
+// cpu-trap workload's peak RSS by ~6 %.
 //
-// Determinism is unaffected by construction: the pool only decides
-// *when on the host* each index runs, never what it computes. Its callers
-// hand it only indices whose work is a pure function of state no other
-// index writes, and keep everything order-sensitive on the coordinator,
-// before Run or after it returns.
+// Determinism is unaffected by construction: the pool only decides *when on
+// the host* each index runs, never what it computes. Its callers hand it
+// only indices whose work is a pure function of state no other index
+// writes, and keep everything order-sensitive on the coordinator.
 
 const (
-	// helperLinger is how long a helper polls for the next job before
-	// exiting. It has to outlast a whole job, not just the gap between
-	// two: when one busy index dominates a job the helper is idle for
-	// most of it, and a helper that expires mid-job is respawned late
-	// (a thread wake-up is ~80 µs on a VM), claims an index late and holds
-	// the barrier — at 200 µs the 8-shard fleet ran at 0.6x of serial.
-	// Cluster rounds are 60-250 µs at the default chunk and ~1 ms at the
-	// million-key chunk; 2 ms is still nothing a person or a leak test
-	// would notice.
+	// helperLinger is how long a helper polls for the next job before it
+	// exits, and how long the coordinator spins before it blocks. It must
+	// outlast a whole job: a helper that expires mid-job is respawned late
+	// (a thread wake-up is ~80 µs on a VM) and holds the barrier — at
+	// 200 µs the 8-shard fleet ran at 0.6x of serial. Cluster rounds are
+	// 60-250 µs, ~1 ms at the million-key chunk.
 	helperLinger = 2 * time.Millisecond
-	// spinYield is the number of polls between runtime.Gosched calls
-	// (and, in a helper, between looks at the clock): ~5 µs of spinning.
-	// Every Gosched is a trip through the global run queue, so yielding
-	// every ~100 polls costs more than it gives back; at this period a
-	// steady-state wait usually ends before the first yield.
+	// spinYield is the number of polls between runtime.Gosched calls and
+	// looks at the clock (~14 µs on a 2-vCPU VM). Every Gosched is a trip
+	// through the global run queue; a steady-state wait ends before the first.
 	spinYield = 1 << 14
 )
 
 // Pool runs one owner's fork-join jobs. The zero value is ready; it must
-// be driven by one coordinator goroutine at a time, and owners that run
-// at once (two clusters, two machines) each hold their own. An owner holds
-// its Pool by pointer: a helper references the pool until its linger ends,
-// and a Pool embedded in its owner would keep the owner — a finished
-// machine and the RAM its finalizer releases — reachable that long.
+// be driven by one coordinator goroutine at a time, and owners that run at
+// once (two clusters, two machines, two campaigns) each hold their own, by
+// pointer: a helper references the pool until its linger ends, and a Pool
+// embedded in its owner would keep the owner — a finished machine and the
+// RAM its finalizer releases — reachable that long.
 type Pool struct {
-	job   atomic.Pointer[job]
-	alive atomic.Int32 // helpers started and not yet exited
-}
+	claim   atomic.Uint64 // generation<<32 | unclaimed indices (n < 2^32)
+	done    atomic.Int64  // indices whose fn has returned or panicked
+	waiting atomic.Uint32 // the generation the coordinator blocks on, 0 if none
+	alive   atomic.Int32  // helpers started and not yet exited
+	wake    chan struct{}
 
-// job is one parallel phase: fn(i) for every i in [0, n).
-type job struct {
-	fn   func(int)
-	n    int64
-	next atomic.Int64 // claim counter: the next unclaimed index
-	done atomic.Int64 // indices whose fn has returned or panicked
-	// A panicking fn cannot be allowed to unwind a helper (Go aborts
-	// the process), so panics are parked per index for the coordinator.
-	panics   []any
-	panicked atomic.Bool
-}
+	gen uint32 // the coordinator's alone
+	n   int
+	fn  func(int)
 
-// work claims and runs indices until none are left.
-func (j *job) work() {
-	for {
-		i := j.next.Add(1) - 1
-		if i >= j.n {
-			return
-		}
-		j.call(int(i))
-	}
-}
-
-func (j *job) call(i int) {
-	defer func() {
-		if r := recover(); r != nil {
-			j.panics[i] = r
-			j.panicked.Store(true)
-		}
-		j.done.Add(1)
-	}()
-	j.fn(i)
+	// A panic cannot be allowed to unwind a helper (Go aborts the
+	// process), so the lowest panicking index is parked for the coordinator.
+	mu       sync.Mutex
+	panicAt  int
+	panicVal any
 }
 
 // Run runs fn(i) for every i in [0, n) on the caller plus at most
@@ -127,25 +106,40 @@ func (p *Pool) Run(workers, n int, fn func(int)) {
 		}
 		return
 	}
-	j := &job{fn: fn, n: int64(n), panics: make([]any, n)}
-	p.job.Store(j)
+	if p.wake == nil {
+		p.wake = make(chan struct{}, 1)
+	}
+	if p.gen++; p.gen == 0 { // 0 means nobody waits
+		p.gen = 1
+	}
+	p.fn, p.n, p.panicAt = fn, n, n
+	p.done.Store(0)
+	w := uint64(p.gen)<<32 | uint64(n)
+	p.claim.Store(w)
 	for int(p.alive.Load()) < workers-1 {
 		p.alive.Add(1)
 		go p.help()
 	}
-	j.work()
-	for polls := 1; j.done.Load() < j.n; polls++ {
-		if polls%spinYield == 0 {
-			runtime.Gosched()
+	p.work(w)
+	start := time.Now()
+	for polls := 1; p.done.Load() < int64(n); polls++ {
+		if polls%spinYield != 0 {
+			continue
 		}
-	}
-	j.fn = nil // a lingering helper keeps j: let it pin nothing fn reaches
-	if j.panicked.Load() {
-		for _, r := range j.panics {
-			if r != nil {
-				panic(r)
+		if time.Since(start) > helperLinger {
+			p.waiting.Store(p.gen)
+			if p.done.Load() < int64(n) || !p.waiting.CompareAndSwap(p.gen, 0) {
+				<-p.wake
 			}
+			break
 		}
+		runtime.Gosched()
+	}
+	p.fn = nil // a lingering helper keeps p: let it pin nothing fn reaches
+	if p.panicAt < n {
+		r := p.panicVal
+		p.panicVal = nil
+		panic(r)
 	}
 }
 
@@ -153,16 +147,46 @@ func (p *Pool) Run(workers, n int, fn func(int)) {
 // past their linger.
 func (p *Pool) Alive() int { return int(p.alive.Load()) }
 
+// work claims and runs indices of the job whose claim word was w until
+// none are left or a later job has replaced it.
+func (p *Pool) work(w uint64) {
+	for gen := w >> 32; w>>32 == gen && uint32(w) != 0; w = p.claim.Load() {
+		if p.claim.CompareAndSwap(w, w-1) {
+			p.call(p.n-int(uint32(w)), uint32(gen))
+		}
+	}
+}
+
+// call runs index i of job gen and wakes a blocked coordinator if i is the
+// last index to complete.
+func (p *Pool) call(i int, gen uint32) {
+	n := int64(p.n) // once done reaches n the coordinator may re-arm
+	defer func() {
+		if r := recover(); r != nil {
+			p.mu.Lock()
+			if i < p.panicAt {
+				p.panicAt, p.panicVal = i, r
+			}
+			p.mu.Unlock()
+		}
+		if p.done.Add(1) == n && p.waiting.CompareAndSwap(gen, 0) {
+			p.wake <- struct{}{}
+		}
+	}()
+	p.fn(i)
+}
+
 // help is a helper's life: work on each newly published job, exit after
 // helperLinger without one.
 func (p *Pool) help() {
 	defer p.alive.Add(-1)
-	var last *job
+	var seen uint64
 	idleSince := time.Now()
 	for polls := 1; ; polls++ {
-		if j := p.job.Load(); j != last {
-			j.work()
-			last, idleSince = j, time.Now()
+		if w := p.claim.Load(); w>>32 != seen {
+			seen = w >> 32
+			p.work(w)
+			idleSince = time.Now()
 			continue
 		}
 		if polls%spinYield == 0 {
