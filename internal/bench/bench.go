@@ -10,13 +10,9 @@ import (
 	"fmt"
 	"sort"
 
-	"rcoe/internal/compilerpass"
 	"rcoe/internal/core"
 	"rcoe/internal/exp"
 	"rcoe/internal/guest"
-	"rcoe/internal/isa"
-	"rcoe/internal/kernel"
-	"rcoe/internal/machine"
 	"rcoe/internal/stats"
 )
 
@@ -99,34 +95,10 @@ func stockCases() []replCase {
 	}
 }
 
-// assembleFor builds and assembles a guest program for a configuration,
-// instrumenting it and producing branch-site metadata when the
-// configuration needs compiler-assisted counting.
-func assembleFor(cfg *core.Config, p guest.Program) ([]isa.Instr, []int, map[uint64]bool, error) {
-	if cfg.Profile.Name == "" {
-		cfg.Profile = machine.X86()
-	}
-	b := p.Build()
-	needsPass := cfg.Mode == core.ModeCC &&
-		(!cfg.Profile.PrecisePMU || cfg.ForceCompilerCounting)
-	if needsPass {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: assemble %s: %w", p.Name, err)
-	}
-	var sites map[uint64]bool
-	if needsPass {
-		sites = compilerpass.BranchSites(prog, kernel.TextVA)
-	}
-	return prog, b.Relocs(), sites, nil
-}
-
 // runProgram assembles and runs a guest program under a configuration,
 // returning the cycles from boot to completion.
 func runProgram(cfg core.Config, p guest.Program, budget uint64) (uint64, error) {
-	sys, err := buildSystem(cfg, p)
+	sys, err := guest.Boot(cfg, p)
 	if err != nil {
 		return 0, err
 	}
@@ -135,14 +107,6 @@ func runProgram(cfg core.Config, p guest.Program, budget uint64) (uint64, error)
 		return 0, fmt.Errorf("bench: %s/%s: %w", cfg.Mode, p.Name, err)
 	}
 	return sys.Machine().Now() - start, nil
-}
-
-func alignPow2(v uint64) uint64 {
-	p := uint64(1 << 20)
-	for p < v {
-		p <<= 1
-	}
-	return p
 }
 
 // fanOut runs n independent experiment cells on the experiment engine and

@@ -46,7 +46,7 @@ func AblateLatency(s Scale) (*stats.Table, error) {
 // signature accumulator at injectAt, and returns the cycles until the
 // system detects the divergence.
 func detectionLatency(cfg core.Config, injectAt uint64) (uint64, error) {
-	sys, err := buildSystem(cfg, guest.Dhrystone(2_000_000))
+	sys, err := guest.Boot(cfg, guest.Dhrystone(2_000_000))
 	if err != nil {
 		return 0, err
 	}

@@ -26,8 +26,7 @@ func TestMembenchFullScaleCompletes(t *testing.T) {
 		for _, replicas := range []int{2, 3} {
 			cfg := core.Config{
 				Mode: mode, Replicas: replicas, Profile: machine.X86(),
-				TickCycles:     100_000,
-				PartitionBytes: alignPow2(p.DataBytes + 2<<20),
+				TickCycles: 100_000,
 			}
 			// CC additionally exercises the mid-block catch-up path: every
 			// tick rendezvous lands inside the 8 MiB copy, so the laggards

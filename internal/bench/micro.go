@@ -72,7 +72,7 @@ func DataRace(s Scale) (*stats.Table, error) {
 
 func dataRaceRun(mode core.Mode, threads int, iters, idle int64, tick uint64) (bool, error) {
 	p := guest.DataRace(threads, iters, idle)
-	sys, err := buildSystem(core.Config{Mode: mode, Replicas: 2, TickCycles: tick}, p)
+	sys, err := guest.Boot(core.Config{Mode: mode, Replicas: 2, TickCycles: tick}, p)
 	if err != nil {
 		return false, err
 	}
@@ -88,30 +88,6 @@ func dataRaceRun(mode core.Mode, threads int, iters, idle int64, tick uint64) (b
 		return false, err
 	}
 	return string(c0) == string(c1), nil
-}
-
-// buildSystem assembles p for cfg (instrumenting when needed) and loads
-// it, returning the ready system.
-func buildSystem(cfg core.Config, p guest.Program) (*core.System, error) {
-	prog, relocs, sites, err := assembleFor(&cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	cfg.BranchSites = sites
-	if cfg.PartitionBytes == 0 {
-		cfg.PartitionBytes = alignPow2(p.DataBytes + 2<<20)
-	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Load(kernel.ProcessConfig{
-		Prog: prog, DataBytes: p.DataBytes, Data: p.Data, Arg: p.Arg, Stacks: p.Stacks,
-		Relocs: relocs,
-	}); err != nil {
-		return nil, err
-	}
-	return sys, nil
 }
 
 // Table2 measures native Dhrystone and Whetstone across Base/LC-D/LC-T/
@@ -346,8 +322,7 @@ func Table5(s Scale) (*stats.Table, error) {
 		p := progFor(prof)
 		cfg := core.Config{
 			Mode: rc.mode, Replicas: rc.replicas, Profile: prof,
-			TickCycles:     100_000,
-			PartitionBytes: alignPow2(p.DataBytes + 2<<20),
+			TickCycles: 100_000,
 		}
 		return runProgram(cfg, p, 30_000_000_000)
 	})

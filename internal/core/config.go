@@ -217,7 +217,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Masking && c.Replicas < 3 {
 		return c, fmt.Errorf("core: masking requires TMR (>= 3 replicas)")
 	}
-	if c.Mode == ModeCC && (!c.Profile.PrecisePMU || c.ForceCompilerCounting) && c.BranchSites == nil {
+	if c.CompilerCounting() && c.BranchSites == nil {
 		return c, fmt.Errorf("core: CC-RCoE on %s needs compiler-assisted branch counting (BranchSites)", c.Profile.Name)
 	}
 	if c.VM && c.Profile.Costs.VMExit == 0 {
@@ -227,6 +227,15 @@ func (c Config) withDefaults() (Config, error) {
 		c.MemBytes = int(sharedSize+dmaSize) + c.Replicas*int(c.PartitionBytes) + (1 << 20)
 	}
 	return c, nil
+}
+
+// CompilerCounting reports whether CC-RCoE counts user branches in the
+// reserved register the compiler pass maintains rather than in the PMU:
+// on profiles without a precise PMU (§III-D), or when the configuration
+// forces it. Such a configuration needs an instrumented program and its
+// BranchSites.
+func (c Config) CompilerCounting() bool {
+	return c.Mode == ModeCC && (!c.Profile.PrecisePMU || c.ForceCompilerCounting)
 }
 
 // watchdogCycles is the synchronisation-watchdog period: when no rendezvous

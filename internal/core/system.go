@@ -475,7 +475,7 @@ func (s *System) timeOf(r *Replica) logicalTime {
 		return lt
 	}
 	c := r.Core()
-	if s.cfg.Profile.PrecisePMU && !s.cfg.ForceCompilerCounting {
+	if !s.cfg.CompilerCounting() {
 		lt.Branches = c.UserBranches
 	} else {
 		lt.Branches = c.Regs[isa.RBC]
@@ -524,7 +524,7 @@ func (s *System) resetBranchClock(r *Replica) {
 	}
 	c := r.Core()
 	c.UserBranches = 0
-	if (!s.cfg.Profile.PrecisePMU || s.cfg.ForceCompilerCounting) && r.K.CurrentTID() >= 0 {
+	if s.cfg.CompilerCounting() && r.K.CurrentTID() >= 0 {
 		c.Regs[isa.RBC] = 0
 	}
 }

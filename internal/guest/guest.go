@@ -4,9 +4,10 @@
 // benchmark, the data-race demonstrator, MD5, SPLASH-2-style parallel
 // kernels, and the Redis-stand-in key-value server with its driver.
 //
-// Each program is produced as a fresh assembly builder so that callers can
-// run it plain (LC, hardware-counted CC) or instrumented by the compiler
-// pass (compiler-assisted CC).
+// Each program is produced as a fresh assembly builder so that it can run
+// plain (LC, hardware-counted CC) or instrumented by the compiler pass
+// (compiler-assisted CC). Assemble makes that choice for a configuration,
+// and Boot builds a loaded system around it.
 package guest
 
 import (

@@ -5,7 +5,6 @@ import (
 	"crypto/md5"
 	"testing"
 
-	"rcoe/internal/compilerpass"
 	"rcoe/internal/core"
 	"rcoe/internal/kernel"
 	"rcoe/internal/machine"
@@ -21,27 +20,19 @@ func runSystem(t *testing.T, cfg core.Config, p Program, budget uint64) *core.Sy
 	return sys
 }
 
+// buildSystem assembles p for cfg and loads it. Unlike Boot it keeps
+// core's default 8 MiB partition.
 func buildSystem(t *testing.T, cfg core.Config, p Program) *core.System {
 	t.Helper()
-	b := p.Build()
-	if cfg.Mode == core.ModeCC && !cfg.Profile.PrecisePMU {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
+	pc, err := Assemble(&cfg, p)
 	if err != nil {
-		t.Fatalf("%s: assemble: %v", p.Name, err)
-	}
-	if cfg.Mode == core.ModeCC && !cfg.Profile.PrecisePMU {
-		cfg.BranchSites = compilerpass.BranchSites(prog, kernel.TextVA)
+		t.Fatal(err)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Load(kernel.ProcessConfig{
-		Prog: prog, DataBytes: p.DataBytes, Data: p.Data, Arg: p.Arg, Stacks: p.Stacks,
-		Relocs: b.Relocs(),
-	}); err != nil {
+	if err := sys.Load(pc); err != nil {
 		t.Fatal(err)
 	}
 	return sys

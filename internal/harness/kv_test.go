@@ -191,3 +191,20 @@ func TestKVLostLastLoadStartsRunPhase(t *testing.T) {
 		t.Fatalf("run phase has consumed %d cycles one step after the last load was lost, want 1000", res.Cycles)
 	}
 }
+
+// TestKVCCForcedCompilerCounting boots a CC-DMR node on x86 that counts
+// branches in the reserved register (the compiler-counting ablation):
+// NewNode must instrument the server and hand core its branch sites.
+func TestKVCCForcedCompilerCounting(t *testing.T) {
+	opts := kvOpts(core.ModeCC, 2, workload.YCSBA)
+	opts.System.Profile = machine.X86()
+	opts.System.ForceCompilerCounting = true
+	opts.Records, opts.Operations = 50, 200
+	res, err := RunKV(opts)
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if res.Ops != 200 || !res.Finished || len(res.Detections) != 0 {
+		t.Fatalf("bad result: %+v", res)
+	}
+}

@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"rcoe/internal/compilerpass"
 	"rcoe/internal/core"
 	"rcoe/internal/device"
 	"rcoe/internal/guest"
-	"rcoe/internal/kernel"
-	"rcoe/internal/machine"
 	"rcoe/internal/metrics"
 	"rcoe/internal/snapshot"
 )
@@ -86,20 +83,10 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		TxDataPA:    nic.TxDataPA(),
 		DoorbellPA:  nicMMIOBase + device.RegTxDoorbell,
 	})
-	b := p.Build()
 	cfg := opts.System
-	if cfg.Profile.Name == "" {
-		cfg.Profile = machine.X86()
-	}
-	if cfg.Mode == core.ModeCC && !cfg.Profile.PrecisePMU {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
+	pc, err := guest.Assemble(&cfg, p)
 	if err != nil {
-		return nil, fmt.Errorf("harness: assemble kvapp: %w", err)
-	}
-	if cfg.Mode == core.ModeCC && !cfg.Profile.PrecisePMU {
-		cfg.BranchSites = compilerpass.BranchSites(prog, kernel.TextVA)
+		return nil, err
 	}
 	if cfg.PartitionBytes == 0 {
 		// Size the partition for the table plus text, stacks and the
@@ -114,10 +101,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	m.MapMMIO(nicMMIOBase, device.NICWindowSize, nic)
 	m.AddDevice(nic)
 	sys.RegisterDeviceWindow(0, nicMMIOBase, device.NICWindowSize)
-	if err := sys.Load(kernel.ProcessConfig{
-		Prog: prog, DataBytes: p.DataBytes, Arg: p.Arg, Stacks: p.Stacks,
-		Relocs: b.Relocs(),
-	}); err != nil {
+	if err := sys.Load(pc); err != nil {
 		return nil, err
 	}
 	n := &Node{sys: sys, nic: nic, opts: opts}

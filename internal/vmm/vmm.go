@@ -21,11 +21,8 @@ package vmm
 import (
 	"fmt"
 
-	"rcoe/internal/compilerpass"
 	"rcoe/internal/core"
 	"rcoe/internal/guest"
-	"rcoe/internal/kernel"
-	"rcoe/internal/machine"
 )
 
 // GuestConfig describes a virtual machine running one guest workload.
@@ -48,34 +45,18 @@ type VM struct {
 // context.
 func Launch(cfg GuestConfig) (*VM, error) {
 	cfg.System.VM = true
-	if cfg.System.Profile.Name == "" {
-		// The VM benchmarks run on x86 only: the paper's seL4 version has
-		// no hypervisor mode on Arm, and neither does the arm profile.
-		cfg.System.Profile = machine.X86()
-	}
-	b := cfg.Program.Build()
-	if cfg.System.Mode == core.ModeCC && !cfg.System.Profile.PrecisePMU {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
+	// Assemble defaults the profile to x86, where the VM benchmarks run:
+	// the paper's seL4 version has no hypervisor mode on Arm, and neither
+	// does the arm profile.
+	pc, err := guest.Assemble(&cfg.System, cfg.Program)
 	if err != nil {
-		return nil, fmt.Errorf("vmm: assemble guest: %w", err)
-	}
-	if cfg.System.Mode == core.ModeCC && !cfg.System.Profile.PrecisePMU {
-		cfg.System.BranchSites = compilerpass.BranchSites(prog, kernel.TextVA)
+		return nil, err
 	}
 	sys, err := core.NewSystem(cfg.System)
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Load(kernel.ProcessConfig{
-		Prog:      prog,
-		DataBytes: cfg.Program.DataBytes,
-		Data:      cfg.Program.Data,
-		Arg:       cfg.Program.Arg,
-		Stacks:    cfg.Program.Stacks,
-		Relocs:    b.Relocs(),
-	}); err != nil {
+	if err := sys.Load(pc); err != nil {
 		return nil, err
 	}
 	return &VM{sys: sys, prog: cfg.Program}, nil

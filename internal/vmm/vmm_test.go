@@ -85,3 +85,25 @@ func TestVMRequiresHypervisorSupport(t *testing.T) {
 		t.Fatalf("arm profile has no hypervisor mode; launch should fail")
 	}
 }
+
+// TestCCVMForcedCompilerCounting launches a CC-DMR guest on x86 that
+// counts branches in the reserved register: Launch must instrument the
+// guest and hand core its branch sites.
+func TestCCVMForcedCompilerCounting(t *testing.T) {
+	vm, err := Launch(GuestConfig{
+		System: core.Config{
+			Mode: core.ModeCC, Replicas: 2, TickCycles: 20_000,
+			Profile: machine.X86(), ForceCompilerCounting: true,
+		},
+		Program: guest.Dhrystone(300),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.Run(1_000_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if ds := vm.System().Detections(); len(ds) != 0 {
+		t.Fatalf("detections: %v", ds)
+	}
+}

@@ -34,7 +34,6 @@ import (
 	"rcoe/internal/faults"
 	"rcoe/internal/guest"
 	"rcoe/internal/harness"
-	"rcoe/internal/kernel"
 	"rcoe/internal/machine"
 	"rcoe/internal/metrics"
 	"rcoe/internal/stats"
@@ -130,60 +129,16 @@ var (
 // already matches.
 func Load(sys *System, p Program) error {
 	cfg := sys.Config()
-	b := p.Build()
-	needsPass := cfg.Mode == core.ModeCC &&
-		(!cfg.Profile.PrecisePMU || cfg.ForceCompilerCounting)
-	if needsPass {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
+	pc, err := guest.Assemble(&cfg, p)
 	if err != nil {
 		return err
 	}
-	return sys.Load(kernel.ProcessConfig{
-		Prog: prog, DataBytes: p.DataBytes, Data: p.Data, Arg: p.Arg, Stacks: p.Stacks,
-		Relocs: b.Relocs(),
-	})
+	return sys.Load(pc)
 }
 
 // BuildSystem creates a system sized for the program and loads it, ready
 // to Run.
-func BuildSystem(cfg Config, p Program) (*System, error) {
-	if cfg.Profile.Name == "" {
-		cfg.Profile = machine.X86()
-	}
-	b := p.Build()
-	needsPass := cfg.Mode == core.ModeCC &&
-		(!cfg.Profile.PrecisePMU || cfg.ForceCompilerCounting)
-	if needsPass {
-		compilerpass.Instrument(b)
-	}
-	prog, err := b.Assemble(kernel.TextVA)
-	if err != nil {
-		return nil, err
-	}
-	if needsPass {
-		cfg.BranchSites = compilerpass.BranchSites(prog, kernel.TextVA)
-	}
-	if cfg.PartitionBytes == 0 {
-		part := uint64(1 << 20)
-		for part < p.DataBytes+(2<<20) {
-			part <<= 1
-		}
-		cfg.PartitionBytes = part
-	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Load(kernel.ProcessConfig{
-		Prog: prog, DataBytes: p.DataBytes, Data: p.Data, Arg: p.Arg, Stacks: p.Stacks,
-		Relocs: b.Relocs(),
-	}); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
+func BuildSystem(cfg Config, p Program) (*System, error) { return guest.Boot(cfg, p) }
 
 // Virtual machines (Tables III/IV).
 type (
