@@ -440,7 +440,7 @@ func (c *Core) memAccess(pa uint64, size int, write bool) bool {
 		idx := ch.index(line)
 		if ch.valid[idx] && ch.tags[idx] == line {
 			if write {
-				ch.dirty[idx] = true
+				ch.setDirty(idx, true)
 			}
 			c.AddStall(c.m.prof.Costs.MemHit - 1)
 			return true
@@ -452,10 +452,7 @@ func (c *Core) memAccess(pa uint64, size int, write bool) bool {
 		if !c.m.bus.take(c.ID, bytes) {
 			return false
 		}
-		ch.tags[idx] = line
-		ch.valid[idx] = true
-		ch.dirty[idx] = write
-		ch.gen++
+		ch.fill(idx, line, write)
 		c.AddStall(c.m.prof.Costs.MemMiss)
 		return true
 	}

@@ -214,12 +214,12 @@ func New(prof Profile, memBytes int) *Machine {
 		mmioLo:     ^uint64(0), // empty until MapMMIO
 		parkEpoch:  1,
 	}
-	for i := 0; i < prof.Cores; i++ {
+	for i, ch := range newCaches(prof.Cores, prof.CacheBytes, prof.CacheLine) {
 		c := &Core{
 			ID:         i,
 			State:      CoreHalted, // cores boot via StartCore
 			IntEnabled: true,
-			cache:      newCache(prof.CacheBytes, prof.CacheLine),
+			cache:      ch,
 			jitter:     uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 			parkGp:     &noWatch,
 			m:          m,

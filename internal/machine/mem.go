@@ -7,6 +7,7 @@ import (
 	"maps"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"rcoe/internal/snapshot"
 )
@@ -351,6 +352,13 @@ func (m *Mem) CopyFrom(src *Mem) error {
 // cache is a direct-mapped write-back cache keyed on line tags. It tracks
 // only tags, not data: physical memory is always current for reads, and
 // the cache exists purely for the cycle cost model.
+//
+// Its arrays are tracked the way RAM is (Mem): every path that changes a
+// line — a fill or eviction, a line turning dirty, a flush, a rewind's
+// undo or redo of dirty bits, a load — bumps the generation of the line's
+// chunk, and a plain hit bumps nothing. A chunk still at generation 0 is
+// zero in all three arrays, so a flush or a save need not read it, and a
+// reload of the same image rewrites only the chunks that moved (state.go).
 type cache struct {
 	tags      []uint64
 	valid     []bool
@@ -362,30 +370,81 @@ type cache struct {
 	// the fallback for exotic hand-built profiles.
 	pow2     bool
 	lineMask uint64
-	// gen counts line replacements (fills and flushes). Host-derived: the
-	// superblock fetch memo keys on it to prove a line probed present is
-	// still present without re-probing.
+	// gen counts line replacements (fills, flushes and loads that rewrite
+	// lines). Host-derived: the superblock fetch memo keys on it to prove a
+	// line probed present is still present without re-probing.
 	gen uint64
+	// The fields above are the ones the access paths read. Their offsets
+	// stay under 128, so each load of them encodes a one-byte
+	// displacement. Placed after the fields below, they needed four, and
+	// the code between ahead and execFast grew by 96 bytes: a distance
+	// cpu-dense's run time is sensitive to (EXPERIMENTS, "Demand-zero cache
+	// state").
+
+	// chunkGen counts mutations per chunk of 1<<cacheChunkShift lines.
+	// Host-derived.
+	chunkGen []uint64
+	// base is the snapshot the last load restored the arrays from and
+	// baseGen the chunk generations right after it, as for Mem: a chunk
+	// still at its baseGen holds base's lines. nil until a load succeeds.
+	base    *snapshot.Snapshot
+	baseGen []uint64
+	// ram keeps the mapping the arrays live in (newCaches) alive for as
+	// long as the cache is; nil when they are on the heap.
+	ram *cacheRAM
 }
 
-func newCache(capacity, lineSize int) *cache {
+// cacheChunkShift sets the granularity of the cache's generations: 512
+// lines, so a chunk of tags is one 4 KiB host page.
+const cacheChunkShift = 9
+
+// cacheRAM is the one mapping a machine's cache arrays share, unmapped by
+// a finalizer once no cache refers to it.
+type cacheRAM struct{ b []byte }
+
+// newCaches builds one cache per core, of capacity bytes in lines of
+// lineSize.
+// On unix hosts outside race builds their arrays are carved from one
+// demand-zero mapping (mapRAM), so a machine's caches cost the host only
+// the chunks its guest touches; elsewhere they are heap slices, as RAM is.
+func newCaches(cores, capacity, lineSize int) []*cache {
 	shift := uint(0)
 	for 1<<shift < lineSize {
 		shift++
 	}
-	n := capacity / lineSize
-	if n < 1 {
-		n = 1
+	n := max(capacity/lineSize, 1)
+	// Each array starts on a page of its own: 8 bytes a line for the tags,
+	// one each for the valid and dirty bits.
+	span := func(bytes int) int { return (bytes + 1<<pageShift - 1) &^ (1<<pageShift - 1) }
+	per := span(8*n) + 2*span(n)
+	var ram *cacheRAM
+	if b := mapRAM(cores * per); b != nil {
+		ram = &cacheRAM{b}
+		runtime.SetFinalizer(ram, func(r *cacheRAM) { unmapRAM(r.b) })
 	}
-	return &cache{
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		dirty:     make([]bool, n),
-		lineShift: shift,
-		nlines:    uint64(n),
-		pow2:      n&(n-1) == 0,
-		lineMask:  uint64(n - 1),
+	caches := make([]*cache, cores)
+	for i := range caches {
+		c := &cache{
+			chunkGen:  make([]uint64, (n+1<<cacheChunkShift-1)>>cacheChunkShift),
+			ram:       ram,
+			lineShift: shift,
+			nlines:    uint64(n),
+			pow2:      n&(n-1) == 0,
+			lineMask:  uint64(n - 1),
+		}
+		if ram == nil {
+			c.tags, c.valid, c.dirty = make([]uint64, n), make([]bool, n), make([]bool, n)
+		} else {
+			b := ram.b[i*per:]
+			c.tags = unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
+			b = b[span(8*n):]
+			c.valid = unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), n)
+			b = b[span(n):]
+			c.dirty = unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), n)
+		}
+		caches[i] = c
 	}
+	return caches
 }
 
 // index folds a line number onto a cache slot: a mask when the line count
@@ -395,6 +454,37 @@ func (c *cache) index(line uint64) uint64 {
 		return line & c.lineMask
 	}
 	return line % c.nlines
+}
+
+// chunk returns the slots of chunk k.
+func (c *cache) chunk(k int) (lo, hi int) {
+	return k << cacheChunkShift, min((k+1)<<cacheChunkShift, len(c.tags))
+}
+
+// fill puts line into slot idx, dirty or clean: a miss, evicting whatever
+// the slot held. It and flipDirty stay out of line, so the access paths'
+// hits carry no more code than before the chunks were tracked.
+//
+//go:noinline
+func (c *cache) fill(idx, line uint64, dirty bool) {
+	c.tags[idx] = line
+	c.valid[idx] = true
+	c.dirty[idx] = dirty
+	c.gen++
+	c.chunkGen[idx>>cacheChunkShift]++
+}
+
+// setDirty sets slot idx's dirty bit to dirty; only a change counts.
+func (c *cache) setDirty(idx uint64, dirty bool) {
+	if c.dirty[idx] != dirty {
+		c.flipDirty(idx)
+	}
+}
+
+//go:noinline
+func (c *cache) flipDirty(idx uint64) {
+	c.dirty[idx] = !c.dirty[idx]
+	c.chunkGen[idx>>cacheChunkShift]++
 }
 
 // peek counts the line misses and dirty evictions an access of
@@ -421,22 +511,23 @@ func (c *cache) access(addr uint64, size int, write bool) {
 	for line := first; line <= last; line++ {
 		idx := c.index(line)
 		if !c.valid[idx] || c.tags[idx] != line {
-			c.tags[idx] = line
-			c.valid[idx] = true
-			c.dirty[idx] = false
-			c.gen++
-		}
-		if write {
-			c.dirty[idx] = true
+			c.fill(idx, line, write)
+		} else if write {
+			c.setDirty(idx, true)
 		}
 	}
 }
 
-// flush invalidates the whole cache (used at replica boot).
+// flush invalidates the whole cache (used at replica boot). A chunk still
+// at generation 0 holds no line, so it is left unread.
 func (c *cache) flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
+	for k, g := range c.chunkGen {
+		if g != 0 {
+			lo, hi := c.chunk(k)
+			clear(c.valid[lo:hi])
+			clear(c.dirty[lo:hi])
+			c.chunkGen[k]++
+		}
 	}
 	c.gen++
 }

@@ -16,27 +16,37 @@ import (
 	snap "rcoe/internal/snapshot"
 )
 
-// These tests build without -race only: race builds keep RAM on the heap
-// (ram_other.go), where nothing is demand-zero.
+// These tests build without -race only: race builds keep RAM and the cache
+// arrays on the heap (ram_other.go), where nothing is demand-zero.
 
 // demandZeroMachine builds a machine with size bytes of RAM and opts its
-// mapping out of transparent huge pages, so residency counts base pages.
+// RAM and cache mappings out of transparent huge pages, so residency
+// counts base pages.
 func demandZeroMachine(t *testing.T, size int) *Machine {
 	t.Helper()
 	m := New(X86(), size)
-	if err := syscall.Madvise(m.Mem().bytes, syscall.MADV_NOHUGEPAGE); err != nil {
-		t.Fatalf("madvise: %v", err)
+	for _, b := range [][]byte{m.Mem().bytes, cacheMapping(m)} {
+		if err := syscall.Madvise(b, syscall.MADV_NOHUGEPAGE); err != nil {
+			t.Fatalf("madvise: %v", err)
+		}
 	}
 	return m
 }
 
+// cacheMapping returns the one mapping m's cache arrays live in.
+func cacheMapping(m *Machine) []byte { return m.Core(0).cache.ram.b }
+
 // resident counts the host pages of mm's RAM that mincore reports resident.
-func resident(t *testing.T, mm *Mem) int {
+func resident(t *testing.T, mm *Mem) int { return residentIn(t, mm.bytes) }
+
+// residentIn counts the host pages of the mapping b that mincore reports
+// resident.
+func residentIn(t *testing.T, b []byte) int {
 	t.Helper()
 	ps := os.Getpagesize()
-	vec := make([]byte, (len(mm.bytes)+ps-1)/ps)
-	_, _, e := syscall.Syscall(syscall.SYS_MINCORE, uintptr(unsafe.Pointer(&mm.bytes[0])),
-		uintptr(len(mm.bytes)), uintptr(unsafe.Pointer(&vec[0])))
+	vec := make([]byte, (len(b)+ps-1)/ps)
+	_, _, e := syscall.Syscall(syscall.SYS_MINCORE, uintptr(unsafe.Pointer(&b[0])),
+		uintptr(len(b)), uintptr(unsafe.Pointer(&vec[0])))
 	if e != 0 {
 		t.Fatalf("mincore: %v", e)
 	}
@@ -209,6 +219,101 @@ func TestRAMUnmappedWhenUnreachable(t *testing.T) {
 	}
 	if grown, bound := peak-min(peak, base), uint64(machines*size/2); grown > bound {
 		t.Fatalf("address space grew by %d MiB over %d machines, bound %d MiB: dropped RAM is not unmapped",
+			grown>>20, machines, bound>>20)
+	}
+}
+
+// chunkPages returns the number of distinct host pages covering the given
+// chunks of the given cores' cache arrays, all three of them.
+func chunkPages(m *Machine, chunks map[int][]int) int {
+	ps := uintptr(os.Getpagesize())
+	set := map[uintptr]bool{}
+	span := func(at unsafe.Pointer, n uintptr) {
+		for a := uintptr(at) &^ (ps - 1); a < uintptr(at)+n; a += ps {
+			set[a] = true
+		}
+	}
+	for core, ks := range chunks {
+		ch := m.Core(core).cache
+		for _, k := range ks {
+			lo, hi := ch.chunk(k)
+			span(unsafe.Pointer(&ch.tags[lo]), uintptr(8*(hi-lo)))
+			span(unsafe.Pointer(&ch.valid[lo]), uintptr(hi-lo))
+			span(unsafe.Pointer(&ch.dirty[lo]), uintptr(hi-lo))
+		}
+	}
+	return len(set)
+}
+
+// TestCacheDemandZero pins what demand-zero cache arrays buy: a fresh
+// machine holds no resident cache page, a save and a flush of untouched
+// caches commit nothing, one fill commits one host page in each array it
+// writes, and a sparse image loaded onto a fresh machine commits only the
+// pages of its non-zero chunks.
+func TestCacheDemandZero(t *testing.T) {
+	const size = 1 << 20
+	m := demandZeroMachine(t, size)
+	cm := cacheMapping(m)
+	if n := residentIn(t, cm); n != 0 {
+		t.Fatalf("fresh machine: %d resident cache pages, want 0", n)
+	}
+	if _, err := snap.Save(m); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.NumCores(); i++ {
+		m.Core(i).FlushCache()
+	}
+	if n := residentIn(t, cm); n != 0 {
+		t.Fatalf("after a save and a flush: %d resident cache pages, want 0", n)
+	}
+	const line = 0x5000 << 6 // chunk 40 of core 0
+	m.Core(0).cache.access(line, 8, false)
+	if n := residentIn(t, cm); n != 3 {
+		t.Fatalf("after one fill: %d resident cache pages, want 3 (tags, valid, dirty)", n)
+	}
+
+	// A sparse image: two lines on core 0, one on core 2.
+	src := New(X86(), size)
+	src.Core(0).cache.access(0x100<<6, 8, true) // chunk 0
+	src.Core(0).cache.access(line, 8, false)    // chunk 40
+	src.Core(2).cache.access(0x7F00<<6, 8, true)
+	data, err := snap.Save(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := snap.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := demandZeroMachine(t, size)
+	if err := dst.LoadState(img); err != nil {
+		t.Fatal(err)
+	}
+	want := chunkPages(dst, map[int][]int{0: {0, 40}, 2: {0x7F00 >> cacheChunkShift}})
+	if n := residentIn(t, cacheMapping(dst)); n != want {
+		t.Fatalf("sparse load onto a fresh machine: %d resident cache pages, want %d", n, want)
+	}
+	mustMatch(t, dst, data)
+}
+
+// TestCacheUnmappedWhenUnreachable builds and drops 256 machines, collecting
+// every eighth: the mapped address space must stay bounded, which holds
+// only if a dropped machine's cache mapping is unmapped.
+func TestCacheUnmappedWhenUnreachable(t *testing.T) {
+	const machines = 256
+	per := len(cacheMapping(New(X86(), 1<<pageShift)))
+	base := vmSize(t)
+	var peak uint64
+	for i := 0; i < machines; i++ {
+		m := New(X86(), 1<<pageShift)
+		m.Core(i%m.NumCores()).cache.access(uint64(i)<<6, 8, true)
+		if i%8 == 7 {
+			runtime.GC()
+		}
+		peak = max(peak, vmSize(t))
+	}
+	if grown, bound := peak-min(peak, base), uint64(machines*per/2); grown > bound {
+		t.Fatalf("address space grew by %d MiB over %d machines, bound %d MiB: dropped cache arrays are not unmapped",
 			grown>>20, machines, bound>>20)
 	}
 }

@@ -6,13 +6,14 @@ import "syscall"
 
 // mapRAM returns size bytes of anonymous private memory: every byte reads
 // zero, and the host commits a page only when it is first written. It
-// returns nil only for an empty RAM. A refused mapping panics, as make
+// backs guest RAM (NewMem) and a machine's core cache arrays (newCaches).
+// It returns nil only for an empty size. A refused mapping panics, as make
 // does when the heap cannot grow: a same-size heap allocation would fail
 // too.
 //
 // Race builds use ram_other.go instead: the race detector checks only
 // accesses to the Go heap and data segments, so a mapping would hide every
-// guest RAM access from it.
+// access to guest RAM and to the cache arrays from it.
 func mapRAM(size int) []byte {
 	if size <= 0 {
 		return nil

@@ -275,11 +275,7 @@ func (co *Core) state(c *snapshot.Codec) {
 	c.U64(&co.jitter)
 	c.U64(&co.llAddr)
 	c.Bool(&co.llValid)
-	// The cache arrays load straight into place: one length check each,
-	// no intermediate slice.
-	c.U64s(co.cache.tags)
-	c.Bools(co.cache.valid)
-	c.Bools(co.cache.dirty)
+	c.Raw(co.cache.save, co.cache.load)
 	if !c.Loading() || c.Err() != nil {
 		return
 	}
@@ -299,6 +295,87 @@ func (co *Core) state(c *snapshot.Codec) {
 	if co.sb != nil {
 		co.sb.built, co.sb.instrs = 0, 0
 	}
+}
+
+// save writes the cache arrays as three length-prefixed slices — tags as
+// words, the valid and dirty bits a byte each — emitting a chunk still at
+// generation 0 as zeros without reading it, so a save never makes the host
+// commit a chunk the guest left untouched.
+func (ch *cache) save(e *snapshot.Enc) {
+	n := len(ch.tags)
+	e.Grow(3*8 + 10*n)
+	e.U64(uint64(n))
+	for k, g := range ch.chunkGen {
+		if lo, hi := ch.chunk(k); g == 0 {
+			e.Zeros(8 * (hi - lo))
+		} else {
+			e.Words(ch.tags[lo:hi])
+		}
+	}
+	for _, bits := range [][]bool{ch.valid, ch.dirty} {
+		e.U64(uint64(n))
+		for k, g := range ch.chunkGen {
+			if lo, hi := ch.chunk(k); g == 0 {
+				e.Zeros(hi - lo)
+			} else {
+				e.Flags(bits[lo:hi])
+			}
+		}
+	}
+}
+
+// load restores the cache arrays as Mem.loadState restores RAM, one chunk
+// at a time. A reload of the image the arrays were last loaded from skips
+// the chunks still at their base generation; every other chunk is
+// rewritten and its generation bumped, except one that is to be zero and
+// is still at generation 0, which stays unwritten. cache.gen moves when any
+// line was rewritten. The three slices are checked in full before any is
+// stored, so a load that fails stores nothing. img is nil for a transfer
+// image, which is never kept as a base.
+func (ch *cache) load(d *snapshot.Dec, img *snapshot.Snapshot) error {
+	n := len(ch.tags)
+	tags, valid, dirty := d.WordsView(n), d.FlagsView(n), d.FlagsView(n)
+	delta := img != nil && ch.base == img
+	ch.base = nil
+	if d.Err() != nil {
+		return d.Err()
+	}
+	moved := false
+	for k := range ch.chunkGen {
+		if delta && ch.chunkGen[k] == ch.baseGen[k] {
+			continue
+		}
+		lo, hi := ch.chunk(k)
+		t, v, dt := tags[8*lo:8*hi], valid[lo:hi], dirty[lo:hi]
+		switch {
+		case !allZero(t) || !allZero(v) || !allZero(dt):
+			for i := range ch.tags[lo:hi] {
+				ch.tags[lo+i] = binary.LittleEndian.Uint64(t[8*i:])
+			}
+			for i, b := range v {
+				ch.valid[lo+i] = b != 0
+			}
+			for i, b := range dt {
+				ch.dirty[lo+i] = b != 0
+			}
+		case ch.chunkGen[k] == 0: // zero, and to stay zero
+			continue
+		default:
+			clear(ch.tags[lo:hi])
+			clear(ch.valid[lo:hi])
+			clear(ch.dirty[lo:hi])
+		}
+		ch.chunkGen[k]++
+		moved = true
+	}
+	if moved {
+		ch.gen++
+	}
+	if img != nil {
+		ch.base = img
+		ch.baseGen = append(ch.baseGen[:0], ch.chunkGen...)
+	}
+	return nil
 }
 
 // State implements StatefulDevice: the duty-cycle phase machine is walked

@@ -448,7 +448,7 @@ func (l *aheadLog) write(mem *Mem, ch *cache, dirty bool) {
 		end -= n
 	}
 	for _, idx := range l.dirty {
-		ch.dirty[idx] = dirty
+		ch.setDirty(idx, dirty)
 	}
 }
 

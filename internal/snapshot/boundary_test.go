@@ -123,6 +123,10 @@ var hostDerived = map[string]string{
 	"machine.cache.pow2":          "construction-time geometry",
 	"machine.cache.lineMask":      "construction-time geometry",
 	"machine.cache.gen":           "replacement count: validity key of the superblock fetch memo",
+	"machine.cache.chunkGen":      "mutation generations of the arrays' chunks, bumped by load",
+	"machine.cache.base":          "identity of the image a rewind may delta against",
+	"machine.cache.baseGen":       "chunk generations at the last load of base",
+	"machine.cache.ram":           "the mapping the arrays live in, kept alive with the cache",
 	"device.NIC.mem":              "cache of the machine's memory handle, re-established on the first Tick",
 
 	"machine.Machine.sbOverlapped": "host-side diagnostics",
@@ -192,7 +196,17 @@ func (b *boundary) probe(f reflect.Value) (moved, linked bool) {
 	case reflect.Slice:
 		switch {
 		case f.Len() > 0 && f.Type().Elem().Kind() <= reflect.Float64:
-			return b.probe(f.Index(0)) // a scalar element, in place
+			// A scalar element, in place: the first one that is not zero.
+			// Generation-tracked arrays (RAM, the core caches) save a chunk
+			// whose generation says it is zero without reading it, so a
+			// probe written behind the tracker into such a chunk is not
+			// seen, while one into a chunk that already holds data is.
+			for i := 0; i < f.Len(); i++ {
+				if !f.Index(i).IsZero() {
+					return b.probe(f.Index(i))
+				}
+			}
+			return b.probe(f.Index(0))
 		case f.Len() > 0:
 			// One more of an element it already holds; which one matters
 			// for a list only some of whose elements are serialized (the

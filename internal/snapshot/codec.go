@@ -82,6 +82,28 @@ func (c *Codec) RawSection(name string, save func(*Enc), load func(*Dec, *Snapsh
 	c.close()
 }
 
+// Raw hands the next fields of the open section to a hand-written pair,
+// for arrays whose save and load skip what their owner knows without a
+// look (machine's core caches). Unlike a RawSection it is walked over
+// transfer images too; load then gets a nil image, because a transfer
+// image's buffer is reused and nothing may keep it.
+func (c *Codec) Raw(save func(*Enc), load func(d *Dec, img *Snapshot) error) {
+	if c.w != nil {
+		save(c.e)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	img := c.s
+	if c.s.transfer {
+		img = nil
+	}
+	if c.err = load(c.d, img); c.err == nil {
+		c.err = c.d.err
+	}
+}
+
 // transfer reports whether the walk is over a transfer image.
 func (c *Codec) transfer() bool {
 	if c.w != nil {
@@ -166,15 +188,6 @@ func (c *Codec) U64s(dst []uint64) {
 		c.e.U64s(dst)
 	} else if c.err == nil {
 		c.fixed(c.d.U64sInto(dst), len(dst))
-	}
-}
-
-// Bools is U64s for a boolean slice (one byte per element on the wire).
-func (c *Codec) Bools(dst []bool) {
-	if c.w != nil {
-		c.e.Bools(dst)
-	} else if c.err == nil {
-		c.fixed(c.d.BoolsInto(dst), len(dst))
 	}
 }
 

@@ -331,18 +331,23 @@ func (e *Enc) String(s string) {
 func (e *Enc) U64s(vs []uint64) {
 	e.Grow(8 + 8*len(vs))
 	e.U64(uint64(len(vs)))
+	e.Words(vs)
+}
+
+// Words appends words with no length prefix: the body of a word slice
+// whose owner writes the length first and the body in pieces.
+func (e *Enc) Words(vs []uint64) {
 	for _, v := range vs {
 		e.U64(v)
 	}
 }
 
-// Bools appends a length-prefixed boolean slice, one byte per element —
-// the encoding Bytes gives a 0/1 byte slice, without building one.
-func (e *Enc) Bools(bs []bool) {
-	e.Grow(8 + len(bs))
-	e.U64(uint64(len(bs)))
+// Flags appends booleans one byte each with no length prefix: after a
+// length word, the encoding Bytes gives a 0/1 byte slice, without building
+// one.
+func (e *Enc) Flags(bs []bool) {
 	n := len(e.buf)
-	e.buf = e.buf[:n+len(bs)]
+	e.buf = slices.Grow(e.buf, len(bs))[:n+len(bs)]
 	for i, v := range bs {
 		b := byte(0)
 		if v {
@@ -350,6 +355,12 @@ func (e *Enc) Bools(bs []bool) {
 		}
 		e.buf[n+i] = b
 	}
+}
+
+// Zeros appends n zero bytes: the body of a piece its owner knows is zero
+// without reading it.
+func (e *Enc) Zeros(n int) {
+	e.buf = append(e.buf, make([]byte, n)...)
 }
 
 // SortedU64Map appends a map in ascending key order — the format-level
@@ -504,16 +515,35 @@ func (d *Dec) U64sInto(dst []uint64) int {
 	return len(src) / 8
 }
 
-// BoolsInto is U64sInto for a slice written by Enc.Bools (or by Bytes
-// over 0/1 bytes): any nonzero byte reads as true.
-func (d *Dec) BoolsInto(dst []bool) int {
+// WordsView returns the next length-prefixed word slice as a view into the
+// decoder's buffer, 8 little-endian bytes per word, when it holds exactly n
+// words: an owner that rewrites only part of its array decodes just that
+// part. Any other length is skipped and latches an IncompatibleError
+// naming the section's "length"; the view is then nil.
+func (d *Dec) WordsView(n int) []byte {
+	src := d.wordsView()
+	return d.fixedView(src, len(src)/8, n)
+}
+
+// FlagsView is WordsView for a boolean slice written as a length and
+// Enc.Flags (or by Bytes over 0/1 bytes), one byte per element; any
+// nonzero byte reads as true.
+func (d *Dec) FlagsView(n int) []byte {
 	src := d.BytesView()
-	if len(src) == len(dst) {
-		for i, b := range src {
-			dst[i] = b != 0
-		}
+	return d.fixedView(src, len(src), n)
+}
+
+// fixedView passes src on when it holds want elements, and latches the
+// shape mismatch otherwise.
+func (d *Dec) fixedView(src []byte, got, want int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	return len(src)
+	if got != want {
+		d.err = IncompatibleError(d.name, "length", want, got)
+		return nil
+	}
+	return src
 }
 
 // SortedU64Map reads a map written by Enc.SortedU64Map.

@@ -291,18 +291,19 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBulkInto covers the in-place bulk reads: Bools writes what Bytes
-// writes for 0/1 bytes (the format is unchanged), a matching length
-// decodes straight into the destination, any other length is skipped
-// with the destination untouched, and a truncated payload latches.
+// TestBulkInto covers the in-place bulk reads: a length and Flags write
+// what Bytes writes for 0/1 bytes (the format is unchanged), Zeros what
+// Words writes for zero words, a matching length decodes straight into
+// the destination or views the payload, any other length is skipped with
+// the destination untouched (and, for a view, latches ErrIncompatible),
+// and a truncated payload latches.
 func TestBulkInto(t *testing.T) {
 	words := []uint64{9, 8, 7}
 	flags := []bool{true, false, true, true}
-	encode := func(bools func(e *Enc)) []byte {
+	encode := func(body func(e *Enc)) []byte {
 		w := NewWriter()
 		e := w.Section("s")
-		e.U64s(words)
-		bools(e)
+		body(e)
 		e.U64(77)
 		data, err := w.Bytes()
 		if err != nil {
@@ -310,9 +311,19 @@ func TestBulkInto(t *testing.T) {
 		}
 		return data
 	}
-	data := encode(func(e *Enc) { e.Bools(flags) })
-	if old := encode(func(e *Enc) { e.Bytes([]byte{1, 0, 1, 1}) }); !bytes.Equal(data, old) {
-		t.Fatal("Bools does not encode like Bytes over 0/1 bytes")
+	data := encode(func(e *Enc) {
+		e.U64s(words)
+		e.U64(uint64(len(flags)))
+		e.Flags(flags)
+	})
+	if old := encode(func(e *Enc) {
+		e.U64s(words)
+		e.Bytes([]byte{1, 0, 1, 1})
+	}); !bytes.Equal(data, old) {
+		t.Fatal("Flags does not encode like Bytes over 0/1 bytes")
+	}
+	if zeros, words := encode(func(e *Enc) { e.Zeros(16) }), encode(func(e *Enc) { e.Words([]uint64{0, 0}) }); !bytes.Equal(zeros, words) {
+		t.Fatal("Zeros does not encode like Words over zero words")
 	}
 	section := func() *Dec {
 		snap, err := Parse(data)
@@ -327,27 +338,35 @@ func TestBulkInto(t *testing.T) {
 	}
 
 	d := section()
-	gotW, gotF := make([]uint64, 3), make([]bool, 4)
+	gotW := make([]uint64, 3)
 	if n := d.U64sInto(gotW); n != 3 || !reflect.DeepEqual(gotW, words) {
 		t.Fatalf("U64sInto: n=%d %v", n, gotW)
 	}
-	if n := d.BoolsInto(gotF); n != 4 || !reflect.DeepEqual(gotF, flags) {
-		t.Fatalf("BoolsInto: n=%d %v", n, gotF)
+	if f := d.FlagsView(4); !bytes.Equal(f, []byte{1, 0, 1, 1}) {
+		t.Fatalf("FlagsView: %v", f)
 	}
 	if v := d.U64(); v != 77 || d.Close() != nil {
 		t.Fatalf("trailer: %d, %v", v, d.Close())
 	}
+	d = section()
+	if w := d.WordsView(3); len(w) != 24 || w[0] != 9 || w[16] != 7 {
+		t.Fatalf("WordsView: %v", w)
+	}
 
 	d = section()
-	shortW, longF := []uint64{1, 2}, make([]bool, 5)
+	shortW := []uint64{1, 2}
 	if n := d.U64sInto(shortW); n != 3 || shortW[0] != 1 || shortW[1] != 2 {
 		t.Fatalf("U64sInto mismatch: n=%d %v", n, shortW)
 	}
-	if n := d.BoolsInto(longF); n != 4 || longF[0] {
-		t.Fatalf("BoolsInto mismatch: n=%d %v", n, longF)
+	if f := d.FlagsView(4); f == nil || d.Err() != nil {
+		t.Fatalf("FlagsView after a skipped slice: %v, %v", f, d.Err())
 	}
 	if v := d.U64(); v != 77 || d.Close() != nil {
 		t.Fatalf("a skipped slice left the decoder misaligned: %d, %v", v, d.Close())
+	}
+	d = section()
+	if w := d.WordsView(2); w != nil || !errors.Is(d.Err(), ErrIncompatible) {
+		t.Fatalf("WordsView of the wrong length: %v, %v", w, d.Err())
 	}
 
 	d = &Dec{buf: []byte{2, 0, 0, 0, 0, 0, 0, 0, 1}, name: "short"}
@@ -374,6 +393,70 @@ func (r *rawState) walk(c *Codec) {
 
 func (r *rawState) SaveState(w *Writer) error   { return w.Walk(r.walk) }
 func (r *rawState) LoadState(s *Snapshot) error { return s.Walk(r.walk) }
+
+// rawFields walks a section whose second field is a Raw pair, recording
+// the image each load was handed.
+type rawFields struct {
+	head, raw uint64
+	img       *Snapshot
+}
+
+func (r *rawFields) walk(c *Codec) {
+	c.Section("s", func(c *Codec) {
+		c.U64(&r.head)
+		c.Raw(func(e *Enc) { e.U64(r.raw) }, func(d *Dec, img *Snapshot) error {
+			r.raw, r.img = d.U64(), img
+			return nil
+		})
+	})
+}
+
+func (r *rawFields) SaveState(w *Writer) error   { return w.Walk(r.walk) }
+func (r *rawFields) LoadState(s *Snapshot) error { return s.Walk(r.walk) }
+
+// TestRawFields: a Raw pair is walked in place, in snapshots and transfer
+// images alike; its load is handed the snapshot, and nil for a transfer
+// image; a truncated payload latches ErrBadSnapshot.
+func TestRawFields(t *testing.T) {
+	src := &rawFields{head: 1, raw: 2}
+	data, err := Save(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := &rawFields{}
+	if err := dst.LoadState(snap); err != nil || dst.head != 1 || dst.raw != 2 || dst.img != snap {
+		t.Fatalf("snapshot load: %+v, %v", *dst, err)
+	}
+	img, err := AppendTransfer(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xfr, err := ParseTransfer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst = &rawFields{img: snap}
+	if err := dst.LoadState(xfr); err != nil || dst.raw != 2 || dst.img != nil {
+		t.Fatalf("transfer load: %+v, %v", *dst, err)
+	}
+	w := NewWriter()
+	w.Section("s").U64(1) // the head, and no Raw payload after it
+	truncated, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := Parse(truncated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&rawFields{}).LoadState(short); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("truncated Raw payload: %v, want ErrBadSnapshot", err)
+	}
+}
 
 // TestTransferImage: a transfer image carries every walked section and no
 // RawSection, loads through ParseTransfer without calling the raw loader,
