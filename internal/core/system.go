@@ -503,14 +503,15 @@ func (s *System) timeOf(r *Replica) logicalTime {
 // blockRemaining returns the remaining length if the replica is stopped
 // at a rep-style block instruction, else 0. Identifying the instruction
 // requires reading user text; inside a VM this needs a guest page-table
-// walk (§III-D), which is charged to the core.
+// walk (§III-D), which is charged to the core. The instruction is read
+// into an array on the stack: this runs at every logical-time sample.
 func (s *System) blockRemaining(r *Replica) uint64 {
 	c := r.Core()
-	raw, err := r.K.CopyFromUser(c.PC, isa.InstrBytes)
-	if err != nil {
+	var raw [isa.InstrBytes]byte
+	if r.K.ReadUserAt(c.PC, raw[:]) != nil {
 		return 0
 	}
-	ins, err := isa.Decode(raw)
+	ins, err := isa.Decode(raw[:])
 	if err != nil || !ins.Op.IsBlockOp() {
 		return 0
 	}

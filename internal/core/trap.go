@@ -478,7 +478,7 @@ func (s *System) ftMemAccessFuncs(r *Replica, args [4]uint64) (action, cont func
 			s.stats.InputBytes += n
 		} else {
 			// Device write: data comes from the primary's copy.
-			buf, err := prim.K.CopyFromUser(va, int(n))
+			buf, err := prim.K.ReadUser(va, int(n))
 			if err == nil {
 				for off := uint64(0); off < n; off++ {
 					_ = s.m.PhysWriteU(pa+off, 1, uint64(buf[off]))
@@ -492,15 +492,12 @@ func (s *System) ftMemAccessFuncs(r *Replica, args [4]uint64) (action, cont func
 		if accessType == 0 {
 			// Every replica copies the replicated input into its own
 			// address space.
-			buf, err := s.m.Mem().Read(inputBufPA(), int(n))
-			if err == nil {
-				_ = r.K.CopyToUser(va, buf)
-			}
+			_ = r.K.CopyPhysToUser(va, inputBufPA(), int(n))
 			r.Core().AddStall(int(n) / 8)
 		} else {
 			// Output data contributes to the signature so diverging
 			// writes are caught.
-			buf, err := r.K.CopyFromUser(va, int(n))
+			buf, err := r.K.ReadUser(va, int(n))
 			if err == nil {
 				r.K.AddTraceBytes(buf)
 			}
@@ -536,7 +533,7 @@ func (s *System) sysFTMemRep(r *Replica, va, n uint64) {
 func (s *System) ftMemRepFuncs(r *Replica, va, n uint64) (action, cont func()) {
 	action = func() {
 		prim := s.reps[s.Primary()]
-		buf, err := prim.K.CopyFromUser(va, int(n))
+		buf, err := prim.K.ReadUser(va, int(n))
 		if err == nil {
 			_ = s.m.Mem().Write(inputBufPA(), buf)
 			s.stats.InputBytes += n
@@ -545,10 +542,7 @@ func (s *System) ftMemRepFuncs(r *Replica, va, n uint64) (action, cont func()) {
 	}
 	cont = func() {
 		if r.ID != s.Primary() {
-			buf, err := s.m.Mem().Read(inputBufPA(), int(n))
-			if err == nil {
-				_ = r.K.CopyToUser(va, buf)
-			}
+			_ = r.K.CopyPhysToUser(va, inputBufPA(), int(n))
 			r.Core().AddStall(int(n) / 8)
 		}
 		setRet(r, 0)

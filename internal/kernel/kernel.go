@@ -90,7 +90,7 @@ type Kernel struct {
 	OnPreempt func(preemptions uint64)
 
 	// traceWords is AddTraceBytes' scratch, rebuilt by every call, and
-	// userBuf ReadUser's.
+	// userBuf ReadUser's and CopyPhysToUser's.
 	traceWords []uint64
 	userBuf    []byte
 }
@@ -465,7 +465,10 @@ func (k *Kernel) Signature() (events, sum uint64) {
 
 // --- User memory access helpers ---
 
-// CopyFromUser reads n bytes at user virtual address va.
+// CopyFromUser reads n bytes at user virtual address va into a fresh
+// slice. It allocates on every call, so it is for callers outside kernel
+// entries (tests, checks of a finished run); a kernel entry reads through
+// ReadUserAt, ReadUser or CopyPhysToUser, which do not.
 func (k *Kernel) CopyFromUser(va uint64, n int) ([]byte, error) {
 	pa, _, ok := k.as.Translate(va, n, machine.PermR)
 	if !ok {
@@ -474,15 +477,38 @@ func (k *Kernel) CopyFromUser(va uint64, n int) ([]byte, error) {
 	return k.m.Mem().Read(pa, n)
 }
 
-// ReadUser is CopyFromUser into a scratch buffer, which the next call
-// overwrites: for a kernel entry that only looks at the bytes.
-func (k *Kernel) ReadUser(va uint64, n int) ([]byte, error) {
-	pa, _, ok := k.as.Translate(va, n, machine.PermR)
+// ReadUserAt copies len(dst) bytes at user virtual address va into dst:
+// for a kernel entry that brings a buffer of its own, such as a fixed-size
+// array on its stack.
+func (k *Kernel) ReadUserAt(va uint64, dst []byte) error {
+	pa, _, ok := k.as.Translate(va, len(dst), machine.PermR)
 	if !ok {
-		return nil, fmt.Errorf("kernel: bad user read [%#x,+%d)", va, n)
+		return fmt.Errorf("kernel: bad user read [%#x,+%d)", va, len(dst))
 	}
+	return k.m.Mem().ReadAt(pa, dst)
+}
+
+// ReadUser is CopyFromUser into the kernel's scratch buffer, which the next
+// ReadUser or CopyPhysToUser overwrites: for a kernel entry that only looks
+// at the bytes and holds no earlier view across the call.
+func (k *Kernel) ReadUser(va uint64, n int) ([]byte, error) {
 	k.userBuf = slices.Grow(k.userBuf[:0], n)[:n]
-	return k.userBuf, k.m.Mem().ReadAt(pa, k.userBuf)
+	if err := k.ReadUserAt(va, k.userBuf); err != nil {
+		return nil, err
+	}
+	return k.userBuf, nil
+}
+
+// CopyPhysToUser copies n bytes at physical address pa to user virtual
+// address va through the kernel's scratch buffer (overwriting ReadUser's
+// view), as Mem.Read of pa followed by CopyToUser would, without the
+// allocation.
+func (k *Kernel) CopyPhysToUser(va, pa uint64, n int) error {
+	k.userBuf = slices.Grow(k.userBuf[:0], n)[:n]
+	if err := k.m.Mem().ReadAt(pa, k.userBuf); err != nil {
+		return err
+	}
+	return k.CopyToUser(va, k.userBuf)
 }
 
 // CopyToUser writes b at user virtual address va.

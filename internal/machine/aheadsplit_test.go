@@ -49,10 +49,22 @@ func takeAheadSnap(m *Machine, c *Core, ram []byte) *aheadSnap {
 	s.valid = append([]bool(nil), c.cache.valid...)
 	s.dirty = append([]bool(nil), c.cache.dirty...)
 	if c.sb != nil {
-		cp := *c.sb
-		s.sb = &cp
+		s.sb = cloneSB(c.sb)
 	}
 	return s
+}
+
+// cloneSB deep-copies a block cache: its slots point at blocks that a
+// build rewrites in place, so a copy of the table alone would share them.
+func cloneSB(sc *sbCache) *sbCache {
+	cp := *sc
+	for i, sb := range cp.blocks {
+		if sb != nil {
+			b := *sb
+			cp.blocks[i] = &b
+		}
+	}
+	return &cp
 }
 
 // restore puts c and RAM back where takeAheadSnap found them. A run writes
@@ -71,7 +83,7 @@ func (s *aheadSnap) restore(m *Machine, c *Core) {
 	case s.sb == nil:
 		c.sb = nil
 	case c.sb.built != s.sb.built:
-		*c.sb = *s.sb
+		*c.sb = *cloneSB(s.sb)
 	}
 	c.ec = s.ec
 	mem := m.mem

@@ -161,9 +161,14 @@ type Machine struct {
 	sbGated []*sbRunState
 	// sbLong lists the runs of a loop top that used their whole probe
 	// (runBlocks), and runPool is the pool that lets them go on side by
-	// side, allocated at the first such loop top.
-	sbLong  []*sbRunState
-	runPool *forkjoin.Pool
+	// side, allocated at the first such loop top. goOnJob is the pool's
+	// job (goOnRun), built with the pool, so a fork allocates nothing;
+	// goOn sets goOnLong and goOnMore for the length of a fork.
+	sbLong   []*sbRunState
+	runPool  *forkjoin.Pool
+	goOnJob  func(int)
+	goOnLong []*sbRunState
+	goOnMore uint64
 	// watchGp points into mem.pageGen for every device-watched RAM page
 	// (MemWatcher); watchSnap holds their values at batch entry and at
 	// every re-derivation. A batched store that bumps a watched generation

@@ -144,9 +144,11 @@ var sbFast = func() (t [256]bool) {
 
 // sbCache is the per-core superblock cache. Like Core.ec it is host-derived
 // state outside the snapshot boundary: never serialized, and revalidated
-// by its keys after a restore.
+// by its keys after a restore. A slot's block is allocated when the slot
+// is first built and rebuilt in place after that, so a core costs only the
+// slots its code reaches (a nil slot was never built).
 type sbCache struct {
-	blocks [sbSlots]superblock
+	blocks [sbSlots]*superblock
 	// built counts blocks decoded; instrs counts instructions retired
 	// from the batched path (diagnostics; the hit-rate smoke test divides
 	// by Core.Instructions).
@@ -222,13 +224,16 @@ func (m *Machine) blockFor(c *Core) *superblock {
 	if c.BP.Enabled && c.PC == c.BP.Addr {
 		return nil
 	}
-	sc := c.sbLazy()
-	sb := &sc.blocks[(c.PC>>3^c.PC>>(3+sbSlotBits))&(sbSlots-1)]
-	if sb.valid(c.PC, c.AS) {
+	slot := &c.sbLazy().blocks[(c.PC>>3^c.PC>>(3+sbSlotBits))&(sbSlots-1)]
+	sb := *slot
+	if sb == nil {
+		sb = new(superblock)
+		*slot = sb
+	} else if sb.valid(c.PC, c.AS) {
 		return sb
 	}
 	if m.buildBlock(c, sb) {
-		sc.built++
+		c.sb.built++
 		return sb
 	}
 	return nil
@@ -1417,18 +1422,23 @@ func (m *Machine) goOn(long []*sbRunState, more uint64) {
 		return
 	}
 	if m.runPool == nil {
-		m.runPool = new(forkjoin.Pool)
+		m.runPool, m.goOnJob = new(forkjoin.Pool), m.goOnRun
 	}
+	m.goOnLong, m.goOnMore = long, more
 	m.mem.uncounted = true
-	m.runPool.Run(runtime.GOMAXPROCS(0), len(long), func(i int) {
-		st := long[i]
-		st.promise += m.ahead(st, more)
-	})
-	m.mem.uncounted = false
+	m.runPool.Run(runtime.GOMAXPROCS(0), len(long), m.goOnJob)
+	m.mem.uncounted, m.goOnLong = false, nil
 	for _, st := range long {
 		m.sbAhead += st.promise - sbProbe
 		m.sbOverlapped += st.promise - sbProbe
 	}
+}
+
+// goOnRun is goOn's fork-join job: run i of goOnLong goes on for up to
+// goOnMore cycles.
+func (m *Machine) goOnRun(i int) {
+	st := m.goOnLong[i]
+	st.promise += m.ahead(st, m.goOnMore)
 }
 
 // sbRoom caps at k how far a core may run ahead: no further than the issue
@@ -1940,8 +1950,8 @@ func (m *Machine) BlockStartPAs(id int) []uint64 {
 		return nil
 	}
 	var out []uint64
-	for i := range c.sb.blocks {
-		if sb := &c.sb.blocks[i]; sb.n != 0 {
+	for _, sb := range c.sb.blocks {
+		if sb != nil && sb.n != 0 {
 			out = append(out, sb.pa0)
 		}
 	}

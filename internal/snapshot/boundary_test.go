@@ -63,7 +63,7 @@ var hostDerived = map[string]string{
 	"kernel.Kernel.canaryGp":    "construction-time pointer to the canary page's generation",
 	"kernel.Kernel.OnPreempt":   "hook: re-wired by the owner",
 	"kernel.Kernel.traceWords":  "scratch of AddTraceBytes, rebuilt by every call",
-	"kernel.Kernel.userBuf":     "scratch of ReadUser, refilled by every call",
+	"kernel.Kernel.userBuf":     "scratch of ReadUser and CopyPhysToUser, refilled by every call",
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
 
 	// machine
@@ -102,6 +102,9 @@ var hostDerived = map[string]string{
 	"machine.Machine.privSegs":    "what the privacy map was built from",
 	"machine.Machine.sbLong":      "per-loop-top scratch of the superblock loop",
 	"machine.Machine.runPool":     "host threads for runs ahead side by side",
+	"machine.Machine.goOnJob":     "runPool's job (goOnRun), built once with the pool",
+	"machine.Machine.goOnLong":    "goOn's arguments to goOnJob, set for the length of a fork",
+	"machine.Machine.goOnMore":    "goOn's arguments to goOnJob, set for the length of a fork",
 	"machine.Machine.privWatch":   "what the privacy map was built from",
 	"machine.Machine.privGen":     "privacy map build count, a validity key of rewound runs",
 	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
