@@ -360,10 +360,7 @@ func (s *System) releaseFromRendezvous(r *Replica, gen uint64) {
 	kind := s.sh.word(wSyncKind)
 	lines := s.sh.word(wSyncLines)
 	if kind&syncIRQ != 0 {
-		if s.cfg.VM {
-			r.Core().AddStall(s.cfg.Profile.Costs.VMExit)
-			s.stats.VMExits++
-		}
+		s.vmExit(r.Core())
 		s.deliverLines(r, lines)
 	}
 	s.resetBranchClock(r)
@@ -524,17 +521,30 @@ func (s *System) eventBarrierTimeout(r *Replica, ev uint64) bool {
 	return s.ejectStraggler(straggler)
 }
 
-// onBreakpoint services the catch-up breakpoint: compare the precise
-// logical clocks and either join the rendezvous, step over the breakpoint
-// and keep chasing, or (if somehow ahead) park and let the others chase.
-func (s *System) onBreakpoint(r *Replica) {
-	r.DebugExceptions++
-	c := r.Core()
-	c.AddStall(s.cfg.Profile.Costs.DebugException)
+// vmExit charges c a VM exit when the system runs in a VM: the hypervisor
+// sees the interrupt or debug exception first.
+func (s *System) vmExit(c *machine.Core) {
 	if s.cfg.VM {
 		c.AddStall(s.cfg.Profile.Costs.VMExit)
 		s.stats.VMExits++
 	}
+}
+
+// debugException charges r's core a debug exception, with its VM exit, and
+// returns the core.
+func (s *System) debugException(r *Replica) *machine.Core {
+	r.DebugExceptions++
+	c := r.Core()
+	c.AddStall(s.cfg.Profile.Costs.DebugException)
+	s.vmExit(c)
+	return c
+}
+
+// onBreakpoint services the catch-up breakpoint: compare the precise
+// logical clocks and either step over the breakpoint and keep chasing, or
+// (level with the leader, or somehow ahead of it) join the rendezvous.
+func (s *System) onBreakpoint(r *Replica) {
+	c := s.debugException(r)
 	if !r.chasing {
 		// Stale breakpoint (e.g. chase abandoned): disarm and continue.
 		s.clearChase(r)
@@ -544,18 +554,7 @@ func (s *System) onBreakpoint(r *Replica) {
 	lt := s.timeOf(r)
 	s.sh.publishTime(r.ID, lt)
 	target := s.maxAliveTime()
-	switch {
-	case lt.equal(target):
-		s.clearChase(r)
-		gen := s.sh.word(wSyncGen)
-		if gen == 0 {
-			s.afterKernel(r)
-			return
-		}
-		s.sh.setRepWord(r.ID, rwArriveGen, gen)
-		s.publishSignature(r)
-		s.parkAtRendezvous(r, gen)
-	case lt.less(target):
+	if lt.less(target) {
 		// Still behind: step over the breakpoint. With a resume flag
 		// this is one debug exception; without one (Arm) the kernel must
 		// disable the breakpoint and single-step, paying a second
@@ -584,19 +583,20 @@ func (s *System) onBreakpoint(r *Replica) {
 			c.BP.Enabled = false
 			c.SingleStep = true
 		}
-	default:
-		// Overshot the leader: publish (done above) and park; the
-		// others will now chase us. Divergence surfaces as a timeout.
-		s.clearChase(r)
-		gen := s.sh.word(wSyncGen)
-		if gen == 0 {
-			s.afterKernel(r)
-			return
-		}
-		s.sh.setRepWord(r.ID, rwArriveGen, gen)
-		s.publishSignature(r)
-		s.parkAtRendezvous(r, gen)
+		return
 	}
+	// Level with the leader, or overshot it: publish (done above) and park.
+	// After an overshoot the others chase this replica; divergence surfaces
+	// as a timeout.
+	s.clearChase(r)
+	gen := s.sh.word(wSyncGen)
+	if gen == 0 {
+		s.afterKernel(r)
+		return
+	}
+	s.sh.setRepWord(r.ID, rwArriveGen, gen)
+	s.publishSignature(r)
+	s.parkAtRendezvous(r, gen)
 }
 
 // onBranchWatch handles the PMU overflow interrupt that ends the coarse
@@ -606,10 +606,7 @@ func (s *System) onBreakpoint(r *Replica) {
 func (s *System) onBranchWatch(r *Replica) {
 	c := r.Core()
 	c.AddStall(s.cfg.Profile.Costs.IRQDeliver)
-	if s.cfg.VM {
-		c.AddStall(s.cfg.Profile.Costs.VMExit)
-		s.stats.VMExits++
-	}
+	s.vmExit(c)
 	if !r.chasing || !s.syncPending() {
 		s.clearChase(r)
 		s.afterKernel(r)
@@ -621,13 +618,7 @@ func (s *System) onBranchWatch(r *Replica) {
 // onSingleStep is the second half of the no-resume-flag protocol: the
 // instruction under the breakpoint has executed; re-arm and continue.
 func (s *System) onSingleStep(r *Replica) {
-	r.DebugExceptions++
-	c := r.Core()
-	c.AddStall(s.cfg.Profile.Costs.DebugException)
-	if s.cfg.VM {
-		c.AddStall(s.cfg.Profile.Costs.VMExit)
-		s.stats.VMExits++
-	}
+	c := s.debugException(r)
 	if r.chasing {
 		c.BP.Addr = r.chaseTarget.IP
 		c.BP.Enabled = true

@@ -766,7 +766,10 @@ func batchTrapCheck(t *testing.T, seed uint64) *trapScenario {
 }
 
 // FuzzBatchTrap runs batchTrapCheck on arbitrary seeds. The committed
-// corpus holds one seed per handler action.
+// corpus holds one seed per handler action, and one per way a stepped
+// cycle ends a batch's stretch of cycles (stepped-*: a trap in a later slot
+// of the rotation, a rider's wake, a store into watched RAM, an MMIO
+// access), each picked from a seed scan as the one that reached it most.
 func FuzzBatchTrap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) { batchTrapCheck(t, seed) })
 }

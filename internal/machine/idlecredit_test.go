@@ -167,6 +167,31 @@ func TestIdleCreditRunUntilBudgetExact(t *testing.T) {
 	}
 }
 
+// TestIdleCreditCountsAsJumped: a window in which no core executes is a
+// stretch with no core at the machine's clock, so every cycle of it counts
+// as Jumped and as FastForwarded and none as Solo. Each Run moves the park
+// epoch, so the first cycle of each batch polls the park (stepped) and the
+// rest of the batch is the window; Run's last cycle is Step's.
+func TestIdleCreditCountsAsJumped(t *testing.T) {
+	m := New(noJitter(X86()), 1<<16)
+	m.Core(0).Park(func() bool { return false }, nil, NoEvent, nil)
+	var before SuperblockStats
+	for _, n := range []uint64{5000, 7} {
+		m.Run(n)
+		s := m.SuperblockStats()
+		window := n - 2
+		if got := s.Batched - before.Batched; got != n-1 {
+			t.Fatalf("Run(%d) batched %d cycles, want %d", n, got, n-1)
+		}
+		if s.Jumped-before.Jumped != window || s.FastForwarded-before.FastForwarded != window ||
+			m.FastForwarded() != s.FastForwarded || s.Solo != before.Solo {
+			t.Fatalf("Run(%d): an idle window of %d cycles moved Jumped by %d, FastForwarded by %d (Machine: %d) and Solo by %d",
+				n, window, s.Jumped-before.Jumped, s.FastForwarded-before.FastForwarded, m.FastForwarded(), s.Solo-before.Solo)
+		}
+		before = s
+	}
+}
+
 // TestBusSkipMatchesTicks: bulk refill must land on the same token count
 // as k individual ticks, from credit and from debt.
 func TestBusSkipMatchesTicks(t *testing.T) {

@@ -112,9 +112,6 @@ type Machine struct {
 	// which also charges idle windows in bulk. Like the execution cache it
 	// is provably invisible to simulated state.
 	superblock bool
-	// ffSkipped counts the cycles a batch credits in bulk while no
-	// executing core holds a block: the idle skip (diagnostics).
-	ffSkipped uint64
 
 	// parkEpoch counts the points at which a park condition's inputs other
 	// than its watched page and its core's Cycles may have changed: every
@@ -133,20 +130,14 @@ type Machine struct {
 	// (sbExitLocal), after which only the trapping core is re-derived. The
 	// naive paths never read it.
 	sbExit uint8
-	// sbExits counts why batches ended, by batchExit (diagnostics).
-	sbExits [nBatchExits]uint64
-	// sbJumped counts cycles credited in bulk inside batches, sbAhead the
-	// cycles promises ran ahead of machine time, sbReplayed the cycles
-	// rewinds re-executed, sbRewound the cycles run ahead and then undone
-	// for good, by cause, sbPromises the promises made, sbBatched the cycles
-	// batches consumed, sbSoloRun those of them run solo, sbSoloRider the
-	// solo cycles beside a parked rider, sbSoloNaive the solo cycles
-	// issued through the naive issue path, sbOverlapped the cycles runs
-	// went on past their probe beside another core's run and sbLocal the
-	// local kernel entries (diagnostics).
-	sbJumped, sbAhead, sbReplayed, sbPromises, sbBatched, sbSoloRun uint64
-	sbSoloRider, sbSoloNaive, sbOverlapped, sbLocal                 uint64
-	sbRewound                                                       [nRewindCauses]uint64
+	// The engine's diagnostics, which restart on a load: sbStats holds its
+	// scalar counters (the fields SuperblockStats fills from the cores and
+	// from the two arrays stay 0 here), sbExits counts why batches ended,
+	// by batchExit, and sbRewound the cycles run ahead and then undone for
+	// good, by rewindCause.
+	sbStats   SuperblockStats
+	sbExits   [nBatchExits]uint64
+	sbRewound [nRewindCauses]uint64
 	// sbSolo is the core running solo (see solo), nil when none is, and
 	// sbSoloFrom the cycle up to which the other cores have been credited
 	// for the last run: its start until sbSettle, the cycle it was settled
@@ -402,7 +393,7 @@ func (m *Machine) SuperblockEnabled() bool { return m.superblock }
 // FastForwarded returns the total cycles a superblock batch credited in
 // bulk while no executing core held a block — every core parked, halted,
 // offline or only counting down a stall — instead of stepping them.
-func (m *Machine) FastForwarded() uint64 { return m.ffSkipped }
+func (m *Machine) FastForwarded() uint64 { return m.sbStats.FastForwarded }
 
 // ParkStats counts the polls of parked cores. Polls is every stepped cycle
 // a parked core spent waiting; cycles a superblock batch charges in bulk
@@ -621,7 +612,7 @@ func (m *Machine) trap(c *Core, t Trap) {
 		m.localShadow(c, shadow)
 	}
 	if c.State == CoreRunning {
-		m.sbLocal++
+		m.sbStats.Local++
 		if !shadowed {
 			m.sbExit |= sbExitLocal
 			return

@@ -64,11 +64,11 @@ func (m *Machine) State(c *snapshot.Codec) {
 		}
 	}
 	if c.Loading() && c.Err() == nil {
-		// Host-side diagnostics restart (now may have moved backwards), and
-		// the scheduler's derived state is re-established: the rotation
+		// The engine's diagnostics restart (now may have moved backwards),
+		// and the scheduler's derived state is re-established: the rotation
 		// index advances in lockstep with now (a batch's bulk credit
 		// re-derives it the same way).
-		m.ffSkipped, m.sbJumped = 0, 0
+		m.sbStats, m.sbExits, m.sbRewound = SuperblockStats{}, [nBatchExits]uint64{}, [nRewindCauses]uint64{}
 		if n := len(m.cores); n > 0 {
 			m.rr = int(m.now % uint64(n))
 		}
@@ -290,7 +290,7 @@ func (co *Core) state(c *snapshot.Codec) {
 	// everything it rewrites (Mem.loadState per page, the kernel's state
 	// walk for the address space), so an entry filled before the restore
 	// can only hit on state that is still what it was filled from. Their
-	// diagnostic counters restart, like ffSkipped.
+	// diagnostic counters restart, like the engine's (Machine.sbStats).
 	co.ec.tlbHits, co.ec.tlbMisses = 0, 0
 	if co.sb != nil {
 		co.sb.built, co.sb.instrs = 0, 0

@@ -60,8 +60,16 @@ func TestMachineStateRoundTrip(t *testing.T) {
 	// Restore into a fresh machine built through the same path but
 	// stopped at a different cycle, so every restored field matters.
 	b := buildStateMachine(t, 3_333)
+	if b.SuperblockEnabled() && b.SuperblockStats().Batched == 0 {
+		t.Fatal("no batch ran before the restore: the reset below shows nothing")
+	}
 	if err := snap.Restore(b, data); err != nil {
 		t.Fatal(err)
+	}
+	// Every engine diagnostic restarts on a load; only the instruction
+	// total, summed from the restored cores, is not one.
+	if st := b.SuperblockStats(); st != (SuperblockStats{Instrs: st.Instrs}) {
+		t.Fatalf("engine diagnostics survived the restore: %+v", st)
 	}
 
 	// Round-trip byte identity: nothing lost, nothing invented.

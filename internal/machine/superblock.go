@@ -21,12 +21,14 @@ import (
 // registers, its cache's resident lines, RAM pages no other core's address
 // space maps (and no device watches, and nothing maps executable), text no
 // other core can write. Whatever could observe it rewinds it first, to the
-// cycle machine time has reached. While every other core is ahead the
-// remaining one runs alone at the machine's clock, parked riders beside it
-// or not (see runBlocks). It is also the one place idle time is charged: a
-// window in which every core is parked, stalled, halted or offline is
-// credited in bulk like any other window of promises. The batch re-derives
-// its state, ends, or never starts whenever anything could diverge:
+// cycle machine time has reached. Machine time moves two ways (see
+// runBlocks): a stretch that credits every core ahead, with at most one core
+// running alone at the machine's clock beside them (parked riders or not),
+// and a cycle stepped as Step steps it. The stretch with no core at the
+// clock is the one place idle time is charged: a window in which every core
+// is parked, stalled, halted or offline is credited in bulk like any other
+// window of promises. The batch re-derives its state, ends, or never starts
+// whenever anything could diverge:
 //
 //   - a device event falls due (preemption timer, DMA, intermittent-fault
 //     phase edge): the batch horizon stops one cycle short, so the event
@@ -71,10 +73,6 @@ const (
 	// do not share a slot.
 	sbSlotBits = 8
 	sbSlots    = 1 << sbSlotBits
-	// sbSoloMin is the shortest stretch worth running solo (see
-	// Machine.solo): below it the stepped cycle costs no more than the
-	// entry and the settlement.
-	sbSoloMin = 2
 	// sbProbe is how far a core runs ahead before its run may go on beside
 	// another core's on a second host thread (runBlocks): a shorter run
 	// costs less than the threads' meeting, and a workload whose cores
@@ -591,7 +589,7 @@ func (m *Machine) promise(st *sbRunState, limit uint64) uint64 {
 	st.pages, st.lastPage, st.untracked = st.pages[:0], ^uint64(0), false
 	st.c.saveRun(&st.ck)
 	n := m.ahead(st, limit)
-	m.sbAhead += n
+	m.sbStats.Ahead += n
 	return n
 }
 
@@ -868,7 +866,7 @@ func (m *Machine) rewind(st *sbRunState, why rewindCause) {
 		m.setBlock(st, st.at0)
 		if st.lag != 0 {
 			m.ahead(st, st.lag)
-			m.sbReplayed += st.lag
+			m.sbStats.Replayed += st.lag
 		}
 		m.commit(st)
 		c.saveRun(&st.ck)
@@ -969,24 +967,25 @@ const (
 	sbExitLocal // a local kernel entry (LocalTrapper): only its core is re-derived
 )
 
-// sbRest finishes the current cycle's rotation after core idx, once code
-// other than a core's own run has run with every core at machine time (a
-// trap, an MMIO access, a park wake, or a store another core or a device
-// can see): exactly as Step would, except that a core whose promise
-// survived that code (resume) is put back at its run's end and charged its
-// slot against the promise. Every other core is visited through the naive
-// advance path, the cores the batch was not driving included — kernel code
-// may have mutated or started any core — and loses its promise. seen is what ran; sbRest returns it, or exitMMIO or
-// exitWake when a device was accessed or a park woke, which the batch does
-// not survive.
-func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
+// sbRest services the current cycle's rotation from slot from on (slot s
+// is core rr+s, modulo the core count) exactly as Step would, except that a
+// core whose promise survived what ran before it (resume) is put back at its
+// run's end and charged its slot against the promise. Every other core is
+// visited through the naive advance path, the cores the batch was not
+// driving included — kernel code may have mutated or started any core — and
+// loses its promise. It is the batch's stepped cycle (from slot 0), and the
+// end of a cycle in which code other than a core's own run ran with every
+// core at machine time (a trap, an MMIO access, a park wake, or a store
+// another core or a device can see; from the slot after that core's). seen
+// is what ran before; sbRest returns it, or what its own slots let observe
+// the machine: exitMMIO or exitWake, which the batch does not survive, over
+// exitTrap, a kernel entry other than a local one.
+func (m *Machine) sbRest(from int, seen batchExit) batchExit {
 	n := len(m.cores)
-	for {
-		if idx++; idx == n {
-			idx = 0
-		}
-		if idx == m.rr {
-			break
+	for s := from; s < n; s++ {
+		idx := m.rr + s
+		if idx >= n {
+			idx -= n
 		}
 		c, st := m.cores[idx], &m.sbRun[idx]
 		switch {
@@ -1005,11 +1004,20 @@ func (m *Machine) sbRest(idx int, seen batchExit) batchExit {
 			}
 		}
 	}
-	if m.sbExit&sbExitMMIO != 0 {
+	switch {
+	case m.sbExit&sbExitMMIO != 0:
 		seen = exitMMIO
+	case m.sbExit&sbExitTrap != 0 && seen == exitNone:
+		seen = exitTrap
 	}
 	m.sbExit = 0
 	return seen
+}
+
+// sbSlot returns core id's slot in the current cycle's rotation.
+func (m *Machine) sbSlot(id int) int {
+	n := len(m.cores)
+	return (id - m.rr + n) % n
 }
 
 // sbGate lists in sbAct the cores a batch drives, and returns how many of
@@ -1111,28 +1119,30 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 //     run's end, with an undo log of the old bytes and dirty bits behind it.
 //     A run executes sbProbe cycles first; the runs that use them all go
 //     on side by side on two host threads (goOn).
-//   - Credit. While the promise lasts a cycle services the core with
-//     lag++ in its slot of the rotation; when every executing core is
-//     promised and every parked rider provably stays parked, the shortest
-//     promise is charged in one step with no rotation at all. With every
-//     core parked, stall-only or halted this is the idle skip: the machine
-//     jumps to a stall's end, a rider's wake cycle, or the horizon.
 //   - Commit. When the loop has credited a promise in full, machine time
 //     has caught up with the run and its log is dropped (commit); the core
 //     makes its next promise without spending a cycle.
-//   - Solo. When exactly one executing core holds no promise and every
-//     other core's promise, and every rider's bound (sbRiderBound), lasts
-//     at least sbSoloMin cycles, that core runs alone for the shortest of
-//     them (solo): it is the only core that does anything in those cycles,
-//     so the machine's clock simply follows it, one cycle per issue
-//     opportunity, any op, no promise to make or keep — from its block, or
-//     through the naive issue path when it has none. The other cores'
-//     credits for the stretch, the riders' included, are settled by
-//     arithmetic (sbSettle) when it ends or at the first observation point
-//     inside it. A rider rides along: its declarations prove it stays
-//     parked, and the one of them the solo core can move without an
-//     observation point, its watched page, ends the run when a store moves
-//     it.
+//   - Stretch. When at most one executing core holds no promise, time moves
+//     by the shortest promise, capped by every parked rider's bound
+//     (sbRiderBound), in one stretch (solo). The core without a promise,
+//     if there is one, runs alone at the machine's clock: it is the only
+//     core that does anything in those cycles, so the clock simply follows
+//     it, one cycle per issue opportunity, any op, no promise to make or
+//     keep — from its block, or through the naive issue path when it has
+//     none. Every other core is credited the stretch by arithmetic
+//     (sbSettle) when it ends or at the first observation point inside it:
+//     a promise as lag against it, a rider as idle cycles. A rider rides
+//     along: its declarations prove it stays parked, and the one of them
+//     the solo core can move without an observation point, its watched
+//     page, ends the run when a store moves it. With no core at the clock
+//     the stretch is a bulk credit (Jumped); with every core parked,
+//     stall-only or halted it is the idle skip: the machine jumps to a
+//     stall's end, a rider's wake cycle, or the horizon.
+//   - Stepped cycle. A cycle no stretch can carry — a rider must be polled,
+//     or two or more executing cores hold no promise — is Step's rotation
+//     (sbRest from its first slot): a promised core is credited lag++ in
+//     its slot, every other core is stepped naively and then takes the
+//     block at its PC.
 //
 // Observation points are the places where code other than a core's own run
 // can read or write a core ahead of the clock, and each starts with sbSync,
@@ -1150,13 +1160,14 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // or RunUntil's condition reads, and what else it changes only kernel code
 // and park conditions read — and with no core parked there is no park to
 // evaluate — so nothing can tell that the other cores' runs stayed ahead.
-// Only its own core is re-derived (sbIssue, sbNaive) and the batch goes on
-// after the usual store checks; a handler that leaves its core not running
+// Only its own core is re-derived (sbIssue or sbNaive in a solo run, the
+// block the stepped cycle hands out) and the batch goes on after the usual
+// store checks; a handler that leaves its core not running
 // makes the entry an observation point after all, and DebugLocalShadow
 // checks the promise. sbRoom does not cap runs at a syscall the handler
 // calls local.
 // Credits are rotation-exact: a core is credited a cycle in its own slot —
-// one by one in the rotation, or by slot arithmetic when a solo run is
+// one by one in the stepped cycle, or by slot arithmetic when a solo run is
 // observed mid-cycle — so when a core traps, the cores serviced before it
 // in that cycle are replayed through the cycle and the ones after it are
 // not, which is what naive stepping would show the handler. No store of a
@@ -1171,8 +1182,8 @@ func (m *Machine) sbHorizon(limit uint64) (uint64, bool) {
 // (Core.Park) prove it false in between.
 //
 // A batch ends only where something can observe its end. A naive issue is
-// no such place: it is followed by a slow op's checks (watched RAM) and
-// re-derives only its own core (sbNaive). After a trap, a store into
+// no such place: it is followed by a store check (watched RAM) and
+// re-derives only its own core (sbNaive, the stepped cycle). After a trap, a store into
 // device-watched RAM or a solo core's store into a rider's page, the cycle
 // is finished (sbRest after a trap: the cores whose promise the handler
 // left intact resume and are charged their slots, the rest are stepped
@@ -1201,7 +1212,6 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 		m.watchSnap[i] = *gp
 	}
 	ncores := len(m.cores)
-	bus := m.bus
 	shadow := cond != nil && DebugCondShadow != nil
 	survive := !shadow && DebugParkShadow == nil
 	m.sbExit = 0
@@ -1264,7 +1274,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 					unpromised++
 					continue
 				}
-				m.sbPromises++
+				m.sbStats.Promises++
 				if st.promise == sbProbe && room > sbProbe {
 					long = append(long, st)
 					continue
@@ -1284,104 +1294,42 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 				k = min(k, st.promise)
 			}
 		}
-		if nparked > 0 && unpromised <= 1 {
-			k = m.sbRiderBound(k)
-		}
-		if unpromised == 1 && k >= sbSoloMin && !shadow {
-			n, obs := m.solo(lone, k)
-			consumed += n
-			seen = obs
-			continue
-		}
-		if unpromised != 0 {
+		// Time moves by a stretch of k cycles (solo; with no lone core, the
+		// bulk credit) or, where no stretch can carry the cycle, by one
+		// stepped cycle: Step's rotation with the promises kept, after which
+		// the stepped cores take the block at their PC.
+		if unpromised > 1 {
 			k = 0
+		} else if nparked > 0 {
+			k = m.sbRiderBound(k)
 		}
 		if k > 0 {
 			if shadow {
 				k = 1
 			}
-			// Time, the rotation origin and the bus token bucket move as k
-			// naive cycles would move them; no core is serviced.
-			m.now += k
-			m.rr = int(m.now % uint64(ncores))
-			bus.skip(k)
-			m.sbJumped += k
-			if idle {
-				m.ffSkipped += k
+			if lone == nil && idle {
+				m.sbStats.FastForwarded += k
 			}
-			for _, st := range m.sbAct {
-				if !st.parked {
-					st.promise -= k
-					st.lag += k
-				} else {
-					st.c.idle(k)
-				}
-			}
-			consumed += k
+			n, obs := m.solo(lone, k)
+			consumed += n
+			seen = obs
 			continue
 		}
 		m.now++
 		if m.rr++; m.rr >= ncores {
 			m.rr = 0
 		}
-		bus.tick()
-		// The rotation starts at the first active core at or after the
-		// round-robin origin; halted cores do nothing in a cycle.
-		act := m.sbAct
-		s := 0
-		for s < len(act) && act[s].c.ID < m.rr {
-			s++
-		}
-	rotation:
-		for n := len(act); n > 0; n-- {
-			if s == len(act) {
-				s = 0
-			}
-			st := act[s]
-			s++
-			c := st.c
-			if st.parked {
-				epoch := m.parkEpoch
-				m.advance(c)
-				if m.parkEpoch != epoch {
-					// The park woke — even if its done hook parked the core
-					// again, kernel code ran: the rest of the rotation is
-					// Step's, and the batch ends.
-					seen = m.sbRest(c.ID, exitWake)
-					break rotation
+		m.bus.tick()
+		if seen = m.sbRest(0, exitNone); seen == exitNone {
+			for _, st := range m.sbAct {
+				if !st.parked && st.promise == 0 {
+					st.sb, st.pos = m.sbBlock(st.c), 0
 				}
-				continue
-			}
-			if st.promise > 0 && (!st.back || m.resume(st)) {
-				st.promise--
-				st.lag++
-				continue
-			}
-			if st.promise > 0 {
-				m.drop(st)
-			}
-			c.Cycles++
-			if c.stall > 0 {
-				c.stall--
-				continue
-			}
-			if sb := st.sb; sb == nil || !sb.pagesFresh() {
-				// No block under the core, or its text (or a page it shares)
-				// mutated since decode: the naive issue, which a slow op's
-				// checks follow.
-				m.sbNaive(st)
-			} else if !m.sbIssue(st) {
-				continue
-			}
-			if m.sbExit != 0 {
-				seen = m.sbRest(c.ID, exitTrap)
-				break rotation
 			}
 			// A store into device-watched RAM (DMA mailbox flag) invalidates
-			// the device horizon: finish the cycle (the naive Step's device
-			// phase had already run by the time cores execute) and re-derive
-			// it, so the owning device's next Tick observes the store on
-			// schedule.
+			// the device horizon: re-derive it (the naive Step's device phase
+			// had already run by the time cores execute), so the owning
+			// device's next Tick observes the store on schedule.
 			if m.watchGp != nil && m.watchDirty() {
 				seen = exitWatched
 			}
@@ -1392,7 +1340,7 @@ func (m *Machine) runBlocks(cond func() bool, limit uint64) uint64 {
 	// time; the next batch's gate resumes the runs nothing touched.
 	m.sbSync(rwExit)
 	m.sbExits[why]++
-	m.sbBatched += consumed
+	m.sbStats.Batched += consumed
 	return consumed
 }
 
@@ -1417,7 +1365,7 @@ func (m *Machine) goOn(long []*sbRunState, more uint64) {
 		for _, st := range long {
 			n := m.ahead(st, more)
 			st.promise += n
-			m.sbAhead += n
+			m.sbStats.Ahead += n
 		}
 		return
 	}
@@ -1429,8 +1377,8 @@ func (m *Machine) goOn(long []*sbRunState, more uint64) {
 	m.runPool.Run(runtime.GOMAXPROCS(0), len(long), m.goOnJob)
 	m.mem.uncounted, m.goOnLong = false, nil
 	for _, st := range long {
-		m.sbAhead += st.promise - sbProbe
-		m.sbOverlapped += st.promise - sbProbe
+		m.sbStats.Ahead += st.promise - sbProbe
+		m.sbStats.Overlapped += st.promise - sbProbe
 	}
 }
 
@@ -1470,13 +1418,13 @@ func (m *Machine) sbRoom(k uint64, nparked int) uint64 {
 	return k
 }
 
-// sbNaive is the one naive-issue step of the rotation and solo, for a core
-// on no fresh block (sbBlock's reasons, or text written since decode): the
-// naive issue delivers the interrupt, checks the debug features and derives
-// bytes and any trap from scratch; then, unless a trap other than a local
-// one or an MMIO access observed the machine (m.sbExit), the core alone is
-// re-derived in place. Like a slow op of sbIssue it is no observation point:
-// the caller checks the stores it may have made.
+// sbNaive is solo's naive-issue step, for a core on no fresh block
+// (sbBlock's reasons, or text written since decode): the naive issue
+// delivers the interrupt, checks the debug features and derives bytes and
+// any trap from scratch; then, unless a trap other than a local one or an
+// MMIO access observed the machine (m.sbExit), the core alone is re-derived
+// in place. Like a slow op of sbIssue it is no observation point: the
+// caller checks the stores it may have made.
 func (m *Machine) sbNaive(st *sbRunState) {
 	m.issue(st.c)
 	if m.sbExit &^= sbExitLocal; m.sbExit == 0 {
@@ -1484,12 +1432,12 @@ func (m *Machine) sbNaive(st *sbRunState) {
 	}
 }
 
-// sbIssue runs one issue opportunity of a batched core standing on a fresh
-// block: the jitter draw, the fetch, the instruction, the block chain. It is
-// the one definition of that step, for the rotation of runBlocks and for
-// solo. It reports whether the instruction went through execSlow or fired
-// the branch watch: only such an issue can trap, reach a device or store,
-// so only then has the caller anything to check. After a local kernel entry
+// sbIssue runs one issue opportunity of a solo core standing on a fresh
+// block: the jitter draw, the fetch, the instruction, the block chain (a
+// stepped cycle issues through Step's own path). It reports whether the
+// instruction went through execSlow or fired the branch watch: only such
+// an issue can trap, reach a device or store, so only then has the caller
+// anything to check. After a local kernel entry
 // the core takes the block at wherever its handler left it (sbBlock). After
 // any other trap or an MMIO access (m.sbExit) the block position is left
 // alone — the handler may have moved the core anywhere — and the caller
@@ -1574,29 +1522,38 @@ func (m *Machine) sbIssue(st *sbRunState) (slow bool) {
 	return slow
 }
 
-// solo runs st's core alone for span cycles, at the machine's clock, while
-// every other executing core holds a promise of at least span cycles and
-// every rider provably stays parked for as long. A cycle does what the
-// rotation does when a single core takes part — time, the bus bucket, the
-// core's cycle count, a stall (drained in one step), then sbIssue, or
-// sbNaive when the core has no fresh block — and the other cores, which
-// would only be credited the cycle, are settled by arithmetic when the run
-// ends or something observes them (sbSettle). Because the core does not lag
-// it may execute any op, and a naive issue runs every interrupt and debug
-// check exactly as naive stepping does. A trap or an MMIO access has
-// already synced when it returns; a store that dirtied device-watched RAM,
-// made another core's block text stale or moved a rider's watched page
-// syncs here; either way the run ends, the cycle's remaining slots go
-// through sbRest — whose polls show the store to the riders after the solo
-// core's slot, the ones before it see it next cycle, as in the rotation —
-// and solo returns what observed the machine for runBlocks to re-derive
-// from or exit on, as after the same event in the rotation. Returns the
-// cycles consumed and the observation, exitNone when the run ran out.
+// solo moves machine time by a stretch of span cycles while every executing
+// core but st's holds a promise of at least span cycles and every rider
+// provably stays parked for as long. With st nil no core runs: time and the
+// bus bucket move as span naive cycles would move them, and sbSettle
+// credits every core the stretch (the bulk credit). Otherwise st's core runs
+// alone at the machine's clock. A cycle does what the stepped cycle does
+// when a single core takes part — time, the bus bucket, the core's cycle
+// count, a stall (drained in one step), then sbIssue, or sbNaive when the
+// core has no fresh block — and the other cores, which would only be
+// credited the cycle, are settled by arithmetic when the run ends or
+// something observes them (sbSettle). Because the core does not lag it may
+// execute any op, and a naive issue runs every interrupt and debug check
+// exactly as naive stepping does. A trap or an MMIO access has already
+// synced when it returns; a store that dirtied device-watched RAM, made
+// another core's block text stale or moved a rider's watched page syncs
+// here; either way the run ends, the cycle's remaining slots go through
+// sbRest — whose polls show the store to the riders after the solo core's
+// slot, the ones before it see it next cycle, as in Step — and solo returns
+// what observed the machine for runBlocks to re-derive from or exit on.
+// Returns the cycles consumed and the observation, exitNone when the run
+// ran out.
 func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
-	c, bus, mem := st.c, m.bus, m.mem
 	start := m.now
 	end := start + span
 	m.sbSolo, m.sbSoloFrom = st, start
+	if st == nil {
+		m.now = end
+		m.bus.skip(span)
+		m.sbSettle(false)
+		return span, exitNone
+	}
+	c, bus, mem := st.c, m.bus, m.mem
 	// Only a store of the core's own can make text stale, dirty watched RAM
 	// or move a rider's page in here, so those checks wait for the write
 	// count to move.
@@ -1620,7 +1577,7 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 		c.Cycles++
 		if !fresh {
 			m.sbNaive(st)
-			m.sbSoloNaive++
+			m.sbStats.SoloNaive++
 		} else if !m.sbIssue(st) {
 			fresh = st.sb != nil
 			continue
@@ -1642,7 +1599,7 @@ func (m *Machine) solo(st *sbRunState, span uint64) (n uint64, seen batchExit) {
 			continue
 		}
 		m.sbSync(rwSeen) // a trap or an MMIO access did on its first line: nothing is ahead then
-		return m.now - start, m.sbRest(c.ID, seen)
+		return m.now - start, m.sbRest(m.sbSlot(c.ID)+1, seen)
 	}
 	m.sbSettle(false)
 	return m.now - start, exitNone
@@ -1662,29 +1619,27 @@ func (m *Machine) sbSeen() bool {
 	return false
 }
 
-// sbSettle ends a solo run: every other core the batch drives is credited
-// the cycles the solo core has begun since the run started, a promised core
-// as lag against its promise, a rider as idle cycles (its polls would all
-// have skipped: sbRiderBound). When the solo core is inside a cycle (mid)
-// that cycle counts only for the cores whose slot in its rotation precedes
-// the solo core's — what the stepped loop does one slot at a time — and the
-// others get it from sbRest.
+// sbSettle ends a stretch (solo): every core the batch drives but the solo
+// core is credited the cycles begun since the stretch started, a promised
+// core as lag against its promise, a rider as idle cycles (its polls would
+// all have skipped: sbRiderBound). When the solo core is inside a cycle
+// (mid) that cycle counts only for the cores whose slot in its rotation
+// precedes the solo core's — what the stepped cycle does one slot at a time
+// — and the others get it from sbRest. A stretch with no solo core counts
+// as Jumped, any other as Solo.
 func (m *Machine) sbSettle(mid bool) {
 	solo := m.sbSolo
 	m.sbSolo = nil
 	n := m.now - m.sbSoloFrom
 	m.sbSoloFrom = m.now
-	m.sbSoloRun += n
-	ncores := len(m.cores)
-	m.rr = int(m.now % uint64(ncores))
-	slot := func(id int) int { return (id - m.rr + ncores) % ncores } // in this cycle's rotation
+	m.rr = int(m.now % uint64(len(m.cores)))
 	rider := false
 	for _, st := range m.sbAct {
 		if st == solo {
 			continue
 		}
 		k := n
-		if mid && slot(st.c.ID) > slot(solo.c.ID) {
+		if mid && m.sbSlot(st.c.ID) > m.sbSlot(solo.c.ID) {
 			k--
 		}
 		if st.parked {
@@ -1695,8 +1650,14 @@ func (m *Machine) sbSettle(mid bool) {
 		st.promise -= k
 		st.lag += k
 	}
-	if rider {
-		m.sbSoloRider += n
+	switch {
+	case solo == nil:
+		m.sbStats.Jumped += n
+	case rider:
+		m.sbStats.SoloRider += n
+		fallthrough
+	default:
+		m.sbStats.Solo += n
 	}
 }
 
@@ -1718,6 +1679,123 @@ func (m *Machine) sbRiderBound(k uint64) uint64 {
 		}
 	}
 	return k
+}
+
+// sbSync brings every core the batch drives to machine time, first
+// crediting them the cycles of a solo run in progress (which thereby ends:
+// its caller finishes the cycle naively): an ahead core is rewound, one
+// whose promise the loop has credited in full commits. It is called
+// wherever code other than a core's own run can observe a core — see
+// runBlocks for the list and the argument — so outside those points a core
+// may lead the machine's clock unseen. Outside a batch no core is ahead and
+// the call is a few compares.
+func (m *Machine) sbSync(why rewindCause) {
+	if m.sbSolo != nil {
+		m.sbSettle(true)
+	}
+	for _, st := range m.sbAct {
+		switch {
+		case st.back:
+		case st.promise != 0:
+			m.rewind(st, why)
+		case st.lag != 0:
+			m.commit(st)
+		}
+	}
+}
+
+// SuperblockStats aggregates the per-core superblock caches and the
+// engine's counters.
+type SuperblockStats struct {
+	Blocks        uint64 // superblocks decoded
+	BlockInstrs   uint64 // instructions retired from the batched path
+	Instrs        uint64 // total instructions retired (all paths)
+	Jumped        uint64 // cycles credited in bulk inside batches (a stretch with no core at the clock)
+	FastForwarded uint64 // ... of which while no executing core held a block (Machine.FastForwarded)
+	Ahead         uint64 // cycles promises ran ahead of machine time
+	Replayed      uint64 // cycles rewinds re-executed up to machine time
+	Rewound       Rewinds
+	Promises      uint64 // promises made
+	Batched       uint64 // machine cycles run inside batches: Jumped, Solo, and the stepped cycles
+	Solo          uint64 // ... of which by one core alone at machine time (solo)
+	SoloRider     uint64 // ... of which beside a parked rider
+	SoloNaive     uint64 // solo cycles issued through the naive issue path (no fresh block)
+	Overlapped    uint64 // cycles runs went on past their probe beside another core's run
+	Local         uint64 // local kernel entries (LocalTrapper) that left their core running: no observation point
+	Exits         BatchExits
+}
+
+// BatchExits counts why superblock batches ended, one count per batch. A
+// trap or a watched store ends a batch only when the state it re-derives
+// afterwards refuses to go on (a device event due, RunUntil's condition
+// true).
+type BatchExits struct {
+	Trap    uint64 // after a trap
+	MMIO    uint64 // a device register access
+	Watched uint64 // after a store into device-watched RAM, or a solo store into a rider's page
+	Wake    uint64 // a parked core's condition fired
+	Horizon uint64 // the limit or the device horizon was reached
+	Refused uint64 // entries that could not start a batch
+}
+
+// Rewinds counts the cycles promises ran ahead of machine time and then
+// undid for good, by the observation that rewound them: a rewound run whose
+// core the observation left alone resumes and counts nowhere.
+type Rewinds struct {
+	Trap   uint64 // a trap
+	MMIO   uint64 // a device register access
+	Park   uint64 // a park condition's evaluation
+	Seen   uint64 // a solo store a rider or a device could see
+	Shadow uint64 // a DebugCondShadow or DebugParkShadow evaluation
+	Exit   uint64 // the batch's end
+}
+
+// Total returns the rewound cycles over every cause.
+func (r Rewinds) Total() uint64 { return r.Trap + r.MMIO + r.Park + r.Seen + r.Shadow + r.Exit }
+
+// HitRate returns the fraction of all retired instructions that executed
+// from the batched superblock path.
+func (s SuperblockStats) HitRate() float64 {
+	if s.Instrs == 0 {
+		return 0
+	}
+	return float64(s.BlockInstrs) / float64(s.Instrs)
+}
+
+// BlockStartPAs returns the physical start addresses of the superblocks
+// currently cached on core id, in slot order. Diagnostics only: the
+// decorrelation tests use it to show that structurally different replicas
+// build different block sets while staying cycle-identical.
+func (m *Machine) BlockStartPAs(id int) []uint64 {
+	c := m.cores[id]
+	if c.sb == nil {
+		return nil
+	}
+	var out []uint64
+	for _, sb := range c.sb.blocks {
+		if sb != nil && sb.n != 0 {
+			out = append(out, sb.pa0)
+		}
+	}
+	return out
+}
+
+// SuperblockStats returns aggregate superblock diagnostics for the machine.
+func (m *Machine) SuperblockStats() SuperblockStats {
+	x := &m.sbExits
+	w := &m.sbRewound
+	s := m.sbStats
+	s.Rewound = Rewinds{Trap: w[rwTrap], MMIO: w[rwMMIO], Park: w[rwPark], Seen: w[rwSeen], Shadow: w[rwShadow], Exit: w[rwExit]}
+	s.Exits = BatchExits{Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched],
+		Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}
+	for _, c := range m.cores {
+		s.Instrs += c.Instructions
+		if c.sb != nil {
+			s.Blocks += c.sb.built
+			s.BlockInstrs += c.sb.instrs
+		}
+	}
+	return s
 }
 
 // execFast executes the ops that can neither trap, touch memory, nor
@@ -1844,29 +1922,6 @@ func execFast(c *Core, ins *isa.Instr, cost *Costs) bool {
 	return true
 }
 
-// sbSync brings every core the batch drives to machine time, first
-// crediting them the cycles of a solo run in progress (which thereby ends:
-// its caller finishes the cycle naively): an ahead core is rewound, one
-// whose promise the loop has credited in full commits. It is called
-// wherever code other than a core's own run can observe a core — see
-// runBlocks for the list and the argument — so outside those points a core
-// may lead the machine's clock unseen. Outside a batch no core is ahead and
-// the call is a few compares.
-func (m *Machine) sbSync(why rewindCause) {
-	if m.sbSolo != nil {
-		m.sbSettle(true)
-	}
-	for _, st := range m.sbAct {
-		switch {
-		case st.back:
-		case st.promise != 0:
-			m.rewind(st, why)
-		case st.lag != 0:
-			m.commit(st)
-		}
-	}
-}
-
 // localAhead predicts whether the syscall ins, which st's core stands on,
 // will be a local kernel entry (LocalTrapper). The handler is asked once
 // per arrival at the syscall — while the core stands on it, neither its PC
@@ -1882,98 +1937,4 @@ func (m *Machine) localAhead(st *sbRunState, ins *isa.Instr) bool {
 		st.local = m.local.LocalTrap(c, Trap{Kind: TrapSyscall, Num: ins.Imm, PC: c.PC + isa.InstrBytes})
 	}
 	return st.local
-}
-
-// SuperblockStats aggregates the per-core superblock caches.
-type SuperblockStats struct {
-	Blocks      uint64 // superblocks decoded
-	BlockInstrs uint64 // instructions retired from the batched path
-	Instrs      uint64 // total instructions retired (all paths)
-	Jumped      uint64 // cycles credited in bulk inside batches
-	Ahead       uint64 // cycles promises ran ahead of machine time
-	Replayed    uint64 // cycles rewinds re-executed up to machine time
-	Rewound     Rewinds
-	Promises    uint64 // promises made
-	Batched     uint64 // machine cycles run inside batches
-	Solo        uint64 // ... of which by one core alone at machine time (solo)
-	SoloRider   uint64 // ... of which beside a parked rider
-	SoloNaive   uint64 // solo cycles issued through the naive issue path (no fresh block)
-	Overlapped  uint64 // cycles runs went on past their probe beside another core's run
-	Local       uint64 // local kernel entries (LocalTrapper) that left their core running: no observation point
-	Exits       BatchExits
-}
-
-// BatchExits counts why superblock batches ended, one count per batch. A
-// trap or a watched store ends a batch only when the state it re-derives
-// afterwards refuses to go on (a device event due, RunUntil's condition
-// true).
-type BatchExits struct {
-	Trap    uint64 // after a trap
-	MMIO    uint64 // a device register access
-	Watched uint64 // after a store into device-watched RAM, or a solo store into a rider's page
-	Wake    uint64 // a parked core's condition fired
-	Horizon uint64 // the limit or the device horizon was reached
-	Refused uint64 // entries that could not start a batch
-}
-
-// Rewinds counts the cycles promises ran ahead of machine time and then
-// undid for good, by the observation that rewound them: a rewound run whose
-// core the observation left alone resumes and counts nowhere.
-type Rewinds struct {
-	Trap   uint64 // a trap
-	MMIO   uint64 // a device register access
-	Park   uint64 // a park condition's evaluation
-	Seen   uint64 // a solo store a rider or a device could see
-	Shadow uint64 // a DebugCondShadow or DebugParkShadow evaluation
-	Exit   uint64 // the batch's end
-}
-
-// Total returns the rewound cycles over every cause.
-func (r Rewinds) Total() uint64 { return r.Trap + r.MMIO + r.Park + r.Seen + r.Shadow + r.Exit }
-
-// HitRate returns the fraction of all retired instructions that executed
-// from the batched superblock path.
-func (s SuperblockStats) HitRate() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.BlockInstrs) / float64(s.Instrs)
-}
-
-// BlockStartPAs returns the physical start addresses of the superblocks
-// currently cached on core id, in slot order. Diagnostics only: the
-// decorrelation tests use it to show that structurally different replicas
-// build different block sets while staying cycle-identical.
-func (m *Machine) BlockStartPAs(id int) []uint64 {
-	c := m.cores[id]
-	if c.sb == nil {
-		return nil
-	}
-	var out []uint64
-	for _, sb := range c.sb.blocks {
-		if sb != nil && sb.n != 0 {
-			out = append(out, sb.pa0)
-		}
-	}
-	return out
-}
-
-// SuperblockStats returns aggregate superblock diagnostics for the machine.
-func (m *Machine) SuperblockStats() SuperblockStats {
-	x := &m.sbExits
-	w := &m.sbRewound
-	s := SuperblockStats{Jumped: m.sbJumped, Ahead: m.sbAhead, Replayed: m.sbReplayed, Rewound: Rewinds{
-		Trap: w[rwTrap], MMIO: w[rwMMIO], Park: w[rwPark], Seen: w[rwSeen], Shadow: w[rwShadow], Exit: w[rwExit]},
-		Promises: m.sbPromises,
-		Batched:  m.sbBatched, Solo: m.sbSoloRun, SoloRider: m.sbSoloRider, SoloNaive: m.sbSoloNaive, Overlapped: m.sbOverlapped, Local: m.sbLocal, Exits: BatchExits{
-			Trap: x[exitTrap], MMIO: x[exitMMIO], Watched: x[exitWatched],
-			Wake: x[exitWake], Horizon: x[exitHorizon], Refused: x[exitRefused]}}
-	for _, c := range m.cores {
-		s.Instrs += c.Instructions
-		if c.sb != nil {
-			s.Blocks += c.sb.built
-			s.BlockInstrs += c.sb.instrs
-		}
-	}
-	return s
 }

@@ -67,81 +67,70 @@ var hostDerived = map[string]string{
 	"machine.AddrSpace.gen":     "validity key of host-side translation memos, bumped by Invalidate on load",
 
 	// machine
-	"machine.Machine.prof":        "construction-time profile (core count and bus rate are checked)",
-	"machine.Machine.windows":     "construction-time wiring",
-	"machine.Machine.mmioLo":      "construction-time wiring",
-	"machine.Machine.mmioHi":      "construction-time wiring",
-	"machine.Machine.OnIRQRoute":  "hook: construction-time wiring",
-	"machine.Machine.rr":          "derived: now % cores",
-	"machine.Machine.execCache":   "accelerator switch: the target keeps its own",
-	"machine.Machine.superblock":  "accelerator switch: the target keeps its own",
-	"machine.Machine.ffSkipped":   "host-side diagnostics, restart on load",
-	"machine.Machine.parkEpoch":   "park gate memo: a re-armed park evaluates on its first poll",
-	"machine.Machine.parkStats":   "host-side diagnostics",
-	"machine.Machine.sbExit":      "batch-local flag of the superblock loop",
-	"machine.Machine.sbExits":     "host-side diagnostics",
-	"machine.Machine.sbAhead":     "host-side diagnostics",
-	"machine.Machine.sbReplayed":  "host-side diagnostics",
-	"machine.Machine.sbRewound":   "host-side diagnostics",
-	"machine.Machine.sbPromises":  "host-side diagnostics",
-	"machine.Machine.sbBatched":   "host-side diagnostics",
-	"machine.Machine.sbSoloRun":   "host-side diagnostics",
-	"machine.Machine.sbSoloRider": "host-side diagnostics",
-	"machine.Machine.sbSoloNaive": "host-side diagnostics",
-	"machine.Machine.sbSolo":      "the core running solo: set and cleared inside one batch, nil whenever host code runs",
-	"machine.Machine.sbSoloFrom":  "cycle the last solo run is credited up to: only read while sbSolo is set",
-	"machine.Machine.sbRun":       "batch state of the superblock loop: each core's run-ahead checkpoint, undo log and remainder, which only resume reads, after comparing the core, its pages and the privacy map with what the run read",
-	"machine.Machine.sbAct":       "per-batch scratch of the superblock loop",
-	"machine.Machine.sbGated":     "per-batch scratch of the superblock loop",
-	"machine.Machine.watchGp":     "pointers into pageGen for device-watched pages, rebuilt per batch",
-	"machine.Machine.watchSnap":   "pageGen values at batch entry",
-	"machine.Machine.watchPg":     "the device-watched pages, set up with the devices",
-	"machine.Machine.pgData":      "privacy map: derived from the address spaces, rebuilt when one changes",
-	"machine.Machine.pgWriter":    "privacy map: derived from the address spaces, rebuilt when one changes",
-	"machine.Machine.privKeys":    "the address-space keys the privacy map was last checked against",
-	"machine.Machine.privSegs":    "what the privacy map was built from",
-	"machine.Machine.sbLong":      "per-loop-top scratch of the superblock loop",
-	"machine.Machine.runPool":     "host threads for runs ahead side by side",
-	"machine.Machine.goOnJob":     "runPool's job (goOnRun), built once with the pool",
-	"machine.Machine.goOnLong":    "goOn's arguments to goOnJob, set for the length of a fork",
-	"machine.Machine.goOnMore":    "goOn's arguments to goOnJob, set for the length of a fork",
-	"machine.Machine.privWatch":   "what the privacy map was built from",
-	"machine.Machine.privGen":     "privacy map build count, a validity key of rewound runs",
-	"machine.Machine.sbJumped":    "host-side diagnostics, restart on load",
-	"machine.Mem.pageGen":         "mutation generations: validity keys of host-side caches, bumped by load",
-	"machine.Mem.writes":          "host-side mutation count, only ever compared within one batch",
-	"machine.Mem.uncounted":       "set only while runs ahead overlap at one loop top of a batch",
-	"machine.Mem.base":            "identity of the image a rewind may delta against",
-	"machine.Mem.baseGen":         "page generations at the last full load of base",
-	"machine.Mem.serial":          "host identity of a CopyFrom source",
-	"machine.Mem.copySerial":      "identity of the source a CopyFrom may delta against",
-	"machine.Mem.copySrcGen":      "the source's page generations at the last CopyFrom",
-	"machine.Mem.copyGen":         "page generations right after the last CopyFrom",
-	"machine.Core.ID":             "construction-time identity",
-	"machine.Core.AS":             "re-pointed at the kernel's address space by its walk",
-	"machine.Core.parkCond":       "closure: re-armed by core.rearmPark from the serialized park descriptor",
-	"machine.Core.parkDone":       "closure: re-armed by core.rearmPark from the serialized park descriptor",
-	"machine.Core.parkGp":         "park gate memo, cleared by Park",
-	"machine.Core.parkSeenGen":    "park gate memo, cleared by Park",
-	"machine.Core.parkSeenEpoch":  "park gate memo, cleared by Park",
-	"machine.Core.m":              "wiring",
-	"machine.Core.ec":             "translation memo: slots revalidate on the address-space key",
-	"machine.Core.sb":             "superblock cache: entries revalidate on address-space and page generations",
-	"machine.cache.lineShift":     "construction-time geometry",
-	"machine.cache.nlines":        "construction-time geometry (checked as the arrays' length)",
-	"machine.cache.pow2":          "construction-time geometry",
-	"machine.cache.lineMask":      "construction-time geometry",
-	"machine.cache.gen":           "replacement count: validity key of the superblock fetch memo",
-	"machine.cache.chunkGen":      "mutation generations of the arrays' chunks, bumped by load",
-	"machine.cache.base":          "identity of the image a rewind may delta against",
-	"machine.cache.baseGen":       "chunk generations at the last load of base",
-	"machine.cache.ram":           "the mapping the arrays live in, kept alive with the cache",
-	"device.NIC.mem":              "cache of the machine's memory handle, re-established on the first Tick",
-	"device.NIC.DebugPoison":      "debug switch: the target keeps its own",
-	"device.slots.free":           "buffers of frames that left the NIC, kept for reuse",
-
-	"machine.Machine.sbOverlapped": "host-side diagnostics",
-	"machine.Machine.sbLocal":      "host-side diagnostics",
+	"machine.Machine.prof":       "construction-time profile (core count and bus rate are checked)",
+	"machine.Machine.windows":    "construction-time wiring",
+	"machine.Machine.mmioLo":     "construction-time wiring",
+	"machine.Machine.mmioHi":     "construction-time wiring",
+	"machine.Machine.OnIRQRoute": "hook: construction-time wiring",
+	"machine.Machine.rr":         "derived: now % cores",
+	"machine.Machine.execCache":  "accelerator switch: the target keeps its own",
+	"machine.Machine.superblock": "accelerator switch: the target keeps its own",
+	"machine.Machine.parkEpoch":  "park gate memo: a re-armed park evaluates on its first poll",
+	"machine.Machine.parkStats":  "host-side diagnostics",
+	"machine.Machine.sbExit":     "batch-local flag of the superblock loop",
+	"machine.Machine.sbStats":    "host-side diagnostics, restart on load",
+	"machine.Machine.sbExits":    "host-side diagnostics, restart on load",
+	"machine.Machine.sbRewound":  "host-side diagnostics, restart on load",
+	"machine.Machine.sbSolo":     "the core running solo: set and cleared inside one batch, nil whenever host code runs",
+	"machine.Machine.sbSoloFrom": "cycle the last solo run is credited up to: only read while sbSolo is set",
+	"machine.Machine.sbRun":      "batch state of the superblock loop: each core's run-ahead checkpoint, undo log and remainder, which only resume reads, after comparing the core, its pages and the privacy map with what the run read",
+	"machine.Machine.sbAct":      "per-batch scratch of the superblock loop",
+	"machine.Machine.sbGated":    "per-batch scratch of the superblock loop",
+	"machine.Machine.watchGp":    "pointers into pageGen for device-watched pages, rebuilt per batch",
+	"machine.Machine.watchSnap":  "pageGen values at batch entry",
+	"machine.Machine.watchPg":    "the device-watched pages, set up with the devices",
+	"machine.Machine.pgData":     "privacy map: derived from the address spaces, rebuilt when one changes",
+	"machine.Machine.pgWriter":   "privacy map: derived from the address spaces, rebuilt when one changes",
+	"machine.Machine.privKeys":   "the address-space keys the privacy map was last checked against",
+	"machine.Machine.privSegs":   "what the privacy map was built from",
+	"machine.Machine.sbLong":     "per-loop-top scratch of the superblock loop",
+	"machine.Machine.runPool":    "host threads for runs ahead side by side",
+	"machine.Machine.goOnJob":    "runPool's job (goOnRun), built once with the pool",
+	"machine.Machine.goOnLong":   "goOn's arguments to goOnJob, set for the length of a fork",
+	"machine.Machine.goOnMore":   "goOn's arguments to goOnJob, set for the length of a fork",
+	"machine.Machine.privWatch":  "what the privacy map was built from",
+	"machine.Machine.privGen":    "privacy map build count, a validity key of rewound runs",
+	"machine.Mem.pageGen":        "mutation generations: validity keys of host-side caches, bumped by load",
+	"machine.Mem.writes":         "host-side mutation count, only ever compared within one batch",
+	"machine.Mem.uncounted":      "set only while runs ahead overlap at one loop top of a batch",
+	"machine.Mem.base":           "identity of the image a rewind may delta against",
+	"machine.Mem.baseGen":        "page generations at the last full load of base",
+	"machine.Mem.serial":         "host identity of a CopyFrom source",
+	"machine.Mem.copySerial":     "identity of the source a CopyFrom may delta against",
+	"machine.Mem.copySrcGen":     "the source's page generations at the last CopyFrom",
+	"machine.Mem.copyGen":        "page generations right after the last CopyFrom",
+	"machine.Core.ID":            "construction-time identity",
+	"machine.Core.AS":            "re-pointed at the kernel's address space by its walk",
+	"machine.Core.parkCond":      "closure: re-armed by core.rearmPark from the serialized park descriptor",
+	"machine.Core.parkDone":      "closure: re-armed by core.rearmPark from the serialized park descriptor",
+	"machine.Core.parkGp":        "park gate memo, cleared by Park",
+	"machine.Core.parkSeenGen":   "park gate memo, cleared by Park",
+	"machine.Core.parkSeenEpoch": "park gate memo, cleared by Park",
+	"machine.Core.m":             "wiring",
+	"machine.Core.ec":            "translation memo: slots revalidate on the address-space key",
+	"machine.Core.sb":            "superblock cache: entries revalidate on address-space and page generations",
+	"machine.cache.lineShift":    "construction-time geometry",
+	"machine.cache.nlines":       "construction-time geometry (checked as the arrays' length)",
+	"machine.cache.pow2":         "construction-time geometry",
+	"machine.cache.lineMask":     "construction-time geometry",
+	"machine.cache.gen":          "replacement count: validity key of the superblock fetch memo",
+	"machine.cache.chunkGen":     "mutation generations of the arrays' chunks, bumped by load",
+	"machine.cache.base":         "identity of the image a rewind may delta against",
+	"machine.cache.baseGen":      "chunk generations at the last load of base",
+	"machine.cache.ram":          "the mapping the arrays live in, kept alive with the cache",
+	"device.NIC.mem":             "cache of the machine's memory handle, re-established on the first Tick",
+	"device.NIC.DebugPoison":     "debug switch: the target keeps its own",
+	"device.slots.free":          "buffers of frames that left the NIC, kept for reuse",
 }
 
 // boundary probes which struct fields reachable from a snapshotted root are

@@ -64,9 +64,10 @@ func TestSuperblockDhrystoneHitRate(t *testing.T) {
 // left out: 23 % of all batched cycles here) almost all must pass without
 // the cores being interleaved cycle by cycle: credited in bulk while every
 // executing core runs ahead, or run by one core alone at machine time
-// (solo). Those stepped through the rotation were 0.79 % when promises
-// covered register-only runs, which is what is allowed, 0.55 % before
-// kernel entries could be local and 0.26 % now. And the replicas'
+// (solo). Those in stepped cycles were 0.79 % when promises covered
+// register-only runs, which is what is allowed, 0.55 % before kernel
+// entries could be local, 0.26 % before a one-cycle stretch ran solo and
+// 0.19 % now. And the replicas'
 // cycles must mostly run ahead or solo: 86.2 % do, 78 % is required. Since
 // most kernel entries here are local (core.System.LocalTrap: GetRID,
 // GetPrimary, FT_Add_Trace) and leave the peer's run alone, a replica that
@@ -111,7 +112,7 @@ func TestSuperblockKVSoloShare(t *testing.T) {
 	executed := s.Batched - m.FastForwarded()
 	stepped := executed - (s.Jumped - m.FastForwarded()) - s.Solo
 	if executed == 0 || stepped*10000 > executed*79 {
-		t.Fatalf("%d of %d batched cycles in which a core executed were stepped core by core on LC-DMR KV, over 0.79%% (%+v)",
+		t.Fatalf("%d of %d batched cycles in which a core executed were stepped cycles on LC-DMR KV, over 0.79%% (%+v)",
 			stepped, executed, s)
 	}
 	cycles := m.Core(0).Cycles + m.Core(1).Cycles
